@@ -108,6 +108,7 @@ class LieSuperalgebra:
     _expand_cache: dict = field(default_factory=dict, repr=False)
     _hform: list = field(default_factory=list, repr=False)
     _coord_cache: dict = field(default_factory=dict, repr=False)
+    _adjoint_cache: dict = field(default_factory=dict, repr=False)
 
     # -- basic queries ------------------------------------------------------
 
@@ -676,10 +677,14 @@ def build_adjoint_operation(g: LieSuperalgebra, star_type: int = 1) -> AdjointOp
     For gl and osp(2|2n) the two star types are available; type (2) is
     type (1) composed with A -> (-1)^|A| A.  For other osp the Chevalley-type
     involution (matrix conjugate-transpose for a diagonal symmetric form) is
-    returned with star_type None.
+    returned with star_type None.  The operation is checked and cached on
+    the algebra once per star type; callers must not mutate its images.
     """
     if star_type not in (1, 2):
         raise PreconditionViolated("star_type must be 1 or 2")
+    hit = g._adjoint_cache.get(star_type)
+    if hit is not None:
+        return hit
     typed = g.kind == "gl" or (g.kind == "osp" and g.m == 2)
     if g.kind == "gl":
         mdiag = [F1] * g.nat_dim
@@ -699,6 +704,7 @@ def build_adjoint_operation(g: LieSuperalgebra, star_type: int = 1) -> AdjointOp
         ]
     op = AdjointOperation(g, images, star_type if typed else None)
     _check_adjoint(op)
+    g._adjoint_cache[star_type] = op
     return op
 
 

@@ -60,6 +60,7 @@ class BGGVerdict:
     shape: ResolutionShape
     reports: list
     details: dict = field(default_factory=dict)
+    analysis: KostantAnalysis | None = field(default=None, repr=False)
 
 
 def _shape_from_analysis(an: KostantAnalysis, k_max: int) -> ResolutionShape:
@@ -100,14 +101,14 @@ def bgg_verdict(g: LieSuperalgebra, p: ParabolicDecomposition, lam: Weight,
 
     if witness is not None:
         details["witness_degree"] = witness
-        return BGGVerdict("NotExists", "NecessityViolated", shape, reports, details)
+        return BGGVerdict("NotExists", "NecessityViolated", shape, reports, details, an)
 
     # 1. star condition: dagger maps each nilradical basis vector to its
     #    signed dual and the module is unitarisable; valid at every degree
     star = _try_star(g, p, lam, star_type)
     if star is not None:
         details.update(star)
-        return BGGVerdict("Exists", "StarCondition", shape, reports, details)
+        return BGGVerdict("Exists", "StarCondition", shape, reports, details, an)
 
     # 2. multiplicity criterion on ker quabla (window-verified)
     try:
@@ -116,7 +117,7 @@ def bgg_verdict(g: LieSuperalgebra, p: ParabolicDecomposition, lam: Weight,
         ok, wit = False, "not completely reducible"
     if ok:
         details["criterion_window"] = k_max
-        return BGGVerdict("Exists", "MultiplicityCriterion", shape, reports, details)
+        return BGGVerdict("Exists", "MultiplicityCriterion", shape, reports, details, an)
     details["multiplicity_witness"] = wit
 
     # 3. direct disjointness: statements (1) and (5) plus H = ker quabla
@@ -129,8 +130,8 @@ def bgg_verdict(g: LieSuperalgebra, p: ParabolicDecomposition, lam: Weight,
         )
         details["homology_matches_ker_quabla"] = matches
         if matches:
-            return BGGVerdict("Exists", "DirectDisjointness", shape, reports, details)
-    return BGGVerdict("Unknown", "Truncated", shape, reports, details)
+            return BGGVerdict("Exists", "DirectDisjointness", shape, reports, details, an)
+    return BGGVerdict("Unknown", "Truncated", shape, reports, details, an)
 
 
 def _try_star(g, p, lam, star_type):

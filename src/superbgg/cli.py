@@ -294,8 +294,7 @@ def _cmd_bgg(args, t0) -> int:
     lam = parse_weight(args.weight, g.r, g.s)
     verdict = bgg_verdict(g, p, lam, args.kmax, star_type=args.star_type,
                           workers=args.workers)
-    mod = build_irrep(g, lam)
-    an = get_analysis(p, mod, args.kmax, args.workers)
+    an = verdict.analysis
     nil, quab = _internal_checks(an, args.kmax)
     summ = an.predicate_summary()
     report = {

@@ -5,6 +5,12 @@ operator are h-equivariant, so kernels, images, homology quotients and
 generalized eigenspaces decompose along weights and the blocks can be
 processed independently (optionally in parallel).
 
+The Levi decomposition is weight-local too.  Every vector it handles is
+weight-homogeneous, so each weight block of a LeviModule is eliminated once
+(a left transform that turns `express` into a sparse product), and the
+lowering closures and their union keep echelon pivots per weight: no
+elimination ever runs over the whole module.
+
 Homology groups of interest are H_k(nbar, W) = ker(delta*_k)/im(delta*_{k+1})
 computed on Lambda^. nbar (x) W; these are the groups whose induced modules
 form BGG resolutions of W.
@@ -30,6 +36,7 @@ from .errors import (
     FiniteDimGuardExceeded,
     LeviNotClosed,
     NotCompletelyReducible,
+    PreconditionViolated,
     TruncationTooSmall,
 )
 from .modules import Module, build_irrep, restrict_adjoint
@@ -154,7 +161,8 @@ class LeviModule:
 
     `reps` are sparse ambient columns, each supported in a single weight
     block.  `modulo` (optional, per weight) is a list of ambient columns to
-    quotient by; the action is reduced modulo that span.
+    quotient by; the action is reduced modulo that span.  Coordinates are
+    solved weight by weight: each weight block is eliminated once.
     """
 
     def __init__(self, cx: ChainComplex, k: int, reps: list, modulo: dict | None = None):
@@ -164,10 +172,15 @@ class LeviModule:
         self.reps = reps
         self.modulo = modulo or {}
         self.weights = []
-        for col in reps:
+        self._members: dict = {}
+        for t, col in enumerate(reps):
             ws = {self.space.weights[i] for i in col}
-            assert len(ws) == 1, "representative mixes weight blocks"
-            self.weights.append(ws.pop())
+            if len(ws) != 1:
+                raise PreconditionViolated(
+                    f"representative {t} is not supported in a single weight block")
+            w = ws.pop()
+            self.weights.append(w)
+            self._members.setdefault(w, []).append(t)
         self._solvers: dict = {}
         self._act_cache: dict = {}
 
@@ -176,52 +189,59 @@ class LeviModule:
         return len(self.reps)
 
     def members(self, weight: Weight) -> list:
-        return [t for t, w in enumerate(self.weights) if w == weight]
+        return self._members.get(weight, [])
 
     def _solver(self, weight: Weight):
-        if weight in self._solvers:
-            return self._solvers[weight]
+        """Left transform E of the stacked block A = [modulo | reps] of `weight`.
+
+        E is read off the RREF of [A | I], so E.A is the RREF of A.  Returns
+        (pos, ecols, rank, coords): `pos` maps ambient indices to block rows,
+        `ecols[j]` is column j of E as a sparse dict, rows from `rank` on are
+        the consistency conditions, and `coords[r]` is the member index solved
+        by row r (None for a `modulo` column).
+        """
+        hit = self._solvers.get(weight)
+        if hit is not None:
+            return hit
         idxs = self.space.weight_blocks.get(weight, [])
         pos = {g: i for i, g in enumerate(idxs)}
-        mod_cols = []
-        for col in self.modulo.get(weight, []):
-            dense = [F0] * len(idxs)
+        members = self.members(weight)
+        cols = self.modulo.get(weight, []) + [self.reps[t] for t in members]
+        n, c = len(idxs), len(cols)
+        aug = linalg.zeros(n, c + n)
+        for j, col in enumerate(cols):
             for gidx, v in col.items():
-                dense[pos[gidx]] = v
-            mod_cols.append(dense)
-        rep_cols = []
-        for t in self.members(weight):
-            dense = [F0] * len(idxs)
-            for gidx, v in self.reps[t].items():
-                dense[pos[gidx]] = v
-            rep_cols.append(dense)
-        self._solvers[weight] = (idxs, pos, mod_cols, rep_cols, self.members(weight))
+                aug[pos[gidx]][j] = v
+        for i in range(n):
+            aug[i][c + i] = F1
+        red, pivots = linalg.rref(aug)
+        rank = sum(1 for pc in pivots if pc < c)
+        ecols = [{r: red[r][c + j] for r in range(n) if red[r][c + j]}
+                 for j in range(n)]
+        n_mod = c - len(members)
+        coords = [members[pc - n_mod] if pc >= n_mod else None
+                  for pc in pivots[:rank]]
+        self._solvers[weight] = (pos, ecols, rank, coords)
         return self._solvers[weight]
 
     def express(self, weight: Weight, ambient_col: dict) -> dict:
         """Coordinates over this module's basis, reducing mod `modulo`.
 
         Raises LeviNotClosed when the vector is outside span(modulo + reps)."""
-        idxs, pos, mod_cols, rep_cols, members = self._solver(weight)
-        dense = [F0] * len(idxs)
+        pos, ecols, rank, coords = self._solver(weight)
+        y: dict = {}
         for gidx, v in ambient_col.items():
-            if gidx not in pos:
+            j = pos.get(gidx)
+            if j is None:
                 raise LeviNotClosed("image leaves the expected weight block")
-            dense[pos[gidx]] = v
-        if not any(dense):
-            return {}
-        allcols = mod_cols + rep_cols
-        if not allcols:
-            raise LeviNotClosed("nonzero image in an empty block")
-        mat = [[allcols[c][r] for c in range(len(allcols))] for r in range(len(idxs))]
-        sol = linalg.solve(mat, dense)
-        if sol is None:
+            linalg.vec_iadd(y, ecols[j], v)
+        if any(r >= rank for r in y):
             raise LeviNotClosed("subspace is not stable under the Levi action")
         out = {}
-        for i, t in enumerate(members):
-            v = sol[len(mod_cols) + i]
-            if v:
-                out[t] = v
+        for r in sorted(y):
+            t = coords[r]
+            if t is not None:
+                out[t] = y[r]
         return out
 
     def act(self, levi_index: int) -> list:
@@ -283,6 +303,30 @@ def levi_irrep_dimension(p: ParabolicDecomposition, weight: Weight,
     return dim
 
 
+def _highest_weight_vectors(mod: LeviModule, raise_cols: list) -> dict:
+    """Joint kernel of the raising operators, weight by weight.
+
+    Returns {weight: [sparse coordinate vectors]} for the weights with a
+    nonzero kernel, in sorted weight order."""
+    out: dict = {}
+    for w in sorted(set(mod.weights), key=lambda t: tuple(map(str, t))):
+        members = mod.members(w)
+        rows = []
+        for cols in raise_cols:
+            targets = sorted({t for m in members for t in cols[m]})
+            tpos = {t: r for r, t in enumerate(targets)}
+            block = linalg.zeros(len(targets), len(members))
+            for cj, m in enumerate(members):
+                for t, v in cols[m].items():
+                    block[tpos[t]][cj] = v
+            rows.extend(block)
+        kernel = linalg.nullspace(rows, ncols=len(members))
+        if kernel:
+            out[w] = [{members[i]: v for i, v in enumerate(vec) if v}
+                      for vec in kernel]
+    return out
+
+
 def decompose_levi(p: ParabolicDecomposition, mod, max_depth: int = 64,
                    cx: ChainComplex | None = None,
                    irrep_builder=None) -> LDecomposition:
@@ -290,11 +334,16 @@ def decompose_levi(p: ParabolicDecomposition, mod, max_depth: int = 64,
 
     `mod` is a LeviModule, or a SubspaceBasis when `cx` names the ambient
     complex.  Highest weight vectors are the joint kernel of the raising
-    operators of the Levi simple roots; each generates a submodule by closure
-    under the Levi lowering operators.  Complete reducibility is certified
-    when the generated submodules span and the abstract irrep dimensions add
-    up (any highest-weight module of the right dimension is irreducible).
-    `irrep_builder(weight) -> dimension or None` overrides the default cached
+    operators of the Levi simple roots; those of weight mu generate a
+    submodule by closure under the Levi lowering operators.  Complete
+    reducibility is certified when every abstract irrep dimension is known,
+    generated_dimension == hw_vector_count * irrep_dimension for every entry,
+    and union_dim == dim == sum(hw_vector_count * irrep_dimension), where
+    union_dim is the dimension of the sum of the generated submodules.  The
+    per-entry equality makes each generated submodule a direct sum of
+    hw_vector_count irreducibles; without it one highest-weight vector could
+    generate a non-split extension whose dimensions still add up.  All
+    elimination is local to one weight block.  `irrep_builder(weight) -> dimension or None` overrides the default cached
     construction of abstract Levi irreps.
     """
     if isinstance(mod, SubspaceBasis):
@@ -304,46 +353,13 @@ def decompose_levi(p: ParabolicDecomposition, mod, max_depth: int = 64,
     if irrep_builder is None:
         def irrep_builder(weight):
             return levi_irrep_dimension(p, weight, max_depth)
-    g = p.algebra
-    levi = p.levi_algebra()
-    raise_idx = [g.basis_index_of_root(a) for a in
-                 (g.simple_roots[i] for i in p.levi_simple_roots)]
-    lower_idx = [g.basis_index_of_root(tuple(-c for c in a)) for a in
-                 (g.simple_roots[i] for i in p.levi_simple_roots)]
-
-    raise_cols = {i: mod.act(i) for i in raise_idx}
-    lower_cols = {i: mod.act(i) for i in lower_idx}
-
-    hw_vectors = []   # (weight, coordinate dict over mod basis)
-    weights_present = sorted(set(mod.weights), key=lambda w: tuple(map(str, w)))
-    for w in weights_present:
-        members = mod.members(w)
-        rows = []
-        for i in raise_idx:
-            cols = raise_cols[i]
-            targets = sorted({t for m in members for t in cols[m]})
-            tpos = {t: r for r, t in enumerate(targets)}
-            block = linalg.zeros(len(targets), len(members))
-            for cj, m in enumerate(members):
-                for t, v in cols[m].items():
-                    block[tpos[t]][cj] = v
-            rows.extend(block)
-        if rows:
-            kernel = linalg.nullspace(rows, ncols=len(members))
-        else:
-            kernel = _std_basis(len(members))
-        for vec in kernel:
-            hw_vectors.append((w, {members[i]: v for i, v in enumerate(vec) if v}))
-
-    by_weight: dict = {}
-    for w, vec in hw_vectors:
-        by_weight.setdefault(w, []).append(vec)
+    pos, neg = p.algebra.simple_vector_indices()
+    raise_cols = [mod.act(pos[i]) for i in p.levi_simple_roots]
+    lower_cols = [mod.act(neg[i]) for i in p.levi_simple_roots]
 
     entries = []
-    union_span: list = []
-    total_generated = 0
-    for w in sorted(by_weight, key=lambda t: tuple(map(str, t))):
-        vecs = by_weight[w]
+    union = _WeightEchelon(mod.weights)
+    for w, vecs in _highest_weight_vectors(mod, raise_cols).items():
         gen = _lowering_closure(mod, lower_cols, vecs)
         entries.append(LDecompositionEntry(
             highest_weight=w,
@@ -351,66 +367,67 @@ def decompose_levi(p: ParabolicDecomposition, mod, max_depth: int = 64,
             irrep_dimension=irrep_builder(w),
             generated_dimension=len(gen),
         ))
-        union_span.extend(gen)
-    if union_span:
-        keep = linalg.independent_columns(union_span)
-        union_dim = len(keep)
-    else:
-        union_dim = 0
-    dim_sum = sum(
-        e.hw_vector_count * e.irrep_dimension
-        for e in entries if e.irrep_dimension is not None
-    )
-    unknown = any(e.irrep_dimension is None for e in entries)
-    cr = (not unknown) and union_dim == mod.dim and dim_sum == mod.dim
+        for vec in gen:
+            union.add(vec)
+    cr = (all(e.irrep_dimension is not None
+              and e.generated_dimension == e.hw_vector_count * e.irrep_dimension
+              for e in entries)
+          and union.rank == mod.dim
+          == sum(e.hw_vector_count * e.irrep_dimension for e in entries))
     return LDecomposition(entries=entries, completely_reducible=cr,
                           total_dimension=mod.dim)
 
 
-def _lowering_closure(mod: LeviModule, lower_cols: dict, seeds: list) -> list:
-    """Basis (dense coordinate vectors) of the span closed under lowering."""
-    dim = mod.dim
-    basis_mat: list = []
-    pivots: dict = {}
+class _WeightEchelon:
+    """Echelon basis of a span of weight-homogeneous sparse vectors.
 
-    def reduce_add(vec: list) -> bool:
-        v = vec[:]
-        for piv, row in pivots.items():
-            if v[piv]:
-                f = v[piv]
-                for i in range(dim):
-                    v[i] -= f * row[i]
-        lead = next((i for i in range(dim) if v[i]), None)
-        if lead is None:
-            return False
-        inv = F1 / v[lead]
-        v = [x * inv for x in v]
-        pivots[lead] = v
-        basis_mat.append(v)
-        return True
+    Rows are kept per weight, keyed by their leading (smallest) index and
+    scaled to lead with 1, so a reduction only meets rows of its own weight.
+    """
 
-    frontier = []
-    for s in seeds:
-        dense = [F0] * dim
-        for t, c in s.items():
-            dense[t] = c
-        if reduce_add(dense):
-            frontier.append(dense)
+    def __init__(self, weights: list):
+        self.weights = weights          # module index -> weight
+        self.rows: dict = {}            # weight -> {lead index: row}
+        self.rank = 0
+
+    def add(self, vec: dict) -> dict | None:
+        """Reduce `vec`; store and return the new row, or None if dependent."""
+        v = dict(vec)
+        rows = self.rows.setdefault(self.weights[next(iter(v))], {})
+        while v:
+            lead = min(v)
+            row = rows.get(lead)
+            if row is None:
+                inv = F1 / v[lead]
+                row = {t: x * inv for t, x in v.items()}
+                rows[lead] = row
+                self.rank += 1
+                return row
+            linalg.vec_iadd(v, row, -v[lead])
+        return None
+
+
+def _lowering_closure(mod: LeviModule, lower_cols: list, seeds: list) -> list:
+    """Echelon basis (sparse coordinate vectors) of the span of `seeds`
+    closed under the lowering operators."""
+    echelon = _WeightEchelon(mod.weights)
+    basis = []
+    frontier = seeds
     while frontier:
         nxt = []
         for vec in frontier:
-            for i, cols in lower_cols.items():
-                img = [F0] * dim
-                nz = False
-                for t, c in enumerate(vec):
-                    if c:
-                        for r, v in cols[t].items():
-                            img[r] += c * v
-                            nz = True
-                if nz and reduce_add(img):
+            row = echelon.add(vec)
+            if row is None:
+                continue
+            basis.append(row)
+            for cols in lower_cols:
+                img: dict = {}
+                for t, c in row.items():
+                    linalg.vec_iadd(img, cols[t], c)
+                if img:
                     nxt.append(img)
         frontier = nxt
-    return basis_mat
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -631,26 +648,9 @@ class KostantAnalysis:
 
 def decompose_levi_hw_only(p: ParabolicDecomposition, mod: LeviModule) -> dict:
     """Highest weights with multiplicities only (no irrep builds)."""
-    g = p.algebra
-    raise_idx = [g.basis_index_of_root(g.simple_roots[i]) for i in p.levi_simple_roots]
-    raise_cols = {i: mod.act(i) for i in raise_idx}
-    out: dict = {}
-    for w in sorted(set(mod.weights), key=lambda t: tuple(map(str, t))):
-        members = mod.members(w)
-        rows = []
-        for i in raise_idx:
-            cols = raise_cols[i]
-            targets = sorted({t for m in members for t in cols[m]})
-            tpos = {t: r for r, t in enumerate(targets)}
-            block = linalg.zeros(len(targets), len(members))
-            for cj, m in enumerate(members):
-                for t, v in cols[m].items():
-                    block[tpos[t]][cj] = v
-            rows.extend(block)
-        count = (len(members) - len(linalg.rref(rows)[1])) if rows else len(members)
-        if count:
-            out[w] = count
-    return out
+    pos, _ = p.algebra.simple_vector_indices()
+    hw = _highest_weight_vectors(mod, [mod.act(pos[i]) for i in p.levi_simple_roots])
+    return {w: len(vecs) for w, vecs in hw.items()}
 
 
 def _occurrence_bound(g, module, cx, mu) -> int | None:

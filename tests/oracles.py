@@ -317,3 +317,77 @@ class VermaOracle:
             if r:
                 dims[wt] = r
         return dims
+
+
+# ---------------------------------------------------------------------------
+# Levi decomposition oracle
+# ---------------------------------------------------------------------------
+
+def _row_echelon(rows):
+    """Echelon rows spanning the same space, by plain elimination."""
+    m = [row[:] for row in rows if any(row)]
+    ncols = len(m[0]) if m else 0
+    rank = 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for i in range(rank + 1, len(m)):
+            if m[i][col]:
+                f = m[i][col] / m[rank][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return m[:rank]
+
+
+def _kernel_dense(rows, ncols):
+    """Basis of {x : rows.x = 0} by back substitution on echelon rows."""
+    ech = _row_echelon(rows)
+    leads = [next(c for c in range(ncols) if row[c]) for row in ech]
+    basis = []
+    for free in (c for c in range(ncols) if c not in leads):
+        x = [F0] * ncols
+        x[free] = F1
+        for row, lead in reversed(list(zip(ech, leads))):
+            x[lead] = -sum((row[c] * x[c] for c in range(lead + 1, ncols)), F0) / row[lead]
+        basis.append(x)
+    return basis
+
+
+def oracle_levi_generated_dims(weights, raise_mats, lower_mats):
+    """{highest weight: (hw vector count, generated dimension)} by brute force.
+
+    `weights[t]` is the weight of basis vector t of a Levi module and
+    `raise_mats` / `lower_mats` are its dense matrices of the raising and
+    lowering operators of the Levi simple roots.  The highest weight vectors
+    of weight mu are the joint kernel of the raising matrices on the weight-mu
+    coordinates; the generated dimension is the rank of the smallest space
+    containing them that is stable under every lowering matrix, grown by
+    dense elimination over the whole module until the rank stops growing.
+    """
+    dim = len(weights)
+    out = {}
+    for mu in set(weights):
+        cols = [t for t in range(dim) if weights[t] == mu]
+        rows = [[mat[r][t] for t in cols] for mat in raise_mats for r in range(dim)]
+        kernel = _kernel_dense(rows, len(cols)) if rows else [
+            [F1 if i == j else F0 for i in range(len(cols))] for j in range(len(cols))]
+        if not kernel:
+            continue
+        span = []
+        for vec in kernel:
+            full = [F0] * dim
+            for i, t in enumerate(cols):
+                full[t] = vec[i]
+            span.append(full)
+        span = _row_echelon(span)
+        while True:
+            images = [[sum((mat[r][t] * v[t] for t in range(dim) if v[t]), F0)
+                       for r in range(dim)] for mat in lower_mats for v in span]
+            grown = _row_echelon(span + images)
+            if len(grown) == len(span):
+                break
+            span = grown
+        out[mu] = (len(kernel), len(span))
+    return out

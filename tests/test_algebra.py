@@ -158,6 +158,13 @@ def test_adjoint_gl_types(gl21):
     assert op1.star_type == 1 and op2.star_type == 2
 
 
+def test_adjoint_operation_cached_per_star_type(gl21):
+    op1 = build_adjoint_operation(gl21, 1)
+    assert build_adjoint_operation(gl21, 1) is op1
+    assert build_adjoint_operation(gl21, 2) is not op1
+    assert build_adjoint_operation(build_algebra("gl", 2, 1), 1) is not op1
+
+
 def test_adjoint_invariants(gl21, osp12, osp46):
     for g in (gl21, osp12, osp46):
         op = build_adjoint_operation(g, 1)

@@ -81,6 +81,26 @@ def test_bgg_check_report(capsys):
         {"multiplicity": 1, "weight": ["1", "0", "0"]}]
 
 
+def test_bgg_check_builds_one_analysis(capsys, monkeypatch):
+    from superbgg import chains, homology
+    built = {"analyses": 0, "complexes": 0}
+
+    def counting(cls, key):
+        init = cls.__init__
+
+        def wrapped(self, *args, **kwargs):
+            built[key] += 1
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", wrapped)
+
+    counting(homology.KostantAnalysis, "analyses")
+    counting(chains.ChainComplex, "complexes")
+    code, _ = run_cli(capsys, "bgg", "check", "--alg", "gl", "--m", "2",
+                      "--n", "1", "--weight", "1,0|0", "--kmax", "2")
+    assert code == 0
+    assert built == {"analyses": 1, "complexes": 1}
+
+
 def test_homology_command(capsys):
     code, out = run_cli(capsys, "homology", "--alg", "osp", "--m", "1", "--n",
                         "1", "--weight", "|1", "--kmax", "3")

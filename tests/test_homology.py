@@ -1,11 +1,19 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from oracles import oracle_boundary_squares_to_zero, oracle_homology_dims
+from oracles import (
+    oracle_boundary_squares_to_zero,
+    oracle_homology_dims,
+    oracle_levi_generated_dims,
+)
 from superbgg import linalg
-from superbgg.algebra import build_algebra, build_parabolic, wt
-from superbgg.chains import ChainComplex
+from superbgg.algebra import build_algebra, build_parabolic, wt, wt_add
+from superbgg.chains import ChainComplex, get_complex
 from superbgg.errors import LeviNotClosed, TruncationTooSmall
 from superbgg.homology import (
     KostantAnalysis,
@@ -13,8 +21,9 @@ from superbgg.homology import (
     decompose_levi,
     full_levi_module,
     multiplicity_criterion,
+    subspace_levi_module,
 )
-from superbgg.modules import build_irrep, dual_module
+from superbgg.modules import build_irrep, build_kac_module, dual_module
 
 F0, F1 = Fraction(0), Fraction(1)
 
@@ -317,3 +326,100 @@ def test_decompose_levi_accepts_subspace(gl21_borel, gl21_natural):
     sub = an.ker_quabla(1)
     dec = decompose_levi(gl21_borel, sub, cx=an.cx)
     assert dec.total_dimension == sub.dim
+
+
+def test_decompose_levi_non_split_extension(gl21):
+    """The Levi gl(1|1)+gl(1) of gl(2|1) has an odd root; on the Kac module
+    K(0) one highest-weight vector of weight 0 generates a 2-dimensional
+    non-split extension of the 1-dimensional irrep.  The dimensions still add
+    up, so only the per-entry check refuses the certificate."""
+    p = build_parabolic(gl21, [1])
+    cx = get_complex(p, build_kac_module(gl21, wt(0, 0, 0)), "nbar")
+    dec = decompose_levi(p, full_levi_module(cx, 0))
+    entry = next(e for e in dec.entries if e.highest_weight == wt(0, 0, 0))
+    assert (entry.hw_vector_count, entry.irrep_dimension,
+            entry.generated_dimension) == (1, 1, 2)
+    assert sum(e.hw_vector_count * e.irrep_dimension
+               for e in dec.entries) == dec.total_dimension
+    assert not dec.completely_reducible
+
+
+def test_levi_module_rejects_mixed_weights_under_O():
+    """The single-weight precondition is a typed error, so `python -O`
+    keeps it."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "from fractions import Fraction\n"
+        "from superbgg.algebra import build_algebra, build_parabolic, wt\n"
+        "from superbgg.chains import get_complex\n"
+        "from superbgg.errors import PreconditionViolated\n"
+        "from superbgg.homology import LeviModule\n"
+        "from superbgg.modules import build_irrep\n"
+        "g = build_algebra('gl', 2, 1)\n"
+        "cx = get_complex(build_parabolic(g, []), build_irrep(g, wt(1, 0, 0)), 'nbar')\n"
+        "try:\n"
+        "    LeviModule(cx, 0, [{0: Fraction(1), 1: Fraction(1)}])\n"
+        "except PreconditionViolated:\n"
+        "    print('rejected')\n"
+    )
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "rejected"
+
+
+def _dense(cols, dim):
+    mat = linalg.zeros(dim, dim)
+    for t, col in enumerate(cols):
+        for r, v in col.items():
+            mat[r][t] = v
+    return mat
+
+
+@pytest.mark.parametrize("case", ["gl21_borel", "osp46_sec7"])
+def test_generated_dimension_matches_dense_oracle(case, request):
+    p = request.getfixturevalue(case)
+    module = request.getfixturevalue(case.split("_")[0] + "_natural")
+    an = KostantAnalysis(p, module, k_max=2)
+    pos, neg = p.algebra.simple_vector_indices()
+    for k in (0, 1):
+        for mod in (full_levi_module(an.cx, k), an.homology_quotient_module(k),
+                    subspace_levi_module(an.cx, k, an.ker_quabla(k))):
+            dec = decompose_levi(p, mod)
+            want = oracle_levi_generated_dims(
+                mod.weights,
+                [_dense(mod.act(pos[i]), mod.dim) for i in p.levi_simple_roots],
+                [_dense(mod.act(neg[i]), mod.dim) for i in p.levi_simple_roots])
+            got = {e.highest_weight: (e.hw_vector_count, e.generated_dimension)
+                   for e in dec.entries}
+            assert got == want
+
+
+def test_levi_act_matches_stacked_solve(osp46_sec7, osp46_natural):
+    an = KostantAnalysis(osp46_sec7, osp46_natural, k_max=2)
+    mod = an.homology_quotient_module(1)
+    assert any(mod.modulo.values())
+    g = osp46_sec7.algebra
+    sp = mod.space
+    for i in osp46_sec7.levi_indices:
+        cols = mod.act(i)
+        for t, rep in enumerate(mod.reps):
+            img: dict = {}
+            for gidx, v in rep.items():
+                for elem, c in an.cx.act_element({i: F1}, sp.basis[gidx]).items():
+                    linalg.vec_iadd(img, {sp.index[elem]: c}, v)
+            if not img:
+                assert cols[t] == {}
+                continue
+            w = wt_add(mod.weights[t], g.root(i))
+            mod_cols = mod.modulo.get(w, [])
+            members = mod.members(w)
+            stacked = mod_cols + [mod.reps[u] for u in members]
+            idxs = sp.weight_blocks[w]
+            sol = linalg.solve([[col.get(r, F0) for col in stacked] for r in idxs],
+                               [img.get(r, F0) for r in idxs])
+            assert sol is not None
+            want = {u: sol[len(mod_cols) + j] for j, u in enumerate(members)
+                    if sol[len(mod_cols) + j]}
+            assert cols[t] == want
