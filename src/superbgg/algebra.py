@@ -196,7 +196,7 @@ class LieSuperalgebra:
     def _build_expander(self):
         entries = sorted({e for b in self.basis for e in b.matrix})
         mat = [[b.matrix.get(entry, F0) for b in self.basis] for entry in entries]
-        _, row_pivots = linalg.rref(linalg.transpose(mat))
+        row_pivots = linalg.independent_columns(mat)
         if len(row_pivots) != self.dim:
             raise AssertionError("basis matrices are linearly dependent")
         sel = [entries[i] for i in row_pivots]
@@ -558,6 +558,8 @@ def build_algebra(kind: str, m: int, n: int, C=1, strict: bool = True) -> LieSup
     C = Fraction(C)
     if C == 0:
         raise PreconditionViolated("form normalization C must be nonzero")
+    if m < 0 or n < 0:
+        raise PreconditionViolated(f"m and n must be non-negative, got {m} and {n}")
     if kind == "gl":
         return _build_gl(m, n, C, strict)
     if kind == "osp":

@@ -80,13 +80,12 @@ def _shape_from_analysis(an: KostantAnalysis, k_max: int) -> ResolutionShape:
 
 
 def bgg_verdict(g: LieSuperalgebra, p: ParabolicDecomposition, lam: Weight,
-                k_max: int, star_type: int | None = None,
-                workers: int | None = None) -> BGGVerdict:
+                k_max: int, star_type: int | None = None) -> BGGVerdict:
     """Run the full decision ladder for the irreducible module with highest
     weight lam."""
     lam = tuple(Fraction(c) for c in lam)
     module = build_irrep(g, lam)
-    an = get_analysis(p, module, k_max, workers)
+    an = get_analysis(p, module, k_max)
     reports = []
     witness = None
     for k in range(k_max + 1):
@@ -359,7 +358,7 @@ def _scenario_glmn_borel_natural(**_):
         coh0: dict = {}
         for w, idxs in cx.space(0).weight_blocks.items():
             blk = rb.block(w)
-            kerd = len(idxs) - (len(linalg.rref(blk)[1]) if blk else 0)
+            kerd = len(idxs) - linalg.rank(blk)
             if kerd:
                 coh0[w] = kerd
         kq0 = an.ker_quabla(0).weight_dims()

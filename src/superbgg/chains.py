@@ -27,6 +27,7 @@ from .algebra import (
     casimir_eigenvalue,
     wt_add,
 )
+from .errors import CrossCheckFailed, PreconditionViolated
 from .modules import HWModule, Module
 
 F0 = Fraction(0)
@@ -70,7 +71,8 @@ class ChainMap:
 
     def compose(self, inner: "ChainMap") -> "ChainMap":
         """self o inner."""
-        assert inner.target is self.source
+        if inner.target is not self.source:
+            raise CrossCheckFailed("composed maps do not share a chain space")
         cols = []
         for col in inner.cols:
             acc: dict = {}
@@ -114,7 +116,8 @@ class ChainMap:
         return out
 
     def commutes_with(self, other: "ChainMap") -> bool:
-        assert self.source is self.target is other.source is other.target
+        if not (self.source is self.target is other.source is other.target):
+            raise CrossCheckFailed("commutator of maps on different chain spaces")
         return self.compose(other).cols == other.compose(self).cols
 
 
@@ -122,7 +125,8 @@ class ChainComplex:
     """All chain degrees for one side (radical r = n or nbar) and one module."""
 
     def __init__(self, parabolic: ParabolicDecomposition, module: Module, side: str):
-        assert side in ("n", "nbar")
+        if side not in ("n", "nbar"):
+            raise PreconditionViolated(f"side must be 'n' or 'nbar', not {side!r}")
         self.parabolic = parabolic
         self.module = module
         self.side = side
@@ -366,7 +370,7 @@ class ChainComplex:
             linalg.vec_iadd(hvec, g.bracket_vec({gen: F1}, self.duals[a]))
         for i in hvec:
             if not g.basis[i].is_cartan:
-                raise AssertionError("sum [z_a, z_a^#] is not in the Cartan")
+                raise CrossCheckFailed("sum [z_a, z_a^#] is not in the Cartan")
         levi = p.levi_indices
         lgram = [[g.gram[i][j] for j in levi] for i in levi]
         linv = linalg.inverse(lgram)
@@ -415,7 +419,8 @@ class ChainPairing:
     """
 
     def __init__(self, left: ChainComplex, right: ChainComplex):
-        assert left.side == "nbar" and right.side == "n"
+        if not (left.side == "nbar" and right.side == "n"):
+            raise PreconditionViolated("pairing needs an nbar complex and an n complex")
         self.left = left
         self.right = right
         g = left.algebra
@@ -489,8 +494,9 @@ class ChainForm:
     def __init__(self, cx: ChainComplex):
         self.cx = cx
         mod = cx.module
-        assert isinstance(mod, HWModule) and mod.gram_blocks, \
-            "chain form needs a module with a contravariant form"
+        if not (isinstance(mod, HWModule) and mod.gram_blocks):
+            raise PreconditionViolated(
+                "chain form needs a module with a contravariant form")
         g = cx.algebra
         op = mod.adjoint
         self._gform = {}

@@ -125,8 +125,6 @@ def _add_parabolic_args(sp):
 
 def _add_common_args(sp):
     sp.add_argument("--out", default=None, help="report path (default: stdout)")
-    sp.add_argument("--workers", type=int, default=None,
-                    help="block-parallel workers (default: SUPERBGG_WORKERS or 1)")
 
 
 def _algebra_from_args(args):
@@ -232,7 +230,10 @@ def _cmd_rep(args, t0) -> int:
 
 
 def _internal_checks(an, k_max: int) -> tuple:
-    """Nilpotency and quabla cross-checks on the built window."""
+    """Nilpotency and quabla cross-checks on the built window.
+
+    The direct quabla is the analysis's own (`quabla_map`), the one its block
+    kernels use, so it is built once per degree."""
     cx = an.cx
     nil = all(
         cx.lower(k - 1).compose(cx.lower(k)).is_zero() for k in range(2, k_max + 1)
@@ -240,7 +241,7 @@ def _internal_checks(an, k_max: int) -> tuple:
         cx.raise_(k + 1).compose(cx.raise_(k)).is_zero() for k in range(0, k_max - 1)
     )
     quab = all(
-        cx.quabla(k, "direct").cols == cx.quabla(k, "casimir").cols
+        an.quabla_map(k).cols == cx.quabla(k, "casimir").cols
         for k in range(0, k_max)
     )
     return nil, quab
@@ -251,7 +252,7 @@ def _cmd_homology(args, t0) -> int:
     p = _parabolic_from_args(g, args)
     lam = parse_weight(args.weight, g.r, g.s)
     mod = build_irrep(g, lam, max_depth=args.max_depth)
-    an = get_analysis(p, mod, args.kmax, args.workers)
+    an = get_analysis(p, mod, args.kmax)
     nil, quab = _internal_checks(an, args.kmax)
     degrees = []
     for k in range(args.kmax + 1):
@@ -292,8 +293,7 @@ def _cmd_bgg(args, t0) -> int:
     g = _algebra_from_args(args)
     p = _parabolic_from_args(g, args)
     lam = parse_weight(args.weight, g.r, g.s)
-    verdict = bgg_verdict(g, p, lam, args.kmax, star_type=args.star_type,
-                          workers=args.workers)
+    verdict = bgg_verdict(g, p, lam, args.kmax, star_type=args.star_type)
     an = verdict.analysis
     nil, quab = _internal_checks(an, args.kmax)
     summ = an.predicate_summary()
@@ -404,6 +404,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     t0 = time.time()
     try:
+        if getattr(args, "kmax", None) is not None and args.kmax < 0:
+            raise InputError(f"--kmax must be non-negative, got {args.kmax}")
         return args.func(args, t0)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

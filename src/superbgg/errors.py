@@ -58,6 +58,12 @@ class NotCompletelyReducible(SuperBGGError):
     """Multiplicity criterion asked for on a non completely reducible space."""
 
 
+class CrossCheckFailed(SuperBGGError):
+    """An internal consistency check of a computed result failed.
+
+    Raised instead of `assert` so that `python -O` cannot strip it."""
+
+
 class TruncationTooSmall(SuperBGGError):
     """A weight may occur in degrees beyond the built truncation."""
 

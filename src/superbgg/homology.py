@@ -2,8 +2,8 @@
 
 Everything is organized per weight block: the four operators and the quabla
 operator are h-equivariant, so kernels, images, homology quotients and
-generalized eigenspaces decompose along weights and the blocks can be
-processed independently (optionally in parallel).
+generalized eigenspaces decompose along weights and each block is
+eliminated on its own.
 
 The Levi decomposition is weight-local too.  Every vector it handles is
 weight-homogeneous, so each weight block of a LeviModule is eliminated once
@@ -18,8 +18,6 @@ form BGG resolutions of W.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,6 +31,7 @@ from .algebra import (
 )
 from .chains import ChainComplex, ChainMap, get_complex
 from .errors import (
+    CrossCheckFailed,
     FiniteDimGuardExceeded,
     LeviNotClosed,
     NotCompletelyReducible,
@@ -45,45 +44,26 @@ F0 = Fraction(0)
 F1 = Fraction(1)
 
 
-def default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("SUPERBGG_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_blocks(fn, items, workers):
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
-def _block_kernels(args):
-    """Worker: (lower block, upper block, quabla block, dim) -> exact bases."""
-    lower, upper, quab, dim = args
-    ker = linalg.nullspace(lower, ncols=dim) if lower else _std_basis(dim)
+def _block_kernels(lower, upper, quab, dim):
+    """(lower block, upper block, quabla block, dim) -> exact bases."""
     im_cols = []
     if upper and upper[0]:
         cand = [[upper[r][c] for r in range(len(upper))] for c in range(len(upper[0]))]
         nz = [c for c in cand if any(c)]
         im_cols = [nz[i] for i in linalg.independent_columns(nz)]
-    out = {"ker": ker, "im": im_cols}
-    if quab is not None:
-        out["ker_quabla"] = linalg.nullspace(quab, ncols=dim) if quab else _std_basis(dim)
-        # generalized zero eigenspace: kernel of quab^e for any e >= block dim
-        power = quab
-        e = 1
-        while e < dim and power:
-            power = linalg.mat_mul(power, power)
-            e *= 2
-        out["gen_zero"] = (linalg.nullspace(power, ncols=dim)
-                           if power else _std_basis(dim))
-    return out
+    # generalized zero eigenspace: kernel of quab^e for any e >= block dim
+    power = quab
+    e = 1
+    while e < dim and power:
+        power = linalg.mat_mul(power, power)
+        e *= 2
+    return {"ker": _kernel(lower, dim), "im": im_cols,
+            "ker_quabla": _kernel(quab, dim), "gen_zero": _kernel(power, dim)}
 
 
-def _std_basis(dim):
-    return [[F1 if i == j else F0 for i in range(dim)] for j in range(dim)]
+def _kernel(block, dim):
+    """Kernel basis of a block; an empty block is the zero map."""
+    return linalg.nullspace(block, ncols=dim) if block else linalg.identity(dim)
 
 
 # ---------------------------------------------------------------------------
@@ -437,12 +417,10 @@ def _lowering_closure(mod: LeviModule, lower_cols: list, seeds: list) -> list:
 class KostantAnalysis:
     """All degree-wise data for one (parabolic, module) pair on the nbar side."""
 
-    def __init__(self, p: ParabolicDecomposition, module: Module, k_max: int,
-                 workers: int | None = None):
+    def __init__(self, p: ParabolicDecomposition, module: Module, k_max: int):
         self.parabolic = p
         self.module = module
         self.k_max = k_max
-        self.workers = default_workers() if workers is None else workers
         self.cx = get_complex(p, module, "nbar")
         self._blockdata: dict = {}
         self._homology: dict = {}
@@ -457,25 +435,18 @@ class KostantAnalysis:
             self._quabla[k] = self.cx.quabla(k, "direct")
         return self._quabla[k]
 
-    def block_data(self, k: int, with_quabla: bool = True) -> dict:
-        key = (k, with_quabla)
-        if key in self._blockdata:
-            return self._blockdata[key]
+    def block_data(self, k: int) -> dict:
+        if k in self._blockdata:
+            return self._blockdata[k]
         sp = self.cx.space(k)
         lower = self.cx.lower(k)
         upper = self.cx.lower(k + 1)
-        quab = self.quabla_map(k) if with_quabla else None
-        weights = sorted(sp.weight_blocks, key=lambda w: tuple(map(str, w)))
-        jobs = []
-        for w in weights:
-            dim = len(sp.weight_blocks[w])
-            lb = lower.block(w)
-            ub = upper.block(w)
-            qb = quab.block(w) if quab is not None else None
-            jobs.append((lb, ub, qb, dim))
-        results = _map_blocks(_block_kernels, jobs, self.workers)
-        data = dict(zip(weights, results))
-        self._blockdata[key] = data
+        quab = self.quabla_map(k)
+        data = {}
+        for w in sorted(sp.weight_blocks, key=lambda w: tuple(map(str, w))):
+            data[w] = _block_kernels(lower.block(w), upper.block(w),
+                                     quab.block(w), len(sp.weight_blocks[w]))
+        self._blockdata[k] = data
         return data
 
     # -- homology ---------------------------------------------------------------
@@ -489,7 +460,9 @@ class KostantAnalysis:
         mult = {}
         for w, d in data.items():
             h = len(d["ker"]) - len(d["im"])
-            assert h >= 0
+            if h < 0:
+                raise CrossCheckFailed(
+                    f"image above exceeds the kernel at degree {k}, weight {w}")
             if h:
                 mult[w] = h
         rep = HomologyReport(
@@ -531,13 +504,13 @@ class KostantAnalysis:
     def ker_quabla(self, k: int) -> SubspaceBasis:
         data = self.block_data(k)
         return SubspaceBasis(self.cx.space(k), {
-            w: d["ker_quabla"] for w, d in data.items() if d.get("ker_quabla")
+            w: d["ker_quabla"] for w, d in data.items() if d["ker_quabla"]
         })
 
     def generalized_zero(self, k: int) -> SubspaceBasis:
         data = self.block_data(k)
         return SubspaceBasis(self.cx.space(k), {
-            w: d["gen_zero"] for w, d in data.items() if d.get("gen_zero")
+            w: d["gen_zero"] for w, d in data.items() if d["gen_zero"]
         })
 
     def ker_quabla_decomposition(self, k: int) -> LDecomposition:
@@ -572,7 +545,7 @@ class KostantAnalysis:
             ker_low = d["ker"]
             lb = lower_k.block(w)
             rb = raise_k.block(w)
-            ker_raise = linalg.nullspace(rb, ncols=len(idxs)) if rb else _std_basis(len(idxs))
+            ker_raise = _kernel(rb, len(idxs))
             im_below = []
             if below is not None:
                 bb = below.block(w)
@@ -674,12 +647,12 @@ def _occurrence_bound(g, module, cx, mu) -> int | None:
 _ANALYSES: dict = {}
 
 
-def get_analysis(p: ParabolicDecomposition, module: Module, k_max: int = 4,
-                 workers: int | None = None) -> KostantAnalysis:
+def get_analysis(p: ParabolicDecomposition, module: Module,
+                 k_max: int = 4) -> KostantAnalysis:
     key = (id(p), id(module))
     hit = _ANALYSES.get(key)
     if hit is None or hit[0].k_max < k_max:
-        hit = (KostantAnalysis(p, module, k_max, workers), p, module)
+        hit = (KostantAnalysis(p, module, k_max), p, module)
         _ANALYSES[key] = hit
     return hit[0]
 

@@ -1,14 +1,18 @@
 """Exact linear algebra over the rationals.
 
-Dense matrices are lists of row lists with Fraction entries; sparse vectors
-are {index: Fraction} dicts with no zero values.  Everything here is plain
-Gaussian elimination with exact pivoting -- the matrices that appear in this
-package are small weight blocks, so no fraction-free tricks are needed.
+Dense matrices are lists of row lists with Fraction (or int) entries; sparse
+vectors are {index: Fraction} dicts with no zero values.  All elimination is
+fraction-free: each row is cleared of denominators, rows are combined with
+integer multipliers and divided by their content so entries stay small (an
+integer-preserving elimination in the spirit of Bareiss 1968, with content
+division in place of his exact division by the previous pivot), and
+Fractions are formed only when a reduced row is finally divided by its pivot.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -79,9 +83,43 @@ def transpose(a: list) -> list:
     return [list(col) for col in zip(*a)]
 
 
-def rref(mat: list) -> tuple[list, list]:
-    """Reduced row echelon form (copy) and the list of pivot columns."""
-    m = [row[:] for row in mat]
+def _int_rows(mat: list) -> list:
+    """Each row scaled to a primitive int row (a positive rational multiple).
+
+    Entries may be ints or Fractions; scaling a row by a positive number
+    changes neither the row space, the RREF nor the sign of a minor."""
+    out = []
+    for row in mat:
+        den = lcm(*(x.denominator for x in row if x))
+        ints = [x.numerator * (den // x.denominator) for x in row]
+        cont = gcd(*ints)
+        out.append([x // cont for x in ints] if cont > 1 else ints)
+    return out
+
+
+def _combine(row: list, prow: list, p: int, f: int) -> list:
+    """Primitive part of (p/g)*row - (f/g)*prow with g = gcd(p, f).
+
+    With `f` the entry of `row` in the pivot column of `prow` and `p` the
+    pivot, the result vanishes in that column; for p > 0 it is a positive
+    multiple of row - (f/p)*prow."""
+    g = gcd(p, f)
+    a, b = p // g, f // g
+    out = [a * x - b * y for x, y in zip(row, prow)]
+    cont = gcd(*out)
+    return [x // cont for x in out] if cont > 1 else out
+
+
+def _echelon(mat: list, reduce: bool) -> tuple[list, list]:
+    """Fraction-free elimination over Python ints.
+
+    Returns (rows, pivots): `rows[r]` is a primitive int row whose leading
+    entry sits in column `pivots[r]`.  Rows are cleared with `_combine`, so
+    entries stay content-reduced and every step is exact.  With `reduce` the
+    entries above each pivot are cleared too (Gauss-Jordan); without it only
+    the rows below are touched, which suffices for the pivots.
+    """
+    m = _int_rows(mat)
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     pivots = []
@@ -91,23 +129,40 @@ def rref(mat: list) -> tuple[list, list]:
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = F1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        prow = m[r]
+        p = prow[c]
+        for i in range(0 if reduce else r + 1, nrows):
+            f = m[i][c]
+            if f and i != r:
+                m[i] = _combine(m[i], prow, p, f)
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return m, pivots
+    return m[:r], pivots
+
+
+def rref(mat: list) -> tuple[list, list]:
+    """Reduced row echelon form (copy) and the list of pivot columns.
+
+    The elimination runs on ints (`_echelon`); each nonzero row is divided
+    by its pivot only at the end, so Fractions appear only in the result.
+    """
+    nrows = len(mat)
+    ncols = len(mat[0]) if nrows else 0
+    rows, pivots = _echelon(mat, reduce=True)
+    out = []
+    for row, pc in zip(rows, pivots):
+        p = row[pc]
+        out.append([Fraction(x, p) if x else F0 for x in row])
+    out.extend([F0] * ncols for _ in range(nrows - len(rows)))
+    return out, pivots
 
 
 def rank(mat: list) -> int:
     if not mat or not mat[0]:
         return 0
-    return len(rref(mat)[1])
+    return len(_echelon(mat, reduce=False)[1])
 
 
 def nullspace(mat: list, ncols: int | None = None) -> list:
@@ -156,9 +211,7 @@ def independent_columns(cols: list) -> list:
     """Indices of a first-come maximal independent subset of column vectors."""
     if not cols:
         return []
-    mat = transpose(cols)
-    _, pivots = rref(mat)
-    return pivots
+    return _echelon(transpose(cols), reduce=False)[1]
 
 
 def intersect_columnspaces(cols_a: list, cols_b: list) -> list:
@@ -198,15 +251,19 @@ def in_span(cols: list, v: list) -> bool:
 
 
 def is_positive_definite(gram: list) -> bool:
-    """Sylvester criterion on an exact symmetric matrix."""
-    n = len(gram)
-    m = [row[:] for row in gram]
+    """Sylvester criterion on an exact symmetric matrix.
+
+    Eliminates below the diagonal without row exchanges, on ints.  Every
+    step scales rows by positive numbers only, so when row k becomes the
+    pivot row its diagonal entry has the sign of D_{k+1} / D_k, where D_j is
+    the j-th leading principal minor and D_0 = 1."""
+    m = _int_rows(gram)
+    n = len(m)
     for k in range(n):
-        if m[k][k] <= 0:
+        p = m[k][k]
+        if p <= 0:
             return False
         for i in range(k + 1, n):
-            f = m[i][k] / m[k][k]
-            if f:
-                for j in range(k, n):
-                    m[i][j] -= f * m[k][j]
+            if m[i][k]:
+                m[i] = _combine(m[i], m[k], p, m[i][k])
     return True

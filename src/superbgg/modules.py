@@ -449,7 +449,7 @@ def contravariant_gram_blocks(mod: Module, op: AdjointOperation) -> dict:
                     rows.append(row)
                     rhs.append(kappa[i] * val)
         sol = linalg.solve(rows, rhs)
-        if sol is None or len(linalg.rref(rows)[1]) != d * d:
+        if sol is None or linalg.rank(rows) != d * d:
             raise AssertionError("contravariant form underdetermined; "
                                  "module is not cyclic over its top vector")
         gram[w] = [[sol[a * d + b] for b in range(d)] for a in range(d)]

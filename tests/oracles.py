@@ -36,6 +36,47 @@ def rank_dense(rows):
     return rank
 
 
+def oracle_rref(mat):
+    """Reduced row echelon form and pivot columns by Gauss-Jordan elimination
+    in Fraction arithmetic (independent of superbgg.linalg)."""
+    m = [[Fraction(x) for x in row] for row in mat]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = F1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots
+
+
+def oracle_positive_definite(gram):
+    """Sylvester criterion by Fraction elimination without row exchanges."""
+    m = [[Fraction(x) for x in row] for row in gram]
+    n = len(m)
+    for k in range(n):
+        if m[k][k] <= 0:
+            return False
+        for i in range(k + 1, n):
+            f = m[i][k] / m[k][k]
+            if f:
+                for j in range(k, n):
+                    m[i][j] -= f * m[k][j]
+    return True
+
+
 # ---------------------------------------------------------------------------
 # tensor-word boundary oracle
 # ---------------------------------------------------------------------------

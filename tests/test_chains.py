@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -332,3 +336,25 @@ def test_delta_pair_surface(gl21_setup):
     assert not dst.is_zero()
     q = quabla(p, v, 1, "direct")
     assert q.source is q.target
+
+
+def test_cross_check_survives_optimize():
+    """Chain-map cross-checks raise CrossCheckFailed even under python -O."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "from superbgg.algebra import build_algebra, build_parabolic, wt\n"
+        "from superbgg.chains import ChainComplex\n"
+        "from superbgg.errors import CrossCheckFailed\n"
+        "from superbgg.modules import build_irrep\n"
+        "g = build_algebra('gl', 2, 1)\n"
+        "cx = ChainComplex(build_parabolic(g, []), build_irrep(g, wt(1, 0, 0)), 'nbar')\n"
+        "try:\n"
+        "    cx.lower(1).compose(cx.lower(1))\n"
+        "except CrossCheckFailed:\n"
+        "    print('rejected')\n"
+    )
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "rejected"

@@ -101,6 +101,51 @@ def test_bgg_check_builds_one_analysis(capsys, monkeypatch):
     assert built == {"analyses": 1, "complexes": 1}
 
 
+@pytest.mark.parametrize("argv", [
+    ["homology", "--alg", "gl", "--m", "2", "--n", "1", "--weight", "1,0|0",
+     "--kmax", "2"],
+    ["bgg", "check", "--alg", "gl", "--m", "2", "--n", "1", "--weight",
+     "1,0|0", "--kmax", "2"],
+])
+def test_direct_quabla_built_once_per_degree(capsys, monkeypatch, argv):
+    """The quabla cross-check and the block kernels share one direct quabla."""
+    from superbgg import chains
+    calls: dict = {}
+    quabla = chains.ChainComplex.quabla
+
+    def counting(self, k, method="direct"):
+        calls[(k, method)] = calls.get((k, method), 0) + 1
+        return quabla(self, k, method)
+    monkeypatch.setattr(chains.ChainComplex, "quabla", counting)
+    code, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert {k: n for (k, method), n in calls.items() if method == "direct"} \
+        == {0: 1, 1: 1, 2: 1}
+
+
+@pytest.mark.parametrize("argv", [
+    ["alg", "info", "--alg", "gl", "--m", "-1", "--n", "2"],
+    ["alg", "info", "--alg", "osp", "--m", "3", "--n", "-1"],
+    ["homology", "--alg", "gl", "--m", "2", "--n", "1", "--weight", "1,0|0",
+     "--kmax", "-1"],
+    ["bgg", "check", "--alg", "gl", "--m", "2", "--n", "1", "--weight",
+     "1,0|0", "--kmax", "-1"],
+])
+def test_negative_sizes_rejected(capsys, monkeypatch, argv):
+    """Negative m, n or kmax is an input error (exit 2) raised before any
+    algebra is built, whatever the other arguments are."""
+    from superbgg import algebra
+    built = []
+    for name in ("_build_gl", "_build_osp"):
+        monkeypatch.setattr(algebra, name, lambda *a: built.append(a))
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "input error" in captured.err and "non-negative" in captured.err
+    assert built == []
+
+
 def test_homology_command(capsys):
     code, out = run_cli(capsys, "homology", "--alg", "osp", "--m", "1", "--n",
                         "1", "--weight", "|1", "--kmax", "3")
@@ -157,14 +202,6 @@ def test_report_determinism_and_no_floats(capsys):
                 scan(v)
 
     scan(payload)
-
-
-def test_workers_flag(capsys):
-    code, out = run_cli(capsys, "homology", "--alg", "gl", "--m", "2", "--n",
-                        "1", "--weight", "1,0|0", "--kmax", "2",
-                        "--workers", "2")
-    assert code == 0
-    assert json.loads(out)["degrees"][0]["homology_dimension"] == 1
 
 
 def test_out_file(tmp_path, capsys):

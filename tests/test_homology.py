@@ -282,15 +282,6 @@ def test_four_groups_duality(gl21_borel, gl21_natural, osp12, osp12_borel):
             assert hom_dual == {tuple(-c for c in w): m for w, m in coh_v.items()}
 
 
-def test_workers_agree(gl21_borel, gl21_natural):
-    serial = KostantAnalysis(gl21_borel, gl21_natural, k_max=3, workers=1)
-    parallel = KostantAnalysis(gl21_borel, gl21_natural, k_max=3, workers=2)
-    for k in range(3):
-        assert (serial.homology(k).weight_multiplicities
-                == parallel.homology(k).weight_multiplicities)
-        assert serial.ker_quabla(k).weight_dims() == parallel.ker_quabla(k).weight_dims()
-
-
 def test_homology_quotient_decomposition_dims(gl21_an):
     for k in range(3):
         dec = gl21_an.homology_decomposition(k)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import oracle_positive_definite, oracle_rref
 from superbgg import linalg
 
 F = Fraction
@@ -90,3 +91,107 @@ def test_rank_transpose_and_kernel_property(rows):
     for v in linalg.nullspace(m):
         assert all(sum(row[i] * v[i] for i in range(3)) == 0 for row in m)
     assert linalg.rank(m) + len(linalg.nullspace(m)) == 3
+
+
+# ---------------------------------------------------------------------------
+# fraction-free elimination against the Fraction Gauss-Jordan oracle
+# ---------------------------------------------------------------------------
+
+entry = st.one_of(
+    st.just(0),
+    st.integers(min_value=-9, max_value=9),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+    st.builds(F, st.integers(min_value=-10**9, max_value=10**9),
+              st.integers(min_value=1, max_value=10**9)),
+)
+
+
+@st.composite
+def matrices(draw, max_rows=6, max_cols=6):
+    """Dense matrices of ints and Fractions, possibly empty, with some rows
+    and columns forced to zero and some rows repeating combinations."""
+    nrows = draw(st.integers(min_value=0, max_value=max_rows))
+    ncols = draw(st.integers(min_value=0, max_value=max_cols))
+    m = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    if nrows:
+        for i in draw(st.sets(st.integers(0, nrows - 1), max_size=2)):
+            m[i] = [0] * ncols
+    if ncols:
+        for j in draw(st.sets(st.integers(0, ncols - 1), max_size=2)):
+            for row in m:
+                row[j] = 0
+    if nrows >= 3 and draw(st.booleans()):
+        c = draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
+        m[2] = [a + c * b for a, b in zip(m[0], m[1])]
+    return m
+
+
+def mat_times(a, cols, ncols):
+    return [[sum((row[t] * v[t] for t in range(ncols)), F(0)) for row in a]
+            for v in cols]
+
+
+@given(matrices())
+@settings(max_examples=200, deadline=None)
+def test_rref_matches_fraction_oracle(m):
+    red, piv = linalg.rref(m)
+    want_red, want_piv = oracle_rref(m)
+    assert piv == want_piv
+    assert red == want_red
+    assert all(type(x) is F for row in red for x in row)
+    ncols = len(m[0]) if m else 0
+    assert linalg.rank(m) == (len(want_piv) if ncols else 0)
+
+
+@given(matrices())
+@settings(max_examples=120, deadline=None)
+def test_kernel_solve_inverse_against_oracle(m):
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    ns = linalg.nullspace(m, ncols=ncols)
+    rank = len(oracle_rref(m)[1])
+    assert len(ns) == ncols - rank
+    assert all(not any(img) for img in mat_times(m, ns, ncols))
+    rhs = [[F(i + 1, 3) for i in range(nrows)]]
+    if ncols:
+        rhs.append([row[0] for row in m])      # always consistent
+    for b in rhs:
+        x = linalg.solve(m, b)
+        consistent = ncols not in oracle_rref([row + [bi] for row, bi in zip(m, b)])[1]
+        if x is None:
+            assert not consistent
+        else:
+            assert mat_times(m, [x], ncols)[0] == b
+    if nrows == ncols and nrows:
+        if rank == nrows:
+            inv = linalg.inverse(m)
+            assert linalg.mat_mul(inv, [[F(x) for x in row] for row in m]) \
+                == linalg.identity(nrows)
+        else:
+            with pytest.raises(ValueError):
+                linalg.inverse(m)
+
+
+@given(matrices())
+@settings(max_examples=120, deadline=None)
+def test_independent_columns_first_come_property(m):
+    """Column j is kept iff it is independent of the columns before it."""
+    cols = linalg.transpose(m)
+    keep = linalg.independent_columns(cols)
+    want = [j for j in range(len(cols))
+            if len(oracle_rref(linalg.transpose(cols[:j + 1]))[1])
+            > len(oracle_rref(linalg.transpose(cols[:j]))[1] if j else [])]
+    assert keep == want
+
+
+@given(matrices(max_rows=5, max_cols=5))
+@settings(max_examples=120, deadline=None)
+def test_positive_definite_matches_oracle(m):
+    """On Gram matrices B^T B (+ a shifted diagonal) of every signature."""
+    n = len(m[0]) if m else 0
+    gram = [[sum((row[i] * row[j] for row in m), F(0)) for j in range(n)]
+            for i in range(n)]
+    for shift in (0, 1, -1):
+        g = [[x + (shift if i == j else 0) for j, x in enumerate(row)]
+             for i, row in enumerate(gram)]
+        assert linalg.is_positive_definite(g) == oracle_positive_definite(g)
