@@ -35,13 +35,6 @@ from .chains import (
     ChainMap,
     ChainPairing,
     ChainSpace,
-    boundary,
-    chain_space,
-    coboundary,
-    delta_pair,
-    get_complex,
-    pairing_matrix,
-    quabla,
 )
 from .homology import (
     HomologyReport,
@@ -49,14 +42,7 @@ from .homology import (
     LDecomposition,
     PredicateReport,
     SubspaceBasis,
-    disjointness_predicates,
-    casimir_match,
     decompose_levi,
-    euler_check,
-    generalized_zero,
-    get_analysis,
-    homology_group,
-    ker_quabla,
     multiplicity_criterion,
 )
 from .modules import (
@@ -76,13 +62,9 @@ __all__ = [
     "HomologyReport", "KacModule", "KostantAnalysis", "LDecomposition",
     "LieSuperalgebra", "ParabolicDecomposition", "PredicateReport",
     "ResolutionShape", "SubspaceBasis", "WeylCoset", "bgg_verdict",
-    "boundary", "disjointness_predicates",
     "build_adjoint_operation", "build_algebra", "build_irrep",
     "build_kac_module", "build_parabolic", "casimir_eigenvalue",
-    "natural_resolution_shape",
-    "casimir_match", "chain_space", "check_star_condition", "coboundary",
-    "decompose_levi", "delta_pair", "dual_module", "euler_check",
-    "generalized_zero", "get_analysis", "get_complex", "homology_group",
-    "kac_resolution", "ker_quabla", "multiplicity_criterion",
-    "natural_module", "pairing_matrix", "quabla", "reproduce", "weyl_coset",
+    "check_star_condition", "decompose_levi", "dual_module",
+    "kac_resolution", "multiplicity_criterion", "natural_module",
+    "natural_resolution_shape", "reproduce", "weyl_coset",
 ]

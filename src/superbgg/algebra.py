@@ -15,7 +15,12 @@ from fractions import Fraction
 from math import lcm
 
 from . import linalg
-from .errors import DegenerateForm, PreconditionViolated, UnsupportedAlgebra
+from .errors import (
+    CrossCheckFailed,
+    DegenerateForm,
+    PreconditionViolated,
+    UnsupportedAlgebra,
+)
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -50,6 +55,12 @@ def wt_neg(a: Weight) -> Weight:
 def wt_scale(a: Weight, c) -> Weight:
     c = Fraction(c)
     return tuple(c * x for x in a)
+
+
+def weight_key(w: Weight) -> tuple:
+    """Sort key of a weight: its coordinates as strings.  Every weight order
+    in reports and in block iteration is this one."""
+    return tuple(map(str, w))
 
 
 def wt_str(a: Weight, r: int) -> str:
@@ -198,7 +209,7 @@ class LieSuperalgebra:
         mat = [[b.matrix.get(entry, F0) for b in self.basis] for entry in entries]
         row_pivots = linalg.independent_columns(mat)
         if len(row_pivots) != self.dim:
-            raise AssertionError("basis matrices are linearly dependent")
+            raise CrossCheckFailed("basis matrices are linearly dependent")
         sel = [entries[i] for i in row_pivots]
         sub = [mat[i] for i in row_pivots]
         self._expand_cache = {"sel": sel, "inv": linalg.inverse(sub)}
@@ -337,6 +348,18 @@ def casimir_eigenvalue(g: LieSuperalgebra, lam: Weight) -> Fraction:
     return g.weight_form(lam, wt_add(lam, wt_scale(g.rho, 2)))
 
 
+def even_simple_roots(g: LieSuperalgebra) -> list:
+    """Simple system of the even subalgebra g_0 inside the positive even
+    roots, in weight_key order."""
+    pos_even = sorted(
+        {g.root(i) for i in g.positive_root_indices() if g.parity(i) == 0},
+        key=weight_key,
+    )
+    pos_set = set(pos_even)
+    return [a for a in pos_even
+            if not any(wt_sub(a, b) in pos_set for b in pos_even if b != a)]
+
+
 def dual_basis_in(g: LieSuperalgebra, of_indices: list, in_indices: list) -> list:
     """For each basis element xi_a (a over of_indices) the vector xi_a^# in
     the span of in_indices with (xi_a^#, xi_b) = delta_ab exactly."""
@@ -466,10 +489,11 @@ def _build_osp(m: int, n: int, C: Fraction) -> LieSuperalgebra:
             if w == wt_zero(rank):
                 continue
             by_weight.setdefault(w, []).append((p, q))
-    for w in sorted(by_weight, key=lambda t: tuple(map(str, t))):
+    for w in sorted(by_weight, key=weight_key):
         units = by_weight[w]
         par = {(nat_parity[p] + nat_parity[q]) % 2 for (p, q) in units}
-        assert len(par) == 1, "weight space with mixed parity"
+        if len(par) != 1:
+            raise CrossCheckFailed("weight space with mixed parity")
         xpar = par.pop()
         rows = []
         for q in range(N):
@@ -544,7 +568,7 @@ def _finish(g: LieSuperalgebra, C: Fraction):
             br = g.bracket(h, i)
             expect = g.eval_weight(b.root, {h: F1})
             if br != ({i: expect} if expect else {}):
-                raise AssertionError(f"{b.label} is not a root vector")
+                raise CrossCheckFailed(f"{b.label} is not a root vector")
 
 
 def build_algebra(kind: str, m: int, n: int, C=1, strict: bool = True) -> LieSuperalgebra:
@@ -628,7 +652,8 @@ def build_parabolic(g: LieSuperalgebra, levi_simple_roots) -> ParabolicDecomposi
             levi.append(i)
             continue
         coords = g.simple_coordinates(b.root)
-        assert coords is not None, f"root {b.root} outside simple span"
+        if coords is None:
+            raise CrossCheckFailed(f"root {b.root} outside simple span")
         support = {k for k, c in enumerate(coords) if c}
         if support <= keep:
             levi.append(i)
@@ -663,6 +688,19 @@ class AdjointOperation:
         return out
 
 
+def natural_form_diagonal(g: LieSuperalgebra) -> list:
+    """Diagonal of the symmetric matrix M of dagger(X) = M^-1 X^T M on the
+    natural representation: the identity for gl; for osp +1 on even vectors
+    and f+, -1 on f-, which keeps osp stable under X -> M^-1 X^T M and fixes
+    the diagonal Cartan."""
+    mdiag = [F1] * g.nat_dim
+    if g.kind == "osp":
+        fplus = 2 * (g.m // 2) + (g.m % 2)
+        for j in range(g.n):
+            mdiag[fplus + g.n + j] = -F1
+    return mdiag
+
+
 def _conjugation_images(g: LieSuperalgebra, mdiag: list) -> list:
     """dagger(X) = M^-1 X^T M for a diagonal symmetric M, expanded in basis."""
     images = []
@@ -688,17 +726,7 @@ def build_adjoint_operation(g: LieSuperalgebra, star_type: int = 1) -> AdjointOp
     if hit is not None:
         return hit
     typed = g.kind == "gl" or (g.kind == "osp" and g.m == 2)
-    if g.kind == "gl":
-        mdiag = [F1] * g.nat_dim
-    else:
-        # +1 on even vectors and f+, -1 on f-; keeps osp stable under
-        # X -> M^-1 X^T M and fixes the diagonal Cartan
-        d = g.m // 2
-        fplus = 2 * d + (g.m % 2)
-        mdiag = [F1] * g.nat_dim
-        for j in range(g.n):
-            mdiag[fplus + g.n + j] = -F1
-    images = _conjugation_images(g, mdiag)
+    images = _conjugation_images(g, natural_form_diagonal(g))
     if typed and star_type == 2:
         images = [
             linalg.vec_scale(img, -F1 if g.basis[i].parity else F1)
@@ -715,15 +743,15 @@ def _check_adjoint(op: AdjointOperation):
     for i in range(g.dim):
         twice = op.apply(op.apply_basis(i))
         if twice != {i: F1}:
-            raise AssertionError("adjoint operation is not an involution")
+            raise CrossCheckFailed("adjoint operation is not an involution")
     for i in range(g.dim):
         for j in range(g.dim):
             lhs = op.apply(g.bracket(i, j))
             rhs = g.bracket_vec(op.apply_basis(j), op.apply_basis(i))
             if lhs != rhs:
-                raise AssertionError("[A,B]^dagger != [B^dagger, A^dagger]")
+                raise CrossCheckFailed("[A,B]^dagger != [B^dagger, A^dagger]")
             if g.form(op.apply_basis(i), op.apply_basis(j)) != g.form({j: F1}, {i: F1}):
-                raise AssertionError("(A^dagger, B^dagger) != (B, A)")
+                raise CrossCheckFailed("(A^dagger, B^dagger) != (B, A)")
 
 
 def check_star_condition(g: LieSuperalgebra, p: ParabolicDecomposition,

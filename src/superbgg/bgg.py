@@ -10,6 +10,7 @@ as truncated; the star condition is global.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -22,16 +23,20 @@ from .algebra import (
     build_algebra,
     build_parabolic,
     check_star_condition,
+    even_simple_roots,
+    weight_key,
     wt_add,
     wt_sub,
 )
 from .errors import (
+    CrossCheckFailed,
+    InputError,
     LeviNotInEvenPart,
     NotCompletelyReducible,
     PreconditionViolated,
     UnknownScenario,
 )
-from .homology import KostantAnalysis, get_analysis, multiplicity_criterion
+from .homology import KostantAnalysis, multiplicity_criterion
 from .modules import build_irrep, build_kac_module, type_one_grading
 
 F0 = Fraction(0)
@@ -70,7 +75,7 @@ def _shape_from_analysis(an: KostantAnalysis, k_max: int) -> ResolutionShape:
         dec = an.homology_decomposition(k)
         degrees.append(sorted(
             ((e.highest_weight, e.hw_vector_count) for e in dec.entries),
-            key=lambda t: tuple(map(str, t[0])),
+            key=lambda t: weight_key(t[0]),
         ))
     n_odd = p.n_odd
     finite = not n_odd and k_max >= len(p.n_indices)
@@ -85,7 +90,7 @@ def bgg_verdict(g: LieSuperalgebra, p: ParabolicDecomposition, lam: Weight,
     weight lam."""
     lam = tuple(Fraction(c) for c in lam)
     module = build_irrep(g, lam)
-    an = get_analysis(p, module, k_max)
+    an = KostantAnalysis(p, module, k_max)
     reports = []
     witness = None
     for k in range(k_max + 1):
@@ -111,7 +116,7 @@ def bgg_verdict(g: LieSuperalgebra, p: ParabolicDecomposition, lam: Weight,
 
     # 2. multiplicity criterion on ker quabla (window-verified)
     try:
-        ok, wit = multiplicity_criterion(p, module, k_max)
+        ok, wit = multiplicity_criterion(an, k_max)
     except NotCompletelyReducible:
         ok, wit = False, "not completely reducible"
     if ok:
@@ -191,22 +196,10 @@ def natural_resolution_shape(m: int, n: int, k_max: int) -> ResolutionShape:
 # Weyl group machinery for Kac-module resolutions
 # ---------------------------------------------------------------------------
 
-def even_simple_roots(g: LieSuperalgebra) -> list:
-    """Simple system of the even subalgebra g_0 inside the positive even roots."""
-    pos_even = sorted(
-        {g.root(i) for i in g.positive_root_indices() if g.parity(i) == 0},
-        key=lambda t: tuple(map(str, t)),
-    )
-    pos_set = set(pos_even)
-    simple = [a for a in pos_even
-              if not any(wt_sub(a, b) in pos_set for b in pos_even if b != a)]
-    simple.sort(key=lambda a: tuple(map(str, a)))
-    return simple
-
-
 def _reflection_matrix(g: LieSuperalgebra, alpha: Weight) -> tuple:
     denom = g.weight_form(alpha, alpha)
-    assert denom != 0
+    if denom == 0:
+        raise PreconditionViolated(f"no reflection in the isotropic root {alpha}")
     rank = g.rank
     rows = []
     for c in range(rank):
@@ -245,7 +238,7 @@ class WeylCoset:
 
 
 def weyl_coset(g: LieSuperalgebra, p: ParabolicDecomposition) -> WeylCoset:
-    simple0 = even_simple_roots(g)
+    simple0 = even_simple_roots(g)          # weight_key order
     refls = [_reflection_matrix(g, a) for a in simple0]
     rank = g.rank
     ident = tuple(tuple(F1 if i == j else F0 for j in range(rank)) for i in range(rank))
@@ -263,13 +256,14 @@ def weyl_coset(g: LieSuperalgebra, p: ParabolicDecomposition) -> WeylCoset:
         frontier = nxt
     pos_even = sorted(
         {g.root(i) for i in g.positive_root_indices() if g.parity(i) == 0},
-        key=lambda t: tuple(map(str, t)))
+        key=weight_key)
     levi_pos = [g.root(i) for i in p.levi_indices
                 if not g.basis[i].is_cartan and g.is_positive_root(g.root(i))]
     elements = []
     for mat, word in seen.items():
         length = sum(1 for a in pos_even if not g.is_positive_root(_apply(mat, a)))
-        assert length == len(word), "BFS word is not reduced"
+        if length != len(word):
+            raise CrossCheckFailed("BFS word is not reduced")
         # minimal coset representatives: w^-1 keeps the Levi positives positive
         if all(g.is_positive_root(_apply_t(mat, a)) for a in levi_pos):
             elements.append((mat, word, length))
@@ -305,7 +299,7 @@ def kac_resolution(g: LieSuperalgebra, p: ParabolicDecomposition, lam: Weight,
         for mat, _word in graded.get(j, []):
             w = coset.dot_action(mat, lam)
             entries[w] = entries.get(w, 0) + 1
-        degrees.append(sorted(entries.items(), key=lambda t: tuple(map(str, t[0]))))
+        degrees.append(sorted(entries.items(), key=lambda t: weight_key(t[0])))
     return ResolutionShape(degrees=degrees, truncated=top < max(graded, default=0),
                            terminates_at=n0)
 
@@ -321,14 +315,14 @@ def _check(desc: str, ok: bool, detail: str = "") -> dict:
 def _weights_str(mult: dict, r: int) -> str:
     from .algebra import wt_str
     return "; ".join(f"{wt_str(w, r)} x{m}" for w, m in
-                     sorted(mult.items(), key=lambda t: tuple(map(str, t[0]))))
+                     sorted(mult.items(), key=lambda t: weight_key(t[0])))
 
 
-def _scenario_osp12_counterexample(lam: int = 1, k_max: int = 4, **_):
+def _scenario_osp12_counterexample(lam: int = 1, k_max: int = 4):
     g = build_algebra("osp", 1, 1)
     p = build_parabolic(g, [])
     module = build_irrep(g, (Fraction(lam),))
-    an = get_analysis(p, module, k_max + 1)
+    an = KostantAnalysis(p, module, k_max + 1)
     checks = []
     h0 = an.homology(0).weight_multiplicities
     checks.append(_check("H_0 is the one dimensional weight-lambda space",
@@ -346,13 +340,13 @@ def _scenario_osp12_counterexample(lam: int = 1, k_max: int = 4, **_):
     return checks
 
 
-def _scenario_glmn_borel_natural(**_):
+def _scenario_glmn_borel_natural():
     checks = []
     for (m, n, expect) in ((2, 1, True), (1, 2, False)):
         g = build_algebra("gl", m, n)
         p = build_parabolic(g, [])
         module = build_irrep(g, tuple([F1] + [F0] * (m + n - 1)))
-        an = get_analysis(p, module, 2)
+        an = KostantAnalysis(p, module, 2)
         cx = an.cx
         rb = cx.raise_(0)
         coh0: dict = {}
@@ -370,7 +364,7 @@ def _scenario_glmn_borel_natural(**_):
     return checks
 
 
-def _scenario_natural_resolution(m: int = 4, n: int = 3, k_max: int = 3, **_):
+def _scenario_natural_resolution(m: int = 4, n: int = 3, k_max: int = 3):
     g = build_algebra("osp", m, n)
     p = build_parabolic(g, list(range(1, len(g.simple_roots))))
     lam = tuple([F1] + [F0] * (g.rank - 1))
@@ -391,13 +385,13 @@ def _scenario_natural_resolution(m: int = 4, n: int = 3, k_max: int = 3, **_):
     return checks
 
 
-def _scenario_kac_gl21(k_max: int = 4, **_):
+def _scenario_kac_gl21(k_max: int = 4):
     g = build_algebra("gl", 2, 1)
     p = build_parabolic(g, [])
     lam = (F1, F0, F0)
     shape = kac_resolution(g, p, lam, length_max=k_max)
     kac = build_kac_module(g, lam)
-    an = get_analysis(p, kac, k_max + 1)
+    an = KostantAnalysis(p, kac, k_max + 1)
     checks = []
     for k in range(k_max + 1):
         predicted = dict(shape.degrees[k]) if k < len(shape.degrees) else {}
@@ -409,7 +403,7 @@ def _scenario_kac_gl21(k_max: int = 4, **_):
     return checks
 
 
-def _scenario_star_gl(**_):
+def _scenario_star_gl():
     cases = [
         ("gl", 2, 1, 1, [], 1, True, "type 1, C=1, Borel"),
         ("gl", 2, 1, -1, [0], 2, True, "type 2, C=-1, p contains gl(m)"),
@@ -428,14 +422,14 @@ def _scenario_star_gl(**_):
     return checks
 
 
-def _scenario_forlapl_ker1(m: int = 4, n: int = 3, **_):
+def _scenario_forlapl_ker1(m: int = 4, n: int = 3):
     g = build_algebra("osp", m, n)
     p = build_parabolic(g, list(range(1, len(g.simple_roots))))
     lam = [F0] * g.rank
     lam[0] = F1
     lam[1] = F1
     module = build_irrep(g, tuple(lam))
-    an = get_analysis(p, module, 2)
+    an = KostantAnalysis(p, module, 2)
     dec = an.ker_quabla_decomposition(1)
     want = [F0] * g.rank
     want[1] = Fraction(2)
@@ -465,7 +459,14 @@ def reproduce(name: str, **params) -> dict:
     if name not in _SCENARIOS:
         raise UnknownScenario(
             f"unknown scenario {name!r}; available: {sorted(_SCENARIOS)}")
-    checks = _SCENARIOS[name](**params)
+    scenario = _SCENARIOS[name]
+    takes = list(inspect.signature(scenario).parameters)
+    unused = sorted(set(params) - set(takes))
+    if unused:
+        raise InputError(
+            f"scenario {name!r} does not take {', '.join(unused)}; "
+            f"it takes: {', '.join(takes) or 'no parameters'}")
+    checks = scenario(**params)
     return {
         "scenario": name,
         "parameters": {k: v for k, v in params.items()},

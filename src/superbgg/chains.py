@@ -153,6 +153,8 @@ class ChainComplex:
     def space(self, k: int) -> ChainSpace:
         if k in self._spaces:
             return self._spaces[k]
+        if k < 0:
+            raise ValueError("degree must be non-negative")
         g = self.algebra
         basis = []
         for j in range(min(k, len(self.even_gens)) + 1):
@@ -540,55 +542,3 @@ class ChainForm:
             [self.form_elements(sp.basis[i], sp.basis[j]) for j in idxs]
             for i in idxs
         ]
-
-
-# ---------------------------------------------------------------------------
-# functional surface
-# ---------------------------------------------------------------------------
-
-_COMPLEXES: dict = {}
-
-
-def get_complex(p: ParabolicDecomposition, module: Module, side: str) -> ChainComplex:
-    key = (id(p), id(module), side)
-    cx = _COMPLEXES.get(key)
-    if cx is None:
-        cx = ChainComplex(p, module, side)
-        _COMPLEXES[key] = (cx, p, module)
-        return cx
-    return cx[0]
-
-
-def chain_space(p: ParabolicDecomposition, module: Module, k: int,
-                side: str = "n") -> ChainSpace:
-    if k < 0:
-        raise ValueError("degree must be non-negative")
-    return get_complex(p, module, side).space(k)
-
-
-def boundary(p: ParabolicDecomposition, module: Module, k: int) -> ChainMap:
-    """Boundary d*_k : C_k(n,V) -> C_{k-1}(n,V)."""
-    return get_complex(p, module, "n").lower(k)
-
-
-def coboundary(p: ParabolicDecomposition, module: Module, k: int) -> ChainMap:
-    """Coboundary d_k : C_k(n,V) -> C_{k+1}(n,V)."""
-    return get_complex(p, module, "n").raise_(k)
-
-
-def delta_pair(p: ParabolicDecomposition, module_dual: Module, k: int) -> tuple:
-    """(delta_k, delta*_k) on C^.(n, V*) = Lambda^. nbar (x) V*."""
-    cx = get_complex(p, module_dual, "nbar")
-    return cx.raise_(k), cx.lower(k)
-
-
-def pairing_matrix(p: ParabolicDecomposition, module: Module, module_dual: Module,
-                   k: int) -> list:
-    pr = ChainPairing(get_complex(p, module_dual, "nbar"),
-                      get_complex(p, module, "n"))
-    return pr.matrix(k)
-
-
-def quabla(p: ParabolicDecomposition, module: Module, k: int,
-           method: str = "direct", side: str = "n") -> ChainMap:
-    return get_complex(p, module, side).quabla(k, method)

@@ -20,10 +20,11 @@ from .algebra import (
     build_algebra,
     build_parabolic,
     casimir_eigenvalue,
+    weight_key,
 )
 from .bgg import bgg_verdict, reproduce
 from .errors import InputError, LengthMismatch, ParseError, SuperBGGError
-from .homology import get_analysis
+from .homology import KostantAnalysis
 from .modules import build_irrep
 
 SCHEMA = "superbgg/1"
@@ -223,7 +224,7 @@ def _cmd_rep(args, t0) -> int:
         "casimir_eigenvalue": _frac(casimir_eigenvalue(g, lam)),
         "form_positive_definite": mod.form_positive_definite(),
         "weights": _weight_entries(sorted(
-            mult.items(), key=lambda t: tuple(map(str, t[0])))),
+            mult.items(), key=lambda t: weight_key(t[0]))),
     }
     _emit(report, args, t0)
     return 0
@@ -252,7 +253,7 @@ def _cmd_homology(args, t0) -> int:
     p = _parabolic_from_args(g, args)
     lam = parse_weight(args.weight, g.r, g.s)
     mod = build_irrep(g, lam, max_depth=args.max_depth)
-    an = get_analysis(p, mod, args.kmax)
+    an = KostantAnalysis(p, mod, args.kmax)
     nil, quab = _internal_checks(an, args.kmax)
     degrees = []
     for k in range(args.kmax + 1):

@@ -26,10 +26,11 @@ from .algebra import (
     ParabolicDecomposition,
     Weight,
     casimir_eigenvalue,
+    weight_key,
     wt_add,
     wt_sub,
 )
-from .chains import ChainComplex, ChainMap, get_complex
+from .chains import ChainComplex, ChainMap
 from .errors import (
     CrossCheckFailed,
     FiniteDimGuardExceeded,
@@ -44,20 +45,25 @@ F0 = Fraction(0)
 F1 = Fraction(1)
 
 
+def _image_basis(block: list) -> list:
+    """First-come independent nonzero columns of a dense block: a basis of
+    its column space."""
+    if not (block and block[0]):
+        return []
+    cand = [[block[r][c] for r in range(len(block))] for c in range(len(block[0]))]
+    nz = [c for c in cand if any(c)]
+    return [nz[i] for i in linalg.independent_columns(nz)]
+
+
 def _block_kernels(lower, upper, quab, dim):
     """(lower block, upper block, quabla block, dim) -> exact bases."""
-    im_cols = []
-    if upper and upper[0]:
-        cand = [[upper[r][c] for r in range(len(upper))] for c in range(len(upper[0]))]
-        nz = [c for c in cand if any(c)]
-        im_cols = [nz[i] for i in linalg.independent_columns(nz)]
     # generalized zero eigenspace: kernel of quab^e for any e >= block dim
     power = quab
     e = 1
     while e < dim and power:
         power = linalg.mat_mul(power, power)
         e *= 2
-    return {"ker": _kernel(lower, dim), "im": im_cols,
+    return {"ker": _kernel(lower, dim), "im": _image_basis(upper),
             "ker_quabla": _kernel(quab, dim), "gen_zero": _kernel(power, dim)}
 
 
@@ -87,7 +93,7 @@ class SubspaceBasis:
     def global_columns(self) -> list:
         """Columns as sparse dicts over the ambient chain space."""
         out = []
-        for w, cols in sorted(self.blocks.items(), key=lambda t: tuple(map(str, t[0]))):
+        for w, cols in sorted(self.blocks.items(), key=lambda t: weight_key(t[0])):
             idxs = self.space.weight_blocks[w]
             for col in cols:
                 out.append({idxs[i]: v for i, v in enumerate(col) if v})
@@ -127,9 +133,6 @@ class HomologyReport:
     homology_dimension: int
     weight_multiplicities: dict
     homology_decomposition: LDecomposition | None = None
-    ker_quabla_decomposition: LDecomposition | None = None
-    generalized_zero_dimension: int | None = None
-    predicates: PredicateReport | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +292,7 @@ def _highest_weight_vectors(mod: LeviModule, raise_cols: list) -> dict:
     Returns {weight: [sparse coordinate vectors]} for the weights with a
     nonzero kernel, in sorted weight order."""
     out: dict = {}
-    for w in sorted(set(mod.weights), key=lambda t: tuple(map(str, t))):
+    for w in sorted(set(mod.weights), key=weight_key):
         members = mod.members(w)
         rows = []
         for cols in raise_cols:
@@ -415,13 +418,16 @@ def _lowering_closure(mod: LeviModule, lower_cols: list, seeds: list) -> list:
 # ---------------------------------------------------------------------------
 
 class KostantAnalysis:
-    """All degree-wise data for one (parabolic, module) pair on the nbar side."""
+    """All degree-wise data for one (parabolic, module) pair on the nbar side.
+
+    The analysis builds and owns its chain complex `cx` and caches its
+    results per degree; nothing outlives it at module level."""
 
     def __init__(self, p: ParabolicDecomposition, module: Module, k_max: int):
         self.parabolic = p
         self.module = module
         self.k_max = k_max
-        self.cx = get_complex(p, module, "nbar")
+        self.cx = ChainComplex(p, module, "nbar")
         self._blockdata: dict = {}
         self._homology: dict = {}
         self._decomp: dict = {}
@@ -443,7 +449,7 @@ class KostantAnalysis:
         upper = self.cx.lower(k + 1)
         quab = self.quabla_map(k)
         data = {}
-        for w in sorted(sp.weight_blocks, key=lambda w: tuple(map(str, w))):
+        for w in sorted(sp.weight_blocks, key=weight_key):
             data[w] = _block_kernels(lower.block(w), upper.block(w),
                                      quab.block(w), len(sp.weight_blocks[w]))
         self._blockdata[k] = data
@@ -480,7 +486,7 @@ class KostantAnalysis:
         data = self.block_data(k)
         sp = self.cx.space(k)
         reps, modulo = [], {}
-        for w in sorted(data, key=lambda t: tuple(map(str, t))):
+        for w in sorted(data, key=weight_key):
             d = data[w]
             idxs = sp.weight_blocks[w]
             im = d["im"]
@@ -536,7 +542,7 @@ class KostantAnalysis:
         raise_k = cx.raise_(k)
         below = cx.raise_(k - 1) if k > 0 else None
         vals = {i: True for i in range(1, 8)}
-        for w in sorted(sp.weight_blocks, key=lambda t: tuple(map(str, t))):
+        for w in sorted(sp.weight_blocks, key=weight_key):
             idxs = sp.weight_blocks[w]
             d = data[w]
             kerq = d["ker_quabla"]
@@ -546,14 +552,7 @@ class KostantAnalysis:
             lb = lower_k.block(w)
             rb = raise_k.block(w)
             ker_raise = _kernel(rb, len(idxs))
-            im_below = []
-            if below is not None:
-                bb = below.block(w)
-                if bb and bb[0]:
-                    cand = [[bb[r][c] for r in range(len(bb))]
-                            for c in range(len(bb[0]))]
-                    nz = [c for c in cand if any(c)]
-                    im_below = [nz[i] for i in linalg.independent_columns(nz)]
+            im_below = _image_basis(below.block(w)) if below is not None else []
             if linalg.intersect_columnspaces(im_up, kerq):
                 vals[1] = False
             if linalg.intersect_columnspaces(im_up, gz):
@@ -640,57 +639,10 @@ def _occurrence_bound(g, module, cx, mu) -> int | None:
     return best
 
 
-# ---------------------------------------------------------------------------
-# functional surface
-# ---------------------------------------------------------------------------
-
-_ANALYSES: dict = {}
-
-
-def get_analysis(p: ParabolicDecomposition, module: Module,
-                 k_max: int = 4) -> KostantAnalysis:
-    key = (id(p), id(module))
-    hit = _ANALYSES.get(key)
-    if hit is None or hit[0].k_max < k_max:
-        hit = (KostantAnalysis(p, module, k_max), p, module)
-        _ANALYSES[key] = hit
-    return hit[0]
-
-
-def homology_group(p: ParabolicDecomposition, module: Module, k: int,
-                   k_max: int | None = None, full: bool = False) -> HomologyReport:
-    """HomologyReport for degree k; with full=True also the quabla kernel
-    decomposition, the generalized zero eigenspace and the predicate slice."""
-    an = get_analysis(p, module, max(k + 1, k_max or 0))
-    rep = an.homology(k)
-    if rep.homology_decomposition is None:
-        rep.homology_decomposition = an.homology_decomposition(k)
-    if full:
-        rep.ker_quabla_decomposition = an.ker_quabla_decomposition(k)
-        rep.generalized_zero_dimension = an.generalized_zero(k).dim
-        rep.predicates = an.predicates(k)
-    return rep
-
-
-def ker_quabla(p: ParabolicDecomposition, module: Module, k: int) -> SubspaceBasis:
-    return get_analysis(p, module, max(k + 1, 1)).ker_quabla(k)
-
-
-def generalized_zero(p: ParabolicDecomposition, module: Module, k: int) -> SubspaceBasis:
-    return get_analysis(p, module, max(k + 1, 1)).generalized_zero(k)
-
-
-def disjointness_predicates(p: ParabolicDecomposition, module: Module,
-                            k: int) -> PredicateReport:
-    return get_analysis(p, module, max(k + 1, 1)).predicates(k)
-
-
-def multiplicity_criterion(p: ParabolicDecomposition, module: Module,
-                           k_max: int) -> tuple:
+def multiplicity_criterion(an: KostantAnalysis, k_max: int) -> tuple:
     """Consecutive-degree multiplicity bound on ker quabla: no irreducible
     Levi constituent may appear with multiplicity product above one in two
     adjacent degrees.  Returns (holds, witness)."""
-    an = get_analysis(p, module, k_max)
     decs = []
     for k in range(k_max + 1):
         dec = an.ker_quabla_decomposition(k)
@@ -704,12 +656,3 @@ def multiplicity_criterion(p: ParabolicDecomposition, module: Module,
             if m * m2 > 1:
                 return False, (k, w)
     return True, None
-
-
-def casimir_match(p: ParabolicDecomposition, module: Module, k: int) -> list:
-    return get_analysis(p, module, max(k + 1, 1)).casimir_match(k)
-
-
-def euler_check(p: ParabolicDecomposition, module: Module, mu: Weight,
-                k_max: int = 4) -> bool:
-    return get_analysis(p, module, k_max).euler_check(mu)

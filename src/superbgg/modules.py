@@ -20,11 +20,19 @@ from .algebra import (
     LieSuperalgebra,
     Weight,
     build_adjoint_operation,
+    even_simple_roots,
+    natural_form_diagonal,
+    weight_key,
     wt_add,
     wt_neg,
     wt_sub,
 )
-from .errors import FiniteDimGuardExceeded, NotTypeI, PreconditionViolated
+from .errors import (
+    CrossCheckFailed,
+    FiniteDimGuardExceeded,
+    NotTypeI,
+    PreconditionViolated,
+)
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -106,13 +114,13 @@ def _simple_data(g: LieSuperalgebra, op: AdjointOperation):
     for i, fidx in enumerate(neg):
         img = op.apply_basis(fidx)
         if set(img) != {pos[i]}:
-            raise AssertionError("adjoint of a simple lowering vector must be "
-                                 "a multiple of the raising vector")
+            raise PreconditionViolated("adjoint of a simple lowering vector must "
+                                       "be a multiple of the raising vector")
         kappa.append(img[pos[i]])
     hvec = [g.bracket(pos[i], neg[i]) for i in range(len(pos))]
     for i, j in itertools.permutations(range(len(pos)), 2):
         if g.bracket(pos[i], neg[j]):
-            raise AssertionError("[e_i, f_j] != 0 for distinct simple roots")
+            raise CrossCheckFailed("[e_i, f_j] != 0 for distinct simple roots")
     return pos, neg, kappa, hvec
 
 
@@ -157,7 +165,7 @@ def build_irrep(g: LieSuperalgebra, lam: Weight, op: AdjointOperation | None = N
             by_weight.setdefault(w, []).append(c)
 
         new_members = []
-        for w in sorted(by_weight, key=lambda t: tuple(map(str, t))):
+        for w in sorted(by_weight, key=weight_key):
             group = by_weight[w]
             # raising action of every candidate, expressed over the previous level
             cand_up = {}
@@ -274,8 +282,8 @@ def _close_action(g: LieSuperalgebra, action: list):
             pending.remove(k)
             progress = True
         if not progress:
-            raise AssertionError("action closure stalled; basis not reachable "
-                                 "from simple vectors")
+            raise CrossCheckFailed("action closure stalled; basis not reachable "
+                                   "from simple vectors")
 
 
 def _super_commutator(g: LieSuperalgebra, action: list, a: int, b: int) -> list:
@@ -307,17 +315,11 @@ def natural_module(g: LieSuperalgebra) -> HWModule:
         p for p in range(dim)
         if all(not action[i][p] for i in pos_idx)
     ]
-    assert len(hw_candidates) == 1
+    if len(hw_candidates) != 1:
+        raise CrossCheckFailed("natural module must have one highest weight vector")
     hw = hw_candidates[0]
     op = build_adjoint_operation(g, 1)
-    if g.kind == "gl":
-        mdiag = [F1] * dim
-    else:
-        d = g.m // 2
-        fplus = 2 * d + (g.m % 2)
-        mdiag = [F1] * dim
-        for j in range(g.n):
-            mdiag[fplus + g.n + j] = -F1
+    mdiag = natural_form_diagonal(g)
     gram_blocks = {}
     for w, idxs in _blocks(g, [g.nat_weight[p] for p in range(dim)]).items():
         gram_blocks[w] = [
@@ -375,7 +377,8 @@ def dual_module(mod: HWModule) -> HWModule:
     parities = list(mod.parities)
     pos_idx = g.positive_root_indices()
     hw_candidates = [p for p in range(dim) if all(not action[i][p] for i in pos_idx)]
-    assert len(hw_candidates) == 1, "dual of an irreducible module must be irreducible"
+    if len(hw_candidates) != 1:
+        raise CrossCheckFailed("dual of an irreducible module must be irreducible")
     hw = hw_candidates[0]
     op2 = _twist_adjoint(mod.adjoint)
     dual = HWModule(
@@ -410,16 +413,18 @@ def contravariant_gram_blocks(mod: Module, op: AdjointOperation) -> dict:
     heights = {}
     for w in blocks:
         h = g.height(wt_sub(lam, w))
-        assert h is not None and h >= 0
+        if h is None or h < 0:
+            raise PreconditionViolated(
+                f"weight {w} does not lie below the highest weight {lam}")
         heights[w] = h
-    order = sorted(blocks, key=lambda w: (heights[w], tuple(map(str, w))))
+    order = sorted(blocks, key=lambda w: (heights[w], weight_key(w)))
     hwblk = blocks[lam]
     gram = {}
     gram[lam] = [[F1 if (blocks[lam][a] == mod.hw_index
                          and blocks[lam][b] == mod.hw_index) else F0
                   for b in range(len(hwblk))] for a in range(len(hwblk))]
     if len(hwblk) != 1:
-        raise AssertionError("highest weight space must be one dimensional")
+        raise PreconditionViolated("highest weight space must be one dimensional")
     for w in order:
         if w == lam:
             continue
@@ -450,8 +455,8 @@ def contravariant_gram_blocks(mod: Module, op: AdjointOperation) -> dict:
                     rhs.append(kappa[i] * val)
         sol = linalg.solve(rows, rhs)
         if sol is None or linalg.rank(rows) != d * d:
-            raise AssertionError("contravariant form underdetermined; "
-                                 "module is not cyclic over its top vector")
+            raise PreconditionViolated("contravariant form underdetermined; "
+                                       "module is not cyclic over its top vector")
         gram[w] = [[sol[a * d + b] for b in range(d)] for a in range(d)]
     return gram
 
@@ -462,16 +467,9 @@ def contravariant_gram_blocks(mod: Module, op: AdjointOperation) -> dict:
 
 def even_subalgebra(g: LieSuperalgebra) -> LieSuperalgebra:
     indices = [i for i in range(g.dim) if g.parity(i) == 0]
-    pos_even = sorted(
-        {g.root(i) for i in g.positive_root_indices() if g.parity(i) == 0},
-        key=lambda t: tuple(map(str, t)),
-    )
-    pos_set = set(pos_even)
-    simple_even = [
-        a for a in pos_even
-        if not any(wt_sub(a, b) in pos_set for b in pos_even if b != a)
-    ]
-    simple_even.sort(key=lambda a: g.height(a))
+    # height order (ties in weight_key order) fixes g_0's simple roots for
+    # Kac-module builds
+    simple_even = sorted(even_simple_roots(g), key=g.height)
     return g.subalgebra(indices, simple_even, name=g.name + "_0")
 
 
@@ -485,7 +483,8 @@ def restrict_adjoint(op: AdjointOperation, sub: LieSuperalgebra,
         try:
             images.append({index_map[k]: v for k, v in img.items()})
         except KeyError:
-            raise AssertionError("subalgebra is not stable under the adjoint operation")
+            raise PreconditionViolated(
+                "subalgebra is not stable under the adjoint operation")
     return AdjointOperation(sub, images, op.star_type)
 
 
@@ -497,10 +496,12 @@ def type_one_grading(g: LieSuperalgebra) -> dict:
     for i, b in enumerate(g.basis):
         phi = sum(b.root[:g.r])
         if b.parity == 0:
-            assert phi == 0, "even root with nonzero type I degree"
+            if phi != 0:
+                raise CrossCheckFailed("even root with nonzero type I degree")
             grading[i] = 0
         else:
-            assert phi in (1, -1), "odd root outside degrees +-1"
+            if phi not in (1, -1):
+                raise CrossCheckFailed("odd root outside degrees +-1")
             grading[i] = int(phi)
     return grading
 
@@ -616,7 +617,8 @@ def contravariance_holds(mod: HWModule) -> bool:
 
 
 def casimir_action_scalar(mod: Module) -> Fraction:
-    """The scalar by which sum_i A_i A_i^# acts (asserts it is scalar)."""
+    """The scalar by which sum_i A_i A_i^# acts; CrossCheckFailed if it is
+    not a scalar."""
     g = mod.algebra
     duals = _full_dual_basis(g)
     total = [dict() for _ in range(mod.dim)]
@@ -629,7 +631,7 @@ def casimir_action_scalar(mod: Module) -> Fraction:
     for j in range(mod.dim):
         expect = {j: scalar} if scalar else {}
         if total[j] != expect:
-            raise AssertionError("Casimir does not act as a scalar")
+            raise CrossCheckFailed("Casimir does not act as a scalar")
     return scalar
 
 

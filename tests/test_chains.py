@@ -9,16 +9,7 @@ import pytest
 
 from superbgg import linalg
 from superbgg.algebra import build_algebra, build_parabolic, wt
-from superbgg.chains import (
-    ChainComplex,
-    ChainForm,
-    ChainPairing,
-    boundary,
-    chain_space,
-    delta_pair,
-    pairing_matrix,
-    quabla,
-)
+from superbgg.chains import ChainComplex, ChainForm, ChainPairing
 from superbgg.modules import build_irrep, dual_module
 
 F0, F1 = Fraction(0), Fraction(1)
@@ -41,9 +32,12 @@ def gl21_setup(gl21, gl21_borel, gl21_natural):
 
 def test_chain_space_dims(gl21_setup, osp46, osp46_sec7, osp46_natural):
     g, p, v, vd = gl21_setup
-    assert chain_space(p, v, 2).dim == 15
-    assert chain_space(p, v, 0).dim == v.dim
-    sp3 = chain_space(osp46_sec7, osp46_natural, 3)
+    cx = ChainComplex(p, v, "n")
+    assert cx.space(2).dim == 15
+    assert cx.space(0).dim == v.dim
+    with pytest.raises(ValueError):
+        cx.space(-1)
+    sp3 = ChainComplex(osp46_sec7, osp46_natural, "n").space(3)
     assert sp3.dim == 1040
 
 
@@ -57,7 +51,7 @@ def test_chain_space_dim_formula(gl21_setup):
 
 def test_basis_weight_parity_consistency(gl21_setup):
     g, p, v, _ = gl21_setup
-    sp = chain_space(p, v, 3)
+    sp = ChainComplex(p, v, "n").space(3)
     for t, e in enumerate(sp.basis):
         w = v.weights[e.module_index]
         par = v.parities[e.module_index]
@@ -93,7 +87,7 @@ def test_nilpotency_both_sides(idx):
 
 def test_boundary_zero_at_degree_zero(gl21_setup):
     g, p, v, _ = gl21_setup
-    assert boundary(p, v, 0).is_zero()
+    assert ChainComplex(p, v, "n").lower(0).is_zero()
 
 
 def test_block_diagonality_and_global_assembly(gl21_setup):
@@ -222,7 +216,7 @@ def test_quabla_rescaling():
 
 def test_pairing_degree_zero(gl21_setup):
     g, p, v, vd = gl21_setup
-    mat = pairing_matrix(p, v, vd, 0)
+    mat = ChainPairing(ChainComplex(p, vd, "nbar"), ChainComplex(p, v, "n")).matrix(0)
     assert mat == linalg.identity(v.dim)
 
 
@@ -330,11 +324,12 @@ def test_form_l_contravariance(gl21_setup):
 
 def test_delta_pair_surface(gl21_setup):
     g, p, v, vd = gl21_setup
-    dlt, dst = delta_pair(p, vd, 1)
+    cx = ChainComplex(p, vd, "nbar")
+    dlt, dst = cx.raise_(1), cx.lower(1)
     assert dst.source.degree == 1 and dst.target.degree == 0
     assert dlt.source.degree == 1 and dlt.target.degree == 2
     assert not dst.is_zero()
-    q = quabla(p, v, 1, "direct")
+    q = ChainComplex(p, v, "n").quabla(1, "direct")
     assert q.source is q.target
 
 

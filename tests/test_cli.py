@@ -166,6 +166,27 @@ def test_reproduce_command(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, unused", [
+    (["reproduce", "glmn-borel-natural", "--m", "0", "--n", "0"], "m, n"),
+    (["reproduce", "star-gl", "--kmax", "9"], "k_max"),
+    (["reproduce", "kac-gl21", "--m", "7"], "m"),
+])
+def test_reproduce_rejects_unused_parameters(capsys, monkeypatch, argv, unused):
+    """A parameter the scenario does not take is an input error (exit 2)
+    raised before any algebra is built."""
+    from superbgg import algebra
+    built = []
+    for name in ("_build_gl", "_build_osp"):
+        monkeypatch.setattr(algebra, name, lambda *a: built.append(a))
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("input error:")
+    assert f"does not take {unused};" in captured.err
+    assert built == []
+
+
 def test_parabolic_flags(capsys):
     code, out = run_cli(capsys, "homology", "--alg", "gl", "--m", "2", "--n",
                         "1", "--parabolic-drop", "1", "--weight", "1,0|0",

@@ -1,6 +1,8 @@
+import gc
 import os
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +15,7 @@ from oracles import (
 )
 from superbgg import linalg
 from superbgg.algebra import build_algebra, build_parabolic, wt, wt_add
-from superbgg.chains import ChainComplex, get_complex
+from superbgg.chains import ChainComplex
 from superbgg.errors import LeviNotClosed, TruncationTooSmall
 from superbgg.homology import (
     KostantAnalysis,
@@ -183,22 +185,24 @@ def test_osp46_ker_quabla_decompositions(osp46, osp46_sec7, osp46_natural):
 
 def test_multiplicity_criterion_cases(gl21, gl21_borel, gl21_natural, osp12,
                                       osp12_borel):
-    ok, witness = multiplicity_criterion(gl21_borel, gl21_natural, 2)
+    an = KostantAnalysis(gl21_borel, gl21_natural, 2)
+    ok, witness = multiplicity_criterion(an, 2)
     assert ok and witness is None
     trivial = build_irrep(gl21, wt(0, 0, 0))
-    assert multiplicity_criterion(gl21_borel, trivial, 2) == (True, None)
+    an = KostantAnalysis(gl21_borel, trivial, 2)
+    assert multiplicity_criterion(an, 2) == (True, None)
     # vacuous-ish case: trivial module of osp(1|2) has ker quabla_2 = 0
     t12 = build_irrep(osp12, wt(0))
     an = KostantAnalysis(osp12_borel, t12, 2)
     assert an.ker_quabla(2).dim == 0
-    assert multiplicity_criterion(osp12_borel, t12, 2) == (True, None)
+    assert multiplicity_criterion(an, 2) == (True, None)
 
 
 def test_multiplicity_criterion_witness(osp12, osp12_borel):
     """osp(1|2), lambda = 1: weight -2 appears in ker quabla at consecutive
     degrees 1 and 2, so the bound fails with that witness."""
     w1 = build_irrep(osp12, wt(1))
-    ok, witness = multiplicity_criterion(osp12_borel, w1, 2)
+    ok, witness = multiplicity_criterion(KostantAnalysis(osp12_borel, w1, 2), 2)
     assert not ok
     assert witness is not None
 
@@ -290,25 +294,30 @@ def test_homology_quotient_decomposition_dims(gl21_an):
 
 
 def test_functional_surface(gl21_borel, gl21_natural):
-    from superbgg.homology import (
-        disjointness_predicates,
-        casimir_match,
-        euler_check,
-        generalized_zero,
-        homology_group,
-        ker_quabla,
-    )
-    rep = homology_group(gl21_borel, gl21_natural, 1, full=True)
-    assert rep.homology_dimension == 2
-    assert rep.homology_decomposition.completely_reducible
-    assert rep.ker_quabla_decomposition.total_dimension == 2
-    assert rep.generalized_zero_dimension == 2
-    assert all(rep.predicates.values.values())
-    assert ker_quabla(gl21_borel, gl21_natural, 0).dim == 1
-    assert generalized_zero(gl21_borel, gl21_natural, 0).dim == 1
-    assert disjointness_predicates(gl21_borel, gl21_natural, 0).consistent
-    assert wt(1, 0, 0) in casimir_match(gl21_borel, gl21_natural, 0)
-    assert euler_check(gl21_borel, gl21_natural, wt(1, 0, 0))
+    an = KostantAnalysis(gl21_borel, gl21_natural, k_max=4)
+    assert an.homology(1).homology_dimension == 2
+    assert an.homology_decomposition(1).completely_reducible
+    assert an.ker_quabla_decomposition(1).total_dimension == 2
+    assert an.generalized_zero(1).dim == 2
+    assert all(an.predicates(1).values.values())
+    assert an.ker_quabla(0).dim == 1
+    assert an.generalized_zero(0).dim == 1
+    assert an.predicates(0).consistent
+    assert wt(1, 0, 0) in an.casimir_match(0)
+    assert an.euler_check(wt(1, 0, 0))
+
+
+def test_analysis_does_not_outlive_its_callers(gl21):
+    """Nothing at module level keeps an analysis, its module or its
+    parabolic alive once the caller drops them."""
+    p = build_parabolic(gl21, [])
+    module = build_irrep(gl21, wt(1, 0, 0))
+    an = KostantAnalysis(p, module, k_max=2)
+    assert an.homology(1).homology_dimension == 2
+    refs = [weakref.ref(obj) for obj in (an, an.cx, module, p)]
+    del an, module, p
+    gc.collect()
+    assert [r() for r in refs] == [None] * 4
 
 
 def test_decompose_levi_accepts_subspace(gl21_borel, gl21_natural):
@@ -325,7 +334,7 @@ def test_decompose_levi_non_split_extension(gl21):
     non-split extension of the 1-dimensional irrep.  The dimensions still add
     up, so only the per-entry check refuses the certificate."""
     p = build_parabolic(gl21, [1])
-    cx = get_complex(p, build_kac_module(gl21, wt(0, 0, 0)), "nbar")
+    cx = ChainComplex(p, build_kac_module(gl21, wt(0, 0, 0)), "nbar")
     dec = decompose_levi(p, full_levi_module(cx, 0))
     entry = next(e for e in dec.entries if e.highest_weight == wt(0, 0, 0))
     assert (entry.hw_vector_count, entry.irrep_dimension,
@@ -342,12 +351,12 @@ def test_levi_module_rejects_mixed_weights_under_O():
     code = (
         "from fractions import Fraction\n"
         "from superbgg.algebra import build_algebra, build_parabolic, wt\n"
-        "from superbgg.chains import get_complex\n"
+        "from superbgg.chains import ChainComplex\n"
         "from superbgg.errors import PreconditionViolated\n"
         "from superbgg.homology import LeviModule\n"
         "from superbgg.modules import build_irrep\n"
         "g = build_algebra('gl', 2, 1)\n"
-        "cx = get_complex(build_parabolic(g, []), build_irrep(g, wt(1, 0, 0)), 'nbar')\n"
+        "cx = ChainComplex(build_parabolic(g, []), build_irrep(g, wt(1, 0, 0)), 'nbar')\n"
         "try:\n"
         "    LeviModule(cx, 0, [{0: Fraction(1), 1: Fraction(1)}])\n"
         "except PreconditionViolated:\n"

@@ -1,5 +1,9 @@
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -178,3 +182,26 @@ def test_form_positive_definite_flags(gl21, gl21_natural):
     op2 = build_adjoint_operation(gl21, 2)
     v2 = build_irrep(gl21, wt(1, 0, 0), op2)
     assert not v2.form_positive_definite()
+
+
+def test_restrict_adjoint_rejects_unstable_subalgebra_under_O():
+    """dagger maps the positive root vectors to negative ones, so n+ is not
+    stable under it; the typed error survives python -O."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "from superbgg.algebra import build_adjoint_operation, build_algebra\n"
+        "from superbgg.errors import PreconditionViolated\n"
+        "from superbgg.modules import restrict_adjoint\n"
+        "g = build_algebra('gl', 2, 1)\n"
+        "pos = g.positive_root_indices()\n"
+        "try:\n"
+        "    restrict_adjoint(build_adjoint_operation(g, 1),\n"
+        "                     g.subalgebra(pos, [], 'n+'), pos)\n"
+        "except PreconditionViolated:\n"
+        "    print('rejected')\n"
+    )
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "rejected"
