@@ -11,13 +11,18 @@ dual basis in nbar it produces the coboundary/boundary pair on
 Lambda^. n (x) V; with nbar as radical (dual basis in n) the same recursions
 are the delta operators on Lambda^. nbar (x) V*.  Both pairs square to zero,
 are h-equivariant, and are adjoint through the degreewise pairing below.
+
+Every operator is a ChainMap of integer columns over one denominator, so
+composing, adding and comparing operators is exact Python-int arithmetic.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import NamedTuple
 
 from . import linalg
@@ -63,62 +68,144 @@ class ChainSpace:
         return len(self.basis)
 
 
-@dataclass
+@dataclass(eq=False)
 class ChainMap:
+    """Linear map between chain spaces with exact rational entries, held as
+    integer columns over one positive denominator: entry (r, j) is
+    icols[j][r] / den.  Every map is canonical (gcd of den and all entries
+    is 1), so two maps of the same spaces are equal exactly when their
+    icols and den are."""
+
     source: ChainSpace
     target: ChainSpace
-    cols: list               # cols[j] = {target row: Fraction}
+    icols: list              # icols[j] = {target row: nonzero int}
+    den: int = 1
+
+    @classmethod
+    def canonical(cls, source: ChainSpace, target: ChainSpace, icols: list,
+                  den: int) -> "ChainMap":
+        """The map icols / den (den > 0) with the common factor cancelled."""
+        g = den
+        for col in icols:
+            if g == 1:
+                break
+            g = gcd(g, *col.values())
+        if g > 1:
+            icols = [{r: v // g for r, v in col.items()} for col in icols]
+        return cls(source, target, icols, den // g)
+
+    @classmethod
+    def from_columns(cls, source: ChainSpace, target: ChainSpace,
+                     cols: list) -> "ChainMap":
+        """Map with rational columns cols[j] = {target row: int or Fraction}."""
+        den = lcm(1, *(v.denominator for col in cols for v in col.values()))
+        icols = [{r: v.numerator * (den // v.denominator) for r, v in col.items() if v}
+                 for col in cols]
+        return cls.canonical(source, target, icols, den)
+
+    @classmethod
+    def combination(cls, source: ChainSpace, target: ChainSpace,
+                    terms: list) -> "ChainMap":
+        """sum(c * m for c, m in terms); every m maps source -> target."""
+        terms = [(Fraction(c), m) for c, m in terms if c]
+        if any(m.source is not source or m.target is not target for _, m in terms):
+            raise CrossCheckFailed("combined maps do not share their chain spaces")
+        den = lcm(1, *(c.denominator * m.den for c, m in terms))
+        acc = [dict() for _ in range(source.dim)]
+        for c, m in terms:
+            f = c.numerator * (den // (c.denominator * m.den))
+            for out, col in zip(acc, m.icols):
+                for r, v in col.items():
+                    out[r] = out.get(r, 0) + f * v
+        icols = [{r: v for r, v in out.items() if v} for out in acc]
+        return cls.canonical(source, target, icols, den)
+
+    @functools.cached_property
+    def cols(self) -> list:
+        """cols[j] = {target row: Fraction}; a view for tests and callers
+        that want rationals, never needed by the pipeline itself."""
+        den = self.den
+        return [{r: Fraction(v, den) for r, v in col.items()} for col in self.icols]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ChainMap):
+            return NotImplemented
+        return (self.source is other.source and self.target is other.target
+                and self.den == other.den and self.icols == other.icols)
 
     def compose(self, inner: "ChainMap") -> "ChainMap":
         """self o inner."""
         if inner.target is not self.source:
             raise CrossCheckFailed("composed maps do not share a chain space")
-        cols = []
-        for col in inner.cols:
+        outer = self.icols
+        icols = []
+        for col in inner.icols:
             acc: dict = {}
             for r, c in col.items():
-                linalg.vec_iadd(acc, self.cols[r], c)
-            cols.append(acc)
-        return ChainMap(inner.source, self.target, cols)
+                for t, v in outer[r].items():
+                    acc[t] = acc.get(t, 0) + c * v
+            icols.append({t: v for t, v in acc.items() if v})
+        return ChainMap.canonical(inner.source, self.target, icols,
+                                  self.den * inner.den)
 
     def add(self, other: "ChainMap") -> "ChainMap":
-        cols = []
-        for a, b in zip(self.cols, other.cols):
-            acc = dict(a)
-            linalg.vec_iadd(acc, b)
-            cols.append(acc)
-        return ChainMap(self.source, self.target, cols)
+        return ChainMap.combination(self.source, self.target,
+                                    [(1, self), (1, other)])
 
     def scale(self, c) -> "ChainMap":
-        return ChainMap(self.source, self.target,
-                        [linalg.vec_scale(col, Fraction(c)) for col in self.cols])
+        return ChainMap.combination(self.source, self.target, [(c, self)])
 
     def is_zero(self) -> bool:
-        return all(not col for col in self.cols)
+        return all(not col for col in self.icols)
 
     def is_block_diagonal(self) -> bool:
         """h-equivariance: every column stays inside its weight block."""
-        for j, col in enumerate(self.cols):
+        for j, col in enumerate(self.icols):
             w = self.source.weights[j]
             if any(self.target.weights[r] != w for r in col):
                 return False
         return True
 
-    def block(self, weight: Weight) -> list:
-        """Dense matrix of the weight block (target rows x source cols)."""
+    def int_block(self, weight: Weight) -> list:
+        """den times the weight block (target rows x source cols): an int
+        matrix with the same kernel, rank and column space as `block`."""
         rows = self.target.weight_blocks.get(weight, [])
         cols = self.source.weight_blocks.get(weight, [])
         rpos = {r: i for i, r in enumerate(rows)}
-        out = linalg.zeros(len(rows), len(cols))
+        out = [[0] * len(cols) for _ in rows]
         for cj, j in enumerate(cols):
-            for r, v in self.cols[j].items():
+            for r, v in self.icols[j].items():
                 out[rpos[r]][cj] = v
         return out
+
+    def block(self, weight: Weight) -> list:
+        """Dense matrix of the weight block (target rows x source cols): ints
+        when den is 1, otherwise Fractions (zero entries are int 0)."""
+        out = self.int_block(weight)
+        den = self.den
+        if den == 1:
+            return out
+        return [[Fraction(v, den) if v else 0 for v in row] for row in out]
 
     def commutes_with(self, other: "ChainMap") -> bool:
         if not (self.source is self.target is other.source is other.target):
             raise CrossCheckFailed("commutator of maps on different chain spaces")
-        return self.compose(other).cols == other.compose(self).cols
+        return self.compose(other) == other.compose(self)
+
+
+def _int_if_integral(c):
+    """c as an int when it is one: int products are far cheaper than
+    Fraction ones, and the value is the same."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _add_term(out: dict, key, c) -> None:
+    """out[key] += c, dropping the key when the sum vanishes."""
+    new = out.get(key, 0) + c
+    if new:
+        out[key] = new
+    else:
+        out.pop(key, None)
 
 
 class ChainComplex:
@@ -141,11 +228,14 @@ class ChainComplex:
         self.even_gens = [i for i in self.radical if g.parity(i) == 0]
         self.odd_gens = [i for i in self.radical if g.parity(i) == 1]
         self.radical_set = frozenset(self.radical)
+        self._parity = [b.parity for b in g.basis]
         self._spaces: dict = {}
         self._lower: dict = {}
         self._raise: dict = {}
         self._lower_memo: dict = {}
         self._raise_memo: dict = {}
+        self._brackets: dict = {}       # (a, generator) -> radical part of [A_a, gen]
+        self._raise_terms: dict = {}    # peeled generator -> coboundary terms
         self._casimir_const = None
 
     # -- spaces ---------------------------------------------------------------
@@ -156,25 +246,34 @@ class ChainComplex:
         if k < 0:
             raise ValueError("degree must be non-negative")
         g = self.algebra
-        basis = []
+        mod = self.module
+        # roots have integral coordinates: sum them as ints, and form the
+        # weight of each distinct (module index, root sum) pair once
+        roots = {i: tuple(map(_int_if_integral, g.root(i))) for i in self.radical}
+        shifted: dict = {}      # (module index, root sum) -> [weight, members]
+        basis, weights, parities = [], [], []
         for j in range(min(k, len(self.even_gens)) + 1):
             for ev in itertools.combinations(self.even_gens, j):
                 for od in itertools.combinations_with_replacement(self.odd_gens, k - j):
-                    for mi in range(self.module.dim):
+                    shift, par = (0,) * g.rank, 0
+                    for i in ev + od:
+                        shift = wt_add(shift, roots[i])
+                        par ^= self._parity[i]
+                    for mi in range(mod.dim):
+                        entry = shifted.get((mi, shift))
+                        if entry is None:
+                            entry = shifted[mi, shift] = [
+                                wt_add(mod.weights[mi], shift), []]
+                        entry[1].append(len(basis))
                         basis.append(ChainBasisElement(ev, od, mi))
+                        weights.append(entry[0])
+                        parities.append(mod.parities[mi] ^ par)
         index = {e: t for t, e in enumerate(basis)}
-        weights, parities = [], []
-        for e in basis:
-            w = self.module.weights[e.module_index]
-            par = self.module.parities[e.module_index]
-            for i in e.generators():
-                w = wt_add(w, g.root(i))
-                par ^= g.parity(i)
-            weights.append(w)
-            parities.append(par)
         blocks: dict = {}
-        for t, w in enumerate(weights):
-            blocks.setdefault(w, []).append(t)
+        for w, members in shifted.values():
+            blocks.setdefault(w, []).extend(members)
+        for members in blocks.values():
+            members.sort()
         sp = ChainSpace(self, k, basis, index, weights, parities, blocks)
         self._spaces[k] = sp
         return sp
@@ -183,8 +282,8 @@ class ChainComplex:
 
     def _normalize(self, gens: list, mi: int):
         """Sort generators into normal form; returns (element, sign) or None."""
-        g = self.algebra
-        items = [(g.parity(i), i) for i in gens]
+        par = self._parity
+        items = [(par[i], i) for i in gens]
         sign = 1
         for i in range(1, len(items)):
             cur = items[i]
@@ -196,8 +295,8 @@ class ChainComplex:
                 j -= 1
             items[j + 1] = cur
         ev, od = [], []
-        for par, idx in items:
-            if par:
+        for p, idx in items:
+            if p:
                 od.append(idx)
             else:
                 if ev and ev[-1] == idx:
@@ -209,55 +308,49 @@ class ChainComplex:
         out: dict = {}
         for elem, c in vec.items():
             res = self._normalize([gen, *elem.generators()], elem.module_index)
-            if res is None:
-                continue
-            e2, sgn = res
-            new = out.get(e2, F0) + c * sgn
-            if new:
-                out[e2] = new
-            else:
-                del out[e2]
+            if res is not None:
+                _add_term(out, res[0], c * res[1])
         return out
 
     # -- module structure -------------------------------------------------------
 
+    def _radical_bracket(self, a: int, gen: int) -> list:
+        """[A_a, gen] projected to the radical, as (index, coefficient) pairs."""
+        key = (a, gen)
+        terms = self._brackets.get(key)
+        if terms is None:
+            terms = [(kidx, _int_if_integral(c))
+                     for kidx, c in self.algebra.bracket(a, gen).items()
+                     if kidx in self.radical_set]
+            self._brackets[key] = terms
+        return terms
+
     def act_element(self, vec: dict, elem: ChainBasisElement) -> dict:
         """Action of an algebra element (coefficients over the basis) on a
         chain monomial; brackets with generators are projected to the radical."""
-        g = self.algebra
-        out: dict = {}
+        par = self._parity
         gens = elem.generators()
+        mi = elem.module_index
+        action = self.module.action
+        out: dict = {}
         for a, ca in vec.items():
-            pa = g.parity(a)
-            prefix = 0
+            odd = par[a]
+            prefix = 0          # parity of the generators passed so far
             for t, gt in enumerate(gens):
-                br = g.bracket(a, gt)
-                sgn = -F1 if (pa and prefix % 2) else F1
-                for kidx, cb in br.items():
-                    if kidx not in self.radical_set:
-                        continue
+                terms = self._radical_bracket(a, gt)
+                if terms:
+                    sgn = -1 if (odd and prefix) else 1
                     rest = list(gens)
-                    rest[t] = kidx
-                    res = self._normalize(rest, elem.module_index)
-                    if res is None:
-                        continue
-                    e2, s2 = res
-                    new = out.get(e2, F0) + ca * cb * sgn * s2
-                    if new:
-                        out[e2] = new
-                    else:
-                        del out[e2]
-                prefix += g.parity(gt)
-            sgn = -F1 if (pa and prefix % 2) else F1
-            col = self.module.act_basis(a, {elem.module_index: F1})
-            for r, cm in col.items():
-                res = self._normalize(list(gens), r)
-                e2, s2 = res
-                new = out.get(e2, F0) + ca * cm * sgn * s2
-                if new:
-                    out[e2] = new
-                else:
-                    del out[e2]
+                    for kidx, cb in terms:
+                        rest[t] = kidx
+                        res = self._normalize(rest, mi)
+                        if res is not None:
+                            _add_term(out, res[0], ca * cb * (sgn * res[1]))
+                prefix ^= par[gt]
+            sgn = -1 if (odd and prefix) else 1
+            for r, cm in action[a][mi].items():
+                _add_term(out, ChainBasisElement(elem.even_part, elem.odd_part, r),
+                          ca * cm * sgn)
         return out
 
     def _peel(self, elem: ChainBasisElement):
@@ -282,10 +375,23 @@ class ChainComplex:
             self._lower_memo[elem] = {}
             return {}
         g0, rest = self._peel(elem)
-        out = linalg.vec_scale(self.act_element({g0: F1}, rest), -F1)
-        linalg.vec_iadd(out, self._wedge(g0, self._lower_elem(rest)), -F1)
+        out = linalg.vec_scale(self.act_element({g0: 1}, rest), -1)
+        linalg.vec_iadd(out, self._wedge(g0, self._lower_elem(rest)), -1)
         self._lower_memo[elem] = out
         return out
+
+    def _coboundary_terms(self, g0: int) -> list:
+        """(z_a, k, c/2) for every radical term c*A_k of [z_a^#, g0]."""
+        terms = self._raise_terms.get(g0)
+        if terms is None:
+            g = self.algebra
+            terms = []
+            for a, gen in enumerate(self.radical):
+                for kidx, c in g.bracket_vec(self.duals[a], {g0: F1}).items():
+                    if kidx in self.radical_set:
+                        terms.append((gen, kidx, _int_if_integral(HALF * c)))
+            self._raise_terms[g0] = terms
+        return terms
 
     def _raise_elem(self, elem: ChainBasisElement) -> dict:
         """Coboundary recursion
@@ -294,34 +400,29 @@ class ChainComplex:
         hit = self._raise_memo.get(elem)
         if hit is not None:
             return hit
-        g = self.algebra
+        mi = elem.module_index
         out: dict = {}
         if elem.degree == 0:
             for a, gen in enumerate(self.radical):
-                col = self.module.act(self.duals[a], {elem.module_index: F1})
-                for r, cm in col.items():
-                    linalg.vec_iadd(
-                        out, self._wedge(gen, {ChainBasisElement((), (), r): F1}), cm)
+                for r, cm in self.module.act(self.duals[a], {mi: F1}).items():
+                    _add_term(out, self._normalize([gen], r)[0], cm)
         else:
             g0, rest = self._peel(elem)
-            restvec = {rest: F1}
-            for a, gen in enumerate(self.radical):
-                br = g.bracket_vec(self.duals[a], {g0: F1})
-                for kidx, cb in br.items():
-                    if kidx not in self.radical_set:
-                        continue
-                    inner = self._wedge(kidx, restvec)
-                    linalg.vec_iadd(out, self._wedge(gen, inner), HALF * cb)
-            linalg.vec_iadd(out, self._wedge(g0, self._raise_elem(rest)), -F1)
+            rgens = rest.generators()
+            # z_a ^ (A_k ^ rest) in one normal-form pass: Koszul signs multiply
+            for gen, kidx, c in self._coboundary_terms(g0):
+                res = self._normalize([gen, kidx, *rgens], mi)
+                if res is not None:
+                    _add_term(out, res[0], c * res[1])
+            linalg.vec_iadd(out, self._wedge(g0, self._raise_elem(rest)), -1)
         self._raise_memo[elem] = out
         return out
 
     def _to_map(self, k_src: int, k_dst: int, images: list) -> ChainMap:
-        src, dst = self.space(k_src), self.space(k_dst)
-        cols = []
-        for img in images:
-            cols.append({dst.index[e]: c for e, c in img.items()})
-        return ChainMap(src, dst, cols)
+        dst = self.space(k_dst)
+        return ChainMap.from_columns(
+            self.space(k_src), dst,
+            [{dst.index[e]: c for e, c in img.items()} for img in images])
 
     def lower(self, k: int) -> ChainMap:
         """d*_k : C_k -> C_{k-1} (the boundary; delta* on the nbar side)."""
@@ -351,10 +452,6 @@ class ChainComplex:
         sp = self.space(k)
         return self._to_map(k, k, [self.act_element(vec, e) for e in sp.basis])
 
-    def levi_action_maps(self, k: int) -> dict:
-        """ChainMap of every Levi basis element at degree k."""
-        return {i: self.action_map(k, {i: F1}) for i in self.parabolic.levi_indices}
-
     # -- quabla -------------------------------------------------------------------
 
     def quabla(self, k: int, method: str = "direct") -> ChainMap:
@@ -364,8 +461,10 @@ class ChainComplex:
             return b if a is None else a.add(b)
         if method != "casimir":
             raise ValueError("method must be 'direct' or 'casimir'")
+        # quabla = -1/2 (C2 + lambda(h) - sum_i A_i A_i^#) on C_k, where
+        # h = sum_a [z_a, z_a^#] and A_i^# = sum_t linv[i][t] A_t is the
+        # dual of A_i in the Levi
         g = self.algebra
-        p = self.parabolic
         c2 = self._casimir_scalar()
         hvec: dict = {}
         for a, gen in enumerate(self.radical):
@@ -373,23 +472,20 @@ class ChainComplex:
         for i in hvec:
             if not g.basis[i].is_cartan:
                 raise CrossCheckFailed("sum [z_a, z_a^#] is not in the Cartan")
-        levi = p.levi_indices
-        lgram = [[g.gram[i][j] for j in levi] for i in levi]
-        linv = linalg.inverse(lgram)
-        acts = {i: self.action_map(k, {i: F1}) for i in levi}
+        levi = self.parabolic.levi_indices
+        linv = linalg.inverse([[g.gram[i][j] for j in levi] for i in levi])
         sp = self.space(k)
-        cols = [dict() for _ in range(sp.dim)]
-        for j in range(sp.dim):
-            diag = c2 + g.eval_weight(sp.weights[j], hvec)
-            if diag:
-                cols[j][j] = diag
-        for bi, i in enumerate(levi):
-            dual = {levi[t]: linv[bi][t] for t in range(len(levi)) if linv[bi][t]}
-            dmap = self.action_map(k, dual)
-            comp = acts[i].compose(dmap)
-            for j in range(sp.dim):
-                linalg.vec_iadd(cols[j], comp.cols[j], -F1)
-        return ChainMap(sp, sp, [linalg.vec_scale(c, -HALF) for c in cols])
+        diag = [{} for _ in range(sp.dim)]
+        for w, idxs in sp.weight_blocks.items():
+            val = c2 + g.eval_weight(w, hvec)
+            for j in idxs:
+                diag[j][j] = val
+        terms = [(-HALF, ChainMap.from_columns(sp, sp, diag))]
+        acts = [self.action_map(k, {i: F1}) for i in levi]
+        for act, row in zip(acts, linv):
+            dual = ChainMap.combination(sp, sp, list(zip(row, acts)))
+            terms.append((HALF, act.compose(dual)))
+        return ChainMap.combination(sp, sp, terms)
 
     def _casimir_scalar(self):
         if self._casimir_const is None:
@@ -412,6 +508,55 @@ def _move_sign(g, gens: tuple, t: int) -> Fraction:
     return sgn
 
 
+class _LaplaceExpansion:
+    """Memoised bilinear form on chain monomials, expanded along the leading
+    factor y0 of the left argument:
+
+        (y0 ^ Q, X) = sum_t s_t (y0, x_t) (Q, X without x_t),
+
+    with (., .) on generators given by `gform` and `base(qi, pi)` the value
+    in degree 0.  s_t is the Koszul sign of moving x_t to the front, times
+    (-1)^{|Q||x_t|} when `twisted` (|Q| counts the module factor too)."""
+
+    def __init__(self, left: ChainComplex, gform: dict, base, twisted: bool):
+        self.left = left
+        self.gform = gform
+        self.base = base
+        self.twisted = twisted
+        self.memo: dict = {}
+
+    def __call__(self, q: ChainBasisElement, p: ChainBasisElement) -> Fraction:
+        key = (q, p)
+        hit = self.memo.get(key)
+        if hit is not None:
+            return hit
+        if q.degree == 0:
+            val = self.base(q.module_index, p.module_index)
+            self.memo[key] = val
+            return val
+        g = self.left.algebra
+        y0, qrest = self.left._peel(q)
+        qrest_odd = self.twisted and (
+            self.left.module.parities[q.module_index]
+            + sum(g.parity(i) for i in qrest.generators())) % 2
+        pgens = p.generators()
+        val = F0
+        for t, xt in enumerate(pgens):
+            gv = self.gform.get((y0, xt))
+            if not gv:
+                continue
+            rest_gens = pgens[:t] + pgens[t + 1:]
+            pe = tuple(i for i in rest_gens if g.parity(i) == 0)
+            po = tuple(i for i in rest_gens if g.parity(i) == 1)
+            prest = ChainBasisElement(pe, po, p.module_index)
+            sgn = _move_sign(g, pgens, t)
+            if qrest_odd and g.parity(xt):
+                sgn = -sgn
+            val += sgn * gv * self(qrest, prest)
+        self.memo[key] = val
+        return val
+
+
 class ChainPairing:
     """Degreewise pairing of Lambda^k nbar (x) V* with Lambda^k n (x) V.
 
@@ -426,46 +571,17 @@ class ChainPairing:
         self.left = left
         self.right = right
         g = left.algebra
-        self._gform = {}
+        gform = {}
         for y in left.radical:
             for x in right.radical:
                 v = g.gram[y][x]
                 if v:
-                    self._gform[(y, x)] = v
-        self._memo: dict = {}
-
-    def _module_pair(self, qi: int, pi: int) -> Fraction:
-        return F1 if qi == pi else F0
+                    gform[(y, x)] = v
+        self._expansion = _LaplaceExpansion(
+            left, gform, lambda qi, pi: F1 if qi == pi else F0, twisted=True)
 
     def pair_elements(self, q: ChainBasisElement, p: ChainBasisElement) -> Fraction:
-        key = (q, p)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        if q.degree == 0:
-            val = self._module_pair(q.module_index, p.module_index)
-            self._memo[key] = val
-            return val
-        g = self.left.algebra
-        y0, qrest = self.left._peel(q)
-        qrest_par = (self.left.module.parities[q.module_index]
-                     + sum(g.parity(i) for i in qrest.generators())) % 2
-        pgens = p.generators()
-        val = F0
-        for t, xt in enumerate(pgens):
-            gv = self._gform.get((y0, xt))
-            if not gv:
-                continue
-            rest_gens = pgens[:t] + pgens[t + 1:]
-            pe = tuple(i for i in rest_gens if g.parity(i) == 0)
-            po = tuple(i for i in rest_gens if g.parity(i) == 1)
-            prest = ChainBasisElement(pe, po, p.module_index)
-            sgn = _move_sign(g, pgens, t)
-            if qrest_par and g.parity(xt):
-                sgn = -sgn
-            val += sgn * gv * self.pair_elements(qrest, prest)
-        self._memo[key] = val
-        return val
+        return self._expansion(q, p)
 
     def matrix(self, k: int) -> list:
         """Dense matrix (rows: left basis, cols: right basis) at degree k."""
@@ -501,39 +617,17 @@ class ChainForm:
                 "chain form needs a module with a contravariant form")
         g = cx.algebra
         op = mod.adjoint
-        self._gform = {}
+        gform = {}
         for y1 in cx.radical:
             dag = op.apply_basis(y1)
             for y2 in cx.radical:
                 v = g.form(dag, {y2: F1})
                 if v:
-                    self._gform[(y1, y2)] = v
-        self._memo: dict = {}
+                    gform[(y1, y2)] = v
+        self._expansion = _LaplaceExpansion(cx, gform, mod.gram, twisted=False)
 
     def form_elements(self, x: ChainBasisElement, y: ChainBasisElement) -> Fraction:
-        key = (x, y)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        if x.degree == 0:
-            val = self.cx.module.gram(x.module_index, y.module_index)
-            self._memo[key] = val
-            return val
-        g = self.cx.algebra
-        y0, xrest = self.cx._peel(x)
-        ygens = y.generators()
-        val = F0
-        for t, yt in enumerate(ygens):
-            gv = self._gform.get((y0, yt))
-            if not gv:
-                continue
-            rest_gens = ygens[:t] + ygens[t + 1:]
-            pe = tuple(i for i in rest_gens if g.parity(i) == 0)
-            po = tuple(i for i in rest_gens if g.parity(i) == 1)
-            yrest = ChainBasisElement(pe, po, y.module_index)
-            val += _move_sign(g, ygens, t) * gv * self.form_elements(xrest, yrest)
-        self._memo[key] = val
-        return val
+        return self._expansion(x, y)
 
     def block(self, k: int, weight: Weight) -> list:
         sp = self.cx.space(k)

@@ -20,10 +20,18 @@ from .algebra import (
     build_algebra,
     build_parabolic,
     casimir_eigenvalue,
+    even_simple_roots,
     weight_key,
+    wt_str,
 )
 from .bgg import bgg_verdict, reproduce
-from .errors import InputError, LengthMismatch, ParseError, SuperBGGError
+from .errors import (
+    InputError,
+    LengthMismatch,
+    ParseError,
+    PreconditionViolated,
+    SuperBGGError,
+)
 from .homology import KostantAnalysis
 from .modules import build_irrep
 
@@ -62,6 +70,22 @@ def parse_weight(text: str, r: int, s: int) -> tuple:
             f"expected {r} epsilon and {s} delta coordinates, "
             f"got {len(eps)} and {len(dlt)}")
     return tuple(eps + dlt)
+
+
+def _dominant_weight(g, text: str) -> tuple:
+    """Parse a highest weight and check that it is dominant integral for the
+    even subalgebra: 2(lam, a)/(a, a) in Z>=0 for every simple root a of g_0.
+
+    A finite-dimensional irreducible module needs this, so a weight that
+    fails it is rejected before any module is built."""
+    lam = parse_weight(text, g.r, g.s)
+    for a in even_simple_roots(g):
+        c = 2 * g.weight_form(lam, a) / g.weight_form(a, a)
+        if c.denominator != 1 or c < 0:
+            raise PreconditionViolated(
+                f"weight {wt_str(lam, g.r)} is not dominant integral for the "
+                f"even simple root {wt_str(a, g.r)} (2(lam,a)/(a,a) = {c})")
+    return lam
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +231,7 @@ def _cmd_rep(args, t0) -> int:
     if args.action != "build":
         raise InputError(f"unknown rep action {args.action!r}")
     g = _algebra_from_args(args)
-    lam = parse_weight(args.weight, g.r, g.s)
+    lam = _dominant_weight(g, args.weight)
     op = build_adjoint_operation(g, args.star_type or 1)
     mod = build_irrep(g, lam, op, args.max_depth)
     mult: dict = {}
@@ -234,7 +258,8 @@ def _internal_checks(an, k_max: int) -> tuple:
     """Nilpotency and quabla cross-checks on the built window.
 
     The direct quabla is the analysis's own (`quabla_map`), the one its block
-    kernels use, so it is built once per degree."""
+    kernels use, so it is built once per degree.  Maps are compared in their
+    canonical integer form, so no Fraction view is built."""
     cx = an.cx
     nil = all(
         cx.lower(k - 1).compose(cx.lower(k)).is_zero() for k in range(2, k_max + 1)
@@ -242,7 +267,7 @@ def _internal_checks(an, k_max: int) -> tuple:
         cx.raise_(k + 1).compose(cx.raise_(k)).is_zero() for k in range(0, k_max - 1)
     )
     quab = all(
-        an.quabla_map(k).cols == cx.quabla(k, "casimir").cols
+        an.quabla_map(k) == cx.quabla(k, "casimir")
         for k in range(0, k_max)
     )
     return nil, quab
@@ -251,7 +276,7 @@ def _internal_checks(an, k_max: int) -> tuple:
 def _cmd_homology(args, t0) -> int:
     g = _algebra_from_args(args)
     p = _parabolic_from_args(g, args)
-    lam = parse_weight(args.weight, g.r, g.s)
+    lam = _dominant_weight(g, args.weight)
     mod = build_irrep(g, lam, max_depth=args.max_depth)
     an = KostantAnalysis(p, mod, args.kmax)
     nil, quab = _internal_checks(an, args.kmax)
@@ -293,7 +318,7 @@ def _cmd_bgg(args, t0) -> int:
         raise InputError(f"unknown bgg action {args.action!r}")
     g = _algebra_from_args(args)
     p = _parabolic_from_args(g, args)
-    lam = parse_weight(args.weight, g.r, g.s)
+    lam = _dominant_weight(g, args.weight)
     verdict = bgg_verdict(g, p, lam, args.kmax, star_type=args.star_type)
     an = verdict.analysis
     nil, quab = _internal_checks(an, args.kmax)

@@ -450,8 +450,10 @@ class KostantAnalysis:
         quab = self.quabla_map(k)
         data = {}
         for w in sorted(sp.weight_blocks, key=weight_key):
+            # only kernels of the quabla block are taken, so its int
+            # multiple serves
             data[w] = _block_kernels(lower.block(w), upper.block(w),
-                                     quab.block(w), len(sp.weight_blocks[w]))
+                                     quab.int_block(w), len(sp.weight_blocks[w]))
         self._blockdata[k] = data
         return data
 

@@ -59,7 +59,7 @@ def identity(n: int) -> list:
 def mat_mul(a: list, b: list) -> list:
     n, k = len(a), len(b)
     p = len(b[0]) if b else 0
-    out = zeros(n, p)
+    out = [[0] * p for _ in range(n)]      # int products of int matrices stay int
     for i in range(n):
         ai = a[i]
         oi = out[i]

@@ -432,3 +432,25 @@ def oracle_levi_generated_dims(weights, raise_mats, lower_mats):
             span = grown
         out[mu] = (len(kernel), len(span))
     return out
+
+
+# ---------------------------------------------------------------------------
+# dense chain-map oracle
+# ---------------------------------------------------------------------------
+
+def oracle_map_product(a, b, ncols):
+    """a.b for dense Fraction matrices (rows of lists) where b has ncols
+    columns, entry by entry."""
+    inner = len(b)
+    return [[sum((Fraction(row[t]) * b[t][j] for t in range(inner)), F0)
+             for j in range(ncols)] for row in a]
+
+
+def oracle_map_combination(terms, nrows, ncols):
+    """sum(c * m for c, m in terms) for dense nrows x ncols matrices."""
+    out = [[F0] * ncols for _ in range(nrows)]
+    for c, m in terms:
+        for i in range(nrows):
+            for j in range(ncols):
+                out[i][j] += Fraction(c) * m[i][j]
+    return out

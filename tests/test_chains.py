@@ -6,12 +6,16 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import oracle_map_combination, oracle_map_product
 from superbgg import linalg
 from superbgg.algebra import build_algebra, build_parabolic, wt
-from superbgg.chains import ChainComplex, ChainForm, ChainPairing
+from superbgg.chains import ChainComplex, ChainForm, ChainMap, ChainPairing, ChainSpace
 from superbgg.modules import build_irrep, dual_module
 
+F = Fraction
 F0, F1 = Fraction(0), Fraction(1)
 
 
@@ -353,3 +357,144 @@ def test_cross_check_survives_optimize():
                          timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "rejected"
+
+
+# ---------------------------------------------------------------------------
+# integer chain maps
+# ---------------------------------------------------------------------------
+
+def _bare_space(weights):
+    """A chain space with only the weight data a ChainMap reads."""
+    blocks: dict = {}
+    for t, w in enumerate(weights):
+        blocks.setdefault(w, []).append(t)
+    n = len(weights)
+    return ChainSpace(None, 0, list(range(n)), {}, list(weights), [0] * n, blocks)
+
+
+def _map_of(src, tgt, dense):
+    cols = [{r: dense[r][j] for r in range(tgt.dim) if dense[r][j]}
+            for j in range(src.dim)]
+    return ChainMap.from_columns(src, tgt, cols)
+
+
+def _dense_of(m):
+    return [[m.cols[j].get(r, F0) for j in range(m.source.dim)]
+            for r in range(m.target.dim)]
+
+
+def _assert_canonical(m):
+    vals = [v for col in m.icols for v in col.values()]
+    assert type(m.den) is int and m.den >= 1
+    assert all(type(v) is int and v for v in vals)
+    assert math.gcd(m.den, *vals) == 1
+
+
+def _assert_exact_blocks(m):
+    """Block entries are ints when den is 1 and Fractions otherwise (zeros
+    are int 0): never a float."""
+    for w in m.source.weight_blocks:
+        for row in m.block(w):
+            for x in row:
+                assert type(x) is (int if m.den == 1 or x == 0 else Fraction)
+
+
+_WEIGHTS = st.lists(st.sampled_from([wt(0), wt(1), wt(-1)]), max_size=4)
+_ENTRIES = st.one_of(st.just(F0), st.fractions(min_value=-6, max_value=6,
+                                               max_denominator=4))
+
+
+@st.composite
+def _map_triples(draw):
+    """Spaces S, M, T and block-diagonal dense maps a, a2: S -> M, b: M -> T."""
+    src, mid, tgt = draw(_WEIGHTS), draw(_WEIGHTS), draw(_WEIGHTS)
+
+    def dense(rw, cw):
+        return [[draw(_ENTRIES) if rw[i] == cw[j] else F0 for j in range(len(cw))]
+                for i in range(len(rw))]
+    return src, mid, tgt, dense(mid, src), dense(mid, src), dense(tgt, mid)
+
+
+@given(_map_triples(), st.fractions(min_value=-4, max_value=4, max_denominator=5))
+@example(([wt(0)] * 2, [wt(0)] * 2, [wt(0)],
+          [[F(1, 2), F(3, 4)], [F0, F(-1, 6)]], [[F(-1, 2), F(1, 4)], [F0, F(1, 6)]],
+          [[F(2, 3), F(3)]]), F(2))
+@settings(max_examples=120, deadline=None)
+def test_chain_map_arithmetic_matches_dense_oracle(triple, c):
+    src, mid, tgt, da, da2, db = triple
+    s, m, t = _bare_space(src), _bare_space(mid), _bare_space(tgt)
+    a, a2, b = _map_of(s, m, da), _map_of(s, m, da2), _map_of(m, t, db)
+    results = [
+        (a, da), (a2, da2), (b, db),
+        (b.compose(a), oracle_map_product(db, da, s.dim)),
+        (a.add(a2), oracle_map_combination([(1, da), (1, da2)], m.dim, s.dim)),
+        (a.scale(c), oracle_map_combination([(c, da)], m.dim, s.dim)),
+        (ChainMap.combination(s, m, [(c, a), (-1, a2), (0, a)]),
+         oracle_map_combination([(c, da), (-1, da2)], m.dim, s.dim)),
+    ]
+    for got, want in results:
+        _assert_canonical(got)
+        _assert_exact_blocks(got)
+        assert _dense_of(got) == want
+        assert got.is_zero() == (not any(any(row) for row in want))
+        for w, cols in got.source.weight_blocks.items():
+            rows = got.target.weight_blocks.get(w, [])
+            assert got.block(w) == [[want[r][j] for j in cols] for r in rows]
+            assert got.int_block(w) == [[want[r][j] * got.den for j in cols]
+                                        for r in rows]
+    assert (a == a2) == (da == da2)
+    assert a == _map_of(s, m, [row[:] for row in da])
+    assert a.add(a.scale(-1)).den == 1 and a.add(a.scale(-1)).is_zero()
+
+
+def test_chain_map_denominators():
+    s = _bare_space([wt(0), wt(0)])
+    half = _map_of(s, s, [[F(1, 2), F(3, 4)], [F0, F(-1, 6)]])
+    assert half.den == 12 and half.icols == [{0: 6}, {0: 9, 1: -2}]
+    assert half.block(wt(0)) == [[F(1, 2), F(3, 4)], [0, F(-1, 6)]]
+    assert half.scale(12).den == 1 and half.scale(12).icols == [{0: 6}, {0: 9, 1: -2}]
+    assert half.scale(F(1, 3)).den == 36
+    assert half.compose(half) == _map_of(
+        s, s, oracle_map_product(_dense_of(half), _dense_of(half), 2))
+    assert half != half.scale(2) and half == half.scale(2).scale(F(1, 2))
+
+
+@pytest.fixture(scope="module")
+def osp54_drop0():
+    """osp(5|4), natural module, Levi of the simple roots 1..3 (drop 0)."""
+    g = build_algebra("osp", 5, 2)
+    return g, build_parabolic(g, [1, 2, 3]), build_irrep(g, wt(1, 0, 0, 0))
+
+
+def test_built_maps_are_canonical_and_exact(gl21_setup, osp54_drop0):
+    g, p, v, vd = gl21_setup
+    _, p54, v54 = osp54_drop0
+    for par, mod, side in ((p, v, "n"), (p, vd, "nbar"), (p54, v54, "nbar")):
+        cx = ChainComplex(par, mod, side)
+        for k in range(3):
+            maps = [cx.lower(k), cx.raise_(k), cx.quabla(k, "direct"),
+                    cx.quabla(k, "casimir")]
+            for m in maps:
+                assert m.is_block_diagonal()
+                _assert_canonical(m)
+                _assert_exact_blocks(m)
+            for i in par.levi_indices:      # root vectors shift weights
+                _assert_canonical(cx.action_map(k, {i: F1}))
+
+
+def test_quabla_direct_equals_casimir_osp54_drop0(osp54_drop0):
+    """The two quablas agree on maps with denominator 2 and a Levi whose
+    Gram inverse is not diagonal."""
+    g, p, v = osp54_drop0
+    levi = p.levi_indices
+    linv = linalg.inverse([[g.gram[i][j] for j in levi] for i in levi])
+    assert any(linv[i][j] for i in range(len(levi)) for j in range(len(levi)) if i != j)
+    cx = ChainComplex(p, v, "nbar")
+    dens = set()
+    for k in range(3):
+        direct, casimir = cx.quabla(k, "direct"), cx.quabla(k, "casimir")
+        assert direct == casimir
+        assert direct.cols == casimir.cols
+        assert direct.is_block_diagonal()
+        dens.add(direct.den)
+    assert 2 in dens

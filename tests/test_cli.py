@@ -1,6 +1,7 @@
 import json
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -244,3 +245,70 @@ def test_bgg_check_osp46_cli(capsys):
     assert rep["verdict"]["basis_of_decision"] == "MultiplicityCriterion"
     assert rep["shape"]["degrees"][1] == [
         {"multiplicity": 1, "weight": ["-1", "2", "0", "0", "0"]}]
+
+
+@pytest.mark.parametrize("argv", [
+    ["rep", "build", "--alg", "gl", "--m", "2", "--n", "1", "--weight", "0,1|0"],
+    ["rep", "build", "--alg", "gl", "--m", "2", "--n", "1", "--weight", "0,1|0",
+     "--max-depth", "100000"],
+    ["homology", "--alg", "gl", "--m", "2", "--n", "1", "--weight", "0,1|0",
+     "--kmax", "2"],
+    ["bgg", "check", "--alg", "gl", "--m", "2", "--n", "1", "--weight",
+     "0,1|0", "--kmax", "2"],
+    ["homology", "--alg", "osp", "--m", "1", "--n", "1", "--weight", "|1/2",
+     "--kmax", "2"],
+    ["bgg", "check", "--alg", "osp", "--m", "5", "--n", "2", "--parabolic-drop",
+     "0", "--weight", "1,0|0,-1", "--kmax", "2"],
+])
+def test_non_dominant_weight_rejected(capsys, monkeypatch, argv):
+    """A weight that is not dominant integral for the even subalgebra is an
+    input error (exit 2) raised before any module is built."""
+    from superbgg import bgg, cli, modules
+    built = []
+
+    def refuse(*args, **kwargs):
+        built.append(args)
+        raise RuntimeError("an irrep was built")
+    for mod in (modules, cli, bgg):
+        monkeypatch.setattr(mod, "build_irrep", refuse)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("input error:")
+    assert "not dominant integral" in captured.err
+    assert built == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["homology", "--alg", "gl", "--m", "2", "--n", "1", "--weight", "1,0|0",
+     "--kmax", "2"],
+    ["bgg", "check", "--alg", "osp", "--m", "4", "--n", "2", "--parabolic-drop",
+     "0", "--weight", "1,0|0,0", "--kmax", "2"],
+])
+def test_cli_never_builds_fraction_view(capsys, monkeypatch, argv):
+    """The pipeline and its cross-checks run on the integer columns alone."""
+    from superbgg import chains
+
+    def refuse(self):
+        raise RuntimeError("ChainMap.cols was built")
+    monkeypatch.setattr(chains.ChainMap, "cols", property(refuse))
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["nilpotency_ok"] and rep["quabla_cross_check_ok"]
+
+
+REFERENCES = Path(__file__).resolve().parent.parent / "perfbench" / "references.json"
+
+
+@pytest.mark.parametrize("qid", ["borel-gl32-k4", "natural-osp54-k3"])
+def test_benchmark_reports_match_references(capsys, qid):
+    """The two benchmark queries reproduce their recorded exit code and
+    report (without wall_time_ms) exactly."""
+    ref = json.loads(REFERENCES.read_text())[qid]
+    code, out = run_cli(capsys, *ref["argv"])
+    report = json.loads(out)
+    report.pop("wall_time_ms")
+    assert code == ref["exit"]
+    assert json.dumps(report, sort_keys=True) == json.dumps(ref["report"], sort_keys=True)
