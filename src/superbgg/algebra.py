@@ -187,32 +187,32 @@ class LieSuperalgebra:
             return {}
         if not self._expand_cache:
             self._build_expander()
-        sel, inv = self._expand_cache["sel"], self._expand_cache["inv"]
-        vec = [matrix.get(e, F0) for e in sel]
-        coeffs = linalg.mat_vec(inv, vec)
+        # each nonzero selected entry contributes its column of the inverse
+        coeffs: dict = {}
+        for e, v in matrix.items():
+            col = self._expand_cache.get(e)
+            if col is not None:
+                linalg.vec_iadd(coeffs, col, v)
         # verify the reconstruction: the input must lie in the algebra span
         recon: dict = {}
-        for i, c in enumerate(coeffs):
-            if c:
-                for e, v in self.basis[i].matrix.items():
-                    new = recon.get(e, F0) + c * v
-                    if new:
-                        recon[e] = new
-                    else:
-                        del recon[e]
+        for i, c in coeffs.items():
+            linalg.vec_iadd(recon, self.basis[i].matrix, c)
         if recon != matrix:
             raise ValueError("matrix does not lie in the algebra span")
-        return {i: c for i, c in enumerate(coeffs) if c}
+        return {i: coeffs[i] for i in sorted(coeffs)}
 
     def _build_expander(self):
+        """Inverse of the basis restricted to `dim` independent matrix
+        entries, stored as sparse columns keyed by the entry."""
         entries = sorted({e for b in self.basis for e in b.matrix})
         mat = [[b.matrix.get(entry, F0) for b in self.basis] for entry in entries]
         row_pivots = linalg.independent_columns(mat)
         if len(row_pivots) != self.dim:
             raise CrossCheckFailed("basis matrices are linearly dependent")
-        sel = [entries[i] for i in row_pivots]
-        sub = [mat[i] for i in row_pivots]
-        self._expand_cache = {"sel": sel, "inv": linalg.inverse(sub)}
+        inv = linalg.inverse([mat[i] for i in row_pivots])
+        self._expand_cache = {
+            entries[i]: {r: inv[r][k] for r in range(self.dim) if inv[r][k]}
+            for k, i in enumerate(row_pivots)}
 
     # -- weights and the form -----------------------------------------------
 
@@ -358,6 +358,58 @@ def even_simple_roots(g: LieSuperalgebra) -> list:
     pos_set = set(pos_even)
     return [a for a in pos_even
             if not any(wt_sub(a, b) in pos_set for b in pos_even if b != a)]
+
+
+def check_finite_dimensional(g: LieSuperalgebra, lam: Weight) -> None:
+    """Raise PreconditionViolated unless the irreducible module of highest
+    weight `lam` (for this code's simple system) is finite dimensional.
+
+    lam must be dominant integral for the even subalgebra: 2(lam, a)/(a, a)
+    in Z>=0 for every simple root a of g_0.  For gl(m|n), osp(1|2n) and
+    osp(2|2n) that is all (Kac 1977).  For osp(m|2n) with m = 2d or 2d+1
+    >= 3 and n >= 1, the simple system here, eps1-eps2, .., eps_d-delta1,
+    delta1-delta2, .., is not Kac's distinguished one, delta1-delta2, ..,
+    delta_n-eps1, eps1-eps2, ..  Odd reflections carry the one to the other:
+    move delta_j (j = 1..n) left past eps_d, .., eps_1.  Each step reflects
+    at the simple isotropic root alpha = eps_i - delta_j, and the same module
+    then has highest weight lam - alpha if (lam, alpha) != 0, else lam.
+    Kac's condition on the final weight lam' = sum a_i eps_i + sum
+    b_j delta_j is that lam' is even-dominant and, if b_n < d, that
+    a_{b_n+1} = .. = a_d = 0 (Cheng-Wang, Dualities and Representations of
+    Lie Superalgebras, Thm. 2.11).
+
+    The second clause follows from the even dominance of lam, so only that
+    of lam' is checked.  Were b_n = k < d with a_{k+1} > 0, then undoing
+    the reflections moves delta_n right past eps_1, .., eps_d first: at
+    eps_i, i <= k+1, (lam', delta_n - eps_i) is a nonzero multiple of
+    b_n + a_i >= (k - i + 1) + a_i > 0, so b_n drops by one each time, to
+    -1; later steps never raise it.  Then lam has delta_n coordinate < 0,
+    which is not dominant for the even root 2 delta_n.
+    """
+    def require_even_dominant(mu: Weight, what: str) -> None:
+        for a in even_simple_roots(g):
+            c = 2 * g.weight_form(mu, a) / g.weight_form(a, a)
+            if c.denominator != 1 or c < 0:
+                raise PreconditionViolated(
+                    f"{what} is not dominant integral for the even simple root "
+                    f"{wt_str(a, g.r)} (2(lam,a)/(a,a) = {c})")
+
+    require_even_dominant(lam, f"weight {wt_str(lam, g.r)}")
+    if g.kind != "osp" or g.m < 3 or g.n < 1:
+        return
+
+    def unit(c: int) -> Weight:
+        return tuple(F1 if t == c else F0 for t in range(g.rank))
+
+    d, mu = g.r, lam
+    for j in range(g.n):
+        for i in reversed(range(d)):
+            alpha = wt_sub(unit(i), unit(d + j))
+            if g.weight_form(mu, alpha):
+                mu = wt_sub(mu, alpha)
+    require_even_dominant(mu, f"weight {wt_str(mu, g.r)}, the highest weight "
+                              f"of L({wt_str(lam, g.r)}) for Kac's distinguished "
+                              "simple system,")
 
 
 def dual_basis_in(g: LieSuperalgebra, of_indices: list, in_indices: list) -> list:

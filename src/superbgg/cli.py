@@ -20,16 +20,14 @@ from .algebra import (
     build_algebra,
     build_parabolic,
     casimir_eigenvalue,
-    even_simple_roots,
+    check_finite_dimensional,
     weight_key,
-    wt_str,
 )
 from .bgg import bgg_verdict, reproduce
 from .errors import (
     InputError,
     LengthMismatch,
     ParseError,
-    PreconditionViolated,
     SuperBGGError,
 )
 from .homology import KostantAnalysis
@@ -73,18 +71,11 @@ def parse_weight(text: str, r: int, s: int) -> tuple:
 
 
 def _dominant_weight(g, text: str) -> tuple:
-    """Parse a highest weight and check that it is dominant integral for the
-    even subalgebra: 2(lam, a)/(a, a) in Z>=0 for every simple root a of g_0.
-
-    A finite-dimensional irreducible module needs this, so a weight that
-    fails it is rejected before any module is built."""
+    """Parse a highest weight and check that its irreducible module is
+    finite dimensional (`check_finite_dimensional`), before any module is
+    built."""
     lam = parse_weight(text, g.r, g.s)
-    for a in even_simple_roots(g):
-        c = 2 * g.weight_form(lam, a) / g.weight_form(a, a)
-        if c.denominator != 1 or c < 0:
-            raise PreconditionViolated(
-                f"weight {wt_str(lam, g.r)} is not dominant integral for the "
-                f"even simple root {wt_str(a, g.r)} (2(lam,a)/(a,a) = {c})")
+    check_finite_dimensional(g, lam)
     return lam
 
 

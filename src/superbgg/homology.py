@@ -268,6 +268,11 @@ def subspace_levi_module(cx: ChainComplex, k: int, sub: SubspaceBasis) -> LeviMo
 
 def levi_irrep_dimension(p: ParabolicDecomposition, weight: Weight,
                          max_depth: int = 64) -> int | None:
+    """Dimension of the abstract irreducible Levi module of highest weight
+    `weight`, built with the Shapovalov form (None past `max_depth` levels).
+
+    decompose_levi needs it only to report a decomposition that is not
+    completely reducible; results are cached on the parabolic."""
     cache = p._levi_cache.setdefault("irrep_dims", {})
     if weight in cache:
         return cache[weight]
@@ -310,32 +315,43 @@ def _highest_weight_vectors(mod: LeviModule, raise_cols: list) -> dict:
     return out
 
 
-def decompose_levi(p: ParabolicDecomposition, mod, max_depth: int = 64,
-                   cx: ChainComplex | None = None,
-                   irrep_builder=None) -> LDecomposition:
+def decompose_levi(p: ParabolicDecomposition, mod: LeviModule,
+                   max_depth: int = 64) -> LDecomposition:
     """Highest-weight decomposition of an l-stable space or subquotient.
 
-    `mod` is a LeviModule, or a SubspaceBasis when `cx` names the ambient
-    complex.  Highest weight vectors are the joint kernel of the raising
-    operators of the Levi simple roots; those of weight mu generate a
-    submodule by closure under the Levi lowering operators.  Complete
-    reducibility is certified when every abstract irrep dimension is known,
-    generated_dimension == hw_vector_count * irrep_dimension for every entry,
-    and union_dim == dim == sum(hw_vector_count * irrep_dimension), where
-    union_dim is the dimension of the sum of the generated submodules.  The
-    per-entry equality makes each generated submodule a direct sum of
-    hw_vector_count irreducibles; without it one highest-weight vector could
-    generate a non-split extension whose dimensions still add up.  All
-    elimination is local to one weight block.  `irrep_builder(weight) -> dimension or None` overrides the default cached
-    construction of abstract Levi irreps.
+    For each weight w, H_w is the joint kernel at w of the raising operators
+    of the Levi simple roots (its dimension is `hw_vector_count`) and
+    G_w = U(nbar_l).H_w is its closure under the Levi lowering operators
+    (`generated_dimension`).  The module M is certified completely reducible
+    exactly when
+
+        sum_w dim G_w == dim(sum_w G_w) == dim M,
+
+    i.e. the G_w span M and their sum is direct; dim(sum_w G_w) is the rank
+    of the union of their echelon bases.  Then every G_w is isomorphic to
+    L(w)^(dim H_w), so `irrep_dimension` is generated_dimension //
+    hw_vector_count, and a remainder raises CrossCheckFailed.
+
+    Proof, valid for Levi superalgebras with odd roots such as
+    gl(1|1)+gl(1).  (<=) Every nonzero submodule N of a finite-dimensional
+    weight module contains a vector of maximal weight mu, and the simple
+    raising operators kill it (they generate n+_l).  Take v in H_w and a
+    nonzero submodule N of U(nbar_l)v.  If mu != w, that vector lies in
+    H_mu, hence in G_mu and in G_w, contradicting directness.  So mu = w;
+    the weight-w space of U(nbar_l)v is the line of v, so v lies in N and
+    N = U(nbar_l)v.  Each U(nbar_l)v is therefore irreducible, i.e. L(w);
+    G_w is a sum of such, hence a direct sum of copies of L(w), as many as
+    the dimension of its weight-w space H_w.  (=>) If M is a direct sum of
+    irreducibles, H_w is spanned by the highest-weight lines of the
+    summands isomorphic to L(w), G_w is their sum, and the G_w are the
+    isotypic components, which add up directly to M.
+
+    This is the paper's necessary condition for a BGG resolution (complete
+    reducibility of each homology group), checked on the module itself.  A
+    decomposition that fails it reports, for each entry, the dimension of
+    the abstract Levi irrep (None past `max_depth` levels).  All elimination
+    is local to one weight block.
     """
-    if isinstance(mod, SubspaceBasis):
-        if cx is None:
-            raise ValueError("pass the ambient ChainComplex for a SubspaceBasis")
-        mod = subspace_levi_module(cx, mod.space.degree, mod)
-    if irrep_builder is None:
-        def irrep_builder(weight):
-            return levi_irrep_dimension(p, weight, max_depth)
     pos, neg = p.algebra.simple_vector_indices()
     raise_cols = [mod.act(pos[i]) for i in p.levi_simple_roots]
     lower_cols = [mod.act(neg[i]) for i in p.levi_simple_roots]
@@ -347,16 +363,23 @@ def decompose_levi(p: ParabolicDecomposition, mod, max_depth: int = 64,
         entries.append(LDecompositionEntry(
             highest_weight=w,
             hw_vector_count=len(vecs),
-            irrep_dimension=irrep_builder(w),
+            irrep_dimension=None,
             generated_dimension=len(gen),
         ))
         for vec in gen:
             union.add(vec)
-    cr = (all(e.irrep_dimension is not None
-              and e.generated_dimension == e.hw_vector_count * e.irrep_dimension
-              for e in entries)
-          and union.rank == mod.dim
-          == sum(e.hw_vector_count * e.irrep_dimension for e in entries))
+    cr = sum(e.generated_dimension for e in entries) == union.rank == mod.dim
+    for e in entries:
+        if cr:
+            e.irrep_dimension, rest = divmod(e.generated_dimension,
+                                             e.hw_vector_count)
+            if rest:
+                raise CrossCheckFailed(
+                    f"the submodule generated at {e.highest_weight} has "
+                    f"dimension {e.generated_dimension}, not a multiple of its "
+                    f"{e.hw_vector_count} highest-weight vectors")
+        else:
+            e.irrep_dimension = levi_irrep_dimension(p, e.highest_weight, max_depth)
     return LDecomposition(entries=entries, completely_reducible=cr,
                           total_dimension=mod.dim)
 

@@ -396,17 +396,9 @@ def _kernel_dense(rows, ncols):
     return basis
 
 
-def oracle_levi_generated_dims(weights, raise_mats, lower_mats):
-    """{highest weight: (hw vector count, generated dimension)} by brute force.
-
-    `weights[t]` is the weight of basis vector t of a Levi module and
-    `raise_mats` / `lower_mats` are its dense matrices of the raising and
-    lowering operators of the Levi simple roots.  The highest weight vectors
-    of weight mu are the joint kernel of the raising matrices on the weight-mu
-    coordinates; the generated dimension is the rank of the smallest space
-    containing them that is stable under every lowering matrix, grown by
-    dense elimination over the whole module until the rank stops growing.
-    """
+def _levi_generated_spans(weights, raise_mats, lower_mats):
+    """{highest weight: (hw vector count, echelon rows of the generated
+    space)}, by dense elimination over the whole module."""
     dim = len(weights)
     out = {}
     for mu in set(weights):
@@ -430,8 +422,44 @@ def oracle_levi_generated_dims(weights, raise_mats, lower_mats):
             if len(grown) == len(span):
                 break
             span = grown
-        out[mu] = (len(kernel), len(span))
+        out[mu] = (len(kernel), span)
     return out
+
+
+def oracle_levi_generated_dims(weights, raise_mats, lower_mats):
+    """{highest weight: (hw vector count, generated dimension)} by brute force.
+
+    `weights[t]` is the weight of basis vector t of a Levi module and
+    `raise_mats` / `lower_mats` are its dense matrices of the raising and
+    lowering operators of the Levi simple roots.  The highest weight vectors
+    of weight mu are the joint kernel of the raising matrices on the weight-mu
+    coordinates; the generated dimension is the rank of the smallest space
+    containing them that is stable under every lowering matrix, grown by
+    dense elimination over the whole module until the rank stops growing.
+    """
+    return {mu: (count, len(span)) for mu, (count, span)
+            in _levi_generated_spans(weights, raise_mats, lower_mats).items()}
+
+
+def oracle_levi_decomposition(weights, raise_mats, lower_mats, irrep_dimension):
+    """Complete reducibility certified through abstract irreps.
+
+    `irrep_dimension(mu)` is the dimension of the abstract irreducible Levi
+    module of highest weight mu (None when unknown).  The module is certified
+    when every irrep dimension is known, each generated space has dimension
+    hw_vector_count * irrep_dimension, and those products add up to both the
+    module dimension and the dimension of the sum of the generated spaces.
+    Returns (certified, {mu: (hw vector count, irrep dimension, generated
+    dimension)})."""
+    spans = _levi_generated_spans(weights, raise_mats, lower_mats)
+    entries = {mu: (count, irrep_dimension(mu), len(span))
+               for mu, (count, span) in spans.items()}
+    union = len(_row_echelon([row for _, span in spans.values() for row in span]))
+    certified = (all(irr is not None and gen == count * irr
+                     for count, irr, gen in entries.values())
+                 and union == len(weights)
+                 == sum(count * irr for count, irr, _ in entries.values()))
+    return certified, entries
 
 
 # ---------------------------------------------------------------------------

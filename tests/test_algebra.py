@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import oracle_rref
 from superbgg import linalg
 from superbgg.algebra import (
     build_adjoint_operation,
@@ -80,6 +81,46 @@ def test_structure_identities(args):
             sgn = Fraction(-1) if (g.parity(i) and g.parity(j)) else F1
             assert g.gram[i][j] == sgn * g.gram[j][i]
     assert linalg.rank(g.gram) == g.dim
+
+
+def _super_commutator(g, i, j):
+    """[B_i, B_j] of the natural-module matrices, entry by entry."""
+    sign = -1 if g.parity(i) and g.parity(j) else 1
+    out: dict = {}
+    for x, y, sgn in ((i, j, 1), (j, i, -sign)):
+        for (p, q), u in g.basis[x].matrix.items():
+            for (q2, r), v in g.basis[y].matrix.items():
+                if q == q2:
+                    out[(p, r)] = out.get((p, r), 0) + sgn * u * v
+    return {e: v for e, v in out.items() if v}
+
+
+@pytest.mark.parametrize("args", [("gl", 2, 1), ("osp", 3, 1)])
+def test_expand_matches_dense_solve(args):
+    """The sparse expansion of every bracket agrees with a dense Fraction
+    solve of sum_k c_k B_k = [B_i, B_j] over all matrix entries."""
+    g = build_algebra(*args)
+    entries = list(itertools.product(range(g.nat_dim), repeat=2))
+    for i, j in itertools.product(range(g.dim), repeat=2):
+        comm = _super_commutator(g, i, j)
+        red, pivots = oracle_rref(
+            [[b.matrix.get(e, 0) for b in g.basis] + [comm.get(e, 0)]
+             for e in entries])
+        assert pivots == list(range(g.dim))
+        want = {c: red[c][-1] for c in pivots if red[c][-1]}
+        assert g.expand(comm) == want
+
+
+def test_expand_rejects_matrix_outside_span():
+    g = build_algebra("osp", 3, 1)
+    # E_00 alone is not in osp; nor is a matrix whose only entry is one the
+    # expansion never reads
+    selected = {e for b in g.basis for e in b.matrix}
+    unread = next(e for e in itertools.product(range(g.nat_dim), repeat=2)
+                  if e not in selected)
+    for matrix in ({(0, 0): F1}, {unread: F1}):
+        with pytest.raises(ValueError):
+            g.expand(matrix)
 
 
 def test_root_vector_property(gl21, osp12):

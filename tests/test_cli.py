@@ -259,10 +259,15 @@ def test_bgg_check_osp46_cli(capsys):
      "--kmax", "2"],
     ["bgg", "check", "--alg", "osp", "--m", "5", "--n", "2", "--parabolic-drop",
      "0", "--weight", "1,0|0,-1", "--kmax", "2"],
+    # even-dominant, but not for Kac's distinguished simple system
+    ["rep", "build", "--alg", "osp", "--m", "3", "--n", "1", "--weight", "0|1"],
+    ["rep", "build", "--alg", "osp", "--m", "3", "--n", "1", "--weight", "1/2|0"],
+    ["homology", "--alg", "osp", "--m", "5", "--n", "2", "--weight", "1,0|1,0",
+     "--kmax", "2"],
 ])
 def test_non_dominant_weight_rejected(capsys, monkeypatch, argv):
-    """A weight that is not dominant integral for the even subalgebra is an
-    input error (exit 2) raised before any module is built."""
+    """A weight whose irreducible module is infinite dimensional is an input
+    error (exit 2) raised before any module is built."""
     from superbgg import bgg, cli, modules
     built = []
 
@@ -307,6 +312,23 @@ def test_benchmark_reports_match_references(capsys, qid):
     """The two benchmark queries reproduce their recorded exit code and
     report (without wall_time_ms) exactly."""
     ref = json.loads(REFERENCES.read_text())[qid]
+    code, out = run_cli(capsys, *ref["argv"])
+    report = json.loads(out)
+    report.pop("wall_time_ms")
+    assert code == ref["exit"]
+    assert json.dumps(report, sort_keys=True) == json.dumps(ref["report"], sort_keys=True)
+
+
+def test_natural_benchmark_report_builds_no_levi_irrep(capsys, monkeypatch):
+    """Every Levi decomposition of the natural osp(5|4) query is certified
+    from the module itself: with the abstract Levi irreps unavailable it
+    still reproduces its recorded report."""
+    from superbgg import homology
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("an abstract Levi irrep was built")
+    monkeypatch.setattr(homology, "levi_irrep_dimension", refuse)
+    ref = json.loads(REFERENCES.read_text())["natural-osp54-k3"]
     code, out = run_cli(capsys, *ref["argv"])
     report = json.loads(out)
     report.pop("wall_time_ms")

@@ -1,3 +1,4 @@
+import functools
 import gc
 import os
 import subprocess
@@ -7,21 +8,31 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     oracle_boundary_squares_to_zero,
     oracle_homology_dims,
+    oracle_levi_decomposition,
     oracle_levi_generated_dims,
 )
 from superbgg import linalg
-from superbgg.algebra import build_algebra, build_parabolic, wt, wt_add
+from superbgg.algebra import (
+    build_algebra,
+    build_parabolic,
+    check_finite_dimensional,
+    wt,
+    wt_add,
+)
 from superbgg.chains import ChainComplex
-from superbgg.errors import LeviNotClosed, TruncationTooSmall
+from superbgg.errors import LeviNotClosed, PreconditionViolated, TruncationTooSmall
 from superbgg.homology import (
     KostantAnalysis,
     LeviModule,
     decompose_levi,
     full_levi_module,
+    levi_irrep_dimension,
     multiplicity_criterion,
     subspace_levi_module,
 )
@@ -321,10 +332,9 @@ def test_analysis_does_not_outlive_its_callers(gl21):
 
 
 def test_decompose_levi_accepts_subspace(gl21_borel, gl21_natural):
-    from superbgg.homology import decompose_levi, KostantAnalysis
     an = KostantAnalysis(gl21_borel, gl21_natural, k_max=2)
     sub = an.ker_quabla(1)
-    dec = decompose_levi(gl21_borel, sub, cx=an.cx)
+    dec = decompose_levi(gl21_borel, subspace_levi_module(an.cx, 1, sub))
     assert dec.total_dimension == sub.dim
 
 
@@ -423,3 +433,90 @@ def test_levi_act_matches_stacked_solve(osp46_sec7, osp46_natural):
             want = {u: sol[len(mod_cols) + j] for j, u in enumerate(members)
                     if sol[len(mod_cols) + j]}
             assert cols[t] == want
+
+
+# ---------------------------------------------------------------------------
+# the intrinsic complete-reducibility certificate against abstract irreps
+# ---------------------------------------------------------------------------
+
+def _agrees_with_abstract_irreps(p, mod):
+    """decompose_levi's certificate and irrep dimensions equal those of the
+    abstract-irrep oracle; returns the certificate."""
+    pos, neg = p.algebra.simple_vector_indices()
+    cr, want = oracle_levi_decomposition(
+        mod.weights,
+        [_dense(mod.act(pos[i]), mod.dim) for i in p.levi_simple_roots],
+        [_dense(mod.act(neg[i]), mod.dim) for i in p.levi_simple_roots],
+        lambda w: levi_irrep_dimension(p, w))
+    dec = decompose_levi(p, mod)
+    got = {e.highest_weight: (e.hw_vector_count, e.irrep_dimension,
+                              e.generated_dimension) for e in dec.entries}
+    assert (dec.completely_reducible, got) == (cr, want)
+    return cr
+
+
+def _levi_modules(an, k):
+    return (full_levi_module(an.cx, k), an.homology_quotient_module(k),
+            subspace_levi_module(an.cx, k, an.ker_quabla(k)))
+
+
+@functools.lru_cache(maxsize=None)
+def _parabolic(kind, m, n, levi):
+    return build_parabolic(build_algebra(kind, m, n, strict=False), levi)
+
+
+CERT_ALGEBRAS = [("gl", 2, 1), ("gl", 2, 2), ("osp", 1, 1), ("osp", 2, 1),
+                 ("osp", 3, 1)]
+
+
+@st.composite
+def _certificate_cases(draw):
+    kind, m, n = draw(st.sampled_from(CERT_ALGEBRAS))
+    g = _parabolic(kind, m, n, ()).algebra
+    levi = tuple(i for i in range(len(g.simple_roots)) if draw(st.booleans()))
+    # each side non-increasing: most draws are even-dominant
+    side = st.sampled_from([-1, 0, Fraction(1, 2), 1, 2])
+    lam = tuple(Fraction(c) for r in (g.r, g.s) for c in sorted(
+        draw(st.lists(side, min_size=r, max_size=r)), reverse=True))
+    kac = (kind == "gl" or m == 2) and draw(st.booleans())
+    return (kind, m, n), levi, lam, kac, draw(st.integers(0, 2))
+
+
+@given(_certificate_cases())
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+def test_certificate_matches_abstract_irreps(case):
+    """On small random (algebra, parabolic, dominant weight, degree) inputs,
+    irreps and Kac modules alike, the full chain space, the homology
+    quotient and ker quabla each get the certificate and irrep dimensions
+    of the abstract-irrep oracle."""
+    alg, levi, lam, kac, k = case
+    p = _parabolic(*alg, levi)
+    try:
+        check_finite_dimensional(p.algebra, lam)
+    except PreconditionViolated:
+        assume(False)
+    module = (build_kac_module if kac else build_irrep)(p.algebra, lam)
+    an = KostantAnalysis(p, module, k_max=k)
+    assume(an.cx.space(k).dim <= 40)
+    for mod in _levi_modules(an, k):
+        _agrees_with_abstract_irreps(p, mod)
+
+
+@pytest.mark.parametrize("alg,levi,lam", [
+    (("gl", 2, 1), (1,), (0, 0, 0)),
+    (("gl", 2, 1), (0, 1), (1, 0, 0)),
+    (("gl", 2, 1), (1,), (0, 0, -1)),
+    (("gl", 2, 2), (1,), (1, 1, 0, 0)),
+    (("gl", 2, 2), (0, 1), (0, 0, 0, 0)),
+    (("gl", 2, 2), (1, 2), (1, 1, 0, 0)),
+])
+def test_certificate_refuses_kac_modules(alg, levi, lam):
+    """Kac modules restricted to a Levi with an odd root: the certificate
+    refuses the non-split chain spaces and agrees with the oracle on every
+    module of degrees 0 and 1, split or not."""
+    p = _parabolic(*alg, levi)
+    an = KostantAnalysis(p, build_kac_module(p.algebra, wt(*lam)), k_max=1)
+    certified = [_agrees_with_abstract_irreps(p, mod)
+                 for k in (0, 1) for mod in _levi_modules(an, k)]
+    assert not certified[0]                  # the Kac module itself
+    assert certified.count(False) >= 3

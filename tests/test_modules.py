@@ -12,12 +12,14 @@ from superbgg.algebra import (
     build_adjoint_operation,
     build_algebra,
     casimir_eigenvalue,
+    check_finite_dimensional,
+    even_simple_roots,
     wt,
     wt_add,
     wt_scale,
     wt_sub,
 )
-from superbgg.errors import FiniteDimGuardExceeded, NotTypeI
+from superbgg.errors import FiniteDimGuardExceeded, NotTypeI, PreconditionViolated
 from superbgg.modules import (
     bracket_identity_holds,
     build_irrep,
@@ -117,6 +119,40 @@ def test_casimir_scalar_on_irreps(gl21, osp12, osp46, gl21_natural, osp46_natura
 def test_finite_dim_guard(gl21):
     with pytest.raises(FiniteDimGuardExceeded):
         build_irrep(gl21, wt(0, 1, 0), max_depth=12)
+
+
+@pytest.mark.parametrize("m,n,witness_top", [(1, 1, 2), (2, 1, 2), (3, 1, 2),
+                                             (4, 1, 2), (5, 1, 1), (3, 2, 1)])
+def test_osp_finite_dimensionality_matches_builds(m, n, witness_top):
+    """check_finite_dimensional accepts exactly the even-dominant weights
+    with coordinates in {0, 1/2, 1, 3/2, 2} whose irrep build terminates.
+
+    Here -1 lies in the Weyl group of g_0 (osp(2|2) rejects nothing), so the
+    weights of a finite-dimensional module are symmetric under negation and
+    lie within heights ht(lam) of zero: a build with more than 2 ht(lam)
+    levels is infinite.  Rejected weights are built only up to coordinate
+    `witness_top`: some rejected weights of osp(5|2) and osp(3|4) with
+    coordinates up to 2 take a minute each to pass that bound."""
+    g = build_algebra("osp", m, n)
+    op = build_adjoint_operation(g, 1)
+    steps = [Fraction(k, 2) for k in range(5)]
+    rejected = 0
+    for lam in itertools.product(steps, repeat=g.rank):
+        coroots = [2 * g.weight_form(lam, a) / g.weight_form(a, a)
+                   for a in even_simple_roots(g)]
+        if any(c.denominator != 1 or c < 0 for c in coroots):
+            continue
+        try:
+            check_finite_dimensional(g, lam)
+        except PreconditionViolated:
+            rejected += 1
+            if max(lam) <= witness_top:
+                with pytest.raises(FiniteDimGuardExceeded):
+                    build_irrep(g, lam, op,
+                                int(2 * sum(g.simple_coordinates(lam))) + 1)
+        else:
+            assert build_irrep(g, lam, op).dim > 0
+    assert (rejected > 0) == (m >= 3)
 
 
 def test_kac_gl21(gl21):
