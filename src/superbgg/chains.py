@@ -199,6 +199,14 @@ def _int_if_integral(c):
     return c.numerator if c.denominator == 1 else c
 
 
+def _column(m: ChainMap, j: int) -> dict:
+    """Column j of m keyed by target monomials: ints when den is 1."""
+    basis, den = m.target.basis, m.den
+    if den == 1:
+        return {basis[r]: v for r, v in m.icols[j].items()}
+    return {basis[r]: Fraction(v, den) for r, v in m.icols[j].items()}
+
+
 def _add_term(out: dict, key, c) -> None:
     """out[key] += c, dropping the key when the sum vanishes."""
     new = out.get(key, 0) + c
@@ -232,8 +240,7 @@ class ChainComplex:
         self._spaces: dict = {}
         self._lower: dict = {}
         self._raise: dict = {}
-        self._lower_memo: dict = {}
-        self._raise_memo: dict = {}
+        self._actions: dict = {}        # (k, basis index) -> action map on C_k
         self._brackets: dict = {}       # (a, generator) -> radical part of [A_a, gen]
         self._raise_terms: dict = {}    # peeled generator -> coboundary terms
         self._casimir_const = None
@@ -366,20 +373,6 @@ class ChainComplex:
 
     # -- the two operators ------------------------------------------------------
 
-    def _lower_elem(self, elem: ChainBasisElement) -> dict:
-        """Boundary recursion  d*(X ^ f) = -X.f - X ^ d*(f),  d*|deg 0 = 0."""
-        hit = self._lower_memo.get(elem)
-        if hit is not None:
-            return hit
-        if elem.degree == 0:
-            self._lower_memo[elem] = {}
-            return {}
-        g0, rest = self._peel(elem)
-        out = linalg.vec_scale(self.act_element({g0: 1}, rest), -1)
-        linalg.vec_iadd(out, self._wedge(g0, self._lower_elem(rest)), -1)
-        self._lower_memo[elem] = out
-        return out
-
     def _coboundary_terms(self, g0: int) -> list:
         """(z_a, k, c/2) for every radical term c*A_k of [z_a^#, g0]."""
         terms = self._raise_terms.get(g0)
@@ -393,31 +386,6 @@ class ChainComplex:
             self._raise_terms[g0] = terms
         return terms
 
-    def _raise_elem(self, elem: ChainBasisElement) -> dict:
-        """Coboundary recursion
-        d(v) = sum_a z_a (x) z_a^# . v
-        d(X ^ f) = 1/2 sum_a z_a ^ [z_a^#, X]_r ^ f - X ^ d(f)."""
-        hit = self._raise_memo.get(elem)
-        if hit is not None:
-            return hit
-        mi = elem.module_index
-        out: dict = {}
-        if elem.degree == 0:
-            for a, gen in enumerate(self.radical):
-                for r, cm in self.module.act(self.duals[a], {mi: F1}).items():
-                    _add_term(out, self._normalize([gen], r)[0], cm)
-        else:
-            g0, rest = self._peel(elem)
-            rgens = rest.generators()
-            # z_a ^ (A_k ^ rest) in one normal-form pass: Koszul signs multiply
-            for gen, kidx, c in self._coboundary_terms(g0):
-                res = self._normalize([gen, kidx, *rgens], mi)
-                if res is not None:
-                    _add_term(out, res[0], c * res[1])
-            linalg.vec_iadd(out, self._wedge(g0, self._raise_elem(rest)), -1)
-        self._raise_memo[elem] = out
-        return out
-
     def _to_map(self, k_src: int, k_dst: int, images: list) -> ChainMap:
         dst = self.space(k_dst)
         return ChainMap.from_columns(
@@ -425,32 +393,65 @@ class ChainComplex:
             [{dst.index[e]: c for e, c in img.items()} for img in images])
 
     def lower(self, k: int) -> ChainMap:
-        """d*_k : C_k -> C_{k-1} (the boundary; delta* on the nbar side)."""
+        """d*_k : C_k -> C_{k-1} (the boundary; delta* on the nbar side),
+        built from d*_{k-1} by  d*(X ^ f) = -X.f - X ^ d*(f),  d*|deg 0 = 0."""
         if k not in self._lower:
+            sp = self.space(k)
             if k == 0:
-                self._lower[k] = ChainMap(self.space(0), self.space(0),
-                                          [{} for _ in self.space(0).basis])
+                self._lower[k] = ChainMap(sp, sp, [{} for _ in sp.basis])
             else:
-                sp = self.space(k)
-                self.space(k - 1)
-                self._lower[k] = self._to_map(
-                    k, k - 1, [self._lower_elem(e) for e in sp.basis])
+                below, index = self.lower(k - 1), self.space(k - 1).index
+                images = []
+                for e in sp.basis:
+                    g0, rest = self._peel(e)
+                    out = linalg.vec_scale(self.act_element({g0: 1}, rest), -1)
+                    linalg.vec_iadd(out, self._wedge(g0, _column(below, index[rest])), -1)
+                    images.append(out)
+                self._lower[k] = self._to_map(k, k - 1, images)
         return self._lower[k]
 
     def raise_(self, k: int) -> ChainMap:
-        """d_k : C_k -> C_{k+1} (the coboundary; delta on the nbar side)."""
+        """d_k : C_k -> C_{k+1} (the coboundary; delta on the nbar side),
+        built from d_{k-1} by
+        d(v) = sum_a z_a (x) z_a^# . v
+        d(X ^ f) = 1/2 sum_a z_a ^ [z_a^#, X]_r ^ f - X ^ d(f)."""
         if k not in self._raise:
             sp = self.space(k)
-            self.space(k + 1)
-            self._raise[k] = self._to_map(
-                k, k + 1, [self._raise_elem(e) for e in sp.basis])
+            images = []
+            if k == 0:
+                for e in sp.basis:
+                    out: dict = {}
+                    for a, gen in enumerate(self.radical):
+                        for r, cm in self.module.act(self.duals[a],
+                                                     {e.module_index: F1}).items():
+                            _add_term(out, self._normalize([gen], r)[0], cm)
+                    images.append(out)
+            else:
+                below, index = self.raise_(k - 1), self.space(k - 1).index
+                for e in sp.basis:
+                    g0, rest = self._peel(e)
+                    rgens = rest.generators()
+                    out = {}
+                    # z_a ^ (A_k ^ rest) in one normal-form pass: Koszul signs multiply
+                    for gen, kidx, c in self._coboundary_terms(g0):
+                        res = self._normalize([gen, kidx, *rgens], e.module_index)
+                        if res is not None:
+                            _add_term(out, res[0], c * res[1])
+                    linalg.vec_iadd(out, self._wedge(g0, _column(below, index[rest])), -1)
+                    images.append(out)
+            self._raise[k] = self._to_map(k, k + 1, images)
         return self._raise[k]
 
     # -- auxiliary actions --------------------------------------------------------
 
-    def action_map(self, k: int, vec: dict) -> ChainMap:
-        sp = self.space(k)
-        return self._to_map(k, k, [self.act_element(vec, e) for e in sp.basis])
+    def action_map(self, k: int, i: int) -> ChainMap:
+        """Action of the basis element A_i on C_k, built once per (k, i)."""
+        key = (k, i)
+        if key not in self._actions:
+            sp = self.space(k)
+            self._actions[key] = self._to_map(
+                k, k, [self.act_element({i: 1}, e) for e in sp.basis])
+        return self._actions[key]
 
     # -- quabla -------------------------------------------------------------------
 
@@ -481,7 +482,7 @@ class ChainComplex:
             for j in idxs:
                 diag[j][j] = val
         terms = [(-HALF, ChainMap.from_columns(sp, sp, diag))]
-        acts = [self.action_map(k, {i: F1}) for i in levi]
+        acts = [self.action_map(k, i) for i in levi]
         for act, row in zip(acts, linv):
             dual = ChainMap.combination(sp, sp, list(zip(row, acts)))
             terms.append((HALF, act.compose(dual)))

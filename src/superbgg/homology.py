@@ -41,7 +41,6 @@ from .errors import (
 )
 from .modules import Module, build_irrep, restrict_adjoint
 
-F0 = Fraction(0)
 F1 = Fraction(1)
 
 
@@ -165,7 +164,6 @@ class LeviModule:
             self.weights.append(w)
             self._members.setdefault(w, []).append(t)
         self._solvers: dict = {}
-        self._act_cache: dict = {}
 
     @property
     def dim(self) -> int:
@@ -228,28 +226,20 @@ class LeviModule:
         return out
 
     def act(self, levi_index: int) -> list:
-        """Columns of the Levi basis element in this module's coordinates."""
-        hit = self._act_cache.get(levi_index)
-        if hit is not None:
-            return hit
-        g = self.cx.algebra
-        root = g.root(levi_index)
+        """Columns of the Levi basis element in this module's coordinates: the
+        complex's integer action map applied to each representative, then
+        expressed and divided by the map's denominator."""
+        amap = self.cx.action_map(self.k, levi_index)
+        icols, den = amap.icols, amap.den
+        root = self.cx.algebra.root(levi_index)
         cols = []
         for t, col in enumerate(self.reps):
             img: dict = {}
             for gidx, v in col.items():
-                elem = self.space.basis[gidx]
-                acted = self.cx.act_element({levi_index: F1}, elem)
-                for e2, c in acted.items():
-                    gi = self.space.index[e2]
-                    new = img.get(gi, F0) + v * c
-                    if new:
-                        img[gi] = new
-                    else:
-                        del img[gi]
-            target_w = wt_add(self.weights[t], root)
-            cols.append(self.express(target_w, img) if img else {})
-        self._act_cache[levi_index] = cols
+                linalg.vec_iadd(img, icols[gidx], v)
+            coords = self.express(wt_add(self.weights[t], root), img) if img else {}
+            cols.append(coords if den == 1 else
+                        {u: Fraction(c, den) for u, c in coords.items()})
         return cols
 
 

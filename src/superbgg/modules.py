@@ -10,6 +10,7 @@ the PBW basis Lambda(g_{-1}) (x) V0 by straightening.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -54,8 +55,9 @@ class Module:
     def dim(self) -> int:
         return len(self.weights)
 
-    @property
+    @functools.cached_property
     def weight_blocks(self) -> dict:
+        """{weight: basis indices of that weight}, computed once."""
         blocks: dict = {}
         for j, w in enumerate(self.weights):
             blocks.setdefault(w, []).append(j)
@@ -320,24 +322,16 @@ def natural_module(g: LieSuperalgebra) -> HWModule:
     hw = hw_candidates[0]
     op = build_adjoint_operation(g, 1)
     mdiag = natural_form_diagonal(g)
-    gram_blocks = {}
-    for w, idxs in _blocks(g, [g.nat_weight[p] for p in range(dim)]).items():
-        gram_blocks[w] = [
-            [mdiag[p] if p == q else F0 for q in idxs] for p in idxs
-        ]
-    return HWModule(
+    mod = HWModule(
         algebra=g, highest_weight=g.nat_weight[hw],
         weights=list(g.nat_weight), parities=list(g.nat_parity),
         action=action, hw_index=hw, label="natural", adjoint=op,
-        gram_blocks=gram_blocks,
     )
-
-
-def _blocks(g, weights):
-    blocks: dict = {}
-    for j, w in enumerate(weights):
-        blocks.setdefault(w, []).append(j)
-    return blocks
+    mod.gram_blocks = {
+        w: [[mdiag[p] if p == q else F0 for q in idxs] for p in idxs]
+        for w, idxs in mod.weight_blocks.items()
+    }
+    return mod
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,65 @@ def _tensor_boundary(g, module, radical, key):
     return {k: v for k, v in out.items() if v}
 
 
+def _tensor_coboundary(g, module, radical, duals, key):
+    """d(v) = sum_a z_a (x) z_a^#.v and
+    d(Y (x) f) = 1/2 sum_a z_a (x) [z_a^#, Y]_r (x) f - Y (x) d(f) on raw
+    tensor words; `duals` pairs each radical vector z_a with z_a^#."""
+    tup, mi = key
+    out = {}
+    if not tup:
+        for z, dual in duals:
+            for b, cb in dual.items():
+                for r, c in module.action[b][mi].items():
+                    key2 = ((z,), r)
+                    out[key2] = out.get(key2, F0) + cb * c
+        return {k: v for k, v in out.items() if v}
+    y, rest = tup[0], tup[1:]
+    for z, dual in duals:
+        for b, cb in dual.items():
+            for k, c in g.bracket(b, y).items():
+                if k in radical:
+                    key2 = ((z, k) + rest, mi)
+                    out[key2] = out.get(key2, F0) + Fraction(1, 2) * cb * c
+    for (tup2, mj), c in _tensor_coboundary(g, module, radical, duals, (rest, mi)).items():
+        key2 = ((y,) + tup2, mj)
+        out[key2] = out.get(key2, F0) - c
+    return {k: v for k, v in out.items() if v}
+
+
+def _exterior(g, img):
+    """Raw tensor words projected onto sorted super exterior monomials."""
+    out = {}
+    for (tup, mi), c in img.items():
+        res = _sort_sign(g, tup)
+        if res is not None:
+            key = (res[0], mi)
+            out[key] = out.get(key, F0) + res[1] * c
+    return {k: v for k, v in out.items() if v}
+
+
+def oracle_boundary(p, module, side, word, mi):
+    """Boundary d*(X ^ f) = -X.f - X ^ d*(f) of the sorted monomial
+    `word` (x) v_mi, recursing on the leading factor of raw tensor words and
+    projecting the result; returns {(sorted word, module index): Fraction}."""
+    g = p.algebra
+    radical = set(p.nbar_indices if side == "nbar" else p.n_indices)
+    return _exterior(g, _tensor_boundary(g, module, radical, (tuple(word), mi)))
+
+
+def oracle_coboundary(p, module, side, word, mi):
+    """Coboundary d(X ^ f) = 1/2 sum_a z_a ^ [z_a^#, X]_r ^ f - X ^ d(f),
+    d(v) = sum_a z_a (x) z_a^#.v, of the sorted monomial `word` (x) v_mi,
+    by the same raw-word recursion and projection as `oracle_boundary`."""
+    g = p.algebra
+    if side == "nbar":
+        radical, duals = p.nbar_indices, p.dual_of_nbar()
+    else:
+        radical, duals = p.n_indices, p.dual_of_n()
+    return _exterior(g, _tensor_coboundary(g, module, set(radical),
+                                           list(zip(radical, duals)), (tuple(word), mi)))
+
+
 def oracle_homology_dims(p, module, k_max, side="nbar"):
     """Homology dimensions per degree and weight from a tensor-space assembly.
 

@@ -1,5 +1,8 @@
+import importlib
+import importlib.util
 import json
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -334,3 +337,20 @@ def test_natural_benchmark_report_builds_no_levi_irrep(capsys, monkeypatch):
     report.pop("wall_time_ms")
     assert code == ref["exit"]
     assert json.dumps(report, sort_keys=True) == json.dumps(ref["report"], sort_keys=True)
+
+
+def test_benchmark_tracer_names_exist(monkeypatch):
+    """Every class and method that the benchmark's tracer patches exists, so
+    a rename cannot break its traced run unseen."""
+    path = REFERENCES.parent / "tracing.py"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.METHODS
+    for layer, classes in tracing.METHODS.items():
+        mod = importlib.import_module(f"superbgg.{layer}")
+        for cls_name, methods in classes.items():
+            cls = getattr(mod, cls_name)
+            for attr in methods:
+                assert callable(getattr(cls, attr)), f"{layer}.{cls_name}.{attr}"

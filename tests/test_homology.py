@@ -435,6 +435,46 @@ def test_levi_act_matches_stacked_solve(osp46_sec7, osp46_natural):
             assert cols[t] == want
 
 
+def test_levi_action_has_one_owner(osp46_sec7, osp46_natural, monkeypatch):
+    """The complex builds the action of A_i on C_k once: the Casimir quabla
+    and LeviModule.act read the same cached map, so decomposing a homology
+    quotient acts on no chain monomial again."""
+    an = KostantAnalysis(osp46_sec7, osp46_natural, k_max=2)
+    cx, k = an.cx, 1
+    i = osp46_sec7.levi_indices[0]
+    assert cx.action_map(k, i) is cx.action_map(k, i)
+    cx.quabla(k, "casimir")
+    mod = an.homology_quotient_module(k)
+    assert mod.dim
+    calls = []
+    act_element = ChainComplex.act_element
+
+    def spy(self, vec, elem):
+        calls.append(elem)
+        return act_element(self, vec, elem)
+
+    monkeypatch.setattr(ChainComplex, "act_element", spy)
+    dec = decompose_levi(osp46_sec7, mod)
+    assert dec.total_dimension == mod.dim
+    assert calls == []
+
+
+def test_levi_act_divides_by_the_map_denominator(gl21):
+    """On the full chain space every representative is a unit vector, so
+    LeviModule.act returns the action map's own columns, here with
+    denominator 2."""
+    p = build_parabolic(gl21, [0])
+    cx = ChainComplex(p, build_irrep(gl21, wt(2, 0, 0)), "nbar")
+    dens = set()
+    for k in (0, 1):
+        mod = full_levi_module(cx, k)
+        for i in p.levi_indices:
+            amap = cx.action_map(k, i)
+            dens.add(amap.den)
+            assert mod.act(i) == amap.cols
+    assert max(dens) > 1
+
+
 # ---------------------------------------------------------------------------
 # the intrinsic complete-reducibility certificate against abstract irreps
 # ---------------------------------------------------------------------------
