@@ -41,7 +41,6 @@ from .homology import (
     KostantAnalysis,
     LDecomposition,
     PredicateReport,
-    SubspaceBasis,
     decompose_levi,
     multiplicity_criterion,
 )
@@ -61,7 +60,7 @@ __all__ = [
     "ChainForm", "ChainMap", "ChainPairing", "ChainSpace", "HWModule",
     "HomologyReport", "KacModule", "KostantAnalysis", "LDecomposition",
     "LieSuperalgebra", "ParabolicDecomposition", "PredicateReport",
-    "ResolutionShape", "SubspaceBasis", "WeylCoset", "bgg_verdict",
+    "ResolutionShape", "WeylCoset", "bgg_verdict",
     "build_adjoint_operation", "build_algebra", "build_irrep",
     "build_kac_module", "build_parabolic", "casimir_eigenvalue",
     "check_star_condition", "decompose_levi", "dual_module",

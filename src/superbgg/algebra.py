@@ -348,13 +348,16 @@ def casimir_eigenvalue(g: LieSuperalgebra, lam: Weight) -> Fraction:
     return g.weight_form(lam, wt_add(lam, wt_scale(g.rho, 2)))
 
 
+def positive_even_roots(g: LieSuperalgebra) -> list:
+    """The distinct positive even roots, in weight_key order."""
+    return sorted({g.root(i) for i in g.positive_root_indices() if g.parity(i) == 0},
+                  key=weight_key)
+
+
 def even_simple_roots(g: LieSuperalgebra) -> list:
     """Simple system of the even subalgebra g_0 inside the positive even
     roots, in weight_key order."""
-    pos_even = sorted(
-        {g.root(i) for i in g.positive_root_indices() if g.parity(i) == 0},
-        key=weight_key,
-    )
+    pos_even = positive_even_roots(g)
     pos_set = set(pos_even)
     return [a for a in pos_even
             if not any(wt_sub(a, b) in pos_set for b in pos_even if b != a)]
@@ -558,9 +561,7 @@ def _build_osp(m: int, n: int, C: Fraction) -> LieSuperalgebra:
                     row.append(lhs + sgn * rhs)
                 if any(row):
                     rows.append(row)
-        kernel = linalg.nullspace(rows, ncols=len(units)) if rows else [
-            [F1 if i == j else F0 for i in range(len(units))] for j in range(len(units))
-        ]
+        kernel = linalg.nullspace(rows, ncols=len(units))
         for vecnum, vec in enumerate(kernel):
             dens = [x.denominator for x in vec if x]
             scale = Fraction(lcm(*dens)) if dens else F1
@@ -571,18 +572,14 @@ def _build_osp(m: int, n: int, C: Fraction) -> LieSuperalgebra:
 
     # distinguished simple system, eq-choicepr style
     simple = []
-    def unit_w(c, sgn=1):
-        w = [F0] * rank
-        w[c] = Fraction(sgn)
-        return tuple(w)
     for i in range(d - 1):
-        simple.append(wt_sub(unit_w(i), unit_w(i + 1)))
+        simple.append(wt_sub(unit(i), unit(i + 1)))
     if d >= 1 and n >= 1:
-        simple.append(wt_sub(unit_w(d - 1), unit_w(d)))
+        simple.append(wt_sub(unit(d - 1), unit(d)))
     for j in range(n - 1):
-        simple.append(wt_sub(unit_w(d + j), unit_w(d + j + 1)))
+        simple.append(wt_sub(unit(d + j), unit(d + j + 1)))
     if n >= 1:
-        simple.append(unit_w(d + n - 1) if odd_m else wt_scale(unit_w(d + n - 1), 2))
+        simple.append(unit(d + n - 1) if odd_m else wt_scale(unit(d + n - 1), 2))
 
     g = LieSuperalgebra(
         kind="osp", m=m, n=n, r=d, s=n,
@@ -778,16 +775,22 @@ def build_adjoint_operation(g: LieSuperalgebra, star_type: int = 1) -> AdjointOp
     if hit is not None:
         return hit
     typed = g.kind == "gl" or (g.kind == "osp" and g.m == 2)
-    images = _conjugation_images(g, natural_form_diagonal(g))
+    op = AdjointOperation(g, _conjugation_images(g, natural_form_diagonal(g)),
+                          1 if typed else None)
     if typed and star_type == 2:
-        images = [
-            linalg.vec_scale(img, -F1 if g.basis[i].parity else F1)
-            for i, img in enumerate(images)
-        ]
-    op = AdjointOperation(g, images, star_type if typed else None)
+        op = parity_twist(op)
     _check_adjoint(op)
     g._adjoint_cache[star_type] = op
     return op
+
+
+def parity_twist(op: AdjointOperation) -> AdjointOperation:
+    """op composed with A -> (-1)^|A| A, again an adjoint operation; it
+    exchanges star types 1 and 2."""
+    g = op.algebra
+    images = [linalg.vec_scale(img, -F1 if g.parity(i) else F1)
+              for i, img in enumerate(op.images)]
+    return AdjointOperation(g, images, {1: 2, 2: 1, None: None}[op.star_type])
 
 
 def _check_adjoint(op: AdjointOperation):

@@ -24,6 +24,7 @@ from .algebra import (
     build_parabolic,
     check_star_condition,
     even_simple_roots,
+    positive_even_roots,
     weight_key,
     wt_add,
     wt_sub,
@@ -52,9 +53,6 @@ class ResolutionShape:
     degrees: list                 # degrees[k] = sorted list of (Weight, multiplicity)
     truncated: bool
     terminates_at: int | None
-
-    def weight_lists(self) -> list:
-        return [[(w, m) for (w, m) in deg] for deg in self.degrees]
 
 
 @dataclass
@@ -94,10 +92,8 @@ def bgg_verdict(g: LieSuperalgebra, p: ParabolicDecomposition, lam: Weight,
     reports = []
     witness = None
     for k in range(k_max + 1):
-        rep = an.homology(k)
-        rep.homology_decomposition = an.homology_decomposition(k)
-        reports.append(rep)
-        if not rep.homology_decomposition.completely_reducible:
+        reports.append(an.homology(k))
+        if not an.homology_decomposition(k).completely_reducible:
             witness = k
             break
     shape = _shape_from_analysis(an, k_max if witness is None else witness)
@@ -254,9 +250,7 @@ def weyl_coset(g: LieSuperalgebra, p: ParabolicDecomposition) -> WeylCoset:
                     seen[comp] = seen[mat] + (si,)
                     nxt.append(comp)
         frontier = nxt
-    pos_even = sorted(
-        {g.root(i) for i in g.positive_root_indices() if g.parity(i) == 0},
-        key=weight_key)
+    pos_even = positive_even_roots(g)
     levi_pos = [g.root(i) for i in p.levi_indices
                 if not g.basis[i].is_cartan and g.is_positive_root(g.root(i))]
     elements = []

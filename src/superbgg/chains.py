@@ -30,6 +30,7 @@ from .algebra import (
     ParabolicDecomposition,
     Weight,
     casimir_eigenvalue,
+    dual_basis_in,
     wt_add,
 )
 from .errors import CrossCheckFailed, PreconditionViolated
@@ -187,11 +188,6 @@ class ChainMap:
             return out
         return [[Fraction(v, den) if v else 0 for v in row] for row in out]
 
-    def commutes_with(self, other: "ChainMap") -> bool:
-        if not (self.source is self.target is other.source is other.target):
-            raise CrossCheckFailed("commutator of maps on different chain spaces")
-        return self.compose(other) == other.compose(self)
-
 
 def _int_if_integral(c):
     """c as an int when it is one: int products are far cheaper than
@@ -332,32 +328,29 @@ class ChainComplex:
             self._brackets[key] = terms
         return terms
 
-    def act_element(self, vec: dict, elem: ChainBasisElement) -> dict:
-        """Action of an algebra element (coefficients over the basis) on a
-        chain monomial; brackets with generators are projected to the radical."""
+    def act_element(self, a: int, elem: ChainBasisElement) -> dict:
+        """Action of the basis element A_a on a chain monomial; brackets with
+        generators are projected to the radical."""
         par = self._parity
         gens = elem.generators()
         mi = elem.module_index
-        action = self.module.action
+        odd = par[a]
         out: dict = {}
-        for a, ca in vec.items():
-            odd = par[a]
-            prefix = 0          # parity of the generators passed so far
-            for t, gt in enumerate(gens):
-                terms = self._radical_bracket(a, gt)
-                if terms:
-                    sgn = -1 if (odd and prefix) else 1
-                    rest = list(gens)
-                    for kidx, cb in terms:
-                        rest[t] = kidx
-                        res = self._normalize(rest, mi)
-                        if res is not None:
-                            _add_term(out, res[0], ca * cb * (sgn * res[1]))
-                prefix ^= par[gt]
-            sgn = -1 if (odd and prefix) else 1
-            for r, cm in action[a][mi].items():
-                _add_term(out, ChainBasisElement(elem.even_part, elem.odd_part, r),
-                          ca * cm * sgn)
+        prefix = 0          # parity of the generators passed so far
+        for t, gt in enumerate(gens):
+            terms = self._radical_bracket(a, gt)
+            if terms:
+                sgn = -1 if (odd and prefix) else 1
+                rest = list(gens)
+                for kidx, cb in terms:
+                    rest[t] = kidx
+                    res = self._normalize(rest, mi)
+                    if res is not None:
+                        _add_term(out, res[0], cb * (sgn * res[1]))
+            prefix ^= par[gt]
+        sgn = -1 if (odd and prefix) else 1
+        for r, cm in self.module.action[a][mi].items():
+            _add_term(out, ChainBasisElement(elem.even_part, elem.odd_part, r), cm * sgn)
         return out
 
     def _peel(self, elem: ChainBasisElement):
@@ -404,7 +397,7 @@ class ChainComplex:
                 images = []
                 for e in sp.basis:
                     g0, rest = self._peel(e)
-                    out = linalg.vec_scale(self.act_element({g0: 1}, rest), -1)
+                    out = linalg.vec_scale(self.act_element(g0, rest), -1)
                     linalg.vec_iadd(out, self._wedge(g0, _column(below, index[rest])), -1)
                     images.append(out)
                 self._lower[k] = self._to_map(k, k - 1, images)
@@ -450,7 +443,7 @@ class ChainComplex:
         if key not in self._actions:
             sp = self.space(k)
             self._actions[key] = self._to_map(
-                k, k, [self.act_element({i: 1}, e) for e in sp.basis])
+                k, k, [self.act_element(i, e) for e in sp.basis])
         return self._actions[key]
 
     # -- quabla -------------------------------------------------------------------
@@ -463,8 +456,7 @@ class ChainComplex:
         if method != "casimir":
             raise ValueError("method must be 'direct' or 'casimir'")
         # quabla = -1/2 (C2 + lambda(h) - sum_i A_i A_i^#) on C_k, where
-        # h = sum_a [z_a, z_a^#] and A_i^# = sum_t linv[i][t] A_t is the
-        # dual of A_i in the Levi
+        # h = sum_a [z_a, z_a^#] and A_i^# is the dual of A_i in the Levi
         g = self.algebra
         c2 = self._casimir_scalar()
         hvec: dict = {}
@@ -474,7 +466,6 @@ class ChainComplex:
             if not g.basis[i].is_cartan:
                 raise CrossCheckFailed("sum [z_a, z_a^#] is not in the Cartan")
         levi = self.parabolic.levi_indices
-        linv = linalg.inverse([[g.gram[i][j] for j in levi] for i in levi])
         sp = self.space(k)
         diag = [{} for _ in range(sp.dim)]
         for w, idxs in sp.weight_blocks.items():
@@ -482,10 +473,11 @@ class ChainComplex:
             for j in idxs:
                 diag[j][j] = val
         terms = [(-HALF, ChainMap.from_columns(sp, sp, diag))]
-        acts = [self.action_map(k, i) for i in levi]
-        for act, row in zip(acts, linv):
-            dual = ChainMap.combination(sp, sp, list(zip(row, acts)))
-            terms.append((HALF, act.compose(dual)))
+        acts = {i: self.action_map(k, i) for i in levi}
+        for i, dual in zip(levi, dual_basis_in(g, levi, levi)):
+            dual_map = ChainMap.combination(
+                sp, sp, [(c, acts[t]) for t, c in dual.items()])
+            terms.append((HALF, acts[i].compose(dual_map)))
         return ChainMap.combination(sp, sp, terms)
 
     def _casimir_scalar(self):

@@ -225,9 +225,6 @@ def _cmd_rep(args, t0) -> int:
     lam = _dominant_weight(g, args.weight)
     op = build_adjoint_operation(g, args.star_type or 1)
     mod = build_irrep(g, lam, op, args.max_depth)
-    mult: dict = {}
-    for w in mod.weights:
-        mult[w] = mult.get(w, 0) + 1
     report = {
         "command": "rep build",
         "input": _input_echo(args),
@@ -239,7 +236,8 @@ def _cmd_rep(args, t0) -> int:
         "casimir_eigenvalue": _frac(casimir_eigenvalue(g, lam)),
         "form_positive_definite": mod.form_positive_definite(),
         "weights": _weight_entries(sorted(
-            mult.items(), key=lambda t: weight_key(t[0]))),
+            ((w, len(idxs)) for w, idxs in mod.weight_blocks.items()),
+            key=lambda t: weight_key(t[0]))),
     }
     _emit(report, args, t0)
     return 0
@@ -330,7 +328,7 @@ def _cmd_bgg(args, t0) -> int:
                 "degree": rep.degree,
                 "chain_dimension": an.cx.space(rep.degree).dim,
                 "homology_dimension": rep.homology_dimension,
-                "decomposition": _decomposition(rep.homology_decomposition),
+                "decomposition": _decomposition(an.homology_decomposition(rep.degree)),
             }
             for rep in verdict.reports
         ],

@@ -62,42 +62,20 @@ def _block_kernels(lower, upper, quab, dim):
     while e < dim and power:
         power = linalg.mat_mul(power, power)
         e *= 2
-    return {"ker": _kernel(lower, dim), "im": _image_basis(upper),
-            "ker_quabla": _kernel(quab, dim), "gen_zero": _kernel(power, dim)}
+    return {"ker": linalg.nullspace(lower, ncols=dim), "im": _image_basis(upper),
+            "ker_quabla": linalg.nullspace(quab, ncols=dim),
+            "gen_zero": linalg.nullspace(power, ncols=dim)}
 
 
-def _kernel(block, dim):
-    """Kernel basis of a block; an empty block is the zero map."""
-    return linalg.nullspace(block, ncols=dim) if block else linalg.identity(dim)
+def _ambient_columns(idxs: list, cols: list) -> list:
+    """Dense columns over one weight block (ambient indices `idxs`) as sparse
+    columns over the whole chain space."""
+    return [{idxs[i]: v for i, v in enumerate(col) if v} for col in cols]
 
 
 # ---------------------------------------------------------------------------
 # report containers
 # ---------------------------------------------------------------------------
-
-@dataclass
-class SubspaceBasis:
-    """Block-aligned exact column basis of a subspace of a chain degree."""
-
-    space: object
-    blocks: dict                 # Weight -> list of dense columns (block coords)
-
-    @property
-    def dim(self) -> int:
-        return sum(len(cols) for cols in self.blocks.values())
-
-    def weight_dims(self) -> dict:
-        return {w: len(cols) for w, cols in self.blocks.items() if cols}
-
-    def global_columns(self) -> list:
-        """Columns as sparse dicts over the ambient chain space."""
-        out = []
-        for w, cols in sorted(self.blocks.items(), key=lambda t: weight_key(t[0])):
-            idxs = self.space.weight_blocks[w]
-            for col in cols:
-                out.append({idxs[i]: v for i, v in enumerate(col) if v})
-        return out
-
 
 @dataclass
 class LDecompositionEntry:
@@ -131,7 +109,6 @@ class HomologyReport:
     dim_im_boundary_above: int
     homology_dimension: int
     weight_multiplicities: dict
-    homology_decomposition: LDecomposition | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +116,9 @@ class HomologyReport:
 # ---------------------------------------------------------------------------
 
 class LeviModule:
-    """A finite l-module presented by block-aligned vectors in a chain degree.
+    """A finite l-module presented by block-aligned vectors in a chain degree:
+    an l-stable subspace (ker quabla, the generalized zero space, the whole
+    chain space) or a subquotient (a homology group).
 
     `reps` are sparse ambient columns, each supported in a single weight
     block.  `modulo` (optional, per weight) is a list of ambient columns to
@@ -171,6 +150,10 @@ class LeviModule:
 
     def members(self, weight: Weight) -> list:
         return self._members.get(weight, [])
+
+    def weight_dims(self) -> dict:
+        """{weight: number of representatives of that weight}."""
+        return {w: len(ts) for w, ts in self._members.items()}
 
     def _solver(self, weight: Weight):
         """Left transform E of the stacked block A = [modulo | reps] of `weight`.
@@ -248,10 +231,6 @@ def full_levi_module(cx: ChainComplex, k: int) -> LeviModule:
     return LeviModule(cx, k, [{i: F1} for i in range(sp.dim)])
 
 
-def subspace_levi_module(cx: ChainComplex, k: int, sub: SubspaceBasis) -> LeviModule:
-    return LeviModule(cx, k, sub.global_columns())
-
-
 # ---------------------------------------------------------------------------
 # decomposition into irreducible l-modules
 # ---------------------------------------------------------------------------
@@ -305,8 +284,7 @@ def _highest_weight_vectors(mod: LeviModule, raise_cols: list) -> dict:
     return out
 
 
-def decompose_levi(p: ParabolicDecomposition, mod: LeviModule,
-                   max_depth: int = 64) -> LDecomposition:
+def decompose_levi(p: ParabolicDecomposition, mod: LeviModule) -> LDecomposition:
     """Highest-weight decomposition of an l-stable space or subquotient.
 
     For each weight w, H_w is the joint kernel at w of the raising operators
@@ -339,8 +317,8 @@ def decompose_levi(p: ParabolicDecomposition, mod: LeviModule,
     This is the paper's necessary condition for a BGG resolution (complete
     reducibility of each homology group), checked on the module itself.  A
     decomposition that fails it reports, for each entry, the dimension of
-    the abstract Levi irrep (None past `max_depth` levels).  All elimination
-    is local to one weight block.
+    the abstract Levi irrep (None past `levi_irrep_dimension`'s depth
+    guard).  All elimination is local to one weight block.
     """
     pos, neg = p.algebra.simple_vector_indices()
     raise_cols = [mod.act(pos[i]) for i in p.levi_simple_roots]
@@ -369,7 +347,7 @@ def decompose_levi(p: ParabolicDecomposition, mod: LeviModule,
                     f"dimension {e.generated_dimension}, not a multiple of its "
                     f"{e.hw_vector_count} highest-weight vectors")
         else:
-            e.irrep_dimension = levi_irrep_dimension(p, e.highest_weight, max_depth)
+            e.irrep_dimension = levi_irrep_dimension(p, e.highest_weight)
     return LDecomposition(entries=entries, completely_reducible=cr,
                           total_dimension=mod.dim)
 
@@ -445,6 +423,7 @@ class KostantAnalysis:
         self._homology: dict = {}
         self._decomp: dict = {}
         self._kerq_decomp: dict = {}
+        self._predicates: dict = {}
         self._quabla: dict = {}
 
     # -- raw block data -------------------------------------------------------
@@ -455,6 +434,7 @@ class KostantAnalysis:
         return self._quabla[k]
 
     def block_data(self, k: int) -> dict:
+        """{weight: block bases} of degree k, in weight_key order."""
         if k in self._blockdata:
             return self._blockdata[k]
         sp = self.cx.space(k)
@@ -498,20 +478,14 @@ class KostantAnalysis:
 
     def homology_quotient_module(self, k: int) -> LeviModule:
         """Deterministic complement of im inside ker, with reduced l-action."""
-        data = self.block_data(k)
-        sp = self.cx.space(k)
+        weight_blocks = self.cx.space(k).weight_blocks
         reps, modulo = [], {}
-        for w in sorted(data, key=weight_key):
-            d = data[w]
-            idxs = sp.weight_blocks[w]
+        for w, d in self.block_data(k).items():
             im = d["im"]
-            modulo[w] = [
-                {idxs[i]: v for i, v in enumerate(col) if v} for col in im
-            ]
+            modulo[w] = _ambient_columns(weight_blocks[w], im)
             chosen = linalg.independent_columns(im + d["ker"])
             comp = [d["ker"][i - len(im)] for i in chosen if i >= len(im)]
-            for col in comp:
-                reps.append({idxs[i]: v for i, v in enumerate(col) if v})
+            reps.extend(_ambient_columns(weight_blocks[w], comp))
         return LeviModule(self.cx, k, reps, modulo)
 
     def homology_decomposition(self, k: int) -> LDecomposition:
@@ -522,23 +496,27 @@ class KostantAnalysis:
 
     # -- quabla kernels -----------------------------------------------------------
 
-    def ker_quabla(self, k: int) -> SubspaceBasis:
-        data = self.block_data(k)
-        return SubspaceBasis(self.cx.space(k), {
-            w: d["ker_quabla"] for w, d in data.items() if d["ker_quabla"]
-        })
+    def _subspace_module(self, k: int, key: str) -> LeviModule:
+        """The l-stable subspace of C_k spanned by the block bases `key` of
+        block_data(k), taken in weight_key order."""
+        weight_blocks = self.cx.space(k).weight_blocks
+        reps = []
+        for w, d in self.block_data(k).items():
+            reps.extend(_ambient_columns(weight_blocks[w], d[key]))
+        return LeviModule(self.cx, k, reps)
 
-    def generalized_zero(self, k: int) -> SubspaceBasis:
-        data = self.block_data(k)
-        return SubspaceBasis(self.cx.space(k), {
-            w: d["gen_zero"] for w, d in data.items() if d["gen_zero"]
-        })
+    def ker_quabla(self, k: int) -> LeviModule:
+        """ker quabla_k, l-stable because quabla commutes with l.  Built on
+        each call: a cached module would keep its solvers alive."""
+        return self._subspace_module(k, "ker_quabla")
+
+    def generalized_zero(self, k: int) -> LeviModule:
+        """The generalized zero eigenspace of quabla_k, built on each call."""
+        return self._subspace_module(k, "gen_zero")
 
     def ker_quabla_decomposition(self, k: int) -> LDecomposition:
         if k not in self._kerq_decomp:
-            self._kerq_decomp[k] = decompose_levi(
-                self.parabolic,
-                subspace_levi_module(self.cx, k, self.ker_quabla(k)))
+            self._kerq_decomp[k] = decompose_levi(self.parabolic, self.ker_quabla(k))
         return self._kerq_decomp[k]
 
     # -- predicates ---------------------------------------------------------------
@@ -550,6 +528,8 @@ class KostantAnalysis:
         equivalent as statements about all degrees at once, which is what
         predicate_summary checks over the built window.
         """
+        if k in self._predicates:
+            return self._predicates[k]
         cx = self.cx
         sp = cx.space(k)
         data = self.block_data(k)
@@ -566,7 +546,7 @@ class KostantAnalysis:
             ker_low = d["ker"]
             lb = lower_k.block(w)
             rb = raise_k.block(w)
-            ker_raise = _kernel(rb, len(idxs))
+            ker_raise = linalg.nullspace(rb, ncols=len(idxs))
             im_below = _image_basis(below.block(w)) if below is not None else []
             if linalg.intersect_columnspaces(im_up, kerq):
                 vals[1] = False
@@ -589,8 +569,9 @@ class KostantAnalysis:
                 vals[7] = False
             if linalg.intersect_columnspaces(im_below, ker_low):
                 vals[7] = False
-        return PredicateReport(degree=k, values=vals,
-                               consistent=(vals[1] == vals[2]))
+        rep = PredicateReport(degree=k, values=vals, consistent=(vals[1] == vals[2]))
+        self._predicates[k] = rep
+        return rep
 
     def predicate_summary(self) -> dict:
         """Global (window) values of the seven statements and their agreement."""

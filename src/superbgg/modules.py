@@ -23,6 +23,7 @@ from .algebra import (
     build_adjoint_operation,
     even_simple_roots,
     natural_form_diagonal,
+    parity_twist,
     weight_key,
     wt_add,
     wt_neg,
@@ -311,15 +312,8 @@ def natural_module(g: LieSuperalgebra) -> HWModule:
     for i, b in enumerate(g.basis):
         for (r, c), v in b.matrix.items():
             action[i][c][r] = v
-    # highest weight = the unique weight killed by every positive root vector
-    pos_idx = g.positive_root_indices()
-    hw_candidates = [
-        p for p in range(dim)
-        if all(not action[i][p] for i in pos_idx)
-    ]
-    if len(hw_candidates) != 1:
-        raise CrossCheckFailed("natural module must have one highest weight vector")
-    hw = hw_candidates[0]
+    hw = _unique_highest_weight_vector(
+        g, action, "natural module must have one highest weight vector")
     op = build_adjoint_operation(g, 1)
     mdiag = natural_form_diagonal(g)
     mod = HWModule(
@@ -369,12 +363,9 @@ def dual_module(mod: HWModule) -> HWModule:
         action.append(cols)
     weights = [wt_neg(w) for w in mod.weights]
     parities = list(mod.parities)
-    pos_idx = g.positive_root_indices()
-    hw_candidates = [p for p in range(dim) if all(not action[i][p] for i in pos_idx)]
-    if len(hw_candidates) != 1:
-        raise CrossCheckFailed("dual of an irreducible module must be irreducible")
-    hw = hw_candidates[0]
-    op2 = _twist_adjoint(mod.adjoint)
+    hw = _unique_highest_weight_vector(
+        g, action, "dual of an irreducible module must be irreducible")
+    op2 = parity_twist(mod.adjoint)
     dual = HWModule(
         algebra=g, highest_weight=weights[hw], weights=weights, parities=parities,
         action=action, hw_index=hw, label=mod.label + "*", adjoint=op2,
@@ -384,14 +375,16 @@ def dual_module(mod: HWModule) -> HWModule:
     return dual
 
 
-def _twist_adjoint(op: AdjointOperation) -> AdjointOperation:
-    g = op.algebra
-    images = [
-        linalg.vec_scale(op.apply_basis(i), -F1 if g.parity(i) else F1)
-        for i in range(g.dim)
-    ]
-    newtype = {1: 2, 2: 1, None: None}[op.star_type]
-    return AdjointOperation(g, images, newtype)
+def _unique_highest_weight_vector(g: LieSuperalgebra, action: list,
+                                  failure: str) -> int:
+    """The one basis vector killed by every positive root vector; raises
+    CrossCheckFailed(failure) unless there is exactly one."""
+    pos_idx = g.positive_root_indices()
+    hw = [p for p in range(len(action[0]))
+          if all(not action[i][p] for i in pos_idx)]
+    if len(hw) != 1:
+        raise CrossCheckFailed(failure)
+    return hw[0]
 
 
 def contravariant_gram_blocks(mod: Module, op: AdjointOperation) -> dict:

@@ -196,7 +196,9 @@ def test_coboundary_deviation_identity(gl21_setup):
                     brp = {t: c for t, c in br.items() if t in p_indices}
                     if not brp:
                         continue
-                    acted = cx.act_element(brp, e)
+                    acted = {}
+                    for t, c in brp.items():
+                        linalg.vec_iadd(acted, cx.act_element(t, e), c)
                     linalg.vec_iadd(corr, cx._wedge(gen, acted))
                 expect = {tgt.index[t]: c for t, c in corr.items()}
                 got = dict(lhs.cols[j])

@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import inspect
 import json
 import re
 import sys
@@ -125,6 +126,31 @@ def test_direct_quabla_built_once_per_degree(capsys, monkeypatch, argv):
     assert code == 0
     assert {k: n for (k, method), n in calls.items() if method == "direct"} \
         == {0: 1, 1: 1, 2: 1}
+
+
+def test_bgg_check_computes_predicates_once_per_degree(capsys, monkeypatch):
+    """A bgg check that reaches the disjointness rung and then reports the
+    predicates computes each degree's predicates once: the predicate body
+    makes five intersections per weight block of degrees 0..kmax-1."""
+    from superbgg import linalg
+    from superbgg.algebra import build_algebra, build_parabolic
+    from superbgg.chains import ChainComplex
+    from superbgg.modules import build_irrep
+    calls = []
+    intersect = linalg.intersect_columnspaces
+
+    def counting(cols_a, cols_b):
+        calls.append(1)
+        return intersect(cols_a, cols_b)
+    monkeypatch.setattr(linalg, "intersect_columnspaces", counting)
+    code, out = run_cli(capsys, "bgg", "check", "--alg", "gl", "--m", "1",
+                        "--n", "2", "--weight", "1|0,0", "--kmax", "2")
+    assert code == 0
+    assert "predicates" in json.loads(out)["verdict"]["details"]
+    g = build_algebra("gl", 1, 2)
+    cx = ChainComplex(build_parabolic(g, []), build_irrep(g, (1, 0, 0)), "nbar")
+    blocks = sum(len(cx.space(k).weight_blocks) for k in range(2))
+    assert len(calls) == 5 * blocks
 
 
 @pytest.mark.parametrize("argv", [
@@ -339,14 +365,21 @@ def test_natural_benchmark_report_builds_no_levi_irrep(capsys, monkeypatch):
     assert json.dumps(report, sort_keys=True) == json.dumps(ref["report"], sort_keys=True)
 
 
-def test_benchmark_tracer_names_exist(monkeypatch):
-    """Every class and method that the benchmark's tracer patches exists, so
-    a rename cannot break its traced run unseen."""
+def _load_tracing(monkeypatch):
+    """The benchmark's tracing module, loaded read-only: no bytecode is
+    written next to it."""
     path = REFERENCES.parent / "tracing.py"
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_benchmark_tracer_names_exist(monkeypatch):
+    """Every class and method that the benchmark's tracer patches exists, so
+    a rename cannot break its traced run unseen."""
+    tracing = _load_tracing(monkeypatch)
     assert tracing.METHODS
     for layer, classes in tracing.METHODS.items():
         mod = importlib.import_module(f"superbgg.{layer}")
@@ -354,3 +387,31 @@ def test_benchmark_tracer_names_exist(monkeypatch):
             cls = getattr(mod, cls_name)
             for attr in methods:
                 assert callable(getattr(cls, attr)), f"{layer}.{cls_name}.{attr}"
+
+
+def _traced_function(tracing, name: str) -> bool:
+    """`name` is `<layer>.<function>` for a function the tracer wraps: public,
+    defined in superbgg.<layer> and not in UNTRACED."""
+    layer, _, attr = name.partition(".")
+    if layer not in tracing.LAYERS or attr.startswith("_") or name in tracing.UNTRACED:
+        return False
+    mod = importlib.import_module(f"superbgg.{layer}")
+    obj = getattr(mod, attr, None)
+    return inspect.isfunction(obj) and obj.__module__ == mod.__name__
+
+
+def test_benchmark_per_layer_metrics_resolve(monkeypatch):
+    """Every per-layer metric of BENCHMARK.json names something the tracer
+    records, so deleting a traced function cannot turn its metric into a
+    silent 0."""
+    tracing = _load_tracing(monkeypatch)
+    spans = {f"{layer}.{suffix}" for layer, classes in tracing.METHODS.items()
+             for methods in classes.values() for suffix in methods.values()}
+    counters = set(tracing.SPAN_COUNTS) | set(tracing.Tracer().counters)
+    bench = json.loads((REFERENCES.parent.parent / "BENCHMARK.json").read_text())
+    names = [m["name"] for m in bench["per_layer"]]
+    assert names
+    for name in names:
+        span = name.rpartition(".")[0]
+        assert (name in counters or name.startswith("trace.") or span in spans
+                or _traced_function(tracing, span)), name

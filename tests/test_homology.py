@@ -34,7 +34,6 @@ from superbgg.homology import (
     full_levi_module,
     levi_irrep_dimension,
     multiplicity_criterion,
-    subspace_levi_module,
 )
 from superbgg.modules import build_irrep, build_kac_module, dual_module
 
@@ -75,10 +74,8 @@ def test_ker_quabla_inside_generalized_zero(gl21_an, osp12_an):
             kq = an.ker_quabla(k)
             gz = an.generalized_zero(k)
             assert kq.dim <= gz.dim
-            for w, cols in kq.blocks.items():
-                span = gz.blocks.get(w, [])
-                for col in cols:
-                    assert linalg.in_span(span, col)
+            for w, rep in zip(kq.weights, kq.reps):
+                gz.express(w, rep)          # LeviNotClosed outside the span
 
 
 def test_trivial_module_homology(gl21, gl21_borel):
@@ -334,8 +331,31 @@ def test_analysis_does_not_outlive_its_callers(gl21):
 def test_decompose_levi_accepts_subspace(gl21_borel, gl21_natural):
     an = KostantAnalysis(gl21_borel, gl21_natural, k_max=2)
     sub = an.ker_quabla(1)
-    dec = decompose_levi(gl21_borel, subspace_levi_module(an.cx, 1, sub))
+    dec = decompose_levi(gl21_borel, sub)
     assert dec.total_dimension == sub.dim
+
+
+@pytest.mark.parametrize("case", ["gl21_borel", "osp46_sec7"])
+def test_ker_quabla_is_a_levi_module_of_the_block_kernels(case, request):
+    """ker quabla_k and the generalized zero space are LeviModules; ker
+    quabla_k has the weight counts of the block kernels, and the analysis's
+    own quabla kills every representative."""
+    p = request.getfixturevalue(case)
+    module = request.getfixturevalue(case.split("_")[0] + "_natural")
+    an = KostantAnalysis(p, module, k_max=2)
+    for k in (0, 1):
+        kq = an.ker_quabla(k)
+        assert isinstance(kq, LeviModule)
+        assert isinstance(an.generalized_zero(k), LeviModule)
+        assert kq.weight_dims() == {w: len(d["ker_quabla"])
+                                    for w, d in an.block_data(k).items()
+                                    if d["ker_quabla"]}
+        icols = an.quabla_map(k).icols
+        for rep in kq.reps:
+            img: dict = {}
+            for gidx, v in rep.items():
+                linalg.vec_iadd(img, icols[gidx], v)
+            assert img == {}
 
 
 def test_decompose_levi_non_split_extension(gl21):
@@ -395,7 +415,7 @@ def test_generated_dimension_matches_dense_oracle(case, request):
     pos, neg = p.algebra.simple_vector_indices()
     for k in (0, 1):
         for mod in (full_levi_module(an.cx, k), an.homology_quotient_module(k),
-                    subspace_levi_module(an.cx, k, an.ker_quabla(k))):
+                    an.ker_quabla(k)):
             dec = decompose_levi(p, mod)
             want = oracle_levi_generated_dims(
                 mod.weights,
@@ -417,7 +437,7 @@ def test_levi_act_matches_stacked_solve(osp46_sec7, osp46_natural):
         for t, rep in enumerate(mod.reps):
             img: dict = {}
             for gidx, v in rep.items():
-                for elem, c in an.cx.act_element({i: F1}, sp.basis[gidx]).items():
+                for elem, c in an.cx.act_element(i, sp.basis[gidx]).items():
                     linalg.vec_iadd(img, {sp.index[elem]: c}, v)
             if not img:
                 assert cols[t] == {}
@@ -449,9 +469,9 @@ def test_levi_action_has_one_owner(osp46_sec7, osp46_natural, monkeypatch):
     calls = []
     act_element = ChainComplex.act_element
 
-    def spy(self, vec, elem):
+    def spy(self, i, elem):
         calls.append(elem)
-        return act_element(self, vec, elem)
+        return act_element(self, i, elem)
 
     monkeypatch.setattr(ChainComplex, "act_element", spy)
     dec = decompose_levi(osp46_sec7, mod)
@@ -497,7 +517,7 @@ def _agrees_with_abstract_irreps(p, mod):
 
 def _levi_modules(an, k):
     return (full_levi_module(an.cx, k), an.homology_quotient_module(k),
-            subspace_levi_module(an.cx, k, an.ker_quabla(k)))
+            an.ker_quabla(k))
 
 
 @functools.lru_cache(maxsize=None)
