@@ -236,7 +236,7 @@ class ChainComplex:
         self._spaces: dict = {}
         self._lower: dict = {}
         self._raise: dict = {}
-        self._actions: dict = {}        # (k, basis index) -> action map on C_k
+        self._actions: dict = {}        # (k, Levi simple root vector) -> action map
         self._brackets: dict = {}       # (a, generator) -> radical part of [A_a, gen]
         self._raise_terms: dict = {}    # peeled generator -> coboundary terms
         self._casimir_const = None
@@ -437,14 +437,26 @@ class ChainComplex:
 
     # -- auxiliary actions --------------------------------------------------------
 
+    @functools.cached_property
+    def _levi_simple_vectors(self) -> frozenset:
+        """Basis indices of the positive and negative Levi simple root
+        vectors: the only Levi elements LeviModule.act reads."""
+        pos, neg = self.algebra.simple_vector_indices()
+        return frozenset(v[i] for i in self.parabolic.levi_simple_roots
+                         for v in (pos, neg))
+
     def action_map(self, k: int, i: int) -> ChainMap:
-        """Action of the basis element A_i on C_k, built once per (k, i)."""
+        """Action of the basis element A_i on C_k.  Cached per (k, i) for the
+        Levi simple root vectors; any other map is built on each call (the
+        Casimir quabla builds each once per call)."""
         key = (k, i)
-        if key not in self._actions:
-            sp = self.space(k)
-            self._actions[key] = self._to_map(
-                k, k, [self.act_element(i, e) for e in sp.basis])
-        return self._actions[key]
+        hit = self._actions.get(key)
+        if hit is None:
+            hit = self._to_map(k, k, [self.act_element(i, e)
+                                      for e in self.space(k).basis])
+            if i in self._levi_simple_vectors:
+                self._actions[key] = hit
+        return hit
 
     # -- quabla -------------------------------------------------------------------
 

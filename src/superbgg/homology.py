@@ -11,6 +11,17 @@ weight-homogeneous, so each weight block of a LeviModule is eliminated once
 lowering closures and their union keep echelon pivots per weight: no
 elimination ever runs over the whole module.
 
+The Levi layer runs on Python ints.  A LeviModule holds its representatives
+as primitive int columns (positive multiples of the columns it was given: a
+change of basis that no dimension sees), `express` returns int coordinates
+over the one positive denominator of the target weight's solver, and `act`
+returns int columns whose denominator is constant on each source weight.
+So on every weight block the int operator is a positive multiple of the
+exact one.  Kernels of stacked blocks, spans, lowering closures of
+weight-homogeneous vectors and ranks are unchanged by a nonzero scalar per
+block, which is why decompose_levi reads only the int columns and gets the
+same H_w, G_w, certificate and dimensions as exact rational arithmetic.
+
 Homology groups of interest are H_k(nbar, W) = ker(delta*_k)/im(delta*_{k+1})
 computed on Lambda^. nbar (x) W; these are the groups whose induced modules
 form BGG resolutions of W.
@@ -18,8 +29,10 @@ form BGG resolutions of W.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from . import linalg
 from .algebra import (
@@ -40,8 +53,6 @@ from .errors import (
     TruncationTooSmall,
 )
 from .modules import Module, build_irrep, restrict_adjoint
-
-F1 = Fraction(1)
 
 
 def _image_basis(block: list) -> list:
@@ -65,6 +76,15 @@ def _block_kernels(lower, upper, quab, dim):
     return {"ker": linalg.nullspace(lower, ncols=dim), "im": _image_basis(upper),
             "ker_quabla": linalg.nullspace(quab, ncols=dim),
             "gen_zero": linalg.nullspace(power, ncols=dim)}
+
+
+def _primitive(col: dict) -> dict:
+    """The positive multiple of a sparse rational column whose entries are
+    coprime ints."""
+    den = lcm(1, *(v.denominator for v in col.values()))
+    ints = {r: v.numerator * (den // v.denominator) for r, v in col.items() if v}
+    cont = gcd(*ints.values())
+    return {r: v // cont for r, v in ints.items()} if cont > 1 else ints
 
 
 def _ambient_columns(idxs: list, cols: list) -> list:
@@ -115,6 +135,22 @@ class HomologyReport:
 # Levi modules: subspaces and subquotients carrying the l-action
 # ---------------------------------------------------------------------------
 
+@dataclass(eq=False)
+class LeviAction:
+    """A Levi basis element on a LeviModule, in its coordinates: column t is
+    icols[t] / dens[t], and dens[t] is the same for every representative of
+    one weight."""
+
+    icols: list              # icols[t] = {member: nonzero int}
+    dens: list               # dens[t] = positive int
+
+    @functools.cached_property
+    def cols(self) -> list:
+        """cols[t] = {member: Fraction}; the exact view, for tests."""
+        return [{u: Fraction(c, d) for u, c in col.items()}
+                for col, d in zip(self.icols, self.dens)]
+
+
 class LeviModule:
     """A finite l-module presented by block-aligned vectors in a chain degree:
     an l-stable subspace (ker quabla, the generalized zero space, the whole
@@ -122,19 +158,22 @@ class LeviModule:
 
     `reps` are sparse ambient columns, each supported in a single weight
     block.  `modulo` (optional, per weight) is a list of ambient columns to
-    quotient by; the action is reduced modulo that span.  Coordinates are
-    solved weight by weight: each weight block is eliminated once.
+    quotient by; the action is reduced modulo that span.  Both are stored
+    as primitive int columns, each a positive multiple of the column given.
+    Coordinates are solved weight by weight: each weight block is
+    eliminated once.
     """
 
     def __init__(self, cx: ChainComplex, k: int, reps: list, modulo: dict | None = None):
         self.cx = cx
         self.k = k
         self.space = cx.space(k)
-        self.reps = reps
-        self.modulo = modulo or {}
+        self.reps = [_primitive(col) for col in reps]
+        self.modulo = {w: [_primitive(col) for col in cols]
+                       for w, cols in (modulo or {}).items()}
         self.weights = []
         self._members: dict = {}
-        for t, col in enumerate(reps):
+        for t, col in enumerate(self.reps):
             ws = {self.space.weights[i] for i in col}
             if len(ws) != 1:
                 raise PreconditionViolated(
@@ -156,13 +195,20 @@ class LeviModule:
         return {w: len(ts) for w, ts in self._members.items()}
 
     def _solver(self, weight: Weight):
-        """Left transform E of the stacked block A = [modulo | reps] of `weight`.
+        """Int left transform D of the stacked block A = [modulo | reps] of
+        `weight`, eliminated fraction-free.
 
-        E is read off the RREF of [A | I], so E.A is the RREF of A.  Returns
-        (pos, ecols, rank, coords): `pos` maps ambient indices to block rows,
-        `ecols[j]` is column j of E as a sparse dict, rows from `rank` on are
-        the consistency conditions, and `coords[r]` is the member index solved
-        by row r (None for a `modulo` column).
+        Row r of linalg.int_rref([A | I]) is p_r times row r of the RREF, so
+        its right part is p_r times row r of the exact transform E (E.A is
+        the RREF of A).  With den = lcm of the pivots p_r of the first `rank`
+        rows, D takes row r < rank times den / p_r, so those rows of D are
+        den * E; rows from `rank` on are the consistency conditions, kept as
+        int rows (a nonzero multiple vanishes exactly when the row does).
+
+        Returns (pos, ecols, rank, coords, den): `pos` maps ambient indices
+        to block rows, `ecols[j]` is column j of D as a sparse dict, and
+        `coords[r]` is the member index solved by row r (None for a
+        `modulo` column).
         """
         hit = self._solvers.get(weight)
         if hit is not None:
@@ -172,63 +218,78 @@ class LeviModule:
         members = self.members(weight)
         cols = self.modulo.get(weight, []) + [self.reps[t] for t in members]
         n, c = len(idxs), len(cols)
-        aug = linalg.zeros(n, c + n)
+        aug = [[0] * (c + n) for _ in range(n)]
         for j, col in enumerate(cols):
             for gidx, v in col.items():
                 aug[pos[gidx]][j] = v
         for i in range(n):
-            aug[i][c + i] = F1
-        red, pivots = linalg.rref(aug)
+            aug[i][c + i] = 1
+        rows, pivots = linalg.int_rref(aug)       # n rows: [A | I] has rank n
         rank = sum(1 for pc in pivots if pc < c)
-        ecols = [{r: red[r][c + j] for r in range(n) if red[r][c + j]}
-                 for j in range(n)]
+        den = lcm(1, *(rows[r][pivots[r]] for r in range(rank)))
+        ecols = [{} for _ in range(n)]
+        for r, row in enumerate(rows):
+            f = den // row[pivots[r]] if r < rank else 1
+            for j in range(n):
+                x = row[c + j]
+                if x:
+                    ecols[j][r] = f * x
         n_mod = c - len(members)
         coords = [members[pc - n_mod] if pc >= n_mod else None
                   for pc in pivots[:rank]]
-        self._solvers[weight] = (pos, ecols, rank, coords)
+        self._solvers[weight] = (pos, ecols, rank, coords, den)
         return self._solvers[weight]
 
-    def express(self, weight: Weight, ambient_col: dict) -> dict:
-        """Coordinates over this module's basis, reducing mod `modulo`.
+    def express(self, weight: Weight, ambient_cols: list) -> tuple[list, int]:
+        """Coordinates over this module's basis of ambient columns of one
+        weight, reducing mod `modulo`: returns (coords, den) with coords[j]
+        an int dict, coords[j] / den the exact coordinates of ambient_cols[j]
+        and den > 0 the weight's solver denominator.
 
-        Raises LeviNotClosed when the vector is outside span(modulo + reps)."""
-        pos, ecols, rank, coords = self._solver(weight)
-        y: dict = {}
-        for gidx, v in ambient_col.items():
-            j = pos.get(gidx)
-            if j is None:
-                raise LeviNotClosed("image leaves the expected weight block")
-            linalg.vec_iadd(y, ecols[j], v)
-        if any(r >= rank for r in y):
-            raise LeviNotClosed("subspace is not stable under the Levi action")
-        out = {}
-        for r in sorted(y):
-            t = coords[r]
-            if t is not None:
-                out[t] = y[r]
-        return out
-
-    def act(self, levi_index: int) -> list:
-        """Columns of the Levi basis element in this module's coordinates: the
-        complex's integer action map applied to each representative, then
-        expressed and divided by the map's denominator."""
-        amap = self.cx.action_map(self.k, levi_index)
-        icols, den = amap.icols, amap.den
-        root = self.cx.algebra.root(levi_index)
-        cols = []
-        for t, col in enumerate(self.reps):
-            img: dict = {}
+        Raises LeviNotClosed when a column is outside span(modulo + reps)."""
+        pos, ecols, rank, coords, den = self._solver(weight)
+        out = []
+        for col in ambient_cols:
+            y: dict = {}
             for gidx, v in col.items():
-                linalg.vec_iadd(img, icols[gidx], v)
-            coords = self.express(wt_add(self.weights[t], root), img) if img else {}
-            cols.append(coords if den == 1 else
-                        {u: Fraction(c, den) for u, c in coords.items()})
-        return cols
+                j = pos.get(gidx)
+                if j is None:
+                    raise LeviNotClosed("image leaves the expected weight block")
+                linalg.vec_iadd(y, ecols[j], v)
+            if any(r >= rank for r in y):
+                raise LeviNotClosed("subspace is not stable under the Levi action")
+            out.append({coords[r]: v for r, v in y.items() if coords[r] is not None})
+        return out, den
+
+    def act(self, levi_index: int) -> LeviAction:
+        """The Levi basis element in this module's coordinates: the complex's
+        int action map applied to each representative, then expressed, one
+        `express` call per source weight.  Column t has denominator
+        den_target * map.den, the same for every representative of one
+        weight."""
+        amap = self.cx.action_map(self.k, levi_index)
+        icols = amap.icols
+        root = self.cx.algebra.root(levi_index)
+        cols, dens = [{} for _ in self.reps], [amap.den] * self.dim
+        for w, members in self._members.items():
+            imgs = []
+            for t in members:
+                img: dict = {}
+                for gidx, v in self.reps[t].items():
+                    linalg.vec_iadd(img, icols[gidx], v)
+                imgs.append(img)
+            if not any(imgs):
+                continue
+            coords, den = self.express(wt_add(w, root), imgs)
+            for t, col in zip(members, coords):
+                cols[t] = col
+                dens[t] *= den
+        return LeviAction(cols, dens)
 
 
 def full_levi_module(cx: ChainComplex, k: int) -> LeviModule:
     sp = cx.space(k)
-    return LeviModule(cx, k, [{i: F1} for i in range(sp.dim)])
+    return LeviModule(cx, k, [{i: 1} for i in range(sp.dim)])
 
 
 # ---------------------------------------------------------------------------
@@ -261,23 +322,25 @@ def levi_irrep_dimension(p: ParabolicDecomposition, weight: Weight,
 
 
 def _highest_weight_vectors(mod: LeviModule, raise_cols: list) -> dict:
-    """Joint kernel of the raising operators, weight by weight.
+    """Joint kernel of the raising operators (int columns of LeviAction),
+    weight by weight; each operator's block at one weight is a positive
+    multiple of the exact block, so the kernel is the exact one.
 
-    Returns {weight: [sparse coordinate vectors]} for the weights with a
-    nonzero kernel, in sorted weight order."""
+    Returns {weight: [sparse primitive int coordinate vectors]} for the
+    weights with a nonzero kernel, in sorted weight order."""
     out: dict = {}
-    for w in sorted(set(mod.weights), key=weight_key):
+    for w in sorted(mod.weight_dims(), key=weight_key):
         members = mod.members(w)
         rows = []
         for cols in raise_cols:
             targets = sorted({t for m in members for t in cols[m]})
             tpos = {t: r for r, t in enumerate(targets)}
-            block = linalg.zeros(len(targets), len(members))
+            block = [[0] * len(members) for _ in targets]
             for cj, m in enumerate(members):
                 for t, v in cols[m].items():
                     block[tpos[t]][cj] = v
             rows.extend(block)
-        kernel = linalg.nullspace(rows, ncols=len(members))
+        kernel = linalg.int_nullspace(rows, len(members))
         if kernel:
             out[w] = [{members[i]: v for i, v in enumerate(vec) if v}
                       for vec in kernel]
@@ -318,16 +381,17 @@ def decompose_levi(p: ParabolicDecomposition, mod: LeviModule) -> LDecomposition
     reducibility of each homology group), checked on the module itself.  A
     decomposition that fails it reports, for each entry, the dimension of
     the abstract Levi irrep (None past `levi_irrep_dimension`'s depth
-    guard).  All elimination is local to one weight block.
+    guard).  All elimination is local to one weight block and runs on the
+    int columns of LeviAction (exact by the module docstring's argument).
     """
     pos, neg = p.algebra.simple_vector_indices()
-    raise_cols = [mod.act(pos[i]) for i in p.levi_simple_roots]
-    lower_cols = [mod.act(neg[i]) for i in p.levi_simple_roots]
+    raise_cols = [mod.act(pos[i]).icols for i in p.levi_simple_roots]
+    lower_cols = [mod.act(neg[i]).icols for i in p.levi_simple_roots]
 
     entries = []
-    union = _WeightEchelon(mod.weights)
+    union = _WeightEchelon()
     for w, vecs in _highest_weight_vectors(mod, raise_cols).items():
-        gen = _lowering_closure(mod, lower_cols, vecs)
+        gen = _lowering_closure(lower_cols, vecs)
         entries.append(LDecompositionEntry(
             highest_weight=w,
             hw_vector_count=len(vecs),
@@ -353,38 +417,60 @@ def decompose_levi(p: ParabolicDecomposition, mod: LeviModule) -> LDecomposition
 
 
 class _WeightEchelon:
-    """Echelon basis of a span of weight-homogeneous sparse vectors.
+    """Echelon basis of a span of weight-homogeneous sparse int vectors.
 
-    Rows are kept per weight, keyed by their leading (smallest) index and
-    scaled to lead with 1, so a reduction only meets rows of its own weight.
+    Rows are primitive int rows with a positive lead, keyed by their leading
+    (smallest) index.  A module index has one weight, so the row met at the
+    lead of a weight-w vector has weight w too: a reduction only meets rows
+    of its own weight, and the vector stays weight-homogeneous.
     """
 
-    def __init__(self, weights: list):
-        self.weights = weights          # module index -> weight
-        self.rows: dict = {}            # weight -> {lead index: row}
+    def __init__(self):
+        self.rows: dict = {}            # lead index -> row
         self.rank = 0
 
     def add(self, vec: dict) -> dict | None:
         """Reduce `vec`; store and return the new row, or None if dependent."""
-        v = dict(vec)
-        rows = self.rows.setdefault(self.weights[next(iter(v))], {})
+        v, rows = vec, self.rows
         while v:
             lead = min(v)
             row = rows.get(lead)
             if row is None:
-                inv = F1 / v[lead]
-                row = {t: x * inv for t, x in v.items()}
+                cont = gcd(*v.values())
+                if v[lead] < 0:
+                    cont = -cont
+                row = {t: x // cont for t, x in v.items()}
                 rows[lead] = row
                 self.rank += 1
                 return row
-            linalg.vec_iadd(v, row, -v[lead])
+            v = _eliminate(v, row, lead)
         return None
 
 
-def _lowering_closure(mod: LeviModule, lower_cols: list, seeds: list) -> list:
-    """Echelon basis (sparse coordinate vectors) of the span of `seeds`
-    closed under the lowering operators."""
-    echelon = _WeightEchelon(mod.weights)
+def _eliminate(v: dict, row: dict, lead: int) -> dict:
+    """Primitive part of (p/g)*v - (f/g)*row, with p = row[lead] > 0,
+    f = v[lead] and g = gcd(p, f): a positive multiple of v - (f/p)*row,
+    which vanishes at `lead` (the sparse form of linalg._combine)."""
+    p, f = row[lead], v[lead]
+    g = gcd(p, f)
+    a, b = p // g, f // g
+    out = {t: a * x for t, x in v.items()}
+    for t, y in row.items():
+        z = out.get(t, 0) - b * y
+        if z:
+            out[t] = z
+        else:
+            del out[t]
+    cont = gcd(*out.values())
+    return {t: x // cont for t, x in out.items()} if cont > 1 else out
+
+
+def _lowering_closure(lower_cols: list, seeds: list) -> list:
+    """Echelon basis (sparse int coordinate vectors) of the span of the
+    weight-homogeneous `seeds` closed under the lowering operators (int
+    columns of LeviAction): each image is a positive multiple of the exact
+    one, so the span is the exact closure."""
+    echelon = _WeightEchelon()
     basis = []
     frontier = seeds
     while frontier:
@@ -617,7 +703,8 @@ class KostantAnalysis:
 def decompose_levi_hw_only(p: ParabolicDecomposition, mod: LeviModule) -> dict:
     """Highest weights with multiplicities only (no irrep builds)."""
     pos, _ = p.algebra.simple_vector_indices()
-    hw = _highest_weight_vectors(mod, [mod.act(pos[i]) for i in p.levi_simple_roots])
+    hw = _highest_weight_vectors(
+        mod, [mod.act(pos[i]).icols for i in p.levi_simple_roots])
     return {w: len(vecs) for w, vecs in hw.items()}
 
 

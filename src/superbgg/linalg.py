@@ -7,6 +7,8 @@ integer multipliers and divided by their content so entries stay small (an
 integer-preserving elimination in the spirit of Bareiss 1968, with content
 division in place of his exact division by the previous pivot), and
 Fractions are formed only when a reduced row is finally divided by its pivot.
+`int_rref` and `int_nullspace` return the int rows and primitive int kernel
+vectors themselves and form no Fraction at all.
 """
 
 from __future__ import annotations
@@ -22,12 +24,14 @@ F1 = Fraction(1)
 # sparse vectors
 # ---------------------------------------------------------------------------
 
-def vec_iadd(acc: dict, vec: dict, scale=F1) -> dict:
-    """acc += scale * vec, dropping zeros. Mutates and returns acc."""
+def vec_iadd(acc: dict, vec: dict, scale=1) -> dict:
+    """acc += scale * vec, dropping zeros. Mutates and returns acc.
+
+    New keys are seeded with the int 0, so int inputs give int sums."""
     if not scale:
         return acc
     for k, v in vec.items():
-        new = acc.get(k, F0) + scale * v
+        new = acc.get(k, 0) + scale * v
         if new:
             acc[k] = new
         else:
@@ -159,6 +163,15 @@ def rref(mat: list) -> tuple[list, list]:
     return out, pivots
 
 
+def int_rref(mat: list) -> tuple[list, list]:
+    """Fraction-free reduced echelon form: (rows, pivots) with `rows[r]` a
+    primitive int row that vanishes in every pivot column but `pivots[r]`.
+
+    Row r of rref(mat) is rows[r] / rows[r][pivots[r]]; zero rows are
+    dropped."""
+    return _echelon(mat, reduce=True)
+
+
 def rank(mat: list) -> int:
     if not mat or not mat[0]:
         return 0
@@ -181,6 +194,30 @@ def nullspace(mat: list, ncols: int | None = None) -> list:
         for r, pcol in enumerate(pivots):
             v[pcol] = -red[r][fcol]
         basis.append(v)
+    return basis
+
+
+def int_nullspace(mat: list, ncols: int) -> list:
+    """Basis of {x : mat.x = 0} as primitive int columns: column j is a
+    positive multiple of column j of nullspace(mat, ncols)."""
+    if not mat:
+        return [[int(i == j) for i in range(ncols)] for j in range(ncols)]
+    rows, pivots = int_rref(mat)
+    pivset = set(pivots)
+    basis = []
+    for fcol in range(ncols):
+        if fcol in pivset:
+            continue
+        # nullspace's column has 1 at fcol and -rows[r][fcol] / p_r at
+        # pivots[r]; scale it by lcm of the |p_r| that occur
+        live = [(pc, row[fcol], row[pc]) for row, pc in zip(rows, pivots) if row[fcol]]
+        scale = lcm(1, *(p for _, _, p in live))
+        v = [0] * ncols
+        v[fcol] = scale
+        for pc, f, p in live:
+            v[pc] = -f * (scale // p)
+        cont = gcd(*v)
+        basis.append([x // cont for x in v] if cont > 1 else v)
     return basis
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -79,6 +80,20 @@ def test_vec_helpers():
     assert linalg.vec_scale({1: F(2)}, F(0)) == {}
 
 
+def test_vec_iadd_keeps_int_sums_int():
+    """Int inputs give int sums, new keys and the default scale included;
+    Fraction inputs still give exact sums."""
+    acc = {0: 3}
+    linalg.vec_iadd(acc, {0: 2, 1: -1, 2: 5})
+    linalg.vec_iadd(acc, {1: 1, 3: 4}, -2)
+    assert acc == {0: 5, 1: -3, 2: 5, 3: -8}
+    assert all(type(v) is int for v in acc.values())
+    acc = {0: F(1, 3)}
+    linalg.vec_iadd(acc, {0: F(-1, 3), 1: 2}, F(1, 2))
+    linalg.vec_iadd(acc, {0: 1, 2: F(2, 3)})
+    assert acc == {0: F(7, 6), 1: 1, 2: F(2, 3)}
+
+
 small_fraction = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
 
@@ -141,6 +156,28 @@ def test_rref_matches_fraction_oracle(m):
     assert all(type(x) is F for row in red for x in row)
     ncols = len(m[0]) if m else 0
     assert linalg.rank(m) == (len(want_piv) if ncols else 0)
+
+
+@given(matrices())
+@settings(max_examples=200, deadline=None)
+def test_int_rref_and_int_nullspace_scale_the_exact_ones(m):
+    """int_rref rows are primitive int rows, each its pivot times the
+    oracle's RREF row; int_nullspace column j is a positive multiple of
+    nullspace column j, with coprime int entries."""
+    ncols = len(m[0]) if m else 0
+    rows, piv = linalg.int_rref(m)
+    want_red, want_piv = oracle_rref(m)
+    assert piv == (want_piv if ncols else [])
+    for row, pc, want in zip(rows, piv, want_red):
+        assert all(type(x) is int for x in row) and gcd(*row) == 1
+        assert [F(x, row[pc]) for x in row] == want
+    exact = linalg.nullspace(m, ncols=ncols)
+    ints = linalg.int_nullspace(m, ncols)
+    assert len(ints) == len(exact)
+    for v, e in zip(ints, exact):
+        assert all(type(x) is int for x in v) and gcd(*v) == 1
+        ratios = {F(x) / y for x, y in zip(v, e) if x or y}
+        assert len(ratios) == 1 and ratios.pop() > 0
 
 
 @given(matrices())
