@@ -78,13 +78,16 @@ def _block_kernels(lower, upper, quab, dim):
             "gen_zero": linalg.nullspace(power, ncols=dim)}
 
 
-def _primitive(col: dict) -> dict:
-    """The positive multiple of a sparse rational column whose entries are
-    coprime ints."""
+def _primitive(col: dict, positive_lead: bool = False) -> dict:
+    """The multiple of a sparse rational column whose entries are coprime
+    ints: the positive one, or with `positive_lead` the one whose entry at
+    the smallest index is positive."""
     den = lcm(1, *(v.denominator for v in col.values()))
     ints = {r: v.numerator * (den // v.denominator) for r, v in col.items() if v}
     cont = gcd(*ints.values())
-    return {r: v // cont for r, v in ints.items()} if cont > 1 else ints
+    if positive_lead and ints and ints[min(ints)] < 0:
+        cont = -cont
+    return {r: v // cont for r, v in ints.items()} if cont != 1 else ints
 
 
 def _ambient_columns(idxs: list, cols: list) -> list:
@@ -139,7 +142,8 @@ class HomologyReport:
 class LeviAction:
     """A Levi basis element on a LeviModule, in its coordinates: column t is
     icols[t] / dens[t], and dens[t] is the same for every representative of
-    one weight."""
+    one weight.  The decomposition reads only `icols`; `dens` and `cols`
+    are the exact view that tests compare with a rational oracle."""
 
     icols: list              # icols[t] = {member: nonzero int}
     dens: list               # dens[t] = positive int
@@ -327,7 +331,8 @@ def _highest_weight_vectors(mod: LeviModule, raise_cols: list) -> dict:
     multiple of the exact block, so the kernel is the exact one.
 
     Returns {weight: [sparse primitive int coordinate vectors]} for the
-    weights with a nonzero kernel, in sorted weight order."""
+    weights with a nonzero kernel, in sorted weight order: each is the
+    positive multiple of a `linalg.nullspace` column with coprime entries."""
     out: dict = {}
     for w in sorted(mod.weight_dims(), key=weight_key):
         members = mod.members(w)
@@ -340,9 +345,9 @@ def _highest_weight_vectors(mod: LeviModule, raise_cols: list) -> dict:
                 for t, v in cols[m].items():
                     block[tpos[t]][cj] = v
             rows.extend(block)
-        kernel = linalg.int_nullspace(rows, len(members))
+        kernel = linalg.nullspace(rows, ncols=len(members))
         if kernel:
-            out[w] = [{members[i]: v for i, v in enumerate(vec) if v}
+            out[w] = [_primitive({members[i]: v for i, v in enumerate(vec) if v})
                       for vec in kernel]
     return out
 
@@ -436,10 +441,7 @@ class _WeightEchelon:
             lead = min(v)
             row = rows.get(lead)
             if row is None:
-                cont = gcd(*v.values())
-                if v[lead] < 0:
-                    cont = -cont
-                row = {t: x // cont for t, x in v.items()}
+                row = _primitive(v, positive_lead=True)
                 rows[lead] = row
                 self.rank += 1
                 return row
@@ -461,8 +463,7 @@ def _eliminate(v: dict, row: dict, lead: int) -> dict:
             out[t] = z
         else:
             del out[t]
-    cont = gcd(*out.values())
-    return {t: x // cont for t, x in out.items()} if cont > 1 else out
+    return _primitive(out)
 
 
 def _lowering_closure(lower_cols: list, seeds: list) -> list:

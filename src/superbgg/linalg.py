@@ -7,8 +7,7 @@ integer multipliers and divided by their content so entries stay small (an
 integer-preserving elimination in the spirit of Bareiss 1968, with content
 division in place of his exact division by the previous pivot), and
 Fractions are formed only when a reduced row is finally divided by its pivot.
-`int_rref` and `int_nullspace` return the int rows and primitive int kernel
-vectors themselves and form no Fraction at all.
+`int_rref` returns the int rows themselves and forms no Fraction at all.
 """
 
 from __future__ import annotations
@@ -168,7 +167,9 @@ def int_rref(mat: list) -> tuple[list, list]:
     primitive int row that vanishes in every pivot column but `pivots[r]`.
 
     Row r of rref(mat) is rows[r] / rows[r][pivots[r]]; zero rows are
-    dropped."""
+    dropped.  The Levi solvers of `homology` eliminate through this name,
+    so a layer trace reports them as `linalg.int_rref` spans, apart from
+    the `linalg.rref` calls of every other layer."""
     return _echelon(mat, reduce=True)
 
 
@@ -194,30 +195,6 @@ def nullspace(mat: list, ncols: int | None = None) -> list:
         for r, pcol in enumerate(pivots):
             v[pcol] = -red[r][fcol]
         basis.append(v)
-    return basis
-
-
-def int_nullspace(mat: list, ncols: int) -> list:
-    """Basis of {x : mat.x = 0} as primitive int columns: column j is a
-    positive multiple of column j of nullspace(mat, ncols)."""
-    if not mat:
-        return [[int(i == j) for i in range(ncols)] for j in range(ncols)]
-    rows, pivots = int_rref(mat)
-    pivset = set(pivots)
-    basis = []
-    for fcol in range(ncols):
-        if fcol in pivset:
-            continue
-        # nullspace's column has 1 at fcol and -rows[r][fcol] / p_r at
-        # pivots[r]; scale it by lcm of the |p_r| that occur
-        live = [(pc, row[fcol], row[pc]) for row, pc in zip(rows, pivots) if row[fcol]]
-        scale = lcm(1, *(p for _, _, p in live))
-        v = [0] * ncols
-        v[fcol] = scale
-        for pc, f, p in live:
-            v[pc] = -f * (scale // p)
-        cont = gcd(*v)
-        basis.append([x // cont for x in v] if cont > 1 else v)
     return basis
 
 

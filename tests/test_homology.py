@@ -33,6 +33,7 @@ from superbgg.homology import (
     LeviModule,
     _highest_weight_vectors,
     _lowering_closure,
+    _primitive,
     _WeightEchelon,
     decompose_levi,
     full_levi_module,
@@ -592,6 +593,17 @@ def test_weight_echelon_rank_matches_linalg_rank(case):
         assert len({weights[t] for t in row}) == 1
         assert all(type(x) is int for x in row.values())
         assert math.gcd(*row.values()) == 1
+
+
+def test_primitive_divides_out_content_and_fixes_the_sign():
+    """_primitive clears denominators and content; it keeps the sign unless
+    `positive_lead` asks for a positive entry at the smallest index."""
+    col = {3: Fraction(-4, 3), 5: Fraction(2), 1: Fraction(2, 9)}
+    assert _primitive(col) == {1: 1, 3: -6, 5: 9}
+    assert _primitive({2: -6, 4: 4}) == {2: -3, 4: 2}
+    assert _primitive({2: -6, 4: 4}, positive_lead=True) == {2: 3, 4: -2}
+    assert _primitive({0: 0, 1: Fraction(0)}) == {}
+    assert all(type(x) is int for x in _primitive(col).values())
 
 
 def test_quotient_consistency_row_raises(osp46_sec7, osp46_natural):

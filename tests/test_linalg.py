@@ -160,10 +160,9 @@ def test_rref_matches_fraction_oracle(m):
 
 @given(matrices())
 @settings(max_examples=200, deadline=None)
-def test_int_rref_and_int_nullspace_scale_the_exact_ones(m):
+def test_int_rref_scales_the_exact_rref(m):
     """int_rref rows are primitive int rows, each its pivot times the
-    oracle's RREF row; int_nullspace column j is a positive multiple of
-    nullspace column j, with coprime int entries."""
+    oracle's RREF row."""
     ncols = len(m[0]) if m else 0
     rows, piv = linalg.int_rref(m)
     want_red, want_piv = oracle_rref(m)
@@ -171,13 +170,6 @@ def test_int_rref_and_int_nullspace_scale_the_exact_ones(m):
     for row, pc, want in zip(rows, piv, want_red):
         assert all(type(x) is int for x in row) and gcd(*row) == 1
         assert [F(x, row[pc]) for x in row] == want
-    exact = linalg.nullspace(m, ncols=ncols)
-    ints = linalg.int_nullspace(m, ncols)
-    assert len(ints) == len(exact)
-    for v, e in zip(ints, exact):
-        assert all(type(x) is int for x in v) and gcd(*v) == 1
-        ratios = {F(x) / y for x, y in zip(v, e) if x or y}
-        assert len(ratios) == 1 and ratios.pop() > 0
 
 
 @given(matrices())
