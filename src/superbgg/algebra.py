@@ -44,6 +44,20 @@ def wt_add(a: Weight, b: Weight) -> Weight:
     return tuple(x + y for x, y in zip(a, b))
 
 
+def wt_int(w: Weight) -> Weight:
+    """w with every integral coordinate an int.
+
+    Chain and Levi weights are a highest weight plus an integral root sum,
+    and they key every weight block.  An int hashes and compares far faster
+    than a Fraction, while hash(Fraction(n)) == hash(n) and Fraction(n) == n,
+    so a lookup with Fraction coordinates still finds the block, and
+    `weight_key` prints both the same.  A non-integral coordinate stays a
+    Fraction.  wt_add keeps this form when one summand is integral (a root
+    sum): int plus int is an int, and a non-integral Fraction plus an int
+    stays non-integral."""
+    return tuple(x.numerator if x.denominator == 1 else x for x in w)
+
+
 def wt_sub(a: Weight, b: Weight) -> Weight:
     return tuple(x - y for x, y in zip(a, b))
 
@@ -794,12 +808,42 @@ def parity_twist(op: AdjointOperation) -> AdjointOperation:
 
 
 def _check_adjoint(op: AdjointOperation):
+    """Certify that op is a parity-preserving involution phi of g with
+    phi[x, y] = [phi y, phi x] and (phi x, phi y) = (y, x); raise
+    CrossCheckFailed otherwise.
+
+    Parity and phi(phi(x)) = x are checked on every basis element.  The
+    bracket and form identities are checked for x over the Chevalley
+    generators e_i, f_i and the Cartan basis only, against every basis y:
+    dim * (2 |simple roots| + |Cartan|) pairs instead of dim^2.  That
+    suffices.
+
+    X = {x : phi[x, y] = [phi y, phi x] for all y} is a subspace, and for
+    homogeneous x1, x2 in X and any y super Jacobi gives
+    [[x1, x2], y] = [x1, [x2, y]] - (-1)^{|x1||x2|} [x2, [x1, y]], so
+        phi[[x1, x2], y] = [[phi y, phi x2], phi x1]
+                           - (-1)^{|x1||x2|} [[phi y, phi x1], phi x2]
+                         = [phi y, [phi x2, phi x1]] = [phi y, phi[x1, x2]],
+    the middle step super Jacobi for (phi y, phi x2, phi x1), whose signs
+    match because phi preserves parity.  So X is a subalgebra; it holds the
+    e_i, f_i and the Cartan, which generate g (the simple root vectors
+    generate n+ and n-), so X = g.  Then Y = {x : (phi x, phi y) = (y, x)
+    for all y} is a subalgebra too: for x1, x2 in Y, invariance of the form
+    and X = g give
+        (phi[x1, x2], phi y) = ([phi x2, phi x1], phi y)
+                             = (phi x2, [phi x1, phi y]) = (phi x2, phi[y, x1])
+                             = ([y, x1], x2) = (y, [x1, x2]),
+    so Y = g as well."""
     g = op.algebra
     for i in range(g.dim):
-        twice = op.apply(op.apply_basis(i))
-        if twice != {i: F1}:
+        img = op.apply_basis(i)
+        if any(g.parity(j) != g.parity(i) for j in img):
+            raise CrossCheckFailed("adjoint operation does not preserve parity")
+        if op.apply(img) != {i: F1}:
             raise CrossCheckFailed("adjoint operation is not an involution")
-    for i in range(g.dim):
+    pos, neg = g.simple_vector_indices()
+    generators = sorted({*pos, *neg, *g.cartan})
+    for i in generators:
         for j in range(g.dim):
             lhs = op.apply(g.bracket(i, j))
             rhs = g.bracket_vec(op.apply_basis(j), op.apply_basis(i))

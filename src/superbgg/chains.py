@@ -14,6 +14,23 @@ are h-equivariant, and are adjoint through the degreewise pairing below.
 
 Every operator is a ChainMap of integer columns over one denominator, so
 composing, adding and comparing operators is exact Python-int arithmetic.
+
+The module enters every operator only through its action matrices.  The
+boundary, the coboundary and the action of A_i unroll to
+
+    d*  = del (x) 1 + sum_a iota_a (x) rho(x_a),
+    d   = delta (x) 1 + sum_a eps(z_a) (x) rho(z_a^#),
+    A_i = ad(A_i) (x) 1 + (+-) (x) rho(A_i),
+
+and every Koszul sign depends on the exterior factor alone.  So the
+normal-form recursions run once per monomial of Lambda^k r, into an exterior
+table of images over (exterior monomial, module operator), and each ChainMap
+is assembled from the table by index arithmetic against the module's action
+columns (`ChainComplex._assemble`).
+
+Chain weights are the module's weights plus integral root sums; every
+integral coordinate is held as an int (`algebra.wt_int`), which hashes and
+compares far faster than a Fraction of the same value.
 """
 
 from __future__ import annotations
@@ -32,6 +49,7 @@ from .algebra import (
     casimir_eigenvalue,
     dual_basis_in,
     wt_add,
+    wt_int,
 )
 from .errors import CrossCheckFailed, PreconditionViolated
 from .modules import HWModule, Module
@@ -56,17 +74,34 @@ class ChainBasisElement(NamedTuple):
 
 @dataclass
 class ChainSpace:
+    """C_k with the weight and parity of each basis index.  The chain
+    monomials themselves (`basis`, `index`) are formed on first use: the
+    operators address C_k by index arithmetic and never read them."""
+
     complex: "ChainComplex"
     degree: int
-    basis: list
-    index: dict
     weights: list
     parities: list
     weight_blocks: dict
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.weights)
+
+    @functools.cached_property
+    def basis(self) -> list:
+        """basis[idx(X) * dim M + m] = X (x) v_m as a ChainBasisElement."""
+        cx = self.complex
+        par, dim = cx._parity, cx.module.dim
+        out = []
+        for x in cx.monomials(self.degree)[0]:
+            j = sum(1 for i in x if not par[i])
+            out.extend(ChainBasisElement(x[:j], x[j:], m) for m in range(dim))
+        return out
+
+    @functools.cached_property
+    def index(self) -> dict:
+        return {e: t for t, e in enumerate(self.basis)}
 
 
 @dataclass(eq=False)
@@ -195,14 +230,6 @@ def _int_if_integral(c):
     return c.numerator if c.denominator == 1 else c
 
 
-def _column(m: ChainMap, j: int) -> dict:
-    """Column j of m keyed by target monomials: ints when den is 1."""
-    basis, den = m.target.basis, m.den
-    if den == 1:
-        return {basis[r]: v for r, v in m.icols[j].items()}
-    return {basis[r]: Fraction(v, den) for r, v in m.icols[j].items()}
-
-
 def _add_term(out: dict, key, c) -> None:
     """out[key] += c, dropping the key when the sum vanishes."""
     new = out.get(key, 0) + c
@@ -213,7 +240,15 @@ def _add_term(out: dict, key, c) -> None:
 
 
 class ChainComplex:
-    """All chain degrees for one side (radical r = n or nbar) and one module."""
+    """All chain degrees for one side (radical r = n or nbar) and one module.
+
+    C_k = Lambda^k r (x) M is laid out monomial-major: the chain basis
+    element (X, m) has index idx(X) * dim M + m, with idx(X) the position of
+    X in `monomials(k)`.  Every operator is sum_o L_o (x) rho(o), where
+    L_o acts on Lambda^. r alone and o runs over the identity and a few
+    algebra elements (see `_assemble`), so the normal-form recursions run
+    once per exterior monomial and M enters only through its action
+    columns."""
 
     def __init__(self, parabolic: ParabolicDecomposition, module: Module, side: str):
         if side not in ("n", "nbar"):
@@ -233,9 +268,11 @@ class ChainComplex:
         self.odd_gens = [i for i in self.radical if g.parity(i) == 1]
         self.radical_set = frozenset(self.radical)
         self._parity = [b.parity for b in g.basis]
+        self._monomials: dict = {}      # k -> (monomials, {monomial: position})
         self._spaces: dict = {}
         self._lower: dict = {}
         self._raise: dict = {}
+        self._tables: dict = {}         # "lower" / "raise" -> (k, exterior table)
         self._actions: dict = {}        # (k, Levi simple root vector) -> action map
         self._brackets: dict = {}       # (a, generator) -> radical part of [A_a, gen]
         self._raise_terms: dict = {}    # peeled generator -> coboundary terms
@@ -243,48 +280,68 @@ class ChainComplex:
 
     # -- spaces ---------------------------------------------------------------
 
+    def monomials(self, k: int) -> tuple[list, dict]:
+        """The basis of Lambda^k r as generator tuples in normal form (even
+        generators strictly increasing, then odd ones weakly increasing),
+        and each monomial's position."""
+        hit = self._monomials.get(k)
+        if hit is None:
+            if k < 0:
+                raise ValueError("degree must be non-negative")
+            monos = [ev + od
+                     for j in range(min(k, len(self.even_gens)) + 1)
+                     for ev in itertools.combinations(self.even_gens, j)
+                     for od in itertools.combinations_with_replacement(self.odd_gens, k - j)]
+            hit = self._monomials[k] = (monos, {x: t for t, x in enumerate(monos)})
+        return hit
+
     def space(self, k: int) -> ChainSpace:
         if k in self._spaces:
             return self._spaces[k]
-        if k < 0:
-            raise ValueError("degree must be non-negative")
         g = self.algebra
         mod = self.module
+        par = self._parity
+        monos, _ = self.monomials(k)
         # roots have integral coordinates: sum them as ints, and form the
-        # weight of each distinct (module index, root sum) pair once
-        roots = {i: tuple(map(_int_if_integral, g.root(i))) for i in self.radical}
-        shifted: dict = {}      # (module index, root sum) -> [weight, members]
-        basis, weights, parities = [], [], []
-        for j in range(min(k, len(self.even_gens)) + 1):
-            for ev in itertools.combinations(self.even_gens, j):
-                for od in itertools.combinations_with_replacement(self.odd_gens, k - j):
-                    shift, par = (0,) * g.rank, 0
-                    for i in ev + od:
-                        shift = wt_add(shift, roots[i])
-                        par ^= self._parity[i]
-                    for mi in range(mod.dim):
-                        entry = shifted.get((mi, shift))
-                        if entry is None:
-                            entry = shifted[mi, shift] = [
-                                wt_add(mod.weights[mi], shift), []]
-                        entry[1].append(len(basis))
-                        basis.append(ChainBasisElement(ev, od, mi))
-                        weights.append(entry[0])
-                        parities.append(mod.parities[mi] ^ par)
-        index = {e: t for t, e in enumerate(basis)}
+        # weights of each distinct root sum once
+        roots = {i: wt_int(g.root(i)) for i in self.radical}
+        base = [wt_int(w) for w in mod.weights]
+        shifted: dict = {}      # root sum -> chain weights, one per module index
+        weights, parities = [], []
+        for x in monos:
+            shift, p = (0,) * g.rank, 0
+            for i in x:
+                shift = wt_add(shift, roots[i])
+                p ^= par[i]
+            ws = shifted.get(shift)
+            if ws is None:
+                ws = shifted[shift] = [wt_add(w, shift) for w in base]
+            weights.extend(ws)
+            parities.extend(q ^ p for q in mod.parities)
         blocks: dict = {}
-        for w, members in shifted.values():
-            blocks.setdefault(w, []).extend(members)
-        for members in blocks.values():
-            members.sort()
-        sp = ChainSpace(self, k, basis, index, weights, parities, blocks)
+        for t, w in enumerate(weights):
+            blocks.setdefault(w, []).append(t)
+        sp = ChainSpace(self, k, weights, parities, blocks)
         self._spaces[k] = sp
         return sp
 
-    # -- normal form ----------------------------------------------------------
+    def _peel(self, elem: ChainBasisElement):
+        """(leading generator, the rest) of a chain monomial."""
+        if elem.even_part:
+            g0 = elem.even_part[0]
+            rest = ChainBasisElement(elem.even_part[1:], elem.odd_part,
+                                     elem.module_index)
+        else:
+            g0 = elem.odd_part[0]
+            rest = ChainBasisElement(elem.even_part, elem.odd_part[1:],
+                                     elem.module_index)
+        return g0, rest
 
-    def _normalize(self, gens: list, mi: int):
-        """Sort generators into normal form; returns (element, sign) or None."""
+    # -- the exterior factor ----------------------------------------------------
+
+    def _normalize(self, gens):
+        """Sort generators into normal form: (monomial, Koszul sign), or None
+        when an even generator repeats."""
         par = self._parity
         items = [(par[i], i) for i in gens]
         sign = 1
@@ -297,25 +354,10 @@ class ChainComplex:
                 items[j + 1] = items[j]
                 j -= 1
             items[j + 1] = cur
-        ev, od = [], []
-        for p, idx in items:
-            if p:
-                od.append(idx)
-            else:
-                if ev and ev[-1] == idx:
-                    return None
-                ev.append(idx)
-        return ChainBasisElement(tuple(ev), tuple(od), mi), sign
-
-    def _wedge(self, gen: int, vec: dict) -> dict:
-        out: dict = {}
-        for elem, c in vec.items():
-            res = self._normalize([gen, *elem.generators()], elem.module_index)
-            if res is not None:
-                _add_term(out, res[0], c * res[1])
-        return out
-
-    # -- module structure -------------------------------------------------------
+        for (p, i), (_, i2) in zip(items, items[1:]):
+            if i == i2 and not p:
+                return None
+        return tuple(i for _, i in items), sign
 
     def _radical_bracket(self, a: int, gen: int) -> list:
         """[A_a, gen] projected to the radical, as (index, coefficient) pairs."""
@@ -328,12 +370,12 @@ class ChainComplex:
             self._brackets[key] = terms
         return terms
 
-    def act_element(self, a: int, elem: ChainBasisElement) -> dict:
-        """Action of the basis element A_a on a chain monomial; brackets with
-        generators are projected to the radical."""
+    def _ad_monomial(self, a: int, gens: tuple) -> tuple[dict, int]:
+        """A_a on the exterior monomial `gens`, brackets projected to the
+        radical: ({monomial: coefficient}, sign), where the sign
+        (-1)^{|A_a||gens|} is the one A_a picks up passing the monomial on
+        its way to the module factor."""
         par = self._parity
-        gens = elem.generators()
-        mi = elem.module_index
         odd = par[a]
         out: dict = {}
         prefix = 0          # parity of the generators passed so far
@@ -344,27 +386,11 @@ class ChainComplex:
                 rest = list(gens)
                 for kidx, cb in terms:
                     rest[t] = kidx
-                    res = self._normalize(rest, mi)
+                    res = self._normalize(rest)
                     if res is not None:
                         _add_term(out, res[0], cb * (sgn * res[1]))
             prefix ^= par[gt]
-        sgn = -1 if (odd and prefix) else 1
-        for r, cm in self.module.action[a][mi].items():
-            _add_term(out, ChainBasisElement(elem.even_part, elem.odd_part, r), cm * sgn)
-        return out
-
-    def _peel(self, elem: ChainBasisElement):
-        if elem.even_part:
-            g0 = elem.even_part[0]
-            rest = ChainBasisElement(elem.even_part[1:], elem.odd_part,
-                                     elem.module_index)
-        else:
-            g0 = elem.odd_part[0]
-            rest = ChainBasisElement(elem.even_part, elem.odd_part[1:],
-                                     elem.module_index)
-        return g0, rest
-
-    # -- the two operators ------------------------------------------------------
+        return out, (-1 if (odd and prefix) else 1)
 
     def _coboundary_terms(self, g0: int) -> list:
         """(z_a, k, c/2) for every radical term c*A_k of [z_a^#, g0]."""
@@ -379,60 +405,138 @@ class ChainComplex:
             self._raise_terms[g0] = terms
         return terms
 
-    def _to_map(self, k_src: int, k_dst: int, images: list) -> ChainMap:
-        dst = self.space(k_dst)
-        return ChainMap.from_columns(
-            self.space(k_src), dst,
-            [{dst.index[e]: c for e, c in img.items()} for img in images])
+    # -- exterior tables ----------------------------------------------------------
+    #
+    # A table of an operator C_k -> C_j is a list over the monomials X of
+    # Lambda^k r; entry X is {position(Y) * n_ops + o: c}, one term
+    # c * Y (x) rho(op_o) of the image of X (x) m, for every m.  op_0 is the
+    # identity.
+
+    def _table(self, name: str, k: int) -> list:
+        """The exterior table of lower(k) or raise_(k).  Each is built from
+        the table one degree down, and only the latest is kept."""
+        hit = self._tables.get(name)
+        if hit is not None and hit[0] == k:
+            return hit[1]
+        build = self._lower_table if name == "lower" else self._raise_table
+        table = build(k, self._table(name, k - 1) if k > 0 else None)
+        self._tables[name] = (k, table)
+        return table
+
+    def _wedge_into(self, row: dict, g0: int, entry: dict, monos: list,
+                    index: dict, nops: int, memo: dict) -> None:
+        """row -= g0 ^ entry: the terms of `entry` are over `monos`, and
+        their products with g0 over `index`, one degree up.  `memo` keeps
+        each product g0 ^ monos[t] as (position, sign) or None for the
+        table being built."""
+        for key, c in entry.items():
+            t, o = divmod(key, nops)
+            hit = memo.get((g0, t), 0)
+            if hit == 0:
+                res = self._normalize((g0, *monos[t]))
+                hit = memo[g0, t] = None if res is None else (index[res[0]], res[1])
+            if hit is not None:
+                _add_term(row, hit[0] * nops + o, -c * hit[1])
+
+    def _lower_table(self, k: int, below: list | None) -> list:
+        """Table of d*_k, ops (1, rho(x) for x in the radical): on
+        X = x0 ^ Y,  d*(X (x) m) = -x0.(Y (x) m) - x0 ^ d*(Y (x) m),  where
+        x0.(Y (x) m) = ad(x0)Y (x) m + (-1)^{|x0||Y|} Y (x) x0.m."""
+        if k == 0:
+            return [{}]
+        nops = 1 + len(self.radical)
+        op_of = {x: 1 + a for a, x in enumerate(self.radical)}
+        rest_index = self.monomials(k - 1)[1]
+        deeper = self.monomials(k - 2)[0] if k > 1 else []
+        table, memo = [], {}
+        for x in self.monomials(k)[0]:
+            x0, y = x[0], x[1:]
+            ty = rest_index[y]
+            ad, sgn = self._ad_monomial(x0, y)
+            row = {rest_index[z] * nops: -c for z, c in ad.items()}
+            _add_term(row, ty * nops + op_of[x0], -sgn)
+            self._wedge_into(row, x0, below[ty], deeper, rest_index, nops, memo)
+            table.append(row)
+        return table
+
+    def _raise_table(self, k: int, below: list | None) -> list:
+        """Table of d_k, ops (1, rho(z_a^#) for the radical basis z_a):
+        d(1 (x) m) = sum_a z_a (x) z_a^#.m, and on X = x0 ^ Y
+        d(X (x) m) = 1/2 sum_a z_a ^ [z_a^#, x0]_r ^ Y (x) m - x0 ^ d(Y (x) m)."""
+        nops = 1 + len(self.radical)
+        up_index = self.monomials(k + 1)[1]
+        if k == 0:
+            return [{up_index[(z,)] * nops + 1 + a: 1
+                     for a, z in enumerate(self.radical)}]
+        monos = self.monomials(k)[0]
+        rest_index = self.monomials(k - 1)[1]
+        table, memo = [], {}
+        for x in monos:
+            x0, y = x[0], x[1:]
+            row: dict = {}
+            # z_a ^ (A_j ^ Y) in one normal-form pass: Koszul signs multiply
+            for z, j, c in self._coboundary_terms(x0):
+                res = self._normalize((z, j, *y))
+                if res is not None:
+                    _add_term(row, up_index[res[0]] * nops, c * res[1])
+            self._wedge_into(row, x0, below[rest_index[y]], monos, up_index, nops,
+                            memo)
+            table.append(row)
+        return table
+
+    def _assemble(self, k_src: int, k_dst: int, table: list, ops: list) -> ChainMap:
+        """The ChainMap sum_o L_o (x) rho(ops[o]) of an exterior table
+        (ops[0] is None, the identity): column idx(X) * dim M + m is the sum
+        over the terms c * Y (x) rho(op_o) of entry X of c times rho(op_o)v_m
+        shifted to the rows idx(Y) * dim M + r.  It is built in ints over
+        one denominator, the lcm of the table's coefficients times the lcm
+        of the module operators' entries."""
+        mod = self.module
+        dim = mod.dim
+        ocols = [[{m: 1} for m in range(dim)] if element is None
+                 else [mod.act(element, {m: 1}) for m in range(dim)]
+                 for element in ops]
+        oden = lcm(1, *(v.denominator for cols in ocols for col in cols
+                        for v in col.values()))
+        ocols = [[{r: v.numerator * (oden // v.denominator) for r, v in col.items()}
+                  for col in cols] for cols in ocols]
+        tden = lcm(1, *(c.denominator for entry in table for c in entry.values()))
+        nops = len(ops)
+        # one int object per target row, shared by every column that has it
+        rows = list(range(self.space(k_dst).dim))
+        icols = []
+        for entry in table:
+            terms = []
+            for key, c in entry.items():
+                t, o = divmod(key, nops)
+                terms.append((t * dim, ocols[o], c.numerator * (tden // c.denominator)))
+            for m in range(dim):
+                col: dict = {}
+                for base, cols, c in terms:
+                    for r, v in cols[m].items():
+                        t = rows[base + r]
+                        col[t] = col.get(t, 0) + c * v
+                icols.append({t: v for t, v in col.items() if v})
+        return ChainMap.canonical(self.space(k_src), self.space(k_dst), icols,
+                                  tden * oden)
+
+    # -- the two operators ------------------------------------------------------
 
     def lower(self, k: int) -> ChainMap:
         """d*_k : C_k -> C_{k-1} (the boundary; delta* on the nbar side),
-        built from d*_{k-1} by  d*(X ^ f) = -X.f - X ^ d*(f),  d*|deg 0 = 0."""
+        d*(X ^ f) = -X.f - X ^ d*(f),  d*|deg 0 = 0 (a map C_0 -> C_0)."""
         if k not in self._lower:
-            sp = self.space(k)
-            if k == 0:
-                self._lower[k] = ChainMap(sp, sp, [{} for _ in sp.basis])
-            else:
-                below, index = self.lower(k - 1), self.space(k - 1).index
-                images = []
-                for e in sp.basis:
-                    g0, rest = self._peel(e)
-                    out = linalg.vec_scale(self.act_element(g0, rest), -1)
-                    linalg.vec_iadd(out, self._wedge(g0, _column(below, index[rest])), -1)
-                    images.append(out)
-                self._lower[k] = self._to_map(k, k - 1, images)
+            ops = [None, *({x: F1} for x in self.radical)]
+            self._lower[k] = self._assemble(k, max(k - 1, 0), self._table("lower", k), ops)
         return self._lower[k]
 
     def raise_(self, k: int) -> ChainMap:
         """d_k : C_k -> C_{k+1} (the coboundary; delta on the nbar side),
-        built from d_{k-1} by
-        d(v) = sum_a z_a (x) z_a^# . v
+        d(v) = sum_a z_a (x) z_a^# . v,
         d(X ^ f) = 1/2 sum_a z_a ^ [z_a^#, X]_r ^ f - X ^ d(f)."""
         if k not in self._raise:
-            sp = self.space(k)
-            images = []
-            if k == 0:
-                for e in sp.basis:
-                    out: dict = {}
-                    for a, gen in enumerate(self.radical):
-                        for r, cm in self.module.act(self.duals[a],
-                                                     {e.module_index: F1}).items():
-                            _add_term(out, self._normalize([gen], r)[0], cm)
-                    images.append(out)
-            else:
-                below, index = self.raise_(k - 1), self.space(k - 1).index
-                for e in sp.basis:
-                    g0, rest = self._peel(e)
-                    rgens = rest.generators()
-                    out = {}
-                    # z_a ^ (A_k ^ rest) in one normal-form pass: Koszul signs multiply
-                    for gen, kidx, c in self._coboundary_terms(g0):
-                        res = self._normalize([gen, kidx, *rgens], e.module_index)
-                        if res is not None:
-                            _add_term(out, res[0], c * res[1])
-                    linalg.vec_iadd(out, self._wedge(g0, _column(below, index[rest])), -1)
-                    images.append(out)
-            self._raise[k] = self._to_map(k, k + 1, images)
+            self._raise[k] = self._assemble(k, k + 1, self._table("raise", k),
+                                            [None, *self.duals])
         return self._raise[k]
 
     # -- auxiliary actions --------------------------------------------------------
@@ -446,14 +550,21 @@ class ChainComplex:
                          for v in (pos, neg))
 
     def action_map(self, k: int, i: int) -> ChainMap:
-        """Action of the basis element A_i on C_k.  Cached per (k, i) for the
-        Levi simple root vectors; any other map is built on each call (the
-        Casimir quabla builds each once per call)."""
+        """Action of the basis element A_i on C_k: ad(A_i) on the exterior
+        factor plus (-1)^{|A_i||X|} rho(A_i) on the module.  Cached per
+        (k, i) for the Levi simple root vectors; any other map is built on
+        each call (the Casimir quabla builds each once per call)."""
         key = (k, i)
         hit = self._actions.get(key)
         if hit is None:
-            hit = self._to_map(k, k, [self.act_element(i, e)
-                                      for e in self.space(k).basis])
+            monos, index = self.monomials(k)
+            table = []
+            for t, x in enumerate(monos):
+                ad, sgn = self._ad_monomial(i, x)
+                entry = {index[y] * 2: c for y, c in ad.items()}
+                entry[t * 2 + 1] = sgn
+                table.append(entry)
+            hit = self._assemble(k, k, table, [None, {i: F1}])
             if i in self._levi_simple_vectors:
                 self._actions[key] = hit
         return hit
@@ -477,11 +588,14 @@ class ChainComplex:
         for i in hvec:
             if not g.basis[i].is_cartan:
                 raise CrossCheckFailed("sum [z_a, z_a^#] is not in the Cartan")
+        # w(h) is linear in w: evaluate h on the coordinate weights once
+        hcoords = [g.eval_weight(tuple(F1 if c == d else F0 for d in range(g.rank)), hvec)
+                   for c in range(g.rank)]
         levi = self.parabolic.levi_indices
         sp = self.space(k)
         diag = [{} for _ in range(sp.dim)]
         for w, idxs in sp.weight_blocks.items():
-            val = c2 + g.eval_weight(w, hvec)
+            val = c2 + sum(x * h for x, h in zip(w, hcoords) if x and h)
             for j in idxs:
                 diag[j][j] = val
         terms = [(-HALF, ChainMap.from_columns(sp, sp, diag))]

@@ -41,6 +41,7 @@ from .algebra import (
     casimir_eigenvalue,
     weight_key,
     wt_add,
+    wt_int,
     wt_sub,
 )
 from .chains import ChainComplex, ChainMap
@@ -55,27 +56,28 @@ from .errors import (
 from .modules import Module, build_irrep, restrict_adjoint
 
 
-def _image_basis(block: list) -> list:
-    """First-come independent nonzero columns of a dense block: a basis of
-    its column space."""
-    if not (block and block[0]):
-        return []
-    cand = [[block[r][c] for r in range(len(block))] for c in range(len(block[0]))]
-    nz = [c for c in cand if any(c)]
-    return [nz[i] for i in linalg.independent_columns(nz)]
+def _quabla_kernels(quab: list, dim: int) -> tuple[list, list]:
+    """Bases of ker q and of the generalized zero eigenspace of one quabla
+    block q (dim x dim).
 
-
-def _block_kernels(lower, upper, quab, dim):
-    """(lower block, upper block, quabla block, dim) -> exact bases."""
-    # generalized zero eigenspace: kernel of quab^e for any e >= block dim
-    power = quab
-    e = 1
-    while e < dim and power:
+    The generalized zero space is ker q^e for any e >= dim.  Kernels grow
+    along q, q^2, q^4, ... and once ker q^e = ker q^2e they have stopped
+    growing, so squaring stops there; an invertible q has no generalized
+    zero space at all.  The nullspace basis is read off the RREF, which the
+    kernel alone determines, so it is the basis of ker q^e for every
+    e >= dim."""
+    kernel = linalg.nullspace(quab, ncols=dim)
+    if not kernel:
+        return [], []
+    gen_zero, power, e = kernel, quab, 1
+    while e < dim and len(gen_zero) < dim:
         power = linalg.mat_mul(power, power)
         e *= 2
-    return {"ker": linalg.nullspace(lower, ncols=dim), "im": _image_basis(upper),
-            "ker_quabla": linalg.nullspace(quab, ncols=dim),
-            "gen_zero": linalg.nullspace(power, ncols=dim)}
+        grown = linalg.nullspace(power, ncols=dim)
+        if len(grown) == len(gen_zero):
+            break
+        gen_zero = grown
+    return kernel, gen_zero
 
 
 def _primitive(col: dict, positive_lead: bool = False) -> dict:
@@ -273,7 +275,7 @@ class LeviModule:
         weight."""
         amap = self.cx.action_map(self.k, levi_index)
         icols = amap.icols
-        root = self.cx.algebra.root(levi_index)
+        root = wt_int(self.cx.algebra.root(levi_index))
         cols, dens = [{} for _ in self.reps], [amap.den] * self.dim
         for w, members in self._members.items():
             imgs = []
@@ -512,6 +514,7 @@ class KostantAnalysis:
         self._kerq_decomp: dict = {}
         self._predicates: dict = {}
         self._quabla: dict = {}
+        self._eliminated: dict = {}     # ("lower" | "raise", k) -> [echelons, images]
 
     # -- raw block data -------------------------------------------------------
 
@@ -520,20 +523,51 @@ class KostantAnalysis:
             self._quabla[k] = self.cx.quabla(k, "direct")
         return self._quabla[k]
 
+    def _operator_part(self, name: str, k: int, part: int) -> dict:
+        """{weight: kernel basis} (part 0) or {weight: image basis} (part 1)
+        of lower(k) or raise_(k), over its source weight blocks.
+
+        Each weight block is eliminated once (linalg.rref).  The image,
+        the block's pivot columns, is read off at once: those are its
+        first-come independent columns.  The kernel, linalg.nullspace's
+        basis, is formed from the kept reduced rows when it is first asked
+        for.  block_data reads the kernels of lower(k)
+        and the images of lower(k+1), predicates those of raise_(k) and
+        raise_(k-1), and both cache what they read; so the store hands each
+        part out once and forgets an operator when both parts are out."""
+        key = (name, k)
+        parts = self._eliminated.get(key)
+        if parts is None or parts[part] is None:
+            m = self.cx.lower(k) if name == "lower" else self.cx.raise_(k)
+            echelons, images = {}, {}
+            for w, cols in m.source.weight_blocks.items():
+                block = m.block(w)
+                red, pivots = linalg.rref(block) if block else ([], [])
+                echelons[w] = (red[:len(pivots)], pivots, len(cols))
+                images[w] = [[row[c] for row in block] for c in pivots]
+            parts = self._eliminated[key] = [echelons, images]
+        out, parts[part] = parts[part], None
+        if parts[1 - part] is None:
+            del self._eliminated[key]
+        if part == 0:
+            out = {w: linalg.rref_kernel(*e) for w, e in out.items()}
+        return out
+
     def block_data(self, k: int) -> dict:
         """{weight: block bases} of degree k, in weight_key order."""
         if k in self._blockdata:
             return self._blockdata[k]
         sp = self.cx.space(k)
-        lower = self.cx.lower(k)
-        upper = self.cx.lower(k + 1)
+        kernels = self._operator_part("lower", k, 0)
+        images = self._operator_part("lower", k + 1, 1)
         quab = self.quabla_map(k)
         data = {}
         for w in sorted(sp.weight_blocks, key=weight_key):
             # only kernels of the quabla block are taken, so its int
             # multiple serves
-            data[w] = _block_kernels(lower.block(w), upper.block(w),
-                                     quab.int_block(w), len(sp.weight_blocks[w]))
+            kerq, gen_zero = _quabla_kernels(quab.int_block(w), len(sp.weight_blocks[w]))
+            data[w] = {"ker": kernels[w], "im": images.get(w, []),
+                       "ker_quabla": kerq, "gen_zero": gen_zero}
         self._blockdata[k] = data
         return data
 
@@ -621,20 +655,18 @@ class KostantAnalysis:
         sp = cx.space(k)
         data = self.block_data(k)
         lower_k = cx.lower(k)
-        raise_k = cx.raise_(k)
-        below = cx.raise_(k - 1) if k > 0 else None
+        raise_kernels = self._operator_part("raise", k, 0)
+        below_images = self._operator_part("raise", k - 1, 1) if k > 0 else {}
         vals = {i: True for i in range(1, 8)}
         for w in sorted(sp.weight_blocks, key=weight_key):
-            idxs = sp.weight_blocks[w]
             d = data[w]
             kerq = d["ker_quabla"]
             gz = d["gen_zero"]
             im_up = d["im"]
             ker_low = d["ker"]
             lb = lower_k.block(w)
-            rb = raise_k.block(w)
-            ker_raise = linalg.nullspace(rb, ncols=len(idxs))
-            im_below = _image_basis(below.block(w)) if below is not None else []
+            ker_raise = raise_kernels[w]
+            im_below = below_images.get(w, [])
             if linalg.intersect_columnspaces(im_up, kerq):
                 vals[1] = False
             if linalg.intersect_columnspaces(im_up, gz):
@@ -738,5 +770,6 @@ def multiplicity_criterion(an: KostantAnalysis, k_max: int) -> tuple:
         for w, m in decs[k].items():
             m2 = decs[k + 1].get(w, 0)
             if m * m2 > 1:
-                return False, (k, w)
+                # the witness is a Weight of Fractions, as reports print it
+                return False, (k, tuple(map(Fraction, w)))
     return True, None

@@ -182,18 +182,24 @@ def rank(mat: list) -> int:
 def nullspace(mat: list, ncols: int | None = None) -> list:
     """Basis of {x : mat.x = 0} as dense column vectors (list of lists)."""
     if not mat:
-        return [] if not ncols else [
-            [F1 if i == j else F0 for i in range(ncols)] for j in range(ncols)
-        ]
+        return rref_kernel([], [], ncols or 0)
     red, pivots = rref(mat)
-    ncols = len(mat[0])
-    free = [c for c in range(ncols) if c not in pivots]
+    return rref_kernel(red, pivots, len(mat[0]))
+
+
+def rref_kernel(red: list, pivots: list, ncols: int) -> list:
+    """The nullspace basis read off (red, pivots) = rref(mat): for each free
+    column the vector with 1 there, 0 at the other free columns and minus
+    the reduced rows' entries at the pivots."""
+    pivot_set = set(pivots)
     basis = []
-    for fcol in free:
+    for fcol in range(ncols):
+        if fcol in pivot_set:
+            continue
         v = [F0] * ncols
         v[fcol] = F1
-        for r, pcol in enumerate(pivots):
-            v[pcol] = -red[r][fcol]
+        for row, pcol in zip(red, pivots):
+            v[pcol] = -row[fcol]
         basis.append(v)
     return basis
 

@@ -214,6 +214,22 @@ def oracle_coboundary(p, module, side, word, mi):
                                            list(zip(radical, duals)), (tuple(word), mi)))
 
 
+def oracle_action(p, module, side, a, word, mi):
+    """Basis element a on the sorted monomial `word` (x) v_mi: the adjoint
+    action on each raw tensor factor (projected to the radical) plus the
+    module action, projected to sorted exterior monomials; returns
+    {(sorted word, module index): Fraction}."""
+    g = p.algebra
+    radical = set(p.nbar_indices if side == "nbar" else p.n_indices)
+    return _exterior(g, _tensor_act(g, module, radical, a, (tuple(word), mi)))
+
+
+def oracle_wedge(g, gen, vec):
+    """gen ^ vec for {(sorted word, module index): c}, projected to sorted
+    exterior monomials."""
+    return _exterior(g, {((gen,) + word, mi): c for (word, mi), c in vec.items()})
+
+
 def oracle_homology_dims(p, module, k_max, side="nbar"):
     """Homology dimensions per degree and weight from a tensor-space assembly.
 
@@ -453,6 +469,14 @@ def _kernel_dense(rows, ncols):
             x[lead] = -sum((row[c] * x[c] for c in range(lead + 1, ncols)), F0) / row[lead]
         basis.append(x)
     return basis
+
+
+def oracle_kernel(mat, ncols):
+    """Basis of {x : mat.x = 0}: for each free column the kernel vector with
+    1 there and 0 at the other free columns, by back substitution."""
+    if not mat:
+        return [[F1 if i == j else F0 for i in range(ncols)] for j in range(ncols)]
+    return _kernel_dense([[Fraction(x) for x in row] for row in mat], ncols)
 
 
 def _levi_generated_spans(weights, raise_mats, lower_mats):

@@ -6,6 +6,8 @@ import pytest
 from oracles import oracle_rref
 from superbgg import linalg
 from superbgg.algebra import (
+    AdjointOperation,
+    _check_adjoint,
     build_adjoint_operation,
     build_algebra,
     build_parabolic,
@@ -14,7 +16,7 @@ from superbgg.algebra import (
     wt,
     wt_zero,
 )
-from superbgg.errors import DegenerateForm, UnsupportedAlgebra
+from superbgg.errors import CrossCheckFailed, DegenerateForm, UnsupportedAlgebra
 from superbgg.modules import casimir_action_scalar, natural_module
 
 F1 = Fraction(1)
@@ -217,6 +219,42 @@ def test_adjoint_invariants(gl21, osp12, osp46):
                 assert lhs == rhs
                 assert (g.form(op.apply_basis(i), op.apply_basis(j))
                         == g.form({j: F1}, {i: F1}))
+
+
+@pytest.mark.parametrize("name", ["gl21", "osp12", "osp46"])
+def test_adjoint_certificate_rejects_wrong_non_generator_image(name, request):
+    """The generator-local certificate checks brackets only for x among the
+    e_i, f_i and the Cartan, yet it fails an operation with a wrong image on
+    a root vector that is none of them: alone the involution breaks, and
+    with the reciprocal scaling of its partner (an involution again) the
+    bracket or form identity does."""
+    g = request.getfixturevalue(name)
+    op = build_adjoint_operation(g, 1)
+    _check_adjoint(op)
+    pos, neg = g.simple_vector_indices()
+    generators = {*pos, *neg, *g.cartan}
+    i = next(i for i in range(g.dim) if i not in generators)
+    (j, c), = op.apply_basis(i).items()
+    assert j != i and j not in generators
+    images = list(op.images)
+    images[i] = {j: 2 * c}
+    with pytest.raises(CrossCheckFailed, match="involution"):
+        _check_adjoint(AdjointOperation(g, images, op.star_type))
+    images[j] = linalg.vec_scale(op.images[j], Fraction(1, 2))
+    mutated = AdjointOperation(g, images, op.star_type)
+    assert all(mutated.apply(mutated.apply_basis(t)) == {t: F1} for t in range(g.dim))
+    with pytest.raises(CrossCheckFailed, match="dagger"):
+        _check_adjoint(mutated)
+
+
+def test_adjoint_certificate_rejects_parity_change(gl21):
+    op = build_adjoint_operation(gl21, 1)
+    images = list(op.images)
+    even = next(i for i in range(gl21.dim) if not gl21.parity(i))
+    odd = next(i for i in range(gl21.dim) if gl21.parity(i))
+    images[even], images[odd] = images[odd], images[even]
+    with pytest.raises(CrossCheckFailed, match="parity"):
+        _check_adjoint(AdjointOperation(gl21, images, op.star_type))
 
 
 def test_adjoint_type_flags(osp12, osp46):

@@ -10,10 +10,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    oracle_action,
     oracle_boundary,
     oracle_coboundary,
     oracle_map_combination,
     oracle_map_product,
+    oracle_wedge,
 )
 from superbgg import linalg
 from superbgg.algebra import build_algebra, build_parabolic, wt
@@ -119,35 +121,62 @@ def test_block_diagonality_and_global_assembly(gl21_setup):
         assert rebuilt == up.cols
 
 
+def _element(g, word, mi):
+    """The chain monomial of a sorted oracle word (x) v_mi."""
+    return (tuple(i for i in word if not g.parity(i)),
+            tuple(i for i in word if g.parity(i)), mi)
+
+
 def _oracle_map(cx, k, k_dst, oracle):
     """ChainMap of the per-monomial oracle images of C_k in C_{k_dst}."""
     g, tgt = cx.algebra, cx.space(k_dst)
     cols = []
     for e in cx.space(k).basis:
         img = oracle(cx.parabolic, cx.module, cx.side, e.generators(), e.module_index)
-        col = {}
-        for (word, mi), c in img.items():
-            elem = (tuple(i for i in word if not g.parity(i)),
-                    tuple(i for i in word if g.parity(i)), mi)
-            col[tgt.index[elem]] = c
-        cols.append(col)
+        cols.append({tgt.index[_element(g, word, mi)]: c
+                     for (word, mi), c in img.items()})
     return ChainMap.from_columns(cx.space(k), tgt, cols)
 
 
-def test_operators_match_per_monomial_oracles(gl21_setup):
-    """lower(k) and raise_(k), built degree by degree from the maps below,
-    equal the per-monomial recursions exactly, including a coboundary with
-    denominator 2."""
+def _oracle_cases(gl21_setup, osp54_drop0):
+    """Complexes for the oracle comparisons: gl(2|1) on both sides, osp(3|2)
+    (a coboundary with denominator 2) and the osp(5|4) natural module on
+    its drop-0 parabolic (dim M = 9, a Levi with odd roots)."""
     g, p, v, vd = gl21_setup
     g32 = build_algebra("osp", 3, 1)
     p32 = build_parabolic(g32, [])
-    cases = [ChainComplex(p, v, "n"), ChainComplex(p, vd, "nbar"),
-             ChainComplex(p32, build_irrep(g32, wt(1, 0)), "nbar")]
+    _, p54, v54 = osp54_drop0
+    return [ChainComplex(p, v, "n"), ChainComplex(p, vd, "nbar"),
+            ChainComplex(p32, build_irrep(g32, wt(1, 0)), "nbar"),
+            ChainComplex(p54, v54, "nbar")]
+
+
+def test_operators_match_per_monomial_oracles(gl21_setup, osp54_drop0):
+    """lower(k) and raise_(k), assembled from exterior tables built degree
+    by degree, equal the per-monomial recursions of the oracle exactly."""
+    cases = _oracle_cases(gl21_setup, osp54_drop0)
     for cx in cases:
         for k in range(4):
             assert cx.lower(k) == _oracle_map(cx, k, max(k - 1, 0), oracle_boundary)
             assert cx.raise_(k) == _oracle_map(cx, k, k + 1, oracle_coboundary)
     assert any(cases[2].raise_(k).den > 1 for k in range(4))
+    assert cases[3].module.dim == 9
+
+
+def test_action_maps_match_oracle(gl21_setup, osp54_drop0):
+    """action_map(k, i) equals the tensor-word action for every basis
+    element of the algebra, Levi or not, on both sides."""
+    for cx in _oracle_cases(gl21_setup, osp54_drop0):
+        g = cx.algebra
+        for k in range(3):
+            sp = cx.space(k)
+            for i in range(g.dim):
+                cols = [{sp.index[_element(g, word, mi)]: c
+                         for (word, mi), c in oracle_action(
+                             cx.parabolic, cx.module, cx.side, i,
+                             e.generators(), e.module_index).items()}
+                        for e in sp.basis]
+                assert cx.action_map(k, i) == ChainMap.from_columns(sp, sp, cols)
 
 
 def test_trivial_module_boundary_gl11():
@@ -198,9 +227,11 @@ def test_coboundary_deviation_identity(gl21_setup):
                         continue
                     acted = {}
                     for t, c in brp.items():
-                        linalg.vec_iadd(acted, cx.act_element(t, e), c)
-                    linalg.vec_iadd(corr, cx._wedge(gen, acted))
-                expect = {tgt.index[t]: c for t, c in corr.items()}
+                        linalg.vec_iadd(acted, oracle_action(
+                            p, v, "n", t, e.generators(), e.module_index), c)
+                    linalg.vec_iadd(corr, oracle_wedge(g, gen, acted))
+                expect = {tgt.index[_element(g, word, mi)]: c
+                          for (word, mi), c in corr.items()}
                 got = dict(lhs.cols[j])
                 linalg.vec_iadd(got, rhs.cols[j], Fraction(-1))
                 assert got == expect
@@ -408,7 +439,7 @@ def _bare_space(weights):
     for t, w in enumerate(weights):
         blocks.setdefault(w, []).append(t)
     n = len(weights)
-    return ChainSpace(None, 0, list(range(n)), {}, list(weights), [0] * n, blocks)
+    return ChainSpace(None, 0, list(weights), [0] * n, blocks)
 
 
 def _map_of(src, tgt, dense):

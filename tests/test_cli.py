@@ -336,16 +336,27 @@ def test_cli_never_builds_fraction_view(capsys, monkeypatch, argv):
 REFERENCES = Path(__file__).resolve().parent.parent / "perfbench" / "references.json"
 
 
-@pytest.mark.parametrize("qid", ["borel-gl32-k4", "natural-osp54-k3"])
+@pytest.mark.parametrize("qid", sorted(json.loads(REFERENCES.read_text())))
 def test_benchmark_reports_match_references(capsys, qid):
-    """The two benchmark queries reproduce their recorded exit code and
-    report (without wall_time_ms) exactly."""
+    """Every recorded benchmark query reproduces its exit code and report
+    (without wall_time_ms) exactly."""
     ref = json.loads(REFERENCES.read_text())[qid]
     code, out = run_cli(capsys, *ref["argv"])
     report = json.loads(out)
     report.pop("wall_time_ms")
     assert code == ref["exit"]
     assert json.dumps(report, sort_keys=True) == json.dumps(ref["report"], sort_keys=True)
+
+
+def test_half_integral_weight_report(capsys):
+    """A gl(2|1) weight with non-integral coordinates keeps them as
+    Fractions through the chain layer: the report prints 1/2."""
+    code, out = run_cli(capsys, "homology", "--alg", "gl", "--m", "2", "--n", "1",
+                        "--weight", "1/2,1/2|0", "--kmax", "2")
+    assert code == 0
+    degrees = json.loads(out)["degrees"]
+    assert degrees[0]["decomposition"]["entries"][0]["highest_weight"] == ["1/2", "1/2", "0"]
+    assert degrees[1]["decomposition"]["entries"][0]["highest_weight"] == ["-1/2", "3/2", "0"]
 
 
 def test_natural_benchmark_report_builds_no_levi_irrep(capsys, monkeypatch):

@@ -13,10 +13,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    oracle_action,
     oracle_boundary_squares_to_zero,
     oracle_homology_dims,
+    oracle_kernel,
     oracle_levi_decomposition,
     oracle_levi_generated_dims,
+    oracle_map_product,
 )
 from superbgg import linalg
 from superbgg.algebra import (
@@ -34,6 +37,7 @@ from superbgg.homology import (
     _highest_weight_vectors,
     _lowering_closure,
     _primitive,
+    _quabla_kernels,
     _WeightEchelon,
     decompose_levi,
     full_levi_module,
@@ -432,15 +436,21 @@ def test_generated_dimension_matches_dense_oracle(case, request):
 
 
 def _stacked_solve_action(mod, i):
-    """Exact columns of A_i on `mod`: act_element on each representative's
-    monomials, then one linalg.solve against [modulo | reps] of the target
-    weight, independent of the module's solvers."""
+    """Exact columns of A_i on `mod`: the oracle's tensor-word action on
+    each representative's monomials, then one linalg.solve against
+    [modulo | reps] of the target weight, independent of the complex's
+    action maps and of the module's solvers."""
     sp, cx = mod.space, mod.cx
+    g = cx.algebra
     out = []
     for t, rep in enumerate(mod.reps):
         img: dict = {}
         for gidx, v in rep.items():
-            for elem, c in cx.act_element(i, sp.basis[gidx]).items():
+            e = sp.basis[gidx]
+            for (word, mi), c in oracle_action(cx.parabolic, cx.module, cx.side, i,
+                                               e.generators(), e.module_index).items():
+                elem = (tuple(x for x in word if not g.parity(x)),
+                        tuple(x for x in word if g.parity(x)), mi)
                 linalg.vec_iadd(img, {sp.index[elem]: c}, v)
         if not img:
             out.append({})
@@ -634,7 +644,7 @@ def test_decompose_levi_reaches_the_action_only_through_act(
     mod = an.homology_quotient_module(1)
     depth, acts, outside = [0], [], []
     act, action_map = LeviModule.act, ChainComplex.action_map
-    act_element = ChainComplex.act_element
+    ad_monomial = ChainComplex._ad_monomial
 
     def spy_act(self, i):
         acts.append(i)
@@ -649,14 +659,14 @@ def test_decompose_levi_reaches_the_action_only_through_act(
             outside.append(("action_map", k, i))
         return action_map(self, k, i)
 
-    def spy_element(self, i, elem):
+    def spy_monomial(self, i, gens):
         if not depth[0]:
-            outside.append(("act_element", i))
-        return act_element(self, i, elem)
+            outside.append(("_ad_monomial", i))
+        return ad_monomial(self, i, gens)
 
     monkeypatch.setattr(LeviModule, "act", spy_act)
     monkeypatch.setattr(ChainComplex, "action_map", spy_map)
-    monkeypatch.setattr(ChainComplex, "act_element", spy_element)
+    monkeypatch.setattr(ChainComplex, "_ad_monomial", spy_monomial)
     decompose_levi(osp46_sec7, mod)
     pos, neg = osp46_sec7.algebra.simple_vector_indices()
     roots = osp46_sec7.levi_simple_roots
@@ -668,7 +678,9 @@ def test_levi_action_has_one_owner(osp46_sec7, osp46_natural, monkeypatch):
     """The complex builds the action of a Levi simple root vector on C_k
     once: the Casimir quabla and LeviModule.act read the same cached map, so
     decomposing a homology quotient acts on no chain monomial again.  The
-    other Levi maps serve only the Casimir quabla and are not kept."""
+    other Levi maps serve only the Casimir quabla and are not kept.  A map
+    runs the exterior action `_ad_monomial` once per monomial of
+    Lambda^k nbar, so a decomposition that builds no map calls it never."""
     an = KostantAnalysis(osp46_sec7, osp46_natural, k_max=2)
     cx, k = an.cx, 1
     pos, neg = osp46_sec7.algebra.simple_vector_indices()
@@ -680,13 +692,13 @@ def test_levi_action_has_one_owner(osp46_sec7, osp46_natural, monkeypatch):
     mod = an.homology_quotient_module(k)
     assert mod.dim
     calls = []
-    act_element = ChainComplex.act_element
+    ad_monomial = ChainComplex._ad_monomial
 
-    def spy(self, i, elem):
-        calls.append(elem)
-        return act_element(self, i, elem)
+    def spy(self, i, gens):
+        calls.append(gens)
+        return ad_monomial(self, i, gens)
 
-    monkeypatch.setattr(ChainComplex, "act_element", spy)
+    monkeypatch.setattr(ChainComplex, "_ad_monomial", spy)
     dec = decompose_levi(osp46_sec7, mod)
     assert dec.total_dimension == mod.dim
     assert calls == []
@@ -793,3 +805,67 @@ def test_certificate_refuses_kac_modules(alg, levi, lam):
                  for k in (0, 1) for mod in _levi_modules(an, k)]
     assert not certified[0]                  # the Kac module itself
     assert certified.count(False) >= 3
+
+
+# ---------------------------------------------------------------------------
+# block eliminations
+# ---------------------------------------------------------------------------
+
+def _diag_blocks(*blocks):
+    n = sum(len(b) for b in blocks)
+    out, at = [[0] * n for _ in range(n)], 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[at + i][at:at + len(row)] = row
+        at += len(b)
+    return out
+
+
+_JORDAN3 = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
+
+
+@pytest.mark.parametrize("quab, squarings", [
+    ([[2, 1, 0], [1, 1, 0], [0, 3, -1]], 0),                     # invertible
+    ([[0] * 3 for _ in range(3)], 0),                               # zero
+    ([[0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0]], 1),  # q^2 = 0
+    (_diag_blocks([[0]], [[1, 1], [0, 1]], [[3]], [[5]]), 1),       # ker q = ker q^2
+    (_diag_blocks(_JORDAN3, [[1]]), 2),             # ker q < ker q^2 < ker q^4
+    (_diag_blocks([[0, 2], [0, 0]], [[1, 0], [1, 1]], [[0]]), 2),   # stops at q^4
+])
+def test_quabla_kernels_match_oracle(quab, squarings, monkeypatch):
+    """ker q and the generalized zero space ker q^dim of one quabla block
+    equal the oracle's bases; squaring stops once the kernel stops growing,
+    and an invertible block squares not at all."""
+    dim = len(quab)
+    calls = []
+    mat_mul = linalg.mat_mul
+
+    def spy(a, b):
+        calls.append(len(a))
+        return mat_mul(a, b)
+
+    monkeypatch.setattr(linalg, "mat_mul", spy)
+    kerq, gen_zero = _quabla_kernels(quab, dim)
+    power = quab
+    for _ in range(dim - 1):
+        power = oracle_map_product(power, quab, dim)
+    assert kerq == oracle_kernel(quab, dim)
+    assert gen_zero == oracle_kernel(power, dim)
+    assert len(calls) == squarings
+
+
+def test_half_integral_weight_keys_blocks(gl21, gl21_borel):
+    """Chain weights write integral coordinates as ints and keep the
+    non-integral ones of lambda = (1/2, 1/2 | 0) as Fractions; the blocks
+    key correctly either way and the homology equals the oracle's."""
+    lam = wt(Fraction(1, 2), Fraction(1, 2), 0)
+    module = build_irrep(gl21, lam)
+    an = KostantAnalysis(gl21_borel, module, k_max=2)
+    sp = an.cx.space(1)
+    for w in sp.weight_blocks:
+        assert [type(x) for x in w] == [Fraction, Fraction, int]
+        assert sp.weight_blocks[tuple(map(Fraction, w))] is sp.weight_blocks[w]
+    want = oracle_homology_dims(gl21_borel, module, 2)
+    for k in range(3):
+        assert an.homology(k).weight_multiplicities == want[k]
+    assert an.homology(0).weight_multiplicities == {lam: 1}

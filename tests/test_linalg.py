@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_positive_definite, oracle_rref
+from oracles import oracle_kernel, oracle_positive_definite, oracle_rref
 from superbgg import linalg
 
 F = Fraction
@@ -170,6 +170,22 @@ def test_int_rref_scales_the_exact_rref(m):
     for row, pc, want in zip(rows, piv, want_red):
         assert all(type(x) is int for x in row) and gcd(*row) == 1
         assert [F(x, row[pc]) for x in row] == want
+
+
+@given(matrices())
+@settings(max_examples=120, deadline=None)
+def test_rref_pivots_and_kernel_basis_match_oracles(m):
+    """The RREF pivots are the first-come independent columns (so a block's
+    pivot columns are its image basis), and nullspace, read off the RREF
+    by rref_kernel, is the oracle's kernel basis vector for vector."""
+    ncols = len(m[0]) if m else 0
+    red, pivots = linalg.rref(m)
+    cols = [[row[c] for row in m] for c in range(ncols)]
+    nonzero = [c for c in range(ncols) if any(cols[c])]
+    assert pivots == [nonzero[i] for i in
+                      linalg.independent_columns([cols[c] for c in nonzero])]
+    assert linalg.nullspace(m, ncols=ncols) == oracle_kernel(m, ncols)
+    assert linalg.rref_kernel(red, pivots, ncols) == oracle_kernel(m, ncols)
 
 
 @given(matrices())
