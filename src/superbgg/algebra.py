@@ -9,6 +9,7 @@ and dual bases are Fractions; nothing here ever touches floats.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -311,8 +312,10 @@ class LieSuperalgebra:
             if not b.is_cartan and self.is_positive_root(b.root)
         ]
 
-    @property
+    @functools.cached_property
     def rho(self) -> Weight:
+        """Half the even positive roots minus half the odd ones, formed once
+        per algebra."""
         acc = wt_zero(self.rank)
         for i in self.positive_root_indices():
             b = self.basis[i]

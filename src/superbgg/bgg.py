@@ -124,10 +124,8 @@ def bgg_verdict(g: LieSuperalgebra, p: ParabolicDecomposition, lam: Weight,
     summ = an.predicate_summary()
     details["predicates"] = summ["global"]
     if summ["global"][1] and summ["global"][5]:
-        matches = all(
-            an.homology(k).weight_multiplicities == an.ker_quabla(k).weight_dims()
-            for k in range(k_max)
-        )
+        matches = all(an.homology(k).weight_multiplicities
+                      == an.block_dims(k, "ker_quabla") for k in range(k_max))
         details["homology_matches_ker_quabla"] = matches
         if matches:
             return BGGVerdict("Exists", "DirectDisjointness", shape, reports, details, an)
@@ -327,7 +325,7 @@ def _scenario_osp12_counterexample(lam: int = 1, k_max: int = 4):
     for k in range(2, k_max + 1):
         checks.append(_check(f"H_{k} vanishes",
                              an.homology(k).homology_dimension == 0))
-    kq = an.ker_quabla(1).dim
+    kq = sum(an.block_dims(1, "ker_quabla").values())
     checks.append(_check("ker quabla_1 strictly larger than H_1",
                          kq > an.homology(1).homology_dimension,
                          f"dim ker quabla_1 = {kq}"))
@@ -349,7 +347,7 @@ def _scenario_glmn_borel_natural():
             kerd = len(idxs) - linalg.rank(blk)
             if kerd:
                 coh0[w] = kerd
-        kq0 = an.ker_quabla(0).weight_dims()
+        kq0 = an.block_dims(0, "ker_quabla")
         same = coh0 == kq0
         checks.append(_check(
             f"gl({m}|{n}): H^0(n, natural) iso ker quabla_0 is {expect}",

@@ -279,8 +279,8 @@ def _cmd_homology(args, t0) -> int:
             "dim_im_boundary_above": rep.dim_im_boundary_above,
             "homology_dimension": rep.homology_dimension,
             "decomposition": _decomposition(an.homology_decomposition(k)),
-            "ker_quabla_dimension": an.ker_quabla(k).dim,
-            "generalized_zero_dimension": an.generalized_zero(k).dim,
+            "ker_quabla_dimension": sum(an.block_dims(k, "ker_quabla").values()),
+            "generalized_zero_dimension": sum(an.block_dims(k, "gen_zero").values()),
         })
     summ = an.predicate_summary()
     report = {

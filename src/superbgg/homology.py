@@ -22,6 +22,11 @@ weight-homogeneous vectors and ranks are unchanged by a nonzero scalar per
 block, which is why decompose_levi reads only the int columns and gets the
 same H_w, G_w, certificate and dimensions as exact rational arithmetic.
 
+The homology block layer runs on ints too: images are pivot columns of
+den times the exact block, kernel vectors positive multiples of the RREF
+kernel vectors.  That changes no span, rank, intersection or first-come
+complement, and LeviModule makes its inputs primitive anyway.
+
 Homology groups of interest are H_k(nbar, W) = ker(delta*_k)/im(delta*_{k+1})
 computed on Lambda^. nbar (x) W; these are the groups whose induced modules
 form BGG resolutions of W.
@@ -57,23 +62,23 @@ from .modules import Module, build_irrep, restrict_adjoint
 
 
 def _quabla_kernels(quab: list, dim: int) -> tuple[list, list]:
-    """Bases of ker q and of the generalized zero eigenspace of one quabla
-    block q (dim x dim).
+    """Bases of ker q and of the generalized zero eigenspace of one int
+    quabla block q (dim x dim), as primitive int vectors.
 
     The generalized zero space is ker q^e for any e >= dim.  Kernels grow
     along q, q^2, q^4, ... and once ker q^e = ker q^2e they have stopped
     growing, so squaring stops there; an invertible q has no generalized
-    zero space at all.  The nullspace basis is read off the RREF, which the
-    kernel alone determines, so it is the basis of ker q^e for every
-    e >= dim."""
-    kernel = linalg.nullspace(quab, ncols=dim)
+    zero space at all.  The kernel basis (linalg.int_kernel) is read off
+    the RREF, which the kernel alone determines, so it is the basis of
+    ker q^e for every e >= dim."""
+    kernel = linalg.int_kernel(*linalg.int_rref(quab, integral=True), dim)
     if not kernel:
         return [], []
     gen_zero, power, e = kernel, quab, 1
     while e < dim and len(gen_zero) < dim:
         power = linalg.mat_mul(power, power)
         e *= 2
-        grown = linalg.nullspace(power, ncols=dim)
+        grown = linalg.int_kernel(*linalg.int_rref(power, integral=True), dim)
         if len(grown) == len(gen_zero):
             break
         gen_zero = grown
@@ -230,7 +235,7 @@ class LeviModule:
                 aug[pos[gidx]][j] = v
         for i in range(n):
             aug[i][c + i] = 1
-        rows, pivots = linalg.int_rref(aug)       # n rows: [A | I] has rank n
+        rows, pivots = linalg.int_rref(aug, integral=True)   # n rows: [A | I] has rank n
         rank = sum(1 for pc in pivots if pc < c)
         den = lcm(1, *(rows[r][pivots[r]] for r in range(rank)))
         ecols = [{} for _ in range(n)]
@@ -333,8 +338,7 @@ def _highest_weight_vectors(mod: LeviModule, raise_cols: list) -> dict:
     multiple of the exact block, so the kernel is the exact one.
 
     Returns {weight: [sparse primitive int coordinate vectors]} for the
-    weights with a nonzero kernel, in sorted weight order: each is the
-    positive multiple of a `linalg.nullspace` column with coprime entries."""
+    weights with a nonzero kernel, in sorted weight order."""
     out: dict = {}
     for w in sorted(mod.weight_dims(), key=weight_key):
         members = mod.members(w)
@@ -347,9 +351,9 @@ def _highest_weight_vectors(mod: LeviModule, raise_cols: list) -> dict:
                 for t, v in cols[m].items():
                     block[tpos[t]][cj] = v
             rows.extend(block)
-        kernel = linalg.nullspace(rows, ncols=len(members))
+        kernel = linalg.int_kernel(*linalg.int_rref(rows, integral=True), len(members))
         if kernel:
-            out[w] = [_primitive({members[i]: v for i, v in enumerate(vec) if v})
+            out[w] = [{members[i]: v for i, v in enumerate(vec) if v}
                       for vec in kernel]
     return out
 
@@ -513,6 +517,7 @@ class KostantAnalysis:
         self._decomp: dict = {}
         self._kerq_decomp: dict = {}
         self._predicates: dict = {}
+        self._lower_vals: dict = {}
         self._quabla: dict = {}
         self._eliminated: dict = {}     # ("lower" | "raise", k) -> [echelons, images]
 
@@ -525,36 +530,36 @@ class KostantAnalysis:
 
     def _operator_part(self, name: str, k: int, part: int) -> dict:
         """{weight: kernel basis} (part 0) or {weight: image basis} (part 1)
-        of lower(k) or raise_(k), over its source weight blocks.
+        of lower(k) or raise_(k), over its source weight blocks, as ints.
 
-        Each weight block is eliminated once (linalg.rref).  The image,
-        the block's pivot columns, is read off at once: those are its
-        first-come independent columns.  The kernel, linalg.nullspace's
-        basis, is formed from the kept reduced rows when it is first asked
-        for.  block_data reads the kernels of lower(k)
-        and the images of lower(k+1), predicates those of raise_(k) and
-        raise_(k-1), and both cache what they read; so the store hands each
-        part out once and forgets an operator when both parts are out."""
+        Each int block is eliminated once (linalg.int_rref).  The image, the
+        block's pivot columns, is read off at once: those are its first-come
+        independent columns.  The kernel (linalg.int_kernel) is formed from
+        the kept rows when it is first asked for.  block_data reads the
+        kernels of lower(k) and the images of lower(k+1), predicates those
+        of raise_(k) and raise_(k-1), and both cache what they read; so the
+        store hands each part out once and forgets an operator when both
+        parts are out."""
         key = (name, k)
         parts = self._eliminated.get(key)
         if parts is None or parts[part] is None:
             m = self.cx.lower(k) if name == "lower" else self.cx.raise_(k)
             echelons, images = {}, {}
             for w, cols in m.source.weight_blocks.items():
-                block = m.block(w)
-                red, pivots = linalg.rref(block) if block else ([], [])
-                echelons[w] = (red[:len(pivots)], pivots, len(cols))
+                block = m.int_block(w)
+                rows, pivots = linalg.int_rref(block, integral=True)
+                echelons[w] = (rows, pivots, len(cols))
                 images[w] = [[row[c] for row in block] for c in pivots]
             parts = self._eliminated[key] = [echelons, images]
         out, parts[part] = parts[part], None
         if parts[1 - part] is None:
             del self._eliminated[key]
         if part == 0:
-            out = {w: linalg.rref_kernel(*e) for w, e in out.items()}
+            out = {w: linalg.int_kernel(*e) for w, e in out.items()}
         return out
 
     def block_data(self, k: int) -> dict:
-        """{weight: block bases} of degree k, in weight_key order."""
+        """{weight: int block bases} of degree k, in weight_key order."""
         if k in self._blockdata:
             return self._blockdata[k]
         sp = self.cx.space(k)
@@ -563,8 +568,6 @@ class KostantAnalysis:
         quab = self.quabla_map(k)
         data = {}
         for w in sorted(sp.weight_blocks, key=weight_key):
-            # only kernels of the quabla block are taken, so its int
-            # multiple serves
             kerq, gen_zero = _quabla_kernels(quab.int_block(w), len(sp.weight_blocks[w]))
             data[w] = {"ker": kernels[w], "im": images.get(w, []),
                        "ker_quabla": kerq, "gen_zero": gen_zero}
@@ -615,7 +618,12 @@ class KostantAnalysis:
                 self.parabolic, self.homology_quotient_module(k))
         return self._decomp[k]
 
-    # -- quabla kernels -----------------------------------------------------------
+    # -- quabla kernels ---------------------------------------------------------
+
+    def block_dims(self, k: int, key: str) -> dict:
+        """{weight: dim} of the block bases `key` ("ker_quabla", "gen_zero")
+        of block_data(k), nonzero ones only, without building the module."""
+        return {w: len(d[key]) for w, d in self.block_data(k).items() if d[key]}
 
     def _subspace_module(self, k: int, key: str) -> LeviModule:
         """The l-stable subspace of C_k spanned by the block bases `key` of
@@ -635,12 +643,48 @@ class KostantAnalysis:
         """The generalized zero eigenspace of quabla_k, built on each call."""
         return self._subspace_module(k, "gen_zero")
 
+    def homology_is_ker_quabla(self, k: int) -> bool:
+        """Whether (1) and (3) hold at degree k and ker quabla_k has the
+        dimension of H_k in every weight block.  Then x -> [x] is an
+        l-isomorphism ker quabla_k -> H_k = ker d*_k / im d*_{k+1}: it lands
+        in H_k because ker quabla lies in the generalized zero space, inside
+        ker d*_k by (3); it is equivariant because d* commutes with l; it is
+        injective by (1) and onto because the dimensions agree."""
+        vals = self._lower_statements(k)
+        return (vals[1] and vals[3] and self.homology(k).weight_multiplicities
+                == self.block_dims(k, "ker_quabla"))
+
     def ker_quabla_decomposition(self, k: int) -> LDecomposition:
+        """decompose_levi of ker quabla_k, or homology_decomposition(k) where
+        homology_is_ker_quabla(k): every field of an LDecomposition (H_w,
+        G_w, their sum, the entries' weight_key order) is an isomorphism
+        invariant of the l-module."""
         if k not in self._kerq_decomp:
-            self._kerq_decomp[k] = decompose_levi(self.parabolic, self.ker_quabla(k))
+            self._kerq_decomp[k] = (
+                self.homology_decomposition(k) if self.homology_is_ker_quabla(k)
+                else decompose_levi(self.parabolic, self.ker_quabla(k)))
         return self._kerq_decomp[k]
 
     # -- predicates ---------------------------------------------------------------
+
+    def _lower_statements(self, k: int) -> dict:
+        """Statements (1)-(4) at degree k, the half that reads only
+        block_data(k), cached per degree; each a rank per weight block."""
+        if k in self._lower_vals:
+            return self._lower_vals[k]
+        vals = {i: True for i in range(1, 5)}
+        for d in self.block_data(k).values():
+            im_up, gz = d["im"], d["gen_zero"]
+            if linalg.spans_meet(im_up, d["ker_quabla"]):
+                vals[1] = False
+            if linalg.spans_meet(im_up, gz):
+                vals[2] = False
+            if gz and linalg.rank(d["ker"] + gz) > len(d["ker"]):
+                vals[3] = False
+            if len(d["ker"]) - len(im_up) != len(gz):
+                vals[4] = False
+        self._lower_vals[k] = vals
+        return vals
 
     def predicates(self, k: int) -> PredicateReport:
         """The seven disjointness statements sliced at degree k.
@@ -651,42 +695,19 @@ class KostantAnalysis:
         """
         if k in self._predicates:
             return self._predicates[k]
-        cx = self.cx
-        sp = cx.space(k)
-        data = self.block_data(k)
-        lower_k = cx.lower(k)
         raise_kernels = self._operator_part("raise", k, 0)
         below_images = self._operator_part("raise", k - 1, 1) if k > 0 else {}
-        vals = {i: True for i in range(1, 8)}
-        for w in sorted(sp.weight_blocks, key=weight_key):
-            d = data[w]
-            kerq = d["ker_quabla"]
-            gz = d["gen_zero"]
-            im_up = d["im"]
-            ker_low = d["ker"]
-            lb = lower_k.block(w)
+        vals = {**self._lower_statements(k), 5: True, 6: True, 7: True}
+        for w, d in self.block_data(k).items():
             ker_raise = raise_kernels[w]
             im_below = below_images.get(w, [])
-            if linalg.intersect_columnspaces(im_up, kerq):
-                vals[1] = False
-            if linalg.intersect_columnspaces(im_up, gz):
-                vals[2] = False
-            for col in gz:
-                img = linalg.mat_vec(lb, col) if lb else []
-                if any(img):
-                    vals[3] = False
-                    break
-            h_dim = len(ker_low) - len(im_up)
-            if h_dim != len(gz):
-                vals[4] = False
-            if linalg.intersect_columnspaces(im_below, kerq):
+            if linalg.spans_meet(im_below, d["ker_quabla"]):
                 vals[5] = False
-            coh_dim = len(ker_raise) - len(im_below)
-            if coh_dim != len(gz):
+            if len(ker_raise) - len(im_below) != len(d["gen_zero"]):
                 vals[6] = False
-            if linalg.intersect_columnspaces(im_up, ker_raise):
+            if linalg.spans_meet(d["im"], ker_raise):
                 vals[7] = False
-            if linalg.intersect_columnspaces(im_below, ker_low):
+            if linalg.spans_meet(im_below, d["ker"]):
                 vals[7] = False
         rep = PredicateReport(degree=k, values=vals, consistent=(vals[1] == vals[2]))
         self._predicates[k] = rep

@@ -76,27 +76,25 @@ def mat_mul(a: list, b: list) -> list:
     return out
 
 
-def mat_vec(a: list, v: list) -> list:
-    return [sum((ai[j] * v[j] for j in range(len(v)) if v[j]), F0) for ai in a]
-
-
 def transpose(a: list) -> list:
     if not a:
         return []
     return [list(col) for col in zip(*a)]
 
 
-def _int_rows(mat: list) -> list:
+def _int_rows(mat: list, integral: bool = False) -> list:
     """Each row scaled to a primitive int row (a positive rational multiple).
 
     Entries may be ints or Fractions; scaling a row by a positive number
-    changes neither the row space, the RREF nor the sign of a minor."""
+    changes neither the row space, the RREF nor the sign of a minor.
+    `integral` promises int entries: only the content is divided out."""
     out = []
     for row in mat:
-        den = lcm(*(x.denominator for x in row if x))
-        ints = [x.numerator * (den // x.denominator) for x in row]
-        cont = gcd(*ints)
-        out.append([x // cont for x in ints] if cont > 1 else ints)
+        if not integral:
+            den = lcm(*(x.denominator for x in row if x))
+            row = [x.numerator * (den // x.denominator) for x in row]
+        cont = gcd(*row)
+        out.append([x // cont for x in row] if cont > 1 else row)
     return out
 
 
@@ -113,7 +111,7 @@ def _combine(row: list, prow: list, p: int, f: int) -> list:
     return [x // cont for x in out] if cont > 1 else out
 
 
-def _echelon(mat: list, reduce: bool) -> tuple[list, list]:
+def _echelon(mat: list, reduce: bool, integral: bool = False) -> tuple[list, list]:
     """Fraction-free elimination over Python ints.
 
     Returns (rows, pivots): `rows[r]` is a primitive int row whose leading
@@ -122,7 +120,7 @@ def _echelon(mat: list, reduce: bool) -> tuple[list, list]:
     entries above each pivot are cleared too (Gauss-Jordan); without it only
     the rows below are touched, which suffices for the pivots.
     """
-    m = _int_rows(mat)
+    m = _int_rows(mat, integral)
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     pivots = []
@@ -162,15 +160,16 @@ def rref(mat: list) -> tuple[list, list]:
     return out, pivots
 
 
-def int_rref(mat: list) -> tuple[list, list]:
+def int_rref(mat: list, integral: bool = False) -> tuple[list, list]:
     """Fraction-free reduced echelon form: (rows, pivots) with `rows[r]` a
     primitive int row that vanishes in every pivot column but `pivots[r]`.
 
     Row r of rref(mat) is rows[r] / rows[r][pivots[r]]; zero rows are
-    dropped.  The Levi solvers of `homology` eliminate through this name,
-    so a layer trace reports them as `linalg.int_rref` spans, apart from
-    the `linalg.rref` calls of every other layer."""
-    return _echelon(mat, reduce=True)
+    dropped; `integral` promises int entries.  The eliminations of
+    `homology` run through this name, so a layer trace reports them as
+    `linalg.int_rref` spans, apart from the `linalg.rref` calls of every
+    other layer."""
+    return _echelon(mat, reduce=True, integral=integral)
 
 
 def rank(mat: list) -> int:
@@ -179,29 +178,33 @@ def rank(mat: list) -> int:
     return len(_echelon(mat, reduce=False)[1])
 
 
-def nullspace(mat: list, ncols: int | None = None) -> list:
-    """Basis of {x : mat.x = 0} as dense column vectors (list of lists)."""
-    if not mat:
-        return rref_kernel([], [], ncols or 0)
-    red, pivots = rref(mat)
-    return rref_kernel(red, pivots, len(mat[0]))
-
-
-def rref_kernel(red: list, pivots: list, ncols: int) -> list:
-    """The nullspace basis read off (red, pivots) = rref(mat): for each free
-    column the vector with 1 there, 0 at the other free columns and minus
-    the reduced rows' entries at the pivots."""
-    pivot_set = set(pivots)
+def int_kernel(rows: list, pivots: list, ncols: int) -> list:
+    """Nullspace basis read off (rows, pivots) = int_rref(mat): for each free
+    column f, L times the RREF kernel vector (1 at f, 0 at the other free
+    columns), so v[f] = L and v[p_r] = -rows[r][f] * L / p_r with p_r the
+    pivot of row r.  L, the lcm of p_r / gcd(p_r, rows[r][f]), is the least
+    that makes v integral, and then v is primitive."""
     basis = []
-    for fcol in range(ncols):
-        if fcol in pivot_set:
-            continue
-        v = [F0] * ncols
-        v[fcol] = F1
-        for row, pcol in zip(red, pivots):
-            v[pcol] = -row[fcol]
+    for fcol in sorted(set(range(ncols)) - set(pivots)):
+        hits = [(row[fcol], row[pc], pc) for row, pc in zip(rows, pivots) if row[fcol]]
+        mult = lcm(1, *(p // gcd(p, x) for x, p, _ in hits))
+        v = [0] * ncols
+        v[fcol] = mult
+        for x, p, pc in hits:
+            v[pc] = -x * mult // p
         basis.append(v)
     return basis
+
+
+def nullspace(mat: list, ncols: int | None = None) -> list:
+    """Basis of {x : mat.x = 0}, the RREF kernel vectors as Fractions: each
+    int_kernel vector divided by its last nonzero entry, the one at its
+    free column (a pivot with a nonzero entry there lies left of it)."""
+    out = []
+    for v in int_kernel(*int_rref(mat), len(mat[0]) if mat else ncols or 0):
+        last = next(x for x in reversed(v) if x)
+        out.append([Fraction(x, last) for x in v])
+    return out
 
 
 def solve(a: list, b: list) -> list | None:
@@ -234,40 +237,13 @@ def independent_columns(cols: list) -> list:
     return _echelon(transpose(cols), reduce=False)[1]
 
 
-def intersect_columnspaces(cols_a: list, cols_b: list) -> list:
-    """Basis (columns) of span(cols_a) & span(cols_b)."""
-    if not cols_a or not cols_b:
-        return []
-    n = len(cols_a[0])
-    stacked = [
-        [cols_a[j][i] for j in range(len(cols_a))]
-        + [-cols_b[j][i] for j in range(len(cols_b))]
-        for i in range(n)
-    ]
-    mixed = nullspace(stacked)
-    na = len(cols_a)
-    out = []
-    for v in mixed:
-        w = [F0] * n
-        for j in range(na):
-            if v[j]:
-                for i in range(n):
-                    w[i] += v[j] * cols_a[j][i]
-        if any(w):
-            out.append(w)
-    if not out:
-        return []
-    keep = independent_columns(out)
-    return [out[i] for i in keep]
-
-
-def in_span(cols: list, v: list) -> bool:
-    if not any(v):
-        return True
-    if not cols:
-        return False
-    mat = [[cols[j][i] for j in range(len(cols))] for i in range(len(v))]
-    return solve(mat, v) is not None
+def spans_meet(cols_a: list, cols_b: list) -> bool:
+    """Whether span(cols_a) and span(cols_b) share a nonzero vector, for
+    independent int column lists A and B: dim(span A & span B) =
+    |A| + |B| - rank[A | B], one forward elimination."""
+    stacked = cols_a + cols_b
+    return bool(cols_a and cols_b) and \
+        len(_echelon(stacked, reduce=False, integral=True)[1]) < len(stacked)
 
 
 def is_positive_definite(gram: list) -> bool:

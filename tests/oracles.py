@@ -16,8 +16,9 @@ F1 = Fraction(1)
 
 
 def rank_dense(rows):
-    """Row rank by plain elimination (independent of superbgg.linalg)."""
-    m = [row[:] for row in rows if any(row)]
+    """Row rank by plain elimination in Fraction arithmetic (independent of
+    superbgg.linalg); int rows are converted, never divided as floats."""
+    m = [[Fraction(x) for x in row] for row in rows if any(row)]
     rank = 0
     ncols = len(m[0]) if m else 0
     col = 0
@@ -477,6 +478,20 @@ def oracle_kernel(mat, ncols):
     if not mat:
         return [[F1 if i == j else F0 for i in range(ncols)] for j in range(ncols)]
     return _kernel_dense([[Fraction(x) for x in row] for row in mat], ncols)
+
+
+def oracle_intersection_dim(cols_a, cols_b):
+    """dim(span A & span B) for column lists A and B of one length: the
+    kernel of [A | -B] mapped through A, then its rank."""
+    if not cols_a or not cols_b:
+        return 0
+    n = len(cols_a[0])
+    stacked = [[Fraction(c[i]) for c in cols_a] + [-Fraction(c[i]) for c in cols_b]
+               for i in range(n)]
+    meets = [[sum((v[j] * cols_a[j][i] for j in range(len(cols_a))), F0)
+              for i in range(n)]
+             for v in _kernel_dense(stacked, len(cols_a) + len(cols_b))]
+    return rank_dense(meets)
 
 
 def _levi_generated_spans(weights, raise_mats, lower_mats):

@@ -294,3 +294,24 @@ def test_rescaling_form(gl21):
         for j in range(gl21.dim):
             assert gl21.bracket(i, j) == g2.bracket(i, j)
     assert [b.root for b in g2.basis] == [b.root for b in gl21.basis]
+
+
+@pytest.mark.parametrize("alg, want", [
+    (("gl", 2, 1), (0, -1, 1)),
+    (("osp", 3, 1), (Fraction(-1, 2), Fraction(1, 2))),
+    (("osp", 5, 2), (Fraction(-1, 2), Fraction(-3, 2), Fraction(3, 2), Fraction(1, 2))),
+])
+def test_rho_is_formed_once(alg, want, monkeypatch):
+    """rho keeps its values on gl(2|1), osp(3|2) and osp(5|4), and later
+    reads, casimir_eigenvalue's included, reuse it."""
+    g = build_algebra(*alg)
+    calls = []
+    positive = type(g).positive_root_indices
+
+    def spy(self):
+        calls.append(1)
+        return positive(self)
+    monkeypatch.setattr(type(g), "positive_root_indices", spy)
+    assert g.rho == want
+    casimir_eigenvalue(g, g.rho)
+    assert g.rho is g.rho and len(calls) == 1

@@ -130,27 +130,29 @@ def test_direct_quabla_built_once_per_degree(capsys, monkeypatch, argv):
 
 def test_bgg_check_computes_predicates_once_per_degree(capsys, monkeypatch):
     """A bgg check that reaches the disjointness rung and then reports the
-    predicates computes each degree's predicates once: the predicate body
-    makes five intersections per weight block of degrees 0..kmax-1."""
+    predicates computes each degree's predicates once: each disjointness
+    statement is one rank test per weight block.  Statements (1)-(2) are
+    tested at degrees 0..kmax (the multiplicity rung's shared-decomposition
+    gate reads them up to kmax) and (5), (7), (7) at degrees 0..kmax-1."""
     from superbgg import linalg
     from superbgg.algebra import build_algebra, build_parabolic
     from superbgg.chains import ChainComplex
     from superbgg.modules import build_irrep
     calls = []
-    intersect = linalg.intersect_columnspaces
+    spans_meet = linalg.spans_meet
 
     def counting(cols_a, cols_b):
         calls.append(1)
-        return intersect(cols_a, cols_b)
-    monkeypatch.setattr(linalg, "intersect_columnspaces", counting)
+        return spans_meet(cols_a, cols_b)
+    monkeypatch.setattr(linalg, "spans_meet", counting)
     code, out = run_cli(capsys, "bgg", "check", "--alg", "gl", "--m", "1",
                         "--n", "2", "--weight", "1|0,0", "--kmax", "2")
     assert code == 0
     assert "predicates" in json.loads(out)["verdict"]["details"]
     g = build_algebra("gl", 1, 2)
     cx = ChainComplex(build_parabolic(g, []), build_irrep(g, (1, 0, 0)), "nbar")
-    blocks = sum(len(cx.space(k).weight_blocks) for k in range(2))
-    assert len(calls) == 5 * blocks
+    blocks = [len(cx.space(k).weight_blocks) for k in range(3)]
+    assert len(calls) == 5 * (blocks[0] + blocks[1]) + 2 * blocks[2]
 
 
 @pytest.mark.parametrize("argv", [

@@ -869,3 +869,108 @@ def test_half_integral_weight_keys_blocks(gl21, gl21_borel):
     for k in range(3):
         assert an.homology(k).weight_multiplicities == want[k]
     assert an.homology(0).weight_multiplicities == {lam: 1}
+
+
+# ---------------------------------------------------------------------------
+# the integer block layer and the shared decomposition
+# ---------------------------------------------------------------------------
+
+def test_block_layer_holds_only_ints(levi_case):
+    """block_data's bases, the kept int rows of the operator store and the
+    predicate values hold no Fraction, and the kernels of d*_k equal, vector
+    for vector, the primitive multiples of nullspace's Fraction kernels."""
+    p, an = levi_case
+    for k in (0, 1):
+        data = an.block_data(k)
+        rep = an.predicates(k)
+        for w, d in data.items():
+            for key in ("ker", "im", "ker_quabla", "gen_zero"):
+                assert all(type(x) is int for v in d[key] for x in v)
+            lower = an.cx.lower(k)
+            blk = lower.block(w)
+            want = linalg.nullspace(blk, ncols=len(an.cx.space(k).weight_blocks[w]))
+            assert d["ker"] == [_primitive_vector(u) for u in want]
+        for echelons, images in an._eliminated.values():
+            rows = [r for e in (echelons or {}).values() for r in e[0]]
+            cols = [c for cs in (images or {}).values() for c in cs]
+            assert all(type(x) is int for v in rows + cols for x in v)
+        assert all(type(v) is bool for v in rep.values.values())
+        assert all(type(v) is bool for v in an._lower_statements(k).values())
+
+
+def _primitive_vector(vec):
+    col = _primitive({i: x for i, x in enumerate(vec)})
+    return [col.get(i, 0) for i in range(len(vec))]
+
+
+@given(_certificate_cases())
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+def test_shared_decomposition_equals_fresh(case):
+    """Where the statements prove H_k = ker quabla_k, ker_quabla_decomposition
+    is homology_decomposition; either way it equals a fresh decompose_levi
+    of ker quabla_k."""
+    alg, levi, lam, kac, k = case
+    p = _parabolic(*alg, levi)
+    try:
+        check_finite_dimensional(p.algebra, lam)
+    except PreconditionViolated:
+        assume(False)
+    module = (build_kac_module if kac else build_irrep)(p.algebra, lam)
+    an = KostantAnalysis(p, module, k_max=k)
+    assume(an.cx.space(k).dim <= 40)
+    dec = an.ker_quabla_decomposition(k)
+    shared = an.homology_is_ker_quabla(k)
+    assert (dec is an.homology_decomposition(k)) is shared
+    assert dec == decompose_levi(p, an.ker_quabla(k))
+
+
+def test_shared_decomposition_osp46_natural(osp46_sec7, osp46_natural):
+    """osp(4|6), maximal parabolic at the first node, natural module: the
+    gate holds at every degree k <= 3 and the shared decomposition equals a
+    fresh one of ker quabla_k."""
+    an = KostantAnalysis(osp46_sec7, osp46_natural, k_max=3)
+    for k in range(4):
+        assert an.homology_is_ker_quabla(k)
+        dec = an.ker_quabla_decomposition(k)
+        assert dec is an.homology_decomposition(k)
+        assert dec == decompose_levi(osp46_sec7, an.ker_quabla(k))
+
+
+@pytest.mark.parametrize("alg, levi, lam, dims_agree, stmt3", [
+    (("osp", 1, 1), (), (1,), False, True),     # the osp(1|2) counterexample
+    (("gl", 2, 1), (1,), (0, 0, -1), True, False),
+])
+def test_gate_refuses_and_decomposes_ker_quabla(alg, levi, lam, dims_agree, stmt3,
+                                                monkeypatch):
+    """At k = 1 the gate refuses, on the osp(1|2) counterexample because
+    ker quabla_1 is larger than H_1 and on gl(2|1) because the generalized
+    zero space leaves ker d*_1; ker quabla_1 is then decomposed on its own."""
+    from superbgg import homology
+    p = _parabolic(*alg, levi)
+    an = KostantAnalysis(p, build_irrep(p.algebra, wt(*lam)), k_max=2)
+    assert (an.homology(1).weight_multiplicities
+            == an.block_dims(1, "ker_quabla")) is dims_agree
+    assert an._lower_statements(1)[3] is stmt3
+    assert not an.homology_is_ker_quabla(1)
+    seen = []
+    decompose = homology.decompose_levi
+
+    def spy(p, mod):
+        seen.append(mod.dim)
+        return decompose(p, mod)
+    monkeypatch.setattr(homology, "decompose_levi", spy)
+    dec = an.ker_quabla_decomposition(1)
+    assert seen == [an.ker_quabla(1).dim]
+    assert dec.total_dimension == seen[0]
+    assert dec is not an.homology_decomposition(1)
+
+
+def test_gate_reads_statements_1_and_3(gl21_borel, gl21_natural):
+    """The gate holds on gl(2|1) Borel with the natural module at k = 1 and
+    refuses once the cached statement (1) or (3) reads false."""
+    an = KostantAnalysis(gl21_borel, gl21_natural, k_max=2)
+    assert an.homology_is_ker_quabla(1)
+    vals = an._lower_statements(1)
+    for i in (1, 3):
+        an._lower_vals[1] = {**vals, i: False}
+        assert not an.homology_is_ker_quabla(1)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from math import gcd
 
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_kernel, oracle_positive_definite, oracle_rref
+from oracles import (oracle_intersection_dim, oracle_kernel, oracle_positive_definite,
+                     oracle_rref, rank_dense)
 from superbgg import linalg
 
 F = Fraction
@@ -52,19 +54,13 @@ def test_independent_columns_first_come():
     assert linalg.independent_columns(cols) == [0, 2]
 
 
-def test_intersect_columnspaces():
-    a = [[F(1), F(0), F(0)], [F(0), F(1), F(0)]]
-    b = [[F(0), F(1), F(0)], [F(0), F(0), F(1)]]
-    inter = linalg.intersect_columnspaces(a, b)
-    assert len(inter) == 1
-    assert inter[0][0] == 0 and inter[0][2] == 0 and inter[0][1] != 0
-    assert linalg.intersect_columnspaces(a, [[F(0), F(0), F(1)]]) == []
-
-
-def test_in_span():
-    cols = [[F(1), F(1), F(0)], [F(0), F(1), F(1)]]
-    assert linalg.in_span(cols, [F(1), F(2), F(1)])
-    assert not linalg.in_span(cols, [F(1), F(0), F(0)])
+def test_spans_meet():
+    a = [[1, 0, 0], [0, 1, 0]]
+    b = [[0, 1, 0], [0, 0, 1]]
+    assert linalg.spans_meet(a, b)
+    assert not linalg.spans_meet(a, [[0, 0, 1]])
+    assert linalg.spans_meet(a, [[2, -3, 0]])
+    assert not linalg.spans_meet(a, []) and not linalg.spans_meet([], b)
 
 
 def test_positive_definite():
@@ -176,8 +172,8 @@ def test_int_rref_scales_the_exact_rref(m):
 @settings(max_examples=120, deadline=None)
 def test_rref_pivots_and_kernel_basis_match_oracles(m):
     """The RREF pivots are the first-come independent columns (so a block's
-    pivot columns are its image basis), and nullspace, read off the RREF
-    by rref_kernel, is the oracle's kernel basis vector for vector."""
+    pivot columns are its image basis), and nullspace, read off the int
+    RREF by int_kernel, is the oracle's kernel basis vector for vector."""
     ncols = len(m[0]) if m else 0
     red, pivots = linalg.rref(m)
     cols = [[row[c] for row in m] for c in range(ncols)]
@@ -185,7 +181,61 @@ def test_rref_pivots_and_kernel_basis_match_oracles(m):
     assert pivots == [nonzero[i] for i in
                       linalg.independent_columns([cols[c] for c in nonzero])]
     assert linalg.nullspace(m, ncols=ncols) == oracle_kernel(m, ncols)
-    assert linalg.rref_kernel(red, pivots, ncols) == oracle_kernel(m, ncols)
+
+
+def _primitive_multiple(vec):
+    """The positive multiple of a rational vector with coprime int entries."""
+    den = math.lcm(1, *(F(x).denominator for x in vec))
+    ints = [int(x * den) for x in vec]
+    cont = math.gcd(*ints) or 1
+    return [x // cont for x in ints]
+
+
+@given(matrices())
+@settings(max_examples=200, deadline=None)
+def test_int_kernel_is_the_primitive_oracle_kernel(m):
+    """int_kernel's vectors, read off int_rref, are the positive primitive
+    multiples of the oracle's kernel basis (1 at the free column), vector
+    for vector."""
+    ncols = len(m[0]) if m else 0
+    rows, pivots = linalg.int_rref(m) if m else ([], [])
+    got = linalg.int_kernel(rows, pivots, ncols)
+    want = oracle_kernel(m, ncols)
+    assert len(got) == len(want)
+    for v, u in zip(got, want):
+        assert all(type(x) is int for x in v) and math.gcd(*v) == 1
+        assert v == _primitive_multiple(u)
+        f = next(c for c in range(ncols) if u[c] == 1 and c not in pivots)
+        assert v[f] > 0 and [F(x, v[f]) for x in v] == u
+
+
+@st.composite
+def independent_pair(draw):
+    """Two lists of independent int columns of one length, often meeting."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    col = st.lists(st.integers(min_value=-4, max_value=4), min_size=n, max_size=n)
+
+    def independent(cols):
+        out = []
+        for c in cols:
+            if rank_dense(out + [c]) > len(out):
+                out.append(c)
+        return out
+
+    a = independent(draw(st.lists(col, max_size=4)))
+    b = draw(st.lists(col, max_size=4))
+    if a and b and draw(st.booleans()):         # put a vector of span A in B
+        b[0] = [sum(draw(st.integers(-2, 2)) * c[i] for c in a) for i in range(n)]
+    return a, independent(b)
+
+
+@given(independent_pair())
+@settings(max_examples=200, deadline=None)
+def test_spans_meet_matches_intersection_oracle(pair):
+    """The rank test says two independent lists meet exactly when the
+    Fraction-kernel oracle finds a nonzero intersection."""
+    a, b = pair
+    assert linalg.spans_meet(a, b) == (oracle_intersection_dim(a, b) > 0)
 
 
 @given(matrices())
