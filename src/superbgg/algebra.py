@@ -5,6 +5,12 @@ a sparse matrix on the natural module C^(m|n) resp. C^(m|2n).  The Cartan
 subalgebra is diagonal, every non-Cartan basis element spans a root space,
 and the invariant form is C * str(XY).  All structure constants, form values
 and dual bases are Fractions; nothing here ever touches floats.
+
+Construction reads matrix entries, never products of basis matrices: the
+osp root vectors solve the osp condition on the rows their weight space
+touches (`_build_osp`), and `_finish` certifies every root vector entrywise
+through [H, X]_pq = (H_pp - H_qq) X_pq and forms each Gram entry as
+C * sum (-1)^{|p|} (X_i)_pq (X_j)_qp.  Brackets are expanded on first use.
 """
 
 from __future__ import annotations
@@ -526,21 +532,22 @@ def _build_osp(m: int, n: int, C: Fraction) -> LieSuperalgebra:
     e0 = 2 * d if odd_m else None
     fplus = 2 * d + (1 if odd_m else 0)
 
-    # bar(p): the index paired with p by the form; B[p][bar(p)] nonzero
+    # bar(p): the index paired with p by the form; B[p][bar(p)] nonzero.
+    # bar is an involution.
     bar = {}
     bval = {}
     for i in range(d):
         bar[i], bar[d + i] = d + i, i
-        bval[i] = F1
-        bval[d + i] = F1
+        bval[i] = 1
+        bval[d + i] = 1
     if odd_m:
         bar[e0] = e0
-        bval[e0] = F1
+        bval[e0] = 1
     for j in range(n):
         p, q = fplus + j, fplus + n + j
         bar[p], bar[q] = q, p
-        bval[p] = F1      # B(f_j+, f_j-) = 1
-        bval[q] = -F1     # B(f_j-, f_j+) = -1
+        bval[p] = 1       # B(f_j+, f_j-) = 1
+        bval[q] = -1      # B(f_j-, f_j+) = -1
 
     coord_index = list(range(d)) + [fplus + j for j in range(n)]
 
@@ -553,7 +560,14 @@ def _build_osp(m: int, n: int, C: Fraction) -> LieSuperalgebra:
             f"K{j + 1}", 0, wt_zero(rank),
             {(fplus + j, fplus + j): F1, (fplus + n + j, fplus + n + j): -F1}, True))
 
-    # root vectors: solve the osp condition inside each nonzero weight space
+    # root vectors: solve the osp condition inside each nonzero weight space.
+    # X is in osp iff B(Xu, v) + (-1)^{|X||u|} B(u, Xv) = 0 for all basis
+    # vectors u = e_q, v = e_r; with B(e_a, e_b) = bval[a] [b = bar(a)]
+    # that is row (q, r):  bval[bar r] X[bar r, q] + sgn(q) bval[q] X[bar q, r].
+    # A unit (p, pq) enters row (q, r) only through X[bar r, q] (q = pq,
+    # r = bar p) or X[bar q, r] (q = bar p, r = pq), so only those rows are
+    # formed, in the (q, r) order of the full N^2 scan; every other row is
+    # zero on the weight space.
     by_weight = {}
     for p in range(N):
         for q in range(N):
@@ -568,16 +582,14 @@ def _build_osp(m: int, n: int, C: Fraction) -> LieSuperalgebra:
             raise CrossCheckFailed("weight space with mixed parity")
         xpar = par.pop()
         rows = []
-        for q in range(N):
-            for r in range(N):
-                row = []
-                for (p, pq) in units:
-                    lhs = bval[bar[r]] if (bar[r], q) == (p, pq) else F0
-                    sgn = -F1 if (xpar and nat_parity[q]) else F1
-                    rhs = bval[q] if (bar[q], r) == (p, pq) else F0
-                    row.append(lhs + sgn * rhs)
-                if any(row):
-                    rows.append(row)
+        for q, r in sorted({pair for p, pq in units
+                            for pair in ((pq, bar[p]), (bar[p], pq))}):
+            sgn = -1 if (xpar and nat_parity[q]) else 1
+            row = [(bval[bar[r]] if (bar[r], q) == unit else 0)
+                   + (sgn * bval[q] if (bar[q], r) == unit else 0)
+                   for unit in units]
+            if any(row):
+                rows.append(row)
         kernel = linalg.nullspace(rows, ncols=len(units))
         for vecnum, vec in enumerate(kernel):
             dens = [x.denominator for x in vec if x]
@@ -610,31 +622,58 @@ def _build_osp(m: int, n: int, C: Fraction) -> LieSuperalgebra:
 
 
 def _finish(g: LieSuperalgebra, C: Fraction):
-    """Gram matrix and sanity checks shared by both constructions."""
+    """Certify the root vectors and build the Gram matrix of C * str(XY),
+    for both constructions; both read matrix entries only.
+
+    Root vectors.  Every Cartan element H must be diagonal (CrossCheckFailed
+    otherwise).  H is even, so [H, X] = HX - XH and
+
+        [H, X]_pq = (H_pp - H_qq) X_pq.
+
+    Hence [H, X] = w(H) X, with w the root of X, exactly when
+    H_pp - H_qq = w(H) at every nonzero entry (p, q) of X; CrossCheckFailed
+    at the first entry where it fails.
+
+    Gram.  str(XY) = sum_p (-1)^{|p|} (XY)_pp, so
+
+        (X_i, X_j) = C * sum_{(p, q)} (-1)^{|p|} (X_i)_pq (X_j)_qp,
+
+    summed over the nonzero entries (p, q) of X_i, each looked up at (q, p)
+    in the matrices that have that entry; no product matrix is formed.  A
+    degenerate Gram raises DegenerateForm; a nondegenerate one also
+    certifies that the basis matrices are independent."""
     dim = g.dim
-    nd = g.nat_dim
-    gram = linalg.zeros(dim, dim)
-    for i in range(dim):
-        for j in range(dim):
-            prod = _mat_mul_sparse(g.basis[i].matrix, g.basis[j].matrix, nd)
-            val = F0
-            for p in range(nd):
-                v = prod.get((p, p), F0)
-                if v:
-                    val += -v if g.nat_parity[p] else v
-            gram[i][j] = C * val
+    cartan = [b for b in g.basis if b.is_cartan]
+    for h in cartan:
+        if any(p != q for p, q in h.matrix):
+            raise CrossCheckFailed(f"Cartan element {h.label} is not diagonal")
+    for b in g.basis:
+        if b.is_cartan:
+            continue
+        for h in cartan:
+            diag = h.matrix
+            expect = sum(b.root[c] * diag.get((p, p), 0)
+                         for c, p in enumerate(g.coord_index))
+            if any(diag.get((p, p), 0) - diag.get((q, q), 0) != expect
+                   for p, q in b.matrix):
+                raise CrossCheckFailed(f"{b.label} is not a root vector")
+    # entry (q, p) -> [(j, (X_j)_qp)], so (X_j)_qp is found from (X_i)_pq
+    at: dict = {}
+    for j, b in enumerate(g.basis):
+        for e, v in b.matrix.items():
+            at.setdefault(e, []).append((j, v))
+    gram = []
+    for b in g.basis:
+        row = [0] * dim
+        for (p, q), x in b.matrix.items():
+            if g.nat_parity[p]:
+                x = -x
+            for j, y in at.get((q, p), ()):
+                row[j] += x * y
+        gram.append([C * v for v in row])
     g.gram = gram
     if linalg.rank(gram) != dim:
         raise DegenerateForm(f"supertrace form degenerate on {g.name}")
-    # every non-Cartan element must be a root vector for the diagonal Cartan
-    for i, b in enumerate(g.basis):
-        if b.is_cartan:
-            continue
-        for h in g.cartan:
-            br = g.bracket(h, i)
-            expect = g.eval_weight(b.root, {h: F1})
-            if br != ({i: expect} if expect else {}):
-                raise CrossCheckFailed(f"{b.label} is not a root vector")
 
 
 def build_algebra(kind: str, m: int, n: int, C=1, strict: bool = True) -> LieSuperalgebra:
@@ -691,6 +730,15 @@ class ParabolicDecomposition:
         if key not in self._levi_cache:
             self._levi_cache[key] = dual_basis_in(
                 self.algebra, self.nbar_indices, self.n_indices)
+        return self._levi_cache[key]
+
+    def levi_duals(self) -> list:
+        """For each Levi basis element A_i (over levi_indices) its dual
+        A_i^# in the Levi, (A_i^#, A_j) = delta_ij; formed once."""
+        key = "dual_levi"
+        if key not in self._levi_cache:
+            self._levi_cache[key] = dual_basis_in(
+                self.algebra, self.levi_indices, self.levi_indices)
         return self._levi_cache[key]
 
     def levi_algebra(self) -> LieSuperalgebra:

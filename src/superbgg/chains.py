@@ -28,6 +28,13 @@ table of images over (exterior monomial, module operator), and each ChainMap
 is assembled from the table by index arithmetic against the module's action
 columns (`ChainComplex._assemble`).
 
+The Casimir quabla, -1/2 (C2 + w(h) - C_l), which cross-checks the direct
+one, is assembled the same way: the Cartan part of C_l acts on the weight-w
+block by (w, w), so with C2 and w(h) it is a quadratic form in w computed
+once per complex, and the Levi root-vector part is one exterior table per
+degree with ops 1, rho(A_t) and rho(C_l^root) (derivation in
+`ChainComplex.quabla`).
+
 Chain weights are the module's weights plus integral root sums; every
 integral coordinate is held as an int (`algebra.wt_int`), which hashes and
 compares far faster than a Fraction of the same value.
@@ -47,7 +54,6 @@ from .algebra import (
     ParabolicDecomposition,
     Weight,
     casimir_eigenvalue,
-    dual_basis_in,
     wt_add,
     wt_int,
 )
@@ -276,7 +282,6 @@ class ChainComplex:
         self._actions: dict = {}        # (k, Levi simple root vector) -> action map
         self._brackets: dict = {}       # (a, generator) -> radical part of [A_a, gen]
         self._raise_terms: dict = {}    # peeled generator -> coboundary terms
-        self._casimir_const = None
 
     # -- spaces ---------------------------------------------------------------
 
@@ -484,22 +489,27 @@ class ChainComplex:
             table.append(row)
         return table
 
-    def _assemble(self, k_src: int, k_dst: int, table: list, ops: list) -> ChainMap:
-        """The ChainMap sum_o L_o (x) rho(ops[o]) of an exterior table
-        (ops[0] is None, the identity): column idx(X) * dim M + m is the sum
-        over the terms c * Y (x) rho(op_o) of entry X of c times rho(op_o)v_m
-        shifted to the rows idx(Y) * dim M + r.  It is built in ints over
-        one denominator, the lcm of the table's coefficients times the lcm
-        of the module operators' entries."""
+    def _rho(self, element: dict | None) -> list:
+        """Columns of the module operator rho(element); None is the
+        identity."""
         mod = self.module
-        dim = mod.dim
-        ocols = [[{m: 1} for m in range(dim)] if element is None
-                 else [mod.act(element, {m: 1}) for m in range(dim)]
-                 for element in ops]
-        oden = lcm(1, *(v.denominator for cols in ocols for col in cols
+        if element is None:
+            return [{m: 1} for m in range(mod.dim)]
+        return [mod.act(element, {m: 1}) for m in range(mod.dim)]
+
+    def _assemble(self, k_src: int, k_dst: int, table: list, ops: list) -> ChainMap:
+        """The ChainMap sum_o L_o (x) ops[o] of an exterior table, where
+        ops[o] holds the columns of a module operator (ops[0] the identity,
+        see `_rho`): column idx(X) * dim M + m is the sum over the terms
+        c * Y (x) op_o of entry X of c times op_o v_m shifted to the rows
+        idx(Y) * dim M + r.  It is built in ints over one denominator, the
+        lcm of the table's coefficients times the lcm of the module
+        operators' entries."""
+        dim = self.module.dim
+        oden = lcm(1, *(v.denominator for cols in ops for col in cols
                         for v in col.values()))
         ocols = [[{r: v.numerator * (oden // v.denominator) for r, v in col.items()}
-                  for col in cols] for cols in ocols]
+                  for col in cols] for cols in ops]
         tden = lcm(1, *(c.denominator for entry in table for c in entry.values()))
         nops = len(ops)
         # one int object per target row, shared by every column that has it
@@ -526,7 +536,7 @@ class ChainComplex:
         """d*_k : C_k -> C_{k-1} (the boundary; delta* on the nbar side),
         d*(X ^ f) = -X.f - X ^ d*(f),  d*|deg 0 = 0 (a map C_0 -> C_0)."""
         if k not in self._lower:
-            ops = [None, *({x: F1} for x in self.radical)]
+            ops = [self._rho(None), *(self._rho({x: F1}) for x in self.radical)]
             self._lower[k] = self._assemble(k, max(k - 1, 0), self._table("lower", k), ops)
         return self._lower[k]
 
@@ -535,8 +545,8 @@ class ChainComplex:
         d(v) = sum_a z_a (x) z_a^# . v,
         d(X ^ f) = 1/2 sum_a z_a ^ [z_a^#, X]_r ^ f - X ^ d(f)."""
         if k not in self._raise:
-            self._raise[k] = self._assemble(k, k + 1, self._table("raise", k),
-                                            [None, *self.duals])
+            ops = [self._rho(None), *map(self._rho, self.duals)]
+            self._raise[k] = self._assemble(k, k + 1, self._table("raise", k), ops)
         return self._raise[k]
 
     # -- auxiliary actions --------------------------------------------------------
@@ -552,8 +562,8 @@ class ChainComplex:
     def action_map(self, k: int, i: int) -> ChainMap:
         """Action of the basis element A_i on C_k: ad(A_i) on the exterior
         factor plus (-1)^{|A_i||X|} rho(A_i) on the module.  Cached per
-        (k, i) for the Levi simple root vectors; any other map is built on
-        each call (the Casimir quabla builds each once per call)."""
+        (k, i) for the Levi simple root vectors, the maps LeviModule.act
+        reads; any other map is built on each call."""
         key = (k, i)
         hit = self._actions.get(key)
         if hit is None:
@@ -564,7 +574,7 @@ class ChainComplex:
                 entry = {index[y] * 2: c for y, c in ad.items()}
                 entry[t * 2 + 1] = sgn
                 table.append(entry)
-            hit = self._assemble(k, k, table, [None, {i: F1}])
+            hit = self._assemble(k, k, table, [self._rho(None), self._rho({i: F1})])
             if i in self._levi_simple_vectors:
                 self._actions[key] = hit
         return hit
@@ -572,45 +582,171 @@ class ChainComplex:
     # -- quabla -------------------------------------------------------------------
 
     def quabla(self, k: int, method: str = "direct") -> ChainMap:
+        """quabla_k = d_{k-1} d*_k + d*_{k+1} d_k on C_k.
+
+        "direct" composes the two operators.  "casimir" is Kostant's formula
+
+            quabla = -1/2 (C2(lambda) + w(h) - C_l)   on the weight-w block,
+
+        with h = sum_a [z_a, z_a^#] and C_l = sum_i A_i A_i^# the Casimir
+        of the Levi acting on C_k (A_i over the Levi basis, A_i^# its dual
+        in the Levi).  It shares no recursion with "direct", so their
+        equality is a cross-check of both.
+
+        C_l splits along the Levi basis into a sum over the Cartan basis
+        and one over the Levi root vectors.  The form is even and invariant,
+        so it pairs the Cartan only with itself and g_alpha only with
+        g_-alpha: the dual of a Cartan element is in the Cartan, and that of
+        a root vector is a combination of root vectors of its parity
+        (`_casimir_terms` raises CrossCheckFailed otherwise, and when h is
+        not in the Cartan).
+
+        Cartan part.  A Cartan element H acts on the weight-w block by the
+        scalar w(H), so sum_H H H^# acts there by sum_H w(H) w(H^#).  Let
+        t_w be the Cartan element with (t_w, H) = w(H) for all H; pairing
+        with each H shows sum_H w(H) H^# = t_w, so the scalar is
+        w(t_w) = (w, w).  With -1/2 (C2(lambda) + w(h)) it makes the scalar
+        part of quabla, a quadratic form in w whose int coefficients over
+        one denominator are formed once per complex.
+
+        Root part.  Every A acts on X (x) m as
+        ad(A)X (x) m + s_A(X) X (x) A m with s_A(X) = (-1)^{|A||X|}.
+        Applying A_s and then A_i, both of one parity, gives
+
+            ad(A_i) ad(A_s) X (x) m  +  sum_Y [ad(A_s) X]_Y s_{A_i}(Y) Y (x) A_i m
+            +  s_{A_s}(X) ad(A_i) X (x) A_s m  +  X (x) A_i A_s m,
+
+        as s_{A_i}(X) s_{A_s}(X) = 1 in the last term.  Summed over the
+        root vectors A_i with A_i^# = sum_s c_is A_s, the last terms make
+        X (x) rho(C_l^root) m, C_l^root = sum_i A_i A_i^#.  So the root
+        part is one exterior table per degree, with ops 1, rho(A_t) and
+        rho(C_l^root), built from `_ad_monomial` alone (never from the
+        boundary or coboundary recursions) and assembled like the
+        operators.  On a Borel the Levi is the Cartan, the table is empty
+        and quabla is diagonal."""
         if method == "direct":
             a = self.raise_(k - 1).compose(self.lower(k)) if k > 0 else None
             b = self.lower(k + 1).compose(self.raise_(k))
             return b if a is None else a.add(b)
         if method != "casimir":
             raise ValueError("method must be 'direct' or 'casimir'")
-        # quabla = -1/2 (C2 + lambda(h) - sum_i A_i A_i^#) on C_k, where
-        # h = sum_a [z_a, z_a^#] and A_i^# is the dual of A_i in the Levi
-        g = self.algebra
-        c2 = self._casimir_scalar()
+        terms = self._casimir_terms
+        sp = self.space(k)
+        cols = [None] * sp.dim
+        for w, idxs in sp.weight_blocks.items():
+            num = terms.const + sum(a * w[c] for c, a in terms.linear) \
+                + sum(b * w[c] * w[d] for c, d, b in terms.quadratic)
+            val = Fraction(num, terms.den)
+            for j in idxs:
+                cols[j] = {j: val}
+        diagonal = ChainMap.from_columns(sp, sp, cols)
+        if not terms.roots:
+            return diagonal
+        root = self._assemble(k, k, self._casimir_table(k), terms.ops)
+        return ChainMap.combination(
+            sp, sp, [(1, diagonal), (Fraction(1, 2 * terms.root_den), root)])
+
+    @functools.cached_property
+    def _casimir_terms(self) -> "_CasimirTerms":
+        """The per-complex data of the Casimir quabla (see `quabla`)."""
+        g, p = self.algebra, self.parabolic
+        cartan, roots = [], []
+        for i, dual in zip(p.levi_indices, p.levi_duals()):
+            is_h = g.basis[i].is_cartan
+            if any(g.basis[s].is_cartan != is_h or g.parity(s) != g.parity(i)
+                   for s in dual):
+                raise CrossCheckFailed(f"the Levi dual of {g.basis[i].label} "
+                                       "leaves its parity or the Cartan")
+            (cartan if is_h else roots).append((i, dual))
         hvec: dict = {}
         for a, gen in enumerate(self.radical):
             linalg.vec_iadd(hvec, g.bracket_vec({gen: F1}, self.duals[a]))
-        for i in hvec:
-            if not g.basis[i].is_cartan:
-                raise CrossCheckFailed("sum [z_a, z_a^#] is not in the Cartan")
-        # w(h) is linear in w: evaluate h on the coordinate weights once
-        hcoords = [g.eval_weight(tuple(F1 if c == d else F0 for d in range(g.rank)), hvec)
-                   for c in range(g.rank)]
-        levi = self.parabolic.levi_indices
-        sp = self.space(k)
-        diag = [{} for _ in range(sp.dim)]
-        for w, idxs in sp.weight_blocks.items():
-            val = c2 + sum(x * h for x, h in zip(w, hcoords) if x and h)
-            for j in idxs:
-                diag[j][j] = val
-        terms = [(-HALF, ChainMap.from_columns(sp, sp, diag))]
-        acts = {i: self.action_map(k, i) for i in levi}
-        for i, dual in zip(levi, dual_basis_in(g, levi, levi)):
-            dual_map = ChainMap.combination(
-                sp, sp, [(c, acts[t]) for t, c in dual.items()])
-            terms.append((HALF, acts[i].compose(dual_map)))
-        return ChainMap.combination(sp, sp, terms)
+        if any(not g.basis[i].is_cartan for i in hvec):
+            raise CrossCheckFailed("sum [z_a, z_a^#] is not in the Cartan")
+        units = [tuple(F1 if c == d else F0 for d in range(g.rank))
+                 for c in range(g.rank)]
+        hcoords = [g.eval_weight(u, hvec) for u in units]
+        form = [[sum((g.eval_weight(u, {i: F1}) * g.eval_weight(v, dual)
+                      for i, dual in cartan), F0) for v in units] for u in units]
+        c2 = casimir_eigenvalue(g, self.module.highest_weight)
+        # D * (-1/2 (c2 + w(h) - (w, w))) in int coefficients
+        half = lcm(c2.denominator, *(x.denominator for x in hcoords),
+                   *(x.denominator for row in form for x in row))
+        den = 2 * half
+        rden = lcm(1, *(c.denominator for _, dual in roots for c in dual.values()))
+        mod = self.module
+        casimir_cols = []
+        for m in range(mod.dim):
+            col: dict = {}
+            for i, dual in roots:
+                linalg.vec_iadd(col, mod.act_basis(i, mod.act(dual, {m: 1})))
+            casimir_cols.append(col)
+        root_indices = [i for i, _ in roots]
+        return _CasimirTerms(
+            den=den,
+            const=int(-half * c2),
+            linear=[(c, int(-half * x)) for c, x in enumerate(hcoords) if x],
+            quadratic=[(c, d, int(half * x)) for c, row in enumerate(form)
+                       for d, x in enumerate(row) if x],
+            cartan_form=form,
+            roots=[(i, [(s, int(c * rden)) for s, c in dual.items()])
+                   for i, dual in roots],
+            root_den=rden,
+            ops=[self._rho(None), *(self._rho({t: F1}) for t in root_indices),
+                 casimir_cols],
+        )
 
-    def _casimir_scalar(self):
-        if self._casimir_const is None:
-            self._casimir_const = casimir_eigenvalue(
-                self.algebra, self.module.highest_weight)
-        return self._casimir_const
+    def _casimir_table(self, k: int) -> list:
+        """Exterior table of root_den * C_l^root on C_k, with ops 1,
+        rho(A_t) for the Levi root vectors A_t and rho(C_l^root) (see
+        `quabla`)."""
+        terms = self._casimir_terms
+        monos, index = self.monomials(k)
+        op_of = {t: 1 + o for o, (t, _) in enumerate(terms.roots)}
+        nops = len(terms.ops)
+        # ad(A_t) on every monomial, as ({position: c}, sign)
+        ad = {}
+        for t in op_of:
+            rows = []
+            for x in monos:
+                img, sgn = self._ad_monomial(t, x)
+                rows.append(({index[y]: c for y, c in img.items()}, sgn))
+            ad[t] = rows
+        table = []
+        for tx in range(len(monos)):
+            row: dict = {tx * nops + nops - 1: terms.root_den}
+            for i, dual in terms.roots:
+                ad_i = ad[i]
+                adx_i = ad_i[tx][0]
+                for s, c in dual:
+                    adx_s, sgn_s = ad[s][tx]
+                    for y, cy in adx_s.items():
+                        ady_i, sgn_iy = ad_i[y]
+                        for z, cz in ady_i.items():
+                            _add_term(row, z * nops, c * cy * cz)
+                        _add_term(row, y * nops + op_of[i], c * cy * sgn_iy)
+                    for y, cy in adx_i.items():
+                        _add_term(row, y * nops + op_of[s], c * sgn_s * cy)
+            table.append(row)
+        return table
+
+
+class _CasimirTerms(NamedTuple):
+    """Per-complex data of the Casimir quabla.  The scalar on the weight-w
+    block is (const + sum_c linear_c w_c + sum_cd quadratic_cd w_c w_d) / den;
+    cartan_form[c][d] = sum_H e_c(H) e_d(H^#) over the Cartan basis.  roots
+    pairs each Levi root vector with root_den times its dual; ops are the
+    module columns of 1, rho(A_t) over those root vectors and
+    rho(C_l^root)."""
+
+    den: int
+    const: int
+    linear: list
+    quadratic: list
+    cartan_form: list
+    roots: list
+    root_den: int
+    ops: list
 
 
 # ---------------------------------------------------------------------------

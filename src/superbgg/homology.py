@@ -607,7 +607,7 @@ class KostantAnalysis:
         for w, d in self.block_data(k).items():
             im = d["im"]
             modulo[w] = _ambient_columns(weight_blocks[w], im)
-            chosen = linalg.independent_columns(im + d["ker"])
+            chosen = linalg.independent_int_vectors(im + d["ker"])
             comp = [d["ker"][i - len(im)] for i in chosen if i >= len(im)]
             reps.extend(_ambient_columns(weight_blocks[w], comp))
         return LeviModule(self.cx, k, reps, modulo)

@@ -12,6 +12,7 @@ Fractions are formed only when a reduced row is finally divided by its pivot.
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -235,6 +236,24 @@ def independent_columns(cols: list) -> list:
     if not cols:
         return []
     return _echelon(transpose(cols), reduce=False)[1]
+
+
+def independent_int_vectors(vecs: list) -> list:
+    """Indices of the first-come maximal independent subset of int vectors
+    (those of `independent_columns`), row by row: each vector is reduced by
+    the kept echelon rows in pivot order, every step exact on ints, and is
+    kept when something nonzero is left; it is then an echelon row itself.
+    Nothing is transposed and no denominator is looked at."""
+    echelon, keep = [], []      # echelon: (pivot, int row), by pivot
+    for idx, v in enumerate(vecs):
+        for c, prow in echelon:
+            if v[c]:
+                v = _combine(v, prow, prow[c], v[c])
+        lead = next((c for c, x in enumerate(v) if x), None)
+        if lead is not None:
+            insort(echelon, (lead, v))
+            keep.append(idx)
+    return keep
 
 
 def spans_meet(cols_a: list, cols_b: list) -> bool:

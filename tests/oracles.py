@@ -5,11 +5,14 @@ level recursion of superbgg.modules: boundaries are assembled on raw tensor
 words with inversion-counted signs, Verma-module data comes from a word
 calculus in the enveloping algebra, and ranks are taken by a local Gaussian
 elimination.  Only the algebra's bracket table and action matrices are
-shared, since those are the common input data.
+shared, since those are the common input data.  The algebra oracle builds
+its basis and Gram matrix itself and shares only `bracket`, for the
+root-vector check.
 """
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
+from math import lcm
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -580,3 +583,162 @@ def oracle_map_combination(terms, nrows, ncols):
             for j in range(ncols):
                 out[i][j] += Fraction(c) * m[i][j]
     return out
+
+
+# ---------------------------------------------------------------------------
+# dense algebra-construction oracle
+# ---------------------------------------------------------------------------
+
+def _oracle_unit(rank, c, sgn=1):
+    return tuple(Fraction(sgn) if t == c else F0 for t in range(rank))
+
+
+def _oracle_matmul(a, b):
+    """Product of sparse {(row, col): value} matrices, zeros dropped."""
+    out = {}
+    for (i, k), u in a.items():
+        for (k2, j), v in b.items():
+            if k == k2:
+                out[i, j] = out.get((i, j), F0) + u * v
+    return {e: v for e, v in out.items() if v}
+
+
+def oracle_build_algebra(kind, m, n, C=1):
+    """gl(m|n) or osp(m|2n) by the dense formulas: for osp, the osp
+    condition B(Xu, v) + (-1)^{|X||u|} B(u, Xv) = 0 on all N^2 pairs of
+    natural basis vectors of each weight space; the Gram matrix
+    C * str(X_i X_j) from the product matrices; and the root-vector
+    property [H, X] = w(H) X checked through `bracket`.  Returns
+    ([(label, parity, root, matrix)], gram, root vectors certified)."""
+    from superbgg.algebra import BasisElement, LieSuperalgebra, weight_key
+
+    C = Fraction(C)
+    if kind == "gl":
+        rank = r = m + n
+        nat_parity = [0] * m + [1] * n
+        nat_weight = [_oracle_unit(rank, i) for i in range(rank)]
+        coord_index = list(range(rank))
+        zero = (F0,) * rank
+        basis = [BasisElement(f"E{i + 1}{i + 1}", 0, zero, {(i, i): F1}, True)
+                 for i in range(rank)]
+        basis += [BasisElement(f"E{i + 1}{j + 1}", (nat_parity[i] + nat_parity[j]) % 2,
+                               tuple(a - b for a, b in zip(nat_weight[i], nat_weight[j])),
+                               {(i, j): F1})
+                  for i in range(rank) for j in range(rank) if i != j]
+    else:
+        d, odd_m = m // 2, m % 2
+        rank, r = d + n, d
+        zero = (F0,) * rank
+        fplus = 2 * d + odd_m
+        nat_parity = [0] * fplus + [1] * (2 * n)
+        nat_weight = ([_oracle_unit(rank, i) for i in range(d)]
+                      + [_oracle_unit(rank, i, -1) for i in range(d)]
+                      + [zero] * odd_m
+                      + [_oracle_unit(rank, d + j) for j in range(n)]
+                      + [_oracle_unit(rank, d + j, -1) for j in range(n)])
+        coord_index = list(range(d)) + [fplus + j for j in range(n)]
+        bar, bval = {}, {}
+        for i in range(d):
+            bar[i], bar[d + i] = d + i, i
+            bval[i] = bval[d + i] = F1
+        if odd_m:
+            bar[2 * d], bval[2 * d] = 2 * d, F1
+        for j in range(n):
+            p, q = fplus + j, fplus + n + j
+            bar[p], bar[q] = q, p
+            bval[p], bval[q] = F1, -F1
+        basis = [BasisElement(f"H{i + 1}", 0, zero, {(i, i): F1, (d + i, d + i): -F1}, True)
+                 for i in range(d)]
+        basis += [BasisElement(f"K{j + 1}", 0, zero,
+                               {(fplus + j, fplus + j): F1,
+                                (fplus + n + j, fplus + n + j): -F1}, True)
+                  for j in range(n)]
+        N = len(nat_parity)
+        by_weight = {}
+        for p in range(N):
+            for q in range(N):
+                w = tuple(a - b for a, b in zip(nat_weight[p], nat_weight[q]))
+                if w != zero:
+                    by_weight.setdefault(w, []).append((p, q))
+        for w in sorted(by_weight, key=weight_key):
+            units = by_weight[w]
+            xpar = (nat_parity[units[0][0]] + nat_parity[units[0][1]]) % 2
+            rows = []
+            for q in range(N):
+                for rr in range(N):
+                    sgn = -F1 if (xpar and nat_parity[q]) else F1
+                    row = [(bval[bar[rr]] if (bar[rr], q) == u else F0)
+                           + sgn * (bval[q] if (bar[q], rr) == u else F0)
+                           for u in units]
+                    if any(row):
+                        rows.append(row)
+            kernel = oracle_kernel(rows, len(units))
+            for num, vec in enumerate(kernel):
+                scale = lcm(1, *(x.denominator for x in vec))
+                mat = {units[i]: vec[i] * scale for i in range(len(units)) if vec[i]}
+                suffix = "" if len(kernel) == 1 else f"_{num}"
+                basis.append(BasisElement("X[" + ",".join(map(str, w)) + "]" + suffix,
+                                          xpar, w, mat))
+    g = LieSuperalgebra(kind=kind, m=m, n=n, r=r, s=rank - r, basis=basis,
+                        simple_roots=[], form_normalization=C,
+                        nat_parity=nat_parity, nat_weight=nat_weight,
+                        coord_index=coord_index, name=f"{kind}({m}|{n})")
+    gram = []
+    for x in basis:
+        row = []
+        for y in basis:
+            prod = _oracle_matmul(x.matrix, y.matrix)
+            row.append(C * sum((-v if nat_parity[p] else v
+                                for (p, q), v in prod.items() if p == q), F0))
+        gram.append(row)
+    cartan = [i for i, b in enumerate(basis) if b.is_cartan]
+    certified = all(
+        g.bracket(h, i) == ({i: e} if (e := g.eval_weight(b.root, {h: F1})) else {})
+        for i, b in enumerate(basis) if not b.is_cartan for h in cartan)
+    return ([(b.label, b.parity, b.root, b.matrix) for b in basis], gram, certified)
+
+
+# ---------------------------------------------------------------------------
+# composed Casimir quabla oracle
+# ---------------------------------------------------------------------------
+
+def oracle_casimir_quabla(cx, k):
+    """quabla = -1/2 (C2(lambda) + w(h) - sum_i A_i A_i^#) on C_k of a
+    ChainComplex, with h = sum_a [z_a, z_a^#], composed from the
+    tensor-word action (`oracle_action`) of every Levi basis element and
+    the dense Levi duals, as columns {row: Fraction}."""
+    from superbgg.algebra import casimir_eigenvalue, dual_basis_in
+
+    p, g = cx.parabolic, cx.algebra
+    sp = cx.space(k)
+    levi = p.levi_indices
+
+    def key(word, mi):
+        return (tuple(i for i in word if not g.parity(i)),
+                tuple(i for i in word if g.parity(i)), mi)
+
+    acts = {i: [{sp.index[key(word, mi)]: c
+                 for (word, mi), c in oracle_action(p, cx.module, cx.side, i,
+                                                    e.generators(),
+                                                    e.module_index).items()}
+                for e in sp.basis]
+            for i in levi}
+    hvec = {}
+    for a, gen in enumerate(cx.radical):
+        for t, c in g.bracket_vec({gen: F1}, cx.duals[a]).items():
+            hvec[t] = hvec.get(t, F0) + c
+    c2 = casimir_eigenvalue(g, cx.module.highest_weight)
+    cols = []
+    for j in range(sp.dim):
+        w = sp.weights[j]
+        col = {j: -Fraction(1, 2) * (c2 + g.eval_weight(w, hvec))}
+        for i, dual in zip(levi, dual_basis_in(g, levi, levi)):
+            inner = {}
+            for t, c in dual.items():
+                for r, v in acts[t][j].items():
+                    inner[r] = inner.get(r, F0) + c * v
+            for r, v in inner.items():
+                for s, u in acts[i][r].items():
+                    col[s] = col.get(s, F0) + Fraction(1, 2) * v * u
+        cols.append({r: v for r, v in col.items() if v})
+    return cols

@@ -1,13 +1,19 @@
+import dataclasses
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from oracles import oracle_rref
+from oracles import oracle_build_algebra, oracle_rref
 from superbgg import linalg
 from superbgg.algebra import (
     AdjointOperation,
     _check_adjoint,
+    _finish,
     build_adjoint_operation,
     build_algebra,
     build_parabolic,
@@ -315,3 +321,69 @@ def test_rho_is_formed_once(alg, want, monkeypatch):
     assert g.rho == want
     casimir_eigenvalue(g, g.rho)
     assert g.rho is g.rho and len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# the construction against its dense formulas
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("args", [("gl", 2, 1), ("gl", 3, 2), ("osp", 1, 1),
+                                  ("osp", 2, 1), ("osp", 3, 1), ("osp", 4, 2),
+                                  ("osp", 5, 2), ("osp", 4, 3)])
+def test_construction_matches_dense_oracle(args):
+    """The sparse osp rows, the entrywise Gram and the entrywise root-vector
+    certificate give the algebra of the dense formulas: all N^2 osp rows,
+    the Gram from product matrices and [H, X] through `bracket`."""
+    g = build_algebra(*args)
+    basis, gram, certified = oracle_build_algebra(*args)
+    assert certified
+    assert [(b.label, b.parity, b.root, b.matrix) for b in g.basis] == basis
+    assert g.gram == gram
+
+
+def _with_basis_element(g, t, matrix):
+    """A copy of g whose basis element t has the given matrix."""
+    basis = list(g.basis)
+    basis[t] = dataclasses.replace(basis[t], matrix=matrix)
+    return dataclasses.replace(g, basis=basis, gram=[], bracket_table={})
+
+
+def test_construction_rejects_broken_root_vector_or_cartan(gl21):
+    """A root vector with an entry outside its root space, or a Cartan
+    element with an off-diagonal entry, fails the certificate of _finish
+    with CrossCheckFailed."""
+    t = gl21.basis_index_of_root(wt(1, -1, 0))
+    broken = _with_basis_element(gl21, t, {(0, 1): F1, (0, 2): F1})
+    with pytest.raises(CrossCheckFailed, match="not a root vector"):
+        _finish(broken, F1)
+    broken = _with_basis_element(gl21, gl21.cartan[0], {(0, 0): F1, (0, 1): F1})
+    with pytest.raises(CrossCheckFailed, match="not diagonal"):
+        _finish(broken, F1)
+    _finish(_with_basis_element(gl21, t, {(0, 1): Fraction(3)}), F1)
+
+
+def test_construction_certificate_survives_optimize():
+    """Both rejections are typed errors, so they hold under python -O."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import dataclasses\n"
+        "from fractions import Fraction\n"
+        "from superbgg.algebra import _finish, build_algebra\n"
+        "from superbgg.errors import CrossCheckFailed\n"
+        "g = build_algebra('osp', 3, 1)\n"
+        "t = next(i for i, b in enumerate(g.basis) if not b.is_cartan)\n"
+        "for t, extra in ((t, (4, 4)), (g.cartan[0], (0, 1))):\n"
+        "    basis = list(g.basis)\n"
+        "    mat = dict(basis[t].matrix)\n"
+        "    mat[extra] = Fraction(1)\n"
+        "    basis[t] = dataclasses.replace(basis[t], matrix=mat)\n"
+        "    try:\n"
+        "        _finish(dataclasses.replace(g, basis=basis), Fraction(1))\n"
+        "    except CrossCheckFailed:\n"
+        "        print('rejected')\n"
+    )
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["rejected", "rejected"]

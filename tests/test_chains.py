@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from oracles import (
     oracle_action,
     oracle_boundary,
+    oracle_casimir_quabla,
     oracle_coboundary,
     oracle_map_combination,
     oracle_map_product,
@@ -568,3 +569,53 @@ def test_quabla_direct_equals_casimir_osp54_drop0(osp54_drop0):
         assert direct.is_block_diagonal()
         dens.add(direct.den)
     assert 2 in dens
+
+
+# ---------------------------------------------------------------------------
+# the factored Casimir quabla
+# ---------------------------------------------------------------------------
+
+def _casimir_cases(gl21, osp54_drop0):
+    """gl(2|1) with an even and an odd Levi root, osp(3|2) with the Levi
+    osp(1|2), the osp(5|4) natural module on its drop-0 parabolic (Levi
+    with odd roots, Gram inverse not diagonal) and gl(3|2) on its Borel,
+    where the root table is empty."""
+    g32 = build_algebra("osp", 3, 1)
+    gl32 = build_algebra("gl", 3, 2)
+    _, p54, v54 = osp54_drop0
+    v21 = build_irrep(gl21, wt(2, 0, 0))
+    return [ChainComplex(build_parabolic(gl21, [0]), v21, "nbar"),
+            ChainComplex(build_parabolic(gl21, [0]), v21, "n"),
+            ChainComplex(build_parabolic(gl21, [1]), build_irrep(gl21, wt(1, 0, 0)),
+                         "nbar"),
+            ChainComplex(build_parabolic(g32, [1]), build_irrep(g32, wt(1, 0)), "nbar"),
+            ChainComplex(p54, v54, "nbar"),
+            ChainComplex(build_parabolic(gl32, []), build_irrep(gl32, wt(1, 0, 0, 0, 0)),
+                         "nbar")]
+
+
+def test_factored_casimir_quabla_matches_composed_oracle(gl21, osp54_drop0):
+    """The Cartan scalar plus the exterior table of the Levi root vectors
+    equals -1/2 (C2 + w(h) - sum_i A_i A_i^#) composed from the
+    tensor-word actions of the whole Levi basis."""
+    cases = _casimir_cases(gl21, osp54_drop0)
+    for cx in cases:
+        for k in range(3):
+            assert cx.quabla(k, "casimir").cols == oracle_casimir_quabla(cx, k)
+    borel = cases[-1]
+    assert not borel._casimir_terms.roots
+    assert all(set(col) <= {j} for j, col in enumerate(borel.quabla(2, "casimir").icols))
+    assert all(cx._casimir_terms.roots for cx in cases[:-1])
+
+
+def test_casimir_cartan_scalar_is_the_weight_form(gl21, osp54_drop0):
+    """sum_H w(H) w(H^#) over the Cartan basis, the scalar by which the
+    Cartan part of C_l acts on the weight-w block, equals (w, w) on every
+    weight block."""
+    for cx in _casimir_cases(gl21, osp54_drop0):
+        g, form = cx.algebra, cx._casimir_terms.cartan_form
+        for k in range(3):
+            for w in cx.space(k).weight_blocks:
+                scalar = sum((form[c][d] * w[c] * w[d] for c in range(g.rank)
+                              for d in range(g.rank)), F0)
+                assert scalar == g.weight_form(w, w)

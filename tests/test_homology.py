@@ -676,11 +676,12 @@ def test_decompose_levi_reaches_the_action_only_through_act(
 
 def test_levi_action_has_one_owner(osp46_sec7, osp46_natural, monkeypatch):
     """The complex builds the action of a Levi simple root vector on C_k
-    once: the Casimir quabla and LeviModule.act read the same cached map, so
-    decomposing a homology quotient acts on no chain monomial again.  The
-    other Levi maps serve only the Casimir quabla and are not kept.  A map
-    runs the exterior action `_ad_monomial` once per monomial of
-    Lambda^k nbar, so a decomposition that builds no map calls it never."""
+    once per degree: the first decomposition at degree k caches exactly the
+    simple-root maps, and a second consumer at that degree reads them, so
+    it acts on no chain monomial again.  A map runs the exterior action
+    `_ad_monomial` once per monomial of Lambda^k nbar, so a consumer that
+    builds no map calls it never.  The Casimir quabla builds no action map
+    at all: it expands C_l on its own exterior table."""
     an = KostantAnalysis(osp46_sec7, osp46_natural, k_max=2)
     cx, k = an.cx, 1
     pos, neg = osp46_sec7.algebra.simple_vector_indices()
@@ -688,9 +689,12 @@ def test_levi_action_has_one_owner(osp46_sec7, osp46_natural, monkeypatch):
     i = pos[osp46_sec7.levi_simple_roots[0]]
     assert cx.action_map(k, i) is cx.action_map(k, i)
     cx.quabla(k, "casimir")
-    assert {key[1] for key in cx._actions} == simple
+    assert set(cx._actions) == {(k, i)}
     mod = an.homology_quotient_module(k)
     assert mod.dim
+    dec = decompose_levi(osp46_sec7, mod)
+    assert dec.total_dimension == mod.dim
+    assert {key for key in cx._actions if key[0] == k} == {(k, j) for j in simple}
     calls = []
     ad_monomial = ChainComplex._ad_monomial
 
@@ -699,8 +703,9 @@ def test_levi_action_has_one_owner(osp46_sec7, osp46_natural, monkeypatch):
         return ad_monomial(self, i, gens)
 
     monkeypatch.setattr(ChainComplex, "_ad_monomial", spy)
-    dec = decompose_levi(osp46_sec7, mod)
-    assert dec.total_dimension == mod.dim
+    kerq = an.ker_quabla(k)
+    assert kerq.dim
+    assert decompose_levi(osp46_sec7, kerq).total_dimension == kerq.dim
     assert calls == []
 
 
