@@ -30,6 +30,31 @@ complement, and LeviModule makes its inputs primitive anyway.
 Homology groups of interest are H_k(nbar, W) = ker(delta*_k)/im(delta*_{k+1})
 computed on Lambda^. nbar (x) W; these are the groups whose induced modules
 form BGG resolutions of W.
+
+Most weight blocks are acyclic, and there the block layer forms no basis.
+Call (k, w) acyclic when the block of quabla_k = d d* + d* d at w is
+invertible, i.e. has no generalized zero space (Kostant's argument).  Then
+C_{k,w} is exact for d* and for d:
+
+* quabla commutes with d*: quabla_k d*_{k+1} = d*_{k+1} d_k d*_{k+1} =
+  d*_{k+1} quabla_{k+1}, as d*_k d*_{k+1} = 0 and d*_{k+1} d*_{k+2} = 0.
+  So quabla_k maps im d*_{k+1,w} into itself, injectively, hence onto.
+  For x in ker d*_{k,w}, quabla x = d*(d x) lies in im d*_{k+1,w}, so x
+  does too: ker d*_{k,w} = im d*_{k+1,w}.
+* Dually quabla commutes with d (d d = 0), and for x in ker d_{k,w},
+  quabla x = d(d* x): ker d_{k,w} = im d_{k-1,w}.
+* If x = d* y and d x = 0, then quabla x = d d* d* y + d* d x = 0; so
+  im d* meets ker d only in ker quabla = 0, and dually im d meets ker d*
+  only in 0.
+
+So statements (1)-(7) hold at (k, w) with no rank test, H_k has no weight
+w, and the ranks follow by recursion: dim ker d*_{k,w} = dim im d*_{k+1,w}
+= n_{k,w} - dim im d*_{k,w}, the last term the image count that degree
+k - 1 holds at w (0 at k = 0 or where C_{k-1} has no weight w).  An
+operator block is eliminated only where one of its two readers sits at a
+non-acyclic weight.  The homology quotient keeps its acyclic weights:
+there a column lies in span(im d*_{k+1}) = ker d*_k exactly when d*_k
+kills it, one sparse product, and its class is zero.
 """
 
 from __future__ import annotations
@@ -173,15 +198,21 @@ class LeviModule:
     as primitive int columns, each a positive multiple of the column given.
     Coordinates are solved weight by weight: each weight block is
     eliminated once.
+
+    `acyclic` (optional, a homology quotient's) names the weights where
+    ker d*_k = im d*_{k+1}: the quotient is zero there and `modulo` holds
+    nothing, and `express` tests a column by d*_k instead of a solver.
     """
 
-    def __init__(self, cx: ChainComplex, k: int, reps: list, modulo: dict | None = None):
+    def __init__(self, cx: ChainComplex, k: int, reps: list, modulo: dict | None = None,
+                 acyclic: frozenset = frozenset()):
         self.cx = cx
         self.k = k
         self.space = cx.space(k)
         self.reps = [_primitive(col) for col in reps]
         self.modulo = {w: [_primitive(col) for col in cols]
                        for w, cols in (modulo or {}).items()}
+        self.acyclic = acyclic
         self.weights = []
         self._members: dict = {}
         for t, col in enumerate(self.reps):
@@ -257,7 +288,10 @@ class LeviModule:
         an int dict, coords[j] / den the exact coordinates of ambient_cols[j]
         and den > 0 the weight's solver denominator.
 
-        Raises LeviNotClosed when a column is outside span(modulo + reps)."""
+        Raises LeviNotClosed when a column is outside span(modulo + reps);
+        at an acyclic weight that span is ker d*_k (module docstring)."""
+        if weight in self.acyclic:
+            return self._express_cycles(weight, ambient_cols)
         pos, ecols, rank, coords, den = self._solver(weight)
         out = []
         for col in ambient_cols:
@@ -271,6 +305,21 @@ class LeviModule:
                 raise LeviNotClosed("subspace is not stable under the Levi action")
             out.append({coords[r]: v for r, v in y.items() if coords[r] is not None})
         return out, den
+
+    def _express_cycles(self, weight: Weight, ambient_cols: list) -> tuple[list, int]:
+        """`express` at an acyclic weight: certify d*_k col = 0 for each
+        column (the int columns of lower(k), a positive multiple of d*_k)
+        and return the zero class of each."""
+        lower, weights = self.cx.lower(self.k).icols, self.space.weights
+        for col in ambient_cols:
+            y: dict = {}
+            for gidx, v in col.items():
+                if weights[gidx] != weight:
+                    raise LeviNotClosed("image leaves the expected weight block")
+                linalg.vec_iadd(y, lower[gidx], v)
+            if y:
+                raise LeviNotClosed("subspace is not stable under the Levi action")
+        return [{} for _ in ambient_cols], 1
 
     def act(self, levi_index: int) -> LeviAction:
         """The Levi basis element in this module's coordinates: the complex's
@@ -519,7 +568,7 @@ class KostantAnalysis:
         self._predicates: dict = {}
         self._lower_vals: dict = {}
         self._quabla: dict = {}
-        self._eliminated: dict = {}     # ("lower" | "raise", k) -> [echelons, images]
+        self._eliminated: dict = {}     # ("lower" | "raise", k) -> {weight: [echelon, image]}
 
     # -- raw block data -------------------------------------------------------
 
@@ -528,51 +577,87 @@ class KostantAnalysis:
             self._quabla[k] = self.cx.quabla(k, "direct")
         return self._quabla[k]
 
-    def _operator_part(self, name: str, k: int, part: int) -> dict:
-        """{weight: kernel basis} (part 0) or {weight: image basis} (part 1)
-        of lower(k) or raise_(k), over its source weight blocks, as ints.
+    def _reads_later(self, name: str, k: int, part: int) -> bool:
+        """Whether the reader of `part` of lower(k) or raise_(k) is still to
+        run in the window: block_data(r), r <= k_max, reads the kernels of
+        lower(r) and the images of lower(r + 1); predicates(r), r < k_max,
+        those of raise_(r) and raise_(r - 1)."""
+        if name == "lower":
+            r = k - part
+            return 0 <= r <= self.k_max and r not in self._blockdata
+        r = k + part
+        return 0 <= r < self.k_max and r not in self._predicates
 
-        Each int block is eliminated once (linalg.int_rref).  The image, the
-        block's pivot columns, is read off at once: those are its first-come
-        independent columns.  The kernel (linalg.int_kernel) is formed from
-        the kept rows when it is first asked for.  block_data reads the
-        kernels of lower(k) and the images of lower(k+1), predicates those
-        of raise_(k) and raise_(k-1), and both cache what they read; so the
-        store hands each part out once and forgets an operator when both
-        parts are out."""
+    def _operator_part(self, name: str, k: int, part: int, weights: list) -> dict:
+        """{weight: kernel basis} (part 0) or {weight: image basis} (part 1)
+        of lower(k) or raise_(k) at those of the source weight blocks
+        `weights` that exist, as ints.
+
+        Each int block is eliminated once (linalg.int_rref), when a reader
+        first asks for it; readers ask only at their non-acyclic weights.
+        The image, the block's pivot columns, is read off at once: those are
+        its first-come independent columns.  The kernel (linalg.int_kernel)
+        is formed from the kept rows when it is asked for.  The store keeps
+        a block's other part only while that part's reader is still to run
+        (`_reads_later`) and forgets the operator once it is not."""
         key = (name, k)
-        parts = self._eliminated.get(key)
-        if parts is None or parts[part] is None:
-            m = self.cx.lower(k) if name == "lower" else self.cx.raise_(k)
-            echelons, images = {}, {}
-            for w, cols in m.source.weight_blocks.items():
+        store = self._eliminated.pop(key, {})
+        keep = self._reads_later(name, k, 1 - part)
+        m = self.cx.lower(k) if name == "lower" else self.cx.raise_(k)
+        blocks = m.source.weight_blocks
+        out = {}
+        for w in weights:
+            if w not in blocks:
+                continue
+            parts = store.pop(w, None)
+            if parts is None or parts[part] is None:
                 block = m.int_block(w)
                 rows, pivots = linalg.int_rref(block, integral=True)
-                echelons[w] = (rows, pivots, len(cols))
-                images[w] = [[row[c] for row in block] for c in pivots]
-            parts = self._eliminated[key] = [echelons, images]
-        out, parts[part] = parts[part], None
-        if parts[1 - part] is None:
-            del self._eliminated[key]
+                parts = [(rows, pivots, len(blocks[w])),
+                         [[row[c] for row in block] for c in pivots]]
+            out[w], parts[part] = parts[part], None
+            if keep:
+                store[w] = parts
+        if keep:
+            self._eliminated[key] = store
         if part == 0:
             out = {w: linalg.int_kernel(*e) for w, e in out.items()}
         return out
 
     def block_data(self, k: int) -> dict:
-        """{weight: int block bases} of degree k, in weight_key order."""
+        """{weight: block data} of degree k, in weight_key order.
+
+        Every block holds `ker_quabla` and `gen_zero` (int bases), whether
+        it is `acyclic` (gen_zero is empty), and the counts `dim_ker` of
+        ker d*_k and `dim_im` of im d*_{k+1}.  Only a non-acyclic block
+        holds the int bases `ker` and `im`; an acyclic one takes its counts
+        from the recursion of the module docstring, which reads
+        block_data(k - 1)."""
         if k in self._blockdata:
             return self._blockdata[k]
+        below = self.block_data(k - 1) if k > 0 else {}
         sp = self.cx.space(k)
-        kernels = self._operator_part("lower", k, 0)
-        images = self._operator_part("lower", k + 1, 1)
         quab = self.quabla_map(k)
         data = {}
         for w in sorted(sp.weight_blocks, key=weight_key):
             kerq, gen_zero = _quabla_kernels(quab.int_block(w), len(sp.weight_blocks[w]))
-            data[w] = {"ker": kernels[w], "im": images.get(w, []),
-                       "ker_quabla": kerq, "gen_zero": gen_zero}
+            data[w] = {"acyclic": not gen_zero, "ker_quabla": kerq, "gen_zero": gen_zero}
+        todo = [w for w, d in data.items() if not d["acyclic"]]
+        kernels = self._operator_part("lower", k, 0, todo)
+        images = self._operator_part("lower", k + 1, 1, todo)
+        for w, d in data.items():
+            if d["acyclic"]:
+                below_im = below[w]["dim_im"] if w in below else 0
+                d["dim_ker"] = d["dim_im"] = len(sp.weight_blocks[w]) - below_im
+            else:
+                d["ker"], d["im"] = kernels[w], images.get(w, [])
+                d["dim_ker"], d["dim_im"] = len(d["ker"]), len(d["im"])
         self._blockdata[k] = data
         return data
+
+    def acyclic_weights(self, k: int) -> frozenset:
+        """The weights of C_k whose quabla block is invertible."""
+        return frozenset(w for w, d in self.block_data(k).items() if d["acyclic"])
 
     # -- homology ---------------------------------------------------------------
 
@@ -580,11 +665,11 @@ class KostantAnalysis:
         if k in self._homology:
             return self._homology[k]
         data = self.block_data(k)
-        dim_ker = sum(len(d["ker"]) for d in data.values())
-        dim_im = sum(len(d["im"]) for d in data.values())
+        dim_ker = sum(d["dim_ker"] for d in data.values())
+        dim_im = sum(d["dim_im"] for d in data.values())
         mult = {}
         for w, d in data.items():
-            h = len(d["ker"]) - len(d["im"])
+            h = d["dim_ker"] - d["dim_im"]
             if h < 0:
                 raise CrossCheckFailed(
                     f"image above exceeds the kernel at degree {k}, weight {w}")
@@ -601,16 +686,19 @@ class KostantAnalysis:
         return rep
 
     def homology_quotient_module(self, k: int) -> LeviModule:
-        """Deterministic complement of im inside ker, with reduced l-action."""
+        """Deterministic complement of im inside ker, with reduced l-action;
+        an acyclic weight has neither and is handed to the module as such."""
         weight_blocks = self.cx.space(k).weight_blocks
         reps, modulo = [], {}
         for w, d in self.block_data(k).items():
+            if d["acyclic"]:
+                continue
             im = d["im"]
             modulo[w] = _ambient_columns(weight_blocks[w], im)
             chosen = linalg.independent_int_vectors(im + d["ker"])
             comp = [d["ker"][i - len(im)] for i in chosen if i >= len(im)]
             reps.extend(_ambient_columns(weight_blocks[w], comp))
-        return LeviModule(self.cx, k, reps, modulo)
+        return LeviModule(self.cx, k, reps, modulo, self.acyclic_weights(k))
 
     def homology_decomposition(self, k: int) -> LDecomposition:
         if k not in self._decomp:
@@ -669,11 +757,14 @@ class KostantAnalysis:
 
     def _lower_statements(self, k: int) -> dict:
         """Statements (1)-(4) at degree k, the half that reads only
-        block_data(k), cached per degree; each a rank per weight block."""
+        block_data(k), cached per degree; each a rank per non-acyclic weight
+        block (they hold at an acyclic one, module docstring)."""
         if k in self._lower_vals:
             return self._lower_vals[k]
         vals = {i: True for i in range(1, 5)}
         for d in self.block_data(k).values():
+            if d["acyclic"]:
+                continue
             im_up, gz = d["im"], d["gen_zero"]
             if linalg.spans_meet(im_up, d["ker_quabla"]):
                 vals[1] = False
@@ -687,7 +778,8 @@ class KostantAnalysis:
         return vals
 
     def predicates(self, k: int) -> PredicateReport:
-        """The seven disjointness statements sliced at degree k.
+        """The seven disjointness statements sliced at degree k, a rank test
+        per non-acyclic weight block (all seven hold at an acyclic one).
 
         Only the pair (1)<->(2) is equivalent degree by degree; the seven are
         equivalent as statements about all degrees at once, which is what
@@ -695,11 +787,13 @@ class KostantAnalysis:
         """
         if k in self._predicates:
             return self._predicates[k]
-        raise_kernels = self._operator_part("raise", k, 0)
-        below_images = self._operator_part("raise", k - 1, 1) if k > 0 else {}
+        data = self.block_data(k)
+        todo = [w for w, d in data.items() if not d["acyclic"]]
+        raise_kernels = self._operator_part("raise", k, 0, todo)
+        below_images = self._operator_part("raise", k - 1, 1, todo) if k > 0 else {}
         vals = {**self._lower_statements(k), 5: True, 6: True, 7: True}
-        for w, d in self.block_data(k).items():
-            ker_raise = raise_kernels[w]
+        for w in todo:
+            d, ker_raise = data[w], raise_kernels[w]
             im_below = below_images.get(w, [])
             if linalg.spans_meet(im_below, d["ker_quabla"]):
                 vals[5] = False

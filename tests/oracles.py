@@ -235,7 +235,15 @@ def oracle_wedge(g, gen, vec):
 
 
 def oracle_homology_dims(p, module, k_max, side="nbar"):
-    """Homology dimensions per degree and weight from a tensor-space assembly.
+    """Homology dimensions per degree and weight (the nonzero ones) from
+    `oracle_homology_ranks`."""
+    return [{w: ker - im for w, (ker, im) in ranks.items() if ker - im}
+            for ranks in oracle_homology_ranks(p, module, k_max, side)]
+
+
+def oracle_homology_ranks(p, module, k_max, side="nbar"):
+    """{weight: (dim ker d*_k, dim im d*_{k+1})} per degree k <= k_max, over
+    every weight of C_k, from a tensor-space assembly.
 
     The degree-k space is spanned by unnormalized antisymmetrized tensor
     words; the boundary acts on raw words and is projected back by sorting
@@ -307,9 +315,7 @@ def oracle_homology_dims(p, module, k_max, side="nbar"):
             up_idx = [i for i, (f, m) in enumerate(bases[k + 1]) if weight_of(f, m) == w]
             tgt_rows = [i for i, (f, m) in enumerate(bases[k]) if weight_of(f, m) == w]
             img_rows = [[mats[k + 1][j][r] for j in up_idx] for r in tgt_rows]
-            im = rank_dense(img_rows)
-            if ker - im:
-                per_weight[w] = ker - im
+            per_weight[w] = (ker, rank_dense(img_rows))
         out.append(per_weight)
     return out
 

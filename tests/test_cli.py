@@ -131,9 +131,11 @@ def test_direct_quabla_built_once_per_degree(capsys, monkeypatch, argv):
 def test_bgg_check_computes_predicates_once_per_degree(capsys, monkeypatch):
     """A bgg check that reaches the disjointness rung and then reports the
     predicates computes each degree's predicates once: each disjointness
-    statement is one rank test per weight block.  Statements (1)-(2) are
-    tested at degrees 0..kmax (the multiplicity rung's shared-decomposition
-    gate reads them up to kmax) and (5), (7), (7) at degrees 0..kmax-1."""
+    statement is one rank test per weight block whose quabla block is
+    singular (every statement holds at an invertible one).  Statements
+    (1)-(2) are tested at degrees 0..kmax (the multiplicity rung's
+    shared-decomposition gate reads them up to kmax) and (5), (7), (7) at
+    degrees 0..kmax-1."""
     from superbgg import linalg
     from superbgg.algebra import build_algebra, build_parabolic
     from superbgg.chains import ChainComplex
@@ -151,7 +153,12 @@ def test_bgg_check_computes_predicates_once_per_degree(capsys, monkeypatch):
     assert "predicates" in json.loads(out)["verdict"]["details"]
     g = build_algebra("gl", 1, 2)
     cx = ChainComplex(build_parabolic(g, []), build_irrep(g, (1, 0, 0)), "nbar")
-    blocks = [len(cx.space(k).weight_blocks) for k in range(3)]
+    blocks = []
+    for k in range(3):
+        quab = cx.quabla(k)
+        blocks.append(sum(1 for w, idxs in cx.space(k).weight_blocks.items()
+                          if linalg.rank(quab.block(w)) < len(idxs)))
+    assert all(blocks)
     assert len(calls) == 5 * (blocks[0] + blocks[1]) + 2 * blocks[2]
 
 

@@ -16,20 +16,23 @@ from oracles import (
     oracle_action,
     oracle_boundary_squares_to_zero,
     oracle_homology_dims,
+    oracle_homology_ranks,
     oracle_kernel,
     oracle_levi_decomposition,
     oracle_levi_generated_dims,
     oracle_map_product,
+    rank_dense,
 )
 from superbgg import linalg
 from superbgg.algebra import (
     build_algebra,
     build_parabolic,
     check_finite_dimensional,
+    weight_key,
     wt,
     wt_add,
 )
-from superbgg.chains import ChainComplex
+from superbgg.chains import ChainComplex, ChainMap
 from superbgg.errors import LeviNotClosed, PreconditionViolated, TruncationTooSmall
 from superbgg.homology import (
     KostantAnalysis,
@@ -439,7 +442,10 @@ def _stacked_solve_action(mod, i):
     """Exact columns of A_i on `mod`: the oracle's tensor-word action on
     each representative's monomials, then one linalg.solve against
     [modulo | reps] of the target weight, independent of the complex's
-    action maps and of the module's solvers."""
+    action maps and of the module's solvers.  At an acyclic weight of a
+    homology quotient, which holds no `modulo`, the solve is against
+    ker d*_k = im d*_{k+1} there, nullspace(lower(k).block(w)), which does
+    not depend on the module."""
     sp, cx = mod.space, mod.cx
     g = cx.algebra
     out = []
@@ -456,10 +462,14 @@ def _stacked_solve_action(mod, i):
             out.append({})
             continue
         w = wt_add(mod.weights[t], cx.algebra.root(i))
-        mod_cols = mod.modulo.get(w, [])
+        idxs = sp.weight_blocks[w]
+        if w in mod.acyclic:
+            kernel = linalg.nullspace(cx.lower(mod.k).block(w), ncols=len(idxs))
+            mod_cols = [{idxs[j]: x for j, x in enumerate(v) if x} for v in kernel]
+        else:
+            mod_cols = mod.modulo.get(w, [])
         members = mod.members(w)
         stacked = mod_cols + [mod.reps[u] for u in members]
-        idxs = sp.weight_blocks[w]
         sol = linalg.solve([[col.get(r, F0) for col in stacked] for r in idxs],
                            [img.get(r, F0) for r in idxs])
         assert sol is not None
@@ -505,7 +515,7 @@ def _sheared(mod):
             col = dict(mod.reps[t])
             linalg.vec_iadd(col, mod.reps[members[(j + 1) % len(members)]], 2)
             reps[t] = col
-    return LeviModule(mod.cx, mod.k, reps, mod.modulo)
+    return LeviModule(mod.cx, mod.k, reps, mod.modulo, mod.acyclic)
 
 
 def _int_layer_modules(an):
@@ -882,22 +892,29 @@ def test_half_integral_weight_keys_blocks(gl21, gl21_borel):
 
 def test_block_layer_holds_only_ints(levi_case):
     """block_data's bases, the kept int rows of the operator store and the
-    predicate values hold no Fraction, and the kernels of d*_k equal, vector
-    for vector, the primitive multiples of nullspace's Fraction kernels."""
+    predicate values hold no Fraction; at a non-acyclic block the kernels of
+    d*_k equal, vector for vector, the primitive multiples of nullspace's
+    Fraction kernels, and at an acyclic block the recorded count is their
+    number."""
     p, an = levi_case
     for k in (0, 1):
         data = an.block_data(k)
         rep = an.predicates(k)
         for w, d in data.items():
-            for key in ("ker", "im", "ker_quabla", "gen_zero"):
+            keys = ("ker_quabla", "gen_zero") if d["acyclic"] else \
+                ("ker", "im", "ker_quabla", "gen_zero")
+            for key in keys:
                 assert all(type(x) is int for v in d[key] for x in v)
             lower = an.cx.lower(k)
             blk = lower.block(w)
             want = linalg.nullspace(blk, ncols=len(an.cx.space(k).weight_blocks[w]))
-            assert d["ker"] == [_primitive_vector(u) for u in want]
-        for echelons, images in an._eliminated.values():
-            rows = [r for e in (echelons or {}).values() for r in e[0]]
-            cols = [c for cs in (images or {}).values() for c in cs]
+            if d["acyclic"]:
+                assert d["dim_ker"] == len(want)
+            else:
+                assert d["ker"] == [_primitive_vector(u) for u in want]
+        for store in an._eliminated.values():
+            rows = [r for parts in store.values() if parts[0] for r in parts[0][0]]
+            cols = [c for parts in store.values() if parts[1] for c in parts[1]]
             assert all(type(x) is int for v in rows + cols for x in v)
         assert all(type(v) is bool for v in rep.values.values())
         assert all(type(v) is bool for v in an._lower_statements(k).values())
@@ -979,3 +996,145 @@ def test_gate_reads_statements_1_and_3(gl21_borel, gl21_natural):
     for i in (1, 3):
         an._lower_vals[1] = {**vals, i: False}
         assert not an.homology_is_ker_quabla(1)
+
+
+# ---------------------------------------------------------------------------
+# acyclic weight blocks
+# ---------------------------------------------------------------------------
+
+@given(_certificate_cases())
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+def test_homology_matches_oracle_ranks_with_acyclic_blocks(case):
+    """On small random inputs, irreps and Kac modules alike, every degree's
+    kernel and image totals and homology multiplicities equal the
+    tensor-space oracle's, although acyclic blocks form no basis; a block is
+    acyclic exactly when the oracle's elimination finds its quabla block of
+    full rank, and the oracle's kernel and image agree there."""
+    alg, levi, lam, kac, k_max = case
+    p = _parabolic(*alg, levi)
+    try:
+        check_finite_dimensional(p.algebra, lam)
+    except PreconditionViolated:
+        assume(False)
+    module = (build_kac_module if kac else build_irrep)(p.algebra, lam)
+    an = KostantAnalysis(p, module, k_max=k_max)
+    assume(an.cx.space(k_max).dim <= 40)
+    want = oracle_homology_ranks(p, module, k_max)
+    for k in range(k_max + 1):
+        rep, ranks = an.homology(k), want[k]
+        assert rep.dim_ker_boundary == sum(ker for ker, _ in ranks.values())
+        assert rep.dim_im_boundary_above == sum(im for _, im in ranks.values())
+        assert rep.weight_multiplicities == {
+            w: ker - im for w, (ker, im) in ranks.items() if ker - im}
+        acyclic, quab = an.acyclic_weights(k), an.quabla_map(k)
+        for w, idxs in an.cx.space(k).weight_blocks.items():
+            full = rank_dense(quab.block(w)) == len(idxs)
+            assert (w in acyclic) is full
+            if full:
+                assert ranks[w][0] == ranks[w][1]
+
+
+@pytest.mark.parametrize("levi, lam", [((1,), (1, 0, 0)), ((0,), (2, 0, 0))])
+def test_operator_blocks_eliminated_once_where_a_reader_is_not_acyclic(
+        gl21, levi, lam, monkeypatch):
+    """Through homology(0..k_max) and the predicate summary, a block of
+    d*_k is eliminated once, exactly where w is non-acyclic at k or k - 1,
+    and a block of d_k exactly where w is non-acyclic at k, or at k + 1
+    when k + 1 < k_max, fewer than every block; the operator store is empty
+    afterwards.  On gl(2|1) with Levi {1} some blocks of d* are eliminated
+    for their image alone, with Levi {0} some blocks of d."""
+    k_max = 3
+    an = KostantAnalysis(build_parabolic(gl21, list(levi)),
+                         build_irrep(gl21, wt(*lam)), k_max=k_max)
+    seen = []
+    int_block = ChainMap.int_block
+
+    def spy(self, w):
+        seen.append((id(self), w))
+        return int_block(self, w)
+
+    monkeypatch.setattr(ChainMap, "int_block", spy)
+    for k in range(k_max + 1):
+        an.homology(k)
+    an.predicate_summary()
+    cx = an.cx
+    hot = {k: set(cx.space(k).weight_blocks) - an.acyclic_weights(k)
+           for k in range(k_max + 1)}
+    hot[-1] = hot[k_max + 1] = set()
+    want = []
+    for k in range(k_max + 2):
+        m = cx.lower(k)
+        want += [(id(m), w) for w in hot[k - 1] | hot[k]
+                 if w in m.source.weight_blocks]
+    for k in range(k_max):
+        m = cx.raise_(k)
+        want += [(id(m), w) for w in hot[k] | (hot[k + 1] if k + 1 < k_max else set())
+                 if w in m.source.weight_blocks]
+    operators = {m for m, _ in want}
+    got = [key for key in seen if key[0] in operators]
+    assert sorted(got, key=str) == sorted(want, key=str)
+    every = sum(len(cx.space(k).weight_blocks) for k in range(k_max + 2)) \
+        + sum(len(cx.space(k).weight_blocks) for k in range(k_max))
+    assert len(got) < every
+    assert an._eliminated == {}
+
+
+def _acyclic_probe(an, k):
+    """(w, cycle, non-cycle) at the first acyclic weight w of C_k where d*_k
+    is nonzero: a column of d*_{k+1} landing at w, and a unit vector that
+    d*_k does not kill."""
+    lower, upper = an.cx.lower(k), an.cx.lower(k + 1)
+    blocks = an.cx.space(k).weight_blocks
+    for w in sorted(an.acyclic_weights(k), key=weight_key):
+        bad = next(({i: 1} for i in blocks[w] if lower.icols[i]), None)
+        good = next((col for j in an.cx.space(k + 1).weight_blocks.get(w, [])
+                     if (col := upper.icols[j])), None)
+        if bad and good:
+            return w, good, bad
+    raise AssertionError("no acyclic weight with a nonzero d*_k")
+
+
+def test_quotient_express_certifies_cycles_at_acyclic_weights(gl21_borel, gl21_natural):
+    """At an acyclic weight the homology quotient has no representatives
+    and no `modulo`: `express` returns the zero class of a cycle and raises
+    LeviNotClosed on a non-cycle or on a column that leaves the block."""
+    an = KostantAnalysis(gl21_borel, gl21_natural, k_max=2)
+    mod = an.homology_quotient_module(1)
+    assert mod.acyclic == an.acyclic_weights(1)
+    w, good, bad = _acyclic_probe(an, 1)
+    assert not mod.members(w) and w not in mod.modulo
+    assert mod.express(w, [good, {}]) == ([{}, {}], 1)
+    with pytest.raises(LeviNotClosed, match="not stable"):
+        mod.express(w, [good, bad])
+    other = next(i for v, idxs in an.cx.space(1).weight_blocks.items()
+                 if v != w for i in idxs)
+    with pytest.raises(LeviNotClosed, match="leaves"):
+        mod.express(w, [{**good, other: 1}])
+    assert mod._solvers == {}
+
+
+def test_quotient_rejects_a_non_cycle_at_an_acyclic_weight_under_O():
+    """The cycle test at an acyclic weight is a typed error, so `python -O`
+    keeps it."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "from superbgg.algebra import build_algebra, build_parabolic, weight_key, wt\n"
+        "from superbgg.errors import LeviNotClosed\n"
+        "from superbgg.homology import KostantAnalysis\n"
+        "from superbgg.modules import build_irrep\n"
+        "g = build_algebra('gl', 2, 1)\n"
+        "an = KostantAnalysis(build_parabolic(g, []), build_irrep(g, wt(1, 0, 0)), 2)\n"
+        "mod = an.homology_quotient_module(1)\n"
+        "lower, blocks = an.cx.lower(1), an.cx.space(1).weight_blocks\n"
+        "w, i = next((w, i) for w in sorted(mod.acyclic, key=weight_key)\n"
+        "            for i in blocks[w] if lower.icols[i])\n"
+        "try:\n"
+        "    mod.express(w, [{i: 1}])\n"
+        "except LeviNotClosed:\n"
+        "    print('rejected')\n"
+    )
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "rejected"
