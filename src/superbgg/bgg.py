@@ -22,6 +22,7 @@ from .algebra import (
     build_adjoint_operation,
     build_algebra,
     build_parabolic,
+    check_finite_dimensional,
     check_star_condition,
     even_simple_roots,
     positive_even_roots,
@@ -313,12 +314,14 @@ def _weights_str(mult: dict, r: int) -> str:
 def _scenario_osp12_counterexample(lam: int = 1, k_max: int = 4):
     g = build_algebra("osp", 1, 1)
     p = build_parabolic(g, [])
-    module = build_irrep(g, (Fraction(lam),))
+    weight = (Fraction(lam),)
+    check_finite_dimensional(g, weight)
+    module = build_irrep(g, weight)
     an = KostantAnalysis(p, module, k_max + 1)
     checks = []
     h0 = an.homology(0).weight_multiplicities
     checks.append(_check("H_0 is the one dimensional weight-lambda space",
-                         h0 == {(Fraction(lam),): 1}, _weights_str(h0, g.r)))
+                         h0 == {weight: 1}, _weights_str(h0, g.r)))
     h1 = an.homology(1).weight_multiplicities
     checks.append(_check("H_1 is the one dimensional weight -lambda-1 space",
                          h1 == {(Fraction(-lam - 1),): 1}, _weights_str(h1, g.r)))

@@ -279,7 +279,7 @@ class ChainComplex:
         self._lower: dict = {}
         self._raise: dict = {}
         self._tables: dict = {}         # "lower" / "raise" -> (k, exterior table)
-        self._actions: dict = {}        # (k, Levi simple root vector) -> action map
+        self._actions: dict = {}        # (k, basis index) -> action map
         self._brackets: dict = {}       # (a, generator) -> radical part of [A_a, gen]
         self._raise_terms: dict = {}    # peeled generator -> coboundary terms
 
@@ -551,22 +551,13 @@ class ChainComplex:
 
     # -- auxiliary actions --------------------------------------------------------
 
-    @functools.cached_property
-    def _levi_simple_vectors(self) -> frozenset:
-        """Basis indices of the positive and negative Levi simple root
-        vectors: the only Levi elements LeviModule.act reads."""
-        pos, neg = self.algebra.simple_vector_indices()
-        return frozenset(v[i] for i in self.parabolic.levi_simple_roots
-                         for v in (pos, neg))
-
     def action_map(self, k: int, i: int) -> ChainMap:
         """Action of the basis element A_i on C_k: ad(A_i) on the exterior
-        factor plus (-1)^{|A_i||X|} rho(A_i) on the module.  Cached per
-        (k, i) for the Levi simple root vectors, the maps LeviModule.act
-        reads; any other map is built on each call."""
+        factor plus (-1)^{|A_i||X|} rho(A_i) on the module, cached per
+        (k, i).  LeviModule.act, its one reader in the pipeline, asks only
+        for the Levi simple root vectors."""
         key = (k, i)
-        hit = self._actions.get(key)
-        if hit is None:
+        if key not in self._actions:
             monos, index = self.monomials(k)
             table = []
             for t, x in enumerate(monos):
@@ -574,10 +565,9 @@ class ChainComplex:
                 entry = {index[y] * 2: c for y, c in ad.items()}
                 entry[t * 2 + 1] = sgn
                 table.append(entry)
-            hit = self._assemble(k, k, table, [self._rho(None), self._rho({i: F1})])
-            if i in self._levi_simple_vectors:
-                self._actions[key] = hit
-        return hit
+            self._actions[key] = self._assemble(
+                k, k, table, [self._rho(None), self._rho({i: F1})])
+        return self._actions[key]
 
     # -- quabla -------------------------------------------------------------------
 

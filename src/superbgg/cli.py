@@ -419,8 +419,11 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     t0 = time.time()
     try:
-        if getattr(args, "kmax", None) is not None and args.kmax < 0:
-            raise InputError(f"--kmax must be non-negative, got {args.kmax}")
+        for opt in ("kmax", "max_depth"):
+            val = getattr(args, opt, None)
+            if val is not None and val < 0:
+                raise InputError(
+                    f"--{opt.replace('_', '-')} must be non-negative, got {val}")
         return args.func(args, t0)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -51,10 +51,13 @@ So statements (1)-(7) hold at (k, w) with no rank test, H_k has no weight
 w, and the ranks follow by recursion: dim ker d*_{k,w} = dim im d*_{k+1,w}
 = n_{k,w} - dim im d*_{k,w}, the last term the image count that degree
 k - 1 holds at w (0 at k = 0 or where C_{k-1} has no weight w).  An
-operator block is eliminated only where one of its two readers sits at a
-non-acyclic weight.  The homology quotient keeps its acyclic weights:
-there a column lies in span(im d*_{k+1}) = ker d*_k exactly when d*_k
-kills it, one sparse product, and its class is zero.
+operator block has two readers: block_data reads the kernels of d*_k and
+the images of d*_{k+1}, predicates those of d_k and d_{k-1}.  The block is
+eliminated once per reader that sits at a non-acyclic weight, and nothing
+is kept between readers: a block read twice is rare and small.  The
+homology quotient keeps its acyclic weights: there a column lies in
+span(im d*_{k+1}) = ker d*_k exactly when d*_k kills it, one sparse
+product, and its class is zero.
 """
 
 from __future__ import annotations
@@ -108,6 +111,28 @@ def _quabla_kernels(quab: list, dim: int) -> tuple[list, list]:
             break
         gen_zero = grown
     return kernel, gen_zero
+
+
+def _block_kernels(m: ChainMap, weights: list) -> dict:
+    """{w: int kernel basis} of the blocks of `m` at those of `weights`
+    that are source weights of `m` (linalg.int_kernel)."""
+    blocks = m.source.weight_blocks
+    return {w: linalg.int_kernel(*linalg.int_rref(m.int_block(w), integral=True),
+                                 len(blocks[w]))
+            for w in weights if w in blocks}
+
+
+def _block_images(m: ChainMap, weights: list) -> dict:
+    """{w: int image basis} of the blocks of `m` at those of `weights` that
+    are source weights of `m`: the pivot columns, i.e. the block's
+    first-come independent columns."""
+    out = {}
+    for w in weights:
+        if w in m.source.weight_blocks:
+            block = m.int_block(w)
+            pivots = linalg.int_rref(block, integral=True)[1]
+            out[w] = [[row[c] for row in block] for c in pivots]
+    return out
 
 
 def _primitive(col: dict, positive_lead: bool = False) -> dict:
@@ -562,13 +587,11 @@ class KostantAnalysis:
         self.k_max = k_max
         self.cx = ChainComplex(p, module, "nbar")
         self._blockdata: dict = {}
-        self._homology: dict = {}
         self._decomp: dict = {}
         self._kerq_decomp: dict = {}
         self._predicates: dict = {}
         self._lower_vals: dict = {}
         self._quabla: dict = {}
-        self._eliminated: dict = {}     # ("lower" | "raise", k) -> {weight: [echelon, image]}
 
     # -- raw block data -------------------------------------------------------
 
@@ -576,53 +599,6 @@ class KostantAnalysis:
         if k not in self._quabla:
             self._quabla[k] = self.cx.quabla(k, "direct")
         return self._quabla[k]
-
-    def _reads_later(self, name: str, k: int, part: int) -> bool:
-        """Whether the reader of `part` of lower(k) or raise_(k) is still to
-        run in the window: block_data(r), r <= k_max, reads the kernels of
-        lower(r) and the images of lower(r + 1); predicates(r), r < k_max,
-        those of raise_(r) and raise_(r - 1)."""
-        if name == "lower":
-            r = k - part
-            return 0 <= r <= self.k_max and r not in self._blockdata
-        r = k + part
-        return 0 <= r < self.k_max and r not in self._predicates
-
-    def _operator_part(self, name: str, k: int, part: int, weights: list) -> dict:
-        """{weight: kernel basis} (part 0) or {weight: image basis} (part 1)
-        of lower(k) or raise_(k) at those of the source weight blocks
-        `weights` that exist, as ints.
-
-        Each int block is eliminated once (linalg.int_rref), when a reader
-        first asks for it; readers ask only at their non-acyclic weights.
-        The image, the block's pivot columns, is read off at once: those are
-        its first-come independent columns.  The kernel (linalg.int_kernel)
-        is formed from the kept rows when it is asked for.  The store keeps
-        a block's other part only while that part's reader is still to run
-        (`_reads_later`) and forgets the operator once it is not."""
-        key = (name, k)
-        store = self._eliminated.pop(key, {})
-        keep = self._reads_later(name, k, 1 - part)
-        m = self.cx.lower(k) if name == "lower" else self.cx.raise_(k)
-        blocks = m.source.weight_blocks
-        out = {}
-        for w in weights:
-            if w not in blocks:
-                continue
-            parts = store.pop(w, None)
-            if parts is None or parts[part] is None:
-                block = m.int_block(w)
-                rows, pivots = linalg.int_rref(block, integral=True)
-                parts = [(rows, pivots, len(blocks[w])),
-                         [[row[c] for row in block] for c in pivots]]
-            out[w], parts[part] = parts[part], None
-            if keep:
-                store[w] = parts
-        if keep:
-            self._eliminated[key] = store
-        if part == 0:
-            out = {w: linalg.int_kernel(*e) for w, e in out.items()}
-        return out
 
     def block_data(self, k: int) -> dict:
         """{weight: block data} of degree k, in weight_key order.
@@ -643,8 +619,8 @@ class KostantAnalysis:
             kerq, gen_zero = _quabla_kernels(quab.int_block(w), len(sp.weight_blocks[w]))
             data[w] = {"acyclic": not gen_zero, "ker_quabla": kerq, "gen_zero": gen_zero}
         todo = [w for w, d in data.items() if not d["acyclic"]]
-        kernels = self._operator_part("lower", k, 0, todo)
-        images = self._operator_part("lower", k + 1, 1, todo)
+        kernels = _block_kernels(self.cx.lower(k), todo)
+        images = _block_images(self.cx.lower(k + 1), todo)
         for w, d in data.items():
             if d["acyclic"]:
                 below_im = below[w]["dim_im"] if w in below else 0
@@ -662,8 +638,8 @@ class KostantAnalysis:
     # -- homology ---------------------------------------------------------------
 
     def homology(self, k: int) -> HomologyReport:
-        if k in self._homology:
-            return self._homology[k]
+        """H_k's kernel and image counts and weight multiplicities, summed
+        over the cached block_data(k) on each call."""
         data = self.block_data(k)
         dim_ker = sum(d["dim_ker"] for d in data.values())
         dim_im = sum(d["dim_im"] for d in data.values())
@@ -675,15 +651,13 @@ class KostantAnalysis:
                     f"image above exceeds the kernel at degree {k}, weight {w}")
             if h:
                 mult[w] = h
-        rep = HomologyReport(
+        return HomologyReport(
             degree=k,
             dim_ker_boundary=dim_ker,
             dim_im_boundary_above=dim_im,
             homology_dimension=dim_ker - dim_im,
             weight_multiplicities=mult,
         )
-        self._homology[k] = rep
-        return rep
 
     def homology_quotient_module(self, k: int) -> LeviModule:
         """Deterministic complement of im inside ker, with reduced l-action;
@@ -789,8 +763,8 @@ class KostantAnalysis:
             return self._predicates[k]
         data = self.block_data(k)
         todo = [w for w, d in data.items() if not d["acyclic"]]
-        raise_kernels = self._operator_part("raise", k, 0, todo)
-        below_images = self._operator_part("raise", k - 1, 1, todo) if k > 0 else {}
+        raise_kernels = _block_kernels(self.cx.raise_(k), todo)
+        below_images = _block_images(self.cx.raise_(k - 1), todo) if k > 0 else {}
         vals = {**self._lower_statements(k), 5: True, 6: True, 7: True}
         for w in todo:
             d, ker_raise = data[w], raise_kernels[w]

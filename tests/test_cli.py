@@ -169,10 +169,14 @@ def test_bgg_check_computes_predicates_once_per_degree(capsys, monkeypatch):
      "--kmax", "-1"],
     ["bgg", "check", "--alg", "gl", "--m", "2", "--n", "1", "--weight",
      "1,0|0", "--kmax", "-1"],
+    ["rep", "build", "--alg", "gl", "--m", "2", "--n", "1", "--weight", "1,0|0",
+     "--max-depth", "-1"],
+    ["homology", "--alg", "gl", "--m", "2", "--n", "1", "--weight", "1,0|0",
+     "--max-depth", "-1"],
 ])
 def test_negative_sizes_rejected(capsys, monkeypatch, argv):
-    """Negative m, n or kmax is an input error (exit 2) raised before any
-    algebra is built, whatever the other arguments are."""
+    """Negative m, n, kmax or max-depth is an input error (exit 2) raised
+    before any algebra is built, whatever the other arguments are."""
     from superbgg import algebra
     built = []
     for name in ("_build_gl", "_build_osp"):
@@ -302,6 +306,7 @@ def test_bgg_check_osp46_cli(capsys):
     ["rep", "build", "--alg", "osp", "--m", "3", "--n", "1", "--weight", "1/2|0"],
     ["homology", "--alg", "osp", "--m", "5", "--n", "2", "--weight", "1,0|1,0",
      "--kmax", "2"],
+    ["reproduce", "osp12-counterexample", "--lambda", "-1"],
 ])
 def test_non_dominant_weight_rejected(capsys, monkeypatch, argv):
     """A weight whose irreducible module is infinite dimensional is an input

@@ -891,11 +891,10 @@ def test_half_integral_weight_keys_blocks(gl21, gl21_borel):
 # ---------------------------------------------------------------------------
 
 def test_block_layer_holds_only_ints(levi_case):
-    """block_data's bases, the kept int rows of the operator store and the
-    predicate values hold no Fraction; at a non-acyclic block the kernels of
-    d*_k equal, vector for vector, the primitive multiples of nullspace's
-    Fraction kernels, and at an acyclic block the recorded count is their
-    number."""
+    """block_data's bases and the predicate values hold no Fraction; at a
+    non-acyclic block the kernels of d*_k equal, vector for vector, the
+    primitive multiples of nullspace's Fraction kernels, and at an acyclic
+    block the recorded count is their number."""
     p, an = levi_case
     for k in (0, 1):
         data = an.block_data(k)
@@ -912,10 +911,6 @@ def test_block_layer_holds_only_ints(levi_case):
                 assert d["dim_ker"] == len(want)
             else:
                 assert d["ker"] == [_primitive_vector(u) for u in want]
-        for store in an._eliminated.values():
-            rows = [r for parts in store.values() if parts[0] for r in parts[0][0]]
-            cols = [c for parts in store.values() if parts[1] for c in parts[1]]
-            assert all(type(x) is int for v in rows + cols for x in v)
         assert all(type(v) is bool for v in rep.values.values())
         assert all(type(v) is bool for v in an._lower_statements(k).values())
 
@@ -1034,15 +1029,19 @@ def test_homology_matches_oracle_ranks_with_acyclic_blocks(case):
                 assert ranks[w][0] == ranks[w][1]
 
 
-@pytest.mark.parametrize("levi, lam", [((1,), (1, 0, 0)), ((0,), (2, 0, 0))])
-def test_operator_blocks_eliminated_once_where_a_reader_is_not_acyclic(
-        gl21, levi, lam, monkeypatch):
+@pytest.mark.parametrize("levi, lam, twice", [
+    ((1,), (1, 0, 0), 0), ((0,), (2, 0, 0), 0), ((1,), (0, 0, -1), 2)])
+def test_operator_blocks_eliminated_once_per_non_acyclic_reader(
+        gl21, levi, lam, twice, monkeypatch):
     """Through homology(0..k_max) and the predicate summary, a block of
-    d*_k is eliminated once, exactly where w is non-acyclic at k or k - 1,
-    and a block of d_k exactly where w is non-acyclic at k, or at k + 1
-    when k + 1 < k_max, fewer than every block; the operator store is empty
-    afterwards.  On gl(2|1) with Levi {1} some blocks of d* are eliminated
-    for their image alone, with Levi {0} some blocks of d."""
+    d*_k at w is eliminated once for each of its readers at a non-acyclic
+    weight: block_data(k) (its kernel) when w is non-acyclic at k, and
+    block_data(k - 1) (its image) when w is non-acyclic at k - 1.  A block
+    of d_k likewise, for predicates(k) and, when k + 1 < k_max,
+    predicates(k + 1).  That is fewer than every block.  On gl(2|1) with
+    Levi {1} some blocks of d* are eliminated for their image alone, with
+    Levi {0} some blocks of d; with Levi {1} and L(0,0|-1) two blocks
+    have both readers at non-acyclic weights and are eliminated twice."""
     k_max = 3
     an = KostantAnalysis(build_parabolic(gl21, list(levi)),
                          build_irrep(gl21, wt(*lam)), k_max=k_max)
@@ -1064,19 +1063,19 @@ def test_operator_blocks_eliminated_once_where_a_reader_is_not_acyclic(
     want = []
     for k in range(k_max + 2):
         m = cx.lower(k)
-        want += [(id(m), w) for w in hot[k - 1] | hot[k]
-                 if w in m.source.weight_blocks]
+        for readers in (hot[k], hot[k - 1]):
+            want += [(id(m), w) for w in readers if w in m.source.weight_blocks]
     for k in range(k_max):
         m = cx.raise_(k)
-        want += [(id(m), w) for w in hot[k] | (hot[k + 1] if k + 1 < k_max else set())
-                 if w in m.source.weight_blocks]
+        for readers in (hot[k], hot[k + 1] if k + 1 < k_max else set()):
+            want += [(id(m), w) for w in readers if w in m.source.weight_blocks]
     operators = {m for m, _ in want}
     got = [key for key in seen if key[0] in operators]
     assert sorted(got, key=str) == sorted(want, key=str)
+    assert len(got) - len(set(got)) == twice
     every = sum(len(cx.space(k).weight_blocks) for k in range(k_max + 2)) \
         + sum(len(cx.space(k).weight_blocks) for k in range(k_max))
     assert len(got) < every
-    assert an._eliminated == {}
 
 
 def _acyclic_probe(an, k):
