@@ -28,8 +28,9 @@ table of images over (exterior monomial, module operator), and each ChainMap
 is assembled from the table by index arithmetic against the module's action
 columns (`ChainComplex._assemble`).
 
-The Casimir quabla, -1/2 (C2 + w(h) - C_l), which cross-checks the direct
-one, is assembled the same way: the Cartan part of C_l acts on the weight-w
+The Casimir quabla, -1/2 (C2 + w(h) - C_l), the form the homology layer
+reads (the direct one cross-checks it), is built from C_k alone and
+assembled the same way: the Cartan part of C_l acts on the weight-w
 block by (w, w), so with C2 and w(h) it is a quadratic form in w computed
 once per complex, and the Levi root-vector part is one exterior table per
 degree with ops 1, rho(A_t) and rho(C_l^root) (derivation in
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -274,6 +276,9 @@ class ChainComplex:
         self.odd_gens = [i for i in self.radical if g.parity(i) == 1]
         self.radical_set = frozenset(self.radical)
         self._parity = [b.parity for b in g.basis]
+        # each generator's place in the normal-form order (parity, index)
+        self._rank = {i: r for r, i in enumerate(
+            sorted(self.radical, key=lambda i: (self._parity[i], i)))}
         self._monomials: dict = {}      # k -> (monomials, {monomial: position})
         self._spaces: dict = {}
         self._lower: dict = {}
@@ -375,27 +380,77 @@ class ChainComplex:
             self._brackets[key] = terms
         return terms
 
+    def _move_in(self, others: tuple, oranks: list, pos: int, h: int):
+        """The monomial `others` (normal form, oranks its generators' ranks)
+        with h put in at position pos, normalized: (monomial, number of
+        Koszul sign flips), or None when h is even and already present.
+        Only h moves, to its sorted place, and each generator it passes
+        flips the sign unless both are odd."""
+        par = self._parity
+        rh = self._rank[h]
+        p = bisect_left(oranks, rh)
+        between = others[p:pos] if p < pos else others[pos:p]
+        if par[h]:
+            flips = sum(1 for e in between if not par[e])
+        elif p < len(oranks) and oranks[p] == rh:
+            return None
+        else:
+            flips = len(between)
+        return others[:p] + (h,) + others[p:], flips
+
     def _ad_monomial(self, a: int, gens: tuple) -> tuple[dict, int]:
         """A_a on the exterior monomial `gens`, brackets projected to the
         radical: ({monomial: coefficient}, sign), where the sign
         (-1)^{|A_a||gens|} is the one A_a picks up passing the monomial on
         its way to the module factor."""
-        par = self._parity
+        par, rank = self._parity, self._rank
         odd = par[a]
         out: dict = {}
+        ranks = [rank[g] for g in gens]
         prefix = 0          # parity of the generators passed so far
         for t, gt in enumerate(gens):
             terms = self._radical_bracket(a, gt)
             if terms:
-                sgn = -1 if (odd and prefix) else 1
-                rest = list(gens)
+                others, oranks = gens[:t] + gens[t + 1:], ranks[:t] + ranks[t + 1:]
                 for kidx, cb in terms:
-                    rest[t] = kidx
-                    res = self._normalize(rest)
-                    if res is not None:
-                        _add_term(out, res[0], cb * (sgn * res[1]))
+                    moved = self._move_in(others, oranks, t, kidx)
+                    if moved is not None:
+                        flips = moved[1] + (1 if odd and prefix else 0)
+                        _add_term(out, moved[0], -cb if flips & 1 else cb)
             prefix ^= par[gt]
         return out, (-1 if (odd and prefix) else 1)
+
+    def _ad_rows(self, ts: list, k: int) -> dict:
+        """ad(A_t) on every monomial of Lambda^k r for each t in ts, brackets
+        projected to the radical: {t: [({position: c}, sign)]} in monomial
+        order, each as `_ad_monomial` gives it.  One pass over the
+        monomials serves every t, and a generator meets only the A_t whose
+        bracket with it is nonzero."""
+        par, rank = self._parity, self._rank
+        monos, index = self.monomials(k)
+        by_gen = {g: [(t, h, c) for t in ts for h, c in self._radical_bracket(t, g)]
+                  for g in self.radical}
+        odd_ts = [t for t in ts if par[t]]
+        imgs = {t: [{} for _ in monos] for t in ts}
+        signs = {t: [1] * len(monos) for t in ts}
+        for tx, x in enumerate(monos):
+            ranks = [rank[g] for g in x]
+            prefix = 0      # parity of the generators passed so far
+            for pos, g in enumerate(x):
+                terms = by_gen[g]
+                if terms:
+                    others, oranks = x[:pos] + x[pos + 1:], ranks[:pos] + ranks[pos + 1:]
+                    for t, h, c in terms:
+                        moved = self._move_in(others, oranks, pos, h)
+                        if moved is not None:
+                            flips = moved[1] + (1 if prefix and par[t] else 0)
+                            _add_term(imgs[t][tx], index[moved[0]],
+                                      -c if flips & 1 else c)
+                prefix ^= par[g]
+            if prefix:
+                for t in odd_ts:
+                    signs[t][tx] = -1
+        return {t: list(zip(imgs[t], signs[t])) for t in ts}
 
     def _coboundary_terms(self, g0: int) -> list:
         """(z_a, k, c/2) for every radical term c*A_k of [z_a^#, g0]."""
@@ -502,33 +557,39 @@ class ChainComplex:
         ops[o] holds the columns of a module operator (ops[0] the identity,
         see `_rho`): column idx(X) * dim M + m is the sum over the terms
         c * Y (x) op_o of entry X of c times op_o v_m shifted to the rows
-        idx(Y) * dim M + r.  It is built in ints over one denominator, the
-        lcm of the table's coefficients times the lcm of the module
-        operators' entries."""
+        idx(Y) * dim M + r."""
+        return ChainMap.canonical(self.space(k_src), self.space(k_dst),
+                                  *self._assemble_cols(k_dst, table, ops))
+
+    def _assemble_cols(self, k_dst: int, table: list, ops: list) -> tuple[list, int]:
+        """The int columns and denominator of `_assemble`, not yet made
+        canonical: the denominator is the lcm of the table's coefficients
+        times the lcm of the module operators' entries."""
         dim = self.module.dim
         oden = lcm(1, *(v.denominator for cols in ops for col in cols
                         for v in col.values()))
         ocols = [[{r: v.numerator * (oden // v.denominator) for r, v in col.items()}
                   for col in cols] for cols in ops]
+        # the nonzero columns of each operator, as (m, [(r, v)])
+        nonzero = [[(m, list(col.items())) for m, col in enumerate(cols) if col]
+                   for cols in ocols]
         tden = lcm(1, *(c.denominator for entry in table for c in entry.values()))
         nops = len(ops)
         # one int object per target row, shared by every column that has it
         rows = list(range(self.space(k_dst).dim))
         icols = []
         for entry in table:
-            terms = []
+            out = [{} for _ in range(dim)]
             for key, c in entry.items():
                 t, o = divmod(key, nops)
-                terms.append((t * dim, ocols[o], c.numerator * (tden // c.denominator)))
-            for m in range(dim):
-                col: dict = {}
-                for base, cols, c in terms:
-                    for r, v in cols[m].items():
-                        t = rows[base + r]
-                        col[t] = col.get(t, 0) + c * v
-                icols.append({t: v for t, v in col.items() if v})
-        return ChainMap.canonical(self.space(k_src), self.space(k_dst), icols,
-                                  tden * oden)
+                base, c = t * dim, c.numerator * (tden // c.denominator)
+                for m, items in nonzero[o]:
+                    col = out[m]
+                    for r, v in items:
+                        row = rows[base + r]
+                        col[row] = col.get(row, 0) + c * v
+            icols.extend({row: v for row, v in col.items() if v} for col in out)
+        return icols, tden * oden
 
     # -- the two operators ------------------------------------------------------
 
@@ -558,11 +619,9 @@ class ChainComplex:
         for the Levi simple root vectors."""
         key = (k, i)
         if key not in self._actions:
-            monos, index = self.monomials(k)
             table = []
-            for t, x in enumerate(monos):
-                ad, sgn = self._ad_monomial(i, x)
-                entry = {index[y] * 2: c for y, c in ad.items()}
+            for t, (ad, sgn) in enumerate(self._ad_rows([i], k)[i]):
+                entry = {y * 2: c for y, c in ad.items()}
                 entry[t * 2 + 1] = sgn
                 table.append(entry)
             self._actions[key] = self._assemble(
@@ -574,7 +633,8 @@ class ChainComplex:
     def quabla(self, k: int, method: str = "direct") -> ChainMap:
         """quabla_k = d_{k-1} d*_k + d*_{k+1} d_k on C_k.
 
-        "direct" composes the two operators.  "casimir" is Kostant's formula
+        "direct" composes the two operators, so it needs d_k : C_k ->
+        C_{k+1}.  "casimir" is Kostant's formula
 
             quabla = -1/2 (C2(lambda) + w(h) - C_l)   on the weight-w block,
 
@@ -622,19 +682,31 @@ class ChainComplex:
             raise ValueError("method must be 'direct' or 'casimir'")
         terms = self._casimir_terms
         sp = self.space(k)
-        cols = [None] * sp.dim
-        for w, idxs in sp.weight_blocks.items():
-            num = terms.const + sum(a * w[c] for c, a in terms.linear) \
+        # den times the scalar part per weight: an int, or a Fraction where
+        # the weight has a non-integral coordinate
+        nums = {w: terms.const + sum(a * w[c] for c, a in terms.linear)
                 + sum(b * w[c] * w[d] for c, d, b in terms.quadratic)
-            val = Fraction(num, terms.den)
+                for w in sp.weight_blocks}
+        wden = lcm(1, *(v.denominator for v in nums.values()))
+        sden = terms.den * wden
+        scalar = [0] * sp.dim      # sden times the scalar part, per column
+        for w, idxs in sp.weight_blocks.items():
+            v = nums[w].numerator * (wden // nums[w].denominator)
             for j in idxs:
-                cols[j] = {j: val}
-        diagonal = ChainMap.from_columns(sp, sp, cols)
+                scalar[j] = v
         if not terms.roots:
-            return diagonal
-        root = self._assemble(k, k, self._casimir_table(k), terms.ops)
-        return ChainMap.combination(
-            sp, sp, [(1, diagonal), (Fraction(1, 2 * terms.root_den), root)])
+            return ChainMap.canonical(
+                sp, sp, [{j: v} if v else {} for j, v in enumerate(scalar)], sden)
+        root, rden = self._assemble_cols(k, self._casimir_table(k), terms.ops)
+        # scalar / sden + root / (2 root_den rden), over one denominator
+        den = lcm(sden, 2 * terms.root_den * rden)
+        fs, fr = den // sden, den // (2 * terms.root_den * rden)
+        icols = []
+        for j, col in enumerate(root):
+            out = {r: fr * v for r, v in col.items()}
+            _add_term(out, j, fs * scalar[j])
+            icols.append(out)
+        return ChainMap.canonical(sp, sp, icols, den)
 
     @functools.cached_property
     def _casimir_terms(self) -> "_CasimirTerms":
@@ -691,19 +763,11 @@ class ChainComplex:
         rho(A_t) for the Levi root vectors A_t and rho(C_l^root) (see
         `quabla`)."""
         terms = self._casimir_terms
-        monos, index = self.monomials(k)
         op_of = {t: 1 + o for o, (t, _) in enumerate(terms.roots)}
         nops = len(terms.ops)
-        # ad(A_t) on every monomial, as ({position: c}, sign)
-        ad = {}
-        for t in op_of:
-            rows = []
-            for x in monos:
-                img, sgn = self._ad_monomial(t, x)
-                rows.append(({index[y]: c for y, c in img.items()}, sgn))
-            ad[t] = rows
+        ad = self._ad_rows(list(op_of), k)
         table = []
-        for tx in range(len(monos)):
+        for tx in range(len(self.monomials(k)[0])):
             row: dict = {tx * nops + nops - 1: terms.root_den}
             for i, dual in terms.roots:
                 ad_i = ad[i]
@@ -713,11 +777,13 @@ class ChainComplex:
                     for y, cy in adx_s.items():
                         ady_i, sgn_iy = ad_i[y]
                         for z, cz in ady_i.items():
-                            _add_term(row, z * nops, c * cy * cz)
-                        _add_term(row, y * nops + op_of[i], c * cy * sgn_iy)
+                            row[z * nops] = row.get(z * nops, 0) + c * cy * cz
+                        key = y * nops + op_of[i]
+                        row[key] = row.get(key, 0) + c * cy * sgn_iy
                     for y, cy in adx_i.items():
-                        _add_term(row, y * nops + op_of[s], c * sgn_s * cy)
-            table.append(row)
+                        key = y * nops + op_of[s]
+                        row[key] = row.get(key, 0) + c * sgn_s * cy
+            table.append({key: c for key, c in row.items() if c})
         return table
 
 

@@ -246,9 +246,12 @@ def _cmd_rep(args, t0) -> int:
 def _internal_checks(an, k_max: int) -> tuple:
     """Nilpotency and quabla cross-checks on the built window.
 
-    The direct quabla is the analysis's own (`quabla_map`), the one its block
-    kernels use, so it is built once per degree.  Maps are compared in their
-    canonical integer form, so no Fraction view is built."""
+    The Casimir quabla is the analysis's own (`quabla_map`), the one its
+    block kernels read, so it is built once per degree.  The direct quabla
+    d_{k-1} d*_k + d*_{k+1} d_k is its independent side, built here only,
+    at degrees 0..k_max-1: at k_max it would need d_{k_max}, which nothing
+    else builds.  Maps are compared in their canonical integer form, so no
+    Fraction view is built."""
     cx = an.cx
     nil = all(
         cx.lower(k - 1).compose(cx.lower(k)).is_zero() for k in range(2, k_max + 1)
@@ -256,7 +259,7 @@ def _internal_checks(an, k_max: int) -> tuple:
         cx.raise_(k + 1).compose(cx.raise_(k)).is_zero() for k in range(0, k_max - 1)
     )
     quab = all(
-        an.quabla_map(k) == cx.quabla(k, "casimir")
+        cx.quabla(k, "direct") == an.quabla_map(k)
         for k in range(0, k_max)
     )
     return nil, quab

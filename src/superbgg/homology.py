@@ -596,8 +596,14 @@ class KostantAnalysis:
     # -- raw block data -------------------------------------------------------
 
     def quabla_map(self, k: int) -> ChainMap:
+        """quabla_k by Kostant's Casimir formula, cached per degree: the map
+        whose blocks block_data reads.  It is built from C_k alone, where
+        the direct form d_{k-1} d*_k + d*_{k+1} d_k would need d_k into
+        C_{k+1}; so the top degree k_max builds no map C_{k_max} ->
+        C_{k_max+1}.  On a Borel it is diagonal.  The direct form is only
+        the independent side of `cli._internal_checks`."""
         if k not in self._quabla:
-            self._quabla[k] = self.cx.quabla(k, "direct")
+            self._quabla[k] = self.cx.quabla(k, "casimir")
         return self._quabla[k]
 
     def block_data(self, k: int) -> dict:

@@ -2,7 +2,9 @@ import importlib
 import importlib.util
 import inspect
 import json
+import os
 import re
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -106,26 +108,87 @@ def test_bgg_check_builds_one_analysis(capsys, monkeypatch):
     assert built == {"analyses": 1, "complexes": 1}
 
 
-@pytest.mark.parametrize("argv", [
+# gl(2|1) Borel through both commands, and a Levi with root vectors
+QUABLA_ARGV = [
     ["homology", "--alg", "gl", "--m", "2", "--n", "1", "--weight", "1,0|0",
      "--kmax", "2"],
     ["bgg", "check", "--alg", "gl", "--m", "2", "--n", "1", "--weight",
      "1,0|0", "--kmax", "2"],
-])
-def test_direct_quabla_built_once_per_degree(capsys, monkeypatch, argv):
-    """The quabla cross-check and the block kernels share one direct quabla."""
-    from superbgg import chains
-    calls: dict = {}
-    quabla = chains.ChainComplex.quabla
+    ["bgg", "check", "--alg", "osp", "--m", "4", "--n", "2", "--parabolic-drop",
+     "0", "--weight", "1,0|0,0", "--kmax", "2"],
+]
 
-    def counting(self, k, method="direct"):
-        calls[(k, method)] = calls.get((k, method), 0) + 1
+
+@pytest.mark.parametrize("argv", QUABLA_ARGV)
+def test_quabla_built_once_per_degree_and_no_top_coboundary(capsys, monkeypatch, argv):
+    """The block kernels read the Casimir quabla, built once per degree
+    0..kmax; the direct quabla is built only for the cross-check, once per
+    degree 0..kmax-1; and no map C_kmax -> C_kmax+1 is ever assembled."""
+    from superbgg import chains
+    k_max = int(argv[argv.index("--kmax") + 1])
+    quablas: dict = {}
+    assembled, raised = set(), set()
+    quabla, assemble, raise_ = (chains.ChainComplex.quabla,
+                                chains.ChainComplex._assemble,
+                                chains.ChainComplex.raise_)
+
+    def counting_quabla(self, k, method="direct"):
+        quablas[(k, method)] = quablas.get((k, method), 0) + 1
         return quabla(self, k, method)
-    monkeypatch.setattr(chains.ChainComplex, "quabla", counting)
-    code, _ = run_cli(capsys, *argv)
-    assert code == 0
-    assert {k: n for (k, method), n in calls.items() if method == "direct"} \
-        == {0: 1, 1: 1, 2: 1}
+
+    def counting_assemble(self, k_src, k_dst, *args):
+        assembled.add((k_src, k_dst))
+        return assemble(self, k_src, k_dst, *args)
+
+    def counting_raise(self, k):
+        raised.add(k)
+        return raise_(self, k)
+    monkeypatch.setattr(chains.ChainComplex, "quabla", counting_quabla)
+    monkeypatch.setattr(chains.ChainComplex, "_assemble", counting_assemble)
+    monkeypatch.setattr(chains.ChainComplex, "raise_", counting_raise)
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["quabla_cross_check_ok"]
+    assert quablas == {**{(k, "casimir"): 1 for k in range(k_max + 1)},
+                       **{(k, "direct"): 1 for k in range(k_max)}}
+    assert (k_max, k_max + 1) not in assembled
+    assert max(raised) == k_max - 1
+
+
+def _perturbed_casimir_code(argv) -> str:
+    """A script that runs `main(argv)` with one coefficient of the Casimir
+    quabla shifted (the constant term of its scalar part) and prints the
+    exit code and the report's cross-check flags."""
+    return (
+        "import io, json, contextlib\n"
+        "from superbgg import chains\n"
+        "from superbgg.cli import main\n"
+        "terms = chains.ChainComplex._casimir_terms.func\n"
+        "def perturbed(self):\n"
+        "    t = terms(self)\n"
+        "    return t._replace(const=t.const + 1)\n"
+        "chains.ChainComplex._casimir_terms = property(perturbed)\n"
+        "buf = io.StringIO()\n"
+        "with contextlib.redirect_stdout(buf):\n"
+        f"    code = main({argv!r})\n"
+        "rep = json.loads(buf.getvalue())\n"
+        "print(json.dumps([code, rep['nilpotency_ok'], rep['quabla_cross_check_ok']]))\n"
+    )
+
+
+@pytest.mark.parametrize("argv", QUABLA_ARGV)
+@pytest.mark.parametrize("optimize", [False, True])
+def test_perturbed_casimir_quabla_fails_cross_check(argv, optimize):
+    """The cross-check compares two independent maps: with one Casimir
+    coefficient shifted, the report says so and the command exits 1, also
+    under `python -O`."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, *(["-O"] if optimize else []), "-c",
+         _perturbed_casimir_code(argv)],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == [1, True, False]
 
 
 def test_bgg_check_computes_predicates_once_per_degree(capsys, monkeypatch):

@@ -1029,6 +1029,60 @@ def test_homology_matches_oracle_ranks_with_acyclic_blocks(case):
                 assert ranks[w][0] == ranks[w][1]
 
 
+def _top_block_counts(an) -> dict:
+    """{weight: (acyclic, dim ker quabla, dim generalized zero space)} of
+    block_data(k_max), which reads the Casimir quabla."""
+    return {w: (d["acyclic"], len(d["ker_quabla"]), len(d["gen_zero"]))
+            for w, d in an.block_data(an.k_max).items()}
+
+
+def _direct_top_block_counts(an) -> dict:
+    """The same counts from the direct quabla d d* + d* d at k_max, by the
+    oracle's ranks: the generalized zero space of an n x n block q is
+    ker q^(2^j) for any 2^j >= n."""
+    k = an.k_max
+    direct = an.cx.quabla(k, "direct")
+    out = {}
+    for w, idxs in an.cx.space(k).weight_blocks.items():
+        n, q = len(idxs), direct.block(w)
+        power, exp = q, 1
+        while exp < n:
+            power, exp = oracle_map_product(power, power, n), 2 * exp
+        kerq, gen_zero = n - rank_dense(q), n - rank_dense(power)
+        out[w] = (not gen_zero, kerq, gen_zero)
+    return out
+
+
+@pytest.mark.parametrize("alg, levi, lam", [
+    (("gl", 2, 1), (), (1, 0, 0)),
+    (("gl", 2, 1), (0,), (2, 0, 0)),
+    (("osp", 3, 1), (), (1, 0)),
+])
+def test_top_degree_blocks_match_direct_quabla(alg, levi, lam):
+    """No in-run cross-check covers k_max, where block_data reads the
+    Casimir quabla alone: its acyclic, ker quabla and generalized-zero
+    counts there equal those of the direct quabla."""
+    p = _parabolic(*alg, levi)
+    an = KostantAnalysis(p, build_irrep(p.algebra, wt(*lam)), k_max=3)
+    assert _top_block_counts(an) == _direct_top_block_counts(an)
+
+
+@given(_certificate_cases())
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+def test_top_degree_blocks_match_direct_quabla_random(case):
+    """The same on small random inputs, irreps and Kac modules alike."""
+    alg, levi, lam, kac, k_max = case
+    p = _parabolic(*alg, levi)
+    try:
+        check_finite_dimensional(p.algebra, lam)
+    except PreconditionViolated:
+        assume(False)
+    module = (build_kac_module if kac else build_irrep)(p.algebra, lam)
+    an = KostantAnalysis(p, module, k_max=k_max)
+    assume(an.cx.space(k_max).dim <= 40)
+    assert _top_block_counts(an) == _direct_top_block_counts(an)
+
+
 @pytest.mark.parametrize("levi, lam, twice", [
     ((1,), (1, 0, 0), 0), ((0,), (2, 0, 0), 0), ((1,), (0, 0, -1), 2)])
 def test_operator_blocks_eliminated_once_per_non_acyclic_reader(
