@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -48,7 +49,7 @@ def wt_zero(length: int) -> Weight:
 
 
 def wt_add(a: Weight, b: Weight) -> Weight:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def wt_int(w: Weight) -> Weight:
@@ -711,11 +712,6 @@ class ParabolicDecomposition:
     n_indices: list
     dual_pairing: list          # for each a: xi_a^# as {nbar basis index: Fraction}
     _levi_cache: dict = field(default_factory=dict, repr=False)
-
-    @property
-    def n_even(self) -> list:
-        g = self.algebra
-        return [i for i in self.n_indices if g.parity(i) == 0]
 
     @property
     def n_odd(self) -> list:

@@ -26,7 +26,9 @@ and every Koszul sign depends on the exterior factor alone.  So the
 normal-form recursions run once per monomial of Lambda^k r, into an exterior
 table of images over (exterior monomial, module operator), and each ChainMap
 is assembled from the table by index arithmetic against the module's action
-columns (`ChainComplex._assemble`).
+columns (`ChainComplex._assemble`).  The same recursion gives d*_k on a few
+weight blocks alone (`ChainComplex.lower_at`): the rows of the monomials
+that reach those weights, over the full table one degree down.
 
 The Casimir quabla, -1/2 (C2 + w(h) - C_l), the form the homology layer
 reads (the direct one cross-checks it), is built from C_k alone and
@@ -58,6 +60,7 @@ from .algebra import (
     casimir_eigenvalue,
     wt_add,
     wt_int,
+    wt_sub,
 )
 from .errors import CrossCheckFailed, PreconditionViolated
 from .modules import HWModule, Module
@@ -82,15 +85,19 @@ class ChainBasisElement(NamedTuple):
 
 @dataclass
 class ChainSpace:
-    """C_k with the weight and parity of each basis index.  The chain
-    monomials themselves (`basis`, `index`) are formed on first use: the
-    operators address C_k by index arithmetic and never read them."""
+    """C_k with the weight and parity of each basis index, or the span in
+    C_k of the X (x) v_m over the exterior monomials X in `exterior` (a
+    weight restriction, `ChainComplex.lower_at`); None stands for every
+    monomial of Lambda^k r.  The chain monomials themselves (`basis`,
+    `index`) are formed on first use: the operators address the space by
+    index arithmetic and never read them."""
 
     complex: "ChainComplex"
     degree: int
     weights: list
     parities: list
     weight_blocks: dict
+    exterior: list | None = None
 
     @property
     def dim(self) -> int:
@@ -98,11 +105,14 @@ class ChainSpace:
 
     @functools.cached_property
     def basis(self) -> list:
-        """basis[idx(X) * dim M + m] = X (x) v_m as a ChainBasisElement."""
+        """basis[idx(X) * dim M + m] = X (x) v_m as a ChainBasisElement,
+        idx(X) the position of X in `exterior` (in `monomials(degree)` for
+        all of C_k)."""
         cx = self.complex
         par, dim = cx._parity, cx.module.dim
         out = []
-        for x in cx.monomials(self.degree)[0]:
+        monos = cx.monomials(self.degree)[0] if self.exterior is None else self.exterior
+        for x in monos:
             j = sum(1 for i in x if not par[i])
             out.extend(ChainBasisElement(x[:j], x[j:], m) for m in range(dim))
         return out
@@ -137,15 +147,6 @@ class ChainMap:
         if g > 1:
             icols = [{r: v // g for r, v in col.items()} for col in icols]
         return cls(source, target, icols, den // g)
-
-    @classmethod
-    def from_columns(cls, source: ChainSpace, target: ChainSpace,
-                     cols: list) -> "ChainMap":
-        """Map with rational columns cols[j] = {target row: int or Fraction}."""
-        den = lcm(1, *(v.denominator for col in cols for v in col.values()))
-        icols = [{r: v.numerator * (den // v.denominator) for r, v in col.items() if v}
-                 for col in cols]
-        return cls.canonical(source, target, icols, den)
 
     @classmethod
     def combination(cls, source: ChainSpace, target: ChainSpace,
@@ -201,14 +202,6 @@ class ChainMap:
 
     def is_zero(self) -> bool:
         return all(not col for col in self.icols)
-
-    def is_block_diagonal(self) -> bool:
-        """h-equivariance: every column stays inside its weight block."""
-        for j, col in enumerate(self.icols):
-            w = self.source.weights[j]
-            if any(self.target.weights[r] != w for r in col):
-                return False
-        return True
 
     def int_block(self, weight: Weight) -> list:
         """den times the weight block (target rows x source cols): an int
@@ -296,44 +289,79 @@ class ChainComplex:
         and each monomial's position."""
         hit = self._monomials.get(k)
         if hit is None:
-            if k < 0:
-                raise ValueError("degree must be non-negative")
-            monos = [ev + od
-                     for j in range(min(k, len(self.even_gens)) + 1)
-                     for ev in itertools.combinations(self.even_gens, j)
-                     for od in itertools.combinations_with_replacement(self.odd_gens, k - j)]
+            monos = [ev + od for ev, _, odds, _, _ in self._parts(k) for od, _ in odds]
             hit = self._monomials[k] = (monos, {x: t for t, x in enumerate(monos)})
         return hit
 
-    def space(self, k: int) -> ChainSpace:
-        if k in self._spaces:
-            return self._spaces[k]
+    def _parts(self, k: int):
+        """Lambda^k r in the order of `monomials`, one group per even part:
+        (ev, root sum of ev, odds, sums, parity), the monomials of the
+        group being ev + od for (od, s) in odds, each of root sum
+        ev's + sums[s] and of the given parity.  `sums` are the distinct
+        root sums of the odd parts; odds and sums are shared by the even
+        parts of one size.  Roots have integral coordinates, so root sums
+        are int tuples."""
+        if k < 0:
+            raise ValueError("degree must be non-negative")
         g = self.algebra
-        mod = self.module
-        par = self._parity
-        monos, _ = self.monomials(k)
-        # roots have integral coordinates: sum them as ints, and form the
-        # weights of each distinct root sum once
         roots = {i: wt_int(g.root(i)) for i in self.radical}
+        zero = (0,) * g.rank
+
+        def root_sum(gens):
+            s = zero
+            for i in gens:
+                s = wt_add(s, roots[i])
+            return s
+
+        for j in range(min(k, len(self.even_gens)) + 1):
+            sid: dict = {}
+            odds = [(od, sid.setdefault(root_sum(od), len(sid)))
+                    for od in itertools.combinations_with_replacement(self.odd_gens, k - j)]
+            sums = list(sid)
+            for ev in itertools.combinations(self.even_gens, j):
+                yield ev, root_sum(ev), odds, sums, (k - j) & 1
+
+    def space(self, k: int) -> ChainSpace:
+        """C_k, built once and cached."""
+        if k not in self._spaces:
+            self._spaces[k] = self._build_space(k)
+        return self._spaces[k]
+
+    def _build_space(self, k: int, keep: frozenset | None = None) -> ChainSpace:
+        """C_k, or with `keep` (a set of chain weights) its span of the
+        X (x) v_m whose exterior monomial X has a chain weight root-sum(X) +
+        wt(v_m) in `keep`: whole weight blocks of C_k at those weights, in
+        the order C_k has them.  The weights of each distinct root sum, and
+        whether one is kept, are formed once: a root sum is kept when it is
+        w - wt(v_m) for some w in `keep` and some m (an integral Fraction
+        there hashes and compares as the int of a root sum)."""
+        mod = self.module
         base = [wt_int(w) for w in mod.weights]
-        shifted: dict = {}      # root sum -> chain weights, one per module index
-        weights, parities = [], []
-        for x in monos:
-            shift, p = (0,) * g.rank, 0
-            for i in x:
-                shift = wt_add(shift, roots[i])
-                p ^= par[i]
-            ws = shifted.get(shift)
-            if ws is None:
-                ws = shifted[shift] = [wt_add(w, shift) for w in base]
-            weights.extend(ws)
-            parities.extend(q ^ p for q in mod.parities)
+        kept = None if keep is None else {wt_sub(w, b) for w in keep for b in base}
+        flip = [list(mod.parities), [q ^ 1 for q in mod.parities]]
+        shifted: dict = {}      # root sum -> chain weights ([] when not kept)
+        held, weights, parities = [], [], []
+        for ev, se, odds, sums, p in self._parts(k):
+            group = []
+            for so in sums:
+                shift = wt_add(se, so)
+                ws = shifted.get(shift)
+                if ws is None:
+                    ws = shifted[shift] = ([wt_add(w, shift) for w in base]
+                                           if kept is None or shift in kept else [])
+                group.append(ws)
+            for od, s in odds:
+                ws = group[s]
+                if ws:
+                    if keep is not None:
+                        held.append(ev + od)
+                    weights.extend(ws)
+                    parities.extend(flip[p])
         blocks: dict = {}
         for t, w in enumerate(weights):
             blocks.setdefault(w, []).append(t)
-        sp = ChainSpace(self, k, weights, parities, blocks)
-        self._spaces[k] = sp
-        return sp
+        return ChainSpace(self, k, weights, parities, blocks,
+                          None if keep is None else held)
 
     def _peel(self, elem: ChainBasisElement):
         """(leading generator, the rest) of a chain monomial."""
@@ -498,18 +526,22 @@ class ChainComplex:
             if hit is not None:
                 _add_term(row, hit[0] * nops + o, -c * hit[1])
 
-    def _lower_table(self, k: int, below: list | None) -> list:
-        """Table of d*_k, ops (1, rho(x) for x in the radical): on
+    def _lower_table(self, k: int, below: list | None, monos: list | None = None) -> list:
+        """Table of d*_k, ops (1, rho(x) for x in the radical), with a row
+        for each monomial of `monos` (all of Lambda^k r when None): on
         X = x0 ^ Y,  d*(X (x) m) = -x0.(Y (x) m) - x0 ^ d*(Y (x) m),  where
-        x0.(Y (x) m) = ad(x0)Y (x) m + (-1)^{|x0||Y|} Y (x) x0.m."""
+        x0.(Y (x) m) = ad(x0)Y (x) m + (-1)^{|x0||Y|} Y (x) x0.m.  A row
+        reads only `below`, the full table one degree down."""
+        if monos is None:
+            monos = self.monomials(k)[0]
         if k == 0:
-            return [{}]
+            return [{} for _ in monos]
         nops = 1 + len(self.radical)
         op_of = {x: 1 + a for a, x in enumerate(self.radical)}
         rest_index = self.monomials(k - 1)[1]
         deeper = self.monomials(k - 2)[0] if k > 1 else []
         table, memo = [], {}
-        for x in self.monomials(k)[0]:
+        for x in monos:
             x0, y = x[0], x[1:]
             ty = rest_index[y]
             ad, sgn = self._ad_monomial(x0, y)
@@ -552,13 +584,15 @@ class ChainComplex:
             return [{m: 1} for m in range(mod.dim)]
         return [mod.act(element, {m: 1}) for m in range(mod.dim)]
 
-    def _assemble(self, k_src: int, k_dst: int, table: list, ops: list) -> ChainMap:
-        """The ChainMap sum_o L_o (x) ops[o] of an exterior table, where
-        ops[o] holds the columns of a module operator (ops[0] the identity,
-        see `_rho`): column idx(X) * dim M + m is the sum over the terms
-        c * Y (x) op_o of entry X of c times op_o v_m shifted to the rows
-        idx(Y) * dim M + r."""
-        return ChainMap.canonical(self.space(k_src), self.space(k_dst),
+    def _assemble(self, source: ChainSpace, k_dst: int, table: list,
+                  ops: list) -> ChainMap:
+        """The ChainMap source -> C_{k_dst} of sum_o L_o (x) ops[o], given
+        the exterior table of its monomials (one entry per monomial of
+        `source`, in order), where ops[o] holds the columns of a module
+        operator (ops[0] the identity, see `_rho`): column idx(X) * dim M + m
+        is the sum over the terms c * Y (x) op_o of entry X of c times
+        op_o v_m shifted to the rows idx(Y) * dim M + r."""
+        return ChainMap.canonical(source, self.space(k_dst),
                                   *self._assemble_cols(k_dst, table, ops))
 
     def _assemble_cols(self, k_dst: int, table: list, ops: list) -> tuple[list, int]:
@@ -597,9 +631,30 @@ class ChainComplex:
         """d*_k : C_k -> C_{k-1} (the boundary; delta* on the nbar side),
         d*(X ^ f) = -X.f - X ^ d*(f),  d*|deg 0 = 0 (a map C_0 -> C_0)."""
         if k not in self._lower:
-            ops = [self._rho(None), *(self._rho({x: F1}) for x in self.radical)]
-            self._lower[k] = self._assemble(k, max(k - 1, 0), self._table("lower", k), ops)
+            self._lower[k] = self._lower_on(self.space(k))
         return self._lower[k]
+
+    def lower_at(self, k: int, weights) -> ChainMap:
+        """d*_k on the weight blocks `weights` of C_k alone.  Its source is
+        the span of the X (x) v_m whose exterior monomial X has a chain
+        weight in `weights` (`_build_space`), so at each of those weights it
+        holds the whole block of C_k and the map has the block of lower(k),
+        columns in the same order; other weights of that span are a
+        remainder no reader needs.  Its exterior table is formed from the
+        full table of degree k - 1, and nothing is cached here: the caller
+        owns the map, and a later lower(k) is built as if it never was."""
+        return self._lower_on(self._build_space(k, frozenset(weights)))
+
+    def _lower_on(self, source: ChainSpace) -> ChainMap:
+        """d*_k on `source`, C_k or a weight restriction of it."""
+        k = source.degree
+        if source.exterior is None:
+            table = self._table("lower", k)
+        else:
+            table = self._lower_table(k, self._table("lower", k - 1) if k > 0 else None,
+                                      source.exterior)
+        ops = [self._rho(None), *(self._rho({x: F1}) for x in self.radical)]
+        return self._assemble(source, max(k - 1, 0), table, ops)
 
     def raise_(self, k: int) -> ChainMap:
         """d_k : C_k -> C_{k+1} (the coboundary; delta on the nbar side),
@@ -607,7 +662,8 @@ class ChainComplex:
         d(X ^ f) = 1/2 sum_a z_a ^ [z_a^#, X]_r ^ f - X ^ d(f)."""
         if k not in self._raise:
             ops = [self._rho(None), *map(self._rho, self.duals)]
-            self._raise[k] = self._assemble(k, k + 1, self._table("raise", k), ops)
+            self._raise[k] = self._assemble(self.space(k), k + 1,
+                                            self._table("raise", k), ops)
         return self._raise[k]
 
     # -- auxiliary actions --------------------------------------------------------
@@ -625,7 +681,7 @@ class ChainComplex:
                 entry[t * 2 + 1] = sgn
                 table.append(entry)
             self._actions[key] = self._assemble(
-                k, k, table, [self._rho(None), self._rho({i: F1})])
+                self.space(k), k, table, [self._rho(None), self._rho({i: F1})])
         return self._actions[key]
 
     # -- quabla -------------------------------------------------------------------

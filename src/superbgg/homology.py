@@ -592,6 +592,7 @@ class KostantAnalysis:
         self._predicates: dict = {}
         self._lower_vals: dict = {}
         self._quabla: dict = {}
+        self._top_boundary: dict = {}
 
     # -- raw block data -------------------------------------------------------
 
@@ -600,8 +601,10 @@ class KostantAnalysis:
         whose blocks block_data reads.  It is built from C_k alone, where
         the direct form d_{k-1} d*_k + d*_{k+1} d_k would need d_k into
         C_{k+1}; so the top degree k_max builds no map C_{k_max} ->
-        C_{k_max+1}.  On a Borel it is diagonal.  The direct form is only
-        the independent side of `cli._internal_checks`."""
+        C_{k_max+1}, and its invertible blocks spare d*_{k_max+1} too,
+        which is built only at the other weights (`boundary_above`).  On a
+        Borel it is diagonal.  The direct form is only the independent side
+        of `cli._internal_checks`."""
         if k not in self._quabla:
             self._quabla[k] = self.cx.quabla(k, "casimir")
         return self._quabla[k]
@@ -614,7 +617,15 @@ class KostantAnalysis:
         ker d*_k and `dim_im` of im d*_{k+1}.  Only a non-acyclic block
         holds the int bases `ker` and `im`; an acyclic one takes its counts
         from the recursion of the module docstring, which reads
-        block_data(k - 1)."""
+        block_data(k - 1).
+
+        So im d*_{k+1} is read at the non-acyclic weights of C_k alone, and
+        that is exact: d*_{k+1} is h-equivariant, so its image at w is the
+        image of its block at w, which a map restricted to the whole weight
+        blocks of C_{k+1} at those weights has too.  Inside the window
+        (k < k_max) the images come from cx.lower(k + 1), built anyway for
+        the kernels of degree k + 1; at k >= k_max, from that restriction
+        (`boundary_above`), so block_data(k_max) builds no C_{k_max+1}."""
         if k in self._blockdata:
             return self._blockdata[k]
         below = self.block_data(k - 1) if k > 0 else {}
@@ -626,7 +637,11 @@ class KostantAnalysis:
             data[w] = {"acyclic": not gen_zero, "ker_quabla": kerq, "gen_zero": gen_zero}
         todo = [w for w, d in data.items() if not d["acyclic"]]
         kernels = _block_kernels(self.cx.lower(k), todo)
-        images = _block_images(self.cx.lower(k + 1), todo)
+        if k < self.k_max:
+            above = self.cx.lower(k + 1)
+        else:
+            above = self._top_boundary[k] = self.cx.lower_at(k + 1, todo)
+        images = _block_images(above, todo)
         for w, d in data.items():
             if d["acyclic"]:
                 below_im = below[w]["dim_im"] if w in below else 0
@@ -636,6 +651,17 @@ class KostantAnalysis:
                 d["dim_ker"], d["dim_im"] = len(d["ker"]), len(d["im"])
         self._blockdata[k] = data
         return data
+
+    def boundary_above(self, k: int) -> ChainMap:
+        """The map whose images block_data(k) reads: d*_{k+1} =
+        cx.lower(k + 1) for k < k_max, and for k >= k_max d*_{k+1} on the
+        non-acyclic weight blocks of C_k alone (`ChainComplex.lower_at`).
+        The analysis is that restricted map's one owner: block_data(k)
+        builds it, and `cli._internal_checks` checks it."""
+        if k < self.k_max:
+            return self.cx.lower(k + 1)
+        self.block_data(k)
+        return self._top_boundary[k]
 
     def acyclic_weights(self, k: int) -> frozenset:
         """The weights of C_k whose quabla block is invertible."""
@@ -738,17 +764,21 @@ class KostantAnalysis:
     def _lower_statements(self, k: int) -> dict:
         """Statements (1)-(4) at degree k, the half that reads only
         block_data(k), cached per degree; each a rank per non-acyclic weight
-        block (they hold at an acyclic one, module docstring)."""
+        block (they hold at an acyclic one, module docstring).  Where a
+        block's ker quabla and generalized zero space have the same basis,
+        (2) is (1) and takes its outcome; elsewhere (2) has its own rank
+        test, so the (1)<->(2) consistency flag stays a check."""
         if k in self._lower_vals:
             return self._lower_vals[k]
         vals = {i: True for i in range(1, 5)}
         for d in self.block_data(k).values():
             if d["acyclic"]:
                 continue
-            im_up, gz = d["im"], d["gen_zero"]
-            if linalg.spans_meet(im_up, d["ker_quabla"]):
+            im_up, kerq, gz = d["im"], d["ker_quabla"], d["gen_zero"]
+            meets = linalg.spans_meet(im_up, kerq)
+            if meets:
                 vals[1] = False
-            if linalg.spans_meet(im_up, gz):
+            if meets if gz == kerq else linalg.spans_meet(im_up, gz):
                 vals[2] = False
             if gz and linalg.rank(d["ker"] + gz) > len(d["ker"]):
                 vals[3] = False

@@ -591,6 +591,25 @@ def oracle_map_combination(terms, nrows, ncols):
     return out
 
 
+def map_from_columns(source, target, cols):
+    """The superbgg ChainMap source -> target with rational columns
+    cols[j] = {target row: int or Fraction}: cleared to int columns over
+    one denominator and made canonical.  It builds a map to compare with,
+    sharing only the ChainMap container."""
+    from superbgg.chains import ChainMap
+    den = lcm(1, *(v.denominator for col in cols for v in col.values()))
+    icols = [{r: v.numerator * (den // v.denominator) for r, v in col.items() if v}
+             for col in cols]
+    return ChainMap.canonical(source, target, icols, den)
+
+
+def is_block_diagonal(m):
+    """h-equivariance of a ChainMap: every column stays inside the weight
+    block of its source index."""
+    return all(m.target.weights[r] == m.source.weights[j]
+               for j, col in enumerate(m.icols) for r in col)
+
+
 # ---------------------------------------------------------------------------
 # dense algebra-construction oracle
 # ---------------------------------------------------------------------------

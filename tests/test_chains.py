@@ -10,6 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    is_block_diagonal,
+    map_from_columns,
     oracle_action,
     oracle_boundary,
     oracle_casimir_quabla,
@@ -107,7 +109,7 @@ def test_block_diagonality_and_global_assembly(gl21_setup):
     cx = ChainComplex(p, v, "n")
     for k in range(0, 4):
         low, up = cx.lower(k), cx.raise_(k)
-        assert low.is_block_diagonal() and up.is_block_diagonal()
+        assert is_block_diagonal(low) and is_block_diagonal(up)
         # reassembling the global matrix from its weight blocks is lossless
         sp = cx.space(k)
         tgt = cx.space(k + 1)
@@ -136,7 +138,7 @@ def _oracle_map(cx, k, k_dst, oracle):
         img = oracle(cx.parabolic, cx.module, cx.side, e.generators(), e.module_index)
         cols.append({tgt.index[_element(g, word, mi)]: c
                      for (word, mi), c in img.items()})
-    return ChainMap.from_columns(cx.space(k), tgt, cols)
+    return map_from_columns(cx.space(k), tgt, cols)
 
 
 def _oracle_cases(gl21_setup, osp54_drop0):
@@ -164,6 +166,30 @@ def test_operators_match_per_monomial_oracles(gl21_setup, osp54_drop0):
     assert cases[3].module.dim == 9
 
 
+def test_restricted_boundary_matches_oracle(gl21_setup, osp54_drop0):
+    """lower_at(k, W), d*_k on the weight blocks W of C_k, has the oracle's
+    columns at those weights, its source lists the chain monomials of
+    those columns, and it leaves no trace: a lower(k) built after it on
+    the same complex still equals the oracle."""
+    for cx in _oracle_cases(gl21_setup, osp54_drop0):
+        for k in range(1, 4):
+            weights = sorted(ChainComplex(cx.parabolic, cx.module, cx.side)
+                             .space(k).weight_blocks, key=str)[::2]
+            part = cx.lower_at(k, weights)
+            assert part.target is cx.space(k - 1)
+            assert k not in cx._spaces and k not in cx._lower
+            oracle = _oracle_map(cx, k, k - 1, oracle_boundary)
+            src = part.source
+            assert set(weights) <= set(src.weight_blocks)
+            assert src.dim <= oracle.source.dim
+            for w in weights:
+                idxs = oracle.source.weight_blocks[w]
+                assert part.block(w) == oracle.block(w)
+                assert [src.basis[i] for i in src.weight_blocks[w]] \
+                    == [oracle.source.basis[i] for i in idxs]
+            assert cx.lower(k) == _oracle_map(cx, k, k - 1, oracle_boundary)
+
+
 def test_action_maps_match_oracle(gl21_setup, osp54_drop0):
     """action_map(k, i) equals the tensor-word action for every basis
     element of the algebra, Levi or not, on both sides."""
@@ -177,7 +203,7 @@ def test_action_maps_match_oracle(gl21_setup, osp54_drop0):
                              cx.parabolic, cx.module, cx.side, i,
                              e.generators(), e.module_index).items()}
                         for e in sp.basis]
-                assert cx.action_map(k, i) == ChainMap.from_columns(sp, sp, cols)
+                assert cx.action_map(k, i) == map_from_columns(sp, sp, cols)
 
 
 def test_trivial_module_boundary_gl11():
@@ -446,7 +472,7 @@ def _bare_space(weights):
 def _map_of(src, tgt, dense):
     cols = [{r: dense[r][j] for r in range(tgt.dim) if dense[r][j]}
             for j in range(src.dim)]
-    return ChainMap.from_columns(src, tgt, cols)
+    return map_from_columns(src, tgt, cols)
 
 
 def _dense_of(m):
@@ -546,7 +572,7 @@ def test_built_maps_are_canonical_and_exact(gl21_setup, osp54_drop0):
             maps = [cx.lower(k), cx.raise_(k), cx.quabla(k, "direct"),
                     cx.quabla(k, "casimir")]
             for m in maps:
-                assert m.is_block_diagonal()
+                assert is_block_diagonal(m)
                 _assert_canonical(m)
                 _assert_exact_blocks(m)
             for i in par.levi_indices:      # root vectors shift weights
@@ -566,7 +592,7 @@ def test_quabla_direct_equals_casimir_osp54_drop0(osp54_drop0):
         direct, casimir = cx.quabla(k, "direct"), cx.quabla(k, "casimir")
         assert direct == casimir
         assert direct.cols == casimir.cols
-        assert direct.is_block_diagonal()
+        assert is_block_diagonal(direct)
         dens.add(direct.den)
     assert 2 in dens
 

@@ -136,9 +136,9 @@ def test_quabla_built_once_per_degree_and_no_top_coboundary(capsys, monkeypatch,
         quablas[(k, method)] = quablas.get((k, method), 0) + 1
         return quabla(self, k, method)
 
-    def counting_assemble(self, k_src, k_dst, *args):
-        assembled.add((k_src, k_dst))
-        return assemble(self, k_src, k_dst, *args)
+    def counting_assemble(self, source, k_dst, *args):
+        assembled.add((source.degree, k_dst))
+        return assemble(self, source, k_dst, *args)
 
     def counting_raise(self, k):
         raised.add(k)
@@ -152,6 +152,45 @@ def test_quabla_built_once_per_degree_and_no_top_coboundary(capsys, monkeypatch,
                        **{(k, "direct"): 1 for k in range(k_max)}}
     assert (k_max, k_max + 1) not in assembled
     assert max(raised) == k_max - 1
+
+
+REFERENCES = Path(__file__).resolve().parent.parent / "perfbench" / "references.json"
+
+
+def _benchmark_argv(qid: str) -> list:
+    return json.loads(REFERENCES.read_text())[qid]["argv"]
+
+
+@pytest.mark.parametrize("argv", QUABLA_ARGV + [
+    _benchmark_argv("natural-osp54-k3"), _benchmark_argv("borel-gl32-k4")])
+def test_no_degree_past_kmax_is_built_whole(capsys, monkeypatch, argv):
+    """`homology` and `bgg check` read d*_{kmax+1} at the non-acyclic weights
+    of C_kmax alone: no space, boundary or monomial list of degree kmax+1
+    is ever built whole, yet the restricted map is (and is checked)."""
+    from superbgg import chains
+    k_max = int(argv[argv.index("--kmax") + 1])
+    built = {"space": set(), "lower": set(), "monomials": set(), "lower_at": set()}
+    for name, degrees in built.items():
+        def spy(self, k, *args, _real=getattr(chains.ChainComplex, name), _seen=degrees):
+            _seen.add(k)
+            return _real(self, k, *args)
+        monkeypatch.setattr(chains.ChainComplex, name, spy)
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["nilpotency_ok"]
+    assert max(built["space"] | built["lower"] | built["monomials"]) == k_max
+    assert built["lower_at"] == {k_max + 1}
+
+
+def _run_script(code: str, optimize: bool) -> list:
+    """Run `code` in a fresh interpreter (with -O when `optimize`) on this
+    checkout's sources and return the JSON it prints."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, *(["-O"] if optimize else []), "-c", code],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout)
 
 
 def _perturbed_casimir_code(argv) -> str:
@@ -181,14 +220,79 @@ def test_perturbed_casimir_quabla_fails_cross_check(argv, optimize):
     """The cross-check compares two independent maps: with one Casimir
     coefficient shifted, the report says so and the command exits 1, also
     under `python -O`."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    out = subprocess.run(
-        [sys.executable, *(["-O"] if optimize else []), "-c",
-         _perturbed_casimir_code(argv)],
-        capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=str(src)))
-    assert out.returncode == 0, out.stderr
-    assert json.loads(out.stdout) == [1, True, False]
+    assert _run_script(_perturbed_casimir_code(argv), optimize) == [1, True, False]
+
+
+def _corrupted_boundary_code(argv, target) -> str:
+    """A script that runs `main(argv)` with one entry of one boundary raised
+    by 1 and prints the exit code and the report's check flags.  The entry
+    is the first (column j, row r) of the map with d*_{k-1} e_r != 0, so
+    d*_{k-1} d*_k gains a nonzero column, and it lies in the weight block
+    of column j.  `target` names the map: lower(target) for an int degree,
+    else the restricted top boundary (`lower_at`), at a column of a weight
+    block_data reads ("read") or of the remainder of its source ("rest")."""
+    return (
+        "import io, json, contextlib\n"
+        "from superbgg import chains\n"
+        "from superbgg.cli import main\n"
+        f"target = {target!r}\n"
+        "def corrupt(cx, m, k, pick):\n"
+        "    below = cx.lower(k - 1).icols\n"
+        "    j, r = next((j, r) for j, col in enumerate(m.icols) if pick(j)\n"
+        "                for r in col if below[r])\n"
+        "    m.icols[j][r] += 1\n"
+        "lower, lower_at = chains.ChainComplex.lower, chains.ChainComplex.lower_at\n"
+        "done = []\n"
+        "def bad_lower(self, k):\n"
+        "    m = lower(self, k)\n"
+        "    if k == target and not done:\n"
+        "        done.append(k)\n"
+        "        corrupt(self, m, k, lambda j: True)\n"
+        "    return m\n"
+        "def bad_lower_at(self, k, weights):\n"
+        "    m, read = lower_at(self, k, weights), set(weights)\n"
+        "    corrupt(self, m, k,\n"
+        "            lambda j: (m.source.weights[j] in read) == (target == 'read'))\n"
+        "    return m\n"
+        "if isinstance(target, int):\n"
+        "    chains.ChainComplex.lower = bad_lower\n"
+        "else:\n"
+        "    chains.ChainComplex.lower_at = bad_lower_at\n"
+        "buf = io.StringIO()\n"
+        "with contextlib.redirect_stdout(buf):\n"
+        f"    code = main({argv!r})\n"
+        "rep = json.loads(buf.getvalue())\n"
+        "print(json.dumps([code, rep['nilpotency_ok'], rep['quabla_cross_check_ok']]))\n"
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ["homology", "--alg", "gl", "--m", "2", "--n", "1", "--weight", "1,0|0",
+     "--kmax", "3"],
+    ["bgg", "check", "--alg", "gl", "--m", "2", "--n", "1", "--weight", "1,0|0",
+     "--kmax", "3"],
+])
+@pytest.mark.parametrize("optimize", [False, True])
+def test_corrupted_boundary_block_fails_nilpotency(argv, optimize):
+    """One entry of one weight block of d*_2, below kmax = 3, raised by 1:
+    the report says nilpotency fails and the command exits 1, also under
+    `python -O`."""
+    code, nil, _ = _run_script(_corrupted_boundary_code(argv, 2), optimize)
+    assert (code, nil) == (1, False)
+
+
+@pytest.mark.parametrize("argv, where", [
+    (["homology", "--alg", "osp", "--m", "3", "--n", "1", "--weight", "1|0",
+      "--kmax", "3"], "read"),
+    (_benchmark_argv("borel-gl32-k4"), "rest"),
+])
+@pytest.mark.parametrize("optimize", [False, True])
+def test_corrupted_top_boundary_fails_nilpotency(argv, where, optimize):
+    """The restricted d*_{kmax+1} that block_data(kmax) reads is checked
+    too: one entry raised by 1, at a read weight or in the remainder of its
+    source, makes nilpotency fail (and nothing else), also under
+    `python -O`."""
+    assert _run_script(_corrupted_boundary_code(argv, where), optimize) == [1, False, True]
 
 
 def test_bgg_check_computes_predicates_once_per_degree(capsys, monkeypatch):
@@ -198,7 +302,8 @@ def test_bgg_check_computes_predicates_once_per_degree(capsys, monkeypatch):
     singular (every statement holds at an invertible one).  Statements
     (1)-(2) are tested at degrees 0..kmax (the multiplicity rung's
     shared-decomposition gate reads them up to kmax) and (5), (7), (7) at
-    degrees 0..kmax-1."""
+    degrees 0..kmax-1; (2) has a test of its own only where the block's
+    ker quabla and generalized zero space differ (it is (1) elsewhere)."""
     from superbgg import linalg
     from superbgg.algebra import build_algebra, build_parabolic
     from superbgg.chains import ChainComplex
@@ -216,13 +321,28 @@ def test_bgg_check_computes_predicates_once_per_degree(capsys, monkeypatch):
     assert "predicates" in json.loads(out)["verdict"]["details"]
     g = build_algebra("gl", 1, 2)
     cx = ChainComplex(build_parabolic(g, []), build_irrep(g, (1, 0, 0)), "nbar")
-    blocks = []
+    blocks, differ = [], []
     for k in range(3):
         quab = cx.quabla(k)
-        blocks.append(sum(1 for w, idxs in cx.space(k).weight_blocks.items()
-                          if linalg.rank(quab.block(w)) < len(idxs)))
+        singular = [(quab.block(w), len(idxs))
+                    for w, idxs in cx.space(k).weight_blocks.items()
+                    if linalg.rank(quab.block(w)) < len(idxs)]
+        blocks.append(len(singular))
+        differ.append(sum(1 for q, n in singular
+                          if linalg.rank(q) != linalg.rank(_power(q, n))))
     assert all(blocks)
-    assert len(calls) == 5 * (blocks[0] + blocks[1]) + 2 * blocks[2]
+    assert len(calls) == (sum(b + d for b, d in zip(blocks, differ))
+                          + 3 * (blocks[0] + blocks[1]))
+
+
+def _power(q: list, n: int) -> list:
+    """q^e for the first power of two e >= n: its kernel is the generalized
+    zero space of the n x n block q."""
+    from superbgg import linalg
+    e = 1
+    while e < n:
+        q, e = linalg.mat_mul(q, q), 2 * e
+    return q
 
 
 @pytest.mark.parametrize("argv", [
@@ -408,9 +528,6 @@ def test_cli_never_builds_fraction_view(capsys, monkeypatch, argv):
     assert code == 0
     rep = json.loads(out)
     assert rep["nilpotency_ok"] and rep["quabla_cross_check_ok"]
-
-
-REFERENCES = Path(__file__).resolve().parent.parent / "perfbench" / "references.json"
 
 
 @pytest.mark.parametrize("qid", sorted(json.loads(REFERENCES.read_text())))

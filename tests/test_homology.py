@@ -1083,6 +1083,63 @@ def test_top_degree_blocks_match_direct_quabla_random(case):
     assert _top_block_counts(an) == _direct_top_block_counts(an)
 
 
+def _top_boundary_reads(an) -> tuple:
+    """Check the restricted d*_{k_max+1} that block_data(k_max) reads
+    against cx.lower(k_max + 1), built after it on the same complex: at
+    every weight read, the same exact block, its columns the same chain
+    monomials, and the same int block wherever the two dens agree.  Each
+    den is canonical over its own columns, so a map with fewer columns can
+    have a smaller one (an empty map has den 1); the int blocks are then
+    proportional, with the same pivots and spans.  Returns (number of
+    weights read, whether the dens agree)."""
+    k = an.k_max
+    top = an.boundary_above(k)
+    reads = [w for w, d in an.block_data(k).items() if not d["acyclic"]]
+    full = an.cx.lower(k + 1)
+    assert top.target is full.target is an.cx.space(k)
+    assert full.den % top.den == 0
+    src, whole = top.source, full.source
+    for w in reads:
+        assert top.block(w) == full.block(w)
+        if top.den == full.den:
+            assert top.int_block(w) == full.int_block(w)
+        assert ([src.basis[i] for i in src.weight_blocks.get(w, [])]
+                == [whole.basis[i] for i in whole.weight_blocks.get(w, [])])
+    return len(reads), top.den == full.den
+
+
+@pytest.mark.parametrize("alg, levi, lam, k_max", [
+    (("osp", 5, 2), (1, 2, 3), (1, 0, 0, 0), 3),   # natural-osp54-k3
+    (("gl", 3, 2), (), (1, 0, 0, 0, 0), 4),         # borel-gl32-k4
+])
+def test_top_boundary_matches_full_boundary_on_benchmark_queries(alg, levi, lam, k_max):
+    """On both benchmark queries the restricted top boundary is a proper
+    part of d*_{k_max+1} and has its int blocks, over the same den, at
+    every weight read."""
+    p = _parabolic(*alg, levi)
+    an = KostantAnalysis(p, build_irrep(p.algebra, wt(*lam)), k_max=k_max)
+    reads, same_den = _top_boundary_reads(an)
+    assert reads and same_den
+    assert an.boundary_above(k_max).source.dim < an.cx.space(k_max + 1).dim
+
+
+@given(_certificate_cases())
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+def test_top_boundary_matches_full_boundary_random(case):
+    """The same on small random inputs, irreps and Kac modules alike, where
+    H_k = ker quabla_k holds and where it fails."""
+    alg, levi, lam, kac, k_max = case
+    p = _parabolic(*alg, levi)
+    try:
+        check_finite_dimensional(p.algebra, lam)
+    except PreconditionViolated:
+        assume(False)
+    module = (build_kac_module if kac else build_irrep)(p.algebra, lam)
+    an = KostantAnalysis(p, module, k_max=k_max)
+    assume(an.cx.space(k_max).dim <= 40)
+    _top_boundary_reads(an)
+
+
 @pytest.mark.parametrize("levi, lam, twice", [
     ((1,), (1, 0, 0), 0), ((0,), (2, 0, 0), 0), ((1,), (0, 0, -1), 2)])
 def test_operator_blocks_eliminated_once_per_non_acyclic_reader(
@@ -1095,7 +1152,10 @@ def test_operator_blocks_eliminated_once_per_non_acyclic_reader(
     predicates(k + 1).  That is fewer than every block.  On gl(2|1) with
     Levi {1} some blocks of d* are eliminated for their image alone, with
     Levi {0} some blocks of d; with Levi {1} and L(0,0|-1) two blocks
-    have both readers at non-acyclic weights and are eliminated twice."""
+    have both readers at non-acyclic weights and are eliminated twice.
+    Past the window the image reader is d*_{k_max+1} restricted to the
+    non-acyclic weights of C_k_max (`boundary_above`), read at each of
+    them once."""
     k_max = 3
     an = KostantAnalysis(build_parabolic(gl21, list(levi)),
                          build_irrep(gl21, wt(*lam)), k_max=k_max)
@@ -1116,7 +1176,7 @@ def test_operator_blocks_eliminated_once_per_non_acyclic_reader(
     hot[-1] = hot[k_max + 1] = set()
     want = []
     for k in range(k_max + 2):
-        m = cx.lower(k)
+        m = cx.lower(k) if k <= k_max else an.boundary_above(k_max)
         for readers in (hot[k], hot[k - 1]):
             want += [(id(m), w) for w in readers if w in m.source.weight_blocks]
     for k in range(k_max):
@@ -1130,6 +1190,58 @@ def test_operator_blocks_eliminated_once_per_non_acyclic_reader(
     every = sum(len(cx.space(k).weight_blocks) for k in range(k_max + 2)) \
         + sum(len(cx.space(k).weight_blocks) for k in range(k_max))
     assert len(got) < every
+
+
+def _statement_calls(monkeypatch, an, k_max, answer=None) -> list:
+    """The second arguments of every linalg.spans_meet call made by
+    _lower_statements(0..k_max); `answer(cols_b)` replaces the outcome."""
+    seen = []
+    spans_meet = linalg.spans_meet
+
+    def spy(cols_a, cols_b):
+        seen.append(cols_b)
+        return spans_meet(cols_a, cols_b) if answer is None else answer(cols_b)
+    monkeypatch.setattr(linalg, "spans_meet", spy)
+    for k in range(k_max + 1):
+        an._lower_statements(k)
+    return seen
+
+
+def test_statement_two_reuses_one_where_the_bases_agree(gl21, monkeypatch):
+    """Statements (1) and (2) test im d*_{k+1} against ker quabla and
+    against the generalized zero space.  Where a block's two bases are
+    the same, (2) takes the outcome of (1); where they differ, as at
+    degree 1 of gl(2|1) with Levi {1} and L(0,0|-1), it runs its own test."""
+    k_max = 2
+    an = KostantAnalysis(build_parabolic(gl21, [1]), build_irrep(gl21, wt(0, 0, -1)),
+                         k_max=k_max)
+    seen = _statement_calls(monkeypatch, an, k_max)
+    want, differ = [], 0
+    for k in range(k_max + 1):
+        for d in an.block_data(k).values():
+            if not d["acyclic"]:
+                want.append(d["ker_quabla"])
+                if d["gen_zero"] != d["ker_quabla"]:
+                    want.append(d["gen_zero"])
+                    differ += 1
+    assert differ and len(want) > differ
+    assert sorted(map(str, seen)) == sorted(map(str, want))
+
+
+def test_statement_consistency_can_fail_where_the_bases_differ(gl21, monkeypatch):
+    """The (1)<->(2) flag still compares two rank tests where the bases
+    differ: with spans_meet made to answer True for a generalized zero
+    basis alone, (2) fails while (1) holds, and predicates(1) reports the
+    pair inconsistent."""
+    an = KostantAnalysis(build_parabolic(gl21, [1]), build_irrep(gl21, wt(0, 0, -1)),
+                         k_max=2)
+    gen_zero = [id(d["gen_zero"]) for d in an.block_data(1).values()
+                if d["gen_zero"] != d["ker_quabla"]]
+    assert gen_zero
+    _statement_calls(monkeypatch, an, 1, lambda cols_b: id(cols_b) in gen_zero)
+    vals = an._lower_statements(1)
+    assert vals[1] and not vals[2]
+    assert not an.predicates(1).consistent
 
 
 def _acyclic_probe(an, k):
