@@ -197,9 +197,6 @@ class ChainMap:
         return ChainMap.combination(self.source, self.target,
                                     [(1, self), (1, other)])
 
-    def scale(self, c) -> "ChainMap":
-        return ChainMap.combination(self.source, self.target, [(c, self)])
-
     def is_zero(self) -> bool:
         return all(not col for col in self.icols)
 

@@ -9,7 +9,10 @@ The Levi decomposition is weight-local too.  Every vector it handles is
 weight-homogeneous, so each weight block of a LeviModule is eliminated once
 (a left transform that turns `express` into a sparse product), and the
 lowering closures and their union keep echelon pivots per weight: no
-elimination ever runs over the whole module.
+elimination ever runs over the whole module.  ker quabla_k, a submodule of
+C_k, needs no LeviModule at all: it is decomposed on the complex's own
+action maps (KostantAnalysis.ker_quabla_decomposition), and so is H_k
+wherever it is isomorphic to ker quabla_k.
 
 The Levi layer runs on Python ints.  A LeviModule holds its representatives
 as primitive int columns (positive multiples of the columns it was given: a
@@ -72,10 +75,10 @@ from .algebra import (
     ParabolicDecomposition,
     Weight,
     casimir_eigenvalue,
+    even_simple_roots,
     weight_key,
     wt_add,
     wt_int,
-    wt_sub,
 )
 from .chains import ChainComplex, ChainMap
 from .errors import (
@@ -84,7 +87,6 @@ from .errors import (
     LeviNotClosed,
     NotCompletelyReducible,
     PreconditionViolated,
-    TruncationTooSmall,
 )
 from .modules import Module, build_irrep, restrict_adjoint
 
@@ -145,6 +147,15 @@ def _primitive(col: dict, positive_lead: bool = False) -> dict:
     if positive_lead and ints and ints[min(ints)] < 0:
         cont = -cont
     return {r: v // cont for r, v in ints.items()} if cont != 1 else ints
+
+
+def _apply(icols: list, vec: dict) -> dict:
+    """The int map with columns `icols` applied to the sparse int vector
+    `vec` (indices of `vec` are columns)."""
+    out: dict = {}
+    for j, c in vec.items():
+        linalg.vec_iadd(out, icols[j], c)
+    return out
 
 
 def _ambient_columns(idxs: list, cols: list) -> list:
@@ -357,12 +368,7 @@ class LeviModule:
         root = wt_int(self.cx.algebra.root(levi_index))
         cols, dens = [{} for _ in self.reps], [amap.den] * self.dim
         for w, members in self._members.items():
-            imgs = []
-            for t in members:
-                img: dict = {}
-                for gidx, v in self.reps[t].items():
-                    linalg.vec_iadd(img, icols[gidx], v)
-                imgs.append(img)
+            imgs = [_apply(icols, self.reps[t]) for t in members]
             if not any(imgs):
                 continue
             coords, den = self.express(wt_add(w, root), imgs)
@@ -372,11 +378,6 @@ class LeviModule:
         return LeviAction(cols, dens)
 
 
-def full_levi_module(cx: ChainComplex, k: int) -> LeviModule:
-    sp = cx.space(k)
-    return LeviModule(cx, k, [{i: 1} for i in range(sp.dim)])
-
-
 # ---------------------------------------------------------------------------
 # decomposition into irreducible l-modules
 # ---------------------------------------------------------------------------
@@ -384,38 +385,47 @@ def full_levi_module(cx: ChainComplex, k: int) -> LeviModule:
 def levi_irrep_dimension(p: ParabolicDecomposition, weight: Weight,
                          max_depth: int = 64) -> int | None:
     """Dimension of the abstract irreducible Levi module of highest weight
-    `weight`, built with the Shapovalov form (None past `max_depth` levels).
+    `weight`, built with the Shapovalov form; None when it is infinite
+    dimensional.  Results are cached on the parabolic.
+
+    That is None past `max_depth` levels, and at once, with nothing built,
+    where 2(w, a)/(a, a) is not in Z>=0 for an even simple root a of the
+    Levi: e_a kills the highest-weight vector v, and e_a^n f_a^n v is a
+    nonzero multiple of v for every n, so no f_a^n v vanishes.
 
     decompose_levi needs it only to report a decomposition that is not
-    completely reducible; results are cached on the parabolic."""
+    completely reducible."""
     cache = p._levi_cache.setdefault("irrep_dims", {})
     if weight in cache:
         return cache[weight]
-    levi = p.levi_algebra()
-    op = p._levi_cache.get("levi_op")
-    if op is None:
-        from .algebra import build_adjoint_operation
-        parent_op = build_adjoint_operation(p.algebra, 1)
-        op = restrict_adjoint(parent_op, levi, p.levi_indices)
-        p._levi_cache["levi_op"] = op
-    try:
-        dim = build_irrep(levi, weight, op, max_depth).dim
-    except FiniteDimGuardExceeded:
-        dim = None
+    g, levi, dim = p.algebra, p.levi_algebra(), None
+    if all((c := 2 * g.weight_form(weight, a) / g.weight_form(a, a)).denominator == 1
+           and c >= 0 for a in even_simple_roots(levi)):
+        op = p._levi_cache.get("levi_op")
+        if op is None:
+            from .algebra import build_adjoint_operation
+            parent_op = build_adjoint_operation(g, 1)
+            op = p._levi_cache["levi_op"] = restrict_adjoint(parent_op, levi,
+                                                             p.levi_indices)
+        try:
+            dim = build_irrep(levi, weight, op, max_depth).dim
+        except FiniteDimGuardExceeded:
+            pass
     cache[weight] = dim
     return dim
 
 
-def _highest_weight_vectors(mod: LeviModule, raise_cols: list) -> dict:
-    """Joint kernel of the raising operators (int columns of LeviAction),
-    weight by weight; each operator's block at one weight is a positive
-    multiple of the exact block, so the kernel is the exact one.
+def _highest_weight_vectors(blocks: dict, raise_cols: list) -> dict:
+    """Joint kernel of the raising operators on each weight block: `blocks`
+    maps a weight to the indices of its basis vectors, and `raise_cols` are
+    the operators' int columns over those indices (LeviAction's, or a chain
+    map's).  On each block an operator is a positive multiple of the exact
+    one, so the kernel is the exact one.
 
-    Returns {weight: [sparse primitive int coordinate vectors]} for the
-    weights with a nonzero kernel, in sorted weight order."""
+    Returns {weight: [sparse primitive int vectors over those indices]} for
+    the weights with a nonzero kernel, in the order of `blocks`."""
     out: dict = {}
-    for w in sorted(mod.weight_dims(), key=weight_key):
-        members = mod.members(w)
+    for w, members in blocks.items():
         rows = []
         for cols in raise_cols:
             targets = sorted({t for m in members for t in cols[m]})
@@ -465,17 +475,28 @@ def decompose_levi(p: ParabolicDecomposition, mod: LeviModule) -> LDecomposition
     This is the paper's necessary condition for a BGG resolution (complete
     reducibility of each homology group), checked on the module itself.  A
     decomposition that fails it reports, for each entry, the dimension of
-    the abstract Levi irrep (None past `levi_irrep_dimension`'s depth
-    guard).  All elimination is local to one weight block and runs on the
-    int columns of LeviAction (exact by the module docstring's argument).
+    the abstract Levi irrep (None where `levi_irrep_dimension` finds it
+    infinite).  All elimination is local to one weight block and runs on
+    the int columns of LeviAction (exact by the module docstring's
+    argument).
     """
     pos, neg = p.algebra.simple_vector_indices()
     raise_cols = [mod.act(pos[i]).icols for i in p.levi_simple_roots]
     lower_cols = [mod.act(neg[i]).icols for i in p.levi_simple_roots]
+    blocks = {w: mod.members(w) for w in sorted(mod.weight_dims(), key=weight_key)}
+    return _certified(p, _highest_weight_vectors(blocks, raise_cols), lower_cols,
+                      mod.dim)
 
+
+def _certified(p: ParabolicDecomposition, hw_vectors: dict, lower_cols: list,
+               dim: int) -> LDecomposition:
+    """decompose_levi's decomposition of a module of dimension `dim` from
+    its H_w ({w: basis}, weight_key order) and the int columns of its Levi
+    lowering operators: the closures G_w, the certificate and the entries'
+    irrep dimensions."""
     entries = []
     union = _WeightEchelon()
-    for w, vecs in _highest_weight_vectors(mod, raise_cols).items():
+    for w, vecs in hw_vectors.items():
         gen = _lowering_closure(lower_cols, vecs)
         entries.append(LDecompositionEntry(
             highest_weight=w,
@@ -485,7 +506,7 @@ def decompose_levi(p: ParabolicDecomposition, mod: LeviModule) -> LDecomposition
         ))
         for vec in gen:
             union.add(vec)
-    cr = sum(e.generated_dimension for e in entries) == union.rank == mod.dim
+    cr = sum(e.generated_dimension for e in entries) == union.rank == dim
     for e in entries:
         if cr:
             e.irrep_dimension, rest = divmod(e.generated_dimension,
@@ -498,7 +519,7 @@ def decompose_levi(p: ParabolicDecomposition, mod: LeviModule) -> LDecomposition
         else:
             e.irrep_dimension = levi_irrep_dimension(p, e.highest_weight)
     return LDecomposition(entries=entries, completely_reducible=cr,
-                          total_dimension=mod.dim)
+                          total_dimension=dim)
 
 
 class _WeightEchelon:
@@ -547,10 +568,10 @@ def _eliminate(v: dict, row: dict, lead: int) -> dict:
 
 
 def _lowering_closure(lower_cols: list, seeds: list) -> list:
-    """Echelon basis (sparse int coordinate vectors) of the span of the
+    """Echelon basis (sparse int vectors) of the span of the
     weight-homogeneous `seeds` closed under the lowering operators (int
-    columns of LeviAction): each image is a positive multiple of the exact
-    one, so the span is the exact closure."""
+    columns of LeviAction, or of the complex's action maps): each image is a
+    positive multiple of the exact one, so the span is the exact closure."""
     echelon = _WeightEchelon()
     basis = []
     frontier = seeds
@@ -561,12 +582,7 @@ def _lowering_closure(lower_cols: list, seeds: list) -> list:
             if row is None:
                 continue
             basis.append(row)
-            for cols in lower_cols:
-                img: dict = {}
-                for t, c in row.items():
-                    linalg.vec_iadd(img, cols[t], c)
-                if img:
-                    nxt.append(img)
+            nxt.extend(img for cols in lower_cols if (img := _apply(cols, row)))
         frontier = nxt
     return basis
 
@@ -707,9 +723,14 @@ class KostantAnalysis:
         return LeviModule(self.cx, k, reps, modulo, self.acyclic_weights(k))
 
     def homology_decomposition(self, k: int) -> LDecomposition:
+        """ker_quabla_decomposition(k) where homology_is_ker_quabla(k): every
+        field of an LDecomposition (H_w, G_w, their sum, the entries'
+        weight_key order) is an isomorphism invariant of the l-module.
+        Elsewhere decompose_levi of homology_quotient_module(k)."""
         if k not in self._decomp:
-            self._decomp[k] = decompose_levi(
-                self.parabolic, self.homology_quotient_module(k))
+            self._decomp[k] = (
+                self.ker_quabla_decomposition(k) if self.homology_is_ker_quabla(k)
+                else decompose_levi(self.parabolic, self.homology_quotient_module(k)))
         return self._decomp[k]
 
     # -- quabla kernels ---------------------------------------------------------
@@ -749,14 +770,30 @@ class KostantAnalysis:
                 == self.block_dims(k, "ker_quabla"))
 
     def ker_quabla_decomposition(self, k: int) -> LDecomposition:
-        """decompose_levi of ker quabla_k, or homology_decomposition(k) where
-        homology_is_ker_quabla(k): every field of an LDecomposition (H_w,
-        G_w, their sum, the entries' weight_key order) is an isomorphism
-        invariant of the l-module."""
+        """decompose_levi of ker quabla_k as a submodule of C_k, in C_k's own
+        coordinates: no LeviModule, solver or `express`.
+
+        ker quabla_k is l-stable (quabla commutes with l), so its H_w and G_w
+        lie in C_k, and G_w is the lowering closure on cx.action_map's
+        columns.  The vectors that n+_l kills are exactly the highest-weight
+        vectors, and by Kostant's formula (ChainComplex.quabla) quabla acts
+        on one of weight w by 1/2 (C2(w) - C2(lambda)).  So H_w = 0 unless
+        C2(w) = C2(lambda), and there H_w is the joint kernel of the raising
+        maps on the whole block C_{k,w}, all of it in ker quabla.  Only such
+        weights with a nonzero ker quabla block are searched."""
         if k not in self._kerq_decomp:
-            self._kerq_decomp[k] = (
-                self.homology_decomposition(k) if self.homology_is_ker_quabla(k)
-                else decompose_levi(self.parabolic, self.ker_quabla(k)))
+            g, cx = self.parabolic.algebra, self.cx
+            target = casimir_eigenvalue(g, self.module.highest_weight)
+            weight_blocks = cx.space(k).weight_blocks
+            blocks = {w: weight_blocks[w] for w, d in self.block_data(k).items()
+                      if d["ker_quabla"] and casimir_eigenvalue(g, w) == target}
+            pos, neg = g.simple_vector_indices()
+            roots = self.parabolic.levi_simple_roots
+            hw = _highest_weight_vectors(
+                blocks, [cx.action_map(k, pos[i]).icols for i in roots])
+            self._kerq_decomp[k] = _certified(
+                self.parabolic, hw, [cx.action_map(k, neg[i]).icols for i in roots],
+                sum(self.block_dims(k, "ker_quabla").values()))
         return self._kerq_decomp[k]
 
     # -- predicates ---------------------------------------------------------------
@@ -767,11 +804,16 @@ class KostantAnalysis:
         block (they hold at an acyclic one, module docstring).  Where a
         block's ker quabla and generalized zero space have the same basis,
         (2) is (1) and takes its outcome; elsewhere (2) has its own rank
-        test, so the (1)<->(2) consistency flag stays a check."""
+        test, so the (1)<->(2) consistency flag stays a check.  (3) says the
+        generalized zero space lies in ker d*_k, which `ker` spans at a
+        non-acyclic block: so it holds there exactly when d*_k (the int
+        columns of lower(k)) kills every gen_zero vector, a sparse product
+        and no rank."""
         if k in self._lower_vals:
             return self._lower_vals[k]
         vals = {i: True for i in range(1, 5)}
-        for d in self.block_data(k).values():
+        lower, weight_blocks = self.cx.lower(k).icols, self.cx.space(k).weight_blocks
+        for w, d in self.block_data(k).items():
             if d["acyclic"]:
                 continue
             im_up, kerq, gz = d["im"], d["ker_quabla"], d["gen_zero"]
@@ -780,7 +822,7 @@ class KostantAnalysis:
                 vals[1] = False
             if meets if gz == kerq else linalg.spans_meet(im_up, gz):
                 vals[2] = False
-            if gz and linalg.rank(d["ker"] + gz) > len(d["ker"]):
+            if any(_apply(lower, col) for col in _ambient_columns(weight_blocks[w], gz)):
                 vals[3] = False
             if len(d["ker"]) - len(im_up) != len(gz):
                 vals[4] = False
@@ -829,55 +871,6 @@ class KostantAnalysis:
         consistent = len(set(global_vals.values())) == 1
         return {"per_degree": per_degree, "global": global_vals,
                 "consistent": consistent}
-
-    # -- Casimir matching and Euler characteristic ----------------------------------
-
-    def casimir_match(self, k: int) -> list:
-        """Levi highest weights mu in C_k with C2(mu) = C2(lambda)."""
-        g = self.parabolic.algebra
-        lam = self.module.highest_weight
-        target = casimir_eigenvalue(g, lam)
-        full = full_levi_module(self.cx, k)
-        dec = decompose_levi_hw_only(self.parabolic, full)
-        return [w for w in dec if casimir_eigenvalue(g, w) == target]
-
-    def euler_check(self, mu: Weight) -> bool:
-        g = self.parabolic.algebra
-        bound = _occurrence_bound(g, self.module, self.cx, mu)
-        if bound is None:
-            return True      # mu never occurs; both sides are zero
-        if bound > self.k_max:
-            raise TruncationTooSmall(
-                f"weight {mu} may occur up to degree {bound} > k_max {self.k_max}")
-        lhs = rhs = 0
-        for k in range(bound + 1):
-            sign = -1 if k % 2 else 1
-            lhs += sign * len(self.cx.space(k).weight_blocks.get(mu, []))
-            rep = self.homology(k)
-            rhs += sign * rep.weight_multiplicities.get(mu, 0)
-        return lhs == rhs
-
-
-def decompose_levi_hw_only(p: ParabolicDecomposition, mod: LeviModule) -> dict:
-    """Highest weights with multiplicities only (no irrep builds)."""
-    pos, _ = p.algebra.simple_vector_indices()
-    hw = _highest_weight_vectors(
-        mod, [mod.act(pos[i]).icols for i in p.levi_simple_roots])
-    return {w: len(vecs) for w, vecs in hw.items()}
-
-
-def _occurrence_bound(g, module, cx, mu) -> int | None:
-    """Largest degree where weight mu can occur, or None if never."""
-    best = None
-    for w in set(module.weights):
-        diff = wt_sub(w, mu)
-        coords = g.simple_coordinates(diff)
-        if coords is None or any(c < 0 for c in coords):
-            continue
-        h = sum(coords)
-        if h == int(h) and h >= 0:
-            best = max(best or 0, int(h))
-    return best
 
 
 def multiplicity_criterion(an: KostantAnalysis, k_max: int) -> tuple:

@@ -573,6 +573,78 @@ def oracle_levi_decomposition(weights, raise_mats, lower_mats, irrep_dimension):
 # dense chain-map oracle
 # ---------------------------------------------------------------------------
 
+def full_levi_module(cx, k):
+    """The whole chain space C_k as a superbgg LeviModule on unit vectors."""
+    from superbgg.homology import LeviModule
+    return LeviModule(cx, k, [{i: 1} for i in range(cx.space(k).dim)])
+
+
+def decompose_levi_hw_only(p, mod):
+    """{highest weight: number of highest-weight vectors} of a LeviModule,
+    in weight_key order: the dense kernel of the stacked raising operators
+    (the exact view of LeviModule.act) at each weight, with no lowering
+    closure and no irrep build."""
+    from superbgg.algebra import weight_key
+    pos, _ = p.algebra.simple_vector_indices()
+    raising = [mod.act(pos[i]).cols for i in p.levi_simple_roots]
+    out = {}
+    for w in sorted(mod.weight_dims(), key=weight_key):
+        members = mod.members(w)
+        rows = [[cols[m].get(t, F0) for m in members]
+                for cols in raising for t in range(mod.dim)]
+        kernel = oracle_kernel([row for row in rows if any(row)], len(members))
+        if kernel:
+            out[w] = len(kernel)
+    return out
+
+
+def casimir_match(an, k):
+    """Levi highest weights mu of the whole chain space C_k with
+    C2(mu) = C2(lambda), in weight_key order: by Kostant's formula, the
+    weights where ker quabla_k has highest-weight vectors.  They are found
+    through LeviModule's solvers, not the complex's action maps."""
+    from superbgg.algebra import casimir_eigenvalue
+    g = an.parabolic.algebra
+    target = casimir_eigenvalue(g, an.module.highest_weight)
+    hws = decompose_levi_hw_only(an.parabolic, full_levi_module(an.cx, k))
+    return [w for w in hws if casimir_eigenvalue(g, w) == target]
+
+
+def occurrence_bound(an, mu):
+    """Largest degree at which weight mu can occur in an's chain spaces
+    (the height of some module weight minus mu), or None if none."""
+    from superbgg.algebra import wt_sub
+    g, best = an.parabolic.algebra, None
+    for w in set(an.module.weights):
+        coords = g.simple_coordinates(wt_sub(w, mu))
+        if coords is None or any(c < 0 for c in coords):
+            continue
+        h = sum(coords)
+        if h == int(h):
+            best = max(best or 0, int(h))
+    return best
+
+
+def euler_check(an, mu):
+    """Euler characteristic at weight mu: sum_k (-1)^k dim C_{k,mu} equals
+    sum_k (-1)^k of mu's multiplicity in H_k, over the degrees where mu can
+    occur (TruncationTooSmall if they pass an.k_max; True if there are none,
+    as both sides are zero)."""
+    from superbgg.errors import TruncationTooSmall
+    bound = occurrence_bound(an, mu)
+    if bound is None:
+        return True
+    if bound > an.k_max:
+        raise TruncationTooSmall(
+            f"weight {mu} may occur up to degree {bound} > k_max {an.k_max}")
+    lhs = rhs = 0
+    for k in range(bound + 1):
+        sign = -1 if k % 2 else 1
+        lhs += sign * len(an.cx.space(k).weight_blocks.get(mu, []))
+        rhs += sign * an.homology(k).weight_multiplicities.get(mu, 0)
+    return lhs == rhs
+
+
 def oracle_map_product(a, b, ncols):
     """a.b for dense Fraction matrices (rows of lists) where b has ncols
     columns, entry by entry."""

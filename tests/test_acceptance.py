@@ -10,7 +10,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from oracles import is_block_diagonal, oracle_homology_dims
+from oracles import euler_check, is_block_diagonal, occurrence_bound, oracle_homology_dims
 from superbgg import linalg
 from superbgg.algebra import (
     build_adjoint_operation,
@@ -21,7 +21,7 @@ from superbgg.algebra import (
 )
 from superbgg.bgg import bgg_verdict, kac_resolution, natural_resolution_shape
 from superbgg.chains import ChainComplex
-from superbgg.homology import KostantAnalysis, _occurrence_bound
+from superbgg.homology import KostantAnalysis
 from superbgg.modules import build_irrep, build_kac_module, dual_module
 
 
@@ -217,10 +217,9 @@ def test_criterion_10_euler_characteristic(analyses):
             for k in range(an.k_max + 1):
                 mus.update(an.cx.space(k).weight_blocks)
             for mu in sorted(mus, key=lambda t: tuple(map(str, t))):
-                bound = _occurrence_bound(an.parabolic.algebra, an.module,
-                                          an.cx, mu)
+                bound = occurrence_bound(an, mu)
                 if bound is not None and bound <= an.k_max:
-                    assert an.euler_check(mu), (name, mu)
+                    assert euler_check(an, mu), (name, mu)
                     total += 1
         assert total >= 10
 

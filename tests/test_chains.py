@@ -512,6 +512,11 @@ def _map_triples(draw):
     return src, mid, tgt, dense(mid, src), dense(mid, src), dense(tgt, mid)
 
 
+def _scaled(m, c):
+    """c * m, as the one-term ChainMap.combination."""
+    return ChainMap.combination(m.source, m.target, [(c, m)])
+
+
 @given(_map_triples(), st.fractions(min_value=-4, max_value=4, max_denominator=5))
 @example(([wt(0)] * 2, [wt(0)] * 2, [wt(0)],
           [[F(1, 2), F(3, 4)], [F0, F(-1, 6)]], [[F(-1, 2), F(1, 4)], [F0, F(1, 6)]],
@@ -525,7 +530,7 @@ def test_chain_map_arithmetic_matches_dense_oracle(triple, c):
         (a, da), (a2, da2), (b, db),
         (b.compose(a), oracle_map_product(db, da, s.dim)),
         (a.add(a2), oracle_map_combination([(1, da), (1, da2)], m.dim, s.dim)),
-        (a.scale(c), oracle_map_combination([(c, da)], m.dim, s.dim)),
+        (_scaled(a, c), oracle_map_combination([(c, da)], m.dim, s.dim)),
         (ChainMap.combination(s, m, [(c, a), (-1, a2), (0, a)]),
          oracle_map_combination([(c, da), (-1, da2)], m.dim, s.dim)),
     ]
@@ -541,7 +546,7 @@ def test_chain_map_arithmetic_matches_dense_oracle(triple, c):
                                         for r in rows]
     assert (a == a2) == (da == da2)
     assert a == _map_of(s, m, [row[:] for row in da])
-    assert a.add(a.scale(-1)).den == 1 and a.add(a.scale(-1)).is_zero()
+    assert a.add(_scaled(a, -1)).den == 1 and a.add(_scaled(a, -1)).is_zero()
 
 
 def test_chain_map_denominators():
@@ -549,11 +554,11 @@ def test_chain_map_denominators():
     half = _map_of(s, s, [[F(1, 2), F(3, 4)], [F0, F(-1, 6)]])
     assert half.den == 12 and half.icols == [{0: 6}, {0: 9, 1: -2}]
     assert half.block(wt(0)) == [[F(1, 2), F(3, 4)], [0, F(-1, 6)]]
-    assert half.scale(12).den == 1 and half.scale(12).icols == [{0: 6}, {0: 9, 1: -2}]
-    assert half.scale(F(1, 3)).den == 36
+    assert _scaled(half, 12).den == 1 and _scaled(half, 12).icols == [{0: 6}, {0: 9, 1: -2}]
+    assert _scaled(half, F(1, 3)).den == 36
     assert half.compose(half) == _map_of(
         s, s, oracle_map_product(_dense_of(half), _dense_of(half), 2))
-    assert half != half.scale(2) and half == half.scale(2).scale(F(1, 2))
+    assert half != _scaled(half, 2) and half == _scaled(_scaled(half, 2), F(1, 2))
 
 
 @pytest.fixture(scope="module")

@@ -181,13 +181,13 @@ def test_no_degree_past_kmax_is_built_whole(capsys, monkeypatch, argv):
     assert built["lower_at"] == {k_max + 1}
 
 
-def _run_script(code: str, optimize: bool) -> list:
+def _run_script(code: str, optimize: bool, timeout: int = 120) -> list:
     """Run `code` in a fresh interpreter (with -O when `optimize`) on this
     checkout's sources and return the JSON it prints."""
     src = Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run(
         [sys.executable, *(["-O"] if optimize else []), "-c", code],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=timeout,
         env=dict(os.environ, PYTHONPATH=str(src)))
     assert out.returncode == 0, out.stderr
     return json.loads(out.stdout)
@@ -293,6 +293,47 @@ def test_corrupted_top_boundary_fails_nilpotency(argv, where, optimize):
     source, makes nilpotency fail (and nothing else), also under
     `python -O`."""
     assert _run_script(_corrupted_boundary_code(argv, where), optimize) == [1, False, True]
+
+
+def test_corrupted_top_boundary_ends_fast_on_a_super_levi():
+    """osp(4|4) with the Levi of drop 0, whose decomposition of a corrupted
+    homology quotient once met Levi weights that are not dominant and built
+    their infinite-dimensional irreps until the depth guard, for more than
+    55 minutes: with one entry of the restricted top boundary raised by 1
+    the run must end within 60 s, exit 1 and report nilpotency false."""
+    argv = ["bgg", "check", "--alg", "osp", "--m", "4", "--n", "2",
+            "--parabolic-drop", "0", "--weight", "1,0|0,0", "--kmax", "3"]
+    code, nil, _ = _run_script(_corrupted_boundary_code(argv, "read"), False,
+                               timeout=60)
+    assert (code, nil) == (1, False)
+
+
+@pytest.mark.parametrize("argv", [
+    _benchmark_argv("natural-osp54-k3"),
+    ["bgg", "check", "--alg", "osp", "--m", "4", "--n", "3", "--parabolic-drop",
+     "0", "--weight", "1,0|0,0,0", "--kmax", "3"],
+])
+def test_gate_holding_degrees_build_no_levi_solver(capsys, monkeypatch, argv):
+    """Where H_k = ker quabla_k, H_k is decomposed as ker quabla_k in C_k's
+    own coordinates: the natural benchmark query and osp(4|6) drop 0 at
+    k <= 3 eliminate no LeviModule block at any such degree."""
+    from superbgg.homology import KostantAnalysis, LeviModule
+    solved, gates = [], {}
+    solver, gate = LeviModule._solver, KostantAnalysis.homology_is_ker_quabla
+
+    def spy_solver(self, weight):
+        solved.append(self.k)
+        return solver(self, weight)
+
+    def spy_gate(self, k):
+        gates[k] = gate(self, k)
+        return gates[k]
+    monkeypatch.setattr(LeviModule, "_solver", spy_solver)
+    monkeypatch.setattr(KostantAnalysis, "homology_is_ker_quabla", spy_gate)
+    code, _ = run_cli(capsys, *argv)
+    assert code == 0
+    held = {k for k, holds in gates.items() if holds}
+    assert held == set(range(4)) and not held & set(solved)
 
 
 def test_bgg_check_computes_predicates_once_per_degree(capsys, monkeypatch):

@@ -9,10 +9,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    casimir_match,
+    decompose_levi_hw_only,
+    euler_check,
+    full_levi_module,
     oracle_action,
     oracle_boundary_squares_to_zero,
     oracle_homology_dims,
@@ -33,7 +37,12 @@ from superbgg.algebra import (
     wt_add,
 )
 from superbgg.chains import ChainComplex, ChainMap
-from superbgg.errors import LeviNotClosed, PreconditionViolated, TruncationTooSmall
+from superbgg.errors import (
+    FiniteDimGuardExceeded,
+    LeviNotClosed,
+    PreconditionViolated,
+    TruncationTooSmall,
+)
 from superbgg.homology import (
     KostantAnalysis,
     LeviModule,
@@ -43,7 +52,6 @@ from superbgg.homology import (
     _quabla_kernels,
     _WeightEchelon,
     decompose_levi,
-    full_levi_module,
     levi_irrep_dimension,
     multiplicity_criterion,
 )
@@ -229,37 +237,37 @@ def test_multiplicity_criterion_witness(osp12, osp12_borel):
 
 def test_casimir_match(gl21_borel, gl21_natural, osp46_sec7, osp46_natural):
     an = KostantAnalysis(osp46_sec7, osp46_natural, k_max=1)
-    assert an.casimir_match(1) == [wt(-1, 2, 0, 0, 0)]
-    assert wt(1, 0, 0, 0, 0) in an.casimir_match(0)
+    assert casimir_match(an, 1) == [wt(-1, 2, 0, 0, 0)]
+    assert wt(1, 0, 0, 0, 0) in casimir_match(an, 0)
     an2 = KostantAnalysis(gl21_borel, gl21_natural, k_max=2)
     # disjointness holds for gl(2,1): Casimir matching reproduces homology
     for k in range(2):
         hws = sorted(an2.homology(k).weight_multiplicities)
-        assert sorted(an2.casimir_match(k)) == hws
+        assert sorted(casimir_match(an2, k)) == hws
 
 
 def test_euler_characteristic(gl21, gl21_borel, gl21_natural, osp12, osp12_borel):
     an = KostantAnalysis(gl21_borel, gl21_natural, k_max=4)
-    assert an.euler_check(wt(1, 0, 0))
+    assert euler_check(an, wt(1, 0, 0))
     mus = set()
     for k in range(4):
         mus.update(an.cx.space(k).weight_blocks)
     checked = 0
     for mu in mus:
         try:
-            assert an.euler_check(mu)
+            assert euler_check(an, mu)
             checked += 1
         except TruncationTooSmall:
             pass
     assert checked >= 3
     an12 = KostantAnalysis(osp12_borel, build_irrep(osp12, wt(1)), k_max=4)
-    assert an12.euler_check(wt(-2))
+    assert euler_check(an12, wt(-2))
 
 
 def test_euler_truncation_guard(osp12, osp12_borel):
     an = KostantAnalysis(osp12_borel, build_irrep(osp12, wt(3)), k_max=2)
     with pytest.raises(TruncationTooSmall):
-        an.euler_check(wt(-4))
+        euler_check(an, wt(-4))
 
 
 def _raise_cohomology(cx, k):
@@ -323,8 +331,8 @@ def test_functional_surface(gl21_borel, gl21_natural):
     assert an.ker_quabla(0).dim == 1
     assert an.generalized_zero(0).dim == 1
     assert an.predicates(0).consistent
-    assert wt(1, 0, 0) in an.casimir_match(0)
-    assert an.euler_check(wt(1, 0, 0))
+    assert wt(1, 0, 0) in casimir_match(an, 0)
+    assert euler_check(an, wt(1, 0, 0))
 
 
 def test_analysis_does_not_outlive_its_callers(gl21):
@@ -572,8 +580,9 @@ def test_levi_layer_holds_only_ints(levi_case):
         for a in raise_cols:
             assert ints(a.icols) and all(type(d) is int and d > 0 for d in a.dens)
         echelon = _WeightEchelon()
+        blocks = {w: mod.members(w) for w in mod.weight_dims()}
         for vecs in _highest_weight_vectors(
-                mod, [a.icols for a in raise_cols]).values():
+                blocks, [a.icols for a in raise_cols]).values():
             assert ints(vecs)
             for row in _lowering_closure(lower_cols, vecs):
                 echelon.add(row)
@@ -782,13 +791,9 @@ def _certificate_cases(draw):
     return (kind, m, n), levi, lam, kac, draw(st.integers(0, 2))
 
 
-@given(_certificate_cases())
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-def test_certificate_matches_abstract_irreps(case):
-    """On small random (algebra, parabolic, dominant weight, degree) inputs,
-    irreps and Kac modules alike, the full chain space, the homology
-    quotient and ker quabla each get the certificate and irrep dimensions
-    of the abstract-irrep oracle."""
+def _case_analysis(case):
+    """(parabolic, analysis, k) of a _certificate_cases draw, skipping
+    weights without a finite-dimensional irrep and chain spaces above 40."""
     alg, levi, lam, kac, k = case
     p = _parabolic(*alg, levi)
     try:
@@ -798,6 +803,17 @@ def test_certificate_matches_abstract_irreps(case):
     module = (build_kac_module if kac else build_irrep)(p.algebra, lam)
     an = KostantAnalysis(p, module, k_max=k)
     assume(an.cx.space(k).dim <= 40)
+    return p, an, k
+
+
+@given(_certificate_cases())
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+def test_certificate_matches_abstract_irreps(case):
+    """On small random (algebra, parabolic, dominant weight, degree) inputs,
+    irreps and Kac modules alike, the full chain space, the homology
+    quotient and ker quabla each get the certificate and irrep dimensions
+    of the abstract-irrep oracle."""
+    p, an, k = _case_analysis(case)
     for mod in _levi_modules(an, k):
         _agrees_with_abstract_irreps(p, mod)
 
@@ -926,15 +942,7 @@ def test_shared_decomposition_equals_fresh(case):
     """Where the statements prove H_k = ker quabla_k, ker_quabla_decomposition
     is homology_decomposition; either way it equals a fresh decompose_levi
     of ker quabla_k."""
-    alg, levi, lam, kac, k = case
-    p = _parabolic(*alg, levi)
-    try:
-        check_finite_dimensional(p.algebra, lam)
-    except PreconditionViolated:
-        assume(False)
-    module = (build_kac_module if kac else build_irrep)(p.algebra, lam)
-    an = KostantAnalysis(p, module, k_max=k)
-    assume(an.cx.space(k).dim <= 40)
+    p, an, k = _case_analysis(case)
     dec = an.ker_quabla_decomposition(k)
     shared = an.homology_is_ker_quabla(k)
     assert (dec is an.homology_decomposition(k)) is shared
@@ -957,29 +965,75 @@ def test_shared_decomposition_osp46_natural(osp46_sec7, osp46_natural):
     (("osp", 1, 1), (), (1,), False, True),     # the osp(1|2) counterexample
     (("gl", 2, 1), (1,), (0, 0, -1), True, False),
 ])
-def test_gate_refuses_and_decomposes_ker_quabla(alg, levi, lam, dims_agree, stmt3,
-                                                monkeypatch):
+def test_gate_refuses_and_decomposes_ker_quabla(alg, levi, lam, dims_agree, stmt3):
     """At k = 1 the gate refuses, on the osp(1|2) counterexample because
     ker quabla_1 is larger than H_1 and on gl(2|1) because the generalized
-    zero space leaves ker d*_1; ker quabla_1 is then decomposed on its own."""
-    from superbgg import homology
+    zero space leaves ker d*_1; ker quabla_1 is then decomposed on its own
+    (equal to decompose_levi of ker_quabla(1)), and H_1 from the homology
+    quotient."""
     p = _parabolic(*alg, levi)
     an = KostantAnalysis(p, build_irrep(p.algebra, wt(*lam)), k_max=2)
     assert (an.homology(1).weight_multiplicities
             == an.block_dims(1, "ker_quabla")) is dims_agree
     assert an._lower_statements(1)[3] is stmt3
     assert not an.homology_is_ker_quabla(1)
-    seen = []
-    decompose = homology.decompose_levi
-
-    def spy(p, mod):
-        seen.append(mod.dim)
-        return decompose(p, mod)
-    monkeypatch.setattr(homology, "decompose_levi", spy)
     dec = an.ker_quabla_decomposition(1)
-    assert seen == [an.ker_quabla(1).dim]
-    assert dec.total_dimension == seen[0]
+    assert dec == decompose_levi(p, an.ker_quabla(1))
+    assert dec.total_dimension == an.ker_quabla(1).dim
     assert dec is not an.homology_decomposition(1)
+    assert an.homology_decomposition(1) == decompose_levi(
+        p, an.homology_quotient_module(1))
+
+
+@given(_certificate_cases())
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+def test_ker_quabla_highest_weights_are_the_casimir_matches(case):
+    """ker_quabla_decomposition searches only the weights of C_k with
+    C2(w) = C2(lambda); its highest weights and their highest-weight vector
+    counts are those of the whole chain space at those weights
+    (`casimir_match`, found through LeviModule solvers)."""
+    p, an, k = _case_analysis(case)
+    dec = an.ker_quabla_decomposition(k)
+    match = casimir_match(an, k)
+    hws = decompose_levi_hw_only(p, full_levi_module(an.cx, k))
+    assert [e.highest_weight for e in dec.entries] == match
+    assert [e.hw_vector_count for e in dec.entries] == [hws[w] for w in match]
+
+
+@given(_certificate_cases())
+@example((("gl", 2, 1), (1,), (F0, F0, Fraction(-1)), False, 1))
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+def test_statement_3_matches_rank_oracle(case):
+    """Statement (3), decided as d*_k . gen_zero = 0, is the rank test
+    rank[ker d*_k | gen_zero] = dim ker d*_k at every non-acyclic block, on
+    every degree up to k; the explicit example, gl(2|1) with Levi {1} on
+    L(0,0|-1), is one where (3) fails at k = 1."""
+    _, an, k = _case_analysis(case)
+    for j in range(k + 1):
+        want = all(rank_dense(d["ker"] + d["gen_zero"]) == len(d["ker"])
+                   for d in an.block_data(j).values() if not d["acyclic"])
+        assert an._lower_statements(j)[3] is want
+
+
+def test_levi_irrep_dimension_fails_fast_off_dominant_weights(gl21, monkeypatch):
+    """Where a weight is not dominant integral for an even simple root of
+    the Levi, its irrep is infinite dimensional: levi_irrep_dimension
+    answers None, as the depth guard does, and builds nothing."""
+    from superbgg import homology
+    p = build_parabolic(gl21, [0])           # Levi gl(2) + gl(1)
+    built = []
+
+    def spy(g, lam, *args):
+        built.append(lam)
+        return build_irrep(g, lam, *args)
+    monkeypatch.setattr(homology, "build_irrep", spy)
+    off = [wt(0, 1, 0), wt(Fraction(1, 2), 0, 0)]
+    assert [levi_irrep_dimension(p, w) for w in off] == [None, None]
+    assert built == []
+    assert levi_irrep_dimension(p, wt(1, 0, 0)) == 2 and built == [wt(1, 0, 0)]
+    for w in off:
+        with pytest.raises(FiniteDimGuardExceeded):
+            build_irrep(p.levi_algebra(), w, p._levi_cache["levi_op"], 8)
 
 
 def test_gate_reads_statements_1_and_3(gl21_borel, gl21_natural):
@@ -1005,16 +1059,8 @@ def test_homology_matches_oracle_ranks_with_acyclic_blocks(case):
     tensor-space oracle's, although acyclic blocks form no basis; a block is
     acyclic exactly when the oracle's elimination finds its quabla block of
     full rank, and the oracle's kernel and image agree there."""
-    alg, levi, lam, kac, k_max = case
-    p = _parabolic(*alg, levi)
-    try:
-        check_finite_dimensional(p.algebra, lam)
-    except PreconditionViolated:
-        assume(False)
-    module = (build_kac_module if kac else build_irrep)(p.algebra, lam)
-    an = KostantAnalysis(p, module, k_max=k_max)
-    assume(an.cx.space(k_max).dim <= 40)
-    want = oracle_homology_ranks(p, module, k_max)
+    p, an, k_max = _case_analysis(case)
+    want = oracle_homology_ranks(p, an.module, k_max)
     for k in range(k_max + 1):
         rep, ranks = an.homology(k), want[k]
         assert rep.dim_ker_boundary == sum(ker for ker, _ in ranks.values())
@@ -1071,15 +1117,7 @@ def test_top_degree_blocks_match_direct_quabla(alg, levi, lam):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 def test_top_degree_blocks_match_direct_quabla_random(case):
     """The same on small random inputs, irreps and Kac modules alike."""
-    alg, levi, lam, kac, k_max = case
-    p = _parabolic(*alg, levi)
-    try:
-        check_finite_dimensional(p.algebra, lam)
-    except PreconditionViolated:
-        assume(False)
-    module = (build_kac_module if kac else build_irrep)(p.algebra, lam)
-    an = KostantAnalysis(p, module, k_max=k_max)
-    assume(an.cx.space(k_max).dim <= 40)
+    _, an, k_max = _case_analysis(case)
     assert _top_block_counts(an) == _direct_top_block_counts(an)
 
 
@@ -1128,15 +1166,7 @@ def test_top_boundary_matches_full_boundary_on_benchmark_queries(alg, levi, lam,
 def test_top_boundary_matches_full_boundary_random(case):
     """The same on small random inputs, irreps and Kac modules alike, where
     H_k = ker quabla_k holds and where it fails."""
-    alg, levi, lam, kac, k_max = case
-    p = _parabolic(*alg, levi)
-    try:
-        check_finite_dimensional(p.algebra, lam)
-    except PreconditionViolated:
-        assume(False)
-    module = (build_kac_module if kac else build_irrep)(p.algebra, lam)
-    an = KostantAnalysis(p, module, k_max=k_max)
-    assume(an.cx.space(k_max).dim <= 40)
+    _, an, k_max = _case_analysis(case)
     _top_boundary_reads(an)
 
 
