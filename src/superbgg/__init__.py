@@ -1,11 +1,13 @@
 """superbgg: exact Kostant cohomology and BGG resolutions for gl(m|n), osp(m|2n).
 
-Everything runs over exact rationals: matrix realizations of the basic
-classical Lie superalgebras, parabolic decompositions with dual bases,
-highest-weight and Kac modules with contravariant forms, super chain
-complexes with the boundary/coboundary pairs on both sides of the pairing,
-the quabla operator, and the decidable criteria for the existence of
-resolutions by generalised Verma modules.
+Everything is exact: matrix realizations of the basic classical Lie
+superalgebras, parabolic decompositions with dual bases, highest-weight and
+Kac modules with contravariant forms, super chain complexes with the
+boundary/coboundary pairs on both sides of the pairing, the quabla
+operator, and the decidable criteria for the existence of resolutions by
+generalised Verma modules.  The algebra and module layers hold every
+integral value as a Python int and a Fraction only where a value is not
+integral; roots and weights keep Fraction coordinates.
 """
 
 from .algebra import (

@@ -3,8 +3,11 @@
 An algebra is a list of labeled homogeneous basis elements, each realized as
 a sparse matrix on the natural module C^(m|n) resp. C^(m|2n).  The Cartan
 subalgebra is diagonal, every non-Cartan basis element spans a root space,
-and the invariant form is C * str(XY).  All structure constants, form values
-and dual bases are Fractions; nothing here ever touches floats.
+and the invariant form is C * str(XY).  Matrix entries, structure constants,
+form values, dual bases and adjoint images are Python ints wherever they are
+integral (at C = 1 all of them are) and exact Fractions only where they are
+not, the convention of `wt_int`; nothing here ever touches floats.  Roots
+and weights keep their Fraction coordinates, as reports print them.
 
 Construction reads matrix entries, never products of basis matrices: the
 osp root vectors solve the osp condition on the rows their weight space
@@ -100,11 +103,17 @@ class BasisElement:
     label: str
     parity: int            # 0 even, 1 odd
     root: Weight           # zero weight for Cartan elements
-    matrix: dict           # {(row, col): Fraction} on the natural module
+    matrix: dict           # {(row, col): int or Fraction} on the natural module
     is_cartan: bool = False
 
 
-def _mat_mul_sparse(a: dict, b: dict, dim: int) -> dict:
+def _exact(c):
+    """c as an int where it is integral (see `wt_int`): int arithmetic is far
+    cheaper than Fraction arithmetic, and the value is the same."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _mat_mul_sparse(a: dict, b: dict) -> dict:
     by_row = {}
     for (i, j), v in b.items():
         by_row.setdefault(i, []).append((j, v))
@@ -112,7 +121,7 @@ def _mat_mul_sparse(a: dict, b: dict, dim: int) -> dict:
     for (i, k), u in a.items():
         for j, v in by_row.get(k, ()):
             key = (i, j)
-            new = out.get(key, F0) + u * v
+            new = out.get(key, 0) + u * v
             if new:
                 out[key] = new
             else:
@@ -139,7 +148,6 @@ class LieSuperalgebra:
     bracket_table: dict = field(default_factory=dict, repr=False)
     gram: list = field(default_factory=list, repr=False)
     _expand_cache: dict = field(default_factory=dict, repr=False)
-    _hform: list = field(default_factory=list, repr=False)
     _coord_cache: dict = field(default_factory=dict, repr=False)
     _adjoint_cache: dict = field(default_factory=dict, repr=False)
 
@@ -176,22 +184,15 @@ class LieSuperalgebra:
     # -- structure ----------------------------------------------------------
 
     def bracket(self, i: int, j: int) -> dict:
-        """[A_i, A_j] expanded in the basis, as {k: Fraction}."""
+        """[A_i, A_j] expanded in the basis, as {k: structure constant}."""
         key = (i, j)
         hit = self.bracket_table.get(key)
         if hit is not None:
             return hit
         bi, bj = self.basis[i], self.basis[j]
-        ab = _mat_mul_sparse(bi.matrix, bj.matrix, self.nat_dim)
-        ba = _mat_mul_sparse(bj.matrix, bi.matrix, self.nat_dim)
-        sign = -F1 if (bi.parity and bj.parity) else F1
-        comm = dict(ab)
-        for k, v in ba.items():
-            new = comm.get(k, F0) - sign * v
-            if new:
-                comm[k] = new
-            else:
-                comm.pop(k, None)
+        comm = _mat_mul_sparse(bi.matrix, bj.matrix)
+        sign = -1 if (bi.parity and bj.parity) else 1
+        linalg.vec_iadd(comm, _mat_mul_sparse(bj.matrix, bi.matrix), -sign)
         res = self.expand(comm)
         self.bracket_table[key] = res
         return res
@@ -221,26 +222,26 @@ class LieSuperalgebra:
             linalg.vec_iadd(recon, self.basis[i].matrix, c)
         if recon != matrix:
             raise ValueError("matrix does not lie in the algebra span")
-        return {i: coeffs[i] for i in sorted(coeffs)}
+        return {i: _exact(coeffs[i]) for i in sorted(coeffs)}
 
     def _build_expander(self):
         """Inverse of the basis restricted to `dim` independent matrix
         entries, stored as sparse columns keyed by the entry."""
         entries = sorted({e for b in self.basis for e in b.matrix})
-        mat = [[b.matrix.get(entry, F0) for b in self.basis] for entry in entries]
+        mat = [[b.matrix.get(entry, 0) for b in self.basis] for entry in entries]
         row_pivots = linalg.independent_columns(mat)
         if len(row_pivots) != self.dim:
             raise CrossCheckFailed("basis matrices are linearly dependent")
-        inv = linalg.inverse([mat[i] for i in row_pivots])
+        inv = linalg.exact_inverse([mat[i] for i in row_pivots])
         self._expand_cache = {
             entries[i]: {r: inv[r][k] for r in range(self.dim) if inv[r][k]}
             for k, i in enumerate(row_pivots)}
 
     # -- weights and the form -----------------------------------------------
 
-    def eval_weight(self, weight: Weight, cartan_vec: dict) -> Fraction:
+    def eval_weight(self, weight: Weight, cartan_vec: dict):
         """weight(H) for H given as a coefficient dict over the basis."""
-        val = F0
+        val = 0
         for i, c in cartan_vec.items():
             b = self.basis[i]
             if not b.is_cartan:
@@ -250,11 +251,11 @@ class LieSuperalgebra:
             for coord, p in enumerate(self.coord_index):
                 w = weight[coord]
                 if w:
-                    val += c * w * b.matrix.get((p, p), F0)
-        return val
+                    val += c * w * b.matrix.get((p, p), 0)
+        return _exact(val)
 
-    def form(self, x: dict, y: dict) -> Fraction:
-        val = F0
+    def form(self, x: dict, y: dict):
+        val = 0
         for i, ci in x.items():
             gi = self.gram[i]
             for j, cj in y.items():
@@ -262,40 +263,68 @@ class LieSuperalgebra:
                     val += ci * cj * gi[j]
         return val
 
+    @functools.cached_property
+    def _weight_form(self) -> tuple:
+        """(Q, D) with Q an int matrix: the form on h* induced by the
+        invariant form on h is Q[c1][c2] / D on the unit coordinates.
+        Q / D = K G^-1 K^T, with G the Gram of the Cartan basis and K[c][i]
+        the value of the coordinate c on its i-th element, as
+        (e_c1, e_c2) = e_c1(t_c2) for the t_c2 in h with (t_c2, H) = e_c2(H)."""
+        hidx = self.cartan
+        inv = linalg.exact_inverse([[self.gram[i][j] for j in hidx] for i in hidx])
+        coords = [[self.basis[i].matrix.get((p, p), 0) for i in hidx]
+                  for p in self.coord_index]
+        hform = linalg.mat_mul(linalg.mat_mul(coords, inv), linalg.transpose(coords))
+        den = lcm(1, *(x.denominator for row in hform for x in row))
+        return [[(x * den).numerator for x in row] for row in hform], den
+
     def weight_form(self, a: Weight, b: Weight) -> Fraction:
-        """Form on h* induced by the invariant form on h."""
-        if not self._hform:
-            hidx = self.cartan
-            gram_h = [[self.gram[i][j] for j in hidx] for i in hidx]
-            coords = []
-            for coord in range(self.rank):
-                p = self.coord_index[coord]
-                coords.append([self.basis[i].matrix.get((p, p), F0) for i in hidx])
-            # hform[c1][c2] = e_c1(t_{e_c2})
-            hform = []
-            for c1 in range(self.rank):
-                row = []
-                for c2 in range(self.rank):
-                    tvec = linalg.solve(gram_h, coords[c2])
-                    row.append(sum(x * y for x, y in zip(coords[c1], tvec)))
-                hform.append(row)
-            self._hform = hform
-        return sum(
-            (a[i] * b[j] * self._hform[i][j]
-             for i in range(self.rank) for j in range(self.rank)
-             if a[i] and b[j] and self._hform[i][j]),
-            F0,
-        )
+        """Form on h* induced by the invariant form on h: one int quadratic
+        form over one denominator, so a Fraction is formed only at the end
+        (or where a coordinate is not integral)."""
+        q, den = self._weight_form
+        total = 0
+        for x, row in zip(a, q):
+            if x:
+                for y, c in zip(b, row):
+                    if y and c:
+                        total += x * y * c
+        return Fraction(total, den)
+
+    @functools.cached_property
+    def two_rho(self) -> Weight:
+        """2 rho, formed once per algebra (an integral root sum: ints)."""
+        return wt_int(wt_scale(self.rho, 2))
 
     # -- roots --------------------------------------------------------------
 
+    @functools.cached_property
+    def _coordinate_rows(self) -> list:
+        """(u, c, p) for each row of int_rref([S | I]), S the simple roots as
+        columns: a weight w lies in their span iff u . w = 0 on every row
+        with c = None, and its coordinate at simple root c is u . w / p."""
+        ns = len(self.simple_roots)
+        rows, pivots = linalg.int_rref(
+            [[sr[c] for sr in self.simple_roots] + [int(c == d) for d in range(self.rank)]
+             for c in range(self.rank)])
+        return [(row[ns:], pc if pc < ns else None, row[pc])
+                for row, pc in zip(rows, pivots)]
+
     def simple_coordinates(self, weight: Weight):
-        """Coefficients of a weight in the simple-root basis, or None."""
+        """Coefficients of a weight in the simple-root basis (ints where
+        integral), or None outside their span."""
         hit = self._coord_cache.get(weight, False)
         if hit is not False:
             return hit
-        mat = [[sr[c] for sr in self.simple_roots] for c in range(self.rank)]
-        sol = linalg.solve(mat, list(weight))
+        sol = [0] * len(self.simple_roots)
+        for u, c, p in self._coordinate_rows:
+            val = sum(x * y for x, y in zip(u, weight) if x and y)
+            if c is None:
+                if val:
+                    sol = None
+                    break
+            else:
+                sol[c] = val // p if val % p == 0 else Fraction(val, p)
         self._coord_cache[weight] = sol
         return sol
 
@@ -326,8 +355,7 @@ class LieSuperalgebra:
         acc = wt_zero(self.rank)
         for i in self.positive_root_indices():
             b = self.basis[i]
-            sgn = -F1 if b.parity else F1
-            acc = wt_add(acc, wt_scale(b.root, Fraction(sgn, 2)))
+            acc = wt_add(acc, wt_scale(b.root, Fraction(-1 if b.parity else 1, 2)))
         return acc
 
     def simple_vector_indices(self) -> tuple[list, list]:
@@ -369,7 +397,7 @@ def casimir_eigenvalue(g: LieSuperalgebra, lam: Weight) -> Fraction:
     """Value (lam, lam + 2 rho) of the quadratic Casimir on highest weight lam."""
     if len(lam) != g.rank:
         raise PreconditionViolated(f"weight length {len(lam)} != rank {g.rank}")
-    return g.weight_form(lam, wt_add(lam, wt_scale(g.rho, 2)))
+    return g.weight_form(lam, wt_add(lam, g.two_rho))
 
 
 def positive_even_roots(g: LieSuperalgebra) -> list:
@@ -445,8 +473,7 @@ def dual_basis_in(g: LieSuperalgebra, of_indices: list, in_indices: list) -> lis
     if len(of_indices) != len(in_indices):
         raise ValueError("pairing requires equidimensional spaces")
     # row a of inverse(gram) gives coefficients with sum_i c_i (A_in_i, A_of_b) = delta_ab
-    gram = [[g.gram[i][j] for j in of_indices] for i in in_indices]
-    inv = linalg.inverse(gram)
+    inv = linalg.exact_inverse([[g.gram[i][j] for j in of_indices] for i in in_indices])
     return [
         {in_indices[i]: inv[a][i] for i in range(len(in_indices)) if inv[a][i]}
         for a in range(len(of_indices))
@@ -473,14 +500,14 @@ def _build_gl(m: int, n: int, C: Fraction, strict: bool = True) -> LieSuperalgeb
     basis = []
     for i in range(d):
         lbl = f"E{i + 1}{i + 1}"
-        basis.append(BasisElement(lbl, 0, wt_zero(rank), {(i, i): F1}, True))
+        basis.append(BasisElement(lbl, 0, wt_zero(rank), {(i, i): 1}, True))
     for i in range(d):
         for j in range(d):
             if i == j:
                 continue
             root = wt_sub(nat_weight[i], nat_weight[j])
             par = (nat_parity[i] + nat_parity[j]) % 2
-            basis.append(BasisElement(f"E{i + 1}{j + 1}", par, root, {(i, j): F1}))
+            basis.append(BasisElement(f"E{i + 1}{j + 1}", par, root, {(i, j): 1}))
 
     simple = []
     for i in range(d - 1):
@@ -555,11 +582,11 @@ def _build_osp(m: int, n: int, C: Fraction) -> LieSuperalgebra:
     basis = []
     for i in range(d):
         basis.append(BasisElement(
-            f"H{i + 1}", 0, wt_zero(rank), {(i, i): F1, (d + i, d + i): -F1}, True))
+            f"H{i + 1}", 0, wt_zero(rank), {(i, i): 1, (d + i, d + i): -1}, True))
     for j in range(n):
         basis.append(BasisElement(
             f"K{j + 1}", 0, wt_zero(rank),
-            {(fplus + j, fplus + j): F1, (fplus + n + j, fplus + n + j): -F1}, True))
+            {(fplus + j, fplus + j): 1, (fplus + n + j, fplus + n + j): -1}, True))
 
     # root vectors: solve the osp condition inside each nonzero weight space.
     # X is in osp iff B(Xu, v) + (-1)^{|X||u|} B(u, Xv) = 0 for all basis
@@ -591,11 +618,11 @@ def _build_osp(m: int, n: int, C: Fraction) -> LieSuperalgebra:
                    for unit in units]
             if any(row):
                 rows.append(row)
-        kernel = linalg.nullspace(rows, ncols=len(units))
+        # primitive int kernel vectors: the RREF kernel vectors times the
+        # lcm of their denominators
+        kernel = linalg.int_kernel(*linalg.int_rref(rows, integral=True), len(units))
         for vecnum, vec in enumerate(kernel):
-            dens = [x.denominator for x in vec if x]
-            scale = Fraction(lcm(*dens)) if dens else F1
-            mat = {units[i]: vec[i] * scale for i in range(len(units)) if vec[i]}
+            mat = {units[i]: x for i, x in enumerate(vec) if x}
             suffix = "" if len(kernel) == 1 else f"_{vecnum}"
             lbl = "X[" + ",".join(str(c) for c in w) + "]" + suffix
             basis.append(BasisElement(lbl, xpar, w, mat))
@@ -671,7 +698,8 @@ def _finish(g: LieSuperalgebra, C: Fraction):
                 x = -x
             for j, y in at.get((q, p), ()):
                 row[j] += x * y
-        gram.append([C * v for v in row])
+        gram.append([v * C.numerator if C.denominator == 1 else _exact(v * C)
+                     for v in row])
     g.gram = gram
     if linalg.rank(gram) != dim:
         raise DegenerateForm(f"supertrace form degenerate on {g.name}")
@@ -710,7 +738,7 @@ class ParabolicDecomposition:
     nbar_indices: list
     levi_indices: list
     n_indices: list
-    dual_pairing: list          # for each a: xi_a^# as {nbar basis index: Fraction}
+    dual_pairing: list          # for each a: xi_a^# as {nbar basis index: coefficient}
     _levi_cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -785,7 +813,7 @@ class AdjointOperation:
     """Exact matrix of an involutive bracket-antiautomorphism A -> A^dagger."""
 
     algebra: LieSuperalgebra
-    images: list               # images[i] = dagger(A_i) as {j: Fraction}
+    images: list               # images[i] = dagger(A_i) as {j: coefficient}
     star_type: int | None      # 1, 2 or None (type-free Chevalley involution)
 
     def apply_basis(self, i: int) -> dict:
@@ -802,23 +830,21 @@ def natural_form_diagonal(g: LieSuperalgebra) -> list:
     """Diagonal of the symmetric matrix M of dagger(X) = M^-1 X^T M on the
     natural representation: the identity for gl; for osp +1 on even vectors
     and f+, -1 on f-, which keeps osp stable under X -> M^-1 X^T M and fixes
-    the diagonal Cartan."""
-    mdiag = [F1] * g.nat_dim
+    the diagonal Cartan.  Its entries are +-1, so M^-1 = M."""
+    mdiag = [1] * g.nat_dim
     if g.kind == "osp":
         fplus = 2 * (g.m // 2) + (g.m % 2)
         for j in range(g.n):
-            mdiag[fplus + g.n + j] = -F1
+            mdiag[fplus + g.n + j] = -1
     return mdiag
 
 
 def _conjugation_images(g: LieSuperalgebra, mdiag: list) -> list:
-    """dagger(X) = M^-1 X^T M for a diagonal symmetric M, expanded in basis."""
-    images = []
-    for b in g.basis:
-        matT = {(q, p): v for (p, q), v in b.matrix.items()}
-        conj = {(p, q): mdiag[q] * v / mdiag[p] for (p, q), v in matT.items()}
-        images.append(g.expand(conj))
-    return images
+    """dagger(X) = M^-1 X^T M for the diagonal M of +-1 entries of
+    natural_form_diagonal, expanded in the basis: entry (q, p) of the image
+    is M_qq X_pq M_pp."""
+    return [g.expand({(q, p): mdiag[q] * v * mdiag[p] for (p, q), v in b.matrix.items()})
+            for b in g.basis]
 
 
 def build_adjoint_operation(g: LieSuperalgebra, star_type: int = 1) -> AdjointOperation:
@@ -849,7 +875,7 @@ def parity_twist(op: AdjointOperation) -> AdjointOperation:
     """op composed with A -> (-1)^|A| A, again an adjoint operation; it
     exchanges star types 1 and 2."""
     g = op.algebra
-    images = [linalg.vec_scale(img, -F1 if g.parity(i) else F1)
+    images = [linalg.vec_scale(img, -1 if g.parity(i) else 1)
               for i, img in enumerate(op.images)]
     return AdjointOperation(g, images, {1: 2, 2: 1, None: None}[op.star_type])
 
@@ -886,7 +912,7 @@ def _check_adjoint(op: AdjointOperation):
         img = op.apply_basis(i)
         if any(g.parity(j) != g.parity(i) for j in img):
             raise CrossCheckFailed("adjoint operation does not preserve parity")
-        if op.apply(img) != {i: F1}:
+        if op.apply(img) != {i: 1}:
             raise CrossCheckFailed("adjoint operation is not an involution")
     pos, neg = g.simple_vector_indices()
     generators = sorted({*pos, *neg, *g.cartan})
@@ -896,7 +922,7 @@ def _check_adjoint(op: AdjointOperation):
             rhs = g.bracket_vec(op.apply_basis(j), op.apply_basis(i))
             if lhs != rhs:
                 raise CrossCheckFailed("[A,B]^dagger != [B^dagger, A^dagger]")
-            if g.form(op.apply_basis(i), op.apply_basis(j)) != g.form({j: F1}, {i: F1}):
+            if g.form(op.apply_basis(i), op.apply_basis(j)) != g.gram[j][i]:
                 raise CrossCheckFailed("(A^dagger, B^dagger) != (B, A)")
 
 
@@ -906,7 +932,7 @@ def check_star_condition(g: LieSuperalgebra, p: ParabolicDecomposition,
     for a, idx in enumerate(p.n_indices):
         want = dict(p.dual_pairing[a])
         if g.parity(idx):
-            want = linalg.vec_scale(want, -F1)
+            want = linalg.vec_scale(want, -1)
         if op.apply_basis(idx) != want:
             return False
     return True

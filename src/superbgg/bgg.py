@@ -106,7 +106,7 @@ def bgg_verdict(g: LieSuperalgebra, p: ParabolicDecomposition, lam: Weight,
 
     # 1. star condition: dagger maps each nilradical basis vector to its
     #    signed dual and the module is unitarisable; valid at every degree
-    star = _try_star(g, p, lam, star_type)
+    star = _try_star(g, p, module, star_type)
     if star is not None:
         details.update(star)
         return BGGVerdict("Exists", "StarCondition", shape, reports, details, an)
@@ -133,7 +133,10 @@ def bgg_verdict(g: LieSuperalgebra, p: ParabolicDecomposition, lam: Weight,
     return BGGVerdict("Unknown", "Truncated", shape, reports, details, an)
 
 
-def _try_star(g, p, lam, star_type):
+def _try_star(g, p, module, star_type):
+    """Star-condition details if some star type's operation satisfies it and
+    makes L(lambda) unitarisable, else None.  `module` is L(lambda) built
+    with the cached type-1 operation, reused where that is the one tried."""
     if star_type is not None:
         types = [star_type]
     elif g.kind == "gl" or (g.kind == "osp" and g.m == 2):
@@ -144,7 +147,8 @@ def _try_star(g, p, lam, star_type):
         op = build_adjoint_operation(g, t)
         if not check_star_condition(g, p, op):
             continue
-        mod = build_irrep(g, lam, op)
+        mod = module if op is module.adjoint else build_irrep(
+            g, module.highest_weight, op)
         if mod.form_positive_definite():
             return {"star_type": op.star_type, "form_normalization":
                     str(g.form_normalization)}

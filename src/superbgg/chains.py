@@ -57,6 +57,7 @@ from . import linalg
 from .algebra import (
     ParabolicDecomposition,
     Weight,
+    _exact,
     casimir_eigenvalue,
     wt_add,
     wt_int,
@@ -220,12 +221,6 @@ class ChainMap:
         if den == 1:
             return out
         return [[Fraction(v, den) if v else 0 for v in row] for row in out]
-
-
-def _int_if_integral(c):
-    """c as an int when it is one: int products are far cheaper than
-    Fraction ones, and the value is the same."""
-    return c.numerator if c.denominator == 1 else c
 
 
 def _add_term(out: dict, key, c) -> None:
@@ -399,8 +394,7 @@ class ChainComplex:
         key = (a, gen)
         terms = self._brackets.get(key)
         if terms is None:
-            terms = [(kidx, _int_if_integral(c))
-                     for kidx, c in self.algebra.bracket(a, gen).items()
+            terms = [(kidx, c) for kidx, c in self.algebra.bracket(a, gen).items()
                      if kidx in self.radical_set]
             self._brackets[key] = terms
         return terms
@@ -486,7 +480,7 @@ class ChainComplex:
             for a, gen in enumerate(self.radical):
                 for kidx, c in g.bracket_vec(self.duals[a], {g0: F1}).items():
                     if kidx in self.radical_set:
-                        terms.append((gen, kidx, _int_if_integral(HALF * c)))
+                        terms.append((gen, kidx, _exact(HALF * c)))
             self._raise_terms[g0] = terms
         return terms
 

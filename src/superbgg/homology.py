@@ -740,24 +740,6 @@ class KostantAnalysis:
         of block_data(k), nonzero ones only, without building the module."""
         return {w: len(d[key]) for w, d in self.block_data(k).items() if d[key]}
 
-    def _subspace_module(self, k: int, key: str) -> LeviModule:
-        """The l-stable subspace of C_k spanned by the block bases `key` of
-        block_data(k), taken in weight_key order."""
-        weight_blocks = self.cx.space(k).weight_blocks
-        reps = []
-        for w, d in self.block_data(k).items():
-            reps.extend(_ambient_columns(weight_blocks[w], d[key]))
-        return LeviModule(self.cx, k, reps)
-
-    def ker_quabla(self, k: int) -> LeviModule:
-        """ker quabla_k, l-stable because quabla commutes with l.  Built on
-        each call: a cached module would keep its solvers alive."""
-        return self._subspace_module(k, "ker_quabla")
-
-    def generalized_zero(self, k: int) -> LeviModule:
-        """The generalized zero eigenspace of quabla_k, built on each call."""
-        return self._subspace_module(k, "gen_zero")
-
     def homology_is_ker_quabla(self, k: int) -> bool:
         """Whether (1) and (3) hold at degree k and ker quabla_k has the
         dimension of H_k in every weight block.  Then x -> [x] is an

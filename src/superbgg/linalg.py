@@ -7,7 +7,9 @@ integer multipliers and divided by their content so entries stay small (an
 integer-preserving elimination in the spirit of Bareiss 1968, with content
 division in place of his exact division by the previous pivot), and
 Fractions are formed only when a reduced row is finally divided by its pivot.
-`int_rref` returns the int rows themselves and forms no Fraction at all.
+`int_rref` returns the int rows themselves and forms no Fraction at all;
+`exact_rref` and `exact_inverse` divide at the end and keep every integral
+entry an int.
 """
 
 from __future__ import annotations
@@ -171,6 +173,29 @@ def int_rref(mat: list, integral: bool = False) -> tuple[list, list]:
     `linalg.int_rref` spans, apart from the `linalg.rref` calls of every
     other layer."""
     return _echelon(mat, reduce=True, integral=integral)
+
+
+def exact_rref(mat: list) -> tuple[list, list]:
+    """The nonzero rows of rref(mat) and its pivots, each entry an int where
+    it is integral and a Fraction where it is not: int_rref's rows, each
+    divided by its pivot at the end."""
+    rows, pivots = _echelon(mat, reduce=True)
+    out = []
+    for row, c in zip(rows, pivots):
+        p = row[c]
+        out.append([x // p if x % p == 0 else Fraction(x, p) for x in row])
+    return out, pivots
+
+
+def exact_inverse(a: list) -> list:
+    """Inverse of a square matrix, exact as in exact_rref: one elimination of
+    [a | I].  ValueError if a is singular."""
+    n = len(a)
+    rows, pivots = exact_rref([list(row) + [int(i == j) for j in range(n)]
+                               for i, row in enumerate(a)])
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in rows]
 
 
 def rank(mat: list) -> int:

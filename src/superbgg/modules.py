@@ -6,6 +6,12 @@ paired through the contravariant form, the radical is discarded by keeping a
 candidate subset whose Gram matrix is nonsingular, and the raising action is
 pushed back up recursively.  Kac modules for type I algebras are assembled on
 the PBW basis Lambda(g_{-1}) (x) V0 by straightening.
+
+Action matrices and Gram blocks follow the algebra's convention: ints where
+the values are integral, exact Fractions only where they are not (a highest
+weight with a non-integral coordinate, or a form normalization C with
+1/C not an integer).  Each level's Gram is eliminated once, fraction-free
+(`linalg.exact_rref`).
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from .algebra import (
     AdjointOperation,
     LieSuperalgebra,
     Weight,
+    _exact,
     build_adjoint_operation,
     even_simple_roots,
     natural_form_diagonal,
@@ -36,9 +43,6 @@ from .errors import (
     PreconditionViolated,
 )
 
-F0 = Fraction(0)
-F1 = Fraction(1)
-
 
 @dataclass
 class Module:
@@ -48,7 +52,7 @@ class Module:
     highest_weight: Weight
     weights: list
     parities: list
-    action: list            # action[i] = list of columns, column j = {row: Fraction}
+    action: list            # action[i] = list of columns, column j = {row: coefficient}
     hw_index: int = 0
     label: str = ""
 
@@ -86,10 +90,10 @@ class HWModule(Module):
     gram_blocks: dict = field(default_factory=dict)
     dual_of: "HWModule" = None
 
-    def gram(self, i: int, j: int) -> Fraction:
+    def gram(self, i: int, j: int):
         w = self.weights[i]
         if self.weights[j] != w:
-            return F0
+            return 0
         block = self.weight_blocks[w]
         g = self.gram_blocks[w]
         return g[block.index(i)][block.index(j)]
@@ -147,7 +151,7 @@ def build_irrep(g: LieSuperalgebra, lam: Weight, op: AdjointOperation | None = N
     weights = [lam]
     parities = [0]
     block_of = {0: (lam, 0)}
-    gram_blocks = {lam: [[F1]]}
+    gram_blocks = {lam: [[1]]}
     level_members = [[0]]
     # up[j][global index] = raising e_j expansion over the previous level
     up = [dict() for _ in range(nsimple)]
@@ -180,35 +184,38 @@ def build_irrep(g: LieSuperalgebra, lam: Weight, op: AdjointOperation | None = N
                         val = g.eval_weight(weights[b], hvec[i])
                         if val:
                             vec[b] = val
-                    sgn = -F1 if (epar[j] and fpar[i]) else F1
+                    sgn = -1 if (epar[j] and fpar[i]) else 1
                     for c, coeff in up[j][b].items():
-                        fc = f_exp.get((i, c), {})
-                        linalg.vec_iadd(vec, fc, sgn * coeff)
-                    vecs.append(vec)
+                        fc = f_exp.get((i, c))
+                        if fc:
+                            linalg.vec_iadd(vec, fc, sgn * coeff)
+                    vecs.append({r: _exact(v) for r, v in vec.items()})
                 cand_up[(i, b)] = vecs
             # Gram of the candidate family through the level above
-            npos = len(group)
-            gamma = linalg.zeros(npos, npos)
-            for xi, (i, b) in enumerate(group):
-                wb = weights[b]
+            gamma = []
+            for (i, b) in group:
                 blk, bpos = block_of[b]
-                gb = gram_blocks[blk]
-                members = None
-                for yi, y in enumerate(group):
-                    raised = cand_up[y][i]
-                    val = F0
-                    for c, coeff in raised.items():
+                gb = gram_blocks[blk][bpos]
+                row = []
+                for y in group:
+                    val = 0
+                    for c, coeff in cand_up[y][i].items():
                         cblk, cpos = block_of[c]
                         if cblk == blk:
-                            val += coeff * gb[bpos][cpos]
-                    gamma[xi][yi] = kappa[i] * val
-            _, kept_rows = linalg.rref(gamma)
+                            val += coeff * gb[cpos]
+                    row.append(_exact(kappa[i] * val))
+                gamma.append(row)
+            # The kept candidates are the pivot columns of gamma.  Every
+            # column of gamma is the combination of them read off its RREF
+            # column, and restricted to the kept rows that is the unique
+            # solution of kept_gram . x = (its kept entries): the expansion
+            # of the candidate modulo the radical.
+            red, kept_rows = linalg.exact_rref(gamma)
             if not kept_rows:
                 for (i, b) in group:
                     f_exp[(i, b)] = {}
                 continue
             base = len(weights)
-            kept_gram = [[gamma[a][b2] for b2 in kept_rows] for a in kept_rows]
             for local, ci in enumerate(kept_rows):
                 i, b = group[ci]
                 gidx = base + local
@@ -218,14 +225,9 @@ def build_irrep(g: LieSuperalgebra, lam: Weight, op: AdjointOperation | None = N
                 new_members.append(gidx)
                 for j in range(nsimple):
                     up[j][gidx] = cand_up[group[ci]][j]
-            gram_blocks[w] = kept_gram
+            gram_blocks[w] = [[gamma[a][b2] for b2 in kept_rows] for a in kept_rows]
             for ci, cand in enumerate(group):
-                rhs = [gamma[a][ci] for a in kept_rows]
-                coeffs = linalg.solve(kept_gram, rhs)
-                f_exp[cand] = {
-                    base + local: coeffs[local]
-                    for local in range(len(kept_rows)) if coeffs[local]
-                }
+                f_exp[cand] = {base + r: row[ci] for r, row in enumerate(red) if row[ci]}
         if not new_members:
             break
         if level >= max_depth:
@@ -236,11 +238,8 @@ def build_irrep(g: LieSuperalgebra, lam: Weight, op: AdjointOperation | None = N
     dim = len(weights)
     action = [None] * g.dim
     for h in set(g.cartan):
-        action[h] = [
-            ({j: g.eval_weight(weights[j], {h: F1})}
-             if g.eval_weight(weights[j], {h: F1}) else {})
-            for j in range(dim)
-        ]
+        action[h] = [{j: v} if (v := g.eval_weight(weights[j], {h: 1})) else {}
+                     for j in range(dim)]
     for i in range(nsimple):
         action[neg[i]] = [dict(f_exp.get((i, b), {})) for b in range(dim)]
         action[pos[i]] = [dict(up[i][b]) for b in range(dim)]
@@ -255,42 +254,39 @@ def build_irrep(g: LieSuperalgebra, lam: Weight, op: AdjointOperation | None = N
 
 
 def _close_action(g: LieSuperalgebra, action: list):
-    """Derive the action of the remaining root vectors from bracket relations."""
-    known = {i for i in range(g.dim) if action[i] is not None}
-    pending = [i for i in range(g.dim) if i not in known]
-    while pending:
-        progress = False
-        for k in list(pending):
-            found = None
-            for a in known:
-                for b in known:
-                    br = g.bracket(a, b)
-                    if br.get(k) and all(t in known or t == k for t in br):
-                        found = (a, b, br)
-                        break
-                if found:
-                    break
-            if not found:
+    """Derive the action of the remaining basis elements from bracket
+    relations, in one pass over the pairs of known elements: a pair (b, a)
+    whose bracket has exactly one unknown term c * A_k gives
+    rho(A_k) = (rho([A_b, A_a]) - rho(the known terms)) / c.  Each element
+    is paired with itself and those known before it when its turn comes,
+    and an element derived on the way is appended to the list the loop
+    walks, so no pair is looked at twice."""
+    known = [i for i in range(g.dim) if action[i] is not None]
+    is_known = set(known)
+    for pos, a in enumerate(known):
+        for b in known[:pos + 1]:
+            br = g.bracket(b, a)
+            missing = [t for t in br if t not in is_known]
+            if len(missing) != 1:
                 continue
-            a, b, br = found
-            comm = _super_commutator(g, action, a, b)
+            k = missing[0]
+            comm = _super_commutator(g, action, b, a)
             for t, c in br.items():
-                if t == k:
-                    continue
-                for j, col in enumerate(action[t]):
-                    linalg.vec_iadd(comm[j], col, -c)
-            inv = F1 / br[k]
-            action[k] = [linalg.vec_scale(col, inv) for col in comm]
-            known.add(k)
-            pending.remove(k)
-            progress = True
-        if not progress:
-            raise CrossCheckFailed("action closure stalled; basis not reachable "
-                                   "from simple vectors")
+                if t != k:
+                    for j, col in enumerate(action[t]):
+                        linalg.vec_iadd(comm[j], col, -c)
+            lead = br[k]
+            action[k] = [{r: v // lead if v % lead == 0 else Fraction(v, lead)
+                          for r, v in col.items()} for col in comm]
+            known.append(k)
+            is_known.add(k)
+    if len(known) != g.dim:
+        raise CrossCheckFailed("action closure stalled; basis not reachable "
+                               "from simple vectors")
 
 
 def _super_commutator(g: LieSuperalgebra, action: list, a: int, b: int) -> list:
-    sgn = -F1 if (g.parity(a) and g.parity(b)) else F1
+    sgn = -1 if (g.parity(a) and g.parity(b)) else 1
     dim = len(action[a])
     cols = []
     for j in range(dim):
@@ -322,7 +318,7 @@ def natural_module(g: LieSuperalgebra) -> HWModule:
         action=action, hw_index=hw, label="natural", adjoint=op,
     )
     mod.gram_blocks = {
-        w: [[mdiag[p] if p == q else F0 for q in idxs] for p in idxs]
+        w: [[mdiag[p] if p == q else 0 for q in idxs] for p in idxs]
         for w, idxs in mod.weight_blocks.items()
     }
     return mod
@@ -356,10 +352,7 @@ def dual_module(mod: HWModule) -> HWModule:
         src = mod.action[i]
         for k in range(dim):
             for j, v in src[k].items():
-                sgn = -F1 if (pa and mod.parities[j]) else F1
-                val = -sgn * v
-                if val:
-                    cols[j][k] = val
+                cols[j][k] = v if (pa and mod.parities[j]) else -v
         action.append(cols)
     weights = [wt_neg(w) for w in mod.weights]
     parities = list(mod.parities)
@@ -407,8 +400,8 @@ def contravariant_gram_blocks(mod: Module, op: AdjointOperation) -> dict:
     order = sorted(blocks, key=lambda w: (heights[w], weight_key(w)))
     hwblk = blocks[lam]
     gram = {}
-    gram[lam] = [[F1 if (blocks[lam][a] == mod.hw_index
-                         and blocks[lam][b] == mod.hw_index) else F0
+    gram[lam] = [[1 if (blocks[lam][a] == mod.hw_index
+                        and blocks[lam][b] == mod.hw_index) else 0
                   for b in range(len(hwblk))] for a in range(len(hwblk))]
     if len(hwblk) != 1:
         raise PreconditionViolated("highest weight space must be one dimensional")
@@ -418,7 +411,7 @@ def contravariant_gram_blocks(mod: Module, op: AdjointOperation) -> dict:
         idxs = blocks[w]
         d = len(idxs)
         pos_of = {gidx: t for t, gidx in enumerate(idxs)}
-        rows, rhs = [], []
+        rows = []
         for i in range(len(pos)):
             upper_w = wt_add(w, g.simple_roots[i])
             if upper_w not in blocks:
@@ -429,22 +422,25 @@ def contravariant_gram_blocks(mod: Module, op: AdjointOperation) -> dict:
             for x in uidx:
                 fx = mod.action[neg[i]][x]
                 for y in idxs:
-                    row = [F0] * (d * d)
+                    # one equation over the d * d unknowns, right side last
+                    row = [0] * (d * d + 1)
                     for z, cz in fx.items():
                         if z in pos_of:
                             row[pos_of[z] * d + pos_of[y]] += cz
                     ey = mod.action[pos[i]][y]
-                    val = F0
+                    val = 0
                     for u, cu in ey.items():
                         if u in upos:
                             val += cu * gup[upos[x]][upos[u]]
+                    row[-1] = kappa[i] * val
                     rows.append(row)
-                    rhs.append(kappa[i] * val)
-        sol = linalg.solve(rows, rhs)
-        if sol is None or linalg.rank(rows) != d * d:
+        # a unique solution exactly when every unknown is a pivot (and the
+        # right side is not)
+        red, pivots = linalg.exact_rref(rows)
+        if pivots != list(range(d * d)):
             raise PreconditionViolated("contravariant form underdetermined; "
                                        "module is not cyclic over its top vector")
-        gram[w] = [[sol[a * d + b] for b in range(d)] for a in range(d)]
+        gram[w] = [[red[a * d + b][-1] for b in range(d)] for a in range(d)]
     return gram
 
 
@@ -535,21 +531,20 @@ def build_kac_module(g: LieSuperalgebra, lam: Weight, max_depth: int = 64) -> Ka
                 col = v0.action[sub_of_parent[a]][u]
                 out = {((), u2): c for u2, c in col.items()}
             else:
-                out = {((a,), u): F1}
+                out = {((a,), u): 1}
         else:
             beta, rest = combo[0], combo[1:]
             out = {}
             for k, c in g.bracket(a, beta).items():
                 linalg.vec_iadd(out, act_pure(k, rest, u), c)
-            sgn = -F1 if g.parity(a) else F1
+            sgn = -1 if g.parity(a) else 1
             inner = act_pure(a, rest, u)
             for (combo2, u2), c in inner.items():
                 if beta in combo2:
                     continue
                 posn = sum(1 for x in combo2 if x < beta)
-                s = -F1 if posn % 2 else F1
-                newc = tuple(sorted(combo2 + (beta,)))
-                linalg.vec_iadd(out, {(newc, u2): sgn * s * c}, F1)
+                s = -sgn if posn % 2 else sgn
+                linalg.vec_iadd(out, {(tuple(sorted(combo2 + (beta,))), u2): s * c})
         memo[key] = out
         return out
 
@@ -566,65 +561,3 @@ def build_kac_module(g: LieSuperalgebra, lam: Weight, max_depth: int = 64) -> Ka
         action=action, hw_index=index[((), v0.hw_index)],
         label=f"K({lam})", g0_module=v0, gminus=gminus, monomials=monomials,
     )
-
-
-# ---------------------------------------------------------------------------
-# shared verification helpers (used by the test-suite and the CLI report)
-# ---------------------------------------------------------------------------
-
-def bracket_identity_holds(mod: Module) -> bool:
-    """act(A)act(B) - (-1)^{|A||B|} act(B)act(A) == act([A,B]) on all pairs."""
-    g = mod.algebra
-    for a in range(g.dim):
-        for b in range(g.dim):
-            comm = _super_commutator(g, mod.action, a, b)
-            expect = [dict() for _ in range(mod.dim)]
-            for t, c in g.bracket(a, b).items():
-                for j in range(mod.dim):
-                    linalg.vec_iadd(expect[j], mod.action[t][j], c)
-            if comm != expect:
-                return False
-    return True
-
-
-def contravariance_holds(mod: HWModule) -> bool:
-    g = mod.algebra
-    op = mod.adjoint
-    for a in range(g.dim):
-        dag = op.apply_basis(a)
-        for j in range(mod.dim):
-            av = mod.action[a][j]
-            for i in range(mod.dim):
-                lhs = sum((c * mod.gram(r, i) for r, c in av.items()), F0)
-                dv = mod.act(dag, {i: F1})
-                rhs = sum((c * mod.gram(j, r) for r, c in dv.items()), F0)
-                if lhs != rhs:
-                    return False
-    return True
-
-
-def casimir_action_scalar(mod: Module) -> Fraction:
-    """The scalar by which sum_i A_i A_i^# acts; CrossCheckFailed if it is
-    not a scalar."""
-    g = mod.algebra
-    duals = _full_dual_basis(g)
-    total = [dict() for _ in range(mod.dim)]
-    for i in range(g.dim):
-        for j in range(mod.dim):
-            inner = mod.act(duals[i], {j: F1})
-            outer = mod.act_basis(i, inner)
-            linalg.vec_iadd(total[j], outer)
-    scalar = total[mod.hw_index].get(mod.hw_index, F0)
-    for j in range(mod.dim):
-        expect = {j: scalar} if scalar else {}
-        if total[j] != expect:
-            raise CrossCheckFailed("Casimir does not act as a scalar")
-    return scalar
-
-
-def _full_dual_basis(g: LieSuperalgebra) -> list:
-    inv = linalg.inverse(g.gram)
-    return [
-        {j: inv[i][j] for j in range(g.dim) if inv[i][j]}
-        for i in range(g.dim)
-    ]

@@ -569,6 +569,29 @@ def oracle_levi_decomposition(weights, raise_mats, lower_mats, irrep_dimension):
     return certified, entries
 
 
+def _subspace_module(an, k, key):
+    """The l-stable subspace of C_k spanned by the block bases `key` of
+    an.block_data(k), in weight_key order, as a superbgg LeviModule."""
+    from superbgg.homology import LeviModule
+    weight_blocks = an.cx.space(k).weight_blocks
+    reps = []
+    for w, d in an.block_data(k).items():
+        idxs = weight_blocks[w]
+        reps.extend({idxs[i]: v for i, v in enumerate(col) if v} for col in d[key])
+    return LeviModule(an.cx, k, reps)
+
+
+def ker_quabla(an, k):
+    """ker quabla_k of a KostantAnalysis as a LeviModule (l-stable because
+    quabla commutes with l), built on each call."""
+    return _subspace_module(an, k, "ker_quabla")
+
+
+def generalized_zero(an, k):
+    """The generalized zero eigenspace of quabla_k as a LeviModule."""
+    return _subspace_module(an, k, "gen_zero")
+
+
 # ---------------------------------------------------------------------------
 # dense chain-map oracle
 # ---------------------------------------------------------------------------
@@ -839,3 +862,130 @@ def oracle_casimir_quabla(cx, k):
                     col[s] = col.get(s, F0) + Fraction(1, 2) * v * u
         cols.append({r: v for r, v in col.items() if v})
     return cols
+
+
+# ---------------------------------------------------------------------------
+# Fraction side of the int algebra and irrep
+# ---------------------------------------------------------------------------
+
+def _frac_act(mod, element, vec):
+    """sum_i c_i act(A_i) applied to a sparse vector, in Fractions."""
+    out = {}
+    for i, ci in element.items():
+        for j, cj in vec.items():
+            for r, v in mod.action[i][j].items():
+                out[r] = out.get(r, F0) + Fraction(ci) * cj * v
+    return {r: v for r, v in out.items() if v}
+
+
+def bracket_identity_holds(mod):
+    """act(A)act(B) - (-1)^{|A||B|} act(B)act(A) == act([A,B]) on all pairs
+    of basis elements and basis vectors."""
+    g = mod.algebra
+    for a in range(g.dim):
+        for b in range(g.dim):
+            sgn = -1 if (g.parity(a) and g.parity(b)) else 1
+            br = g.bracket(a, b)
+            for j in range(mod.dim):
+                comm = _frac_act(mod, {a: F1}, _frac_act(mod, {b: F1}, {j: F1}))
+                for r, v in _frac_act(mod, {b: F1}, _frac_act(mod, {a: F1}, {j: F1})).items():
+                    comm[r] = comm.get(r, F0) - sgn * v
+                if {r: v for r, v in comm.items() if v} != _frac_act(mod, br, {j: F1}):
+                    return False
+    return True
+
+
+def contravariance_holds(mod):
+    """<A v_j, v_i> = <v_j, A^dagger v_i> for every basis element A and all
+    basis vectors v_i, v_j, with the module's Gram and adjoint operation."""
+    g, op = mod.algebra, mod.adjoint
+    for a in range(g.dim):
+        dag = op.apply_basis(a)
+        for i in range(mod.dim):
+            dv = _frac_act(mod, dag, {i: F1})
+            for j in range(mod.dim):
+                lhs = sum((Fraction(c) * mod.gram(r, i)
+                           for r, c in mod.action[a][j].items()), F0)
+                if lhs != sum((c * mod.gram(j, r) for r, c in dv.items()), F0):
+                    return False
+    return True
+
+
+def _full_dual_basis(g):
+    """A_i^# with (A_i^#, A_j) = delta_ij over the whole algebra: the rows of
+    the Gram's inverse, by Fraction Gauss-Jordan."""
+    n = g.dim
+    red, pivots = oracle_rref([list(row) + [F1 if i == j else F0 for j in range(n)]
+                               for i, row in enumerate(g.gram)])
+    assert pivots == list(range(n))
+    return [{j: red[i][n + j] for j in range(n) if red[i][n + j]} for i in range(n)]
+
+
+def casimir_action_scalar(mod):
+    """The scalar by which sum_i A_i A_i^# acts; CrossCheckFailed if it is
+    not a scalar."""
+    from superbgg.errors import CrossCheckFailed
+    g = mod.algebra
+    duals = _full_dual_basis(g)
+    total = []
+    for j in range(mod.dim):
+        col = {}
+        for i in range(g.dim):
+            for r, v in _frac_act(mod, {i: F1}, _frac_act(mod, duals[i], {j: F1})).items():
+                col[r] = col.get(r, F0) + v
+        total.append({r: v for r, v in col.items() if v})
+    scalar = total[mod.hw_index].get(mod.hw_index, F0)
+    for j in range(mod.dim):
+        if total[j] != ({j: scalar} if scalar else {}):
+            raise CrossCheckFailed("Casimir does not act as a scalar")
+    return scalar
+
+
+def oracle_commutator(g, i, j):
+    """[B_i, B_j] of the natural-module matrices in Fractions, zeros dropped."""
+    sgn = -1 if (g.parity(i) and g.parity(j)) else 1
+    out = dict(_oracle_matmul(g.basis[i].matrix, g.basis[j].matrix))
+    for e, v in _oracle_matmul(g.basis[j].matrix, g.basis[i].matrix).items():
+        out[e] = out.get(e, F0) - sgn * v
+    return {e: v for e, v in out.items() if v}
+
+
+def oracle_casimir(g, lam):
+    """(lam, lam + 2 rho) in Fractions from the matrices alone: the Cartan
+    Gram C * str(H_a H_b) from their diagonals, the form on h* as
+    K G^-1 K^T (K[c][a] = coordinate c of H_a), and rho from the roots whose
+    simple-root coordinates, solved by Fraction Gauss-Jordan, are >= 0."""
+    C = Fraction(g.form_normalization)
+    hs = [b.matrix for b in g.basis if b.is_cartan]
+    gram = [[C * sum((-v if g.nat_parity[p] else v) * Fraction(y.get((p, q), 0))
+                     for (p, q), v in x.items()) for y in hs] for x in hs]
+    nh = len(hs)
+    red, _ = oracle_rref([row + [F1 if a == b else F0 for b in range(nh)]
+                          for a, row in enumerate(gram)])
+    inv = [row[nh:] for row in red]
+    K = [[Fraction(h.get((p, p), 0)) for h in hs] for p in g.coord_index]
+
+    def form(a, b):
+        return sum((a[c] * K[c][s] * inv[s][t] * K[d][t] * b[d]
+                    for c in range(g.rank) for d in range(g.rank)
+                    for s in range(nh) for t in range(nh)), F0)
+
+    ns = len(g.simple_roots)
+    rho = [F0] * g.rank
+    for b in g.basis:
+        if b.is_cartan:
+            continue
+        red, pivots = oracle_rref([[sr[c] for sr in g.simple_roots] + [b.root[c]]
+                                   for c in range(g.rank)])
+        if ns not in pivots and all(red[r][ns] >= 0 for r in range(ns)):
+            rho = [x + Fraction(-1 if b.parity else 1, 2) * y
+                   for x, y in zip(rho, b.root)]
+    lam = [Fraction(x) for x in lam]
+    return form(lam, [x + 2 * y for x, y in zip(lam, rho)])
+
+
+def exact_values(values):
+    """Whether every value is an int or a Fraction that is not integral: the
+    ints-where-integral convention (no float, no Fraction(n, 1))."""
+    return all(type(v) is int or (type(v) is Fraction and v.denominator != 1)
+               for v in values)

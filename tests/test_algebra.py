@@ -7,8 +7,17 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import oracle_build_algebra, oracle_rref
+from oracles import (
+    casimir_action_scalar,
+    exact_values,
+    oracle_build_algebra,
+    oracle_casimir,
+    oracle_commutator,
+    oracle_rref,
+)
 from superbgg import linalg
 from superbgg.algebra import (
     AdjointOperation,
@@ -23,7 +32,7 @@ from superbgg.algebra import (
     wt_zero,
 )
 from superbgg.errors import CrossCheckFailed, DegenerateForm, UnsupportedAlgebra
-from superbgg.modules import casimir_action_scalar, natural_module
+from superbgg.modules import natural_module
 
 F1 = Fraction(1)
 
@@ -295,7 +304,7 @@ def test_rescaling_form(gl21):
     p2 = build_parabolic(g2, [])
     for a in range(len(p1.n_indices)):
         assert p2.dual_pairing[a] == {
-            k: v / 2 for k, v in p1.dual_pairing[a].items()}
+            k: Fraction(v, 2) for k, v in p1.dual_pairing[a].items()}
     for i in range(gl21.dim):
         for j in range(gl21.dim):
             assert gl21.bracket(i, j) == g2.bracket(i, j)
@@ -387,3 +396,56 @@ def test_construction_certificate_survives_optimize():
                          timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["rejected", "rejected"]
+
+
+# ---------------------------------------------------------------------------
+# int structure constants against the Fraction side
+# ---------------------------------------------------------------------------
+
+# small gl(m|n) and osp(m|2n), odd m included, at three form normalizations
+SMALL_ALGEBRAS = [("gl", 2, 1), ("gl", 1, 2), ("gl", 3, 1), ("osp", 1, 1),
+                  ("osp", 2, 1), ("osp", 3, 1), ("osp", 4, 1), ("osp", 5, 1)]
+NORMALIZATIONS = [Fraction(1), Fraction(-1), Fraction(1, 2)]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(SMALL_ALGEBRAS), st.sampled_from(NORMALIZATIONS))
+def test_int_structure_matches_fraction_oracle(args, C):
+    """Every bracket, expanded back over the basis matrices, is the Fraction
+    matrix commutator value for value; the Gram is the dense oracle's; and
+    matrices, structure constants, Gram, dual pairings and adjoint images
+    are ints where integral and Fractions where not (C = 1/2 halves the
+    Gram and doubles the duals)."""
+    g = build_algebra(*args, C=C)
+    for i, j in itertools.product(range(g.dim), repeat=2):
+        br = g.bracket(i, j)
+        assert exact_values(br.values())
+        recon = {}
+        for k, c in br.items():
+            for e, v in g.basis[k].matrix.items():
+                recon[e] = recon.get(e, 0) + Fraction(c) * v
+        assert {e: v for e, v in recon.items() if v} == oracle_commutator(g, i, j)
+    assert g.gram == oracle_build_algebra(*args, C)[1]
+    p = build_parabolic(g, [])
+    op = build_adjoint_operation(g, 1)
+    assert exact_values([v for b in g.basis for v in b.matrix.values()]
+                        + [x for row in g.gram for x in row]
+                        + [c for d in p.dual_pairing + p.dual_of_nbar() for c in d.values()]
+                        + [c for img in op.images for c in img.values()])
+    assert any(type(x) is Fraction for row in g.gram for x in row) is (C == Fraction(1, 2))
+
+
+_COORDS = st.sampled_from([0, 1, 2, -1, Fraction(1, 2), Fraction(-3, 2), Fraction(1, 3)])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(SMALL_ALGEBRAS), st.sampled_from(NORMALIZATIONS), st.data())
+def test_casimir_eigenvalue_matches_fraction_oracle(args, C, data):
+    """casimir_eigenvalue is the Fraction (lam, lam + 2 rho) of an oracle
+    that reads only the basis matrices and roots, on integral and
+    non-integral weights alike, and stays a Fraction."""
+    g = build_algebra(*args, C=C)
+    lam = tuple(Fraction(x) for x in data.draw(
+        st.lists(_COORDS, min_size=g.rank, max_size=g.rank)))
+    val = casimir_eigenvalue(g, lam)
+    assert type(val) is Fraction and val == oracle_casimir(g, lam)

@@ -17,6 +17,8 @@ from oracles import (
     decompose_levi_hw_only,
     euler_check,
     full_levi_module,
+    generalized_zero,
+    ker_quabla,
     oracle_action,
     oracle_boundary_squares_to_zero,
     oracle_homology_dims,
@@ -84,15 +86,15 @@ def test_osp12_counterexample_homology(osp12_an):
 
 
 def test_osp12_ker_quabla_exceeds_homology(osp12_an):
-    assert osp12_an.ker_quabla(1).dim >= 2
+    assert ker_quabla(osp12_an, 1).dim >= 2
     assert osp12_an.homology(1).homology_dimension == 1
 
 
 def test_ker_quabla_inside_generalized_zero(gl21_an, osp12_an):
     for an in (gl21_an, osp12_an):
         for k in range(3):
-            kq = an.ker_quabla(k)
-            gz = an.generalized_zero(k)
+            kq = ker_quabla(an, k)
+            gz = generalized_zero(an, k)
             assert kq.dim <= gz.dim
             for w, rep in zip(kq.weights, kq.reps):
                 gz.express(w, [rep])        # LeviNotClosed outside the span
@@ -135,7 +137,7 @@ def test_glmn_h0_vs_ker_quabla(gl21_borel, gl21_natural, gl12_borel, gl12_natura
             kerd = len(idxs) - (linalg.rank(blk) if blk else 0)
             if kerd:
                 coh0[w] = kerd
-        assert (coh0 == an.ker_quabla(0).weight_dims()) is expect
+        assert (coh0 == ker_quabla(an, 0).weight_dims()) is expect
 
 
 def test_predicates_gl21_all_true(gl21_an):
@@ -208,7 +210,7 @@ def test_osp46_ker_quabla_decompositions(osp46, osp46_sec7, osp46_natural):
     assert [(e.highest_weight, e.hw_vector_count) for e in d1.entries] == [
         (wt(-1, 2, 0, 0, 0), 1)]
     assert d1.completely_reducible
-    assert an.homology(1).weight_multiplicities == an.ker_quabla(1).weight_dims()
+    assert an.homology(1).weight_multiplicities == ker_quabla(an, 1).weight_dims()
 
 
 def test_multiplicity_criterion_cases(gl21, gl21_borel, gl21_natural, osp12,
@@ -222,7 +224,7 @@ def test_multiplicity_criterion_cases(gl21, gl21_borel, gl21_natural, osp12,
     # vacuous-ish case: trivial module of osp(1|2) has ker quabla_2 = 0
     t12 = build_irrep(osp12, wt(0))
     an = KostantAnalysis(osp12_borel, t12, 2)
-    assert an.ker_quabla(2).dim == 0
+    assert ker_quabla(an, 2).dim == 0
     assert multiplicity_criterion(an, 2) == (True, None)
 
 
@@ -326,10 +328,10 @@ def test_functional_surface(gl21_borel, gl21_natural):
     assert an.homology(1).homology_dimension == 2
     assert an.homology_decomposition(1).completely_reducible
     assert an.ker_quabla_decomposition(1).total_dimension == 2
-    assert an.generalized_zero(1).dim == 2
+    assert generalized_zero(an, 1).dim == 2
     assert all(an.predicates(1).values.values())
-    assert an.ker_quabla(0).dim == 1
-    assert an.generalized_zero(0).dim == 1
+    assert ker_quabla(an, 0).dim == 1
+    assert generalized_zero(an, 0).dim == 1
     assert an.predicates(0).consistent
     assert wt(1, 0, 0) in casimir_match(an, 0)
     assert euler_check(an, wt(1, 0, 0))
@@ -350,7 +352,7 @@ def test_analysis_does_not_outlive_its_callers(gl21):
 
 def test_decompose_levi_accepts_subspace(gl21_borel, gl21_natural):
     an = KostantAnalysis(gl21_borel, gl21_natural, k_max=2)
-    sub = an.ker_quabla(1)
+    sub = ker_quabla(an, 1)
     dec = decompose_levi(gl21_borel, sub)
     assert dec.total_dimension == sub.dim
 
@@ -364,9 +366,9 @@ def test_ker_quabla_is_a_levi_module_of_the_block_kernels(case, request):
     module = request.getfixturevalue(case.split("_")[0] + "_natural")
     an = KostantAnalysis(p, module, k_max=2)
     for k in (0, 1):
-        kq = an.ker_quabla(k)
+        kq = ker_quabla(an, k)
         assert isinstance(kq, LeviModule)
-        assert isinstance(an.generalized_zero(k), LeviModule)
+        assert isinstance(generalized_zero(an, k), LeviModule)
         assert kq.weight_dims() == {w: len(d["ker_quabla"])
                                     for w, d in an.block_data(k).items()
                                     if d["ker_quabla"]}
@@ -435,7 +437,7 @@ def test_generated_dimension_matches_dense_oracle(case, request):
     pos, neg = p.algebra.simple_vector_indices()
     for k in (0, 1):
         for mod in (full_levi_module(an.cx, k), an.homology_quotient_module(k),
-                    an.ker_quabla(k)):
+                    ker_quabla(an, k)):
             dec = decompose_levi(p, mod)
             want = oracle_levi_generated_dims(
                 mod.weights,
@@ -722,7 +724,7 @@ def test_levi_action_has_one_owner(osp46_sec7, osp46_natural, monkeypatch):
         return ad_monomial(self, i, gens)
 
     monkeypatch.setattr(ChainComplex, "_ad_monomial", spy)
-    kerq = an.ker_quabla(k)
+    kerq = ker_quabla(an, k)
     assert kerq.dim
     assert decompose_levi(osp46_sec7, kerq).total_dimension == kerq.dim
     assert calls == []
@@ -766,7 +768,7 @@ def _agrees_with_abstract_irreps(p, mod):
 
 def _levi_modules(an, k):
     return (full_levi_module(an.cx, k), an.homology_quotient_module(k),
-            an.ker_quabla(k))
+            ker_quabla(an, k))
 
 
 @functools.lru_cache(maxsize=None)
@@ -946,7 +948,7 @@ def test_shared_decomposition_equals_fresh(case):
     dec = an.ker_quabla_decomposition(k)
     shared = an.homology_is_ker_quabla(k)
     assert (dec is an.homology_decomposition(k)) is shared
-    assert dec == decompose_levi(p, an.ker_quabla(k))
+    assert dec == decompose_levi(p, ker_quabla(an, k))
 
 
 def test_shared_decomposition_osp46_natural(osp46_sec7, osp46_natural):
@@ -958,7 +960,7 @@ def test_shared_decomposition_osp46_natural(osp46_sec7, osp46_natural):
         assert an.homology_is_ker_quabla(k)
         dec = an.ker_quabla_decomposition(k)
         assert dec is an.homology_decomposition(k)
-        assert dec == decompose_levi(osp46_sec7, an.ker_quabla(k))
+        assert dec == decompose_levi(osp46_sec7, ker_quabla(an, k))
 
 
 @pytest.mark.parametrize("alg, levi, lam, dims_agree, stmt3", [
@@ -978,8 +980,8 @@ def test_gate_refuses_and_decomposes_ker_quabla(alg, levi, lam, dims_agree, stmt
     assert an._lower_statements(1)[3] is stmt3
     assert not an.homology_is_ker_quabla(1)
     dec = an.ker_quabla_decomposition(1)
-    assert dec == decompose_levi(p, an.ker_quabla(1))
-    assert dec.total_dimension == an.ker_quabla(1).dim
+    assert dec == decompose_levi(p, ker_quabla(an, 1))
+    assert dec.total_dimension == ker_quabla(an, 1).dim
     assert dec is not an.homology_decomposition(1)
     assert an.homology_decomposition(1) == decompose_levi(
         p, an.homology_quotient_module(1))

@@ -6,8 +6,16 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from oracles import VermaOracle
+from oracles import (
+    VermaOracle,
+    bracket_identity_holds,
+    casimir_action_scalar,
+    contravariance_holds,
+    exact_values,
+)
 from superbgg.algebra import (
     build_adjoint_operation,
     build_algebra,
@@ -21,11 +29,8 @@ from superbgg.algebra import (
 )
 from superbgg.errors import FiniteDimGuardExceeded, NotTypeI, PreconditionViolated
 from superbgg.modules import (
-    bracket_identity_holds,
     build_irrep,
     build_kac_module,
-    casimir_action_scalar,
-    contravariance_holds,
     dual_module,
     even_subalgebra,
     natural_module,
@@ -241,3 +246,40 @@ def test_restrict_adjoint_rejects_unstable_subalgebra_under_O():
                          timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "rejected"
+
+
+# ---------------------------------------------------------------------------
+# the int irrep against the Fraction verifiers
+# ---------------------------------------------------------------------------
+
+IRREP_ALGEBRAS = [("gl", 2, 1), ("gl", 1, 2), ("osp", 1, 1), ("osp", 2, 1), ("osp", 3, 1)]
+NORMALIZATIONS = [Fraction(1), Fraction(-1), Fraction(1, 2)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(IRREP_ALGEBRAS), st.sampled_from(NORMALIZATIONS), st.data())
+def test_int_irrep_passes_the_fraction_verifiers(args, C, data):
+    """build_irrep's action satisfies the bracket identity and
+    contravariance, checked in Fraction arithmetic, for small dominant
+    weights; gl's coordinates get a common shift per parity, and osp(2|2)'s
+    eps coordinate is free, so non-integral weights occur.  Action and Gram
+    values are ints where integral and Fractions where not."""
+    g = build_algebra(*args, C=C)
+    coords = list(data.draw(st.lists(st.sampled_from([0, 1]), min_size=g.rank,
+                                     max_size=g.rank)))
+    shifts = data.draw(st.tuples(*[st.sampled_from([0, Fraction(1, 2), Fraction(-1, 3)])] * 2))
+    if g.kind == "gl":
+        coords = ([x + shifts[0] for x in sorted(coords[:g.r], reverse=True)]
+                  + [x + shifts[1] for x in sorted(coords[g.r:], reverse=True)])
+    elif g.m == 2:
+        coords[0] += shifts[0]
+    lam = tuple(Fraction(x) for x in coords)
+    try:
+        check_finite_dimensional(g, lam)
+    except PreconditionViolated:
+        assume(False)
+    mod = build_irrep(g, lam)
+    assert exact_values([v for cols in mod.action for col in cols for v in col.values()]
+                        + [x for blk in mod.gram_blocks.values() for row in blk for x in row])
+    assert bracket_identity_holds(mod)
+    assert contravariance_holds(mod)

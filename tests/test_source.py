@@ -1,6 +1,7 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -20,14 +21,20 @@ def test_no_assert_statements():
     assert found == []
 
 
-def test_traced_methods_exist():
-    """Every class and method that the benchmark's tracer wraps by name
-    (`METHODS` in perfbench/tracing.py) is still defined in its superbgg
-    module, so a rename fails here rather than in a traced benchmark run."""
+def _tracing():
+    """perfbench/tracing.py, loaded without installing anything."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_methods_exist():
+    """Every class and method that the benchmark's tracer wraps by name
+    (`METHODS` in perfbench/tracing.py) is still defined in its superbgg
+    module, so a rename fails here rather than in a traced benchmark run."""
+    tracing = _tracing()
     missing = []
     for layer, classes in tracing.METHODS.items():
         module = importlib.import_module(f"superbgg.{layer}")
@@ -36,3 +43,37 @@ def test_traced_methods_exist():
             missing.extend(f"{layer}.{cls_name}.{attr}" for attr in methods
                            if cls is None or attr not in vars(cls))
     assert tracing.METHODS and missing == []
+
+
+def test_reported_span_names_resolve():
+    """Every per-layer metric that perfbench/run.py reports (`PER_LAYER` and
+    `TABLE_ONLY`, read from its source, not imported) names a span the
+    tracer records: a public function defined in that superbgg layer
+    module, or a method that `METHODS` gives that span name.  The traced
+    run reads each one as `layers[name]`, so deleting, say, `linalg.rref`
+    or `ChainMap.add` would otherwise end that run with a KeyError instead
+    of failing here.  Counts of span kinds (`SPAN_COUNTS`) and probes
+    (`<span>.blocks`) resolve through their span; `trace.*` is the run
+    itself."""
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text())
+    names = {target.id: ast.literal_eval(node.value)
+             for node in tree.body if isinstance(node, ast.Assign)
+             for target in node.targets
+             if isinstance(target, ast.Name) and target.id in ("PER_LAYER", "TABLE_ONLY")}
+    tracing = _tracing()
+    unresolved = []
+    for name in names["PER_LAYER"] + names["TABLE_ONLY"]:
+        if name.startswith("trace."):
+            continue
+        span = tracing.SPAN_COUNTS.get(name) or name.rsplit(".", 1)[0]
+        layer, attr = span.split(".", 1)
+        module = importlib.import_module(f"superbgg.{layer}")
+        obj = getattr(module, attr, None)
+        function = (not attr.startswith("_") and inspect.isfunction(obj)
+                    and obj.__module__ == module.__name__ and span not in tracing.UNTRACED)
+        method = any(suffix == attr and method_name in vars(getattr(module, cls_name, object))
+                     for cls_name, methods in tracing.METHODS.get(layer, {}).items()
+                     for method_name, suffix in methods.items())
+        if not (function or method):
+            unresolved.append(name)
+    assert len(names) == 2 and names["PER_LAYER"] and unresolved == []
