@@ -232,7 +232,7 @@ class LieSuperalgebra:
         row_pivots = linalg.independent_columns(mat)
         if len(row_pivots) != self.dim:
             raise CrossCheckFailed("basis matrices are linearly dependent")
-        inv = linalg.exact_inverse([mat[i] for i in row_pivots])
+        inv = linalg.inverse([mat[i] for i in row_pivots])
         self._expand_cache = {
             entries[i]: {r: inv[r][k] for r in range(self.dim) if inv[r][k]}
             for k, i in enumerate(row_pivots)}
@@ -271,7 +271,7 @@ class LieSuperalgebra:
         the value of the coordinate c on its i-th element, as
         (e_c1, e_c2) = e_c1(t_c2) for the t_c2 in h with (t_c2, H) = e_c2(H)."""
         hidx = self.cartan
-        inv = linalg.exact_inverse([[self.gram[i][j] for j in hidx] for i in hidx])
+        inv = linalg.inverse([[self.gram[i][j] for j in hidx] for i in hidx])
         coords = [[self.basis[i].matrix.get((p, p), 0) for i in hidx]
                   for p in self.coord_index]
         hform = linalg.mat_mul(linalg.mat_mul(coords, inv), linalg.transpose(coords))
@@ -473,7 +473,7 @@ def dual_basis_in(g: LieSuperalgebra, of_indices: list, in_indices: list) -> lis
     if len(of_indices) != len(in_indices):
         raise ValueError("pairing requires equidimensional spaces")
     # row a of inverse(gram) gives coefficients with sum_i c_i (A_in_i, A_of_b) = delta_ab
-    inv = linalg.exact_inverse([[g.gram[i][j] for j in of_indices] for i in in_indices])
+    inv = linalg.inverse([[g.gram[i][j] for j in of_indices] for i in in_indices])
     return [
         {in_indices[i]: inv[a][i] for i in range(len(in_indices)) if inv[a][i]}
         for a in range(len(of_indices))

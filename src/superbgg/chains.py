@@ -759,28 +759,28 @@ class ChainComplex:
     def _casimir_terms(self) -> "_CasimirTerms":
         """The per-complex data of the Casimir quabla (see `quabla`)."""
         g, p = self.algebra, self.parabolic
-        cartan, roots = [], []
+        roots = []
         for i, dual in zip(p.levi_indices, p.levi_duals()):
             is_h = g.basis[i].is_cartan
             if any(g.basis[s].is_cartan != is_h or g.parity(s) != g.parity(i)
                    for s in dual):
                 raise CrossCheckFailed(f"the Levi dual of {g.basis[i].label} "
                                        "leaves its parity or the Cartan")
-            (cartan if is_h else roots).append((i, dual))
+            if not is_h:
+                roots.append((i, dual))
         hvec: dict = {}
         for a, gen in enumerate(self.radical):
             linalg.vec_iadd(hvec, g.bracket_vec({gen: F1}, self.duals[a]))
         if any(not g.basis[i].is_cartan for i in hvec):
             raise CrossCheckFailed("sum [z_a, z_a^#] is not in the Cartan")
-        units = [tuple(F1 if c == d else F0 for d in range(g.rank))
-                 for c in range(g.rank)]
-        hcoords = [g.eval_weight(u, hvec) for u in units]
-        form = [[sum((g.eval_weight(u, {i: F1}) * g.eval_weight(v, dual)
-                      for i, dual in cartan), F0) for v in units] for u in units]
+        hcoords = [g.eval_weight(tuple(int(c == d) for d in range(g.rank)), hvec)
+                   for c in range(g.rank)]
+        # the Cartan part of C_l acts on the weight-w block by (w, w), the
+        # algebra's form on h* (q / qden on the unit coordinates)
+        q, qden = g._weight_form
         c2 = casimir_eigenvalue(g, self.module.highest_weight)
         # D * (-1/2 (c2 + w(h) - (w, w))) in int coefficients
-        half = lcm(c2.denominator, *(x.denominator for x in hcoords),
-                   *(x.denominator for row in form for x in row))
+        half = lcm(c2.denominator, *(x.denominator for x in hcoords), qden)
         den = 2 * half
         rden = lcm(1, *(c.denominator for _, dual in roots for c in dual.values()))
         mod = self.module
@@ -795,9 +795,8 @@ class ChainComplex:
             den=den,
             const=int(-half * c2),
             linear=[(c, int(-half * x)) for c, x in enumerate(hcoords) if x],
-            quadratic=[(c, d, int(half * x)) for c, row in enumerate(form)
+            quadratic=[(c, d, half // qden * x) for c, row in enumerate(q)
                        for d, x in enumerate(row) if x],
-            cartan_form=form,
             roots=[(i, [(s, int(c * rden)) for s, c in dual.items()])
                    for i, dual in roots],
             root_den=rden,
@@ -836,8 +835,8 @@ class ChainComplex:
 
 class _CasimirTerms(NamedTuple):
     """Per-complex data of the Casimir quabla.  The scalar on the weight-w
-    block is (const + sum_c linear_c w_c + sum_cd quadratic_cd w_c w_d) / den;
-    cartan_form[c][d] = sum_H e_c(H) e_d(H^#) over the Cartan basis.  roots
+    block is (const + sum_c linear_c w_c + sum_cd quadratic_cd w_c w_d) / den,
+    with sum_cd quadratic_cd w_c w_d / den = (w, w) / 2.  roots
     pairs each Levi root vector with root_den times its dual; ops are the
     module columns of 1, rho(A_t) over those root vectors and
     rho(C_l^root)."""
@@ -846,7 +845,6 @@ class _CasimirTerms(NamedTuple):
     const: int
     linear: list
     quadratic: list
-    cartan_form: list
     roots: list
     root_den: int
     ops: list

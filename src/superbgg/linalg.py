@@ -6,10 +6,9 @@ fraction-free: each row is cleared of denominators, rows are combined with
 integer multipliers and divided by their content so entries stay small (an
 integer-preserving elimination in the spirit of Bareiss 1968, with content
 division in place of his exact division by the previous pivot), and
-Fractions are formed only when a reduced row is finally divided by its pivot.
-`int_rref` returns the int rows themselves and forms no Fraction at all;
-`exact_rref` and `exact_inverse` divide at the end and keep every integral
-entry an int.
+Fractions are formed only when a reduced row is finally divided by its pivot,
+and only for the entries that are not integral.  `int_rref` returns the int
+rows themselves and forms no Fraction at all.
 """
 
 from __future__ import annotations
@@ -150,7 +149,8 @@ def rref(mat: list) -> tuple[list, list]:
     """Reduced row echelon form (copy) and the list of pivot columns.
 
     The elimination runs on ints (`_echelon`); each nonzero row is divided
-    by its pivot only at the end, so Fractions appear only in the result.
+    by its pivot only at the end, so an entry is an int where it is integral
+    and a Fraction where it is not.  Zero rows are int rows.
     """
     nrows = len(mat)
     ncols = len(mat[0]) if nrows else 0
@@ -158,8 +158,8 @@ def rref(mat: list) -> tuple[list, list]:
     out = []
     for row, pc in zip(rows, pivots):
         p = row[pc]
-        out.append([Fraction(x, p) if x else F0 for x in row])
-    out.extend([F0] * ncols for _ in range(nrows - len(rows)))
+        out.append([x // p if x % p == 0 else Fraction(x, p) for x in row])
+    out.extend([0] * ncols for _ in range(nrows - len(rows)))
     return out, pivots
 
 
@@ -173,29 +173,6 @@ def int_rref(mat: list, integral: bool = False) -> tuple[list, list]:
     `linalg.int_rref` spans, apart from the `linalg.rref` calls of every
     other layer."""
     return _echelon(mat, reduce=True, integral=integral)
-
-
-def exact_rref(mat: list) -> tuple[list, list]:
-    """The nonzero rows of rref(mat) and its pivots, each entry an int where
-    it is integral and a Fraction where it is not: int_rref's rows, each
-    divided by its pivot at the end."""
-    rows, pivots = _echelon(mat, reduce=True)
-    out = []
-    for row, c in zip(rows, pivots):
-        p = row[c]
-        out.append([x // p if x % p == 0 else Fraction(x, p) for x in row])
-    return out, pivots
-
-
-def exact_inverse(a: list) -> list:
-    """Inverse of a square matrix, exact as in exact_rref: one elimination of
-    [a | I].  ValueError if a is singular."""
-    n = len(a)
-    rows, pivots = exact_rref([list(row) + [int(i == j) for j in range(n)]
-                               for i, row in enumerate(a)])
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in rows]
 
 
 def rank(mat: list) -> int:
@@ -241,16 +218,18 @@ def solve(a: list, b: list) -> list | None:
     red, pivots = rref(aug)
     if ncols in pivots:
         return None
-    x = [F0] * ncols
+    x = [0] * ncols
     for r, pcol in enumerate(pivots):
         x[pcol] = red[r][ncols]
     return x
 
 
 def inverse(a: list) -> list:
+    """Inverse of a square matrix, exact as in rref: one elimination of
+    [a | I].  ValueError if a is singular."""
     n = len(a)
-    aug = [a[i][:] + identity(n)[i] for i in range(n)]
-    red, pivots = rref(aug)
+    red, pivots = rref([list(row) + [int(i == j) for j in range(n)]
+                        for i, row in enumerate(a)])
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in red]

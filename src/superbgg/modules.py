@@ -11,7 +11,7 @@ Action matrices and Gram blocks follow the algebra's convention: ints where
 the values are integral, exact Fractions only where they are not (a highest
 weight with a non-integral coordinate, or a form normalization C with
 1/C not an integer).  Each level's Gram is eliminated once, fraction-free
-(`linalg.exact_rref`).
+(`linalg.rref`).
 """
 
 from __future__ import annotations
@@ -210,7 +210,7 @@ def build_irrep(g: LieSuperalgebra, lam: Weight, op: AdjointOperation | None = N
             # column, and restricted to the kept rows that is the unique
             # solution of kept_gram . x = (its kept entries): the expansion
             # of the candidate modulo the radical.
-            red, kept_rows = linalg.exact_rref(gamma)
+            red, kept_rows = linalg.rref(gamma)
             if not kept_rows:
                 for (i, b) in group:
                     f_exp[(i, b)] = {}
@@ -436,7 +436,7 @@ def contravariant_gram_blocks(mod: Module, op: AdjointOperation) -> dict:
                     rows.append(row)
         # a unique solution exactly when every unknown is a pivot (and the
         # right side is not)
-        red, pivots = linalg.exact_rref(rows)
+        red, pivots = linalg.rref(rows)
         if pivots != list(range(d * d)):
             raise PreconditionViolated("contravariant form underdetermined; "
                                        "module is not cyclic over its top vector")

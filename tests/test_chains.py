@@ -640,13 +640,16 @@ def test_factored_casimir_quabla_matches_composed_oracle(gl21, osp54_drop0):
 
 
 def test_casimir_cartan_scalar_is_the_weight_form(gl21, osp54_drop0):
-    """sum_H w(H) w(H^#) over the Cartan basis, the scalar by which the
-    Cartan part of C_l acts on the weight-w block, equals (w, w) on every
-    weight block."""
+    """sum_H w(H) w(H^#) over the Cartan basis and its Levi duals, the
+    scalar by which the Cartan part of C_l acts on the weight-w block,
+    equals (w, w) on every weight block; the Casimir quabla reads (w, w)
+    from the algebra's int weight form."""
     for cx in _casimir_cases(gl21, osp54_drop0):
-        g, form = cx.algebra, cx._casimir_terms.cartan_form
+        g, p = cx.algebra, cx.parabolic
+        cartan = [(i, dual) for i, dual in zip(p.levi_indices, p.levi_duals())
+                  if g.basis[i].is_cartan]
         for k in range(3):
             for w in cx.space(k).weight_blocks:
-                scalar = sum((form[c][d] * w[c] * w[d] for c in range(g.rank)
-                              for d in range(g.rank)), F0)
+                scalar = sum((g.eval_weight(w, {i: F1}) * g.eval_weight(w, dual)
+                              for i, dual in cartan), F0)
                 assert scalar == g.weight_form(w, w)
