@@ -358,11 +358,16 @@ class LieSuperalgebra:
             acc = wt_add(acc, wt_scale(b.root, Fraction(-1 if b.parity else 1, 2)))
         return acc
 
-    def simple_vector_indices(self) -> tuple[list, list]:
-        """Basis indices of the positive/negative simple root vectors."""
-        pos = [self.basis_index_of_root(a) for a in self.simple_roots]
-        neg = [self.basis_index_of_root(wt_neg(a)) for a in self.simple_roots]
+    @functools.cached_property
+    def _simple_vectors(self) -> tuple[tuple, tuple]:
+        pos = tuple(self.basis_index_of_root(a) for a in self.simple_roots)
+        neg = tuple(self.basis_index_of_root(wt_neg(a)) for a in self.simple_roots)
         return pos, neg
+
+    def simple_vector_indices(self) -> tuple[tuple, tuple]:
+        """Basis indices of the positive/negative simple root vectors, found
+        once per algebra; tuples, so no caller can change the shared answer."""
+        return self._simple_vectors
 
     # -- derived subalgebras --------------------------------------------------
 

@@ -662,8 +662,9 @@ class ChainComplex:
     def action_map(self, k: int, i: int) -> ChainMap:
         """Action of the basis element A_i on C_k: ad(A_i) on the exterior
         factor plus (-1)^{|A_i||X|} rho(A_i) on the module, cached per
-        (k, i).  LeviModule.act, its one reader in the pipeline, asks only
-        for the Levi simple root vectors."""
+        (k, i).  decompose_levi, its one reader in the pipeline, asks only
+        for the Levi simple root vectors (LeviModule.act), on H_k and on
+        ker quabla_k alike."""
         key = (k, i)
         if key not in self._actions:
             table = []

@@ -51,7 +51,9 @@ class LeviNotInEvenPart(SuperBGGError):
 
 
 class LeviNotClosed(SuperBGGError):
-    """Subspace handed to decompose_levi is not stable under the Levi action."""
+    """A homology quotient handed to decompose_levi met an image outside
+    K = ker d*_k, or outside its weight block (LeviModule.express): K is
+    not stable under the Levi action."""
 
 
 class NotCompletelyReducible(SuperBGGError):

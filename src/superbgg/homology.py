@@ -5,30 +5,28 @@ operator are h-equivariant, so kernels, images, homology quotients and
 generalized eigenspaces decompose along weights and each block is
 eliminated on its own.
 
-The Levi decomposition is weight-local too.  Every vector it handles is
-weight-homogeneous, so each weight block of a LeviModule is eliminated once
-(a left transform that turns `express` into a sparse product), and the
-lowering closures and their union keep echelon pivots per weight: no
-elimination ever runs over the whole module.  ker quabla_k, a submodule of
-C_k, needs no LeviModule at all: it is decomposed on the complex's own
-action maps (KostantAnalysis.ker_quabla_decomposition), and so is H_k
-wherever it is isomorphic to ker quabla_k.
+The Levi decomposition is weight-local too, and it runs in C_k's own
+coordinates.  Both l-modules the pipeline decomposes are a quotient K/I of
+l-stable subspaces I <= K of C_k: H_k, with K = ker d*_k and I =
+im d*_{k+1} (the bases block_data holds), and ker quabla_k, with I = 0.
+A LeviModule is that record.  The Levi action on it is the complex's own
+action map, and a class modulo I is the reduction by I's RREF rows at its
+weight, a linear projection whose kernel is I.  Every vector handled is
+weight-homogeneous, so the highest-weight kernels, the lowering closures
+and their union keep echelon pivots per weight: no elimination ever runs
+over the whole module.
 
-The Levi layer runs on Python ints.  A LeviModule holds its representatives
-as primitive int columns (positive multiples of the columns it was given: a
-change of basis that no dimension sees), `express` returns int coordinates
-over the one positive denominator of the target weight's solver, and `act`
-returns int columns whose denominator is constant on each source weight.
-So on every weight block the int operator is a positive multiple of the
-exact one.  Kernels of stacked blocks, spans, lowering closures of
-weight-homogeneous vectors and ranks are unchanged by a nonzero scalar per
-block, which is why decompose_levi reads only the int columns and gets the
-same H_w, G_w, certificate and dimensions as exact rational arithmetic.
+The Levi layer runs on Python ints.  The int columns of an action map are
+den times the exact ones, and a class is a fixed positive multiple (per
+weight) of the exact projection.  Kernels of stacked blocks, spans,
+lowering closures of weight-homogeneous vectors and ranks are unchanged by
+a nonzero scalar per map and per weight, which is why decompose_levi reads
+only int columns and gets the same H_w, G_w, certificate and dimensions as
+exact rational arithmetic.
 
 The homology block layer runs on ints too: images are pivot columns of
 den times the exact block, kernel vectors positive multiples of the RREF
-kernel vectors.  That changes no span, rank, intersection or first-come
-complement, and LeviModule makes its inputs primitive anyway.
+kernel vectors.  That changes no span, rank or intersection.
 
 Homology groups of interest are H_k(nbar, W) = ker(delta*_k)/im(delta*_{k+1})
 computed on Lambda^. nbar (x) W; these are the groups whose induced modules
@@ -65,7 +63,6 @@ product, and its class is zero.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -138,15 +135,13 @@ def _block_images(m: ChainMap, weights: list) -> dict:
 
 
 def _primitive(col: dict, positive_lead: bool = False) -> dict:
-    """The multiple of a sparse rational column whose entries are coprime
-    ints: the positive one, or with `positive_lead` the one whose entry at
-    the smallest index is positive."""
-    den = lcm(1, *(v.denominator for v in col.values()))
-    ints = {r: v.numerator * (den // v.denominator) for r, v in col.items() if v}
-    cont = gcd(*ints.values())
-    if positive_lead and ints and ints[min(ints)] < 0:
+    """The multiple of a sparse int column (no zero entries) whose entries
+    are coprime: the positive one, or with `positive_lead` the one whose
+    entry at the smallest index is positive."""
+    cont = gcd(*col.values())
+    if positive_lead and col and col[min(col)] < 0:
         cont = -cont
-    return {r: v // cont for r, v in ints.items()} if cont != 1 else ints
+    return {r: v // cont for r, v in col.items()} if cont != 1 else col
 
 
 def _apply(icols: list, vec: dict) -> dict:
@@ -203,179 +198,103 @@ class HomologyReport:
 
 
 # ---------------------------------------------------------------------------
-# Levi modules: subspaces and subquotients carrying the l-action
+# Levi modules: quotients K/I inside a chain space
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
-class LeviAction:
-    """A Levi basis element on a LeviModule, in its coordinates: column t is
-    icols[t] / dens[t], and dens[t] is the same for every representative of
-    one weight.  The decomposition reads only `icols`; `dens` and `cols`
-    are the exact view that tests compare with a rational oracle."""
-
-    icols: list              # icols[t] = {member: nonzero int}
-    dens: list               # dens[t] = positive int
-
-    @functools.cached_property
-    def cols(self) -> list:
-        """cols[t] = {member: Fraction}; the exact view, for tests."""
-        return [{u: Fraction(c, d) for u, c in col.items()}
-                for col, d in zip(self.icols, self.dens)]
-
-
 class LeviModule:
-    """A finite l-module presented by block-aligned vectors in a chain degree:
-    an l-stable subspace (ker quabla, the generalized zero space, the whole
-    chain space) or a subquotient (a homology group).
+    """The l-module K/I of two l-stable subspaces I <= K of the chain space
+    C_k, in C_k's own coordinates.  `ker[w]` and `im[w]` are bases of K and
+    I at weight w, sparse ambient int columns supported in the weight block
+    of w; the dimension is the sum over w of |ker[w]| - |im[w]|.
 
-    `reps` are sparse ambient columns, each supported in a single weight
-    block.  `modulo` (optional, per weight) is a list of ambient columns to
-    quotient by; the action is reduced modulo that span.  Both are stored
-    as primitive int columns, each a positive multiple of the column given.
-    Coordinates are solved weight by weight: each weight block is
-    eliminated once.
-
-    `acyclic` (optional, a homology quotient's) names the weights where
-    ker d*_k = im d*_{k+1}: the quotient is zero there and `modulo` holds
-    nothing, and `express` tests a column by d*_k instead of a solver.
+    With `im` (a homology quotient, KostantAnalysis.homology_quotient_module)
+    K is ker d*_k and I is im d*_{k+1}.  The weights in `acyclic` hold
+    neither: K = I there, so the quotient is zero.  `express` certifies
+    every column it is handed by d*_k.  Without `im` (ker quabla_k,
+    KostantAnalysis.ker_quabla_module) I = 0 and K is l-stable because
+    quabla commutes with l, so columns are taken as they are, with no
+    product per image.
     """
 
-    def __init__(self, cx: ChainComplex, k: int, reps: list, modulo: dict | None = None,
+    def __init__(self, cx: ChainComplex, k: int, ker: dict, im: dict | None = None,
                  acyclic: frozenset = frozenset()):
         self.cx = cx
         self.k = k
-        self.space = cx.space(k)
-        self.reps = [_primitive(col) for col in reps]
-        self.modulo = {w: [_primitive(col) for col in cols]
-                       for w, cols in (modulo or {}).items()}
+        self.ker = ker
+        self.im = im
         self.acyclic = acyclic
-        self.weights = []
-        self._members: dict = {}
-        for t, col in enumerate(self.reps):
-            ws = {self.space.weights[i] for i in col}
-            if len(ws) != 1:
-                raise PreconditionViolated(
-                    f"representative {t} is not supported in a single weight block")
-            w = ws.pop()
-            self.weights.append(w)
-            self._members.setdefault(w, []).append(t)
-        self._solvers: dict = {}
+        blocks = cx.space(k).weight_blocks
+        for bases in (ker, im or {}):
+            for w, cols in bases.items():
+                block = set(blocks.get(w, ()))
+                if not all(col.keys() <= block for col in cols):
+                    raise PreconditionViolated(
+                        f"a basis vector of weight {w} leaves its weight block")
+        self._im_rows: dict = {}
 
     @property
     def dim(self) -> int:
-        return len(self.reps)
+        return sum(map(len, self.ker.values())) - sum(map(len, (self.im or {}).values()))
 
-    def members(self, weight: Weight) -> list:
-        return self._members.get(weight, [])
+    def act(self, levi_index: int) -> ChainMap:
+        """The Levi basis element A_i on C_k: the complex's action map, whose
+        int columns decompose_levi reads."""
+        return self.cx.action_map(self.k, levi_index)
 
-    def weight_dims(self) -> dict:
-        """{weight: number of representatives of that weight}."""
-        return {w: len(ts) for w, ts in self._members.items()}
+    def express(self, weight: Weight, cols: list) -> list:
+        """The classes modulo I of sparse int columns of C_k at `weight`.
 
-    def _solver(self, weight: Weight):
-        """Int left transform D of the stacked block A = [modulo | reps] of
-        `weight`, eliminated fraction-free.
-
-        Row r of linalg.int_rref([A | I]) is p_r times row r of the RREF, so
-        its right part is p_r times row r of the exact transform E (E.A is
-        the RREF of A).  With den = lcm of the pivots p_r of the first `rank`
-        rows, D takes row r < rank times den / p_r, so those rows of D are
-        den * E; rows from `rank` on are the consistency conditions, kept as
-        int rows (a nonzero multiple vanishes exactly when the row does).
-
-        Returns (pos, ecols, rank, coords, den): `pos` maps ambient indices
-        to block rows, `ecols[j]` is column j of D as a sparse dict, and
-        `coords[r]` is the member index solved by row r (None for a
-        `modulo` column).
-        """
-        hit = self._solvers.get(weight)
-        if hit is not None:
-            return hit
-        idxs = self.space.weight_blocks.get(weight, [])
-        pos = {g: i for i, g in enumerate(idxs)}
-        members = self.members(weight)
-        cols = self.modulo.get(weight, []) + [self.reps[t] for t in members]
-        n, c = len(idxs), len(cols)
-        aug = [[0] * (c + n) for _ in range(n)]
-        for j, col in enumerate(cols):
-            for gidx, v in col.items():
-                aug[pos[gidx]][j] = v
-        for i in range(n):
-            aug[i][c + i] = 1
-        rows, pivots = linalg.int_rref(aug, integral=True)   # n rows: [A | I] has rank n
-        rank = sum(1 for pc in pivots if pc < c)
-        den = lcm(1, *(rows[r][pivots[r]] for r in range(rank)))
-        ecols = [{} for _ in range(n)]
-        for r, row in enumerate(rows):
-            f = den // row[pivots[r]] if r < rank else 1
-            for j in range(n):
-                x = row[c + j]
-                if x:
-                    ecols[j][r] = f * x
-        n_mod = c - len(members)
-        coords = [members[pc - n_mod] if pc >= n_mod else None
-                  for pc in pivots[:rank]]
-        self._solvers[weight] = (pos, ecols, rank, coords, den)
-        return self._solvers[weight]
-
-    def express(self, weight: Weight, ambient_cols: list) -> tuple[list, int]:
-        """Coordinates over this module's basis of ambient columns of one
-        weight, reducing mod `modulo`: returns (coords, den) with coords[j]
-        an int dict, coords[j] / den the exact coordinates of ambient_cols[j]
-        and den > 0 the weight's solver denominator.
-
-        Raises LeviNotClosed when a column is outside span(modulo + reps);
-        at an acyclic weight that span is ker d*_k (module docstring)."""
+        A class is den times the column's projection along the RREF rows of
+        I at that weight (den the lcm of their pivots): linear, int, and
+        zero exactly when the column lies in I.  On a homology quotient each
+        column is first certified to lie in K = ker d*_k, one sparse product
+        with the int columns of lower(k); LeviNotClosed when it does not or
+        when it leaves the weight block.  At an acyclic weight K = I and
+        every class is zero.  Without `im` the columns are their own
+        classes."""
+        if self.im is None:
+            return cols
+        lower, weights = self.cx.lower(self.k).icols, self.cx.space(self.k).weights
+        for col in cols:
+            if any(weights[g] != weight for g in col):
+                raise LeviNotClosed("image leaves the expected weight block")
+            if _apply(lower, col):
+                raise LeviNotClosed("subspace is not stable under the Levi action")
         if weight in self.acyclic:
-            return self._express_cycles(weight, ambient_cols)
-        pos, ecols, rank, coords, den = self._solver(weight)
-        out = []
-        for col in ambient_cols:
-            y: dict = {}
-            for gidx, v in col.items():
-                j = pos.get(gidx)
-                if j is None:
-                    raise LeviNotClosed("image leaves the expected weight block")
-                linalg.vec_iadd(y, ecols[j], v)
-            if any(r >= rank for r in y):
-                raise LeviNotClosed("subspace is not stable under the Levi action")
-            out.append({coords[r]: v for r, v in y.items() if coords[r] is not None})
-        return out, den
+            return [{} for _ in cols]
+        hit = self._im_rows.get(weight)
+        if hit is None:
+            hit = self._im_rows[weight] = _rref_rows(self.im.get(weight, []))
+        rows, den = hit
+        return [_project(col, rows, den) for col in cols]
 
-    def _express_cycles(self, weight: Weight, ambient_cols: list) -> tuple[list, int]:
-        """`express` at an acyclic weight: certify d*_k col = 0 for each
-        column (the int columns of lower(k), a positive multiple of d*_k)
-        and return the zero class of each."""
-        lower, weights = self.cx.lower(self.k).icols, self.space.weights
-        for col in ambient_cols:
-            y: dict = {}
-            for gidx, v in col.items():
-                if weights[gidx] != weight:
-                    raise LeviNotClosed("image leaves the expected weight block")
-                linalg.vec_iadd(y, lower[gidx], v)
-            if y:
-                raise LeviNotClosed("subspace is not stable under the Levi action")
-        return [{} for _ in ambient_cols], 1
 
-    def act(self, levi_index: int) -> LeviAction:
-        """The Levi basis element in this module's coordinates: the complex's
-        int action map applied to each representative, then expressed, one
-        `express` call per source weight.  Column t has denominator
-        den_target * map.den, the same for every representative of one
-        weight."""
-        amap = self.cx.action_map(self.k, levi_index)
-        icols = amap.icols
-        root = wt_int(self.cx.algebra.root(levi_index))
-        cols, dens = [{} for _ in self.reps], [amap.den] * self.dim
-        for w, members in self._members.items():
-            imgs = [_apply(icols, self.reps[t]) for t in members]
-            if not any(imgs):
-                continue
-            coords, den = self.express(wt_add(w, root), imgs)
-            for t, col in zip(members, coords):
-                cols[t] = col
-                dens[t] *= den
-        return LeviAction(cols, dens)
+def _rref_rows(cols: list) -> tuple[dict, int]:
+    """({pivot: row}, den) of the RREF of the span of sparse int columns:
+    primitive int rows with a positive entry at their pivot (the smallest
+    index) and none at another row's pivot; den is the lcm of the pivot
+    entries."""
+    echelon = _WeightEchelon()
+    for col in cols:
+        echelon.add(col)
+    rows = echelon.rows
+    for b in sorted(rows, reverse=True):
+        row_b = rows[b]
+        for a, row_a in rows.items():
+            if a < b and b in row_a:
+                rows[a] = _eliminate(row_a, row_b, b)
+    return rows, lcm(1, *(row[p] for p, row in rows.items()))
+
+
+def _project(col: dict, rows: dict, den: int) -> dict:
+    """den * col minus the combination of the RREF `rows` that clears their
+    pivots; each row vanishes at the other pivots, so one pass suffices,
+    and den makes every multiplier an int."""
+    v = {t: den * x for t, x in col.items()}
+    for p in rows.keys() & col.keys():
+        row = rows[p]
+        linalg.vec_iadd(v, row, -(v[p] // row[p]))
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -415,41 +334,33 @@ def levi_irrep_dimension(p: ParabolicDecomposition, weight: Weight,
     return dim
 
 
-def _highest_weight_vectors(blocks: dict, raise_cols: list) -> dict:
-    """Joint kernel of the raising operators on each weight block: `blocks`
-    maps a weight to the indices of its basis vectors, and `raise_cols` are
-    the operators' int columns over those indices (LeviAction's, or a chain
-    map's).  On each block an operator is a positive multiple of the exact
-    one, so the kernel is the exact one.
-
-    Returns {weight: [sparse primitive int vectors over those indices]} for
-    the weights with a nonzero kernel, in the order of `blocks`."""
-    out: dict = {}
-    for w, members in blocks.items():
-        rows = []
-        for cols in raise_cols:
-            targets = sorted({t for m in members for t in cols[m]})
-            tpos = {t: r for r, t in enumerate(targets)}
-            block = [[0] * len(members) for _ in targets]
-            for cj, m in enumerate(members):
-                for t, v in cols[m].items():
-                    block[tpos[t]][cj] = v
-            rows.extend(block)
-        kernel = linalg.int_kernel(*linalg.int_rref(rows, integral=True), len(members))
-        if kernel:
-            out[w] = [{members[i]: v for i, v in enumerate(vec) if v}
-                      for vec in kernel]
-    return out
+def _highest_weight_vectors(mod: LeviModule, weight: Weight, raising: list) -> list:
+    """A basis of {x in K_w : e_i x in I for every Levi simple root i} at
+    w = `weight`, as sparse int combinations of mod.ker[w]: one int kernel
+    of the stacked classes of the raising images.  `raising` holds (root,
+    int columns) per raising operator; each is a positive multiple of the
+    exact one and a class is linear, so the kernel is the exact one."""
+    kcols = mod.ker[weight]
+    rows = []
+    for root, cols in raising:
+        imgs = [_apply(cols, col) for col in kcols]
+        if any(imgs):
+            classes = mod.express(wt_add(weight, root), imgs)
+            for t in sorted({t for c in classes for t in c}):
+                rows.append([c.get(t, 0) for c in classes])
+    kernel = linalg.int_kernel(*linalg.int_rref(rows, integral=True), len(kcols))
+    return [_apply(kcols, {j: c for j, c in enumerate(vec) if c}) for vec in kernel]
 
 
 def decompose_levi(p: ParabolicDecomposition, mod: LeviModule) -> LDecomposition:
-    """Highest-weight decomposition of an l-stable space or subquotient.
+    """Highest-weight decomposition of the l-module M = K/I of a LeviModule
+    (H_k or ker quabla_k).
 
-    For each weight w, H_w is the joint kernel at w of the raising operators
-    of the Levi simple roots (its dimension is `hw_vector_count`) and
-    G_w = U(nbar_l).H_w is its closure under the Levi lowering operators
-    (`generated_dimension`).  The module M is certified completely reducible
-    exactly when
+    For each weight w, H_w is the space of classes at w that the raising
+    operators of the Levi simple roots kill (its dimension is
+    `hw_vector_count`) and G_w = U(nbar_l).H_w is its closure under the
+    Levi lowering operators (`generated_dimension`).  The module M is
+    certified completely reducible exactly when
 
         sum_w dim G_w == dim(sum_w G_w) == dim M,
 
@@ -472,41 +383,46 @@ def decompose_levi(p: ParabolicDecomposition, mod: LeviModule) -> LDecomposition
     summands isomorphic to L(w), G_w is their sum, and the G_w are the
     isotypic components, which add up directly to M.
 
+    Only weights with C2(w) = C2(lambda) can carry H_w.  quabla acts on M
+    by zero: on ker quabla_k by definition, and on H_k because quabla x =
+    d*(d x) lies in I for x in ker d*_k.  By Kostant's formula
+    (ChainComplex.quabla) it acts on a class of weight w that n+_l kills by
+    1/2 (C2(w) - C2(lambda)), so that class is zero unless the two Casimir
+    values agree.  Only such weights with K_w larger than I_w are searched.
+
     This is the paper's necessary condition for a BGG resolution (complete
     reducibility of each homology group), checked on the module itself.  A
     decomposition that fails it reports, for each entry, the dimension of
     the abstract Levi irrep (None where `levi_irrep_dimension` finds it
-    infinite).  All elimination is local to one weight block and runs on
-    the int columns of LeviAction (exact by the module docstring's
-    argument).
+    infinite).  All elimination is local to one weight and runs on the int
+    columns of the action maps and on int classes (exact by the module
+    docstring's argument).
     """
-    pos, neg = p.algebra.simple_vector_indices()
-    raise_cols = [mod.act(pos[i]).icols for i in p.levi_simple_roots]
-    lower_cols = [mod.act(neg[i]).icols for i in p.levi_simple_roots]
-    blocks = {w: mod.members(w) for w in sorted(mod.weight_dims(), key=weight_key)}
-    return _certified(p, _highest_weight_vectors(blocks, raise_cols), lower_cols,
-                      mod.dim)
-
-
-def _certified(p: ParabolicDecomposition, hw_vectors: dict, lower_cols: list,
-               dim: int) -> LDecomposition:
-    """decompose_levi's decomposition of a module of dimension `dim` from
-    its H_w ({w: basis}, weight_key order) and the int columns of its Levi
-    lowering operators: the closures G_w, the certificate and the entries'
-    irrep dimensions."""
-    entries = []
-    union = _WeightEchelon()
-    for w, vecs in hw_vectors.items():
-        gen = _lowering_closure(lower_cols, vecs)
+    g = p.algebra
+    pos, neg = g.simple_vector_indices()
+    roots = p.levi_simple_roots
+    raising = [(wt_int(g.root(pos[i])), mod.act(pos[i]).icols) for i in roots]
+    lowering = [(wt_int(g.root(neg[i])), mod.act(neg[i]).icols) for i in roots]
+    target = casimir_eigenvalue(g, mod.cx.module.highest_weight)
+    im = mod.im or {}
+    entries, union = [], _WeightEchelon()
+    for w in sorted(mod.ker, key=weight_key):
+        if (len(mod.ker[w]) == len(im.get(w, ()))
+                or casimir_eigenvalue(g, w) != target):
+            continue
+        seeds = mod.express(w, _highest_weight_vectors(mod, w, raising))
+        gen, count = _lowering_closure(mod, lowering, w, seeds)
+        if not count:
+            continue
         entries.append(LDecompositionEntry(
             highest_weight=w,
-            hw_vector_count=len(vecs),
+            hw_vector_count=count,
             irrep_dimension=None,
             generated_dimension=len(gen),
         ))
-        for vec in gen:
-            union.add(vec)
-    cr = sum(e.generated_dimension for e in entries) == union.rank == dim
+        for row in gen:
+            union.add(row)
+    cr = sum(e.generated_dimension for e in entries) == union.rank == mod.dim
     for e in entries:
         if cr:
             e.irrep_dimension, rest = divmod(e.generated_dimension,
@@ -519,14 +435,14 @@ def _certified(p: ParabolicDecomposition, hw_vectors: dict, lower_cols: list,
         else:
             e.irrep_dimension = levi_irrep_dimension(p, e.highest_weight)
     return LDecomposition(entries=entries, completely_reducible=cr,
-                          total_dimension=dim)
+                          total_dimension=mod.dim)
 
 
 class _WeightEchelon:
     """Echelon basis of a span of weight-homogeneous sparse int vectors.
 
     Rows are primitive int rows with a positive lead, keyed by their leading
-    (smallest) index.  A module index has one weight, so the row met at the
+    (smallest) index.  An index of C_k has one weight, so the row met at the
     lead of a weight-w vector has weight w too: a reduction only meets rows
     of its own weight, and the vector stays weight-homogeneous.
     """
@@ -567,24 +483,29 @@ def _eliminate(v: dict, row: dict, lead: int) -> dict:
     return _primitive(out)
 
 
-def _lowering_closure(lower_cols: list, seeds: list) -> list:
-    """Echelon basis (sparse int vectors) of the span of the
-    weight-homogeneous `seeds` closed under the lowering operators (int
-    columns of LeviAction, or of the complex's action maps): each image is a
-    positive multiple of the exact one, so the span is the exact closure."""
+def _lowering_closure(mod: LeviModule, lowering: list, weight: Weight,
+                      seeds: list) -> tuple[list, int]:
+    """(echelon basis, rank of the seeds) of the span of the classes
+    `seeds` of weight `weight` closed under the lowering operators
+    (`lowering`: (root, int columns) per operator), level by level.  The
+    images of one weight are expressed together; each is a positive
+    multiple of the exact one, so the span is the exact closure."""
     echelon = _WeightEchelon()
-    basis = []
-    frontier = seeds
+    basis, frontier, count = [], {weight: seeds}, None
     while frontier:
-        nxt = []
-        for vec in frontier:
-            row = echelon.add(vec)
-            if row is None:
-                continue
-            basis.append(row)
-            nxt.extend(img for cols in lower_cols if (img := _apply(cols, row)))
+        nxt: dict = {}
+        for u, vecs in frontier.items():
+            rows = [row for vec in vecs if (row := echelon.add(vec)) is not None]
+            basis.extend(rows)
+            for root, cols in lowering:
+                imgs = [img for row in rows if (img := _apply(cols, row))]
+                if imgs:
+                    v = wt_add(u, root)
+                    nxt.setdefault(v, []).extend(mod.express(v, imgs))
+        if count is None:
+            count = len(basis)
         frontier = nxt
-    return basis
+    return basis, count
 
 
 # ---------------------------------------------------------------------------
@@ -708,25 +629,31 @@ class KostantAnalysis:
         )
 
     def homology_quotient_module(self, k: int) -> LeviModule:
-        """Deterministic complement of im inside ker, with reduced l-action;
-        an acyclic weight has neither and is handed to the module as such."""
+        """H_k as K/I in C_k's own coordinates: K = ker d*_k and I =
+        im d*_{k+1}, the bases block_data(k) holds at its non-acyclic
+        weights; the acyclic ones, where K = I, are handed over as such."""
         weight_blocks = self.cx.space(k).weight_blocks
-        reps, modulo = [], {}
+        ker, im = {}, {}
         for w, d in self.block_data(k).items():
-            if d["acyclic"]:
-                continue
-            im = d["im"]
-            modulo[w] = _ambient_columns(weight_blocks[w], im)
-            chosen = linalg.independent_int_vectors(im + d["ker"])
-            comp = [d["ker"][i - len(im)] for i in chosen if i >= len(im)]
-            reps.extend(_ambient_columns(weight_blocks[w], comp))
-        return LeviModule(self.cx, k, reps, modulo, self.acyclic_weights(k))
+            if not d["acyclic"]:
+                ker[w] = _ambient_columns(weight_blocks[w], d["ker"])
+                im[w] = _ambient_columns(weight_blocks[w], d["im"])
+        return LeviModule(self.cx, k, ker, im, self.acyclic_weights(k))
+
+    def ker_quabla_module(self, k: int) -> LeviModule:
+        """ker quabla_k as K/I with I = 0: the ker quabla bases of
+        block_data(k), in C_k's own coordinates."""
+        weight_blocks = self.cx.space(k).weight_blocks
+        return LeviModule(self.cx, k, {
+            w: _ambient_columns(weight_blocks[w], d["ker_quabla"])
+            for w, d in self.block_data(k).items() if d["ker_quabla"]})
 
     def homology_decomposition(self, k: int) -> LDecomposition:
         """ker_quabla_decomposition(k) where homology_is_ker_quabla(k): every
         field of an LDecomposition (H_w, G_w, their sum, the entries'
-        weight_key order) is an isomorphism invariant of the l-module.
-        Elsewhere decompose_levi of homology_quotient_module(k)."""
+        weight_key order) is an isomorphism invariant of the l-module, so
+        the quotient is not built.  Elsewhere decompose_levi of
+        homology_quotient_module(k)."""
         if k not in self._decomp:
             self._decomp[k] = (
                 self.ker_quabla_decomposition(k) if self.homology_is_ker_quabla(k)
@@ -752,30 +679,10 @@ class KostantAnalysis:
                 == self.block_dims(k, "ker_quabla"))
 
     def ker_quabla_decomposition(self, k: int) -> LDecomposition:
-        """decompose_levi of ker quabla_k as a submodule of C_k, in C_k's own
-        coordinates: no LeviModule, solver or `express`.
-
-        ker quabla_k is l-stable (quabla commutes with l), so its H_w and G_w
-        lie in C_k, and G_w is the lowering closure on cx.action_map's
-        columns.  The vectors that n+_l kills are exactly the highest-weight
-        vectors, and by Kostant's formula (ChainComplex.quabla) quabla acts
-        on one of weight w by 1/2 (C2(w) - C2(lambda)).  So H_w = 0 unless
-        C2(w) = C2(lambda), and there H_w is the joint kernel of the raising
-        maps on the whole block C_{k,w}, all of it in ker quabla.  Only such
-        weights with a nonzero ker quabla block are searched."""
+        """decompose_levi of ker_quabla_module(k), cached per degree."""
         if k not in self._kerq_decomp:
-            g, cx = self.parabolic.algebra, self.cx
-            target = casimir_eigenvalue(g, self.module.highest_weight)
-            weight_blocks = cx.space(k).weight_blocks
-            blocks = {w: weight_blocks[w] for w, d in self.block_data(k).items()
-                      if d["ker_quabla"] and casimir_eigenvalue(g, w) == target}
-            pos, neg = g.simple_vector_indices()
-            roots = self.parabolic.levi_simple_roots
-            hw = _highest_weight_vectors(
-                blocks, [cx.action_map(k, pos[i]).icols for i in roots])
-            self._kerq_decomp[k] = _certified(
-                self.parabolic, hw, [cx.action_map(k, neg[i]).icols for i in roots],
-                sum(self.block_dims(k, "ker_quabla").values()))
+            self._kerq_decomp[k] = decompose_levi(self.parabolic,
+                                                  self.ker_quabla_module(k))
         return self._kerq_decomp[k]
 
     # -- predicates ---------------------------------------------------------------

@@ -13,13 +13,8 @@ rows themselves and forms no Fraction at all.
 
 from __future__ import annotations
 
-from bisect import insort
 from fractions import Fraction
 from math import gcd, lcm
-
-F0 = Fraction(0)
-F1 = Fraction(1)
-
 
 # ---------------------------------------------------------------------------
 # sparse vectors
@@ -49,17 +44,6 @@ def vec_scale(vec: dict, scale) -> dict:
 # ---------------------------------------------------------------------------
 # dense matrices
 # ---------------------------------------------------------------------------
-
-def zeros(nrows: int, ncols: int) -> list:
-    return [[F0] * ncols for _ in range(nrows)]
-
-
-def identity(n: int) -> list:
-    m = zeros(n, n)
-    for i in range(n):
-        m[i][i] = F1
-    return m
-
 
 def mat_mul(a: list, b: list) -> list:
     n, k = len(a), len(b)
@@ -240,24 +224,6 @@ def independent_columns(cols: list) -> list:
     if not cols:
         return []
     return _echelon(transpose(cols), reduce=False)[1]
-
-
-def independent_int_vectors(vecs: list) -> list:
-    """Indices of the first-come maximal independent subset of int vectors
-    (those of `independent_columns`), row by row: each vector is reduced by
-    the kept echelon rows in pivot order, every step exact on ints, and is
-    kept when something nonzero is left; it is then an echelon row itself.
-    Nothing is transposed and no denominator is looked at."""
-    echelon, keep = [], []      # echelon: (pivot, int row), by pivot
-    for idx, v in enumerate(vecs):
-        for c, prow in echelon:
-            if v[c]:
-                v = _combine(v, prow, prow[c], v[c])
-        lead = next((c for c, x in enumerate(v) if x), None)
-        if lead is not None:
-            insort(echelon, (lead, v))
-            keep.append(idx)
-    return keep
 
 
 def spans_meet(cols_a: list, cols_b: list) -> bool:

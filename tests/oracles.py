@@ -7,12 +7,19 @@ calculus in the enveloping algebra, and ranks are taken by a local Gaussian
 elimination.  Only the algebra's bracket table and action matrices are
 shared, since those are the common input data.  The algebra oracle builds
 its basis and Gram matrix itself and shares only `bracket`, for the
-root-vector check.
+root-vector check.  The coordinate Levi module takes the complex's action
+maps and block bases as its input and solves for coordinates of its own,
+apart from superbgg's decomposition in C_k's coordinates.
 """
 
+import functools
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
-from math import lcm
+from math import gcd, lcm
+
+from superbgg import linalg
+from superbgg.algebra import weight_key, wt_add, wt_int
+from superbgg.errors import LeviNotClosed, PreconditionViolated
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -569,45 +576,228 @@ def oracle_levi_decomposition(weights, raise_mats, lower_mats, irrep_dimension):
     return certified, entries
 
 
+# ---------------------------------------------------------------------------
+# coordinate Levi modules: an l-module in a basis of its own
+# ---------------------------------------------------------------------------
+
+def _primitive_column(col):
+    """The positive multiple of a sparse rational column whose entries are
+    coprime ints."""
+    den = lcm(1, *(Fraction(v).denominator for v in col.values()))
+    ints = {r: int(v * den) for r, v in col.items() if v}
+    cont = gcd(*ints.values())
+    return {r: v // cont for r, v in ints.items()} if cont > 1 else ints
+
+
+class CoordinateAction:
+    """A Levi basis element on a CoordinateLeviModule, in its coordinates:
+    column t is icols[t] / dens[t], and dens[t] is the same for every
+    representative of one weight.  `cols` is the exact view."""
+
+    def __init__(self, icols, dens):
+        self.icols = icols          # icols[t] = {member: nonzero int}
+        self.dens = dens            # dens[t] = positive int
+
+    @functools.cached_property
+    def cols(self):
+        """cols[t] = {member: Fraction}."""
+        return [{u: Fraction(c, d) for u, c in col.items()}
+                for col, d in zip(self.icols, self.dens)]
+
+
+class CoordinateLeviModule:
+    """An l-module presented by block-aligned vectors of a chain degree, in
+    coordinates of its own: an l-stable subspace (ker quabla, the
+    generalized zero space, the whole chain space) or a subquotient (a
+    homology group, `homology_quotient`).  It is the independent
+    counterpart of superbgg's LeviModule, which works in C_k's coordinates.
+
+    `reps` are sparse ambient columns, each supported in a single weight
+    block.  `modulo` (optional, per weight) is a list of ambient columns to
+    quotient by; the action is reduced modulo that span.  Both are stored
+    as primitive int columns, each a positive multiple of the column given.
+    Coordinates are solved weight by weight: the stacked block [modulo |
+    reps] of each weight is eliminated once next to an identity, and the
+    left transform turns `express` into a sparse product.
+
+    `acyclic` (optional, a homology quotient's) names the weights where
+    ker d*_k = im d*_{k+1}: the quotient is zero there and `modulo` holds
+    nothing, and `express` tests a column by d*_k instead of a solver.
+    """
+
+    def __init__(self, cx, k, reps, modulo=None, acyclic=frozenset()):
+        self.cx = cx
+        self.k = k
+        self.space = cx.space(k)
+        self.reps = [_primitive_column(col) for col in reps]
+        self.modulo = {w: [_primitive_column(col) for col in cols]
+                       for w, cols in (modulo or {}).items()}
+        self.acyclic = acyclic
+        self.weights = []
+        self._members = {}
+        for t, col in enumerate(self.reps):
+            ws = {self.space.weights[i] for i in col}
+            if len(ws) != 1:
+                raise PreconditionViolated(
+                    f"representative {t} is not supported in a single weight block")
+            w = ws.pop()
+            self.weights.append(w)
+            self._members.setdefault(w, []).append(t)
+        self._solvers = {}
+
+    @property
+    def dim(self):
+        return len(self.reps)
+
+    def members(self, weight):
+        return self._members.get(weight, [])
+
+    def weight_dims(self):
+        """{weight: number of representatives of that weight}."""
+        return {w: len(ts) for w, ts in self._members.items()}
+
+    def _solver(self, weight):
+        """Int left transform D of the stacked block A = [modulo | reps] of
+        `weight`.  Row r of int_rref([A | I]) is p_r times row r of the
+        RREF; with den = lcm of the pivots p_r of the first `rank` rows, D
+        takes row r < rank times den / p_r, and rows from `rank` on are the
+        consistency conditions.  Returns (pos, ecols, rank, coords, den):
+        `pos` maps ambient indices to block rows, `ecols[j]` is column j of
+        D as a sparse dict, and `coords[r]` is the member solved by row r
+        (None for a `modulo` column)."""
+        hit = self._solvers.get(weight)
+        if hit is not None:
+            return hit
+        idxs = self.space.weight_blocks.get(weight, [])
+        pos = {g: i for i, g in enumerate(idxs)}
+        members = self.members(weight)
+        cols = self.modulo.get(weight, []) + [self.reps[t] for t in members]
+        n, c = len(idxs), len(cols)
+        aug = [[0] * (c + n) for _ in range(n)]
+        for j, col in enumerate(cols):
+            for gidx, v in col.items():
+                aug[pos[gidx]][j] = v
+        for i in range(n):
+            aug[i][c + i] = 1
+        rows, pivots = linalg.int_rref(aug, integral=True)
+        rank = sum(1 for pc in pivots if pc < c)
+        den = lcm(1, *(rows[r][pivots[r]] for r in range(rank)))
+        ecols = [{} for _ in range(n)]
+        for r, row in enumerate(rows):
+            f = den // row[pivots[r]] if r < rank else 1
+            for j in range(n):
+                x = row[c + j]
+                if x:
+                    ecols[j][r] = f * x
+        n_mod = c - len(members)
+        coords = [members[pc - n_mod] if pc >= n_mod else None
+                  for pc in pivots[:rank]]
+        self._solvers[weight] = (pos, ecols, rank, coords, den)
+        return self._solvers[weight]
+
+    def express(self, weight, ambient_cols):
+        """(coords, den): coords[j] / den are the exact coordinates of
+        ambient_cols[j] over this module's basis, reducing mod `modulo`.
+        LeviNotClosed when a column is outside span(modulo + reps); at an
+        acyclic weight that span is ker d*_k, tested by d*_k."""
+        if weight in self.acyclic:
+            lower, weights = self.cx.lower(self.k).icols, self.space.weights
+            for col in ambient_cols:
+                y = {}
+                for gidx, v in col.items():
+                    if weights[gidx] != weight:
+                        raise LeviNotClosed("image leaves the expected weight block")
+                    linalg.vec_iadd(y, lower[gidx], v)
+                if y:
+                    raise LeviNotClosed("subspace is not stable under the Levi action")
+            return [{} for _ in ambient_cols], 1
+        pos, ecols, rank, coords, den = self._solver(weight)
+        out = []
+        for col in ambient_cols:
+            y = {}
+            for gidx, v in col.items():
+                j = pos.get(gidx)
+                if j is None:
+                    raise LeviNotClosed("image leaves the expected weight block")
+                linalg.vec_iadd(y, ecols[j], v)
+            if any(r >= rank for r in y):
+                raise LeviNotClosed("subspace is not stable under the Levi action")
+            out.append({coords[r]: v for r, v in y.items() if coords[r] is not None})
+        return out, den
+
+    def act(self, levi_index):
+        """The Levi basis element in this module's coordinates: the complex's
+        int action map applied to each representative, then expressed, one
+        `express` call per source weight.  Column t has denominator
+        den_target * map.den."""
+        amap = self.cx.action_map(self.k, levi_index)
+        root = wt_int(self.cx.algebra.root(levi_index))
+        cols, dens = [{} for _ in self.reps], [amap.den] * self.dim
+        for w, members in self._members.items():
+            imgs = []
+            for t in members:
+                img = {}
+                for j, c in self.reps[t].items():
+                    linalg.vec_iadd(img, amap.icols[j], c)
+                imgs.append(img)
+            if not any(imgs):
+                continue
+            coords, den = self.express(wt_add(w, root), imgs)
+            for t, col in zip(members, coords):
+                cols[t] = col
+                dens[t] *= den
+        return CoordinateAction(cols, dens)
+
+
 def _subspace_module(an, k, key):
     """The l-stable subspace of C_k spanned by the block bases `key` of
-    an.block_data(k), in weight_key order, as a superbgg LeviModule."""
-    from superbgg.homology import LeviModule
+    an.block_data(k), in weight_key order, as a CoordinateLeviModule."""
     weight_blocks = an.cx.space(k).weight_blocks
     reps = []
     for w, d in an.block_data(k).items():
         idxs = weight_blocks[w]
         reps.extend({idxs[i]: v for i, v in enumerate(col) if v} for col in d[key])
-    return LeviModule(an.cx, k, reps)
+    return CoordinateLeviModule(an.cx, k, reps)
 
 
 def ker_quabla(an, k):
-    """ker quabla_k of a KostantAnalysis as a LeviModule (l-stable because
-    quabla commutes with l), built on each call."""
+    """ker quabla_k of a KostantAnalysis as a CoordinateLeviModule (l-stable
+    because quabla commutes with l), built on each call."""
     return _subspace_module(an, k, "ker_quabla")
 
 
 def generalized_zero(an, k):
-    """The generalized zero eigenspace of quabla_k as a LeviModule."""
+    """The generalized zero eigenspace of quabla_k as a CoordinateLeviModule."""
     return _subspace_module(an, k, "gen_zero")
 
 
-# ---------------------------------------------------------------------------
-# dense chain-map oracle
-# ---------------------------------------------------------------------------
+def homology_quotient(an, k):
+    """H_k = ker d*_k / im d*_{k+1} as a CoordinateLeviModule: at each
+    non-acyclic weight of block_data(k), the first-come complement of the
+    image inside the kernel, with the image as `modulo`."""
+    weight_blocks = an.cx.space(k).weight_blocks
+    reps, modulo = [], {}
+    for w, d in an.block_data(k).items():
+        if d["acyclic"]:
+            continue
+        idxs, im = weight_blocks[w], d["im"]
+        modulo[w] = [{idxs[i]: v for i, v in enumerate(col) if v} for col in im]
+        chosen = linalg.independent_columns(im + d["ker"])
+        reps.extend({idxs[i]: v for i, v in enumerate(d["ker"][c - len(im)]) if v}
+                    for c in chosen if c >= len(im))
+    return CoordinateLeviModule(an.cx, k, reps, modulo, an.acyclic_weights(k))
+
 
 def full_levi_module(cx, k):
-    """The whole chain space C_k as a superbgg LeviModule on unit vectors."""
-    from superbgg.homology import LeviModule
-    return LeviModule(cx, k, [{i: 1} for i in range(cx.space(k).dim)])
+    """The whole chain space C_k as a CoordinateLeviModule on unit vectors."""
+    return CoordinateLeviModule(cx, k, [{i: 1} for i in range(cx.space(k).dim)])
 
 
-def decompose_levi_hw_only(p, mod):
-    """{highest weight: number of highest-weight vectors} of a LeviModule,
-    in weight_key order: the dense kernel of the stacked raising operators
-    (the exact view of LeviModule.act) at each weight, with no lowering
-    closure and no irrep build."""
-    from superbgg.algebra import weight_key
+def _coordinate_highest_weight_vectors(p, mod):
+    """{highest weight: [highest-weight vectors as {member: Fraction}]} of a
+    CoordinateLeviModule, in weight_key order: the dense kernel of the
+    stacked raising operators (the exact view of its `act`) at each
+    weight."""
     pos, _ = p.algebra.simple_vector_indices()
     raising = [mod.act(pos[i]).cols for i in p.levi_simple_roots]
     out = {}
@@ -617,15 +807,81 @@ def decompose_levi_hw_only(p, mod):
                 for cols in raising for t in range(mod.dim)]
         kernel = oracle_kernel([row for row in rows if any(row)], len(members))
         if kernel:
-            out[w] = len(kernel)
+            out[w] = [{members[i]: x for i, x in enumerate(vec) if x} for vec in kernel]
     return out
+
+
+def decompose_levi_hw_only(p, mod):
+    """{highest weight: number of highest-weight vectors} of a
+    CoordinateLeviModule, in weight_key order, with no lowering closure and
+    no irrep build."""
+    return {w: len(vecs) for w, vecs in _coordinate_highest_weight_vectors(p, mod).items()}
+
+
+def _echelon_insert(rows, vec):
+    """Reduce the {index: Fraction} vector `vec` by the echelon `rows`
+    ({lead: row with row[lead] == 1}); keep what is left as a new row and
+    say whether anything was left."""
+    v = dict(vec)
+    while v:
+        lead = min(v)
+        row, c = rows.get(lead), v[lead]
+        if row is None:
+            rows[lead] = {t: x / c for t, x in v.items()}
+            return True
+        for t, x in row.items():
+            y = v.get(t, F0) - c * x
+            if y:
+                v[t] = y
+            else:
+                v.pop(t, None)
+    return False
+
+
+def coordinate_decomposition(p, mod):
+    """decompose_levi's LDecomposition of a CoordinateLeviModule, in its own
+    coordinates and exact Fractions: H_w from the dense raising kernels,
+    G_w by closing H_w under the exact lowering columns in a normalized
+    echelon, the certificate sum dim G_w == dim(sum G_w) == dim M, and the
+    irrep dimensions, generated // count where it holds and the abstract
+    Levi irrep's elsewhere."""
+    from superbgg.homology import LDecomposition, LDecompositionEntry, levi_irrep_dimension
+    _, neg = p.algebra.simple_vector_indices()
+    lowering = [mod.act(neg[i]).cols for i in p.levi_simple_roots]
+    found, union = [], {}
+    for w, vecs in _coordinate_highest_weight_vectors(p, mod).items():
+        rows, frontier = {}, vecs
+        while frontier:
+            nxt = []
+            for v in frontier:
+                if not _echelon_insert(rows, v):
+                    continue
+                for cols in lowering:
+                    img = {}
+                    for t, x in v.items():
+                        for u, y in cols[t].items():
+                            img[u] = img.get(u, F0) + x * y
+                    img = {u: y for u, y in img.items() if y}
+                    if img:
+                        nxt.append(img)
+            frontier = nxt
+        for row in rows.values():
+            _echelon_insert(union, row)
+        found.append((w, len(vecs), len(rows)))
+    cr = sum(gen for _, _, gen in found) == len(union) == mod.dim
+    entries = [LDecompositionEntry(
+        highest_weight=w, hw_vector_count=count,
+        irrep_dimension=gen // count if cr else levi_irrep_dimension(p, w),
+        generated_dimension=gen) for w, count, gen in found]
+    return LDecomposition(entries=entries, completely_reducible=cr,
+                          total_dimension=mod.dim)
 
 
 def casimir_match(an, k):
     """Levi highest weights mu of the whole chain space C_k with
     C2(mu) = C2(lambda), in weight_key order: by Kostant's formula, the
     weights where ker quabla_k has highest-weight vectors.  They are found
-    through LeviModule's solvers, not the complex's action maps."""
+    through CoordinateLeviModule's solvers, not superbgg's decomposition."""
     from superbgg.algebra import casimir_eigenvalue
     g = an.parabolic.algebra
     target = casimir_eigenvalue(g, an.module.highest_weight)
@@ -666,6 +922,21 @@ def euler_check(an, mu):
         lhs += sign * len(an.cx.space(k).weight_blocks.get(mu, []))
         rhs += sign * an.homology(k).weight_multiplicities.get(mu, 0)
     return lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# dense chain-map oracle
+# ---------------------------------------------------------------------------
+
+def zeros(nrows, ncols):
+    return [[F0] * ncols for _ in range(nrows)]
+
+
+def identity(n):
+    m = zeros(n, n)
+    for i in range(n):
+        m[i][i] = F1
+    return m
 
 
 def oracle_map_product(a, b, ncols):

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    identity,
     is_block_diagonal,
     map_from_columns,
     oracle_action,
@@ -317,7 +318,7 @@ def test_quabla_rescaling():
 def test_pairing_degree_zero(gl21_setup):
     g, p, v, vd = gl21_setup
     mat = ChainPairing(ChainComplex(p, vd, "nbar"), ChainComplex(p, v, "n")).matrix(0)
-    assert mat == linalg.identity(v.dim)
+    assert mat == identity(v.dim)
 
 
 def test_pairing_nondegenerate_blocks(gl21_setup):

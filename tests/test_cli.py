@@ -314,26 +314,27 @@ def test_corrupted_top_boundary_ends_fast_on_a_super_levi():
      "0", "--weight", "1,0|0,0,0", "--kmax", "3"],
 ])
 def test_gate_holding_degrees_build_no_levi_solver(capsys, monkeypatch, argv):
-    """Where H_k = ker quabla_k, H_k is decomposed as ker quabla_k in C_k's
-    own coordinates: the natural benchmark query and osp(4|6) drop 0 at
-    k <= 3 eliminate no LeviModule block at any such degree."""
-    from superbgg.homology import KostantAnalysis, LeviModule
-    solved, gates = [], {}
-    solver, gate = LeviModule._solver, KostantAnalysis.homology_is_ker_quabla
+    """Where H_k = ker quabla_k, H_k is decomposed as ker quabla_k: the
+    natural benchmark query and osp(4|6) drop 0 at k <= 3 build no
+    homology quotient at any such degree."""
+    from superbgg.homology import KostantAnalysis
+    built, gates = [], {}
+    quotient, gate = (KostantAnalysis.homology_quotient_module,
+                      KostantAnalysis.homology_is_ker_quabla)
 
-    def spy_solver(self, weight):
-        solved.append(self.k)
-        return solver(self, weight)
+    def spy_quotient(self, k):
+        built.append(k)
+        return quotient(self, k)
 
     def spy_gate(self, k):
         gates[k] = gate(self, k)
         return gates[k]
-    monkeypatch.setattr(LeviModule, "_solver", spy_solver)
+    monkeypatch.setattr(KostantAnalysis, "homology_quotient_module", spy_quotient)
     monkeypatch.setattr(KostantAnalysis, "homology_is_ker_quabla", spy_gate)
     code, _ = run_cli(capsys, *argv)
     assert code == 0
     held = {k for k, holds in gates.items() if holds}
-    assert held == set(range(4)) and not held & set(solved)
+    assert held == set(range(4)) and not held & set(built)
 
 
 def test_bgg_check_computes_predicates_once_per_degree(capsys, monkeypatch):

@@ -13,11 +13,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    CoordinateLeviModule,
     casimir_match,
+    coordinate_decomposition,
     decompose_levi_hw_only,
     euler_check,
     full_levi_module,
     generalized_zero,
+    homology_quotient,
     ker_quabla,
     oracle_action,
     oracle_boundary_squares_to_zero,
@@ -28,6 +31,7 @@ from oracles import (
     oracle_levi_generated_dims,
     oracle_map_product,
     rank_dense,
+    zeros,
 )
 from superbgg import linalg
 from superbgg.algebra import (
@@ -37,6 +41,7 @@ from superbgg.algebra import (
     weight_key,
     wt,
     wt_add,
+    wt_int,
 )
 from superbgg.chains import ChainComplex, ChainMap
 from superbgg.errors import (
@@ -51,6 +56,7 @@ from superbgg.homology import (
     _highest_weight_vectors,
     _lowering_closure,
     _primitive,
+    _project,
     _quabla_kernels,
     _WeightEchelon,
     decompose_levi,
@@ -181,23 +187,36 @@ def test_rank_nullity_per_block(gl21_an):
 
 
 def test_decompose_full_chain_space(gl21_borel, gl21_natural):
+    """The coordinate oracle decomposes a whole chain space, on which
+    quabla need not vanish (decompose_levi takes only K/I with quabla = 0)."""
     an = KostantAnalysis(gl21_borel, gl21_natural, k_max=2)
     # C_0 = V itself: the decomposition must account for every dimension
-    dec0 = decompose_levi(gl21_borel, full_levi_module(an.cx, 0))
+    dec0 = coordinate_decomposition(gl21_borel, full_levi_module(an.cx, 0))
     assert dec0.total_dimension == gl21_natural.dim
-    dec = decompose_levi(gl21_borel, full_levi_module(an.cx, 1))
+    dec = coordinate_decomposition(gl21_borel, full_levi_module(an.cx, 1))
     assert dec.total_dimension == an.cx.space(1).dim
     assert dec.completely_reducible          # l = h: always completely reducible
 
 
-def test_decompose_levi_not_closed(osp46, osp46_sec7, osp46_natural):
-    an46 = KostantAnalysis(osp46_sec7, osp46_natural, k_max=1)
-    # a vector inside the 8-dimensional Levi constituent of the natural
-    # module is not l-stable on its own
-    idx = osp46_natural.weights.index(wt(0, 1, 0, 0, 0))
-    lm = LeviModule(an46.cx, 0, [{idx: F1}])
-    with pytest.raises(LeviNotClosed):
-        decompose_levi(osp46_sec7, lm)
+def _corrupted_quotient(k=2):
+    """gl(2|1) with Levi {1} on L(0,0|-1): H_k as a LeviModule whose K at
+    its highest weight also holds a unit vector that d*_k does not kill."""
+    p = _parabolic("gl", 2, 1, (1,))
+    an = KostantAnalysis(p, build_irrep(p.algebra, wt(0, 0, -1)), k_max=k)
+    mod = an.homology_quotient_module(k)
+    w = an.homology_decomposition(k).entries[0].highest_weight
+    lower = an.cx.lower(k).icols
+    i = next(i for i in an.cx.space(k).weight_blocks[w] if lower[i])
+    return p, LeviModule(an.cx, k, {**mod.ker, w: mod.ker[w] + [{i: 1}]}, mod.im,
+                         mod.acyclic)
+
+
+def test_decompose_levi_not_closed():
+    """On a homology quotient every class is certified to lie in ker d*_k:
+    a K that holds a non-cycle is refused with LeviNotClosed."""
+    p, bad = _corrupted_quotient()
+    with pytest.raises(LeviNotClosed, match="not stable"):
+        decompose_levi(p, bad)
 
 
 def test_osp46_ker_quabla_decompositions(osp46, osp46_sec7, osp46_natural):
@@ -351,33 +370,39 @@ def test_analysis_does_not_outlive_its_callers(gl21):
 
 
 def test_decompose_levi_accepts_subspace(gl21_borel, gl21_natural):
+    """ker quabla_k is decomposed as a subspace of C_k (I = 0), of the
+    dimension of the oracle's module."""
     an = KostantAnalysis(gl21_borel, gl21_natural, k_max=2)
-    sub = ker_quabla(an, 1)
+    sub = an.ker_quabla_module(1)
+    assert sub.im is None
     dec = decompose_levi(gl21_borel, sub)
-    assert dec.total_dimension == sub.dim
+    assert dec.total_dimension == sub.dim == ker_quabla(an, 1).dim
 
 
 @pytest.mark.parametrize("case", ["gl21_borel", "osp46_sec7"])
 def test_ker_quabla_is_a_levi_module_of_the_block_kernels(case, request):
-    """ker quabla_k and the generalized zero space are LeviModules; ker
-    quabla_k has the weight counts of the block kernels, and the analysis's
-    own quabla kills every representative."""
+    """ker_quabla_module(k) is a LeviModule on the block kernels: it has
+    their weight counts, those of the oracle's module, and the analysis's
+    own quabla kills every basis vector.  The oracle's generalized zero
+    space is a coordinate module too."""
     p = request.getfixturevalue(case)
     module = request.getfixturevalue(case.split("_")[0] + "_natural")
     an = KostantAnalysis(p, module, k_max=2)
     for k in (0, 1):
-        kq = ker_quabla(an, k)
+        kq = an.ker_quabla_module(k)
         assert isinstance(kq, LeviModule)
-        assert isinstance(generalized_zero(an, k), LeviModule)
-        assert kq.weight_dims() == {w: len(d["ker_quabla"])
-                                    for w, d in an.block_data(k).items()
-                                    if d["ker_quabla"]}
+        assert isinstance(generalized_zero(an, k), CoordinateLeviModule)
+        dims = {w: len(cols) for w, cols in kq.ker.items()}
+        assert dims == ker_quabla(an, k).weight_dims() == {
+            w: len(d["ker_quabla"]) for w, d in an.block_data(k).items()
+            if d["ker_quabla"]}
         icols = an.quabla_map(k).icols
-        for rep in kq.reps:
-            img: dict = {}
-            for gidx, v in rep.items():
-                linalg.vec_iadd(img, icols[gidx], v)
-            assert img == {}
+        for cols in kq.ker.values():
+            for col in cols:
+                img: dict = {}
+                for gidx, v in col.items():
+                    linalg.vec_iadd(img, icols[gidx], v)
+                assert img == {}
 
 
 def test_decompose_levi_non_split_extension(gl21):
@@ -387,7 +412,7 @@ def test_decompose_levi_non_split_extension(gl21):
     up, so only the per-entry check refuses the certificate."""
     p = build_parabolic(gl21, [1])
     cx = ChainComplex(p, build_kac_module(gl21, wt(0, 0, 0)), "nbar")
-    dec = decompose_levi(p, full_levi_module(cx, 0))
+    dec = coordinate_decomposition(p, full_levi_module(cx, 0))
     entry = next(e for e in dec.entries if e.highest_weight == wt(0, 0, 0))
     assert (entry.hw_vector_count, entry.irrep_dimension,
             entry.generated_dimension) == (1, 1, 2)
@@ -397,11 +422,10 @@ def test_decompose_levi_non_split_extension(gl21):
 
 
 def test_levi_module_rejects_mixed_weights_under_O():
-    """The single-weight precondition is a typed error, so `python -O`
-    keeps it."""
+    """The precondition that a basis vector of weight w lies in the weight
+    block of w is a typed error, so `python -O` keeps it."""
     src = Path(__file__).resolve().parent.parent / "src"
     code = (
-        "from fractions import Fraction\n"
         "from superbgg.algebra import build_algebra, build_parabolic, wt\n"
         "from superbgg.chains import ChainComplex\n"
         "from superbgg.errors import PreconditionViolated\n"
@@ -409,8 +433,11 @@ def test_levi_module_rejects_mixed_weights_under_O():
         "from superbgg.modules import build_irrep\n"
         "g = build_algebra('gl', 2, 1)\n"
         "cx = ChainComplex(build_parabolic(g, []), build_irrep(g, wt(1, 0, 0)), 'nbar')\n"
+        "w = cx.space(0).weights[0]\n"
+        "if cx.space(0).weights[1] == w:\n"
+        "    raise SystemExit('indices 0 and 1 share a weight')\n"
         "try:\n"
-        "    LeviModule(cx, 0, [{0: Fraction(1), 1: Fraction(1)}])\n"
+        "    LeviModule(cx, 0, {w: [{0: 1, 1: 1}]})\n"
         "except PreconditionViolated:\n"
         "    print('rejected')\n"
     )
@@ -422,7 +449,7 @@ def test_levi_module_rejects_mixed_weights_under_O():
 
 
 def _dense(cols, dim):
-    mat = linalg.zeros(dim, dim)
+    mat = zeros(dim, dim)
     for t, col in enumerate(cols):
         for r, v in col.items():
             mat[r][t] = v
@@ -431,14 +458,15 @@ def _dense(cols, dim):
 
 @pytest.mark.parametrize("case", ["gl21_borel", "osp46_sec7"])
 def test_generated_dimension_matches_dense_oracle(case, request):
+    """H_w and G_w dimensions of H_k and ker quabla_k (decompose_levi) and
+    of the whole chain space (the coordinate oracle) equal those of the
+    dense oracle on the coordinate modules."""
     p = request.getfixturevalue(case)
     module = request.getfixturevalue(case.split("_")[0] + "_natural")
     an = KostantAnalysis(p, module, k_max=2)
     pos, neg = p.algebra.simple_vector_indices()
     for k in (0, 1):
-        for mod in (full_levi_module(an.cx, k), an.homology_quotient_module(k),
-                    ker_quabla(an, k)):
-            dec = decompose_levi(p, mod)
+        for mod, dec in _decompositions(p, an, k):
             want = oracle_levi_generated_dims(
                 mod.weights,
                 [_dense(mod.act(pos[i]).cols, mod.dim) for i in p.levi_simple_roots],
@@ -489,8 +517,10 @@ def _stacked_solve_action(mod, i):
 
 
 def test_levi_act_matches_stacked_solve(osp46_sec7, osp46_natural):
+    """The coordinate oracle's homology quotient acts as the stacked solve
+    says."""
     an = KostantAnalysis(osp46_sec7, osp46_natural, k_max=2)
-    mod = an.homology_quotient_module(1)
+    mod = homology_quotient(an, 1)
     assert any(mod.modulo.values())
     for i in osp46_sec7.levi_indices:
         assert mod.act(i).cols == _stacked_solve_action(mod, i)
@@ -525,22 +555,22 @@ def _sheared(mod):
             col = dict(mod.reps[t])
             linalg.vec_iadd(col, mod.reps[members[(j + 1) % len(members)]], 2)
             reps[t] = col
-    return LeviModule(mod.cx, mod.k, reps, mod.modulo, mod.acyclic)
+    return CoordinateLeviModule(mod.cx, mod.k, reps, mod.modulo, mod.acyclic)
 
 
 def _int_layer_modules(an):
-    """The full space, the homology quotient and ker quabla at k <= 1, each
-    also in a sheared basis."""
+    """The coordinate oracle's full space, homology quotient and ker quabla
+    at k <= 1, each also in a sheared basis."""
     for k in (0, 1):
-        for mod in _levi_modules(an, k):
+        for mod in _coordinate_modules(an, k):
             yield mod
             yield _sheared(mod)
 
 
 def test_levi_act_exact_view_matches_stacked_solve(levi_case):
-    """The exact view of act(i) is the stacked-solve action on every module,
-    with and without `modulo`, and the int solvers meet denominators
-    above 1."""
+    """The coordinate oracle's act(i) is, in its exact view, the
+    stacked-solve action on every module, with and without `modulo`, and
+    its int solvers meet denominators above 1."""
     p, an = levi_case
     dens = set()
     for mod in _int_layer_modules(an):
@@ -551,8 +581,9 @@ def test_levi_act_exact_view_matches_stacked_solve(levi_case):
 
 
 def test_levi_int_coordinates_are_one_multiple_per_weight(levi_case):
-    """On each source weight block, the int columns of act(i) are one
-    positive multiple of the exact (stacked-solve) columns."""
+    """On each source weight block, the int columns of the coordinate
+    oracle's act(i) are one positive multiple of the exact (stacked-solve)
+    columns."""
     p, an = levi_case
     for mod in _int_layer_modules(an):
         for i in p.levi_indices:
@@ -567,31 +598,35 @@ def test_levi_int_coordinates_are_one_multiple_per_weight(levi_case):
 
 
 def test_levi_layer_holds_only_ints(levi_case):
-    """Representatives, solver transforms, act columns, highest-weight
-    vectors and echelon rows are ints; only the exact view holds Fractions."""
+    """The K and I bases of H_k and ker quabla_k, the classes `express`
+    returns and I's RREF rows, the highest-weight vectors and the echelon
+    rows of the closures are ints, and the echelon's rank is its row
+    count."""
     p, an = levi_case
-    pos, neg = p.algebra.simple_vector_indices()
+    g = p.algebra
+    pos, neg = g.simple_vector_indices()
 
     def ints(vecs):
         return all(type(x) is int for v in vecs for x in v.values())
 
-    for mod in _int_layer_modules(an):
-        raise_cols = [mod.act(pos[i]) for i in p.levi_simple_roots]
-        lower_cols = [mod.act(neg[i]).icols for i in p.levi_simple_roots]
-        assert ints(mod.reps) and ints(c for cs in mod.modulo.values() for c in cs)
-        for a in raise_cols:
-            assert ints(a.icols) and all(type(d) is int and d > 0 for d in a.dens)
-        echelon = _WeightEchelon()
-        blocks = {w: mod.members(w) for w in mod.weight_dims()}
-        for vecs in _highest_weight_vectors(
-                blocks, [a.icols for a in raise_cols]).values():
-            assert ints(vecs)
-            for row in _lowering_closure(lower_cols, vecs):
-                echelon.add(row)
-        for solver in mod._solvers.values():
-            assert ints(solver[1]) and type(solver[4]) is int
-        assert ints(echelon.rows.values())
-        assert len(echelon.rows) == echelon.rank
+    for k in (0, 1):
+        for mod in (an.homology_quotient_module(k), an.ker_quabla_module(k)):
+            raising = [(wt_int(g.root(pos[i])), mod.act(pos[i]).icols)
+                       for i in p.levi_simple_roots]
+            lowering = [(wt_int(g.root(neg[i])), mod.act(neg[i]).icols)
+                        for i in p.levi_simple_roots]
+            assert ints(c for cols in mod.ker.values() for c in cols)
+            assert ints(c for cols in (mod.im or {}).values() for c in cols)
+            echelon = _WeightEchelon()
+            for w in mod.ker:
+                vecs = mod.express(w, _highest_weight_vectors(mod, w, raising))
+                assert ints(vecs)
+                for row in _lowering_closure(mod, lowering, w, vecs)[0]:
+                    echelon.add(row)
+            for rows, den in mod._im_rows.values():
+                assert ints(rows.values()) and type(den) is int and den > 0
+            assert ints(echelon.rows.values())
+            assert len(echelon.rows) == echelon.rank
 
 
 @st.composite
@@ -627,32 +662,39 @@ def test_weight_echelon_rank_matches_linalg_rank(case):
 
 
 def test_primitive_divides_out_content_and_fixes_the_sign():
-    """_primitive clears denominators and content; it keeps the sign unless
-    `positive_lead` asks for a positive entry at the smallest index."""
-    col = {3: Fraction(-4, 3), 5: Fraction(2), 1: Fraction(2, 9)}
-    assert _primitive(col) == {1: 1, 3: -6, 5: 9}
+    """_primitive divides a sparse int column by its content; it keeps the
+    sign unless `positive_lead` asks for a positive entry at the smallest
+    index."""
+    assert _primitive({3: -12, 5: 18, 1: 2}) == {1: 1, 3: -6, 5: 9}
     assert _primitive({2: -6, 4: 4}) == {2: -3, 4: 2}
     assert _primitive({2: -6, 4: 4}, positive_lead=True) == {2: 3, 4: -2}
-    assert _primitive({0: 0, 1: Fraction(0)}) == {}
-    assert all(type(x) is int for x in _primitive(col).values())
+    assert _primitive({2: 3, 4: -2}, positive_lead=True) == {2: 3, 4: -2}
+    assert _primitive({}) == {}
 
 
-def test_quotient_consistency_row_raises(osp46_sec7, osp46_natural):
-    """Dropping a representative of the osp(4|6) homology quotient at a
-    weight with `modulo` columns: the int solver's consistency row rejects
-    it, and the decomposition finds the rest not l-stable."""
+def test_quotient_express_projects_along_the_image(osp46_sec7, osp46_natural):
+    """On the osp(4|6) homology quotient, at a weight where I is nonzero,
+    `express` is linear, kills I and keeps every K vector outside I
+    nonzero, so its classes have the rank of K/I there; a column that
+    d*_k does not kill is refused."""
     an = KostantAnalysis(osp46_sec7, osp46_natural, k_max=2)
     mod = an.homology_quotient_module(1)
-    t = next(t for t, w in enumerate(mod.weights) if mod.modulo.get(w))
-    w = mod.weights[t]
-    coords, den = mod.express(w, [mod.reps[t]])
-    assert coords == [{t: den}]
-    sub = LeviModule(an.cx, 1, mod.reps[:t] + mod.reps[t + 1:], mod.modulo)
-    assert sub.express(w, mod.modulo[w])[0] == [{}] * len(mod.modulo[w])
+    w = next(w for w, cols in mod.im.items() if cols and len(mod.ker[w]) > len(cols))
+    assert mod.express(w, mod.im[w]) == [{}] * len(mod.im[w])
+    classes = mod.express(w, mod.ker[w])
+    assert all(classes) and rank_dense(
+        [[c.get(t, 0) for t in sorted({t for c in classes for t in c})]
+         for c in classes]) == len(mod.ker[w]) - len(mod.im[w])
+    a, b = mod.ker[w][:2]
+    total = linalg.vec_iadd(dict(a), b, 3)
+    want = linalg.vec_iadd(dict(classes[0]), classes[1], 3)
+    assert mod.express(w, [total]) == [want]
+    rows, den = mod._im_rows[w]
+    assert all(_project(row, rows, den) == {} for row in rows.values())
+    lower, blocks = an.cx.lower(1).icols, an.cx.space(1).weight_blocks
+    v, bad = next((v, i) for v in mod.ker for i in blocks[v] if lower[i])
     with pytest.raises(LeviNotClosed, match="not stable"):
-        sub.express(w, [mod.reps[t]])
-    with pytest.raises(LeviNotClosed):
-        decompose_levi(osp46_sec7, sub)
+        mod.express(v, [{bad: 1}])
 
 
 def test_decompose_levi_reaches_the_action_only_through_act(
@@ -724,16 +766,17 @@ def test_levi_action_has_one_owner(osp46_sec7, osp46_natural, monkeypatch):
         return ad_monomial(self, i, gens)
 
     monkeypatch.setattr(ChainComplex, "_ad_monomial", spy)
-    kerq = ker_quabla(an, k)
+    kerq = an.ker_quabla_module(k)
     assert kerq.dim
     assert decompose_levi(osp46_sec7, kerq).total_dimension == kerq.dim
     assert calls == []
 
 
 def test_levi_act_divides_by_the_map_denominator(gl21):
-    """On the full chain space every representative is a unit vector, so
-    LeviModule.act returns the action map's own columns, here with
-    denominator 2."""
+    """LeviModule.act is the complex's action map itself; on the full chain
+    space every representative of the coordinate oracle is a unit vector,
+    so its act returns the action map's own columns, here with denominator
+    2."""
     p = build_parabolic(gl21, [0])
     cx = ChainComplex(p, build_irrep(gl21, wt(2, 0, 0)), "nbar")
     dens = set()
@@ -743,6 +786,7 @@ def test_levi_act_divides_by_the_map_denominator(gl21):
             amap = cx.action_map(k, i)
             dens.add(amap.den)
             assert mod.act(i).cols == amap.cols
+            assert LeviModule(cx, k, {}).act(i) is amap
     assert max(dens) > 1
 
 
@@ -750,25 +794,36 @@ def test_levi_act_divides_by_the_map_denominator(gl21):
 # the intrinsic complete-reducibility certificate against abstract irreps
 # ---------------------------------------------------------------------------
 
-def _agrees_with_abstract_irreps(p, mod):
-    """decompose_levi's certificate and irrep dimensions equal those of the
-    abstract-irrep oracle; returns the certificate."""
+def _agrees_with_abstract_irreps(p, mod, dec):
+    """The decomposition `dec` of the coordinate module `mod`'s l-module has
+    the certificate and irrep dimensions of the abstract-irrep oracle on
+    `mod`; returns the certificate."""
     pos, neg = p.algebra.simple_vector_indices()
     cr, want = oracle_levi_decomposition(
         mod.weights,
         [_dense(mod.act(pos[i]).cols, mod.dim) for i in p.levi_simple_roots],
         [_dense(mod.act(neg[i]).cols, mod.dim) for i in p.levi_simple_roots],
         lambda w: levi_irrep_dimension(p, w))
-    dec = decompose_levi(p, mod)
     got = {e.highest_weight: (e.hw_vector_count, e.irrep_dimension,
                               e.generated_dimension) for e in dec.entries}
     assert (dec.completely_reducible, got) == (cr, want)
+    assert dec.total_dimension == mod.dim
     return cr
 
 
-def _levi_modules(an, k):
-    return (full_levi_module(an.cx, k), an.homology_quotient_module(k),
-            ker_quabla(an, k))
+def _coordinate_modules(an, k):
+    """The coordinate oracle's C_k, H_k and ker quabla_k."""
+    return (full_levi_module(an.cx, k), homology_quotient(an, k), ker_quabla(an, k))
+
+
+def _decompositions(p, an, k):
+    """(coordinate module, decomposition) of C_k, decomposed by the
+    coordinate oracle (quabla need not vanish there), and of H_k and
+    ker quabla_k, decomposed by decompose_levi in C_k's coordinates."""
+    full, quotient, kerq = _coordinate_modules(an, k)
+    return ((full, coordinate_decomposition(p, full)),
+            (quotient, decompose_levi(p, an.homology_quotient_module(k))),
+            (kerq, decompose_levi(p, an.ker_quabla_module(k))))
 
 
 @functools.lru_cache(maxsize=None)
@@ -816,8 +871,8 @@ def test_certificate_matches_abstract_irreps(case):
     quotient and ker quabla each get the certificate and irrep dimensions
     of the abstract-irrep oracle."""
     p, an, k = _case_analysis(case)
-    for mod in _levi_modules(an, k):
-        _agrees_with_abstract_irreps(p, mod)
+    for mod, dec in _decompositions(p, an, k):
+        _agrees_with_abstract_irreps(p, mod, dec)
 
 
 @pytest.mark.parametrize("alg,levi,lam", [
@@ -834,10 +889,43 @@ def test_certificate_refuses_kac_modules(alg, levi, lam):
     module of degrees 0 and 1, split or not."""
     p = _parabolic(*alg, levi)
     an = KostantAnalysis(p, build_kac_module(p.algebra, wt(*lam)), k_max=1)
-    certified = [_agrees_with_abstract_irreps(p, mod)
-                 for k in (0, 1) for mod in _levi_modules(an, k)]
+    certified = [_agrees_with_abstract_irreps(p, mod, dec)
+                 for k in (0, 1) for mod, dec in _decompositions(p, an, k)]
     assert not certified[0]                  # the Kac module itself
     assert certified.count(False) >= 3
+
+
+@given(_certificate_cases())
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+def test_decompositions_match_the_coordinate_oracle(case):
+    """On small random inputs, irreps and Kac modules alike, decompose_levi
+    of H_j and of ker quabla_j, in C_j's own coordinates, equals the
+    coordinate oracle's decomposition at every degree j <= k."""
+    p, an, k = _case_analysis(case)
+    for j in range(k + 1):
+        assert decompose_levi(p, an.homology_quotient_module(j)) == \
+            coordinate_decomposition(p, homology_quotient(an, j))
+        assert an.ker_quabla_decomposition(j) == \
+            coordinate_decomposition(p, ker_quabla(an, j))
+
+
+@pytest.mark.parametrize("alg, levi, lam, kac, k, certified", [
+    (("osp", 5, 2), (0, 1), (1, 0, 0, 0), False, 2, (False, False)),
+    (("gl", 2, 1), (1,), (0, 0, 0), True, 0, (False, False)),
+])
+def test_non_completely_reducible_cases_match_the_coordinate_oracle(
+        alg, levi, lam, kac, k, certified):
+    """Uncertified decompositions of H_k and ker quabla_k equal the
+    coordinate oracle's, entries and irrep dimensions included: osp(5|4)
+    with Levi {0,1} on the natural module at k = 2, and gl(2|1) with Levi
+    {1} on the Kac module K(0) at k = 0."""
+    p = _parabolic(*alg, levi)
+    module = (build_kac_module if kac else build_irrep)(p.algebra, wt(*lam))
+    an = KostantAnalysis(p, module, k_max=k)
+    got = (an.homology_decomposition(k), an.ker_quabla_decomposition(k))
+    assert got == (coordinate_decomposition(p, homology_quotient(an, k)),
+                   coordinate_decomposition(p, ker_quabla(an, k)))
+    assert tuple(dec.completely_reducible for dec in got) == certified
 
 
 # ---------------------------------------------------------------------------
@@ -934,7 +1022,9 @@ def test_block_layer_holds_only_ints(levi_case):
 
 
 def _primitive_vector(vec):
-    col = _primitive({i: x for i, x in enumerate(vec)})
+    """The primitive int multiple, of positive sign, of a Fraction vector."""
+    den = math.lcm(*(x.denominator for x in vec))
+    col = _primitive({i: int(x * den) for i, x in enumerate(vec) if x})
     return [col.get(i, 0) for i in range(len(vec))]
 
 
@@ -942,25 +1032,25 @@ def _primitive_vector(vec):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 def test_shared_decomposition_equals_fresh(case):
     """Where the statements prove H_k = ker quabla_k, ker_quabla_decomposition
-    is homology_decomposition; either way it equals a fresh decompose_levi
-    of ker quabla_k."""
+    is homology_decomposition; either way it equals the coordinate oracle's
+    decomposition of ker quabla_k."""
     p, an, k = _case_analysis(case)
     dec = an.ker_quabla_decomposition(k)
     shared = an.homology_is_ker_quabla(k)
     assert (dec is an.homology_decomposition(k)) is shared
-    assert dec == decompose_levi(p, ker_quabla(an, k))
+    assert dec == coordinate_decomposition(p, ker_quabla(an, k))
 
 
 def test_shared_decomposition_osp46_natural(osp46_sec7, osp46_natural):
     """osp(4|6), maximal parabolic at the first node, natural module: the
-    gate holds at every degree k <= 3 and the shared decomposition equals a
-    fresh one of ker quabla_k."""
+    gate holds at every degree k <= 3 and the shared decomposition equals
+    the coordinate oracle's of ker quabla_k."""
     an = KostantAnalysis(osp46_sec7, osp46_natural, k_max=3)
     for k in range(4):
         assert an.homology_is_ker_quabla(k)
         dec = an.ker_quabla_decomposition(k)
         assert dec is an.homology_decomposition(k)
-        assert dec == decompose_levi(osp46_sec7, ker_quabla(an, k))
+        assert dec == coordinate_decomposition(osp46_sec7, ker_quabla(an, k))
 
 
 @pytest.mark.parametrize("alg, levi, lam, dims_agree, stmt3", [
@@ -971,8 +1061,8 @@ def test_gate_refuses_and_decomposes_ker_quabla(alg, levi, lam, dims_agree, stmt
     """At k = 1 the gate refuses, on the osp(1|2) counterexample because
     ker quabla_1 is larger than H_1 and on gl(2|1) because the generalized
     zero space leaves ker d*_1; ker quabla_1 is then decomposed on its own
-    (equal to decompose_levi of ker_quabla(1)), and H_1 from the homology
-    quotient."""
+    (equal to the coordinate oracle's decomposition), and H_1 from the
+    homology quotient (equal to the oracle's too)."""
     p = _parabolic(*alg, levi)
     an = KostantAnalysis(p, build_irrep(p.algebra, wt(*lam)), k_max=2)
     assert (an.homology(1).weight_multiplicities
@@ -980,11 +1070,11 @@ def test_gate_refuses_and_decomposes_ker_quabla(alg, levi, lam, dims_agree, stmt
     assert an._lower_statements(1)[3] is stmt3
     assert not an.homology_is_ker_quabla(1)
     dec = an.ker_quabla_decomposition(1)
-    assert dec == decompose_levi(p, ker_quabla(an, 1))
+    assert dec == coordinate_decomposition(p, ker_quabla(an, 1))
     assert dec.total_dimension == ker_quabla(an, 1).dim
     assert dec is not an.homology_decomposition(1)
-    assert an.homology_decomposition(1) == decompose_levi(
-        p, an.homology_quotient_module(1))
+    assert an.homology_decomposition(1) == coordinate_decomposition(
+        p, homology_quotient(an, 1))
 
 
 @given(_certificate_cases())
@@ -993,7 +1083,7 @@ def test_ker_quabla_highest_weights_are_the_casimir_matches(case):
     """ker_quabla_decomposition searches only the weights of C_k with
     C2(w) = C2(lambda); its highest weights and their highest-weight vector
     counts are those of the whole chain space at those weights
-    (`casimir_match`, found through LeviModule solvers)."""
+    (`casimir_match`, found through the coordinate oracle's solvers)."""
     p, an, k = _case_analysis(case)
     dec = an.ker_quabla_decomposition(k)
     match = casimir_match(an, k)
@@ -1292,27 +1382,29 @@ def _acyclic_probe(an, k):
 
 
 def test_quotient_express_certifies_cycles_at_acyclic_weights(gl21_borel, gl21_natural):
-    """At an acyclic weight the homology quotient has no representatives
-    and no `modulo`: `express` returns the zero class of a cycle and raises
-    LeviNotClosed on a non-cycle or on a column that leaves the block."""
+    """At an acyclic weight the homology quotient holds no K or I basis:
+    `express` returns the zero class of a cycle, forms no RREF of I, and
+    raises LeviNotClosed on a non-cycle or on a column that leaves the
+    block."""
     an = KostantAnalysis(gl21_borel, gl21_natural, k_max=2)
     mod = an.homology_quotient_module(1)
     assert mod.acyclic == an.acyclic_weights(1)
     w, good, bad = _acyclic_probe(an, 1)
-    assert not mod.members(w) and w not in mod.modulo
-    assert mod.express(w, [good, {}]) == ([{}, {}], 1)
+    assert w not in mod.ker and w not in mod.im
+    assert mod.express(w, [good, {}]) == [{}, {}]
     with pytest.raises(LeviNotClosed, match="not stable"):
         mod.express(w, [good, bad])
     other = next(i for v, idxs in an.cx.space(1).weight_blocks.items()
                  if v != w for i in idxs)
     with pytest.raises(LeviNotClosed, match="leaves"):
         mod.express(w, [{**good, other: 1}])
-    assert mod._solvers == {}
+    assert mod._im_rows == {}
 
 
 def test_quotient_rejects_a_non_cycle_at_an_acyclic_weight_under_O():
-    """The cycle test at an acyclic weight is a typed error, so `python -O`
-    keeps it."""
+    """The cycle test of LeviModule.express is a typed error, so `python -O`
+    keeps it: at an acyclic weight, and where decompose_levi meets an
+    image outside K on a homology quotient (`_corrupted_quotient`)."""
     src = Path(__file__).resolve().parent.parent / "src"
     code = (
         "from superbgg.algebra import build_algebra, build_parabolic, weight_key, wt\n"
@@ -1329,9 +1421,16 @@ def test_quotient_rejects_a_non_cycle_at_an_acyclic_weight_under_O():
         "    mod.express(w, [{i: 1}])\n"
         "except LeviNotClosed:\n"
         "    print('rejected')\n"
+        "from superbgg.homology import decompose_levi\n"
+        "from test_homology import _corrupted_quotient\n"
+        "try:\n"
+        "    decompose_levi(*_corrupted_quotient())\n"
+        "except LeviNotClosed:\n"
+        "    print('rejected')\n"
     )
+    tests = Path(__file__).resolve().parent
     out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
-                         text=True, env=dict(os.environ, PYTHONPATH=str(src)),
-                         timeout=120)
+                         text=True, timeout=120, env=dict(
+                             os.environ, PYTHONPATH=os.pathsep.join([str(src), str(tests)])))
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "rejected"
+    assert out.stdout.split() == ["rejected", "rejected"]

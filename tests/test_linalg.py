@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (oracle_intersection_dim, oracle_kernel, oracle_positive_definite,
-                     oracle_rref, rank_dense)
+from oracles import (identity, oracle_intersection_dim, oracle_kernel,
+                     oracle_positive_definite, oracle_rref, rank_dense)
 from superbgg import linalg
 
 F = Fraction
@@ -35,7 +35,7 @@ def test_rank_and_nullspace():
 
 
 def test_nullspace_empty_matrix():
-    assert linalg.nullspace([], ncols=3) == linalg.identity(3)
+    assert linalg.nullspace([], ncols=3) == identity(3)
 
 
 def test_solve_and_inverse():
@@ -44,7 +44,7 @@ def test_solve_and_inverse():
     assert x == [F(1), F(1)]
     assert linalg.solve(mat([[1, 0], [1, 0]]), [F(0), F(1)]) is None
     inv = linalg.inverse(a)
-    assert linalg.mat_mul(a, inv) == linalg.identity(2)
+    assert linalg.mat_mul(a, inv) == identity(2)
     with pytest.raises(ValueError):
         linalg.inverse(mat([[1, 1], [1, 1]]))
 
@@ -264,7 +264,7 @@ def test_kernel_solve_inverse_against_oracle(m):
             assert all(type(x) is int or (type(x) is F and x.denominator != 1)
                        for row in inv for x in row)
             assert linalg.mat_mul(inv, [[F(x) for x in row] for row in m]) \
-                == linalg.identity(nrows)
+                == identity(nrows)
         else:
             with pytest.raises(ValueError):
                 linalg.inverse(m)

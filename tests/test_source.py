@@ -77,3 +77,35 @@ def test_reported_span_names_resolve():
         if not (function or method):
             unresolved.append(name)
     assert len(names) == 2 and names["PER_LAYER"] and unresolved == []
+
+
+def test_linalg_functions_have_a_caller():
+    """Every public function of superbgg.linalg is called somewhere in the
+    package (as `linalg.<name>(...)` from another module, or by name inside
+    linalg.py), or a per-layer metric of perfbench/run.py (`PER_LAYER` and
+    `TABLE_ONLY`, read from its source) names it.  A helper that only the
+    tests call belongs in tests/oracles.py and fails here."""
+    linalg = importlib.import_module("superbgg.linalg")
+    public = {name for name, obj in vars(linalg).items()
+              if not name.startswith("_") and inspect.isfunction(obj)
+              and obj.__module__ == linalg.__name__}
+    called = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                    and func.value.id == "linalg"):
+                called.add(func.attr)
+            elif isinstance(func, ast.Name) and path.name == "linalg.py":
+                called.add(func.id)
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text())
+    reported = set()
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and node.targets[0].id in ("PER_LAYER", "TABLE_ONLY")):
+            reported.update(name.split(".")[1] for name in ast.literal_eval(node.value)
+                            if name.startswith("linalg."))
+    assert public and sorted(public - called - reported) == []
