@@ -150,6 +150,17 @@ def test_root_vector_property(gl21, osp12):
                 assert g.bracket(h, i) == ({i: val} if val else {})
 
 
+def test_simple_vector_indices_are_found_once(gl21, osp46):
+    """The simple root vectors are looked up once per algebra and handed
+    out as tuples, which no caller can change."""
+    for g in (gl21, osp46):
+        pos, neg = g.simple_vector_indices()
+        assert g.simple_vector_indices() is g.simple_vector_indices()
+        assert type(pos) is tuple and type(neg) is tuple
+        assert [g.root(i) for i in pos] == list(g.simple_roots)
+        assert [g.root(i) for i in neg] == [tuple(-c for c in a) for a in g.simple_roots]
+
+
 def test_borel_gl21(gl21, gl21_borel):
     p = gl21_borel
     n_par = [gl21.parity(i) for i in p.n_indices]
