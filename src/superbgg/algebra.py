@@ -113,10 +113,16 @@ def _exact(c):
     return c.numerator if c.denominator == 1 else c
 
 
-def _mat_mul_sparse(a: dict, b: dict) -> dict:
-    by_row = {}
-    for (i, j), v in b.items():
+def _row_index(matrix: dict) -> dict:
+    """{row: [(col, value)]} of a sparse matrix {(row, col): value}."""
+    by_row: dict = {}
+    for (i, j), v in matrix.items():
         by_row.setdefault(i, []).append((j, v))
+    return by_row
+
+
+def _mat_mul_sparse(a: dict, by_row: dict) -> dict:
+    """a @ b for sparse matrices, b given by its `_row_index`."""
     out = {}
     for (i, k), u in a.items():
         for j, v in by_row.get(k, ()):
@@ -190,12 +196,18 @@ class LieSuperalgebra:
         if hit is not None:
             return hit
         bi, bj = self.basis[i], self.basis[j]
-        comm = _mat_mul_sparse(bi.matrix, bj.matrix)
+        rows = self._matrix_rows
+        comm = _mat_mul_sparse(bi.matrix, rows[j])
         sign = -1 if (bi.parity and bj.parity) else 1
-        linalg.vec_iadd(comm, _mat_mul_sparse(bj.matrix, bi.matrix), -sign)
+        linalg.vec_iadd(comm, _mat_mul_sparse(bj.matrix, rows[i]), -sign)
         res = self.expand(comm)
         self.bracket_table[key] = res
         return res
+
+    @functools.cached_property
+    def _matrix_rows(self) -> list:
+        """The `_row_index` of each basis matrix, formed once per algebra."""
+        return [_row_index(b.matrix) for b in self.basis]
 
     def bracket_vec(self, x: dict, y: dict) -> dict:
         out: dict = {}

@@ -149,23 +149,6 @@ class ChainMap:
             icols = [{r: v // g for r, v in col.items()} for col in icols]
         return cls(source, target, icols, den // g)
 
-    @classmethod
-    def combination(cls, source: ChainSpace, target: ChainSpace,
-                    terms: list) -> "ChainMap":
-        """sum(c * m for c, m in terms); every m maps source -> target."""
-        terms = [(Fraction(c), m) for c, m in terms if c]
-        if any(m.source is not source or m.target is not target for _, m in terms):
-            raise CrossCheckFailed("combined maps do not share their chain spaces")
-        den = lcm(1, *(c.denominator * m.den for c, m in terms))
-        acc = [dict() for _ in range(source.dim)]
-        for c, m in terms:
-            f = c.numerator * (den // (c.denominator * m.den))
-            for out, col in zip(acc, m.icols):
-                for r, v in col.items():
-                    out[r] = out.get(r, 0) + f * v
-        icols = [{r: v for r, v in out.items() if v} for out in acc]
-        return cls.canonical(source, target, icols, den)
-
     @functools.cached_property
     def cols(self) -> list:
         """cols[j] = {target row: Fraction}; a view for tests and callers
@@ -181,22 +164,23 @@ class ChainMap:
 
     def compose(self, inner: "ChainMap") -> "ChainMap":
         """self o inner."""
-        if inner.target is not self.source:
-            raise CrossCheckFailed("composed maps do not share a chain space")
-        outer = self.icols
-        icols = []
-        for col in inner.icols:
-            acc: dict = {}
-            for r, c in col.items():
-                for t, v in outer[r].items():
-                    acc[t] = acc.get(t, 0) + c * v
-            icols.append({t: v for t, v in acc.items() if v})
-        return ChainMap.canonical(inner.source, self.target, icols,
-                                  self.den * inner.den)
+        return _sum_of_products([(self, inner)])
 
     def add(self, other: "ChainMap") -> "ChainMap":
-        return ChainMap.combination(self.source, self.target,
-                                    [(1, self), (1, other)])
+        """self + other, over the lcm of the two denominators.  No package
+        code calls it; the benchmark's tracer (perfbench/tracing.py) wraps
+        it by name."""
+        if other.source is not self.source or other.target is not self.target:
+            raise CrossCheckFailed("added maps do not share their chain spaces")
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        icols = []
+        for a, b in zip(self.icols, other.icols):
+            col = {r: fa * v for r, v in a.items()}
+            for r, v in b.items():
+                _add_term(col, r, fb * v)
+            icols.append(col)
+        return ChainMap.canonical(self.source, self.target, icols, den)
 
     def is_zero(self) -> bool:
         return all(not col for col in self.icols)
@@ -221,6 +205,28 @@ class ChainMap:
         if den == 1:
             return out
         return [[Fraction(v, den) if v else 0 for v in row] for row in out]
+
+
+def _sum_of_products(pairs: list) -> ChainMap:
+    """The sum of outer o inner over the (outer, inner) pairs, maps between
+    the same two spaces, accumulated into one int column per source index
+    over the lcm of the products' denominators and made canonical once:
+    no intermediate map is formed."""
+    source, target = pairs[0][1].source, pairs[0][0].target
+    if any(inner.target is not outer.source or inner.source is not source
+           or outer.target is not target for outer, inner in pairs):
+        raise CrossCheckFailed("composed maps do not share a chain space")
+    den = lcm(*(outer.den * inner.den for outer, inner in pairs))
+    accs = [{} for _ in range(source.dim)]
+    for outer, inner in pairs:
+        f, ocols = den // (outer.den * inner.den), outer.icols
+        for acc, col in zip(accs, inner.icols):
+            for r, c in col.items():
+                fc = f * c
+                for t, v in ocols[r].items():
+                    acc[t] = acc.get(t, 0) + fc * v
+    icols = [{t: v for t, v in acc.items() if v} for acc in accs]
+    return ChainMap.canonical(source, target, icols, den)
 
 
 def _add_term(out: dict, key, c) -> None:
@@ -268,7 +274,7 @@ class ChainComplex:
         self._spaces: dict = {}
         self._lower: dict = {}
         self._raise: dict = {}
-        self._tables: dict = {}         # "lower" / "raise" -> (k, exterior table)
+        self._tables: dict = {}         # ("lower" / "raise", k) -> exterior table
         self._actions: dict = {}        # (k, basis index) -> action map
         self._brackets: dict = {}       # (a, generator) -> radical part of [A_a, gen]
         self._raise_terms: dict = {}    # peeled generator -> coboundary terms
@@ -492,14 +498,13 @@ class ChainComplex:
     # identity.
 
     def _table(self, name: str, k: int) -> list:
-        """The exterior table of lower(k) or raise_(k).  Each is built from
-        the table one degree down, and only the latest is kept."""
-        hit = self._tables.get(name)
-        if hit is not None and hit[0] == k:
-            return hit[1]
-        build = self._lower_table if name == "lower" else self._raise_table
-        table = build(k, self._table(name, k - 1) if k > 0 else None)
-        self._tables[name] = (k, table)
+        """The exterior table of lower(k) or raise_(k), built once per
+        (operator, degree) from the table one degree down."""
+        table = self._tables.get((name, k))
+        if table is None:
+            build = self._lower_table if name == "lower" else self._raise_table
+            table = self._tables[name, k] = build(
+                k, self._table(name, k - 1) if k > 0 else None)
         return table
 
     def _wedge_into(self, row: dict, g0: int, entry: dict, monos: list,
@@ -681,8 +686,9 @@ class ChainComplex:
     def quabla(self, k: int, method: str = "direct") -> ChainMap:
         """quabla_k = d_{k-1} d*_k + d*_{k+1} d_k on C_k.
 
-        "direct" composes the two operators, so it needs d_k : C_k ->
-        C_{k+1}.  "casimir" is Kostant's formula
+        "direct" forms the two products column by column, straight into
+        int columns over one denominator, so it needs d_k : C_k -> C_{k+1}.
+        "casimir" is Kostant's formula
 
             quabla = -1/2 (C2(lambda) + w(h) - C_l)   on the weight-w block,
 
@@ -723,9 +729,8 @@ class ChainComplex:
         operators.  On a Borel the Levi is the Cartan, the table is empty
         and quabla is diagonal."""
         if method == "direct":
-            a = self.raise_(k - 1).compose(self.lower(k)) if k > 0 else None
-            b = self.lower(k + 1).compose(self.raise_(k))
-            return b if a is None else a.add(b)
+            pairs = [(self.raise_(k - 1), self.lower(k))] if k > 0 else []
+            return _sum_of_products(pairs + [(self.lower(k + 1), self.raise_(k))])
         if method != "casimir":
             raise ValueError("method must be 'direct' or 'casimir'")
         terms = self._casimir_terms
@@ -779,6 +784,17 @@ class ChainComplex:
         # the Cartan part of C_l acts on the weight-w block by (w, w), the
         # algebra's form on h* (q / qden on the unit coordinates)
         q, qden = g._weight_form
+        # w(h) = (w, sigma), sigma the signed root sum of the radical:
+        # 2 rho_l - 2 rho on the nbar side, the premise of Kostant's filter
+        # (`homology._casimir_matcher`)
+        sigma = [0] * g.rank
+        for z in self.radical:
+            sign = -1 if self._parity[z] else 1
+            sigma = [s + sign * x for s, x in zip(sigma, wt_int(g.root(z)))]
+        if any(x * qden != sum(a * b for a, b in zip(row, sigma))
+               for x, row in zip(hcoords, q)):
+            raise CrossCheckFailed("w(h) is not (w, sigma) for sigma the signed "
+                                   "root sum of the radical")
         c2 = casimir_eigenvalue(g, self.module.highest_weight)
         # D * (-1/2 (c2 + w(h) - (w, w))) in int coefficients
         half = lcm(c2.denominator, *(x.denominator for x in hcoords), qden)

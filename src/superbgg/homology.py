@@ -59,6 +59,31 @@ is kept between readers: a block read twice is rare and small.  The
 homology quotient keeps its acyclic weights: there a column lies in
 span(im d*_{k+1}) = ker d*_k exactly when d*_k kills it, one sparse
 product, and its class is zero.
+
+Which blocks are acyclic is known before any elimination, from Casimir
+values alone.  block_data eliminates a quabla block only at the candidate
+weights of its degree (KostantAnalysis.candidate_weights): the weights mu
+of C_k with C2(mu) = C2(lambda) (`_casimir_matcher`), closed
+downward under w -> w - alpha_i over the Levi simple roots alpha_i inside
+the weights of C_k.  Every other block is invertible:
+
+* C_l is central in U(l), so on any composition series of the
+  finite-dimensional l-module C_k it acts on each factor L(mu) by
+  c_l(mu) = (mu, mu + 2 rho_l).
+* w(h) = (w, 2 rho_l - 2 rho) (checked once per complex,
+  ChainComplex._casimir_terms), and 2 rho - 2 rho_l is orthogonal to every
+  Levi simple root (2 (rho, alpha_i) = (alpha_i, alpha_i) = 2 (rho_l,
+  alpha_i)), so w(h) = (mu, 2 rho_l - 2 rho) at every weight w of L(mu).
+  Kostant's formula -1/2 (C2(lambda) + w(h) - C_l) therefore acts on L(mu)
+  by -1/2 (C2(lambda) + (mu, 2 rho_l - 2 rho) - (mu, mu + 2 rho_l)) =
+  1/2 (C2(mu) - C2(lambda)).  On each weight space quabla is triangular
+  along the series, so its block at w is singular only if some factor
+  L(mu) with C2(mu) = C2(lambda) has the weight w.
+* L(mu) = U(nbar_l) v_mu, and nbar_l is generated by the root vectors of
+  the -alpha_i: each weight of L(mu) is reached from mu by steps
+  w -> w - alpha_i through weights of L(mu) (the partial products of a
+  nonzero f_{i_n} ... f_{i_1} v_mu are nonzero), and those lie in the
+  weights of C_k, as mu does.
 """
 
 from __future__ import annotations
@@ -71,11 +96,11 @@ from . import linalg
 from .algebra import (
     ParabolicDecomposition,
     Weight,
-    casimir_eigenvalue,
     even_simple_roots,
     weight_key,
     wt_add,
     wt_int,
+    wt_sub,
 )
 from .chains import ChainComplex, ChainMap
 from .errors import (
@@ -90,7 +115,8 @@ from .modules import Module, build_irrep, restrict_adjoint
 
 def _quabla_kernels(quab: list, dim: int) -> tuple[list, list]:
     """Bases of ker q and of the generalized zero eigenspace of one int
-    quabla block q (dim x dim), as primitive int vectors.
+    quabla block q (dim x dim), as primitive int vectors.  block_data runs
+    it at the candidate weights alone (module docstring).
 
     The generalized zero space is ker q^e for any e >= dim.  Kernels grow
     along q, q^2, q^4, ... and once ker q^e = ker q^2e they have stopped
@@ -110,6 +136,24 @@ def _quabla_kernels(quab: list, dim: int) -> tuple[list, list]:
             break
         gen_zero = grown
     return kernel, gen_zero
+
+
+def _casimir_matcher(cx: ChainComplex):
+    """The test C2(w) == C2(lambda) on weights w of cx's chain spaces,
+    lambda the module's highest weight: the one test of both
+    KostantAnalysis.candidate_weights and decompose_levi.
+
+    C2(w) = (w, w + 2 rho) is compared through the quadratic part of the
+    complex's Casimir terms, a positive int multiple of the form on h*, in
+    ints wherever w is integral.  Reading it builds those terms, so their
+    check of w(h) = (w, 2 rho_l - 2 rho), the premise of the module
+    docstring's filter, has held before any weight is tested."""
+    quad, two_rho = cx._casimir_terms.quadratic, cx.algebra.two_rho
+
+    def value(w):
+        return sum(b * w[c] * (w[d] + two_rho[d]) for c, d, b in quad)
+    target = value(wt_int(cx.module.highest_weight))
+    return lambda w: value(w) == target
 
 
 def _block_kernels(m: ChainMap, weights: list) -> dict:
@@ -388,7 +432,9 @@ def decompose_levi(p: ParabolicDecomposition, mod: LeviModule) -> LDecomposition
     d*(d x) lies in I for x in ker d*_k.  By Kostant's formula
     (ChainComplex.quabla) it acts on a class of weight w that n+_l kills by
     1/2 (C2(w) - C2(lambda)), so that class is zero unless the two Casimir
-    values agree.  Only such weights with K_w larger than I_w are searched.
+    values agree.  Only such weights with K_w larger than I_w are searched,
+    by the test block_data's candidate weights start from
+    (`_casimir_matcher`).
 
     This is the paper's necessary condition for a BGG resolution (complete
     reducibility of each homology group), checked on the module itself.  A
@@ -403,12 +449,11 @@ def decompose_levi(p: ParabolicDecomposition, mod: LeviModule) -> LDecomposition
     roots = p.levi_simple_roots
     raising = [(wt_int(g.root(pos[i])), mod.act(pos[i]).icols) for i in roots]
     lowering = [(wt_int(g.root(neg[i])), mod.act(neg[i]).icols) for i in roots]
-    target = casimir_eigenvalue(g, mod.cx.module.highest_weight)
+    matches = _casimir_matcher(mod.cx)
     im = mod.im or {}
     entries, union = [], _WeightEchelon()
     for w in sorted(mod.ker, key=weight_key):
-        if (len(mod.ker[w]) == len(im.get(w, ()))
-                or casimir_eigenvalue(g, w) != target):
+        if len(mod.ker[w]) == len(im.get(w, ())) or not matches(w):
             continue
         seeds = mod.express(w, _highest_weight_vectors(mod, w, raising))
         gen, count = _lowering_closure(mod, lowering, w, seeds)
@@ -551,10 +596,12 @@ class KostantAnalysis:
 
         Every block holds `ker_quabla` and `gen_zero` (int bases), whether
         it is `acyclic` (gen_zero is empty), and the counts `dim_ker` of
-        ker d*_k and `dim_im` of im d*_{k+1}.  Only a non-acyclic block
-        holds the int bases `ker` and `im`; an acyclic one takes its counts
-        from the recursion of the module docstring, which reads
-        block_data(k - 1).
+        ker d*_k and `dim_im` of im d*_{k+1}.  The quabla block is
+        eliminated (`_quabla_kernels`) only at the candidate weights; every
+        other block is acyclic by the module docstring's theorem, with
+        empty bases.  Only a non-acyclic block holds the int bases `ker`
+        and `im`; an acyclic one takes its counts from the recursion of the
+        module docstring, which reads block_data(k - 1).
 
         So im d*_{k+1} is read at the non-acyclic weights of C_k alone, and
         that is exact: d*_{k+1} is h-equivariant, so its image at w is the
@@ -568,9 +615,14 @@ class KostantAnalysis:
         below = self.block_data(k - 1) if k > 0 else {}
         sp = self.cx.space(k)
         quab = self.quabla_map(k)
+        candidates = self.candidate_weights(k)
         data = {}
         for w in sorted(sp.weight_blocks, key=weight_key):
-            kerq, gen_zero = _quabla_kernels(quab.int_block(w), len(sp.weight_blocks[w]))
+            if w in candidates:
+                kerq, gen_zero = _quabla_kernels(quab.int_block(w),
+                                                 len(sp.weight_blocks[w]))
+            else:
+                kerq, gen_zero = [], []
             data[w] = {"acyclic": not gen_zero, "ker_quabla": kerq, "gen_zero": gen_zero}
         todo = [w for w, d in data.items() if not d["acyclic"]]
         kernels = _block_kernels(self.cx.lower(k), todo)
@@ -588,6 +640,27 @@ class KostantAnalysis:
                 d["dim_ker"], d["dim_im"] = len(d["ker"]), len(d["im"])
         self._blockdata[k] = data
         return data
+
+    def candidate_weights(self, k: int) -> frozenset:
+        """The weights of C_k whose quabla block can be singular: the
+        Casimir-matching weights (`_casimir_matcher`) closed downward under
+        w -> w - alpha_i over the Levi simple roots, inside the weights of
+        C_k.  Every other block is invertible (module docstring); on a
+        Borel the set is the Casimir-matching weights."""
+        blocks = self.cx.space(k).weight_blocks
+        g = self.parabolic.algebra
+        simple = [wt_int(g.simple_roots[i]) for i in self.parabolic.levi_simple_roots]
+        matches = _casimir_matcher(self.cx)
+        found = {w for w in blocks if matches(w)}
+        todo = list(found)
+        while todo:
+            w = todo.pop()
+            for a in simple:
+                v = wt_sub(w, a)
+                if v in blocks and v not in found:
+                    found.add(v)
+                    todo.append(v)
+        return frozenset(found)
 
     def boundary_above(self, k: int) -> ChainMap:
         """The map whose images block_data(k) reads: d*_{k+1} =

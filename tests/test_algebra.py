@@ -343,6 +343,29 @@ def test_rho_is_formed_once(alg, want, monkeypatch):
     assert g.rho is g.rho and len(calls) == 1
 
 
+def test_bracket_indexes_each_basis_matrix_once(monkeypatch):
+    """Building osp(5|4) and bracketing every pair of basis elements forms
+    the row index of each basis matrix once, however many products read
+    it, and the brackets match the dense commutator."""
+    from superbgg import algebra
+    calls = []
+    row_index = algebra._row_index
+
+    def spy(matrix):
+        calls.append(1)
+        return row_index(matrix)
+    monkeypatch.setattr(algebra, "_row_index", spy)
+    g = build_algebra("osp", 5, 2)
+    for i, j in itertools.product(range(g.dim), repeat=2):
+        g.bracket(i, j)
+    assert len(calls) == g.dim
+    for i, j in [(0, 1), (g.dim - 1, g.dim - 2), (3, g.dim // 2)]:
+        recon: dict = {}
+        for t, c in g.bracket(i, j).items():
+            linalg.vec_iadd(recon, g.basis[t].matrix, c)
+        assert recon == oracle_commutator(g, i, j)
+
+
 # ---------------------------------------------------------------------------
 # the construction against its dense formulas
 # ---------------------------------------------------------------------------

@@ -161,6 +161,26 @@ def _benchmark_argv(qid: str) -> list:
     return json.loads(REFERENCES.read_text())[qid]["argv"]
 
 
+@pytest.mark.parametrize("argv", QUABLA_ARGV + [_benchmark_argv("borel-gl32-k4")])
+def test_exterior_tables_built_once_per_operator_and_degree(capsys, monkeypatch, argv):
+    """Each exterior table is built once per (operator, degree): the d*
+    tables of degrees 0..kmax+1 (the last for the restricted top boundary)
+    and the d tables of degrees 0..kmax-1.  On `borel-gl32-k4` that is 6
+    and 4 builds."""
+    from superbgg import chains
+    k_max = int(argv[argv.index("--kmax") + 1])
+    built: dict = {}
+    for name in ("_lower_table", "_raise_table"):
+        def spy(self, k, *args, _real=getattr(chains.ChainComplex, name), _name=name):
+            built[_name, k] = built.get((_name, k), 0) + 1
+            return _real(self, k, *args)
+        monkeypatch.setattr(chains.ChainComplex, name, spy)
+    code, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert built == {**{("_lower_table", k): 1 for k in range(k_max + 2)},
+                     **{("_raise_table", k): 1 for k in range(k_max)}}
+
+
 @pytest.mark.parametrize("argv", QUABLA_ARGV + [
     _benchmark_argv("natural-osp54-k3"), _benchmark_argv("borel-gl32-k4")])
 def test_no_degree_past_kmax_is_built_whole(capsys, monkeypatch, argv):

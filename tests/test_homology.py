@@ -37,6 +37,7 @@ from superbgg import linalg
 from superbgg.algebra import (
     build_algebra,
     build_parabolic,
+    casimir_eigenvalue,
     check_finite_dimensional,
     weight_key,
     wt,
@@ -53,6 +54,7 @@ from superbgg.errors import (
 from superbgg.homology import (
     KostantAnalysis,
     LeviModule,
+    _casimir_matcher,
     _highest_weight_vectors,
     _lowering_closure,
     _primitive,
@@ -1165,6 +1167,82 @@ def test_homology_matches_oracle_ranks_with_acyclic_blocks(case):
             assert (w in acyclic) is full
             if full:
                 assert ranks[w][0] == ranks[w][1]
+
+
+@given(_certificate_cases())
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+def test_blocks_outside_the_candidates_are_invertible(case):
+    """Kostant's filter is exact.  On small random inputs, irreps and Kac
+    modules alike, every quabla block outside candidate_weights(k) is
+    invertible, judged by `_quabla_kernels` as the oracle.  The candidates
+    are weights of C_k and hold every Casimir-matching one, which the int
+    comparison finds as the Fraction Casimir values do."""
+    p, an, k_max = _case_analysis(case)
+    g = p.algebra
+    target = casimir_eigenvalue(g, an.module.highest_weight)
+    for k in range(k_max + 1):
+        blocks, quab = an.cx.space(k).weight_blocks, an.quabla_map(k)
+        matches, candidates = _casimir_matcher(an.cx), an.candidate_weights(k)
+        casimir = {w for w in blocks if matches(w)}
+        assert casimir == {w for w in blocks if casimir_eigenvalue(g, w) == target}
+        assert casimir <= candidates <= blocks.keys()
+        for w, idxs in blocks.items():
+            if w not in candidates:
+                assert _quabla_kernels(quab.int_block(w), len(idxs)) == ([], [])
+
+
+def test_quabla_kernels_run_at_the_candidates_alone(monkeypatch):
+    """On gl(3|2) Borel with L(1,0,0|0,0) at k <= 4 (`borel-gl32-k4`), the
+    quabla blocks are eliminated at the 107 candidate weights alone, of 890
+    blocks, and exactly those 107 are not acyclic."""
+    from superbgg import homology
+    runs = []
+    quabla_kernels = homology._quabla_kernels
+
+    def spy(quab, dim):
+        runs.append(dim)
+        return quabla_kernels(quab, dim)
+    monkeypatch.setattr(homology, "_quabla_kernels", spy)
+    p = _parabolic("gl", 3, 2, ())
+    an = KostantAnalysis(p, build_irrep(p.algebra, wt(1, 0, 0, 0, 0)), k_max=4)
+    for k in range(5):
+        an.homology(k)
+    assert len(runs) == 107
+    assert sum(len(an.candidate_weights(k)) for k in range(5)) == 107
+    assert sum(len(an.cx.space(k).weight_blocks) - len(an.acyclic_weights(k))
+               for k in range(5)) == 107
+    assert sum(len(an.cx.space(k).weight_blocks) for k in range(5)) == 890
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_perturbed_h_fails_the_filter_premise(optimize):
+    """The candidate filter rests on w(h) = (w, 2 rho_l - 2 rho), which the
+    Casimir terms check once per complex.  With one dual of the radical
+    doubled, h = sum [z_a, z_a^#] moves off it, and block_data raises
+    CrossCheckFailed before any block is filtered, also under `python -O`,
+    on a Borel and on a Levi with root vectors."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "from superbgg.algebra import build_algebra, build_parabolic, wt\n"
+        "from superbgg.errors import CrossCheckFailed\n"
+        "from superbgg.homology import KostantAnalysis\n"
+        "from superbgg.modules import build_irrep\n"
+        "for args, levi, lam in ((('gl', 2, 1), [], (1, 0, 0)),\n"
+        "                        (('osp', 4, 1), [1, 2], (1, 0, 0))):\n"
+        "    g = build_algebra(*args)\n"
+        "    an = KostantAnalysis(build_parabolic(g, levi), build_irrep(g, wt(*lam)), 2)\n"
+        "    an.cx.duals = [{i: 2 * c for i, c in d.items()} if a == 0 else d\n"
+        "                   for a, d in enumerate(an.cx.duals)]\n"
+        "    try:\n"
+        "        an.block_data(0)\n"
+        "    except CrossCheckFailed:\n"
+        "        print('rejected')\n"
+    )
+    out = subprocess.run([sys.executable, *(["-O"] if optimize else []), "-c", code],
+                         capture_output=True, text=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["rejected", "rejected"]
 
 
 def _top_block_counts(an) -> dict:
