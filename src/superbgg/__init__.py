@@ -33,9 +33,7 @@ from .bgg import (
 from .chains import (
     ChainBasisElement,
     ChainComplex,
-    ChainForm,
     ChainMap,
-    ChainPairing,
     ChainSpace,
 )
 from .homology import (
@@ -54,6 +52,7 @@ from .modules import (
     dual_module,
     natural_module,
 )
+from .pairing import ChainForm, ChainPairing
 
 __version__ = "0.1.0"
 

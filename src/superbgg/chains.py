@@ -10,10 +10,14 @@ One engine serves both sides of the theory.  With the nilradical n and the
 dual basis in nbar it produces the coboundary/boundary pair on
 Lambda^. n (x) V; with nbar as radical (dual basis in n) the same recursions
 are the delta operators on Lambda^. nbar (x) V*.  Both pairs square to zero,
-are h-equivariant, and are adjoint through the degreewise pairing below.
+are h-equivariant, and are adjoint through the degreewise pairing of
+`superbgg.pairing`.
 
 Every operator is a ChainMap of integer columns over one denominator, so
 composing, adding and comparing operators is exact Python-int arithmetic.
+A product of operators is also a generator of its int columns
+(`_product_columns`), which a reader can take one at a time without
+forming the product.
 
 The module enters every operator only through its action matrices.  The
 boundary, the coboundary and the action of A_i unroll to
@@ -31,12 +35,13 @@ weight blocks alone (`ChainComplex.lower_at`): the rows of the monomials
 that reach those weights, over the full table one degree down.
 
 The Casimir quabla, -1/2 (C2 + w(h) - C_l), the form the homology layer
-reads (the direct one cross-checks it), is built from C_k alone and
-assembled the same way: the Cartan part of C_l acts on the weight-w
-block by (w, w), so with C2 and w(h) it is a quadratic form in w computed
-once per complex, and the Levi root-vector part is one exterior table per
-degree with ops 1, rho(A_t) and rho(C_l^root) (derivation in
-`ChainComplex.quabla`).
+reads (the direct one cross-checks it), is built from C_k alone and held
+in two parts (`CasimirQuabla`): the Cartan part of C_l acts on the
+weight-w block by (w, w), so with C2 and w(h) it is a quadratic form in w
+computed once per complex and kept as one int per weight, and the Levi
+root-vector part is a ChainMap assembled from one exterior table per
+degree with ops 1, rho(A_t) and rho(C_l^root), absent on a Borel
+(derivation in `ChainComplex.casimir_quabla`).
 
 Chain weights are the module's weights plus integral root sums; every
 integral coordinate is held as an int (`algebra.wt_int`), which hashes and
@@ -51,7 +56,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from . import linalg
 from .algebra import (
@@ -64,9 +69,8 @@ from .algebra import (
     wt_sub,
 )
 from .errors import CrossCheckFailed, PreconditionViolated
-from .modules import HWModule, Module
+from .modules import Module
 
-F0 = Fraction(0)
 F1 = Fraction(1)
 HALF = Fraction(1, 2)
 
@@ -164,7 +168,12 @@ class ChainMap:
 
     def compose(self, inner: "ChainMap") -> "ChainMap":
         """self o inner."""
-        return _sum_of_products([(self, inner)])
+        cols, den = self.compose_columns(inner)
+        return ChainMap.canonical(inner.source, self.target, list(cols), den)
+
+    def compose_columns(self, inner: "ChainMap") -> tuple[Iterator, int]:
+        """self o inner one column at a time (`_product_columns`)."""
+        return _product_columns([(self, inner)])
 
     def add(self, other: "ChainMap") -> "ChainMap":
         """self + other, over the lcm of the two denominators.  No package
@@ -207,26 +216,31 @@ class ChainMap:
         return [[Fraction(v, den) if v else 0 for v in row] for row in out]
 
 
-def _sum_of_products(pairs: list) -> ChainMap:
-    """The sum of outer o inner over the (outer, inner) pairs, maps between
-    the same two spaces, accumulated into one int column per source index
-    over the lcm of the products' denominators and made canonical once:
-    no intermediate map is formed."""
+def _product_columns(pairs: list) -> tuple[Iterator, int]:
+    """(columns, den) of the sum of outer o inner over the (outer, inner)
+    pairs, maps between the same two spaces.  den is the lcm of the
+    products' denominators, and `columns` yields den times the sum's column
+    at each source index in turn, an int column with no zero entry, formed
+    straight from the factors' int columns.  A reader that takes the
+    columns one at a time holds one column and no map."""
     source, target = pairs[0][1].source, pairs[0][0].target
     if any(inner.target is not outer.source or inner.source is not source
            or outer.target is not target for outer, inner in pairs):
         raise CrossCheckFailed("composed maps do not share a chain space")
     den = lcm(*(outer.den * inner.den for outer, inner in pairs))
-    accs = [{} for _ in range(source.dim)]
-    for outer, inner in pairs:
-        f, ocols = den // (outer.den * inner.den), outer.icols
-        for acc, col in zip(accs, inner.icols):
-            for r, c in col.items():
-                fc = f * c
-                for t, v in ocols[r].items():
-                    acc[t] = acc.get(t, 0) + fc * v
-    icols = [{t: v for t, v in acc.items() if v} for acc in accs]
-    return ChainMap.canonical(source, target, icols, den)
+    factors = [(den // (outer.den * inner.den), outer.icols, inner.icols)
+               for outer, inner in pairs]
+
+    def columns():
+        for j in range(source.dim):
+            acc: dict = {}
+            for f, ocols, icols in factors:
+                for r, c in icols[j].items():
+                    fc = f * c
+                    for t, v in ocols[r].items():
+                        acc[t] = acc.get(t, 0) + fc * v
+            yield {t: v for t, v in acc.items() if v}
+    return columns(), den
 
 
 def _add_term(out: dict, key, c) -> None:
@@ -236,6 +250,61 @@ def _add_term(out: dict, key, c) -> None:
         out[key] = new
     else:
         out.pop(key, None)
+
+
+@dataclass(eq=False)
+class CasimirQuabla:
+    """quabla_k by Kostant's formula in its two parts
+    (`ChainComplex.casimir_quabla`): the scalar part, scalar[w] / den on
+    the weight-w block of `space`, and the root part, a ChainMap of
+    `space`, or None where the Levi is the Cartan."""
+
+    space: ChainSpace
+    scalar: dict            # weight -> int
+    den: int
+    root: ChainMap | None
+
+    def _scales(self) -> tuple[int, int, int]:
+        """(D, D / den, D / root den) for D the lcm of both denominators."""
+        rden = self.root.den if self.root is not None else 1
+        big = lcm(self.den, rden)
+        return big, big // self.den, big // rden
+
+    def columns(self) -> Iterator:
+        """D times quabla (`_scales`) one column at a time: the scalar at
+        the column's own row plus the root part's column."""
+        _, fs, fr = self._scales()
+        root = self.root.icols if self.root is not None else None
+        for j, w in enumerate(self.space.weights):
+            col = {r: fr * v for r, v in root[j].items()} if root is not None else {}
+            _add_term(col, j, fs * self.scalar[w])
+            yield col
+
+    def int_block(self, weight: Weight) -> list:
+        """D times the weight block (`_scales`): the root block plus the
+        scalar times the identity, an int matrix with the kernel and rank
+        of the exact block, which is what block_data reads."""
+        _, fs, fr = self._scales()
+        n = len(self.space.weight_blocks.get(weight, []))
+        out = ([[fr * v for v in row] for row in self.root.int_block(weight)]
+               if self.root is not None else [[0] * n for _ in range(n)])
+        for i in range(n):
+            out[i][i] += fs * self.scalar[weight]
+        return out
+
+    def merged(self) -> ChainMap:
+        """The two parts summed into one canonical ChainMap."""
+        return ChainMap.canonical(self.space, self.space, list(self.columns()),
+                                  self._scales()[0])
+
+    def agrees(self, cols: Iterator, den: int) -> bool:
+        """Whether the map of `space` with the int columns `cols` over `den`
+        is quabla, one column at a time against `columns`, the two
+        denominators cross-multiplied."""
+        big = self._scales()[0]
+        return all({r: den * v for r, v in want.items()}
+                   == {r: big * v for r, v in col.items()}
+                   for col, want in zip(cols, self.columns(), strict=True))
 
 
 class ChainComplex:
@@ -684,18 +753,32 @@ class ChainComplex:
     # -- quabla -------------------------------------------------------------------
 
     def quabla(self, k: int, method: str = "direct") -> ChainMap:
-        """quabla_k = d_{k-1} d*_k + d*_{k+1} d_k on C_k.
+        """quabla_k = d_{k-1} d*_k + d*_{k+1} d_k on C_k as one ChainMap:
+        "direct" collects the columns of `quabla_columns`, and "casimir"
+        merges the two parts of Kostant's formula (`casimir_quabla`).  The
+        two share no recursion, so their equality is a cross-check of
+        both."""
+        if method == "direct":
+            cols, den = self.quabla_columns(k)
+            return ChainMap.canonical(self.space(k), self.space(k), list(cols), den)
+        if method != "casimir":
+            raise ValueError("method must be 'direct' or 'casimir'")
+        return self.casimir_quabla(k).merged()
 
-        "direct" forms the two products column by column, straight into
-        int columns over one denominator, so it needs d_k : C_k -> C_{k+1}.
-        "casimir" is Kostant's formula
+    def quabla_columns(self, k: int) -> tuple[Iterator, int]:
+        """The direct quabla_k = d_{k-1} d*_k + d*_{k+1} d_k one column at a
+        time (`_product_columns`); it needs d_k : C_k -> C_{k+1}."""
+        pairs = [(self.raise_(k - 1), self.lower(k))] if k > 0 else []
+        return _product_columns(pairs + [(self.lower(k + 1), self.raise_(k))])
+
+    def casimir_quabla(self, k: int) -> CasimirQuabla:
+        """quabla_k by Kostant's formula
 
             quabla = -1/2 (C2(lambda) + w(h) - C_l)   on the weight-w block,
 
         with h = sum_a [z_a, z_a^#] and C_l = sum_i A_i A_i^# the Casimir
         of the Levi acting on C_k (A_i over the Levi basis, A_i^# its dual
-        in the Levi).  It shares no recursion with "direct", so their
-        equality is a cross-check of both.
+        in the Levi), built from C_k alone and held in two parts.
 
         C_l splits along the Levi basis into a sum over the Cartan basis
         and one over the Levi root vectors.  The form is even and invariant,
@@ -705,15 +788,16 @@ class ChainComplex:
         (`_casimir_terms` raises CrossCheckFailed otherwise, and when h is
         not in the Cartan).
 
-        Cartan part.  A Cartan element H acts on the weight-w block by the
+        Scalar part.  A Cartan element H acts on the weight-w block by the
         scalar w(H), so sum_H H H^# acts there by sum_H w(H) w(H^#).  Let
         t_w be the Cartan element with (t_w, H) = w(H) for all H; pairing
         with each H shows sum_H w(H) H^# = t_w, so the scalar is
-        w(t_w) = (w, w).  With -1/2 (C2(lambda) + w(h)) it makes the scalar
-        part of quabla, a quadratic form in w whose int coefficients over
-        one denominator are formed once per complex.
+        w(t_w) = (w, w).  With -1/2 (C2(lambda) + w(h)) it makes a
+        quadratic form in w whose int coefficients over one denominator are
+        formed once per complex; it is held as one int per weight.
 
-        Root part.  Every A acts on X (x) m as
+        Root part, 1/2 C_l^root on C_k for C_l^root = sum_i A_i A_i^# over
+        the Levi root vectors.  Every A acts on X (x) m as
         ad(A)X (x) m + s_A(X) X (x) A m with s_A(X) = (-1)^{|A||X|}.
         Applying A_s and then A_i, both of one parity, gives
 
@@ -722,17 +806,12 @@ class ChainComplex:
 
         as s_{A_i}(X) s_{A_s}(X) = 1 in the last term.  Summed over the
         root vectors A_i with A_i^# = sum_s c_is A_s, the last terms make
-        X (x) rho(C_l^root) m, C_l^root = sum_i A_i A_i^#.  So the root
-        part is one exterior table per degree, with ops 1, rho(A_t) and
-        rho(C_l^root), built from `_ad_monomial` alone (never from the
-        boundary or coboundary recursions) and assembled like the
-        operators.  On a Borel the Levi is the Cartan, the table is empty
-        and quabla is diagonal."""
-        if method == "direct":
-            pairs = [(self.raise_(k - 1), self.lower(k))] if k > 0 else []
-            return _sum_of_products(pairs + [(self.lower(k + 1), self.raise_(k))])
-        if method != "casimir":
-            raise ValueError("method must be 'direct' or 'casimir'")
+        X (x) rho(C_l^root) m.  So the root part is one exterior table per
+        degree, with ops 1, rho(A_t) and rho(C_l^root), built from
+        `_ad_monomial` alone (never from the boundary or coboundary
+        recursions) and assembled into a ChainMap like the operators.  On a
+        Borel the Levi is the Cartan: there is no root part, and quabla is
+        the scalar part alone."""
         terms = self._casimir_terms
         sp = self.space(k)
         # den times the scalar part per weight: an int, or a Fraction where
@@ -741,29 +820,16 @@ class ChainComplex:
                 + sum(b * w[c] * w[d] for c, d, b in terms.quadratic)
                 for w in sp.weight_blocks}
         wden = lcm(1, *(v.denominator for v in nums.values()))
-        sden = terms.den * wden
-        scalar = [0] * sp.dim      # sden times the scalar part, per column
-        for w, idxs in sp.weight_blocks.items():
-            v = nums[w].numerator * (wden // nums[w].denominator)
-            for j in idxs:
-                scalar[j] = v
-        if not terms.roots:
-            return ChainMap.canonical(
-                sp, sp, [{j: v} if v else {} for j, v in enumerate(scalar)], sden)
-        root, rden = self._assemble_cols(k, self._casimir_table(k), terms.ops)
-        # scalar / sden + root / (2 root_den rden), over one denominator
-        den = lcm(sden, 2 * terms.root_den * rden)
-        fs, fr = den // sden, den // (2 * terms.root_den * rden)
-        icols = []
-        for j, col in enumerate(root):
-            out = {r: fr * v for r, v in col.items()}
-            _add_term(out, j, fs * scalar[j])
-            icols.append(out)
-        return ChainMap.canonical(sp, sp, icols, den)
+        scalar = {w: v.numerator * (wden // v.denominator) for w, v in nums.items()}
+        root = None
+        if terms.roots:
+            icols, rden = self._assemble_cols(k, self._casimir_table(k), terms.ops)
+            root = ChainMap.canonical(sp, sp, icols, 2 * terms.root_den * rden)
+        return CasimirQuabla(sp, scalar, terms.den * wden, root)
 
     @functools.cached_property
     def _casimir_terms(self) -> "_CasimirTerms":
-        """The per-complex data of the Casimir quabla (see `quabla`)."""
+        """The per-complex data of the Casimir quabla (`casimir_quabla`)."""
         g, p = self.algebra, self.parabolic
         roots = []
         for i, dual in zip(p.levi_indices, p.levi_duals()):
@@ -824,7 +890,7 @@ class ChainComplex:
     def _casimir_table(self, k: int) -> list:
         """Exterior table of root_den * C_l^root on C_k, with ops 1,
         rho(A_t) for the Levi root vectors A_t and rho(C_l^root) (see
-        `quabla`)."""
+        `casimir_quabla`)."""
         terms = self._casimir_terms
         op_of = {t: 1 + o for o, (t, _) in enumerate(terms.roots)}
         nops = len(terms.ops)
@@ -865,147 +931,3 @@ class _CasimirTerms(NamedTuple):
     roots: list
     root_den: int
     ops: list
-
-
-# ---------------------------------------------------------------------------
-# pairing and the contravariant form on chains
-# ---------------------------------------------------------------------------
-
-def _move_sign(g, gens: tuple, t: int) -> Fraction:
-    """Koszul sign of moving the t-th generator to the front."""
-    sgn = F1
-    pt = g.parity(gens[t])
-    for u in range(t):
-        if not (pt and g.parity(gens[u])):
-            sgn = -sgn
-    return sgn
-
-
-class _LaplaceExpansion:
-    """Memoised bilinear form on chain monomials, expanded along the leading
-    factor y0 of the left argument:
-
-        (y0 ^ Q, X) = sum_t s_t (y0, x_t) (Q, X without x_t),
-
-    with (., .) on generators given by `gform` and `base(qi, pi)` the value
-    in degree 0.  s_t is the Koszul sign of moving x_t to the front, times
-    (-1)^{|Q||x_t|} when `twisted` (|Q| counts the module factor too)."""
-
-    def __init__(self, left: ChainComplex, gform: dict, base, twisted: bool):
-        self.left = left
-        self.gform = gform
-        self.base = base
-        self.twisted = twisted
-        self.memo: dict = {}
-
-    def __call__(self, q: ChainBasisElement, p: ChainBasisElement) -> Fraction:
-        key = (q, p)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        if q.degree == 0:
-            val = self.base(q.module_index, p.module_index)
-            self.memo[key] = val
-            return val
-        g = self.left.algebra
-        y0, qrest = self.left._peel(q)
-        qrest_odd = self.twisted and (
-            self.left.module.parities[q.module_index]
-            + sum(g.parity(i) for i in qrest.generators())) % 2
-        pgens = p.generators()
-        val = F0
-        for t, xt in enumerate(pgens):
-            gv = self.gform.get((y0, xt))
-            if not gv:
-                continue
-            rest_gens = pgens[:t] + pgens[t + 1:]
-            pe = tuple(i for i in rest_gens if g.parity(i) == 0)
-            po = tuple(i for i in rest_gens if g.parity(i) == 1)
-            prest = ChainBasisElement(pe, po, p.module_index)
-            sgn = _move_sign(g, pgens, t)
-            if qrest_odd and g.parity(xt):
-                sgn = -sgn
-            val += sgn * gv * self(qrest, prest)
-        self.memo[key] = val
-        return val
-
-
-class ChainPairing:
-    """Degreewise pairing of Lambda^k nbar (x) V* with Lambda^k n (x) V.
-
-    Built from the rule (Y (x) q, X (x) p) = (-1)^{|q||X|} (Y, X) (q, p) with
-    the Laplace expansion over which right factor absorbs the leading left
-    factor; the base case is the evaluation of V* on V in dual bases.
-    """
-
-    def __init__(self, left: ChainComplex, right: ChainComplex):
-        if not (left.side == "nbar" and right.side == "n"):
-            raise PreconditionViolated("pairing needs an nbar complex and an n complex")
-        self.left = left
-        self.right = right
-        g = left.algebra
-        gform = {}
-        for y in left.radical:
-            for x in right.radical:
-                v = g.gram[y][x]
-                if v:
-                    gform[(y, x)] = v
-        self._expansion = _LaplaceExpansion(
-            left, gform, lambda qi, pi: F1 if qi == pi else F0, twisted=True)
-
-    def pair_elements(self, q: ChainBasisElement, p: ChainBasisElement) -> Fraction:
-        return self._expansion(q, p)
-
-    def matrix(self, k: int) -> list:
-        """Dense matrix (rows: left basis, cols: right basis) at degree k."""
-        lsp, rsp = self.left.space(k), self.right.space(k)
-        return [
-            [self.pair_elements(q, p) for p in rsp.basis]
-            for q in lsp.basis
-        ]
-
-    def block(self, k: int, left_weight: Weight) -> tuple:
-        """Block pairing C^k(n,V*)_mu with C^k(nbar,V)_{-mu}."""
-        lsp, rsp = self.left.space(k), self.right.space(k)
-        lrows = lsp.weight_blocks.get(left_weight, [])
-        from .algebra import wt_neg
-        rcols = rsp.weight_blocks.get(wt_neg(left_weight), [])
-        mat = [
-            [self.pair_elements(lsp.basis[i], rsp.basis[j]) for j in rcols]
-            for i in lrows
-        ]
-        return lrows, rcols, mat
-
-
-class ChainForm:
-    """Contravariant form on one complex, built from the adjoint operation:
-    <Y1 ^ f, Y2 ^ g> = (dagger Y1, Y2) <f, g> with the module's own form.
-    delta and -delta* are adjoint with respect to it."""
-
-    def __init__(self, cx: ChainComplex):
-        self.cx = cx
-        mod = cx.module
-        if not (isinstance(mod, HWModule) and mod.gram_blocks):
-            raise PreconditionViolated(
-                "chain form needs a module with a contravariant form")
-        g = cx.algebra
-        op = mod.adjoint
-        gform = {}
-        for y1 in cx.radical:
-            dag = op.apply_basis(y1)
-            for y2 in cx.radical:
-                v = g.form(dag, {y2: F1})
-                if v:
-                    gform[(y1, y2)] = v
-        self._expansion = _LaplaceExpansion(cx, gform, mod.gram, twisted=False)
-
-    def form_elements(self, x: ChainBasisElement, y: ChainBasisElement) -> Fraction:
-        return self._expansion(x, y)
-
-    def block(self, k: int, weight: Weight) -> list:
-        sp = self.cx.space(k)
-        idxs = sp.weight_blocks.get(weight, [])
-        return [
-            [self.form_elements(sp.basis[i], sp.basis[j]) for j in idxs]
-            for i in idxs
-        ]

@@ -244,27 +244,31 @@ def _cmd_rep(args, t0) -> int:
 
 
 def _internal_checks(an, k_max: int) -> tuple:
-    """Nilpotency and quabla cross-checks on the built window.
+    """Nilpotency and quabla cross-checks on the built window, read one
+    column at a time: no composed map and no direct quabla is formed.
 
     Nilpotency covers every boundary the analysis reads: d*_{k-1} d*_k = 0
     for k <= k_max, and d*_{k_max} d*_{k_max+1} = 0 on the restricted
     d*_{k_max+1} that block_data(k_max) reads its images from
-    (`boundary_above`).  The Casimir quabla is the analysis's own
-    (`quabla_map`), the one its block kernels read, so it is built once per
-    degree.  The direct quabla d_{k-1} d*_k + d*_{k+1} d_k is its
-    independent side, built here only, at degrees 0..k_max-1: at k_max it
-    would need d_{k_max}, which nothing else builds.  Maps are compared in
-    their canonical integer form, so no Fraction view is built."""
+    (`boundary_above`); and d_{k+1} d_k = 0 for k <= k_max - 2.  It holds
+    when every column of each product is zero (`ChainMap.compose_columns`).
+    The Casimir quabla is the analysis's own (`quabla_map`), the parts its
+    block kernels read, so it is built once per degree.  The direct quabla
+    d_{k-1} d*_k + d*_{k+1} d_k is its independent side, streamed here only
+    (`ChainComplex.quabla_columns`), at degrees 0..k_max-1: at k_max it
+    would need d_{k_max}, which nothing else builds.  Each direct column is
+    compared with the scalar times e_j plus the root part's column, the
+    denominators cross-multiplied (`CasimirQuabla.agrees`)."""
     cx = an.cx
-    nil = all(
-        cx.lower(k - 1).compose(cx.lower(k)).is_zero() for k in range(2, k_max + 1)
-    ) and cx.lower(k_max).compose(an.boundary_above(k_max)).is_zero() and all(
-        cx.raise_(k + 1).compose(cx.raise_(k)).is_zero() for k in range(0, k_max - 1)
-    )
-    quab = all(
-        cx.quabla(k, "direct") == an.quabla_map(k)
-        for k in range(0, k_max)
-    )
+
+    def products():
+        for k in range(2, k_max + 1):
+            yield cx.lower(k - 1), cx.lower(k)
+        yield cx.lower(k_max), an.boundary_above(k_max)
+        for k in range(0, k_max - 1):
+            yield cx.raise_(k + 1), cx.raise_(k)
+    nil = all(not any(outer.compose_columns(inner)[0]) for outer, inner in products())
+    quab = all(an.quabla_map(k).agrees(*cx.quabla_columns(k)) for k in range(0, k_max))
     return nil, quab
 
 

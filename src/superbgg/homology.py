@@ -102,7 +102,7 @@ from .algebra import (
     wt_int,
     wt_sub,
 )
-from .chains import ChainComplex, ChainMap
+from .chains import CasimirQuabla, ChainComplex, ChainMap
 from .errors import (
     CrossCheckFailed,
     FiniteDimGuardExceeded,
@@ -118,15 +118,25 @@ def _quabla_kernels(quab: list, dim: int) -> tuple[list, list]:
     quabla block q (dim x dim), as primitive int vectors.  block_data runs
     it at the candidate weights alone (module docstring).
 
-    The generalized zero space is ker q^e for any e >= dim.  Kernels grow
-    along q, q^2, q^4, ... and once ker q^e = ker q^2e they have stopped
-    growing, so squaring stops there; an invertible q has no generalized
-    zero space at all.  The kernel basis (linalg.int_kernel) is read off
-    the RREF, which the kernel alone determines, so it is the basis of
-    ker q^e for every e >= dim."""
-    kernel = linalg.int_kernel(*linalg.int_rref(quab, integral=True), dim)
+    The generalized zero space is ker q^e for any e >= dim.  It is ker q
+    exactly when ker q meets im q only in 0, and one rank test decides
+    that: with R the int RREF rows of q (ker R = ker q) and Q the pivot
+    columns of q (a basis of im q), a vector Q c of im q lies in ker q
+    exactly when R Q c = 0, so the intersection is 0 exactly when the
+    r x r matrix R Q is nonsingular.  Then the generalized zero space is
+    `kernel` itself.  Elsewhere kernels grow along q, q^2, q^4, ... and
+    once ker q^e = ker q^2e they have stopped growing, so squaring stops
+    there; an invertible q has no generalized zero space at all.  The
+    kernel basis (linalg.int_kernel) is read off the RREF, which the kernel
+    alone determines, so it is the basis of ker q^e for every e >= dim."""
+    rows, pivots = linalg.int_rref(quab, integral=True)
+    kernel = linalg.int_kernel(rows, pivots, dim)
     if not kernel:
         return [], []
+    meet = [[sum(x * quab[i][p] for i, x in enumerate(row) if x) for p in pivots]
+            for row in rows]
+    if linalg.rank(meet) == len(pivots):
+        return kernel, kernel
     gen_zero, power, e = kernel, quab, 1
     while e < dim and len(gen_zero) < dim:
         power = linalg.mat_mul(power, power)
@@ -280,6 +290,10 @@ class LeviModule:
     def dim(self) -> int:
         return sum(map(len, self.ker.values())) - sum(map(len, (self.im or {}).values()))
 
+    def weight_dim(self, weight: Weight) -> int:
+        """dim M_w = |ker[w]| - |im[w]|."""
+        return len(self.ker.get(weight, ())) - len((self.im or {}).get(weight, ()))
+
     def act(self, levi_index: int) -> ChainMap:
         """The Levi basis element A_i on C_k: the complex's action map, whose
         int columns decompose_levi reads."""
@@ -409,9 +423,11 @@ def decompose_levi(p: ParabolicDecomposition, mod: LeviModule) -> LDecomposition
         sum_w dim G_w == dim(sum_w G_w) == dim M,
 
     i.e. the G_w span M and their sum is direct; dim(sum_w G_w) is the rank
-    of the union of their echelon bases.  Then every G_w is isomorphic to
-    L(w)^(dim H_w), so `irrep_dimension` is generated_dimension //
-    hw_vector_count, and a remainder raises CrossCheckFailed.
+    of the union of their echelon bases, or where one weight carries H_w,
+    the number of rows of its closure's echelon basis.  Then every G_w is
+    isomorphic to L(w)^(dim H_w), so `irrep_dimension` is
+    generated_dimension // hw_vector_count, and a remainder raises
+    CrossCheckFailed.
 
     Proof, valid for Levi superalgebras with odd roots such as
     gl(1|1)+gl(1).  (<=) Every nonzero submodule N of a finite-dimensional
@@ -451,7 +467,7 @@ def decompose_levi(p: ParabolicDecomposition, mod: LeviModule) -> LDecomposition
     lowering = [(wt_int(g.root(neg[i])), mod.act(neg[i]).icols) for i in roots]
     matches = _casimir_matcher(mod.cx)
     im = mod.im or {}
-    entries, union = [], _WeightEchelon()
+    entries, gens = [], []
     for w in sorted(mod.ker, key=weight_key):
         if len(mod.ker[w]) == len(im.get(w, ())) or not matches(w):
             continue
@@ -465,9 +481,16 @@ def decompose_levi(p: ParabolicDecomposition, mod: LeviModule) -> LDecomposition
             irrep_dimension=None,
             generated_dimension=len(gen),
         ))
-        for row in gen:
-            union.add(row)
-    cr = sum(e.generated_dimension for e in entries) == union.rank == mod.dim
+        gens.append(gen)
+    if len(gens) == 1:
+        rank = len(gens[0])         # the closure's own echelon rows
+    else:
+        union = _WeightEchelon()
+        for gen in gens:
+            for row in gen:
+                union.add(row)
+        rank = union.rank
+    cr = sum(e.generated_dimension for e in entries) == rank == mod.dim
     for e in entries:
         if cr:
             e.irrep_dimension, rest = divmod(e.generated_dimension,
@@ -534,13 +557,23 @@ def _lowering_closure(mod: LeviModule, lowering: list, weight: Weight,
     `seeds` of weight `weight` closed under the lowering operators
     (`lowering`: (root, int columns) per operator), level by level.  The
     images of one weight are expressed together; each is a positive
-    multiple of the exact one, so the span is the exact closure."""
+    multiple of the exact one, so the span is the exact closure.
+
+    A weight is met at one level only, its height below `weight`, so all
+    its rows are inserted in one pass, and insertion stops once they number
+    dim M_u (`LeviModule.weight_dim`): every later vector of that weight is
+    dependent, and its images lie in the span of the rows' images."""
     echelon = _WeightEchelon()
     basis, frontier, count = [], {weight: seeds}, None
     while frontier:
         nxt: dict = {}
         for u, vecs in frontier.items():
-            rows = [row for vec in vecs if (row := echelon.add(vec)) is not None]
+            room, rows = mod.weight_dim(u), []
+            for vec in vecs:
+                if len(rows) == room:
+                    break
+                if (row := echelon.add(vec)) is not None:
+                    rows.append(row)
             basis.extend(rows)
             for root, cols in lowering:
                 imgs = [img for row in rows if (img := _apply(cols, row))]
@@ -578,17 +611,19 @@ class KostantAnalysis:
 
     # -- raw block data -------------------------------------------------------
 
-    def quabla_map(self, k: int) -> ChainMap:
-        """quabla_k by Kostant's Casimir formula, cached per degree: the map
-        whose blocks block_data reads.  It is built from C_k alone, where
-        the direct form d_{k-1} d*_k + d*_{k+1} d_k would need d_k into
-        C_{k+1}; so the top degree k_max builds no map C_{k_max} ->
-        C_{k_max+1}, and its invertible blocks spare d*_{k_max+1} too,
-        which is built only at the other weights (`boundary_above`).  On a
-        Borel it is diagonal.  The direct form is only the independent side
-        of `cli._internal_checks`."""
+    def quabla_map(self, k: int) -> CasimirQuabla:
+        """quabla_k by Kostant's Casimir formula, cached per degree, in its
+        two parts (`ChainComplex.casimir_quabla`): one int per weight for
+        the scalar part, and a ChainMap for the root part, none on a Borel.
+        block_data reads its `int_block`s, and `cli._internal_checks`
+        compares it with the direct form one column at a time.  It is built
+        from C_k alone, where the direct form d_{k-1} d*_k + d*_{k+1} d_k
+        would need d_k into C_{k+1}; so the top degree k_max builds no map
+        C_{k_max} -> C_{k_max+1}, and its invertible blocks spare
+        d*_{k_max+1} too, which is built only at the other weights
+        (`boundary_above`)."""
         if k not in self._quabla:
-            self._quabla[k] = self.cx.quabla(k, "casimir")
+            self._quabla[k] = self.cx.casimir_quabla(k)
         return self._quabla[k]
 
     def block_data(self, k: int) -> dict:

@@ -1090,6 +1090,26 @@ def oracle_build_algebra(kind, m, n, C=1):
 
 
 # ---------------------------------------------------------------------------
+# whole-map cross-checks
+# ---------------------------------------------------------------------------
+
+def whole_map_checks(an, k_max):
+    """(nilpotency, quabla agreement) of a KostantAnalysis on the degrees
+    that `cli._internal_checks` covers, from whole maps: every product
+    composed with ChainMap.compose, and the direct quabla built whole and
+    compared with the analysis's Casimir parts merged into one map."""
+    cx = an.cx
+    nil = (all(cx.lower(k - 1).compose(cx.lower(k)).is_zero()
+               for k in range(2, k_max + 1))
+           and cx.lower(k_max).compose(an.boundary_above(k_max)).is_zero()
+           and all(cx.raise_(k + 1).compose(cx.raise_(k)).is_zero()
+                   for k in range(k_max - 1)))
+    quab = all(cx.quabla(k, "direct") == an.quabla_map(k).merged()
+               for k in range(k_max))
+    return nil, quab
+
+
+# ---------------------------------------------------------------------------
 # composed Casimir quabla oracle
 # ---------------------------------------------------------------------------
 

@@ -23,8 +23,9 @@ from oracles import (
 )
 from superbgg import linalg
 from superbgg.algebra import build_algebra, build_parabolic, wt
-from superbgg.chains import ChainComplex, ChainForm, ChainPairing, ChainSpace
+from superbgg.chains import ChainComplex, ChainSpace
 from superbgg.modules import build_irrep, dual_module
+from superbgg.pairing import ChainForm, ChainPairing
 
 F = Fraction
 F0, F1 = Fraction(0), Fraction(1)

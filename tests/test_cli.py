@@ -122,19 +122,23 @@ QUABLA_ARGV = [
 @pytest.mark.parametrize("argv", QUABLA_ARGV)
 def test_quabla_built_once_per_degree_and_no_top_coboundary(capsys, monkeypatch, argv):
     """The block kernels read the Casimir quabla, built once per degree
-    0..kmax; the direct quabla is built only for the cross-check, once per
-    degree 0..kmax-1; and no map C_kmax -> C_kmax+1 is ever assembled."""
+    0..kmax; the direct quabla is streamed only for the cross-check, once
+    per degree 0..kmax-1; and no map C_kmax -> C_kmax+1 is ever
+    assembled."""
     from superbgg import chains
     k_max = int(argv[argv.index("--kmax") + 1])
     quablas: dict = {}
     assembled, raised = set(), set()
-    quabla, assemble, raise_ = (chains.ChainComplex.quabla,
-                                chains.ChainComplex._assemble,
-                                chains.ChainComplex.raise_)
+    casimir, columns, assemble, raise_ = (chains.ChainComplex.casimir_quabla,
+                                          chains.ChainComplex.quabla_columns,
+                                          chains.ChainComplex._assemble,
+                                          chains.ChainComplex.raise_)
 
-    def counting_quabla(self, k, method="direct"):
-        quablas[(k, method)] = quablas.get((k, method), 0) + 1
-        return quabla(self, k, method)
+    def counting(real, method):
+        def spy(self, k):
+            quablas[(k, method)] = quablas.get((k, method), 0) + 1
+            return real(self, k)
+        return spy
 
     def counting_assemble(self, source, k_dst, *args):
         assembled.add((source.degree, k_dst))
@@ -143,7 +147,8 @@ def test_quabla_built_once_per_degree_and_no_top_coboundary(capsys, monkeypatch,
     def counting_raise(self, k):
         raised.add(k)
         return raise_(self, k)
-    monkeypatch.setattr(chains.ChainComplex, "quabla", counting_quabla)
+    monkeypatch.setattr(chains.ChainComplex, "casimir_quabla", counting(casimir, "casimir"))
+    monkeypatch.setattr(chains.ChainComplex, "quabla_columns", counting(columns, "direct"))
     monkeypatch.setattr(chains.ChainComplex, "_assemble", counting_assemble)
     monkeypatch.setattr(chains.ChainComplex, "raise_", counting_raise)
     code, out = run_cli(capsys, *argv)
@@ -159,6 +164,65 @@ REFERENCES = Path(__file__).resolve().parent.parent / "perfbench" / "references.
 
 def _benchmark_argv(qid: str) -> list:
     return json.loads(REFERENCES.read_text())[qid]["argv"]
+
+
+@pytest.mark.parametrize("argv", QUABLA_ARGV + [_benchmark_argv("borel-gl32-k4")])
+def test_cross_checks_form_no_composed_map(capsys, monkeypatch, argv):
+    """The cross-checks read their products one column at a time: the CLI
+    calls neither ChainMap.compose nor ChainComplex.quabla (so no direct
+    quabla is built whole), and compares the streamed direct quabla with
+    the Casimir parts once per degree 0..kmax-1."""
+    from superbgg import chains
+    k_max = int(argv[argv.index("--kmax") + 1])
+    whole, compared = [], []
+    agrees = chains.CasimirQuabla.agrees
+
+    def spy_whole(cls, name):
+        real = getattr(cls, name)
+
+        def spy(*args, **kwargs):
+            whole.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(cls, name, spy)
+
+    def spy_agrees(self, cols, den):
+        compared.append(self.space.degree)
+        return agrees(self, cols, den)
+    spy_whole(chains.ChainMap, "compose")
+    spy_whole(chains.ChainComplex, "quabla")
+    monkeypatch.setattr(chains.CasimirQuabla, "agrees", spy_agrees)
+    code, out = run_cli(capsys, *argv)
+    rep = json.loads(out)
+    assert code == 0 and rep["nilpotency_ok"] and rep["quabla_cross_check_ok"]
+    assert whole == [] and compared == list(range(k_max))
+
+
+@pytest.mark.parametrize("argv, borel", [
+    (_benchmark_argv("borel-gl32-k4"), True),
+    (QUABLA_ARGV[2], False),
+])
+def test_casimir_quabla_held_as_parts(capsys, monkeypatch, argv, borel):
+    """After the command, the analysis holds the Casimir quabla of every
+    degree 0..kmax as one int per weight of C_k plus a root part: on a
+    Borel (`borel-gl32-k4`), where the Levi is the Cartan, no ChainMap at
+    all; on osp(4|2) with the Levi of drop 0, one ChainMap per degree."""
+    from superbgg import chains, homology
+    k_max = int(argv[argv.index("--kmax") + 1])
+    built = []
+    init = homology.KostantAnalysis.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(homology.KostantAnalysis, "__init__", spy)
+    code, _ = run_cli(capsys, *argv)
+    (an,) = built
+    assert code == 0 and sorted(an._quabla) == list(range(k_max + 1))
+    for k, parts in an._quabla.items():
+        maps = [v for v in vars(parts).values() if isinstance(v, chains.ChainMap)]
+        assert maps == ([] if borel else [parts.root])
+        assert parts.scalar.keys() == an.cx.space(k).weight_blocks.keys()
+        assert all(type(v) is int for v in parts.scalar.values())
 
 
 @pytest.mark.parametrize("argv", QUABLA_ARGV + [_benchmark_argv("borel-gl32-k4")])

@@ -31,6 +31,7 @@ from oracles import (
     oracle_levi_generated_dims,
     oracle_map_product,
     rank_dense,
+    whole_map_checks,
     zeros,
 )
 from superbgg import linalg
@@ -45,6 +46,7 @@ from superbgg.algebra import (
     wt_int,
 )
 from superbgg.chains import ChainComplex, ChainMap
+from superbgg.cli import _internal_checks
 from superbgg.errors import (
     FiniteDimGuardExceeded,
     LeviNotClosed,
@@ -170,9 +172,9 @@ def test_quabla_preserves_ker_and_im(gl21_an):
     """Exactness bookkeeping: quabla commutes with the boundary."""
     cx = gl21_an.cx
     for k in range(1, 3):
-        q = gl21_an.quabla_map(k)
+        q = gl21_an.cx.quabla(k, "casimir")
         low = cx.lower(k)
-        qlow = gl21_an.quabla_map(k - 1)
+        qlow = gl21_an.cx.quabla(k - 1, "casimir")
         assert low.source is q.source
         assert qlow.compose(low).cols == low.compose(q).cols
 
@@ -398,7 +400,7 @@ def test_ker_quabla_is_a_levi_module_of_the_block_kernels(case, request):
         assert dims == ker_quabla(an, k).weight_dims() == {
             w: len(d["ker_quabla"]) for w, d in an.block_data(k).items()
             if d["ker_quabla"]}
-        icols = an.quabla_map(k).icols
+        icols = an.cx.quabla(k, "casimir").icols
         for cols in kq.ker.values():
             for col in cols:
                 img: dict = {}
@@ -951,14 +953,15 @@ _JORDAN3 = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
     ([[2, 1, 0], [1, 1, 0], [0, 3, -1]], 0),                     # invertible
     ([[0] * 3 for _ in range(3)], 0),                               # zero
     ([[0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0]], 1),  # q^2 = 0
-    (_diag_blocks([[0]], [[1, 1], [0, 1]], [[3]], [[5]]), 1),       # ker q = ker q^2
+    (_diag_blocks([[0]], [[1, 1], [0, 1]], [[3]], [[5]]), 0),       # ker q = ker q^2
     (_diag_blocks(_JORDAN3, [[1]]), 2),             # ker q < ker q^2 < ker q^4
     (_diag_blocks([[0, 2], [0, 0]], [[1, 0], [1, 1]], [[0]]), 2),   # stops at q^4
 ])
 def test_quabla_kernels_match_oracle(quab, squarings, monkeypatch):
     """ker q and the generalized zero space ker q^dim of one quabla block
     equal the oracle's bases; squaring stops once the kernel stops growing,
-    and an invertible block squares not at all."""
+    and a block that is invertible or whose kernel meets its image only in
+    0 (ker q = ker q^2, decided by one rank test) squares not at all."""
     dim = len(quab)
     calls = []
     mat_mul = linalg.mat_mul
@@ -1161,7 +1164,7 @@ def test_homology_matches_oracle_ranks_with_acyclic_blocks(case):
         assert rep.dim_im_boundary_above == sum(im for _, im in ranks.values())
         assert rep.weight_multiplicities == {
             w: ker - im for w, (ker, im) in ranks.items() if ker - im}
-        acyclic, quab = an.acyclic_weights(k), an.quabla_map(k)
+        acyclic, quab = an.acyclic_weights(k), an.cx.quabla(k, "casimir")
         for w, idxs in an.cx.space(k).weight_blocks.items():
             full = rank_dense(quab.block(w)) == len(idxs)
             assert (w in acyclic) is full
@@ -1189,6 +1192,51 @@ def test_blocks_outside_the_candidates_are_invertible(case):
         for w, idxs in blocks.items():
             if w not in candidates:
                 assert _quabla_kernels(quab.int_block(w), len(idxs)) == ([], [])
+
+
+@given(_certificate_cases(), st.sampled_from(["none", "scalar", "boundary"]),
+       st.integers(0, 10 ** 6))
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+def test_casimir_parts_and_streamed_checks_match_whole_maps(case, perturb, seed):
+    """On small random inputs, irreps and Kac modules alike, the Casimir
+    parts' int_block(w) is a positive multiple of the merged map's block at
+    every weight of every degree.  The cross-check flags read one column at
+    a time (`cli._internal_checks`) equal those of whole composed maps
+    (`oracles.whole_map_checks`): on the analysis as built, where both
+    hold, and with one scalar of the Casimir parts or one entry of one
+    boundary shifted by 1."""
+    p, an, k = _case_analysis(case)
+    for j in range(k + 1):
+        parts, merged = an.quabla_map(j), an.cx.quabla(j, "casimir")
+        for w in an.cx.space(j).weight_blocks:
+            got, exact = parts.int_block(w), merged.block(w)
+            c = next((Fraction(x, 1) / y for grow, erow in zip(got, exact)
+                      for x, y in zip(grow, erow) if y), Fraction(1))
+            assert c > 0 and got == [[c * y for y in row] for row in exact]
+    an.boundary_above(k)
+    want = (True, True)
+    if perturb == "scalar" and k and an.quabla_map(seed % k).scalar:
+        # a diagonal entry of one checked degree: only the quabla check fails
+        parts = an.quabla_map(seed % k)
+        w = sorted(parts.scalar, key=weight_key)[seed % len(parts.scalar)]
+        parts.scalar[w] += 1
+        want = (True, False)
+    elif perturb == "boundary" and k:
+        # an entry of d*_j at a row r with d*_{j-1} e_r != 0: d*_{j-1} d*_j
+        # gains a nonzero column, and the quabla check may fail too
+        pairs = [(an.cx.lower(j), an.cx.lower(j - 1)) for j in range(2, k + 1)]
+        hits = [(m, j, r) for m, below in pairs + [(an.boundary_above(k), an.cx.lower(k))]
+                for j in range(m.source.dim) for r in range(m.target.dim)
+                if below.icols[r]]
+        if hits:
+            m, j, r = hits[seed % len(hits)]
+            m.icols[j][r] = m.icols[j].get(r, 0) + 1
+            if not m.icols[j][r]:
+                del m.icols[j][r]
+            want = (False, None)
+    flags = _internal_checks(an, k)
+    assert flags == whole_map_checks(an, k)
+    assert flags[0] == want[0] and want[1] in (None, flags[1])
 
 
 def test_quabla_kernels_run_at_the_candidates_alone(monkeypatch):

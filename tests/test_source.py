@@ -2,6 +2,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -109,3 +110,22 @@ def test_linalg_functions_have_a_caller():
             reported.update(name.split(".")[1] for name in ast.literal_eval(node.value)
                             if name.startswith("linalg."))
     assert public and sorted(public - called - reported) == []
+
+
+def test_modules_stay_below_the_parser_token_cliff():
+    """Every module of the package has fewer than 8192 parser tokens
+    (`tokenize` tokens other than NL, COMMENT and ENCODING).  CPython 3.11's
+    parser doubles its token array past 8192 tokens, and a launch that
+    compiles the sources (as under PYTHONDONTWRITEBYTECODE=1) pays for it in
+    peak RSS.  chains.py padded with `x = 1` lines read, as RSS right after
+    `import superbgg.cli` (median of 5 launches, Python 3.11.7, 2 vCPUs):
+    7968 tokens 18.1 MB, 8180 18.4 MB, 8192 18.3 MB, 8200 18.9 MB.  The
+    check can go once the benchmark's launches stop recompiling the
+    package."""
+    skip = {tokenize.NL, tokenize.COMMENT, tokenize.ENCODING}
+    counts = {}
+    for path in sorted(SRC.rglob("*.py")):
+        with path.open("rb") as fh:
+            counts[path.name] = sum(1 for tok in tokenize.tokenize(fh.readline)
+                                    if tok.type not in skip)
+    assert counts and {name: n for name, n in counts.items() if n >= 8192} == {}
