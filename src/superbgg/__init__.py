@@ -5,9 +5,9 @@ superalgebras, parabolic decompositions with dual bases, highest-weight and
 Kac modules with contravariant forms, super chain complexes with the
 boundary/coboundary pairs on both sides of the pairing, the quabla
 operator, and the decidable criteria for the existence of resolutions by
-generalised Verma modules.  The algebra and module layers hold every
-integral value as a Python int and a Fraction only where a value is not
-integral; roots and weights keep Fraction coordinates.
+generalised Verma modules.  Every integral value, weight coordinates
+included, is a Python int, and a Fraction only where a value is not
+integral.
 """
 
 from .algebra import (

@@ -4,10 +4,11 @@ An algebra is a list of labeled homogeneous basis elements, each realized as
 a sparse matrix on the natural module C^(m|n) resp. C^(m|2n).  The Cartan
 subalgebra is diagonal, every non-Cartan basis element spans a root space,
 and the invariant form is C * str(XY).  Matrix entries, structure constants,
-form values, dual bases and adjoint images are Python ints wherever they are
-integral (at C = 1 all of them are) and exact Fractions only where they are
-not, the convention of `wt_int`; nothing here ever touches floats.  Roots
-and weights keep their Fraction coordinates, as reports print them.
+form values, dual bases, adjoint images and weight coordinates are Python
+ints wherever they are integral and exact Fractions only where they are not
+(`linalg._exact`).  At C = 1 every value is an int but the non-integral
+coordinates of a weight, such as those of rho on osp(5|4).  Nothing here
+ever touches floats.
 
 Construction reads matrix entries, never products of basis matrices: the
 osp root vectors solve the osp condition on the rows their weight space
@@ -32,11 +33,17 @@ from .errors import (
     PreconditionViolated,
     UnsupportedAlgebra,
 )
+from .linalg import _exact
 
-F0 = Fraction(0)
-F1 = Fraction(1)
-
-Weight = tuple  # tuple of Fractions, length r+s
+# A weight is a tuple of length r+s in the package's number convention: an
+# int where a coordinate is integral and a Fraction only where it is not.
+# Roots and root sums are int tuples.  wt_add and wt_sub keep the form when
+# one side is integral, as int plus int is an int and a non-integral
+# Fraction plus an int stays non-integral; any other sum goes through `wt`.
+# Since hash(Fraction(n)) == hash(n) and Fraction(n) == n, a weight given
+# with Fraction(n, 1) coordinates still finds its block, and `weight_key`
+# prints both forms the same.
+Weight = tuple
 
 
 # ---------------------------------------------------------------------------
@@ -44,29 +51,16 @@ Weight = tuple  # tuple of Fractions, length r+s
 # ---------------------------------------------------------------------------
 
 def wt(*coords) -> Weight:
-    return tuple(Fraction(c) for c in coords)
+    """The weight with these coordinates (anything Fraction accepts)."""
+    return tuple(_exact(Fraction(c)) for c in coords)
 
 
 def wt_zero(length: int) -> Weight:
-    return (F0,) * length
+    return (0,) * length
 
 
 def wt_add(a: Weight, b: Weight) -> Weight:
     return tuple(map(operator.add, a, b))
-
-
-def wt_int(w: Weight) -> Weight:
-    """w with every integral coordinate an int.
-
-    Chain and Levi weights are a highest weight plus an integral root sum,
-    and they key every weight block.  An int hashes and compares far faster
-    than a Fraction, while hash(Fraction(n)) == hash(n) and Fraction(n) == n,
-    so a lookup with Fraction coordinates still finds the block, and
-    `weight_key` prints both the same.  A non-integral coordinate stays a
-    Fraction.  wt_add keeps this form when one summand is integral (a root
-    sum): int plus int is an int, and a non-integral Fraction plus an int
-    stays non-integral."""
-    return tuple(x.numerator if x.denominator == 1 else x for x in w)
 
 
 def wt_sub(a: Weight, b: Weight) -> Weight:
@@ -79,7 +73,7 @@ def wt_neg(a: Weight) -> Weight:
 
 def wt_scale(a: Weight, c) -> Weight:
     c = Fraction(c)
-    return tuple(c * x for x in a)
+    return tuple(_exact(c * x) for x in a)
 
 
 def weight_key(w: Weight) -> tuple:
@@ -105,12 +99,6 @@ class BasisElement:
     root: Weight           # zero weight for Cartan elements
     matrix: dict           # {(row, col): int or Fraction} on the natural module
     is_cartan: bool = False
-
-
-def _exact(c):
-    """c as an int where it is integral (see `wt_int`): int arithmetic is far
-    cheaper than Fraction arithmetic, and the value is the same."""
-    return c.numerator if c.denominator == 1 else c
 
 
 def _row_index(matrix: dict) -> dict:
@@ -305,8 +293,13 @@ class LieSuperalgebra:
 
     @functools.cached_property
     def two_rho(self) -> Weight:
-        """2 rho, formed once per algebra (an integral root sum: ints)."""
-        return wt_int(wt_scale(self.rho, 2))
+        """The even positive roots minus the odd ones, an integral root sum,
+        formed once per algebra."""
+        acc = wt_zero(self.rank)
+        for i in self.positive_root_indices():
+            b = self.basis[i]
+            acc = (wt_sub if b.parity else wt_add)(acc, b.root)
+        return acc
 
     # -- roots --------------------------------------------------------------
 
@@ -336,7 +329,7 @@ class LieSuperalgebra:
                     sol = None
                     break
             else:
-                sol[c] = val // p if val % p == 0 else Fraction(val, p)
+                sol[c] = _exact(val, p)
         self._coord_cache[weight] = sol
         return sol
 
@@ -362,13 +355,8 @@ class LieSuperalgebra:
 
     @functools.cached_property
     def rho(self) -> Weight:
-        """Half the even positive roots minus half the odd ones, formed once
-        per algebra."""
-        acc = wt_zero(self.rank)
-        for i in self.positive_root_indices():
-            b = self.basis[i]
-            acc = wt_add(acc, wt_scale(b.root, Fraction(-1 if b.parity else 1, 2)))
-        return acc
+        """Half of `two_rho`, formed once per algebra."""
+        return wt_scale(self.two_rho, Fraction(1, 2))
 
     @functools.cached_property
     def _simple_vectors(self) -> tuple[tuple, tuple]:
@@ -471,7 +459,7 @@ def check_finite_dimensional(g: LieSuperalgebra, lam: Weight) -> None:
         return
 
     def unit(c: int) -> Weight:
-        return tuple(F1 if t == c else F0 for t in range(g.rank))
+        return tuple(int(t == c) for t in range(g.rank))
 
     d, mu = g.r, lam
     for j in range(g.n):
@@ -507,11 +495,7 @@ def _build_gl(m: int, n: int, C: Fraction, strict: bool = True) -> LieSuperalgeb
     d = m + n
     nat_parity = [0] * m + [1] * n
     rank = m + n
-    nat_weight = []
-    for i in range(d):
-        w = [F0] * rank
-        w[i] = F1
-        nat_weight.append(tuple(w))
+    nat_weight = [tuple(int(c == i) for c in range(rank)) for i in range(d)]
     coord_index = list(range(d))
 
     basis = []
@@ -554,9 +538,7 @@ def _build_osp(m: int, n: int, C: Fraction) -> LieSuperalgebra:
     # natural basis order: e_1+..e_d+, e_1-..e_d-, [e_0], f_1+..f_n+, f_1-..f_n-
     nat_parity, nat_weight, pair = [], [], {}
     def unit(c, sgn=1):
-        w = [F0] * rank
-        w[c] = Fraction(sgn)
-        return tuple(w)
+        return tuple(sgn if t == c else 0 for t in range(rank))
 
     for i in range(d):
         nat_parity.append(0)
@@ -707,7 +689,7 @@ def _finish(g: LieSuperalgebra, C: Fraction):
     for j, b in enumerate(g.basis):
         for e, v in b.matrix.items():
             at.setdefault(e, []).append((j, v))
-    gram = []
+    gram, cnum, cden = [], C.numerator, C.denominator
     for b in g.basis:
         row = [0] * dim
         for (p, q), x in b.matrix.items():
@@ -715,8 +697,7 @@ def _finish(g: LieSuperalgebra, C: Fraction):
                 x = -x
             for j, y in at.get((q, p), ()):
                 row[j] += x * y
-        gram.append([v * C.numerator if C.denominator == 1 else _exact(v * C)
-                     for v in row])
+        gram.append([_exact(v * cnum, cden) for v in row])
     g.gram = gram
     if linalg.rank(gram) != dim:
         raise DegenerateForm(f"supertrace form degenerate on {g.name}")

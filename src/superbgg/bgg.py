@@ -27,6 +27,7 @@ from .algebra import (
     even_simple_roots,
     positive_even_roots,
     weight_key,
+    wt,
     wt_add,
     wt_sub,
 )
@@ -87,7 +88,6 @@ def bgg_verdict(g: LieSuperalgebra, p: ParabolicDecomposition, lam: Weight,
                 k_max: int, star_type: int | None = None) -> BGGVerdict:
     """Run the full decision ladder for the irreducible module with highest
     weight lam."""
-    lam = tuple(Fraction(c) for c in lam)
     module = build_irrep(g, lam)
     an = KostantAnalysis(p, module, k_max)
     reports = []
@@ -170,23 +170,18 @@ def natural_resolution_shape(m: int, n: int, k_max: int) -> ResolutionShape:
     d = m // 2
     rank = d + n
 
-    def unit(c, val=1):
-        w = [F0] * rank
-        w[c] = Fraction(val)
-        return tuple(w)
-
-    degrees = [[(unit(0), 1)]]
+    degrees = [[(tuple(int(c == 0) for c in range(rank)), 1)]]
     for k in range(1, k_max + 1):
-        w = [F0] * rank
-        w[0] = Fraction(-k)
-        w[1] = Fraction(2)
+        w = [0] * rank
+        w[0] = -k
+        w[1] = 2
         if k <= d - 1:
             for c in range(2, k + 1):
-                w[c] = F1
+                w[c] = 1
         else:
             for c in range(2, d):
-                w[c] = F1
-            w[d] = Fraction(k - d + 1)
+                w[c] = 1
+            w[d] = k - d + 1
         degrees.append([(tuple(w), 1)])
     return ResolutionShape(degrees=degrees, truncated=True, terminates_at=None)
 
@@ -233,7 +228,7 @@ class WeylCoset:
 
     def dot_action(self, mat, lam: Weight) -> Weight:
         g = self.algebra
-        return wt_sub(_apply(mat, wt_add(lam, g.rho)), g.rho)
+        return wt(*wt_sub(_apply(mat, wt_add(lam, g.rho)), g.rho))
 
 
 def weyl_coset(g: LieSuperalgebra, p: ParabolicDecomposition) -> WeylCoset:
@@ -285,7 +280,7 @@ def kac_resolution(g: LieSuperalgebra, p: ParabolicDecomposition, lam: Weight,
     type_one_grading(g)            # raises NotTypeI when inapplicable
     if not p.levi_in_even_part():
         raise LeviNotInEvenPart("Kac resolutions need l inside g_0")
-    lam = tuple(Fraction(c) for c in lam)
+    lam = wt(*lam)
     coset = weyl_coset(g, p)
     graded = coset.graded()
     n0 = len([i for i in p.n_indices if g.parity(i) == 0])
@@ -318,7 +313,7 @@ def _weights_str(mult: dict, r: int) -> str:
 def _scenario_osp12_counterexample(lam: int = 1, k_max: int = 4):
     g = build_algebra("osp", 1, 1)
     p = build_parabolic(g, [])
-    weight = (Fraction(lam),)
+    weight = wt(lam)
     check_finite_dimensional(g, weight)
     module = build_irrep(g, weight)
     an = KostantAnalysis(p, module, k_max + 1)
@@ -328,7 +323,7 @@ def _scenario_osp12_counterexample(lam: int = 1, k_max: int = 4):
                          h0 == {weight: 1}, _weights_str(h0, g.r)))
     h1 = an.homology(1).weight_multiplicities
     checks.append(_check("H_1 is the one dimensional weight -lambda-1 space",
-                         h1 == {(Fraction(-lam - 1),): 1}, _weights_str(h1, g.r)))
+                         h1 == {wt(-lam - 1): 1}, _weights_str(h1, g.r)))
     for k in range(2, k_max + 1):
         checks.append(_check(f"H_{k} vanishes",
                              an.homology(k).homology_dimension == 0))
@@ -344,7 +339,7 @@ def _scenario_glmn_borel_natural():
     for (m, n, expect) in ((2, 1, True), (1, 2, False)):
         g = build_algebra("gl", m, n)
         p = build_parabolic(g, [])
-        module = build_irrep(g, tuple([F1] + [F0] * (m + n - 1)))
+        module = build_irrep(g, tuple([1] + [0] * (m + n - 1)))
         an = KostantAnalysis(p, module, 2)
         cx = an.cx
         rb = cx.raise_(0)
@@ -366,7 +361,7 @@ def _scenario_glmn_borel_natural():
 def _scenario_natural_resolution(m: int = 4, n: int = 3, k_max: int = 3):
     g = build_algebra("osp", m, n)
     p = build_parabolic(g, list(range(1, len(g.simple_roots))))
-    lam = tuple([F1] + [F0] * (g.rank - 1))
+    lam = tuple([1] + [0] * (g.rank - 1))
     verdict = bgg_verdict(g, p, lam, k_max)
     expected = natural_resolution_shape(m, n, k_max)
     checks = [
@@ -387,7 +382,7 @@ def _scenario_natural_resolution(m: int = 4, n: int = 3, k_max: int = 3):
 def _scenario_kac_gl21(k_max: int = 4):
     g = build_algebra("gl", 2, 1)
     p = build_parabolic(g, [])
-    lam = (F1, F0, F0)
+    lam = (1, 0, 0)
     shape = kac_resolution(g, p, lam, length_max=k_max)
     kac = build_kac_module(g, lam)
     an = KostantAnalysis(p, kac, k_max + 1)
@@ -424,14 +419,14 @@ def _scenario_star_gl():
 def _scenario_forlapl_ker1(m: int = 4, n: int = 3):
     g = build_algebra("osp", m, n)
     p = build_parabolic(g, list(range(1, len(g.simple_roots))))
-    lam = [F0] * g.rank
-    lam[0] = F1
-    lam[1] = F1
+    lam = [0] * g.rank
+    lam[0] = 1
+    lam[1] = 1
     module = build_irrep(g, tuple(lam))
     an = KostantAnalysis(p, module, 2)
     dec = an.ker_quabla_decomposition(1)
-    want = [F0] * g.rank
-    want[1] = Fraction(2)
+    want = [0] * g.rank
+    want[1] = 2
     want = tuple(want)
     entries = [(e.highest_weight, e.hw_vector_count) for e in dec.entries]
     checks = [

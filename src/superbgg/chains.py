@@ -43,9 +43,9 @@ root-vector part is a ChainMap assembled from one exterior table per
 degree with ops 1, rho(A_t) and rho(C_l^root), absent on a Borel
 (derivation in `ChainComplex.casimir_quabla`).
 
-Chain weights are the module's weights plus integral root sums; every
-integral coordinate is held as an int (`algebra.wt_int`), which hashes and
-compares far faster than a Fraction of the same value.
+Chain weights are the module's weights plus integral root sums, so they
+keep the weights' form (`algebra.Weight`): an int in every integral
+coordinate, which hashes and compares far faster than a Fraction.
 """
 
 from __future__ import annotations
@@ -62,17 +62,16 @@ from . import linalg
 from .algebra import (
     ParabolicDecomposition,
     Weight,
-    _exact,
     casimir_eigenvalue,
     wt_add,
-    wt_int,
     wt_sub,
+    wt_zero,
 )
 from .errors import CrossCheckFailed, PreconditionViolated
+from .linalg import _exact
 from .modules import Module
 
 F1 = Fraction(1)
-HALF = Fraction(1, 2)
 
 
 class ChainBasisElement(NamedTuple):
@@ -366,18 +365,16 @@ class ChainComplex:
         group being ev + od for (od, s) in odds, each of root sum
         ev's + sums[s] and of the given parity.  `sums` are the distinct
         root sums of the odd parts; odds and sums are shared by the even
-        parts of one size.  Roots have integral coordinates, so root sums
-        are int tuples."""
+        parts of one size."""
         if k < 0:
             raise ValueError("degree must be non-negative")
         g = self.algebra
-        roots = {i: wt_int(g.root(i)) for i in self.radical}
-        zero = (0,) * g.rank
+        zero = wt_zero(g.rank)
 
         def root_sum(gens):
             s = zero
             for i in gens:
-                s = wt_add(s, roots[i])
+                s = wt_add(s, g.root(i))
             return s
 
         for j in range(min(k, len(self.even_gens)) + 1):
@@ -400,10 +397,9 @@ class ChainComplex:
         wt(v_m) in `keep`: whole weight blocks of C_k at those weights, in
         the order C_k has them.  The weights of each distinct root sum, and
         whether one is kept, are formed once: a root sum is kept when it is
-        w - wt(v_m) for some w in `keep` and some m (an integral Fraction
-        there hashes and compares as the int of a root sum)."""
+        w - wt(v_m) for some w in `keep` and some m."""
         mod = self.module
-        base = [wt_int(w) for w in mod.weights]
+        base = mod.weights
         kept = None if keep is None else {wt_sub(w, b) for w in keep for b in base}
         flip = [list(mod.parities), [q ^ 1 for q in mod.parities]]
         shifted: dict = {}      # root sum -> chain weights ([] when not kept)
@@ -443,26 +439,6 @@ class ChainComplex:
         return g0, rest
 
     # -- the exterior factor ----------------------------------------------------
-
-    def _normalize(self, gens):
-        """Sort generators into normal form: (monomial, Koszul sign), or None
-        when an even generator repeats."""
-        par = self._parity
-        items = [(par[i], i) for i in gens]
-        sign = 1
-        for i in range(1, len(items)):
-            cur = items[i]
-            j = i - 1
-            while j >= 0 and items[j] > cur:
-                if not (items[j][0] and cur[0]):
-                    sign = -sign
-                items[j + 1] = items[j]
-                j -= 1
-            items[j + 1] = cur
-        for (p, i), (_, i2) in zip(items, items[1:]):
-            if i == i2 and not p:
-                return None
-        return tuple(i for _, i in items), sign
 
     def _radical_bracket(self, a: int, gen: int) -> list:
         """[A_a, gen] projected to the radical, as (index, coefficient) pairs."""
@@ -555,7 +531,7 @@ class ChainComplex:
             for a, gen in enumerate(self.radical):
                 for kidx, c in g.bracket_vec(self.duals[a], {g0: F1}).items():
                     if kidx in self.radical_set:
-                        terms.append((gen, kidx, _exact(HALF * c)))
+                        terms.append((gen, kidx, _exact(c, 2)))
             self._raise_terms[g0] = terms
         return terms
 
@@ -580,16 +556,19 @@ class ChainComplex:
                     index: dict, nops: int, memo: dict) -> None:
         """row -= g0 ^ entry: the terms of `entry` are over `monos`, and
         their products with g0 over `index`, one degree up.  `memo` keeps
-        each product g0 ^ monos[t] as (position, sign) or None for the
-        table being built."""
+        each product g0 ^ monos[t] (g0 moved in by `_move_in`) as
+        (position, whether the sign is -1), or None, for the table being
+        built."""
+        rank = self._rank
         for key, c in entry.items():
             t, o = divmod(key, nops)
             hit = memo.get((g0, t), 0)
             if hit == 0:
-                res = self._normalize((g0, *monos[t]))
-                hit = memo[g0, t] = None if res is None else (index[res[0]], res[1])
+                y = monos[t]
+                res = self._move_in(y, [rank[e] for e in y], 0, g0)
+                hit = memo[g0, t] = None if res is None else (index[res[0]], res[1] & 1)
             if hit is not None:
-                _add_term(row, hit[0] * nops + o, -c * hit[1])
+                _add_term(row, hit[0] * nops + o, c if hit[1] else -c)
 
     def _lower_table(self, k: int, below: list | None, monos: list | None = None) -> list:
         """Table of d*_k, ops (1, rho(x) for x in the radical), with a row
@@ -627,15 +606,23 @@ class ChainComplex:
                      for a, z in enumerate(self.radical)}]
         monos = self.monomials(k)[0]
         rest_index = self.monomials(k - 1)[1]
+        rank = self._rank
         table, memo = [], {}
         for x in monos:
             x0, y = x[0], x[1:]
+            yranks = [rank[e] for e in y]
             row: dict = {}
-            # z_a ^ (A_j ^ Y) in one normal-form pass: Koszul signs multiply
+            # z_a ^ (A_j ^ Y): A_j moves into Y, then z_a into that, and
+            # the Koszul signs of the two moves multiply
             for z, j, c in self._coboundary_terms(x0):
-                res = self._normalize((z, j, *y))
-                if res is not None:
-                    _add_term(row, up_index[res[0]] * nops, c * res[1])
+                inner = self._move_in(y, yranks, 0, j)
+                if inner is None:
+                    continue
+                mono, flips = inner
+                outer = self._move_in(mono, [rank[e] for e in mono], 0, z)
+                if outer is not None:
+                    _add_term(row, up_index[outer[0]] * nops,
+                              -c if (flips + outer[1]) & 1 else c)
             self._wedge_into(row, x0, below[rest_index[y]], monos, up_index, nops,
                             memo)
             table.append(row)
@@ -752,18 +739,13 @@ class ChainComplex:
 
     # -- quabla -------------------------------------------------------------------
 
-    def quabla(self, k: int, method: str = "direct") -> ChainMap:
-        """quabla_k = d_{k-1} d*_k + d*_{k+1} d_k on C_k as one ChainMap:
-        "direct" collects the columns of `quabla_columns`, and "casimir"
-        merges the two parts of Kostant's formula (`casimir_quabla`).  The
-        two share no recursion, so their equality is a cross-check of
-        both."""
-        if method == "direct":
-            cols, den = self.quabla_columns(k)
-            return ChainMap.canonical(self.space(k), self.space(k), list(cols), den)
-        if method != "casimir":
-            raise ValueError("method must be 'direct' or 'casimir'")
-        return self.casimir_quabla(k).merged()
+    def quabla(self, k: int) -> ChainMap:
+        """quabla_k = d_{k-1} d*_k + d*_{k+1} d_k on C_k as one ChainMap, the
+        columns of `quabla_columns` collected.  Kostant's formula gives the
+        same map as `casimir_quabla(k).merged()`; the two share no
+        recursion, so their equality is a cross-check of both."""
+        cols, den = self.quabla_columns(k)
+        return ChainMap.canonical(self.space(k), self.space(k), list(cols), den)
 
     def quabla_columns(self, k: int) -> tuple[Iterator, int]:
         """The direct quabla_k = d_{k-1} d*_k + d*_{k+1} d_k one column at a
@@ -807,9 +789,10 @@ class ChainComplex:
         as s_{A_i}(X) s_{A_s}(X) = 1 in the last term.  Summed over the
         root vectors A_i with A_i^# = sum_s c_is A_s, the last terms make
         X (x) rho(C_l^root) m.  So the root part is one exterior table per
-        degree, with ops 1, rho(A_t) and rho(C_l^root), built from
-        `_ad_monomial` alone (never from the boundary or coboundary
-        recursions) and assembled into a ChainMap like the operators.  On a
+        degree, with ops 1, rho(A_t) and rho(C_l^root), built from the
+        exterior actions of `_ad_rows` alone (never from the boundary or
+        coboundary recursions) and assembled into a ChainMap like the
+        operators.  On a
         Borel the Levi is the Cartan: there is no root part, and quabla is
         the scalar part alone."""
         terms = self._casimir_terms
@@ -856,7 +839,7 @@ class ChainComplex:
         sigma = [0] * g.rank
         for z in self.radical:
             sign = -1 if self._parity[z] else 1
-            sigma = [s + sign * x for s, x in zip(sigma, wt_int(g.root(z)))]
+            sigma = [s + sign * x for s, x in zip(sigma, g.root(z))]
         if any(x * qden != sum(a * b for a, b in zip(row, sigma))
                for x, row in zip(hcoords, q)):
             raise CrossCheckFailed("w(h) is not (w, sigma) for sigma the signed "

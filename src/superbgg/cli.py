@@ -22,6 +22,7 @@ from .algebra import (
     casimir_eigenvalue,
     check_finite_dimensional,
     weight_key,
+    wt,
 )
 from .bgg import bgg_verdict, reproduce
 from .errors import (
@@ -67,7 +68,7 @@ def parse_weight(text: str, r: int, s: int) -> tuple:
         raise LengthMismatch(
             f"expected {r} epsilon and {s} delta coordinates, "
             f"got {len(eps)} and {len(dlt)}")
-    return tuple(eps + dlt)
+    return wt(*eps, *dlt)
 
 
 def _dominant_weight(g, text: str) -> tuple:

@@ -99,7 +99,6 @@ from .algebra import (
     even_simple_roots,
     weight_key,
     wt_add,
-    wt_int,
     wt_sub,
 )
 from .chains import CasimirQuabla, ChainComplex, ChainMap
@@ -162,7 +161,7 @@ def _casimir_matcher(cx: ChainComplex):
 
     def value(w):
         return sum(b * w[c] * (w[d] + two_rho[d]) for c, d, b in quad)
-    target = value(wt_int(cx.module.highest_weight))
+    target = value(cx.module.highest_weight)
     return lambda w: value(w) == target
 
 
@@ -446,9 +445,9 @@ def decompose_levi(p: ParabolicDecomposition, mod: LeviModule) -> LDecomposition
     Only weights with C2(w) = C2(lambda) can carry H_w.  quabla acts on M
     by zero: on ker quabla_k by definition, and on H_k because quabla x =
     d*(d x) lies in I for x in ker d*_k.  By Kostant's formula
-    (ChainComplex.quabla) it acts on a class of weight w that n+_l kills by
-    1/2 (C2(w) - C2(lambda)), so that class is zero unless the two Casimir
-    values agree.  Only such weights with K_w larger than I_w are searched,
+    (ChainComplex.casimir_quabla) it acts on a class of weight w that n+_l
+    kills by 1/2 (C2(w) - C2(lambda)), so that class is zero unless the two
+    Casimir values agree.  Only such weights with K_w larger than I_w are searched,
     by the test block_data's candidate weights start from
     (`_casimir_matcher`).
 
@@ -463,8 +462,8 @@ def decompose_levi(p: ParabolicDecomposition, mod: LeviModule) -> LDecomposition
     g = p.algebra
     pos, neg = g.simple_vector_indices()
     roots = p.levi_simple_roots
-    raising = [(wt_int(g.root(pos[i])), mod.act(pos[i]).icols) for i in roots]
-    lowering = [(wt_int(g.root(neg[i])), mod.act(neg[i]).icols) for i in roots]
+    raising = [(g.root(pos[i]), mod.act(pos[i]).icols) for i in roots]
+    lowering = [(g.root(neg[i]), mod.act(neg[i]).icols) for i in roots]
     matches = _casimir_matcher(mod.cx)
     im = mod.im or {}
     entries, gens = [], []
@@ -684,7 +683,7 @@ class KostantAnalysis:
         Borel the set is the Casimir-matching weights."""
         blocks = self.cx.space(k).weight_blocks
         g = self.parabolic.algebra
-        simple = [wt_int(g.simple_roots[i]) for i in self.parabolic.levi_simple_roots]
+        simple = [g.simple_roots[i] for i in self.parabolic.levi_simple_roots]
         matches = _casimir_matcher(self.cx)
         found = {w for w in blocks if matches(w)}
         todo = list(found)

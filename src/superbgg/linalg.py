@@ -16,6 +16,16 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+
+def _exact(x, den: int = 1):
+    """x / den, for x an int or a Fraction and den a nonzero int: an int
+    where the quotient is integral and a Fraction where it is not.  This is
+    the package's one number convention, for matrix entries, structure
+    constants and weight coordinates alike; int arithmetic is far cheaper
+    than Fraction arithmetic on the same values."""
+    return x // den if x % den == 0 else Fraction(x, den)
+
+
 # ---------------------------------------------------------------------------
 # sparse vectors
 # ---------------------------------------------------------------------------
@@ -142,7 +152,7 @@ def rref(mat: list) -> tuple[list, list]:
     out = []
     for row, pc in zip(rows, pivots):
         p = row[pc]
-        out.append([x // p if x % p == 0 else Fraction(x, p) for x in row])
+        out.append([_exact(x, p) for x in row])
     out.extend([0] * ncols for _ in range(nrows - len(rows)))
     return out, pivots
 

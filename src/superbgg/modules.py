@@ -7,10 +7,10 @@ candidate subset whose Gram matrix is nonsingular, and the raising action is
 pushed back up recursively.  Kac modules for type I algebras are assembled on
 the PBW basis Lambda(g_{-1}) (x) V0 by straightening.
 
-Action matrices and Gram blocks follow the algebra's convention: ints where
-the values are integral, exact Fractions only where they are not (a highest
-weight with a non-integral coordinate, or a form normalization C with
-1/C not an integer).  Each level's Gram is eliminated once, fraction-free
+Weights, action matrices and Gram blocks follow the algebra's convention:
+ints where the values are integral, exact Fractions only where they are not
+(a highest weight with a non-integral coordinate, or a form normalization C
+with 1/C not an integer).  Each level's Gram is eliminated once, fraction-free
 (`linalg.rref`).
 """
 
@@ -19,19 +19,18 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import linalg
 from .algebra import (
     AdjointOperation,
     LieSuperalgebra,
     Weight,
-    _exact,
     build_adjoint_operation,
     even_simple_roots,
     natural_form_diagonal,
     parity_twist,
     weight_key,
+    wt,
     wt_add,
     wt_neg,
     wt_sub,
@@ -42,6 +41,7 @@ from .errors import (
     NotTypeI,
     PreconditionViolated,
 )
+from .linalg import _exact
 
 
 @dataclass
@@ -138,7 +138,7 @@ def build_irrep(g: LieSuperalgebra, lam: Weight, op: AdjointOperation | None = N
     Raises FiniteDimGuardExceeded when more than max_depth height levels stay
     non-zero, the signal for a non-dominant highest weight.
     """
-    lam = tuple(Fraction(c) for c in lam)
+    lam = wt(*lam)
     if len(lam) != g.rank:
         raise PreconditionViolated(f"weight length {len(lam)} != rank {g.rank}")
     if op is None:
@@ -276,8 +276,7 @@ def _close_action(g: LieSuperalgebra, action: list):
                     for j, col in enumerate(action[t]):
                         linalg.vec_iadd(comm[j], col, -c)
             lead = br[k]
-            action[k] = [{r: v // lead if v % lead == 0 else Fraction(v, lead)
-                          for r, v in col.items()} for col in comm]
+            action[k] = [{r: _exact(v, lead) for r, v in col.items()} for col in comm]
             known.append(k)
             is_known.add(k)
     if len(known) != g.dim:
@@ -490,7 +489,7 @@ def type_one_grading(g: LieSuperalgebra) -> dict:
 
 
 def build_kac_module(g: LieSuperalgebra, lam: Weight, max_depth: int = 64) -> KacModule:
-    lam = tuple(Fraction(c) for c in lam)
+    lam = wt(*lam)
     grading = type_one_grading(g)
     g0_indices = [i for i in range(g.dim) if g.parity(i) == 0]
     g0 = even_subalgebra(g)

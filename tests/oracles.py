@@ -18,7 +18,7 @@ from itertools import combinations, combinations_with_replacement, permutations
 from math import gcd, lcm
 
 from superbgg import linalg
-from superbgg.algebra import weight_key, wt_add, wt_int
+from superbgg.algebra import weight_key, wt_add
 from superbgg.errors import LeviNotClosed, PreconditionViolated
 
 F0 = Fraction(0)
@@ -731,7 +731,7 @@ class CoordinateLeviModule:
         `express` call per source weight.  Column t has denominator
         den_target * map.den."""
         amap = self.cx.action_map(self.k, levi_index)
-        root = wt_int(self.cx.algebra.root(levi_index))
+        root = self.cx.algebra.root(levi_index)
         cols, dens = [{} for _ in self.reps], [amap.den] * self.dim
         for w, members in self._members.items():
             imgs = []
@@ -1104,7 +1104,7 @@ def whole_map_checks(an, k_max):
            and cx.lower(k_max).compose(an.boundary_above(k_max)).is_zero()
            and all(cx.raise_(k + 1).compose(cx.raise_(k)).is_zero()
                    for k in range(k_max - 1)))
-    quab = all(cx.quabla(k, "direct") == an.quabla_map(k).merged()
+    quab = all(cx.quabla(k) == an.quabla_map(k).merged()
                for k in range(k_max))
     return nil, quab
 

@@ -101,8 +101,8 @@ def test_criterion_2_quabla_cross_check(complexes):
             p = cn.parabolic
             for cx in (cn, cb):
                 for k in range(0, 4):
-                    qd = cx.quabla(k, "direct")
-                    assert qd.cols == cx.quabla(k, "casimir").cols, (name, k)
+                    qd = cx.quabla(k)
+                    assert qd.cols == cx.casimir_quabla(k).merged().cols, (name, k)
                     assert is_block_diagonal(qd)
                     for i in p.levi_indices:
                         amap = cx.action_map(k, i)

@@ -284,14 +284,14 @@ def test_quabla_direct_equals_casimir(gl21_setup, side):
     mod = v if side == "n" else vd
     cx = ChainComplex(p, mod, side)
     for k in range(0, 4):
-        assert cx.quabla(k, "direct").cols == cx.quabla(k, "casimir").cols
+        assert cx.quabla(k).cols == cx.casimir_quabla(k).merged().cols
 
 
 def test_quabla_commutes_with_levi(gl21_setup):
     g, p, v, _ = gl21_setup
     cx = ChainComplex(p, v, "n")
     for k in range(0, 3):
-        q = cx.quabla(k, "direct")
+        q = cx.quabla(k)
         for i in p.levi_indices:
             amap = cx.action_map(k, i)
             assert q.compose(amap).cols == amap.compose(q).cols
@@ -304,7 +304,7 @@ def test_quabla_rescaling():
         p = build_parabolic(g, [])
         v = build_irrep(g, wt(1, 0, 0))
         cx = ChainComplex(p, v, "n")
-        q = cx.quabla(2, "direct")
+        q = cx.quabla(2)
         kernels.append(q)
     qa, qb = kernels
     assert all(qb.cols[j] == {r: x / 2 for r, x in qa.cols[j].items()}
@@ -433,7 +433,7 @@ def test_delta_pair_surface(gl21_setup):
     assert dst.source.degree == 1 and dst.target.degree == 0
     assert dlt.source.degree == 1 and dlt.target.degree == 2
     assert not dst.is_zero()
-    q = ChainComplex(p, v, "n").quabla(1, "direct")
+    q = ChainComplex(p, v, "n").quabla(1)
     assert q.source is q.target
 
 
@@ -576,8 +576,8 @@ def test_built_maps_are_canonical_and_exact(gl21_setup, osp54_drop0):
     for par, mod, side in ((p, v, "n"), (p, vd, "nbar"), (p54, v54, "nbar")):
         cx = ChainComplex(par, mod, side)
         for k in range(3):
-            maps = [cx.lower(k), cx.raise_(k), cx.quabla(k, "direct"),
-                    cx.quabla(k, "casimir")]
+            maps = [cx.lower(k), cx.raise_(k), cx.quabla(k),
+                    cx.casimir_quabla(k).merged()]
             for m in maps:
                 assert is_block_diagonal(m)
                 _assert_canonical(m)
@@ -596,7 +596,7 @@ def test_quabla_direct_equals_casimir_osp54_drop0(osp54_drop0):
     cx = ChainComplex(p, v, "nbar")
     dens = set()
     for k in range(3):
-        direct, casimir = cx.quabla(k, "direct"), cx.quabla(k, "casimir")
+        direct, casimir = cx.quabla(k), cx.casimir_quabla(k).merged()
         assert direct == casimir
         assert direct.cols == casimir.cols
         assert is_block_diagonal(direct)
@@ -634,10 +634,11 @@ def test_factored_casimir_quabla_matches_composed_oracle(gl21, osp54_drop0):
     cases = _casimir_cases(gl21, osp54_drop0)
     for cx in cases:
         for k in range(3):
-            assert cx.quabla(k, "casimir").cols == oracle_casimir_quabla(cx, k)
+            assert cx.casimir_quabla(k).merged().cols == oracle_casimir_quabla(cx, k)
     borel = cases[-1]
     assert not borel._casimir_terms.roots
-    assert all(set(col) <= {j} for j, col in enumerate(borel.quabla(2, "casimir").icols))
+    merged = borel.casimir_quabla(2).merged()
+    assert all(set(col) <= {j} for j, col in enumerate(merged.icols))
     assert all(cx._casimir_terms.roots for cx in cases[:-1])
 
 

@@ -18,6 +18,7 @@ from oracles import (
     coordinate_decomposition,
     decompose_levi_hw_only,
     euler_check,
+    exact_values,
     full_levi_module,
     generalized_zero,
     homology_quotient,
@@ -43,7 +44,6 @@ from superbgg.algebra import (
     weight_key,
     wt,
     wt_add,
-    wt_int,
 )
 from superbgg.chains import ChainComplex, ChainMap
 from superbgg.cli import _internal_checks
@@ -67,7 +67,7 @@ from superbgg.homology import (
     levi_irrep_dimension,
     multiplicity_criterion,
 )
-from superbgg.modules import build_irrep, build_kac_module, dual_module
+from superbgg.modules import build_irrep, build_kac_module, dual_module, natural_module
 
 F0, F1 = Fraction(0), Fraction(1)
 
@@ -172,9 +172,9 @@ def test_quabla_preserves_ker_and_im(gl21_an):
     """Exactness bookkeeping: quabla commutes with the boundary."""
     cx = gl21_an.cx
     for k in range(1, 3):
-        q = gl21_an.cx.quabla(k, "casimir")
+        q = gl21_an.cx.casimir_quabla(k).merged()
         low = cx.lower(k)
-        qlow = gl21_an.cx.quabla(k - 1, "casimir")
+        qlow = gl21_an.cx.casimir_quabla(k - 1).merged()
         assert low.source is q.source
         assert qlow.compose(low).cols == low.compose(q).cols
 
@@ -400,7 +400,7 @@ def test_ker_quabla_is_a_levi_module_of_the_block_kernels(case, request):
         assert dims == ker_quabla(an, k).weight_dims() == {
             w: len(d["ker_quabla"]) for w, d in an.block_data(k).items()
             if d["ker_quabla"]}
-        icols = an.cx.quabla(k, "casimir").icols
+        icols = an.cx.casimir_quabla(k).merged().icols
         for cols in kq.ker.values():
             for col in cols:
                 img: dict = {}
@@ -615,9 +615,9 @@ def test_levi_layer_holds_only_ints(levi_case):
 
     for k in (0, 1):
         for mod in (an.homology_quotient_module(k), an.ker_quabla_module(k)):
-            raising = [(wt_int(g.root(pos[i])), mod.act(pos[i]).icols)
+            raising = [(g.root(pos[i]), mod.act(pos[i]).icols)
                        for i in p.levi_simple_roots]
-            lowering = [(wt_int(g.root(neg[i])), mod.act(neg[i]).icols)
+            lowering = [(g.root(neg[i]), mod.act(neg[i]).icols)
                         for i in p.levi_simple_roots]
             assert ints(c for cols in mod.ker.values() for c in cols)
             assert ints(c for cols in (mod.im or {}).values() for c in cols)
@@ -755,7 +755,7 @@ def test_levi_action_has_one_owner(osp46_sec7, osp46_natural, monkeypatch):
     simple = {v[j] for j in osp46_sec7.levi_simple_roots for v in (pos, neg)}
     i = pos[osp46_sec7.levi_simple_roots[0]]
     assert cx.action_map(k, i) is cx.action_map(k, i)
-    cx.quabla(k, "casimir")
+    cx.casimir_quabla(k).merged()
     assert set(cx._actions) == {(k, i)}
     mod = an.homology_quotient_module(k)
     assert mod.dim
@@ -997,6 +997,37 @@ def test_half_integral_weight_keys_blocks(gl21, gl21_borel):
     assert an.homology(0).weight_multiplicities == {lam: 1}
 
 
+@pytest.mark.parametrize("kind, m, n, levi, lam", [
+    ("gl", 2, 1, [], (1, 0, 0)),
+    ("gl", 2, 1, [0], (Fraction(1, 2), Fraction(1, 2), 0)),
+    ("osp", 5, 2, [1, 2, 3], (1, 0, 0, 0)),
+    ("osp", 1, 1, [], (1,)),
+])
+def test_weights_are_built_in_normal_form(kind, m, n, levi, lam):
+    """Every weight the package builds has an int in each integral
+    coordinate and a Fraction only in the others (`exact_values`): roots,
+    simple roots, rho and 2 rho (half-integral on osp(5|4) and osp(1|2)),
+    natural weights, the weights of irrep, dual and Kac modules built from
+    a highest weight given as Fractions, chain weights and the highest
+    weights of both Levi decompositions."""
+    g = build_algebra(kind, m, n)
+    lam = tuple(map(Fraction, lam))
+    mod = build_irrep(g, lam)
+    modules = [natural_module(g), mod, dual_module(mod)]
+    if kind == "gl":
+        modules.append(build_kac_module(g, lam))
+    an = KostantAnalysis(build_parabolic(g, levi), mod, k_max=2)
+    weights = [*(b.root for b in g.basis), *g.simple_roots, g.rho, g.two_rho,
+               *g.nat_weight, *(w for mo in modules for w in mo.weights)]
+    for k in range(3):
+        weights += an.cx.space(k).weights
+        for dec in (an.ker_quabla_decomposition(k), an.homology_decomposition(k)):
+            weights += [e.highest_weight for e in dec.entries]
+    assert exact_values(x for w in weights for x in w)
+    assert any(type(x) is Fraction for x in g.rho) is (kind == "osp")
+    assert (type(mod.highest_weight[0]) is Fraction) is (lam[0] == Fraction(1, 2))
+
+
 # ---------------------------------------------------------------------------
 # the integer block layer and the shared decomposition
 # ---------------------------------------------------------------------------
@@ -1164,7 +1195,7 @@ def test_homology_matches_oracle_ranks_with_acyclic_blocks(case):
         assert rep.dim_im_boundary_above == sum(im for _, im in ranks.values())
         assert rep.weight_multiplicities == {
             w: ker - im for w, (ker, im) in ranks.items() if ker - im}
-        acyclic, quab = an.acyclic_weights(k), an.cx.quabla(k, "casimir")
+        acyclic, quab = an.acyclic_weights(k), an.cx.casimir_quabla(k).merged()
         for w, idxs in an.cx.space(k).weight_blocks.items():
             full = rank_dense(quab.block(w)) == len(idxs)
             assert (w in acyclic) is full
@@ -1207,7 +1238,7 @@ def test_casimir_parts_and_streamed_checks_match_whole_maps(case, perturb, seed)
     boundary shifted by 1."""
     p, an, k = _case_analysis(case)
     for j in range(k + 1):
-        parts, merged = an.quabla_map(j), an.cx.quabla(j, "casimir")
+        parts, merged = an.quabla_map(j), an.cx.casimir_quabla(j).merged()
         for w in an.cx.space(j).weight_blocks:
             got, exact = parts.int_block(w), merged.block(w)
             c = next((Fraction(x, 1) / y for grow, erow in zip(got, exact)
@@ -1305,7 +1336,7 @@ def _direct_top_block_counts(an) -> dict:
     oracle's ranks: the generalized zero space of an n x n block q is
     ker q^(2^j) for any 2^j >= n."""
     k = an.k_max
-    direct = an.cx.quabla(k, "direct")
+    direct = an.cx.quabla(k)
     out = {}
     for w, idxs in an.cx.space(k).weight_blocks.items():
         n, q = len(idxs), direct.block(w)
