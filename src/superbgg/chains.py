@@ -71,8 +71,6 @@ from .errors import CrossCheckFailed, PreconditionViolated
 from .linalg import _exact
 from .modules import Module
 
-F1 = Fraction(1)
-
 
 class ChainBasisElement(NamedTuple):
     even_part: tuple
@@ -529,7 +527,7 @@ class ChainComplex:
             g = self.algebra
             terms = []
             for a, gen in enumerate(self.radical):
-                for kidx, c in g.bracket_vec(self.duals[a], {g0: F1}).items():
+                for kidx, c in g.bracket_vec(self.duals[a], {g0: 1}).items():
                     if kidx in self.radical_set:
                         terms.append((gen, kidx, _exact(c, 2)))
             self._raise_terms[g0] = terms
@@ -705,7 +703,7 @@ class ChainComplex:
         else:
             table = self._lower_table(k, self._table("lower", k - 1) if k > 0 else None,
                                       source.exterior)
-        ops = [self._rho(None), *(self._rho({x: F1}) for x in self.radical)]
+        ops = [self._rho(None), *(self._rho({x: 1}) for x in self.radical)]
         return self._assemble(source, max(k - 1, 0), table, ops)
 
     def raise_(self, k: int) -> ChainMap:
@@ -734,7 +732,7 @@ class ChainComplex:
                 entry[t * 2 + 1] = sgn
                 table.append(entry)
             self._actions[key] = self._assemble(
-                self.space(k), k, table, [self._rho(None), self._rho({i: F1})])
+                self.space(k), k, table, [self._rho(None), self._rho({i: 1})])
         return self._actions[key]
 
     # -- quabla -------------------------------------------------------------------
@@ -825,7 +823,7 @@ class ChainComplex:
                 roots.append((i, dual))
         hvec: dict = {}
         for a, gen in enumerate(self.radical):
-            linalg.vec_iadd(hvec, g.bracket_vec({gen: F1}, self.duals[a]))
+            linalg.vec_iadd(hvec, g.bracket_vec({gen: 1}, self.duals[a]))
         if any(not g.basis[i].is_cartan for i in hvec):
             raise CrossCheckFailed("sum [z_a, z_a^#] is not in the Cartan")
         hcoords = [g.eval_weight(tuple(int(c == d) for d in range(g.rank)), hvec)
@@ -866,7 +864,7 @@ class ChainComplex:
             roots=[(i, [(s, int(c * rden)) for s, c in dual.items()])
                    for i, dual in roots],
             root_den=rden,
-            ops=[self._rho(None), *(self._rho({t: F1}) for t in root_indices),
+            ops=[self._rho(None), *(self._rho({t: 1}) for t in root_indices),
                  casimir_cols],
         )
 

@@ -89,7 +89,7 @@ def _frac(x) -> str:
 
 
 def _weight(w) -> list:
-    return [_frac(c) for c in w]
+    return [str(c) for c in w]
 
 
 def _weight_entries(pairs) -> list:

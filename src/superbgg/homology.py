@@ -90,7 +90,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from . import linalg
 from .algebra import (
@@ -126,21 +126,24 @@ def _quabla_kernels(quab: list, dim: int) -> tuple[list, list]:
     `kernel` itself.  Elsewhere kernels grow along q, q^2, q^4, ... and
     once ker q^e = ker q^2e they have stopped growing, so squaring stops
     there; an invertible q has no generalized zero space at all.  The
-    kernel basis (linalg.int_kernel) is read off the RREF, which the kernel
-    alone determines, so it is the basis of ker q^e for every e >= dim."""
-    rows, pivots = linalg.int_rref(quab, integral=True)
-    kernel = linalg.int_kernel(rows, pivots, dim)
+    kernel basis (linalg.Echelon.kernel) is read off the RREF, which the
+    kernel alone determines, so it is the basis of ker q^e for every
+    e >= dim.  R Q is a sparse product: row r of R Q is the sum of the
+    sparse rows of Q at the nonzeros of row r of R."""
+    ech = linalg.echelon(quab, integral=True).reduce()
+    kernel = ech.kernel(dim)
     if not kernel:
         return [], []
-    meet = [[sum(x * quab[i][p] for i, x in enumerate(row) if x) for p in pivots]
-            for row in rows]
-    if linalg.rank(meet) == len(pivots):
+    pivots = sorted(ech.rows)
+    q_piv = [{j: q for j, p in enumerate(pivots) if (q := qrow[p])} for qrow in quab]
+    meet = linalg.Echelon(_apply(q_piv, row) for row in ech.rows.values())
+    if meet.rank == len(pivots):
         return kernel, kernel
     gen_zero, power, e = kernel, quab, 1
     while e < dim and len(gen_zero) < dim:
         power = linalg.mat_mul(power, power)
         e *= 2
-        grown = linalg.int_kernel(*linalg.int_rref(power, integral=True), dim)
+        grown = linalg.echelon(power, integral=True).reduce().kernel(dim)
         if len(grown) == len(gen_zero):
             break
         gen_zero = grown
@@ -167,34 +170,23 @@ def _casimir_matcher(cx: ChainComplex):
 
 def _block_kernels(m: ChainMap, weights: list) -> dict:
     """{w: int kernel basis} of the blocks of `m` at those of `weights`
-    that are source weights of `m` (linalg.int_kernel)."""
+    that are source weights of `m` (linalg.Echelon.kernel)."""
     blocks = m.source.weight_blocks
-    return {w: linalg.int_kernel(*linalg.int_rref(m.int_block(w), integral=True),
-                                 len(blocks[w]))
-            for w in weights if w in blocks}
+    return {w: linalg.echelon(m.int_block(w), integral=True).reduce()
+            .kernel(len(blocks[w])) for w in weights if w in blocks}
 
 
 def _block_images(m: ChainMap, weights: list) -> dict:
     """{w: int image basis} of the blocks of `m` at those of `weights` that
     are source weights of `m`: the pivot columns, i.e. the block's
-    first-come independent columns."""
+    first-come independent columns (the leads of its row echelon)."""
     out = {}
     for w in weights:
         if w in m.source.weight_blocks:
             block = m.int_block(w)
-            pivots = linalg.int_rref(block, integral=True)[1]
+            pivots = sorted(linalg.echelon(block, integral=True).rows)
             out[w] = [[row[c] for row in block] for c in pivots]
     return out
-
-
-def _primitive(col: dict, positive_lead: bool = False) -> dict:
-    """The multiple of a sparse int column (no zero entries) whose entries
-    are coprime: the positive one, or with `positive_lead` the one whose
-    entry at the smallest index is positive."""
-    cont = gcd(*col.values())
-    if positive_lead and col and col[min(col)] < 0:
-        cont = -cont
-    return {r: v // cont for r, v in col.items()} if cont != 1 else col
 
 
 def _apply(icols: list, vec: dict) -> dict:
@@ -321,26 +313,11 @@ class LeviModule:
             return [{} for _ in cols]
         hit = self._im_rows.get(weight)
         if hit is None:
-            hit = self._im_rows[weight] = _rref_rows(self.im.get(weight, []))
+            rows = linalg.Echelon(self.im.get(weight, [])).reduce().rows
+            hit = self._im_rows[weight] = (rows,
+                                           lcm(1, *(row[p] for p, row in rows.items())))
         rows, den = hit
         return [_project(col, rows, den) for col in cols]
-
-
-def _rref_rows(cols: list) -> tuple[dict, int]:
-    """({pivot: row}, den) of the RREF of the span of sparse int columns:
-    primitive int rows with a positive entry at their pivot (the smallest
-    index) and none at another row's pivot; den is the lcm of the pivot
-    entries."""
-    echelon = _WeightEchelon()
-    for col in cols:
-        echelon.add(col)
-    rows = echelon.rows
-    for b in sorted(rows, reverse=True):
-        row_b = rows[b]
-        for a, row_a in rows.items():
-            if a < b and b in row_a:
-                rows[a] = _eliminate(row_a, row_b, b)
-    return rows, lcm(1, *(row[p] for p, row in rows.items()))
 
 
 def _project(col: dict, rows: dict, den: int) -> dict:
@@ -397,15 +374,14 @@ def _highest_weight_vectors(mod: LeviModule, weight: Weight, raising: list) -> l
     of the stacked classes of the raising images.  `raising` holds (root,
     int columns) per raising operator; each is a positive multiple of the
     exact one and a class is linear, so the kernel is the exact one."""
-    kcols = mod.ker[weight]
-    rows = []
+    kcols, ech = mod.ker[weight], linalg.Echelon()
     for root, cols in raising:
         imgs = [_apply(cols, col) for col in kcols]
         if any(imgs):
             classes = mod.express(wt_add(weight, root), imgs)
-            for t in sorted({t for c in classes for t in c}):
-                rows.append([c.get(t, 0) for c in classes])
-    kernel = linalg.int_kernel(*linalg.int_rref(rows, integral=True), len(kcols))
+            for t in {t for c in classes for t in c}:
+                ech.add({j: c[t] for j, c in enumerate(classes) if t in c})
+    kernel = ech.reduce().kernel(len(kcols))
     return [_apply(kcols, {j: c for j, c in enumerate(vec) if c}) for vec in kernel]
 
 
@@ -484,11 +460,7 @@ def decompose_levi(p: ParabolicDecomposition, mod: LeviModule) -> LDecomposition
     if len(gens) == 1:
         rank = len(gens[0])         # the closure's own echelon rows
     else:
-        union = _WeightEchelon()
-        for gen in gens:
-            for row in gen:
-                union.add(row)
-        rank = union.rank
+        rank = linalg.Echelon(row for gen in gens for row in gen).rank
     cr = sum(e.generated_dimension for e in entries) == rank == mod.dim
     for e in entries:
         if cr:
@@ -505,51 +477,6 @@ def decompose_levi(p: ParabolicDecomposition, mod: LeviModule) -> LDecomposition
                           total_dimension=mod.dim)
 
 
-class _WeightEchelon:
-    """Echelon basis of a span of weight-homogeneous sparse int vectors.
-
-    Rows are primitive int rows with a positive lead, keyed by their leading
-    (smallest) index.  An index of C_k has one weight, so the row met at the
-    lead of a weight-w vector has weight w too: a reduction only meets rows
-    of its own weight, and the vector stays weight-homogeneous.
-    """
-
-    def __init__(self):
-        self.rows: dict = {}            # lead index -> row
-        self.rank = 0
-
-    def add(self, vec: dict) -> dict | None:
-        """Reduce `vec`; store and return the new row, or None if dependent."""
-        v, rows = vec, self.rows
-        while v:
-            lead = min(v)
-            row = rows.get(lead)
-            if row is None:
-                row = _primitive(v, positive_lead=True)
-                rows[lead] = row
-                self.rank += 1
-                return row
-            v = _eliminate(v, row, lead)
-        return None
-
-
-def _eliminate(v: dict, row: dict, lead: int) -> dict:
-    """Primitive part of (p/g)*v - (f/g)*row, with p = row[lead] > 0,
-    f = v[lead] and g = gcd(p, f): a positive multiple of v - (f/p)*row,
-    which vanishes at `lead` (the sparse form of linalg._combine)."""
-    p, f = row[lead], v[lead]
-    g = gcd(p, f)
-    a, b = p // g, f // g
-    out = {t: a * x for t, x in v.items()}
-    for t, y in row.items():
-        z = out.get(t, 0) - b * y
-        if z:
-            out[t] = z
-        else:
-            del out[t]
-    return _primitive(out)
-
-
 def _lowering_closure(mod: LeviModule, lowering: list, weight: Weight,
                       seeds: list) -> tuple[list, int]:
     """(echelon basis, rank of the seeds) of the span of the classes
@@ -562,7 +489,7 @@ def _lowering_closure(mod: LeviModule, lowering: list, weight: Weight,
     its rows are inserted in one pass, and insertion stops once they number
     dim M_u (`LeviModule.weight_dim`): every later vector of that weight is
     dependent, and its images lie in the span of the rows' images."""
-    echelon = _WeightEchelon()
+    echelon = linalg.Echelon()
     basis, frontier, count = [], {weight: seeds}, None
     while frontier:
         nxt: dict = {}

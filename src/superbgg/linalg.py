@@ -1,14 +1,18 @@
 """Exact linear algebra over the rationals.
 
-Dense matrices are lists of row lists with Fraction (or int) entries; sparse
-vectors are {index: Fraction} dicts with no zero values.  All elimination is
-fraction-free: each row is cleared of denominators, rows are combined with
-integer multipliers and divided by their content so entries stay small (an
-integer-preserving elimination in the spirit of Bareiss 1968, with content
-division in place of his exact division by the previous pivot), and
-Fractions are formed only when a reduced row is finally divided by its pivot,
-and only for the entries that are not integral.  `int_rref` returns the int
-rows themselves and forms no Fraction at all.
+Dense matrices are lists of row lists with int or Fraction entries; sparse
+vectors are {index: value} dicts with no zero values.  The package has one
+elimination, `Echelon`: sparse int rows, fraction-free.  Each row is cleared
+of denominators on the way in, rows are combined with integer multipliers
+(`_eliminate`) and every result is divided by its content (`_primitive`),
+so entries stay small: an integer-preserving elimination in the spirit of
+Bareiss 1968, with content division in place of his exact division by the
+previous pivot.  Every dense entry point (`rref`, `int_rref`, `rank`,
+`independent_columns`, `spans_meet`, `is_positive_definite`, and through
+them `nullspace`, `solve` and `inverse`) turns its rows into sparse int
+rows and runs through it.  Fractions are formed only when a reduced row is
+finally divided by its pivot, and only for the entries that are not
+integral; `int_rref` returns the int rows themselves.
 """
 
 from __future__ import annotations
@@ -78,119 +82,164 @@ def transpose(a: list) -> list:
     return [list(col) for col in zip(*a)]
 
 
-def _int_rows(mat: list, integral: bool = False) -> list:
-    """Each row scaled to a primitive int row (a positive rational multiple).
+# ---------------------------------------------------------------------------
+# the elimination: sparse int rows
+# ---------------------------------------------------------------------------
 
-    Entries may be ints or Fractions; scaling a row by a positive number
-    changes neither the row space, the RREF nor the sign of a minor.
-    `integral` promises int entries: only the content is divided out."""
-    out = []
-    for row in mat:
-        if not integral:
-            den = lcm(*(x.denominator for x in row if x))
-            row = [x.numerator * (den // x.denominator) for x in row]
-        cont = gcd(*row)
-        out.append([x // cont for x in row] if cont > 1 else row)
-    return out
+def _primitive(col: dict, positive_lead: bool = False) -> dict:
+    """The multiple of a sparse int column (no zero entries) whose entries
+    are coprime: the positive one, or with `positive_lead` the one whose
+    entry at the smallest index is positive."""
+    cont = gcd(*col.values())
+    if positive_lead and col and col[min(col)] < 0:
+        cont = -cont
+    return {r: v // cont for r, v in col.items()} if cont != 1 else col
 
 
-def _combine(row: list, prow: list, p: int, f: int) -> list:
-    """Primitive part of (p/g)*row - (f/g)*prow with g = gcd(p, f).
-
-    With `f` the entry of `row` in the pivot column of `prow` and `p` the
-    pivot, the result vanishes in that column; for p > 0 it is a positive
-    multiple of row - (f/p)*prow."""
+def _eliminate(v: dict, row: dict, lead: int) -> dict:
+    """Primitive part of (p/g)*v - (f/g)*row, with p = row[lead] > 0,
+    f = v[lead] and g = gcd(p, f): a positive multiple of v - (f/p)*row,
+    which vanishes at `lead`."""
+    p, f = row[lead], v[lead]
     g = gcd(p, f)
     a, b = p // g, f // g
-    out = [a * x - b * y for x, y in zip(row, prow)]
-    cont = gcd(*out)
-    return [x // cont for x in out] if cont > 1 else out
+    out = {t: a * x for t, x in v.items()} if a != 1 else dict(v)
+    for t, y in row.items():
+        z = out.get(t, 0) - b * y
+        if z:
+            out[t] = z
+        else:
+            del out[t]
+    return _primitive(out)
 
 
-def _echelon(mat: list, reduce: bool, integral: bool = False) -> tuple[list, list]:
-    """Fraction-free elimination over Python ints.
+def _int_vec(row: list, integral: bool = False) -> dict:
+    """A dense row of ints and Fractions as a sparse int row: the row times
+    the lcm of its denominators, a positive multiple.  `integral` promises
+    int entries."""
+    vec = {j: x for j, x in enumerate(row) if x}
+    if not integral:
+        den = lcm(1, *(x.denominator for x in vec.values()))
+        vec = {j: x.numerator * (den // x.denominator) for j, x in vec.items()}
+    return vec
 
-    Returns (rows, pivots): `rows[r]` is a primitive int row whose leading
-    entry sits in column `pivots[r]`.  Rows are cleared with `_combine`, so
-    entries stay content-reduced and every step is exact.  With `reduce` the
-    entries above each pivot are cleared too (Gauss-Jordan); without it only
-    the rows below are touched, which suffices for the pivots.
-    """
-    m = _int_rows(mat, integral)
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        prow = m[r]
-        p = prow[c]
-        for i in range(0 if reduce else r + 1, nrows):
-            f = m[i][c]
-            if f and i != r:
-                m[i] = _combine(m[i], prow, p, f)
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m[:r], pivots
 
+class Echelon:
+    """Echelon basis of the span of sparse int vectors, built one vector at
+    a time: `rows` maps a lead (smallest index) to a primitive int row with
+    a positive entry there.  The leads are the pivot columns of the RREF of
+    the span, whose rows `reduce` produces.
+
+    A vector is reduced only by the rows at its successive leads, so where
+    every index has one weight (as in a chain space) a weight-homogeneous
+    vector meets only rows of its own weight and stays homogeneous."""
+
+    def __init__(self, vecs=()):
+        self.rows: dict = {}            # lead index -> row
+        for vec in vecs:
+            self.add(vec)
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def add(self, vec: dict) -> dict | None:
+        """Reduce `vec`; store and return the new row, or None if dependent."""
+        v, rows = vec, self.rows
+        while v:
+            lead = min(v)
+            row = rows.get(lead)
+            if row is None:
+                row = rows[lead] = _primitive(v, positive_lead=True)
+                return row
+            v = _eliminate(v, row, lead)
+        return None
+
+    def reduce(self) -> "Echelon":
+        """Back substitution: clear every row at the other rows' leads, so
+        each row is a positive multiple of an RREF row.  Returns self."""
+        rows = self.rows
+        for b in sorted(rows, reverse=True):
+            row_b = rows[b]
+            for a, row_a in rows.items():
+                if a < b and b in row_a:
+                    rows[a] = _eliminate(row_a, row_b, b)
+        return self
+
+    def kernel(self, ncols: int) -> list:
+        """Nullspace basis of the reduced rows, as dense int vectors: for
+        each free column f, L times the RREF kernel vector (1 at f, 0 at the
+        other free columns), so v[f] = L and v[c] = -row[f] * L / row[c]
+        for the row with lead c.  L, the lcm of row[c] / gcd(row[c],
+        row[f]), is the least that makes v integral, and then v is
+        primitive."""
+        hits: dict = {}
+        for c, row in self.rows.items():
+            p = row[c]
+            for f, x in row.items():
+                if f != c:
+                    hits.setdefault(f, []).append((x, p, c))
+        basis = []
+        for f in range(ncols):
+            if f in self.rows:
+                continue
+            fh = hits.get(f, ())
+            mult = lcm(1, *(p // gcd(p, x) for x, p, _ in fh))
+            v = [0] * ncols
+            v[f] = mult
+            for x, p, c in fh:
+                v[c] = -x * mult // p
+            basis.append(v)
+        return basis
+
+
+def echelon(mat: list, integral: bool = False) -> Echelon:
+    """The Echelon of the rows of a dense matrix of ints and Fractions;
+    `integral` promises int entries."""
+    return Echelon(_int_vec(row, integral) for row in mat)
+
+
+# ---------------------------------------------------------------------------
+# dense entry points
+# ---------------------------------------------------------------------------
 
 def rref(mat: list) -> tuple[list, list]:
     """Reduced row echelon form (copy) and the list of pivot columns.
 
-    The elimination runs on ints (`_echelon`); each nonzero row is divided
+    The elimination runs on ints (`int_rref`); each nonzero row is divided
     by its pivot only at the end, so an entry is an int where it is integral
     and a Fraction where it is not.  Zero rows are int rows.
     """
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
-    rows, pivots = _echelon(mat, reduce=True)
-    out = []
-    for row, pc in zip(rows, pivots):
-        p = row[pc]
-        out.append([_exact(x, p) for x in row])
-    out.extend([0] * ncols for _ in range(nrows - len(rows)))
+    ncols = len(mat[0]) if mat else 0
+    rows, pivots = int_rref(mat)
+    out = [[_exact(x, row[pc]) for x in row] for row, pc in zip(rows, pivots)]
+    out.extend([0] * ncols for _ in range(len(mat) - len(rows)))
     return out, pivots
 
 
 def int_rref(mat: list, integral: bool = False) -> tuple[list, list]:
     """Fraction-free reduced echelon form: (rows, pivots) with `rows[r]` a
-    primitive int row that vanishes in every pivot column but `pivots[r]`.
+    primitive int row, positive at `pivots[r]` and zero in every other
+    pivot column.
 
     Row r of rref(mat) is rows[r] / rows[r][pivots[r]]; zero rows are
-    dropped; `integral` promises int entries.  The eliminations of
-    `homology` run through this name, so a layer trace reports them as
-    `linalg.int_rref` spans, apart from the `linalg.rref` calls of every
-    other layer."""
-    return _echelon(mat, reduce=True, integral=integral)
+    dropped; `integral` promises int entries."""
+    ncols = len(mat[0]) if mat else 0
+    rows = echelon(mat, integral).reduce().rows
+    pivots = sorted(rows)
+    return [[rows[c].get(j, 0) for j in range(ncols)] for c in pivots], pivots
 
 
 def rank(mat: list) -> int:
-    if not mat or not mat[0]:
-        return 0
-    return len(_echelon(mat, reduce=False)[1])
+    return echelon(mat).rank
 
 
 def int_kernel(rows: list, pivots: list, ncols: int) -> list:
-    """Nullspace basis read off (rows, pivots) = int_rref(mat): for each free
-    column f, L times the RREF kernel vector (1 at f, 0 at the other free
-    columns), so v[f] = L and v[p_r] = -rows[r][f] * L / p_r with p_r the
-    pivot of row r.  L, the lcm of p_r / gcd(p_r, rows[r][f]), is the least
-    that makes v integral, and then v is primitive."""
-    basis = []
-    for fcol in sorted(set(range(ncols)) - set(pivots)):
-        hits = [(row[fcol], row[pc], pc) for row, pc in zip(rows, pivots) if row[fcol]]
-        mult = lcm(1, *(p // gcd(p, x) for x, p, _ in hits))
-        v = [0] * ncols
-        v[fcol] = mult
-        for x, p, pc in hits:
-            v[pc] = -x * mult // p
-        basis.append(v)
-    return basis
+    """Nullspace basis read off (rows, pivots) = int_rref(mat), as primitive
+    int vectors (`Echelon.kernel`)."""
+    ech = Echelon()
+    ech.rows = {pc: _int_vec(row, integral=True) for row, pc in zip(rows, pivots)}
+    return ech.kernel(ncols)
 
 
 def nullspace(mat: list, ncols: int | None = None) -> list:
@@ -230,35 +279,35 @@ def inverse(a: list) -> list:
 
 
 def independent_columns(cols: list) -> list:
-    """Indices of a first-come maximal independent subset of column vectors."""
-    if not cols:
-        return []
-    return _echelon(transpose(cols), reduce=False)[1]
+    """Indices of a first-come maximal independent subset of column vectors:
+    those that an Echelon of the columns before them does not span."""
+    ech = Echelon()
+    return [j for j, col in enumerate(cols) if ech.add(_int_vec(col)) is not None]
 
 
 def spans_meet(cols_a: list, cols_b: list) -> bool:
     """Whether span(cols_a) and span(cols_b) share a nonzero vector, for
-    independent int column lists A and B: dim(span A & span B) =
-    |A| + |B| - rank[A | B], one forward elimination."""
-    stacked = cols_a + cols_b
-    return bool(cols_a and cols_b) and \
-        len(_echelon(stacked, reduce=False, integral=True)[1]) < len(stacked)
+    independent int column lists A and B: whether one of A then B is
+    dependent on the vectors before it."""
+    if not (cols_a and cols_b):
+        return False
+    ech = Echelon()
+    return any(ech.add(_int_vec(col, integral=True)) is None for col in cols_a + cols_b)
 
 
 def is_positive_definite(gram: list) -> bool:
     """Sylvester criterion on an exact symmetric matrix.
 
-    Eliminates below the diagonal without row exchanges, on ints.  Every
-    step scales rows by positive numbers only, so when row k becomes the
-    pivot row its diagonal entry has the sign of D_{k+1} / D_k, where D_j is
-    the j-th leading principal minor and D_0 = 1."""
-    m = _int_rows(gram)
-    n = len(m)
-    for k in range(n):
-        p = m[k][k]
-        if p <= 0:
+    Eliminates below the diagonal without row exchanges, on sparse int rows
+    (`_eliminate`).  Every step scales rows by positive numbers only, so
+    when row k becomes the pivot row its diagonal entry has the sign of
+    D_{k+1} / D_k, where D_j is the j-th leading principal minor and
+    D_0 = 1."""
+    m = [_int_vec(row) for row in gram]
+    for k, prow in enumerate(m):
+        if prow.get(k, 0) <= 0:
             return False
-        for i in range(k + 1, n):
-            if m[i][k]:
-                m[i] = _combine(m[i], m[k], p, m[i][k])
+        for i in range(k + 1, len(m)):
+            if k in m[i]:
+                m[i] = _eliminate(m[i], prow, k)
     return True

@@ -838,6 +838,14 @@ def _echelon_insert(rows, vec):
     return False
 
 
+def oracle_independent_columns(cols):
+    """Indices of a first-come maximal independent subset of column vectors,
+    by Fraction elimination one column at a time."""
+    rows: dict = {}
+    return [j for j, col in enumerate(cols)
+            if _echelon_insert(rows, {i: Fraction(x) for i, x in enumerate(col) if x})]
+
+
 def coordinate_decomposition(p, mod):
     """decompose_levi's LDecomposition of a CoordinateLeviModule, in its own
     coordinates and exact Fractions: H_w from the dense raising kernels,

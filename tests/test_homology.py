@@ -27,6 +27,7 @@ from oracles import (
     oracle_boundary_squares_to_zero,
     oracle_homology_dims,
     oracle_homology_ranks,
+    oracle_independent_columns,
     oracle_kernel,
     oracle_levi_decomposition,
     oracle_levi_generated_dims,
@@ -59,14 +60,13 @@ from superbgg.homology import (
     _casimir_matcher,
     _highest_weight_vectors,
     _lowering_closure,
-    _primitive,
     _project,
     _quabla_kernels,
-    _WeightEchelon,
     decompose_levi,
     levi_irrep_dimension,
     multiplicity_criterion,
 )
+from superbgg.linalg import Echelon, _primitive
 from superbgg.modules import build_irrep, build_kac_module, dual_module, natural_module
 
 F0, F1 = Fraction(0), Fraction(1)
@@ -621,7 +621,7 @@ def test_levi_layer_holds_only_ints(levi_case):
                         for i in p.levi_simple_roots]
             assert ints(c for cols in mod.ker.values() for c in cols)
             assert ints(c for cols in (mod.im or {}).values() for c in cols)
-            echelon = _WeightEchelon()
+            echelon = Echelon()
             for w in mod.ker:
                 vecs = mod.express(w, _highest_weight_vectors(mod, w, raising))
                 assert ints(vecs)
@@ -631,49 +631,6 @@ def test_levi_layer_holds_only_ints(levi_case):
                 assert ints(rows.values()) and type(den) is int and den > 0
             assert ints(echelon.rows.values())
             assert len(echelon.rows) == echelon.rank
-
-
-@st.composite
-def _weight_homogeneous_vectors(draw):
-    n = draw(st.integers(1, 7))
-    weights = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
-    vecs = []
-    for _ in range(draw(st.integers(0, 9))):
-        w = draw(st.sampled_from(weights))
-        idxs = [t for t in range(n) if weights[t] == w]
-        vec = {t: c for t in idxs if (c := draw(st.integers(-4, 4)))}
-        if vec:
-            vecs.append(vec)
-    return weights, vecs
-
-
-@given(_weight_homogeneous_vectors())
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-def test_weight_echelon_rank_matches_linalg_rank(case):
-    """_WeightEchelon's rank is the rank of the vectors, and its rows are
-    primitive int rows with a positive lead."""
-    weights, vecs = case
-    echelon = _WeightEchelon()
-    for vec in vecs:
-        echelon.add(vec)
-    dense = [[vec.get(t, 0) for t in range(len(weights))] for vec in vecs]
-    assert echelon.rank == (linalg.rank(dense) if dense else 0)
-    for lead, row in echelon.rows.items():
-        assert lead == min(row) and row[lead] > 0
-        assert len({weights[t] for t in row}) == 1
-        assert all(type(x) is int for x in row.values())
-        assert math.gcd(*row.values()) == 1
-
-
-def test_primitive_divides_out_content_and_fixes_the_sign():
-    """_primitive divides a sparse int column by its content; it keeps the
-    sign unless `positive_lead` asks for a positive entry at the smallest
-    index."""
-    assert _primitive({3: -12, 5: 18, 1: 2}) == {1: 1, 3: -6, 5: 9}
-    assert _primitive({2: -6, 4: 4}) == {2: -3, 4: 2}
-    assert _primitive({2: -6, 4: 4}, positive_lead=True) == {2: 3, 4: -2}
-    assert _primitive({2: 3, 4: -2}, positive_lead=True) == {2: 3, 4: -2}
-    assert _primitive({}) == {}
 
 
 def test_quotient_express_projects_along_the_image(osp46_sec7, osp46_natural):
@@ -1062,6 +1019,27 @@ def _primitive_vector(vec):
     den = math.lcm(*(x.denominator for x in vec))
     col = _primitive({i: int(x * den) for i, x in enumerate(vec) if x})
     return [col.get(i, 0) for i in range(len(vec))]
+
+
+def test_largest_block_bases_match_the_fraction_oracles():
+    """On osp(5|4) with Levi {0,1} and the natural module at k = 3, whose
+    blocks reach 67 x 67, the ten largest non-acyclic blocks: the kernel of
+    d*_k is, vector for vector, the primitive multiple of oracle_kernel's
+    Fraction basis, and the image of d*_{k+1} is the block's first-come
+    independent columns, found by Fraction elimination."""
+    k = 3
+    p = _parabolic("osp", 5, 2, (0, 1))
+    an = KostantAnalysis(p, build_irrep(p.algebra, wt(1, 0, 0, 0)), k_max=k)
+    data, blocks = an.block_data(k), an.cx.space(k).weight_blocks
+    hot = [w for w, d in data.items() if not d["acyclic"]]
+    largest = sorted(hot, key=lambda w: len(blocks[w]), reverse=True)[:10]
+    assert len(largest) == 10 and len(blocks[largest[0]]) == 67
+    lower, above = an.cx.lower(k), an.boundary_above(k)
+    for w in largest:
+        want = oracle_kernel(lower.block(w), len(blocks[w]))
+        assert data[w]["ker"] == [_primitive_vector(u) for u in want]
+        cols = linalg.transpose(above.int_block(w))
+        assert data[w]["im"] == [cols[j] for j in oracle_independent_columns(cols)]
 
 
 @given(_certificate_cases())

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import (identity, oracle_intersection_dim, oracle_kernel,
                      oracle_positive_definite, oracle_rref, rank_dense)
 from superbgg import linalg
+from superbgg.linalg import Echelon, _primitive
 
 F = Fraction
 
@@ -293,3 +294,50 @@ def test_positive_definite_matches_oracle(m):
         g = [[x + (shift if i == j else 0) for j, x in enumerate(row)]
              for i, row in enumerate(gram)]
         assert linalg.is_positive_definite(g) == oracle_positive_definite(g)
+
+
+# ---------------------------------------------------------------------------
+# the sparse echelon
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _weight_homogeneous_vectors(draw):
+    n = draw(st.integers(1, 7))
+    weights = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    vecs = []
+    for _ in range(draw(st.integers(0, 9))):
+        w = draw(st.sampled_from(weights))
+        idxs = [t for t in range(n) if weights[t] == w]
+        vec = {t: c for t in idxs if (c := draw(st.integers(-4, 4)))}
+        if vec:
+            vecs.append(vec)
+    return weights, vecs
+
+
+@given(_weight_homogeneous_vectors())
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_weight_echelon_rank_matches_linalg_rank(case):
+    """Echelon's rank is the rank of the vectors, and its rows are
+    primitive int rows with a positive lead."""
+    weights, vecs = case
+    echelon = Echelon()
+    for vec in vecs:
+        echelon.add(vec)
+    dense = [[vec.get(t, 0) for t in range(len(weights))] for vec in vecs]
+    assert echelon.rank == (linalg.rank(dense) if dense else 0)
+    for lead, row in echelon.rows.items():
+        assert lead == min(row) and row[lead] > 0
+        assert len({weights[t] for t in row}) == 1
+        assert all(type(x) is int for x in row.values())
+        assert math.gcd(*row.values()) == 1
+
+
+def test_primitive_divides_out_content_and_fixes_the_sign():
+    """_primitive divides a sparse int column by its content; it keeps the
+    sign unless `positive_lead` asks for a positive entry at the smallest
+    index."""
+    assert _primitive({3: -12, 5: 18, 1: 2}) == {1: 1, 3: -6, 5: 9}
+    assert _primitive({2: -6, 4: 4}) == {2: -3, 4: 2}
+    assert _primitive({2: -6, 4: 4}, positive_lead=True) == {2: 3, 4: -2}
+    assert _primitive({2: 3, 4: -2}, positive_lead=True) == {2: 3, 4: -2}
+    assert _primitive({}) == {}
