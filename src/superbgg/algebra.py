@@ -405,16 +405,21 @@ def casimir_eigenvalue(g: LieSuperalgebra, lam: Weight) -> Fraction:
     return g.weight_form(lam, wt_add(lam, g.two_rho))
 
 
-def positive_even_roots(g: LieSuperalgebra) -> list:
-    """The distinct positive even roots, in weight_key order."""
-    return sorted({g.root(i) for i in g.positive_root_indices() if g.parity(i) == 0},
-                  key=weight_key)
+def positive_even_roots(g: LieSuperalgebra, indices=None) -> list:
+    """The distinct positive even roots, in weight_key order; with
+    `indices`, those of the basis elements they name."""
+    pos = g.positive_root_indices()
+    if indices is not None:
+        pos = set(pos).intersection(indices)
+    return sorted({g.root(i) for i in pos if g.parity(i) == 0}, key=weight_key)
 
 
-def even_simple_roots(g: LieSuperalgebra) -> list:
+def even_simple_roots(g: LieSuperalgebra, indices=None) -> list:
     """Simple system of the even subalgebra g_0 inside the positive even
-    roots, in weight_key order."""
-    pos_even = positive_even_roots(g)
+    roots, in weight_key order.  With `indices`, the basis of a subalgebra
+    whose positive roots are g's positive roots in it, such as a Levi l,
+    that of l_0, without building l."""
+    pos_even = positive_even_roots(g, indices)
     pos_set = set(pos_even)
     return [a for a in pos_even
             if not any(wt_sub(a, b) in pos_set for b in pos_even if b != a)]

@@ -253,13 +253,15 @@ def _add_term(out: dict, key, c) -> None:
 class CasimirQuabla:
     """quabla_k by Kostant's formula in its two parts
     (`ChainComplex.casimir_quabla`): the scalar part, scalar[w] / den on
-    the weight-w block of `space`, and the root part, a ChainMap of
-    `space`, or None where the Levi is the Cartan."""
+    the weight-w block of `space`, and the root part, a ChainMap into
+    `space`, or None where the Levi is the Cartan.  With `kept` the root
+    part holds the blocks at those weights alone, and only they are read."""
 
     space: ChainSpace
     scalar: dict            # weight -> int
     den: int
     root: ChainMap | None
+    kept: frozenset | None = None
 
     def _scales(self) -> tuple[int, int, int]:
         """(D, D / den, D / root den) for D the lcm of both denominators."""
@@ -271,6 +273,8 @@ class CasimirQuabla:
         """D times quabla (`_scales`) one column at a time: the scalar at
         the column's own row plus the root part's column."""
         _, fs, fr = self._scales()
+        if self.kept is not None:
+            raise PreconditionViolated("the root part holds some weight blocks alone")
         root = self.root.icols if self.root is not None else None
         for j, w in enumerate(self.space.weights):
             col = {r: fr * v for r, v in root[j].items()} if root is not None else {}
@@ -281,6 +285,8 @@ class CasimirQuabla:
         """D times the weight block (`_scales`): the root block plus the
         scalar times the identity, an int matrix with the kernel and rank
         of the exact block, which is what block_data reads."""
+        if self.kept is not None and weight not in self.kept:
+            raise PreconditionViolated(f"the root part holds no block at {weight}")
         _, fs, fr = self._scales()
         n = len(self.space.weight_blocks.get(weight, []))
         out = ([[fr * v for v in row] for row in self.root.int_block(weight)]
@@ -751,7 +757,7 @@ class ChainComplex:
         pairs = [(self.raise_(k - 1), self.lower(k))] if k > 0 else []
         return _product_columns(pairs + [(self.lower(k + 1), self.raise_(k))])
 
-    def casimir_quabla(self, k: int) -> CasimirQuabla:
+    def casimir_quabla(self, k: int, weights=None) -> CasimirQuabla:
         """quabla_k by Kostant's formula
 
             quabla = -1/2 (C2(lambda) + w(h) - C_l)   on the weight-w block,
@@ -792,9 +798,14 @@ class ChainComplex:
         coboundary recursions) and assembled into a ChainMap like the
         operators.  On a
         Borel the Levi is the Cartan: there is no root part, and quabla is
-        the scalar part alone."""
+        the scalar part alone.
+
+        With `weights`, the root part is assembled on those weight blocks
+        alone (its source is `_build_space(k, weights)`, as in `lower_at`),
+        and only their `int_block`s can be read."""
         terms = self._casimir_terms
         sp = self.space(k)
+        kept = None if weights is None else frozenset(weights)
         # den times the scalar part per weight: an int, or a Fraction where
         # the weight has a non-integral coordinate
         nums = {w: terms.const + sum(a * w[c] for c, a in terms.linear)
@@ -804,9 +815,11 @@ class ChainComplex:
         scalar = {w: v.numerator * (wden // v.denominator) for w, v in nums.items()}
         root = None
         if terms.roots:
-            icols, rden = self._assemble_cols(k, self._casimir_table(k), terms.ops)
-            root = ChainMap.canonical(sp, sp, icols, 2 * terms.root_den * rden)
-        return CasimirQuabla(sp, scalar, terms.den * wden, root)
+            source = sp if kept is None else self._build_space(k, kept)
+            icols, rden = self._assemble_cols(k, self._casimir_table(k, source.exterior),
+                                              terms.ops)
+            root = ChainMap.canonical(source, sp, icols, 2 * terms.root_den * rden)
+        return CasimirQuabla(sp, scalar, terms.den * wden, root, kept)
 
     @functools.cached_property
     def _casimir_terms(self) -> "_CasimirTerms":
@@ -868,16 +881,18 @@ class ChainComplex:
                  casimir_cols],
         )
 
-    def _casimir_table(self, k: int) -> list:
+    def _casimir_table(self, k: int, monos: list | None = None) -> list:
         """Exterior table of root_den * C_l^root on C_k, with ops 1,
         rho(A_t) for the Levi root vectors A_t and rho(C_l^root) (see
-        `casimir_quabla`)."""
+        `casimir_quabla`), a row for each monomial of `monos` (all of
+        Lambda^k r when None)."""
         terms = self._casimir_terms
         op_of = {t: 1 + o for o, (t, _) in enumerate(terms.roots)}
         nops = len(terms.ops)
         ad = self._ad_rows(list(op_of), k)
+        every, index = self.monomials(k)
         table = []
-        for tx in range(len(self.monomials(k)[0])):
+        for tx in range(len(every)) if monos is None else map(index.__getitem__, monos):
             row: dict = {tx * nops + nops - 1: terms.root_den}
             for i, dual in terms.roots:
                 ad_i = ad[i]

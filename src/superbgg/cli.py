@@ -251,13 +251,17 @@ def _internal_checks(an, k_max: int) -> tuple:
     Nilpotency covers every boundary the analysis reads: d*_{k-1} d*_k = 0
     for k <= k_max, and d*_{k_max} d*_{k_max+1} = 0 on the restricted
     d*_{k_max+1} that block_data(k_max) reads its images from
-    (`boundary_above`); and d_{k+1} d_k = 0 for k <= k_max - 2.  It holds
+    (`boundary_above`), over all its columns, at every non-acyclic weight,
+    although block_data eliminates only its dominant blocks; and
+    d_{k+1} d_k = 0 for k <= k_max - 2.  It holds
     when every column of each product is zero (`ChainMap.compose_columns`).
     The Casimir quabla is the analysis's own (`quabla_map`), the parts its
     block kernels read, so it is built once per degree.  The direct quabla
     d_{k-1} d*_k + d*_{k+1} d_k is its independent side, streamed here only
     (`ChainComplex.quabla_columns`), at degrees 0..k_max-1: at k_max it
-    would need d_{k_max}, which nothing else builds.  Each direct column is
+    would need d_{k_max}, which nothing else builds, and block_data(k_max)
+    reads a Casimir quabla whose root part holds its dominant candidate
+    blocks alone.  Each direct column is
     compared with the scalar times e_j plus the root part's column, the
     denominators cross-multiplied (`CasimirQuabla.agrees`)."""
     cx = an.cx

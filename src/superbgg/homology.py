@@ -54,9 +54,9 @@ w, and the ranks follow by recursion: dim ker d*_{k,w} = dim im d*_{k+1,w}
 k - 1 holds at w (0 at k = 0 or where C_{k-1} has no weight w).  An
 operator block has two readers: block_data reads the kernels of d*_k and
 the images of d*_{k+1}, predicates those of d_k and d_{k-1}.  The block is
-eliminated once per reader that sits at a non-acyclic weight, and nothing
-is kept between readers: a block read twice is rare and small.  The
-homology quotient keeps its acyclic weights: there a column lies in
+eliminated once per reader that sits at a dominant non-acyclic weight
+(below), and nothing is kept between readers: a block read twice is rare
+and small.  The homology quotient keeps its acyclic weights: there a column lies in
 span(im d*_{k+1}) = ker d*_k exactly when d*_k kills it, one sparse
 product, and its class is zero.
 
@@ -84,10 +84,44 @@ the weights of C_k.  Every other block is invertible:
   w -> w - alpha_i through weights of L(mu) (the partial products of a
   nonzero f_{i_n} ... f_{i_1} v_mu are nonzero), and those lie in the
   weights of C_k, as mu does.
+
+Of what survives the filter, block_data eliminates one weight per Weyl
+orbit.  d*, d and quabla commute with l, hence with its even part l_0, a
+reductive Lie algebra, so every space the block layer forms (ker and im
+of d*_k and d_k, ker quabla_k, the generalized zero space, their
+intersections) is an l_0-submodule of C_k.  The weight multiplicities of
+a finite-dimensional l_0-module are invariant under the Weyl group W(l_0)
+(Humphreys, Introduction to Lie Algebras and Representation Theory,
+21.2), and each W(l_0)-orbit of weights holds exactly one dominant weight,
+one with (w, a^v) >= 0 for every simple root a of l_0.  So:
+
+* every count block_data keeps at w (the block size, dim ker quabla, dim
+  of the generalized zero space, dim ker d*_k, dim im d*_{k+1}, and so
+  acyclicity) is the count at the dominant representative of w;
+* each of statements (1)-(7) asks, at every weight, that an l_0-submodule
+  be zero or that two have equal multiplicities.  A nonzero submodule has
+  a nonzero weight space at the representative of any of its weights, so
+  each statement holds at every weight of C_k exactly when it holds at
+  the dominant ones;
+* a highest-weight vector of an l-constituent is killed by n+_l, which
+  holds n+_{l_0}, so it generates a finite-dimensional highest-weight
+  l_0-module and its weight is l_0-dominant: decompose_levi searches the
+  dominant weights alone.
+
+Every other candidate weight takes the counts of its representative,
+reached by simple reflections s_a(w) = w - (w, a^v) a (`_orbit_map`); that
+the representative is a weight of C_k of the same multiplicity is checked
+as it is found.  A basis at a non-dominant weight is eliminated only when
+asked (KostantAnalysis.basis), as the homology quotient asks for I where
+decompose_levi projects onto it, and its size is checked against the
+counts of the representative.  On a Borel l_0 is the Cartan, W(l_0) is
+trivial, and no weight is mapped.
 """
 
 from __future__ import annotations
 
+import copy
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -204,6 +238,38 @@ def _ambient_columns(idxs: list, cols: list) -> list:
     return [{idxs[i]: v for i, v in enumerate(col) if v} for col in cols]
 
 
+def _coroots(p: ParabolicDecomposition) -> list:
+    """(a, row, norm) for each simple root a of the even Levi l_0, cached
+    on the parabolic: (w, a^v) = 2 (w, a) / (a, a) = 2 (w . row) / norm,
+    row the algebra's int form on h* times a and norm = a . row, both
+    signed so that norm > 0.  So the pairing is a sum of int products
+    wherever w is integral."""
+    hit = p._levi_cache.get("coroots")
+    if hit is None:
+        g, hit = p.algebra, []
+        for a in even_simple_roots(g, p.levi_indices):
+            row = [sum(x * y for x, y in zip(qrow, a)) for qrow in g._weight_form[0]]
+            norm = sum(x * y for x, y in zip(a, row))
+            sign = 1 if norm > 0 else -1
+            hit.append((a, [(c, sign * x) for c, x in enumerate(row) if x], sign * norm))
+        p._levi_cache["coroots"] = hit
+    return hit
+
+
+def _reflect_up(coroots: list, w: Weight) -> Weight | None:
+    """s_a(w) = w - (w, a^v) a at the first simple root a of l_0
+    (`_coroots`) with (w, a^v) < 0, or None where w is l_0-dominant;
+    CrossCheckFailed where that (w, a^v) is not an integer."""
+    for a, row, norm in coroots:
+        c = 2 * sum(w[i] * x for i, x in row)
+        if c < 0:
+            q, r = divmod(c, norm)
+            if r:
+                raise CrossCheckFailed(f"a coroot pairs {w} to a non-integer")
+            return tuple(x - q * y for x, y in zip(w, a))
+    return None
+
+
 # ---------------------------------------------------------------------------
 # report containers
 # ---------------------------------------------------------------------------
@@ -250,7 +316,9 @@ class LeviModule:
     """The l-module K/I of two l-stable subspaces I <= K of the chain space
     C_k, in C_k's own coordinates.  `ker[w]` and `im[w]` are bases of K and
     I at weight w, sparse ambient int columns supported in the weight block
-    of w; the dimension is the sum over w of |ker[w]| - |im[w]|.
+    of w, in mappings that a caller may fill on first read; `dims` holds
+    dim M_w = |ker[w]| - |im[w]| at each weight where it is not 0.  Without
+    `dims` the bases are read whole and checked against the weight blocks.
 
     With `im` (a homology quotient, KostantAnalysis.homology_quotient_module)
     K is ker d*_k and I is im d*_{k+1}.  The weights in `acyclic` hold
@@ -261,29 +329,33 @@ class LeviModule:
     product per image.
     """
 
-    def __init__(self, cx: ChainComplex, k: int, ker: dict, im: dict | None = None,
-                 acyclic: frozenset = frozenset()):
+    def __init__(self, cx: ChainComplex, k: int, ker: Mapping, im: Mapping | None = None,
+                 acyclic: frozenset = frozenset(), dims: dict | None = None):
         self.cx = cx
         self.k = k
         self.ker = ker
         self.im = im
         self.acyclic = acyclic
-        blocks = cx.space(k).weight_blocks
-        for bases in (ker, im or {}):
-            for w, cols in bases.items():
-                block = set(blocks.get(w, ()))
-                if not all(col.keys() <= block for col in cols):
-                    raise PreconditionViolated(
-                        f"a basis vector of weight {w} leaves its weight block")
+        if dims is None:
+            blocks = cx.space(k).weight_blocks
+            for bases in (ker, im or {}):
+                for w, cols in bases.items():
+                    block = set(blocks.get(w, ()))
+                    if not all(col.keys() <= block for col in cols):
+                        raise PreconditionViolated(
+                            f"a basis vector of weight {w} leaves its weight block")
+            dims = {w: n for w, cols in ker.items()
+                    if (n := len(cols) - len((im or {}).get(w, ())))}
+        self.dims = dims
         self._im_rows: dict = {}
 
     @property
     def dim(self) -> int:
-        return sum(map(len, self.ker.values())) - sum(map(len, (self.im or {}).values()))
+        return sum(self.dims.values())
 
     def weight_dim(self, weight: Weight) -> int:
         """dim M_w = |ker[w]| - |im[w]|."""
-        return len(self.ker.get(weight, ())) - len((self.im or {}).get(weight, ()))
+        return self.dims.get(weight, 0)
 
     def act(self, levi_index: int) -> ChainMap:
         """The Levi basis element A_i on C_k: the complex's action map, whose
@@ -423,9 +495,10 @@ def decompose_levi(p: ParabolicDecomposition, mod: LeviModule) -> LDecomposition
     d*(d x) lies in I for x in ker d*_k.  By Kostant's formula
     (ChainComplex.casimir_quabla) it acts on a class of weight w that n+_l
     kills by 1/2 (C2(w) - C2(lambda)), so that class is zero unless the two
-    Casimir values agree.  Only such weights with K_w larger than I_w are searched,
-    by the test block_data's candidate weights start from
-    (`_casimir_matcher`).
+    Casimir values agree.  Only such weights with K_w larger than I_w are
+    searched, by the test block_data's candidate weights start from
+    (`_casimir_matcher`), and of them only the l_0-dominant ones, where
+    every highest weight lies (module docstring).
 
     This is the paper's necessary condition for a BGG resolution (complete
     reducibility of each homology group), checked on the module itself.  A
@@ -440,11 +513,10 @@ def decompose_levi(p: ParabolicDecomposition, mod: LeviModule) -> LDecomposition
     roots = p.levi_simple_roots
     raising = [(g.root(pos[i]), mod.act(pos[i]).icols) for i in roots]
     lowering = [(g.root(neg[i]), mod.act(neg[i]).icols) for i in roots]
-    matches = _casimir_matcher(mod.cx)
-    im = mod.im or {}
+    matches, coroots = _casimir_matcher(mod.cx), _coroots(p)
     entries, gens = [], []
-    for w in sorted(mod.ker, key=weight_key):
-        if len(mod.ker[w]) == len(im.get(w, ())) or not matches(w):
+    for w in sorted(mod.dims, key=weight_key):
+        if not matches(w) or _reflect_up(coroots, w) is not None:
             continue
         seeds = mod.express(w, _highest_weight_vectors(mod, w, raising))
         gen, count = _lowering_closure(mod, lowering, w, seeds)
@@ -516,6 +588,67 @@ def _lowering_closure(mod: LeviModule, lowering: list, weight: Weight,
 # the per-scenario analysis object
 # ---------------------------------------------------------------------------
 
+class BlockRecord:
+    """The block layer at one weight w of C_k (KostantAnalysis.block_data).
+
+    The counts are always set: the block size `n`, `dim_ker` of ker d*_k,
+    `dim_im` of im d*_{k+1}, whether the block is `acyclic` (quabla is
+    invertible there), and the dimensions of ker quabla and of the
+    generalized zero space.  `rep` is the l_0-dominant representative of
+    a non-acyclic w (w itself where w is dominant), None at an acyclic
+    one.  The int bases are None until formed: block_data forms all four at
+    the dominant non-acyclic weights, KostantAnalysis.basis any other one
+    on first read; at an acyclic weight ker quabla and the generalized
+    zero space are 0, and `ker` and `im` are formed only when read."""
+
+    __slots__ = ("n", "dim_ker", "dim_im", "acyclic", "dim_ker_quabla", "dim_gen_zero",
+                 "rep", "ker", "im", "ker_quabla", "gen_zero")
+
+    def __init__(self, n: int, dim_ker: int, dim_im: int, ker_quabla=(), gen_zero=(),
+                 rep: Weight | None = None):
+        self.n, self.dim_ker, self.dim_im, self.rep = n, dim_ker, dim_im, rep
+        self.ker_quabla, self.gen_zero = ker_quabla, gen_zero
+        self.dim_ker_quabla, self.dim_gen_zero = len(ker_quabla), len(gen_zero)
+        self.acyclic = not gen_zero
+        self.ker = self.im = None
+
+    def counts(self) -> "BlockRecord":
+        """A record with this one's counts and representative and no basis."""
+        out = copy.copy(self)
+        out.ker = out.im = out.ker_quabla = out.gen_zero = None
+        return out
+
+
+class _RecordBases(Mapping):
+    """{w: sparse ambient int columns} of the basis `name` of the records of
+    degree k at `weights`, each converted on first read and eliminated
+    there first where block_data formed none (KostantAnalysis.basis)."""
+
+    def __init__(self, an: "KostantAnalysis", k: int, name: str, weights: list):
+        self._an, self._k, self._name = an, k, name
+        self._weights = dict.fromkeys(weights)
+        self._cols: dict = {}
+
+    def __getitem__(self, w: Weight) -> list:
+        cols = self._cols.get(w)
+        if cols is None:
+            if w not in self._weights:
+                raise KeyError(w)
+            an = self._an
+            cols = self._cols[w] = _ambient_columns(an.cx.space(self._k).weight_blocks[w],
+                                                    an.basis(self._k, w, self._name))
+        return cols
+
+    def __contains__(self, w) -> bool:
+        return w in self._weights
+
+    def __iter__(self):
+        return iter(self._weights)
+
+    def __len__(self) -> int:
+        return len(self._weights)
+
+
 class KostantAnalysis:
     """All degree-wise data for one (parabolic, module) pair on the nbar side.
 
@@ -527,6 +660,8 @@ class KostantAnalysis:
         self.module = module
         self.k_max = k_max
         self.cx = ChainComplex(p, module, "nbar")
+        self._coroots = _coroots(p)
+        self._reps: dict = {}           # weight -> l_0-dominant representative
         self._blockdata: dict = {}
         self._decomp: dict = {}
         self._kerq_decomp: dict = {}
@@ -541,66 +676,130 @@ class KostantAnalysis:
         """quabla_k by Kostant's Casimir formula, cached per degree, in its
         two parts (`ChainComplex.casimir_quabla`): one int per weight for
         the scalar part, and a ChainMap for the root part, none on a Borel.
-        block_data reads its `int_block`s, and `cli._internal_checks`
-        compares it with the direct form one column at a time.  It is built
-        from C_k alone, where the direct form d_{k-1} d*_k + d*_{k+1} d_k
-        would need d_k into C_{k+1}; so the top degree k_max builds no map
-        C_{k_max} -> C_{k_max+1}, and its invertible blocks spare
-        d*_{k_max+1} too, which is built only at the other weights
-        (`boundary_above`)."""
+        block_data reads its `int_block`s below k_max, and
+        `cli._internal_checks` compares it with the direct form one column
+        at a time.  It is built from C_k alone, where the direct form
+        d_{k-1} d*_k + d*_{k+1} d_k would need d_k into C_{k+1}; so the top
+        degree k_max builds no map C_{k_max} -> C_{k_max+1}.  There
+        block_data reads a root part built on the blocks it eliminates
+        alone (`_quabla_at`), and its invertible blocks spare d*_{k_max+1}
+        too, which is built only at the other weights (`boundary_above`)."""
         if k not in self._quabla:
             self._quabla[k] = self.cx.casimir_quabla(k)
         return self._quabla[k]
 
+    def _quabla_at(self, k: int, weights: list) -> CasimirQuabla:
+        """A quabla_k whose int_block can be read at `weights`: quabla_map(k)
+        below k_max, and from k_max on one built on their blocks alone,
+        owned by the caller."""
+        if k < self.k_max:
+            return self.quabla_map(k)
+        return self.cx.casimir_quabla(k, weights)
+
     def block_data(self, k: int) -> dict:
-        """{weight: block data} of degree k, in weight_key order.
+        """{weight: BlockRecord} of degree k, in weight_key order.
 
-        Every block holds `ker_quabla` and `gen_zero` (int bases), whether
-        it is `acyclic` (gen_zero is empty), and the counts `dim_ker` of
-        ker d*_k and `dim_im` of im d*_{k+1}.  The quabla block is
-        eliminated (`_quabla_kernels`) only at the candidate weights; every
-        other block is acyclic by the module docstring's theorem, with
-        empty bases.  Only a non-acyclic block holds the int bases `ker`
-        and `im`; an acyclic one takes its counts from the recursion of the
-        module docstring, which reads block_data(k - 1).
+        The quabla block is eliminated (`_quabla_kernels`) only at the
+        candidate weights that are l_0-dominant, and d*_k and d*_{k+1} only
+        at those of them that are not acyclic, whose records hold the four
+        int bases.  Every other candidate takes the counts of its dominant
+        representative (`_orbit_map`), and every other weight is acyclic
+        by Kostant's filter (module docstring); an acyclic block takes its
+        counts from the recursion of the module docstring, which reads
+        block_data(k - 1).
 
-        So im d*_{k+1} is read at the non-acyclic weights of C_k alone, and
-        that is exact: d*_{k+1} is h-equivariant, so its image at w is the
-        image of its block at w, which a map restricted to the whole weight
-        blocks of C_{k+1} at those weights has too.  Inside the window
-        (k < k_max) the images come from cx.lower(k + 1), built anyway for
-        the kernels of degree k + 1; at k >= k_max, from that restriction
-        (`boundary_above`), so block_data(k_max) builds no C_{k_max+1}."""
+        So im d*_{k+1} is read at non-acyclic weights of C_k alone, and that
+        is exact: d*_{k+1} is h-equivariant, so its image at w is the image
+        of its block at w, which a map restricted to the whole weight blocks
+        of C_{k+1} at those weights has too.  Inside the window (k < k_max)
+        the images come from cx.lower(k + 1), built anyway for the kernels
+        of degree k + 1; at k >= k_max, from that restriction to every
+        non-acyclic weight (`boundary_above`), so block_data(k_max) builds
+        no C_{k_max+1}."""
         if k in self._blockdata:
             return self._blockdata[k]
         below = self.block_data(k - 1) if k > 0 else {}
-        sp = self.cx.space(k)
-        quab = self.quabla_map(k)
+        blocks = self.cx.space(k).weight_blocks
         candidates = self.candidate_weights(k)
-        data = {}
-        for w in sorted(sp.weight_blocks, key=weight_key):
-            if w in candidates:
-                kerq, gen_zero = _quabla_kernels(quab.int_block(w),
-                                                 len(sp.weight_blocks[w]))
-            else:
-                kerq, gen_zero = [], []
-            data[w] = {"acyclic": not gen_zero, "ker_quabla": kerq, "gen_zero": gen_zero}
-        todo = [w for w, d in data.items() if not d["acyclic"]]
-        kernels = _block_kernels(self.cx.lower(k), todo)
+        reps = self._orbit_map(k, candidates) if self._coroots else {}
+        dominant = [w for w in candidates if reps.get(w, w) == w]
+        quab = self._quabla_at(k, dominant)
+        hot = {}
+        for w in dominant:
+            kerq, gen_zero = _quabla_kernels(quab.int_block(w), len(blocks[w]))
+            if gen_zero:
+                hot[w] = BlockRecord(len(blocks[w]), 0, 0, kerq, gen_zero, w)
+        kernels = _block_kernels(self.cx.lower(k), hot)
         if k < self.k_max:
             above = self.cx.lower(k + 1)
         else:
-            above = self._top_boundary[k] = self.cx.lower_at(k + 1, todo)
-        images = _block_images(above, todo)
-        for w, d in data.items():
-            if d["acyclic"]:
-                below_im = below[w]["dim_im"] if w in below else 0
-                d["dim_ker"] = d["dim_im"] = len(sp.weight_blocks[w]) - below_im
+            above = self._top_boundary[k] = self.cx.lower_at(
+                k + 1, [w for w in candidates if reps.get(w, w) in hot])
+        images = _block_images(above, hot)
+        for w, d in hot.items():
+            d.ker, d.im = kernels[w], images.get(w, [])
+            d.dim_ker, d.dim_im = len(d.ker), len(d.im)
+        data = {}
+        for w in sorted(blocks, key=weight_key):
+            d = hot.get(reps.get(w, w))
+            if d is None:
+                n = len(blocks[w])
+                dim = n - (below[w].dim_im if w in below else 0)
+                data[w] = BlockRecord(n, dim, dim)
             else:
-                d["ker"], d["im"] = kernels[w], images.get(w, [])
-                d["dim_ker"], d["dim_im"] = len(d["ker"]), len(d["im"])
+                data[w] = d if d.rep == w else d.counts()
         self._blockdata[k] = data
         return data
+
+    def _orbit_map(self, k: int, weights) -> dict:
+        """{w: the l_0-dominant weight of its W(l_0)-orbit} for `weights` of
+        C_k, by simple reflections (`_reflect_up`), memoized across degrees.
+        Each reflection adds a positive multiple of a positive root, so a
+        walk never meets a weight twice; it is refused (CrossCheckFailed)
+        where it leaves the weights of C_k or ends at a weight of another
+        multiplicity, which the W(l_0)-invariance of C_k's weight
+        multiplicities rules out."""
+        blocks, memo, coroots = self.cx.space(k).weight_blocks, self._reps, self._coroots
+        out = {}
+        for w in weights:
+            rep = memo.get(w)
+            if rep is None:
+                path, rep = [], w
+                while (up := _reflect_up(coroots, rep)) is not None:
+                    if up not in blocks:
+                        raise CrossCheckFailed(
+                            f"a reflection of {w} leaves the weights of C_{k}")
+                    path.append(rep)
+                    rep = up
+                for v in path:
+                    memo[v] = rep
+                memo[rep] = rep
+            if len(blocks.get(rep, ())) != len(blocks[w]):
+                raise CrossCheckFailed(
+                    f"C_{k} has other multiplicities at {w} and at its representative {rep}")
+            out[w] = rep
+        return out
+
+    def basis(self, k: int, w: Weight, name: str) -> list:
+        """The int basis `name` ("ker", "im", "ker_quabla" or "gen_zero") of
+        block_data(k)[w].  Where block_data formed none, it is eliminated
+        at w now, by the same per-weight routine, and its size is checked
+        against the record's count, taken from the representative."""
+        d = self.block_data(k)[w]
+        if getattr(d, name) is None:
+            if name == "ker":
+                found = {name: _block_kernels(self.cx.lower(k), [w])[w]}
+            elif name == "im":
+                found = {name: _block_images(self.boundary_above(k), [w]).get(w, [])}
+            else:
+                found = dict(zip(("ker_quabla", "gen_zero"), _quabla_kernels(
+                    self._quabla_at(k, [w]).int_block(w), d.n)))
+            for key, basis in found.items():
+                if len(basis) != getattr(d, "dim_" + key):
+                    raise CrossCheckFailed(f"the {key} basis of degree {k} at {w} has "
+                                           f"another size than at {d.rep}")
+                setattr(d, key, basis)
+        return getattr(d, name)
 
     def candidate_weights(self, k: int) -> frozenset:
         """The weights of C_k whose quabla block can be singular: the
@@ -628,7 +827,8 @@ class KostantAnalysis:
         cx.lower(k + 1) for k < k_max, and for k >= k_max d*_{k+1} on the
         non-acyclic weight blocks of C_k alone (`ChainComplex.lower_at`).
         The analysis is that restricted map's one owner: block_data(k)
-        builds it, and `cli._internal_checks` checks it."""
+        builds it, reads its blocks at the dominant ones, and
+        `cli._internal_checks` checks it whole."""
         if k < self.k_max:
             return self.cx.lower(k + 1)
         self.block_data(k)
@@ -636,7 +836,7 @@ class KostantAnalysis:
 
     def acyclic_weights(self, k: int) -> frozenset:
         """The weights of C_k whose quabla block is invertible."""
-        return frozenset(w for w, d in self.block_data(k).items() if d["acyclic"])
+        return frozenset(w for w, d in self.block_data(k).items() if d.acyclic)
 
     # -- homology ---------------------------------------------------------------
 
@@ -644,11 +844,11 @@ class KostantAnalysis:
         """H_k's kernel and image counts and weight multiplicities, summed
         over the cached block_data(k) on each call."""
         data = self.block_data(k)
-        dim_ker = sum(d["dim_ker"] for d in data.values())
-        dim_im = sum(d["dim_im"] for d in data.values())
+        dim_ker = sum(d.dim_ker for d in data.values())
+        dim_im = sum(d.dim_im for d in data.values())
         mult = {}
         for w, d in data.items():
-            h = d["dim_ker"] - d["dim_im"]
+            h = d.dim_ker - d.dim_im
             if h < 0:
                 raise CrossCheckFailed(
                     f"image above exceeds the kernel at degree {k}, weight {w}")
@@ -664,23 +864,22 @@ class KostantAnalysis:
 
     def homology_quotient_module(self, k: int) -> LeviModule:
         """H_k as K/I in C_k's own coordinates: K = ker d*_k and I =
-        im d*_{k+1}, the bases block_data(k) holds at its non-acyclic
-        weights; the acyclic ones, where K = I, are handed over as such."""
-        weight_blocks = self.cx.space(k).weight_blocks
-        ker, im = {}, {}
-        for w, d in self.block_data(k).items():
-            if not d["acyclic"]:
-                ker[w] = _ambient_columns(weight_blocks[w], d["ker"])
-                im[w] = _ambient_columns(weight_blocks[w], d["im"])
-        return LeviModule(self.cx, k, ker, im, self.acyclic_weights(k))
+        im d*_{k+1} at the non-acyclic weights of block_data(k), each basis
+        read only where decompose_levi asks (`_RecordBases`), with the
+        homology multiplicities as its weight dimensions; the acyclic
+        weights, where K = I, are handed over as such."""
+        hot = [w for w, d in self.block_data(k).items() if not d.acyclic]
+        return LeviModule(self.cx, k, _RecordBases(self, k, "ker", hot),
+                          _RecordBases(self, k, "im", hot), self.acyclic_weights(k),
+                          self.homology(k).weight_multiplicities)
 
     def ker_quabla_module(self, k: int) -> LeviModule:
         """ker quabla_k as K/I with I = 0: the ker quabla bases of
-        block_data(k), in C_k's own coordinates."""
-        weight_blocks = self.cx.space(k).weight_blocks
-        return LeviModule(self.cx, k, {
-            w: _ambient_columns(weight_blocks[w], d["ker_quabla"])
-            for w, d in self.block_data(k).items() if d["ker_quabla"]})
+        block_data(k), in C_k's own coordinates, each read only where
+        decompose_levi asks."""
+        dims = self.block_dims(k, "ker_quabla")
+        return LeviModule(self.cx, k, _RecordBases(self, k, "ker_quabla", list(dims)),
+                          dims=dims)
 
     def homology_decomposition(self, k: int) -> LDecomposition:
         """ker_quabla_decomposition(k) where homology_is_ker_quabla(k): every
@@ -698,8 +897,9 @@ class KostantAnalysis:
 
     def block_dims(self, k: int, key: str) -> dict:
         """{weight: dim} of the block bases `key` ("ker_quabla", "gen_zero")
-        of block_data(k), nonzero ones only, without building the module."""
-        return {w: len(d[key]) for w, d in self.block_data(k).items() if d[key]}
+        of block_data(k), nonzero ones only, from the records' counts."""
+        return {w: n for w, d in self.block_data(k).items()
+                if (n := getattr(d, "dim_" + key))}
 
     def homology_is_ker_quabla(self, k: int) -> bool:
         """Whether (1) and (3) hold at degree k and ker quabla_k has the
@@ -723,8 +923,9 @@ class KostantAnalysis:
 
     def _lower_statements(self, k: int) -> dict:
         """Statements (1)-(4) at degree k, the half that reads only
-        block_data(k), cached per degree; each a rank per non-acyclic weight
-        block (they hold at an acyclic one, module docstring).  Where a
+        block_data(k), cached per degree; each a rank per dominant
+        non-acyclic weight block (they hold at an acyclic one, and at every
+        weight where they hold at the dominant ones, module docstring).  Where a
         block's ker quabla and generalized zero space have the same basis,
         (2) is (1) and takes its outcome; elsewhere (2) has its own rank
         test, so the (1)<->(2) consistency flag stays a check.  (3) says the
@@ -737,9 +938,9 @@ class KostantAnalysis:
         vals = {i: True for i in range(1, 5)}
         lower, weight_blocks = self.cx.lower(k).icols, self.cx.space(k).weight_blocks
         for w, d in self.block_data(k).items():
-            if d["acyclic"]:
+            if d.rep != w:
                 continue
-            im_up, kerq, gz = d["im"], d["ker_quabla"], d["gen_zero"]
+            im_up, kerq, gz = d.im, d.ker_quabla, d.gen_zero
             meets = linalg.spans_meet(im_up, kerq)
             if meets:
                 vals[1] = False
@@ -747,14 +948,14 @@ class KostantAnalysis:
                 vals[2] = False
             if any(_apply(lower, col) for col in _ambient_columns(weight_blocks[w], gz)):
                 vals[3] = False
-            if len(d["ker"]) - len(im_up) != len(gz):
+            if d.dim_ker - d.dim_im != d.dim_gen_zero:
                 vals[4] = False
         self._lower_vals[k] = vals
         return vals
 
     def predicates(self, k: int) -> PredicateReport:
         """The seven disjointness statements sliced at degree k, a rank test
-        per non-acyclic weight block (all seven hold at an acyclic one).
+        per dominant non-acyclic weight block (as in `_lower_statements`).
 
         Only the pair (1)<->(2) is equivalent degree by degree; the seven are
         equivalent as statements about all degrees at once, which is what
@@ -763,20 +964,20 @@ class KostantAnalysis:
         if k in self._predicates:
             return self._predicates[k]
         data = self.block_data(k)
-        todo = [w for w, d in data.items() if not d["acyclic"]]
+        todo = [w for w, d in data.items() if d.rep == w]
         raise_kernels = _block_kernels(self.cx.raise_(k), todo)
         below_images = _block_images(self.cx.raise_(k - 1), todo) if k > 0 else {}
         vals = {**self._lower_statements(k), 5: True, 6: True, 7: True}
         for w in todo:
             d, ker_raise = data[w], raise_kernels[w]
             im_below = below_images.get(w, [])
-            if linalg.spans_meet(im_below, d["ker_quabla"]):
+            if linalg.spans_meet(im_below, d.ker_quabla):
                 vals[5] = False
-            if len(ker_raise) - len(im_below) != len(d["gen_zero"]):
+            if len(ker_raise) - len(im_below) != d.dim_gen_zero:
                 vals[6] = False
-            if linalg.spans_meet(d["im"], ker_raise):
+            if linalg.spans_meet(d.im, ker_raise):
                 vals[7] = False
-            if linalg.spans_meet(im_below, d["ker"]):
+            if linalg.spans_meet(im_below, d.ker):
                 vals[7] = False
         rep = PredicateReport(degree=k, values=vals, consistent=(vals[1] == vals[2]))
         self._predicates[k] = rep

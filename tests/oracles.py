@@ -749,12 +749,61 @@ class CoordinateLeviModule:
         return CoordinateAction(cols, dens)
 
 
+def every_weight_blocks(an, k):
+    """Degree k of a KostantAnalysis's block layer formed at every weight of
+    C_k, with neither Kostant's filter, nor the Weyl orbits, nor the
+    acyclic recursion: the Casimir quabla, d*_k and d*_{k+1}, each built
+    whole, eliminated at every weight by the package's per-block
+    routines, as {w: {"acyclic", "ker_quabla", "gen_zero", "ker", "im"}}
+    in weight_key order (int bases over the weight block)."""
+    from superbgg.homology import _block_images, _block_kernels, _quabla_kernels
+    cx = an.cx
+    blocks = cx.space(k).weight_blocks
+    weights = sorted(blocks, key=weight_key)
+    quab = cx.casimir_quabla(k)
+    kernels = _block_kernels(cx.lower(k), weights)
+    images = _block_images(cx.lower(k + 1), weights)
+    out = {}
+    for w in weights:
+        kerq, gen_zero = _quabla_kernels(quab.int_block(w), len(blocks[w]))
+        out[w] = {"acyclic": not gen_zero, "ker_quabla": kerq, "gen_zero": gen_zero,
+                  "ker": kernels[w], "im": images.get(w, [])}
+    return out
+
+
+def every_weight_statements(an, k):
+    """Statements (1)-(7) at degree k from `every_weight_blocks`, a rank
+    test at every non-acyclic weight; (3), that the generalized zero space
+    lies in ker d*_k, by the Fraction rank of the two bases stacked."""
+    from superbgg.homology import _block_images, _block_kernels
+    cx = an.cx
+    data = every_weight_blocks(an, k)
+    hot = [w for w, d in data.items() if not d["acyclic"]]
+    ker_raise = _block_kernels(cx.raise_(k), hot)
+    im_below = _block_images(cx.raise_(k - 1), hot) if k else {}
+    vals = dict.fromkeys(range(1, 8), True)
+    for w in hot:
+        d, below = data[w], im_below.get(w, [])
+        tests = {1: not linalg.spans_meet(d["im"], d["ker_quabla"]),
+                 2: not linalg.spans_meet(d["im"], d["gen_zero"]),
+                 3: rank_dense(d["ker"] + d["gen_zero"]) == len(d["ker"]),
+                 4: len(d["ker"]) - len(d["im"]) == len(d["gen_zero"]),
+                 5: not linalg.spans_meet(below, d["ker_quabla"]),
+                 6: len(ker_raise[w]) - len(below) == len(d["gen_zero"]),
+                 7: not (linalg.spans_meet(d["im"], ker_raise[w])
+                         or linalg.spans_meet(below, d["ker"]))}
+        for i, holds in tests.items():
+            vals[i] = vals[i] and holds
+    return vals
+
+
 def _subspace_module(an, k, key):
     """The l-stable subspace of C_k spanned by the block bases `key` of
-    an.block_data(k), in weight_key order, as a CoordinateLeviModule."""
+    every_weight_blocks(an, k), in weight_key order, as a
+    CoordinateLeviModule."""
     weight_blocks = an.cx.space(k).weight_blocks
     reps = []
-    for w, d in an.block_data(k).items():
+    for w, d in every_weight_blocks(an, k).items():
         idxs = weight_blocks[w]
         reps.extend({idxs[i]: v for i, v in enumerate(col) if v} for col in d[key])
     return CoordinateLeviModule(an.cx, k, reps)
@@ -773,19 +822,21 @@ def generalized_zero(an, k):
 
 def homology_quotient(an, k):
     """H_k = ker d*_k / im d*_{k+1} as a CoordinateLeviModule: at each
-    non-acyclic weight of block_data(k), the first-come complement of the
-    image inside the kernel, with the image as `modulo`."""
+    non-acyclic weight of every_weight_blocks(an, k), the first-come
+    complement of the image inside the kernel, with the image as
+    `modulo`."""
     weight_blocks = an.cx.space(k).weight_blocks
-    reps, modulo = [], {}
-    for w, d in an.block_data(k).items():
+    reps, modulo, acyclic = [], {}, set()
+    for w, d in every_weight_blocks(an, k).items():
         if d["acyclic"]:
+            acyclic.add(w)
             continue
         idxs, im = weight_blocks[w], d["im"]
         modulo[w] = [{idxs[i]: v for i, v in enumerate(col) if v} for col in im]
         chosen = linalg.independent_columns(im + d["ker"])
         reps.extend({idxs[i]: v for i, v in enumerate(d["ker"][c - len(im)]) if v}
                     for c in chosen if c >= len(im))
-    return CoordinateLeviModule(an.cx, k, reps, modulo, an.acyclic_weights(k))
+    return CoordinateLeviModule(an.cx, k, reps, modulo, frozenset(acyclic))
 
 
 def full_levi_module(cx, k):

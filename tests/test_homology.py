@@ -22,6 +22,8 @@ from oracles import (
     full_levi_module,
     generalized_zero,
     homology_quotient,
+    every_weight_blocks,
+    every_weight_statements,
     ker_quabla,
     oracle_action,
     oracle_boundary_squares_to_zero,
@@ -42,6 +44,7 @@ from superbgg.algebra import (
     build_parabolic,
     casimir_eigenvalue,
     check_finite_dimensional,
+    even_simple_roots,
     weight_key,
     wt,
     wt_add,
@@ -398,8 +401,8 @@ def test_ker_quabla_is_a_levi_module_of_the_block_kernels(case, request):
         assert isinstance(generalized_zero(an, k), CoordinateLeviModule)
         dims = {w: len(cols) for w, cols in kq.ker.items()}
         assert dims == ker_quabla(an, k).weight_dims() == {
-            w: len(d["ker_quabla"]) for w, d in an.block_data(k).items()
-            if d["ker_quabla"]}
+            w: d.dim_ker_quabla for w, d in an.block_data(k).items()
+            if d.dim_ker_quabla}
         icols = an.cx.casimir_quabla(k).merged().icols
         for cols in kq.ker.values():
             for col in cols:
@@ -999,17 +1002,17 @@ def test_block_layer_holds_only_ints(levi_case):
         data = an.block_data(k)
         rep = an.predicates(k)
         for w, d in data.items():
-            keys = ("ker_quabla", "gen_zero") if d["acyclic"] else \
+            keys = ("ker_quabla", "gen_zero") if d.acyclic else \
                 ("ker", "im", "ker_quabla", "gen_zero")
             for key in keys:
-                assert all(type(x) is int for v in d[key] for x in v)
+                assert all(type(x) is int for v in an.basis(k, w, key) for x in v)
             lower = an.cx.lower(k)
             blk = lower.block(w)
             want = linalg.nullspace(blk, ncols=len(an.cx.space(k).weight_blocks[w]))
-            if d["acyclic"]:
-                assert d["dim_ker"] == len(want)
+            if d.acyclic:
+                assert d.dim_ker == len(want)
             else:
-                assert d["ker"] == [_primitive_vector(u) for u in want]
+                assert an.basis(k, w, "ker") == [_primitive_vector(u) for u in want]
         assert all(type(v) is bool for v in rep.values.values())
         assert all(type(v) is bool for v in an._lower_statements(k).values())
 
@@ -1031,15 +1034,15 @@ def test_largest_block_bases_match_the_fraction_oracles():
     p = _parabolic("osp", 5, 2, (0, 1))
     an = KostantAnalysis(p, build_irrep(p.algebra, wt(1, 0, 0, 0)), k_max=k)
     data, blocks = an.block_data(k), an.cx.space(k).weight_blocks
-    hot = [w for w, d in data.items() if not d["acyclic"]]
+    hot = [w for w, d in data.items() if not d.acyclic]
     largest = sorted(hot, key=lambda w: len(blocks[w]), reverse=True)[:10]
     assert len(largest) == 10 and len(blocks[largest[0]]) == 67
     lower, above = an.cx.lower(k), an.boundary_above(k)
     for w in largest:
         want = oracle_kernel(lower.block(w), len(blocks[w]))
-        assert data[w]["ker"] == [_primitive_vector(u) for u in want]
+        assert an.basis(k, w, "ker") == [_primitive_vector(u) for u in want]
         cols = linalg.transpose(above.int_block(w))
-        assert data[w]["im"] == [cols[j] for j in oracle_independent_columns(cols)]
+        assert an.basis(k, w, "im") == [cols[j] for j in oracle_independent_columns(cols)]
 
 
 @given(_certificate_cases())
@@ -1116,8 +1119,8 @@ def test_statement_3_matches_rank_oracle(case):
     L(0,0|-1), is one where (3) fails at k = 1."""
     _, an, k = _case_analysis(case)
     for j in range(k + 1):
-        want = all(rank_dense(d["ker"] + d["gen_zero"]) == len(d["ker"])
-                   for d in an.block_data(j).values() if not d["acyclic"])
+        want = all(rank_dense(an.basis(j, w, "ker") + an.basis(j, w, "gen_zero"))
+                   == d.dim_ker for w, d in an.block_data(j).items() if not d.acyclic)
         assert an._lower_statements(j)[3] is want
 
 
@@ -1305,7 +1308,7 @@ def test_perturbed_h_fails_the_filter_premise(optimize):
 def _top_block_counts(an) -> dict:
     """{weight: (acyclic, dim ker quabla, dim generalized zero space)} of
     block_data(k_max), which reads the Casimir quabla."""
-    return {w: (d["acyclic"], len(d["ker_quabla"]), len(d["gen_zero"]))
+    return {w: (d.acyclic, d.dim_ker_quabla, d.dim_gen_zero)
             for w, d in an.block_data(an.k_max).items()}
 
 
@@ -1359,7 +1362,7 @@ def _top_boundary_reads(an) -> tuple:
     weights read, whether the dens agree)."""
     k = an.k_max
     top = an.boundary_above(k)
-    reads = [w for w, d in an.block_data(k).items() if not d["acyclic"]]
+    reads = [w for w, d in an.block_data(k).items() if not d.acyclic]
     full = an.cx.lower(k + 1)
     assert top.target is full.target is an.cx.space(k)
     assert full.den % top.den == 0
@@ -1402,25 +1405,27 @@ def test_top_boundary_matches_full_boundary_random(case):
 def test_operator_blocks_eliminated_once_per_non_acyclic_reader(
         gl21, levi, lam, twice, monkeypatch):
     """Through homology(0..k_max) and the predicate summary, a block of
-    d*_k at w is eliminated once for each of its readers at a non-acyclic
-    weight: block_data(k) (its kernel) when w is non-acyclic at k, and
-    block_data(k - 1) (its image) when w is non-acyclic at k - 1.  A block
+    d*_k at w is eliminated once for each of its readers at a dominant
+    non-acyclic weight (the only ones block_data and the predicates
+    eliminate at): block_data(k) (its kernel) when w is such a weight at
+    k, and block_data(k - 1) (its image) when w is one at k - 1.  A block
     of d_k likewise, for predicates(k) and, when k + 1 < k_max,
     predicates(k + 1).  That is fewer than every block.  On gl(2|1) with
     Levi {1} some blocks of d* are eliminated for their image alone, with
     Levi {0} some blocks of d; with Levi {1} and L(0,0|-1) two blocks
     have both readers at non-acyclic weights and are eliminated twice.
     Past the window the image reader is d*_{k_max+1} restricted to the
-    non-acyclic weights of C_k_max (`boundary_above`), read at each of
-    them once."""
+    non-acyclic weights of C_k_max (`boundary_above`), read at each
+    dominant one once."""
     k_max = 3
     an = KostantAnalysis(build_parabolic(gl21, list(levi)),
                          build_irrep(gl21, wt(*lam)), k_max=k_max)
-    seen = []
+    seen, alive = [], []
     int_block = ChainMap.int_block
 
     def spy(self, w):
         seen.append((id(self), w))
+        alive.append(self)          # no later map reuses the id of a freed one
         return int_block(self, w)
 
     monkeypatch.setattr(ChainMap, "int_block", spy)
@@ -1428,7 +1433,7 @@ def test_operator_blocks_eliminated_once_per_non_acyclic_reader(
         an.homology(k)
     an.predicate_summary()
     cx = an.cx
-    hot = {k: set(cx.space(k).weight_blocks) - an.acyclic_weights(k)
+    hot = {k: {w for w, d in an.block_data(k).items() if d.rep == w}
            for k in range(k_max + 1)}
     hot[-1] = hot[k_max + 1] = set()
     want = []
@@ -1476,10 +1481,10 @@ def test_statement_two_reuses_one_where_the_bases_agree(gl21, monkeypatch):
     want, differ = [], 0
     for k in range(k_max + 1):
         for d in an.block_data(k).values():
-            if not d["acyclic"]:
-                want.append(d["ker_quabla"])
-                if d["gen_zero"] != d["ker_quabla"]:
-                    want.append(d["gen_zero"])
+            if not d.acyclic:
+                want.append(d.ker_quabla)
+                if d.gen_zero != d.ker_quabla:
+                    want.append(d.gen_zero)
                     differ += 1
     assert differ and len(want) > differ
     assert sorted(map(str, seen)) == sorted(map(str, want))
@@ -1492,8 +1497,8 @@ def test_statement_consistency_can_fail_where_the_bases_differ(gl21, monkeypatch
     pair inconsistent."""
     an = KostantAnalysis(build_parabolic(gl21, [1]), build_irrep(gl21, wt(0, 0, -1)),
                          k_max=2)
-    gen_zero = [id(d["gen_zero"]) for d in an.block_data(1).values()
-                if d["gen_zero"] != d["ker_quabla"]]
+    gen_zero = [id(d.gen_zero) for d in an.block_data(1).values()
+                if d.gen_zero != d.ker_quabla]
     assert gen_zero
     _statement_calls(monkeypatch, an, 1, lambda cols_b: id(cols_b) in gen_zero)
     vals = an._lower_statements(1)
@@ -1569,3 +1574,146 @@ def test_quotient_rejects_a_non_cycle_at_an_acyclic_weight_under_O():
                              os.environ, PYTHONPATH=os.pathsep.join([str(src), str(tests)])))
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["rejected", "rejected"]
+
+
+# ---------------------------------------------------------------------------
+# the even-Levi Weyl orbits
+# ---------------------------------------------------------------------------
+
+def _matches_every_weight_oracle(p, an, k) -> int:
+    """Assert that the orbit-reduced block layer of degrees 0..k equals the
+    every-weight oracle at every weight: the counts and acyclic flags of
+    block_data, the bases read on demand (`KostantAnalysis.basis`),
+    statements (1)-(7), homology(j) and both decompositions.  Returns the
+    number of non-acyclic weights that took the counts of another one."""
+    mapped = 0
+    for j in range(k + 1):
+        full, data = every_weight_blocks(an, j), an.block_data(j)
+        blocks = an.cx.space(j).weight_blocks
+        assert list(data) == list(full)
+        for w, d in data.items():
+            f = full[w]
+            assert (d.n, d.acyclic, d.dim_ker_quabla, d.dim_gen_zero, d.dim_ker,
+                    d.dim_im) == (len(blocks[w]), f["acyclic"], len(f["ker_quabla"]),
+                                  len(f["gen_zero"]), len(f["ker"]), len(f["im"]))
+            if not d.acyclic:
+                mapped += d.rep != w
+                for name in ("ker", "im", "ker_quabla", "gen_zero"):
+                    assert an.basis(j, w, name) == f[name]
+        assert {**an._lower_statements(j), **an.predicates(j).values} == \
+            every_weight_statements(an, j)
+        rep = an.homology(j)
+        assert (rep.dim_ker_boundary, rep.dim_im_boundary_above) == (
+            sum(len(f["ker"]) for f in full.values()),
+            sum(len(f["im"]) for f in full.values()))
+        assert rep.weight_multiplicities == {
+            w: h for w, f in full.items() if (h := len(f["ker"]) - len(f["im"]))}
+        quotient = coordinate_decomposition(p, homology_quotient(an, j))
+        assert decompose_levi(p, an.homology_quotient_module(j)) == quotient
+        assert an.homology_decomposition(j) == quotient
+        assert an.ker_quabla_decomposition(j) == \
+            coordinate_decomposition(p, ker_quabla(an, j))
+    return mapped
+
+
+@given(_certificate_cases())
+@example((("gl", 2, 2), (0, 2), (1, 0, 0, 0), False, 2))
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+def test_orbit_reduced_block_layer_matches_every_weight_oracle(case):
+    """On small random inputs, irreps and Kac modules alike, the block layer
+    that eliminates at l_0-dominant weights alone equals the every-weight
+    oracle at every weight of every degree (`_matches_every_weight_oracle`);
+    the explicit example, gl(2|2) with Levi gl(2)+gl(2), is one where W(l_0)
+    is S_2 x S_2."""
+    p, an, k = _case_analysis(case)
+    _matches_every_weight_oracle(p, an, k)
+
+
+@pytest.mark.parametrize("alg, levi, lam, k", [
+    (("gl", 2, 1), (0,), (2, 0, 0), 2),
+    (("osp", 3, 1), (0, 1), (1, 0), 2),
+    (("osp", 4, 1), (1, 2), (1, 0, 0), 2),
+])
+def test_orbit_reduced_block_layer_maps_weights(alg, levi, lam, k):
+    """The same on Levis with a nontrivial W(l_0), where some non-acyclic
+    weights take the counts of their representatives."""
+    p = _parabolic(*alg, levi)
+    an = KostantAnalysis(p, build_irrep(p.algebra, wt(*lam)), k_max=k)
+    assert _matches_every_weight_oracle(p, an, k) > 0
+
+
+@pytest.mark.parametrize("alg, levi", [
+    (("gl", 2, 1), ()), (("gl", 2, 1), (0,)), (("gl", 2, 2), (0, 1, 2)),
+    (("osp", 3, 1), (0, 1)), (("osp", 4, 1), (1, 2)), (("osp", 5, 2), (1, 2, 3)),
+])
+def test_levi_even_simple_roots_need_no_levi_algebra(alg, levi):
+    """The simple roots of l_0 the orbit map reflects in, read off the
+    Levi's basis indices, are those of the built Levi subalgebra."""
+    p = _parabolic(*alg, levi)
+    assert even_simple_roots(p.algebra, p.levi_indices) == \
+        even_simple_roots(p.levi_algebra())
+
+
+def _work_counts(monkeypatch, alg, levi, lam, k_max, command) -> dict:
+    """Calls of the block layer's per-weight routines, and the basis
+    vectors converted to ambient columns, through one CLI-shaped run:
+    homology and decompositions of every degree, and the predicate
+    summary for "bgg"."""
+    from superbgg import homology
+    counts = dict.fromkeys(("_quabla_kernels", "_highest_weight_vectors"), 0)
+    counts["_ambient_columns"] = 0
+    for name in counts:
+        real = getattr(homology, name)
+
+        def spy(*args, _real=real, _name=name):
+            counts[_name] += len(args[1]) if _name == "_ambient_columns" else 1
+            return _real(*args)
+        monkeypatch.setattr(homology, name, spy)
+    p = _parabolic(*alg, levi)
+    an = KostantAnalysis(p, build_irrep(p.algebra, wt(*lam)), k_max=k_max)
+    for k in range(k_max + 1):
+        an.homology(k)
+        an.homology_decomposition(k)
+        if command == "bgg":
+            an.ker_quabla_decomposition(k)
+    an.predicate_summary()
+    return counts
+
+
+def test_work_counts_on_the_benchmark_queries(monkeypatch):
+    """On `natural-osp54-k3` (W(l_0) = W(B1) x W(C2)) the quabla blocks are
+    eliminated at the 50 dominant candidates of 274, the highest weights
+    searched at 9 dominant weights of 19, and 108 basis vectors of 832
+    converted to ambient columns; on `borel-gl32-k4`, where W(l_0) is
+    trivial, the first two stay at 107 and 50."""
+    natural = _work_counts(monkeypatch, ("osp", 5, 2), (1, 2, 3), (1, 0, 0, 0), 3, "bgg")
+    assert natural == {"_quabla_kernels": 50, "_highest_weight_vectors": 9,
+                       "_ambient_columns": 108}
+    borel = _work_counts(monkeypatch, ("gl", 3, 2), (), (1, 0, 0, 0, 0), 4, "homology")
+    assert (borel["_quabla_kernels"], borel["_highest_weight_vectors"]) == (107, 50)
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_corrupted_coroot_fails_the_orbit_certificate(optimize):
+    """The orbit map checks that each representative is a weight of C_k of
+    the same multiplicity: with one coroot row of l_0 negated, a walk
+    leaves the weights of C_k and block_data raises CrossCheckFailed, also
+    under `python -O`, on the natural benchmark query."""
+    from test_cli import _run_script
+    code = (
+        "import json\n"
+        "from superbgg.algebra import build_algebra, build_parabolic, wt\n"
+        "from superbgg.errors import CrossCheckFailed\n"
+        "from superbgg.homology import KostantAnalysis\n"
+        "from superbgg.modules import build_irrep\n"
+        "g = build_algebra('osp', 5, 2)\n"
+        "an = KostantAnalysis(build_parabolic(g, [1, 2, 3]), build_irrep(g, wt(1, 0, 0, 0)), 3)\n"
+        "a, row, norm = an._coroots[0]\n"
+        "an._coroots[0] = (a, [(c, -x) for c, x in row], norm)\n"
+        "try:\n"
+        "    an.homology(3)\n"
+        "    print(json.dumps('accepted'))\n"
+        "except CrossCheckFailed as exc:\n"
+        "    print(json.dumps(str(exc)))\n"
+    )
+    assert "leaves the weights" in _run_script(code, optimize)
