@@ -64,11 +64,11 @@ def wt_add(a: Weight, b: Weight) -> Weight:
 
 
 def wt_sub(a: Weight, b: Weight) -> Weight:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def wt_neg(a: Weight) -> Weight:
-    return tuple(-x for x in a)
+    return tuple(map(operator.neg, a))
 
 
 def wt_scale(a: Weight, c) -> Weight:

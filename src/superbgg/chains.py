@@ -30,9 +30,17 @@ and every Koszul sign depends on the exterior factor alone.  So the
 normal-form recursions run once per monomial of Lambda^k r, into an exterior
 table of images over (exterior monomial, module operator), and each ChainMap
 is assembled from the table by index arithmetic against the module's action
-columns (`ChainComplex._assemble`).  The same recursion gives d*_k on a few
-weight blocks alone (`ChainComplex.lower_at`): the rows of the monomials
-that reach those weights, over the full table one degree down.
+columns (`ChainComplex._assemble`).  A column is formed only where a
+reader reads it.  d*_k on a few weight blocks alone
+(`ChainComplex.lower_at`) and the top degree's Casimir root part are built
+on a restricted space that holds exactly the pairs (X, m) with
+root-sum(X) + wt(v_m) among those weights: a table row for each monomial
+X of such a pair (over the full table one degree down), and of that row
+only the columns X (x) v_m of those pairs.  The action of a Levi element
+is never assembled whole for the pipeline: its int columns are formed one
+at a time, on first read, from the per-degree exterior action table of the
+Levi root vectors that the Casimir quabla reads too
+(`ChainComplex.action_columns`).
 
 The Casimir quabla, -1/2 (C2 + w(h) - C_l), the form the homology layer
 reads (the direct one cross-checks it), is built from C_k alone and held
@@ -87,19 +95,19 @@ class ChainBasisElement(NamedTuple):
 
 @dataclass
 class ChainSpace:
-    """C_k with the weight and parity of each basis index, or the span in
-    C_k of the X (x) v_m over the exterior monomials X in `exterior` (a
-    weight restriction, `ChainComplex.lower_at`); None stands for every
-    monomial of Lambda^k r.  The chain monomials themselves (`basis`,
-    `index`) are formed on first use: the operators address the space by
+    """C_k with the weight of each basis index, or the span in C_k of the
+    X (x) v_m over the pairs (X, ms) in `held` and m in ms, a weight
+    restriction whose weight blocks are whole blocks of C_k
+    (`ChainComplex._build_space`); `held` None stands for every X (x) v_m
+    of C_k.  The chain monomials themselves (`basis`, `index`) and their
+    parities are formed on first use: the operators address the space by
     index arithmetic and never read them."""
 
     complex: "ChainComplex"
     degree: int
     weights: list
-    parities: list
     weight_blocks: dict
-    exterior: list | None = None
+    held: list | None = None
 
     @property
     def dim(self) -> int:
@@ -107,17 +115,26 @@ class ChainSpace:
 
     @functools.cached_property
     def basis(self) -> list:
-        """basis[idx(X) * dim M + m] = X (x) v_m as a ChainBasisElement,
-        idx(X) the position of X in `exterior` (in `monomials(degree)` for
-        all of C_k)."""
+        """The chain monomials X (x) v_m in index order: of C_k, where
+        basis[idx(X) * dim M + m] is X (x) v_m, idx(X) the position of X in
+        `monomials(degree)`, or of the pairs in `held`."""
         cx = self.complex
-        par, dim = cx._parity, cx.module.dim
+        par = cx._parity
+        held = self.held
+        if held is None:
+            held = zip(cx.monomials(self.degree)[0], itertools.repeat(range(cx.module.dim)))
         out = []
-        monos = cx.monomials(self.degree)[0] if self.exterior is None else self.exterior
-        for x in monos:
+        for x, ms in held:
             j = sum(1 for i in x if not par[i])
-            out.extend(ChainBasisElement(x[:j], x[j:], m) for m in range(dim))
+            out.extend(ChainBasisElement(x[:j], x[j:], m) for m in ms)
         return out
+
+    @functools.cached_property
+    def parities(self) -> list:
+        """The parity of each basis index: of the odd generators and the
+        module vector together."""
+        mod = self.complex.module.parities
+        return [(len(e.odd_part) + mod[e.module_index]) & 1 for e in self.basis]
 
     @functools.cached_property
     def index(self) -> dict:
@@ -240,6 +257,19 @@ def _product_columns(pairs: list) -> tuple[Iterator, int]:
     return columns(), den
 
 
+class _Lazy(dict):
+    """A dict whose value at a key is formed by `form(key)` on first read:
+    the complex's caches, and the int columns of an action over their
+    common denominator `den` (`ChainComplex.action_columns`)."""
+
+    def __init__(self, form, den: int = 1):
+        self.form, self.den = form, den
+
+    def __missing__(self, key):
+        value = self[key] = self.form(key)
+        return value
+
+
 def _add_term(out: dict, key, c) -> None:
     """out[key] += c, dropping the key when the sum vanishes."""
     new = out.get(key, 0) + c
@@ -254,14 +284,13 @@ class CasimirQuabla:
     """quabla_k by Kostant's formula in its two parts
     (`ChainComplex.casimir_quabla`): the scalar part, scalar[w] / den on
     the weight-w block of `space`, and the root part, a ChainMap into
-    `space`, or None where the Levi is the Cartan.  With `kept` the root
-    part holds the blocks at those weights alone, and only they are read."""
+    `space`, or None where the Levi is the Cartan.  A root part whose
+    source holds some weight blocks of `space` alone is read there alone."""
 
     space: ChainSpace
     scalar: dict            # weight -> int
     den: int
     root: ChainMap | None
-    kept: frozenset | None = None
 
     def _scales(self) -> tuple[int, int, int]:
         """(D, D / den, D / root den) for D the lcm of both denominators."""
@@ -273,9 +302,9 @@ class CasimirQuabla:
         """D times quabla (`_scales`) one column at a time: the scalar at
         the column's own row plus the root part's column."""
         _, fs, fr = self._scales()
-        if self.kept is not None:
-            raise PreconditionViolated("the root part holds some weight blocks alone")
         root = self.root.icols if self.root is not None else None
+        if root is not None and self.root.source is not self.space:
+            raise PreconditionViolated("the root part holds some weight blocks alone")
         for j, w in enumerate(self.space.weights):
             col = {r: fr * v for r, v in root[j].items()} if root is not None else {}
             _add_term(col, j, fs * self.scalar[w])
@@ -285,7 +314,7 @@ class CasimirQuabla:
         """D times the weight block (`_scales`): the root block plus the
         scalar times the identity, an int matrix with the kernel and rank
         of the exact block, which is what block_data reads."""
-        if self.kept is not None and weight not in self.kept:
+        if self.root is not None and weight not in self.root.source.weight_blocks:
             raise PreconditionViolated(f"the root part holds no block at {weight}")
         _, fs, fr = self._scales()
         n = len(self.space.weight_blocks.get(weight, []))
@@ -346,10 +375,21 @@ class ChainComplex:
         self._spaces: dict = {}
         self._lower: dict = {}
         self._raise: dict = {}
-        self._tables: dict = {}         # ("lower" / "raise", k) -> exterior table
-        self._actions: dict = {}        # (k, basis index) -> action map
-        self._brackets: dict = {}       # (a, generator) -> radical part of [A_a, gen]
-        self._raise_terms: dict = {}    # peeled generator -> coboundary terms
+        # each of the caches below forms an entry on its first read
+        # ("lower" / "raise", k) -> exterior table (`_table`)
+        self._tables = _Lazy(self._table)
+        # k -> ad(A_t) on Lambda^k r for the Levi root vectors A_t, as
+        # `_casimir_terms` selects them (`_ad_rows`): the Casimir quabla's
+        # root part and the Levi action columns read it
+        self._ad = _Lazy(lambda k: self._ad_rows(
+            [i for i, _ in self._casimir_terms.roots], k))
+        # (a, generator) -> [A_a, generator] projected to the radical, as
+        # (index, coefficient) pairs
+        radical = self.radical_set
+        self._brackets = _Lazy(lambda key: [(h, c) for h, c in g.bracket(*key).items()
+                                            if h in radical])
+        # peeled generator -> coboundary terms (`_coboundary_terms`)
+        self._raise_terms = _Lazy(self._coboundary_terms)
 
     # -- spaces ---------------------------------------------------------------
 
@@ -397,62 +437,41 @@ class ChainComplex:
 
     def _build_space(self, k: int, keep: frozenset | None = None) -> ChainSpace:
         """C_k, or with `keep` (a set of chain weights) its span of the
-        X (x) v_m whose exterior monomial X has a chain weight root-sum(X) +
-        wt(v_m) in `keep`: whole weight blocks of C_k at those weights, in
-        the order C_k has them.  The weights of each distinct root sum, and
-        whether one is kept, are formed once: a root sum is kept when it is
-        w - wt(v_m) for some w in `keep` and some m."""
-        mod = self.module
-        base = mod.weights
-        kept = None if keep is None else {wt_sub(w, b) for w in keep for b in base}
-        flip = [list(mod.parities), [q ^ 1 for q in mod.parities]]
-        shifted: dict = {}      # root sum -> chain weights ([] when not kept)
-        held, weights, parities = [], [], []
-        for ev, se, odds, sums, p in self._parts(k):
-            group = []
-            for so in sums:
+        X (x) v_m with root-sum(X) + wt(v_m) in `keep`: exactly the weight
+        blocks of C_k at those weights, in the order C_k has them.  Each root
+        sum s maps to the pairs (m, s + wt(v_m)) it keeps, formed from
+        `keep` x the module weights (every m for C_k), and the odd parts of
+        one size are grouped by root sum once, so a monomial is visited
+        only where its root sum keeps a pair."""
+        base = self.module.weights
+        picked: dict = {}       # root sum -> {m: chain weight}, m increasing
+        for m, b in enumerate(base):
+            for w in keep or ():
+                picked.setdefault(wt_sub(w, b), {})[m] = w
+        held, weights, odds_of = [], [], None
+        for ev, se, odds, sums, _ in self._parts(k):
+            if odds is not odds_of:
+                odds_of, by_sum = odds, [[] for _ in sums]
+                for t, (_, s) in enumerate(odds):
+                    by_sum[s].append(t)
+            found = {}
+            for s, so in enumerate(sums):
                 shift = wt_add(se, so)
-                ws = shifted.get(shift)
-                if ws is None:
-                    ws = shifted[shift] = ([wt_add(w, shift) for w in base]
-                                           if kept is None or shift in kept else [])
-                group.append(ws)
-            for od, s in odds:
-                ws = group[s]
-                if ws:
-                    if keep is not None:
-                        held.append(ev + od)
-                    weights.extend(ws)
-                    parities.extend(flip[p])
+                if keep is None and shift not in picked:
+                    picked[shift] = {m: wt_add(b, shift) for m, b in enumerate(base)}
+                if shift in picked:
+                    found[s] = picked[shift]
+            for t in sorted(t for s in found for t in by_sum[s]):
+                od, s = odds[t]
+                if keep is not None:
+                    held.append((ev + od, found[s]))
+                weights.extend(found[s].values())
         blocks: dict = {}
         for t, w in enumerate(weights):
             blocks.setdefault(w, []).append(t)
-        return ChainSpace(self, k, weights, parities, blocks,
-                          None if keep is None else held)
-
-    def _peel(self, elem: ChainBasisElement):
-        """(leading generator, the rest) of a chain monomial."""
-        if elem.even_part:
-            g0 = elem.even_part[0]
-            rest = ChainBasisElement(elem.even_part[1:], elem.odd_part,
-                                     elem.module_index)
-        else:
-            g0 = elem.odd_part[0]
-            rest = ChainBasisElement(elem.even_part, elem.odd_part[1:],
-                                     elem.module_index)
-        return g0, rest
+        return ChainSpace(self, k, weights, blocks, None if keep is None else held)
 
     # -- the exterior factor ----------------------------------------------------
-
-    def _radical_bracket(self, a: int, gen: int) -> list:
-        """[A_a, gen] projected to the radical, as (index, coefficient) pairs."""
-        key = (a, gen)
-        terms = self._brackets.get(key)
-        if terms is None:
-            terms = [(kidx, c) for kidx, c in self.algebra.bracket(a, gen).items()
-                     if kidx in self.radical_set]
-            self._brackets[key] = terms
-        return terms
 
     def _move_in(self, others: tuple, oranks: list, pos: int, h: int):
         """The monomial `others` (normal form, oranks its generators' ranks)
@@ -472,72 +491,56 @@ class ChainComplex:
             flips = len(between)
         return others[:p] + (h,) + others[p:], flips
 
-    def _ad_monomial(self, a: int, gens: tuple) -> tuple[dict, int]:
-        """A_a on the exterior monomial `gens`, brackets projected to the
-        radical: ({monomial: coefficient}, sign), where the sign
-        (-1)^{|A_a||gens|} is the one A_a picks up passing the monomial on
-        its way to the module factor."""
+    def _ad_monomial(self, x: tuple, by_gen: dict, index: dict) -> tuple[dict, int]:
+        """ad(A_t) on the exterior monomial x, brackets projected to the
+        radical, for every A_t that `by_gen` ({generator g: [(t, h, c)]},
+        the radical terms c * h of [A_t, g], `_by_gen`) names:
+        ({t: {index[monomial]: c}}, parity of x).  A_t picks up the sign
+        (-1)^{|A_t||x|} passing x on its way to the module factor.  A
+        generator meets only the A_t whose bracket with it is nonzero."""
         par, rank = self._parity, self._rank
-        odd = par[a]
+        ranks = [rank[g] for g in x]
         out: dict = {}
-        ranks = [rank[g] for g in gens]
         prefix = 0          # parity of the generators passed so far
-        for t, gt in enumerate(gens):
-            terms = self._radical_bracket(a, gt)
+        for pos, g in enumerate(x):
+            terms = by_gen[g]
             if terms:
-                others, oranks = gens[:t] + gens[t + 1:], ranks[:t] + ranks[t + 1:]
-                for kidx, cb in terms:
-                    moved = self._move_in(others, oranks, t, kidx)
+                others, oranks = x[:pos] + x[pos + 1:], ranks[:pos] + ranks[pos + 1:]
+                for t, h, c in terms:
+                    moved = self._move_in(others, oranks, pos, h)
                     if moved is not None:
-                        flips = moved[1] + (1 if odd and prefix else 0)
-                        _add_term(out, moved[0], -cb if flips & 1 else cb)
-            prefix ^= par[gt]
-        return out, (-1 if (odd and prefix) else 1)
+                        flips = moved[1] + (1 if prefix and par[t] else 0)
+                        _add_term(out.setdefault(t, {}), index[moved[0]],
+                                  -c if flips & 1 else c)
+            prefix ^= par[g]
+        return out, prefix
+
+    def _by_gen(self, ts: list) -> dict:
+        """{radical generator g: [(t, h, c)]} for the radical terms c * h
+        of [A_t, g] over t in ts."""
+        return {g: [(t, h, c) for t in ts for h, c in self._brackets[t, g]]
+                for g in self.radical}
 
     def _ad_rows(self, ts: list, k: int) -> dict:
         """ad(A_t) on every monomial of Lambda^k r for each t in ts, brackets
         projected to the radical: {t: [({position: c}, sign)]} in monomial
-        order, each as `_ad_monomial` gives it.  One pass over the
-        monomials serves every t, and a generator meets only the A_t whose
-        bracket with it is nonzero."""
-        par, rank = self._parity, self._rank
+        order, sign = (-1)^{|A_t||X|}.  One pass over the monomials serves
+        every t (`_ad_monomial`)."""
         monos, index = self.monomials(k)
-        by_gen = {g: [(t, h, c) for t in ts for h, c in self._radical_bracket(t, g)]
-                  for g in self.radical}
-        odd_ts = [t for t in ts if par[t]]
-        imgs = {t: [{} for _ in monos] for t in ts}
-        signs = {t: [1] * len(monos) for t in ts}
-        for tx, x in enumerate(monos):
-            ranks = [rank[g] for g in x]
-            prefix = 0      # parity of the generators passed so far
-            for pos, g in enumerate(x):
-                terms = by_gen[g]
-                if terms:
-                    others, oranks = x[:pos] + x[pos + 1:], ranks[:pos] + ranks[pos + 1:]
-                    for t, h, c in terms:
-                        moved = self._move_in(others, oranks, pos, h)
-                        if moved is not None:
-                            flips = moved[1] + (1 if prefix and par[t] else 0)
-                            _add_term(imgs[t][tx], index[moved[0]],
-                                      -c if flips & 1 else c)
-                prefix ^= par[g]
-            if prefix:
-                for t in odd_ts:
-                    signs[t][tx] = -1
-        return {t: list(zip(imgs[t], signs[t])) for t in ts}
+        by_gen, par = self._by_gen(ts), self._parity
+        rows: dict = {t: [] for t in ts}
+        for x in monos:
+            imgs, odd = self._ad_monomial(x, by_gen, index)
+            for t in ts:
+                rows[t].append((imgs.get(t, {}), -1 if odd and par[t] else 1))
+        return rows
 
     def _coboundary_terms(self, g0: int) -> list:
         """(z_a, k, c/2) for every radical term c*A_k of [z_a^#, g0]."""
-        terms = self._raise_terms.get(g0)
-        if terms is None:
-            g = self.algebra
-            terms = []
-            for a, gen in enumerate(self.radical):
-                for kidx, c in g.bracket_vec(self.duals[a], {g0: 1}).items():
-                    if kidx in self.radical_set:
-                        terms.append((gen, kidx, _exact(c, 2)))
-            self._raise_terms[g0] = terms
-        return terms
+        g = self.algebra
+        return [(gen, kidx, _exact(c, 2)) for a, gen in enumerate(self.radical)
+                for kidx, c in g.bracket_vec(self.duals[a], {g0: 1}).items()
+                if kidx in self.radical_set]
 
     # -- exterior tables ----------------------------------------------------------
     #
@@ -546,15 +549,12 @@ class ChainComplex:
     # c * Y (x) rho(op_o) of the image of X (x) m, for every m.  op_0 is the
     # identity.
 
-    def _table(self, name: str, k: int) -> list:
-        """The exterior table of lower(k) or raise_(k), built once per
-        (operator, degree) from the table one degree down."""
-        table = self._tables.get((name, k))
-        if table is None:
-            build = self._lower_table if name == "lower" else self._raise_table
-            table = self._tables[name, k] = build(
-                k, self._table(name, k - 1) if k > 0 else None)
-        return table
+    def _table(self, key: tuple) -> list:
+        """The exterior table of lower(k) or raise_(k) for key = ("lower" or
+        "raise", k), built from the table one degree down (`_tables`)."""
+        name, k = key
+        build = self._lower_table if name == "lower" else self._raise_table
+        return build(k, self._tables[name, k - 1] if k > 0 else None)
 
     def _wedge_into(self, row: dict, g0: int, entry: dict, monos: list,
                     index: dict, nops: int, memo: dict) -> None:
@@ -586,15 +586,17 @@ class ChainComplex:
             return [{} for _ in monos]
         nops = 1 + len(self.radical)
         op_of = {x: 1 + a for a, x in enumerate(self.radical)}
+        by_gen = {x: self._by_gen([x]) for x in self.radical}
         rest_index = self.monomials(k - 1)[1]
         deeper = self.monomials(k - 2)[0] if k > 1 else []
         table, memo = [], {}
+        par = self._parity
         for x in monos:
             x0, y = x[0], x[1:]
             ty = rest_index[y]
-            ad, sgn = self._ad_monomial(x0, y)
-            row = {rest_index[z] * nops: -c for z, c in ad.items()}
-            _add_term(row, ty * nops + op_of[x0], -sgn)
+            ad, odd = self._ad_monomial(y, by_gen[x0], rest_index)
+            row = {z * nops: -c for z, c in ad.get(x0, {}).items()}
+            _add_term(row, ty * nops + op_of[x0], 1 if odd and par[x0] else -1)
             self._wedge_into(row, x0, below[ty], deeper, rest_index, nops, memo)
             table.append(row)
         return table
@@ -618,7 +620,7 @@ class ChainComplex:
             row: dict = {}
             # z_a ^ (A_j ^ Y): A_j moves into Y, then z_a into that, and
             # the Koszul signs of the two moves multiply
-            for z, j, c in self._coboundary_terms(x0):
+            for z, j, c in self._raise_terms[x0]:
                 inner = self._move_in(y, yranks, 0, j)
                 if inner is None:
                     continue
@@ -641,20 +643,16 @@ class ChainComplex:
         return [mod.act(element, {m: 1}) for m in range(mod.dim)]
 
     def _assemble(self, source: ChainSpace, k_dst: int, table: list,
-                  ops: list) -> ChainMap:
-        """The ChainMap source -> C_{k_dst} of sum_o L_o (x) ops[o], given
-        the exterior table of its monomials (one entry per monomial of
+                  ops: list, scale: int = 1) -> ChainMap:
+        """The ChainMap source -> C_{k_dst} of sum_o L_o (x) ops[o] / scale,
+        given the exterior table of its monomials (one entry per monomial of
         `source`, in order), where ops[o] holds the columns of a module
         operator (ops[0] the identity, see `_rho`): column idx(X) * dim M + m
         is the sum over the terms c * Y (x) op_o of entry X of c times
-        op_o v_m shifted to the rows idx(Y) * dim M + r."""
-        return ChainMap.canonical(source, self.space(k_dst),
-                                  *self._assemble_cols(k_dst, table, ops))
-
-    def _assemble_cols(self, k_dst: int, table: list, ops: list) -> tuple[list, int]:
-        """The int columns and denominator of `_assemble`, not yet made
-        canonical: the denominator is the lcm of the table's coefficients
-        times the lcm of the module operators' entries."""
+        op_o v_m shifted to the rows idx(Y) * dim M + r.  Only the columns
+        X (x) v_m that `source` holds are formed, as int columns over scale
+        times the lcm of the table's coefficients times the lcm of the
+        module operators' entries."""
         dim = self.module.dim
         oden = lcm(1, *(v.denominator for cols in ops for col in cols
                         for v in col.values()))
@@ -667,19 +665,22 @@ class ChainComplex:
         nops = len(ops)
         # one int object per target row, shared by every column that has it
         rows = list(range(self.space(k_dst).dim))
+        held = (itertools.repeat(range(dim)) if source.held is None
+                else (ms for _, ms in source.held))
         icols = []
-        for entry in table:
-            out = [{} for _ in range(dim)]
+        for entry, ms in zip(table, held):
+            out = {m: {} for m in ms}
             for key, c in entry.items():
                 t, o = divmod(key, nops)
                 base, c = t * dim, c.numerator * (tden // c.denominator)
                 for m, items in nonzero[o]:
-                    col = out[m]
-                    for r, v in items:
-                        row = rows[base + r]
-                        col[row] = col.get(row, 0) + c * v
-            icols.extend({row: v for row, v in col.items() if v} for col in out)
-        return icols, tden * oden
+                    if m in out:
+                        col = out[m]
+                        for r, v in items:
+                            row = rows[base + r]
+                            col[row] = col.get(row, 0) + c * v
+            icols.extend({row: v for row, v in col.items() if v} for col in out.values())
+        return ChainMap.canonical(source, self.space(k_dst), icols, scale * tden * oden)
 
     # -- the two operators ------------------------------------------------------
 
@@ -691,24 +692,23 @@ class ChainComplex:
         return self._lower[k]
 
     def lower_at(self, k: int, weights) -> ChainMap:
-        """d*_k on the weight blocks `weights` of C_k alone.  Its source is
-        the span of the X (x) v_m whose exterior monomial X has a chain
-        weight in `weights` (`_build_space`), so at each of those weights it
-        holds the whole block of C_k and the map has the block of lower(k),
-        columns in the same order; other weights of that span are a
-        remainder no reader needs.  Its exterior table is formed from the
-        full table of degree k - 1, and nothing is cached here: the caller
-        owns the map, and a later lower(k) is built as if it never was."""
+        """d*_k on the weight blocks `weights` of C_k alone: its source is
+        exactly those blocks (`_build_space`), columns in the order C_k has
+        them, so the map has the blocks of lower(k) there and no other
+        column.  Its exterior table has a row per monomial X of the source,
+        formed from the full table of degree k - 1, and nothing is cached
+        here: the caller owns the map, and a later lower(k) is built as if
+        it never was."""
         return self._lower_on(self._build_space(k, frozenset(weights)))
 
     def _lower_on(self, source: ChainSpace) -> ChainMap:
         """d*_k on `source`, C_k or a weight restriction of it."""
         k = source.degree
-        if source.exterior is None:
-            table = self._table("lower", k)
+        if source.held is None:
+            table = self._tables["lower", k]
         else:
-            table = self._lower_table(k, self._table("lower", k - 1) if k > 0 else None,
-                                      source.exterior)
+            table = self._lower_table(k, self._tables["lower", k - 1] if k > 0 else None,
+                                      [x for x, _ in source.held])
         ops = [self._rho(None), *(self._rho({x: 1}) for x in self.radical)]
         return self._assemble(source, max(k - 1, 0), table, ops)
 
@@ -719,27 +719,41 @@ class ChainComplex:
         if k not in self._raise:
             ops = [self._rho(None), *map(self._rho, self.duals)]
             self._raise[k] = self._assemble(self.space(k), k + 1,
-                                            self._table("raise", k), ops)
+                                            self._tables["raise", k], ops)
         return self._raise[k]
 
-    # -- auxiliary actions --------------------------------------------------------
+    # -- the action of one basis element -----------------------------------------
+
+    def action_columns(self, k: int, i: int) -> "_Lazy":
+        """Action of the basis element A_i on C_k, ad(A_i) on the exterior
+        factor plus (-1)^{|A_i||X|} rho(A_i) on the module, as int columns
+        over one den, the lcm of the denominators of A_i's brackets with the
+        radical and of rho(A_i): column idx(X) * dim M + m is formed on first
+        read from ad(A_i) X (the table `_ad` for a Levi root vector) and
+        rho(A_i) v_m.  decompose_levi reads only the Levi simple root
+        vectors' columns (LeviModule.act)."""
+        dim = self.module.dim
+        ad = self._ad[k]
+        rows = ad[i] if i in ad else self._ad_rows([i], k)[i]
+        rho = self._rho({i: 1})
+        den = lcm(1, *(c.denominator for gen in self.radical
+                       for _, c in self._brackets[i, gen]),
+                  *(v.denominator for col in rho for v in col.values()))
+
+        def column(j):
+            t, m = divmod(j, dim)
+            img, sgn = rows[t]
+            col = {y * dim + m: int(c * den) for y, c in img.items()}
+            for r, v in rho[m].items():
+                _add_term(col, t * dim + r, int(sgn * v * den))
+            return col
+        return _Lazy(column, den)
 
     def action_map(self, k: int, i: int) -> ChainMap:
-        """Action of the basis element A_i on C_k: ad(A_i) on the exterior
-        factor plus (-1)^{|A_i||X|} rho(A_i) on the module, cached per
-        (k, i).  decompose_levi, its one reader in the pipeline, asks only
-        for the Levi simple root vectors (LeviModule.act), on H_k and on
-        ker quabla_k alike."""
-        key = (k, i)
-        if key not in self._actions:
-            table = []
-            for t, (ad, sgn) in enumerate(self._ad_rows([i], k)[i]):
-                entry = {y * 2: c for y, c in ad.items()}
-                entry[t * 2 + 1] = sgn
-                table.append(entry)
-            self._actions[key] = self._assemble(
-                self.space(k), k, table, [self._rho(None), self._rho({i: 1})])
-        return self._actions[key]
+        """`action_columns(k, i)` collected into one canonical ChainMap, not
+        cached: for tests and the benchmark's tracer."""
+        cols, sp = self.action_columns(k, i), self.space(k)
+        return ChainMap.canonical(sp, sp, [cols[j] for j in range(sp.dim)], cols.den)
 
     # -- quabla -------------------------------------------------------------------
 
@@ -794,18 +808,18 @@ class ChainComplex:
         root vectors A_i with A_i^# = sum_s c_is A_s, the last terms make
         X (x) rho(C_l^root) m.  So the root part is one exterior table per
         degree, with ops 1, rho(A_t) and rho(C_l^root), built from the
-        exterior actions of `_ad_rows` alone (never from the boundary or
+        exterior actions of `_ad` alone (never from the boundary or
         coboundary recursions) and assembled into a ChainMap like the
         operators.  On a
         Borel the Levi is the Cartan: there is no root part, and quabla is
         the scalar part alone.
 
-        With `weights`, the root part is assembled on those weight blocks
-        alone (its source is `_build_space(k, weights)`, as in `lower_at`),
-        and only their `int_block`s can be read."""
+        With `weights`, the root part holds those weight blocks and no
+        other column: its source is `_build_space(k, weights)`, as in
+        `lower_at`, its table has a row only for the monomials of the
+        source's pairs, and only those blocks' `int_block`s can be read."""
         terms = self._casimir_terms
         sp = self.space(k)
-        kept = None if weights is None else frozenset(weights)
         # den times the scalar part per weight: an int, or a Fraction where
         # the weight has a non-integral coordinate
         nums = {w: terms.const + sum(a * w[c] for c, a in terms.linear)
@@ -815,11 +829,10 @@ class ChainComplex:
         scalar = {w: v.numerator * (wden // v.denominator) for w, v in nums.items()}
         root = None
         if terms.roots:
-            source = sp if kept is None else self._build_space(k, kept)
-            icols, rden = self._assemble_cols(k, self._casimir_table(k, source.exterior),
-                                              terms.ops)
-            root = ChainMap.canonical(source, sp, icols, 2 * terms.root_den * rden)
-        return CasimirQuabla(sp, scalar, terms.den * wden, root, kept)
+            source = sp if weights is None else self._build_space(k, frozenset(weights))
+            root = self._assemble(source, k, self._casimir_table(k, source.held),
+                                  terms.ops, 2 * terms.root_den)
+        return CasimirQuabla(sp, scalar, terms.den * wden, root)
 
     @functools.cached_property
     def _casimir_terms(self) -> "_CasimirTerms":
@@ -881,18 +894,18 @@ class ChainComplex:
                  casimir_cols],
         )
 
-    def _casimir_table(self, k: int, monos: list | None = None) -> list:
+    def _casimir_table(self, k: int, held: list | None = None) -> list:
         """Exterior table of root_den * C_l^root on C_k, with ops 1,
         rho(A_t) for the Levi root vectors A_t and rho(C_l^root) (see
-        `casimir_quabla`), a row for each monomial of `monos` (all of
-        Lambda^k r when None)."""
+        `casimir_quabla`), a row for each monomial X of `held`'s pairs
+        (X, ms) (all of Lambda^k r when None), read off `_ad[k]`."""
         terms = self._casimir_terms
         op_of = {t: 1 + o for o, (t, _) in enumerate(terms.roots)}
         nops = len(terms.ops)
-        ad = self._ad_rows(list(op_of), k)
+        ad = self._ad[k]
         every, index = self.monomials(k)
         table = []
-        for tx in range(len(every)) if monos is None else map(index.__getitem__, monos):
+        for tx in range(len(every)) if held is None else (index[x] for x, _ in held):
             row: dict = {tx * nops + nops - 1: terms.root_den}
             for i, dual in terms.roots:
                 ad_i = ad[i]

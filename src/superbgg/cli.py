@@ -251,8 +251,9 @@ def _internal_checks(an, k_max: int) -> tuple:
     Nilpotency covers every boundary the analysis reads: d*_{k-1} d*_k = 0
     for k <= k_max, and d*_{k_max} d*_{k_max+1} = 0 on the restricted
     d*_{k_max+1} that block_data(k_max) reads its images from
-    (`boundary_above`), over all its columns, at every non-acyclic weight,
-    although block_data eliminates only its dominant blocks; and
+    (`boundary_above`), over all its columns, which are exactly the columns
+    of the non-acyclic weight blocks, although block_data eliminates only
+    the dominant ones; and
     d_{k+1} d_k = 0 for k <= k_max - 2.  It holds
     when every column of each product is zero (`ChainMap.compose_columns`).
     The Casimir quabla is the analysis's own (`quabla_map`), the parts its

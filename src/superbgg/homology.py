@@ -10,23 +10,26 @@ coordinates.  Both l-modules the pipeline decomposes are a quotient K/I of
 l-stable subspaces I <= K of C_k: H_k, with K = ker d*_k and I =
 im d*_{k+1} (the bases block_data holds), and ker quabla_k, with I = 0.
 A LeviModule is that record.  The Levi action on it is the complex's own
-action map, and a class modulo I is the reduction by I's RREF rows at its
-weight, a linear projection whose kernel is I.  Every vector handled is
+action on C_k, whose int columns are formed one at a time where the
+decomposition first reads them (ChainComplex.action_columns), and a class
+modulo I is the reduction by I's RREF rows at its weight, a linear
+projection whose kernel is I.  Every vector handled is
 weight-homogeneous, so the highest-weight kernels, the lowering closures
 and their union keep echelon pivots per weight: no elimination ever runs
 over the whole module.
 
-The Levi layer runs on Python ints.  The int columns of an action map are
-den times the exact ones, and a class is a fixed positive multiple (per
-weight) of the exact projection.  Kernels of stacked blocks, spans,
-lowering closures of weight-homogeneous vectors and ranks are unchanged by
-a nonzero scalar per map and per weight, which is why decompose_levi reads
-only int columns and gets the same H_w, G_w, certificate and dimensions as
-exact rational arithmetic.
+The Levi layer runs on Python ints.  The int columns of an action are
+den times the exact ones, one den per degree and Levi element, and a class
+is a fixed positive multiple (per weight) of the exact projection.
+Kernels of stacked blocks, spans, lowering closures of weight-homogeneous
+vectors and ranks are unchanged by a nonzero scalar per map and per
+weight, which is why decompose_levi reads only int columns and gets the
+same H_w, G_w, certificate and dimensions as exact rational arithmetic.
 
-The homology block layer runs on ints too: images are pivot columns of
-den times the exact block, kernel vectors positive multiples of the RREF
-kernel vectors.  That changes no span, rank or intersection.
+The homology block layer runs on ints too: images are the primitive
+multiples of the exact block's pivot columns, kernel vectors positive
+multiples of the RREF kernel vectors.  That changes no span, rank or
+intersection.
 
 Homology groups of interest are H_k(nbar, W) = ker(delta*_k)/im(delta*_{k+1})
 computed on Lambda^. nbar (x) W; these are the groups whose induced modules
@@ -124,7 +127,7 @@ import copy
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from . import linalg
 from .algebra import (
@@ -212,14 +215,21 @@ def _block_kernels(m: ChainMap, weights: list) -> dict:
 
 def _block_images(m: ChainMap, weights: list) -> dict:
     """{w: int image basis} of the blocks of `m` at those of `weights` that
-    are source weights of `m`: the pivot columns, i.e. the block's
-    first-come independent columns (the leads of its row echelon)."""
+    are source weights of `m`: the primitive multiples of the pivot
+    columns, i.e. of the block's first-come independent columns (the leads
+    of its row echelon).  Being primitive, they do not depend on the
+    denominator of `m`, which a map restricted to a few blocks may have
+    other than the whole map."""
     out = {}
     for w in weights:
         if w in m.source.weight_blocks:
             block = m.int_block(w)
             pivots = sorted(linalg.echelon(block, integral=True).rows)
-            out[w] = [[row[c] for row in block] for c in pivots]
+            cols = out[w] = []
+            for c in pivots:
+                col = [row[c] for row in block]
+                g = gcd(*col)
+                cols.append([x // g for x in col])
     return out
 
 
@@ -323,7 +333,8 @@ class LeviModule:
     With `im` (a homology quotient, KostantAnalysis.homology_quotient_module)
     K is ker d*_k and I is im d*_{k+1}.  The weights in `acyclic` hold
     neither: K = I there, so the quotient is zero.  `express` certifies
-    every column it is handed by d*_k.  Without `im` (ker quabla_k,
+    every column it is handed by d*_k, and the lowering closure hands it
+    only the images it inserts.  Without `im` (ker quabla_k,
     KostantAnalysis.ker_quabla_module) I = 0 and K is l-stable because
     quabla commutes with l, so columns are taken as they are, with no
     product per image.
@@ -357,10 +368,11 @@ class LeviModule:
         """dim M_w = |ker[w]| - |im[w]|."""
         return self.dims.get(weight, 0)
 
-    def act(self, levi_index: int) -> ChainMap:
-        """The Levi basis element A_i on C_k: the complex's action map, whose
-        int columns decompose_levi reads."""
-        return self.cx.action_map(self.k, levi_index)
+    def act(self, levi_index: int):
+        """The Levi basis element A_i on C_k: the complex's int action
+        columns over one den (`ChainComplex.action_columns`), indexable by
+        source index, each formed when decompose_levi first reads it."""
+        return self.cx.action_columns(self.k, levi_index)
 
     def express(self, weight: Weight, cols: list) -> list:
         """The classes modulo I of sparse int columns of C_k at `weight`.
@@ -505,14 +517,14 @@ def decompose_levi(p: ParabolicDecomposition, mod: LeviModule) -> LDecomposition
     decomposition that fails it reports, for each entry, the dimension of
     the abstract Levi irrep (None where `levi_irrep_dimension` finds it
     infinite).  All elimination is local to one weight and runs on the int
-    columns of the action maps and on int classes (exact by the module
-    docstring's argument).
+    action columns, each formed on first read, and on int classes (exact
+    by the module docstring's argument).
     """
     g = p.algebra
     pos, neg = g.simple_vector_indices()
     roots = p.levi_simple_roots
-    raising = [(g.root(pos[i]), mod.act(pos[i]).icols) for i in roots]
-    lowering = [(g.root(neg[i]), mod.act(neg[i]).icols) for i in roots]
+    raising = [(g.root(pos[i]), mod.act(pos[i])) for i in roots]
+    lowering = [(g.root(neg[i]), mod.act(neg[i])) for i in roots]
     matches, coroots = _casimir_matcher(mod.cx), _coroots(p)
     entries, gens = [], []
     for w in sorted(mod.dims, key=weight_key):
@@ -553,31 +565,37 @@ def _lowering_closure(mod: LeviModule, lowering: list, weight: Weight,
                       seeds: list) -> tuple[list, int]:
     """(echelon basis, rank of the seeds) of the span of the classes
     `seeds` of weight `weight` closed under the lowering operators
-    (`lowering`: (root, int columns) per operator), level by level.  The
-    images of one weight are expressed together; each is a positive
-    multiple of the exact one, so the span is the exact closure.
+    (`lowering`: (root, int columns) per operator), level by level.  Each
+    image is a positive multiple of the exact one, so the span is the exact
+    closure.
 
     A weight is met at one level only, its height below `weight`, so all
-    its rows are inserted in one pass, and insertion stops once they number
-    dim M_u (`LeviModule.weight_dim`): every later vector of that weight is
-    dependent, and its images lie in the span of the rows' images."""
+    its rows are inserted in one pass.  Each weight queues the (operator,
+    rows) pairs that reach it, in the order the rows were inserted, and an
+    image is formed and expressed only while the weight has fewer rows than
+    dim M_u (`LeviModule.weight_dim`): once it is full every later vector
+    there is dependent, and its images lie in the span of the rows'
+    images, so it is never formed."""
     echelon = linalg.Echelon()
-    basis, frontier, count = [], {weight: seeds}, None
+    basis, frontier, count = [], {weight: [(None, seeds)]}, None
     while frontier:
         nxt: dict = {}
-        for u, vecs in frontier.items():
+        for u, queue in frontier.items():
             room, rows = mod.weight_dim(u), []
-            for vec in vecs:
-                if len(rows) == room:
-                    break
-                if (row := echelon.add(vec)) is not None:
-                    rows.append(row)
+            for cols, vecs in queue:
+                for vec in vecs:
+                    if len(rows) == room:
+                        break
+                    if cols is not None:
+                        if not (vec := _apply(cols, vec)):
+                            continue
+                        vec = mod.express(u, [vec])[0]
+                    if (row := echelon.add(vec)) is not None:
+                        rows.append(row)
             basis.extend(rows)
-            for root, cols in lowering:
-                imgs = [img for row in rows if (img := _apply(cols, row))]
-                if imgs:
-                    v = wt_add(u, root)
-                    nxt.setdefault(v, []).extend(mod.express(v, imgs))
+            if rows:
+                for root, cols in lowering:
+                    nxt.setdefault(wt_add(u, root), []).append((cols, rows))
         if count is None:
             count = len(basis)
         frontier = nxt

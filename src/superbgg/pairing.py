@@ -31,6 +31,19 @@ def _move_sign(g, gens: tuple, t: int) -> Fraction:
     return sgn
 
 
+def _peel(elem: ChainBasisElement):
+    """(leading generator, the rest) of a chain monomial."""
+    if elem.even_part:
+        g0 = elem.even_part[0]
+        rest = ChainBasisElement(elem.even_part[1:], elem.odd_part,
+                                 elem.module_index)
+    else:
+        g0 = elem.odd_part[0]
+        rest = ChainBasisElement(elem.even_part, elem.odd_part[1:],
+                                 elem.module_index)
+    return g0, rest
+
+
 class _LaplaceExpansion:
     """Memoised bilinear form on chain monomials, expanded along the leading
     factor y0 of the left argument:
@@ -58,7 +71,7 @@ class _LaplaceExpansion:
             self.memo[key] = val
             return val
         g = self.left.algebra
-        y0, qrest = self.left._peel(q)
+        y0, qrest = _peel(q)
         qrest_odd = self.twisted and (
             self.left.module.parities[q.module_index]
             + sum(g.parity(i) for i in qrest.generators())) % 2

@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -170,9 +171,10 @@ def test_operators_match_per_monomial_oracles(gl21_setup, osp54_drop0):
 
 def test_restricted_boundary_matches_oracle(gl21_setup, osp54_drop0):
     """lower_at(k, W), d*_k on the weight blocks W of C_k, has the oracle's
-    columns at those weights, its source lists the chain monomials of
-    those columns, and it leaves no trace: a lower(k) built after it on
-    the same complex still equals the oracle."""
+    columns at those weights and no other column: its source is exactly
+    those blocks and lists their chain monomials.  It leaves no trace: a
+    lower(k) built after it on the same complex still equals the
+    oracle."""
     for cx in _oracle_cases(gl21_setup, osp54_drop0):
         for k in range(1, 4):
             weights = sorted(ChainComplex(cx.parabolic, cx.module, cx.side)
@@ -182,8 +184,8 @@ def test_restricted_boundary_matches_oracle(gl21_setup, osp54_drop0):
             assert k not in cx._spaces and k not in cx._lower
             oracle = _oracle_map(cx, k, k - 1, oracle_boundary)
             src = part.source
-            assert set(weights) <= set(src.weight_blocks)
-            assert src.dim <= oracle.source.dim
+            assert set(src.weight_blocks) == set(weights)
+            assert src.dim == sum(len(oracle.source.weight_blocks[w]) for w in weights)
             for w in weights:
                 idxs = oracle.source.weight_blocks[w]
                 assert part.block(w) == oracle.block(w)
@@ -206,6 +208,31 @@ def test_action_maps_match_oracle(gl21_setup, osp54_drop0):
                              e.generators(), e.module_index).items()}
                         for e in sp.basis]
                 assert cx.action_map(k, i) == map_from_columns(sp, sp, cols)
+
+
+@given(seed=st.integers(0, 2**16))
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+def test_action_columns_are_the_action_map_up_to_one_scalar(gl21_setup, osp54_drop0,
+                                                            seed):
+    """action_columns(k, i), read in any order, forms int columns that are
+    action_map(k, i)'s times one positive int per (k, i), den / map den,
+    for every basis element on both sides: the columns formed on first
+    read and the canonical map are one routine."""
+    order = random.Random(seed)
+    for cx in _oracle_cases(gl21_setup, osp54_drop0):
+        for k in range(3):
+            dim = cx.space(k).dim
+            for i in range(cx.algebra.dim):
+                cols, amap = cx.action_columns(k, i), cx.action_map(k, i)
+                scale, rest = divmod(cols.den, amap.den)
+                assert rest == 0 and scale > 0
+                js = list(range(dim))
+                order.shuffle(js)
+                for j in js:
+                    col = cols[j]
+                    assert all(type(v) is int for v in col.values())
+                    assert col == {r: scale * v for r, v in amap.icols[j].items()}
+                assert sorted(cols) == list(range(dim))
 
 
 def test_trivial_module_boundary_gl11():
@@ -468,8 +495,7 @@ def _bare_space(weights):
     blocks: dict = {}
     for t, w in enumerate(weights):
         blocks.setdefault(w, []).append(t)
-    n = len(weights)
-    return ChainSpace(None, 0, list(weights), [0] * n, blocks)
+    return ChainSpace(None, 0, list(weights), blocks)
 
 
 def _map_of(src, tgt, dense):

@@ -197,6 +197,19 @@ def test_cross_checks_form_no_composed_map(capsys, monkeypatch, argv):
     assert whole == [] and compared == list(range(k_max))
 
 
+def _spied_analysis(monkeypatch) -> list:
+    """A list that collects every KostantAnalysis built after the call."""
+    from superbgg import homology
+    built = []
+    init = homology.KostantAnalysis.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(homology.KostantAnalysis, "__init__", spy)
+    return built
+
+
 @pytest.mark.parametrize("argv, borel", [
     (_benchmark_argv("borel-gl32-k4"), True),
     (QUABLA_ARGV[2], False),
@@ -208,15 +221,9 @@ def test_casimir_quabla_held_as_parts(capsys, monkeypatch, argv, borel):
     all; on osp(4|2) with the Levi of drop 0, one ChainMap per degree.
     The top degree's, whose root part block_data(kmax) builds on the
     blocks it eliminates alone, is not held."""
-    from superbgg import chains, homology
+    from superbgg import chains
     k_max = int(argv[argv.index("--kmax") + 1])
-    built = []
-    init = homology.KostantAnalysis.__init__
-
-    def spy(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
-    monkeypatch.setattr(homology.KostantAnalysis, "__init__", spy)
+    built = _spied_analysis(monkeypatch)
     code, _ = run_cli(capsys, *argv)
     (an,) = built
     assert code == 0 and sorted(an._quabla) == list(range(k_max))
@@ -267,6 +274,91 @@ def test_no_degree_past_kmax_is_built_whole(capsys, monkeypatch, argv):
     assert built["lower_at"] == {k_max + 1}
 
 
+def test_chain_columns_formed_on_the_benchmark_queries(capsys, monkeypatch):
+    """A chain column is formed only where a reader reads it.  On
+    `natural-osp54-k3` the restricted top boundary d*_4 has 125 source
+    columns (its non-acyclic blocks of C_4), the top degree's Casimir root
+    part 106 (the dominant candidate blocks of C_3), the exterior action of
+    the Levi root vectors is built once per degree 0..3 (`_ad_rows`), and
+    the decompositions form at most 925 Levi action columns and express at
+    most 497 columns.  On `borel-gl32-k4` the top boundary has 122 source
+    columns and no exterior action is built."""
+    from superbgg import chains, homology
+    cx_cls = chains.ChainComplex
+    for qid, want in [("natural-osp54-k3", ([125], [106], [0, 1, 2, 3])),
+                      ("borel-gl32-k4", ([122], [], []))]:
+        tops, roots, tables, acts, expressed = [], [], [], [], []
+        lower_at, casimir, ad_rows, columns, express = (
+            cx_cls.lower_at, cx_cls.casimir_quabla, cx_cls._ad_rows,
+            cx_cls.action_columns, homology.LeviModule.express)
+
+        def spy_lower_at(self, k, weights, _real=lower_at, _seen=tops):
+            m = _real(self, k, weights)
+            _seen.append(m.source.dim)
+            return m
+
+        def spy_casimir(self, k, weights=None, _real=casimir, _seen=roots):
+            q = _real(self, k, weights)
+            if weights is not None and q.root is not None:
+                _seen.append(q.root.source.dim)
+            return q
+
+        def spy_ad_rows(self, ts, k, _real=ad_rows, _seen=tables):
+            _seen.append(k)
+            return _real(self, ts, k)
+
+        def spy_columns(self, k, i, _real=columns, _seen=acts):
+            cols = _real(self, k, i)
+            _seen.append(cols)
+            return cols
+
+        def spy_express(self, w, cols, _real=express, _seen=expressed):
+            _seen.append(len(cols))
+            return _real(self, w, cols)
+        monkeypatch.setattr(cx_cls, "lower_at", spy_lower_at)
+        monkeypatch.setattr(cx_cls, "casimir_quabla", spy_casimir)
+        monkeypatch.setattr(cx_cls, "_ad_rows", spy_ad_rows)
+        monkeypatch.setattr(cx_cls, "action_columns", spy_columns)
+        monkeypatch.setattr(homology.LeviModule, "express", spy_express)
+        code, _ = run_cli(capsys, *_benchmark_argv(qid))
+        monkeypatch.undo()
+        assert code == 0
+        assert (tops, roots, sorted(tables)) == want
+        if qid == "natural-osp54-k3":
+            assert 0 < sum(len(cols) for cols in acts) <= 925
+            assert 0 < sum(expressed) <= 497
+
+
+def test_complex_holds_no_action_map_after_bgg_check(capsys, monkeypatch):
+    """After `bgg check` on `natural-osp54-k3`, every ChainMap the analysis
+    and its complex hold is a cached boundary or coboundary (the top one
+    restricted), and no action columns outlive the decomposition that read
+    them."""
+    import gc
+    import weakref
+    from superbgg import chains
+    built = _spied_analysis(monkeypatch)
+    acts = []
+    columns = chains.ChainComplex.action_columns
+
+    def spy(self, k, i):
+        cols = columns(self, k, i)
+        acts.append(weakref.ref(cols))
+        return cols
+    monkeypatch.setattr(chains.ChainComplex, "action_columns", spy)
+    code, _ = run_cli(capsys, *_benchmark_argv("natural-osp54-k3"))
+    gc.collect()
+    (an,) = built
+    cx = an.cx
+    held = [v for obj in (an, cx) for v in vars(obj).values()]
+    held += [x for v in held if isinstance(v, dict) for x in v.values()]
+    maps = {id(v) for v in held if isinstance(v, chains.ChainMap)}
+    assert code == 0 and maps and acts
+    assert maps == {id(m) for m in (*cx._lower.values(), *cx._raise.values(),
+                                    *an._top_boundary.values())}
+    assert all(ref() is None for ref in acts)
+
+
 def _run_script(code: str, optimize: bool, timeout: int = 120) -> list:
     """Run `code` in a fresh interpreter (with -O when `optimize`) on this
     checkout's sources and return the JSON it prints."""
@@ -311,12 +403,15 @@ def test_perturbed_casimir_quabla_fails_cross_check(argv, optimize):
 
 def _corrupted_boundary_code(argv, target) -> str:
     """A script that runs `main(argv)` with one entry of one boundary raised
-    by 1 and prints the exit code and the report's check flags.  The entry
+    by 1 and prints the exit code, the report's check flags (None without
+    a report) and what the command wrote to stderr.  The entry
     is the first (column j, row r) of the map with d*_{k-1} e_r != 0, so
     d*_{k-1} d*_k gains a nonzero column, and it lies in the weight block
     of column j.  `target` names the map: lower(target) for an int degree,
-    else the restricted top boundary (`lower_at`), at a column of a weight
-    block_data reads ("read") or of the remainder of its source ("rest")."""
+    else the restricted top boundary (`lower_at`), whose every column sits
+    at a weight block_data reads: "read" takes any of them, "nondominant"
+    one at a weight that is not its own l_0-dominant representative, whose
+    image block_data never eliminates."""
     return (
         "import io, json, contextlib\n"
         "from superbgg import chains\n"
@@ -327,7 +422,14 @@ def _corrupted_boundary_code(argv, target) -> str:
         "    j, r = next((j, r) for j, col in enumerate(m.icols) if pick(j)\n"
         "                for r in col if below[r])\n"
         "    m.icols[j][r] += 1\n"
+        "from superbgg import homology\n"
         "lower, lower_at = chains.ChainComplex.lower, chains.ChainComplex.lower_at\n"
+        "orbit_map, reps = homology.KostantAnalysis._orbit_map, {}\n"
+        "def spy_orbit_map(self, k, weights):\n"
+        "    out = orbit_map(self, k, weights)\n"
+        "    reps.update(out)\n"
+        "    return out\n"
+        "homology.KostantAnalysis._orbit_map = spy_orbit_map\n"
         "done = []\n"
         "def bad_lower(self, k):\n"
         "    m = lower(self, k)\n"
@@ -337,18 +439,20 @@ def _corrupted_boundary_code(argv, target) -> str:
         "    return m\n"
         "def bad_lower_at(self, k, weights):\n"
         "    m, read = lower_at(self, k, weights), set(weights)\n"
-        "    corrupt(self, m, k,\n"
-        "            lambda j: (m.source.weights[j] in read) == (target == 'read'))\n"
+        "    if target == 'nondominant':\n"
+        "        read = {w for w in read if reps.get(w, w) != w}\n"
+        "    corrupt(self, m, k, lambda j: m.source.weights[j] in read)\n"
         "    return m\n"
         "if isinstance(target, int):\n"
         "    chains.ChainComplex.lower = bad_lower\n"
         "else:\n"
         "    chains.ChainComplex.lower_at = bad_lower_at\n"
-        "buf = io.StringIO()\n"
-        "with contextlib.redirect_stdout(buf):\n"
+        "buf, err = io.StringIO(), io.StringIO()\n"
+        "with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):\n"
         f"    code = main({argv!r})\n"
-        "rep = json.loads(buf.getvalue())\n"
-        "print(json.dumps([code, rep['nilpotency_ok'], rep['quabla_cross_check_ok']]))\n"
+        "rep = json.loads(buf.getvalue() or '{}')\n"
+        "print(json.dumps([code, rep.get('nilpotency_ok'), rep.get('quabla_cross_check_ok'),\n"
+        "                  err.getvalue()]))\n"
     )
 
 
@@ -363,22 +467,51 @@ def test_corrupted_boundary_block_fails_nilpotency(argv, optimize):
     """One entry of one weight block of d*_2, below kmax = 3, raised by 1:
     the report says nilpotency fails and the command exits 1, also under
     `python -O`."""
-    code, nil, _ = _run_script(_corrupted_boundary_code(argv, 2), optimize)
+    code, nil, *_ = _run_script(_corrupted_boundary_code(argv, 2), optimize)
     assert (code, nil) == (1, False)
 
 
-@pytest.mark.parametrize("argv, where", [
+@pytest.mark.parametrize("argv, where, want", [
     (["homology", "--alg", "osp", "--m", "3", "--n", "1", "--weight", "1|0",
-      "--kmax", "3"], "read"),
-    (_benchmark_argv("borel-gl32-k4"), "rest"),
-])
+      "--kmax", "3"], "read", [1, False, True]),
+    (_benchmark_argv("borel-gl32-k4"), "read", [1, None, None]),
+    (["bgg", "check", "--alg", "osp", "--m", "4", "--n", "2", "--parabolic-drop",
+      "0", "--weight", "1,0|0,0", "--kmax", "3"], "nondominant", [1, False, True]),
+], ids=["argv0-read", "argv1-read", "argv2-nondominant"])
 @pytest.mark.parametrize("optimize", [False, True])
-def test_corrupted_top_boundary_fails_nilpotency(argv, where, optimize):
+def test_corrupted_top_boundary_fails_nilpotency(argv, where, want, optimize):
     """The restricted d*_{kmax+1} that block_data(kmax) reads is checked
-    too: one entry raised by 1, at a read weight or in the remainder of its
-    source, makes nilpotency fail (and nothing else), also under
-    `python -O`."""
-    assert _run_script(_corrupted_boundary_code(argv, where), optimize) == [1, False, True]
+    too: one entry raised by 1, at a read weight, makes the command exit 1,
+    also under `python -O`.  On osp(3|1) the report says nilpotency fails
+    and the quabla check holds.  On `borel-gl32-k4` the corrupted image
+    outgrows the kernel it must lie in, and the block layer refuses it
+    with a typed error before any report.  On osp(4|2) with a Levi, a
+    column at a weight that is not l_0-dominant is never eliminated, so
+    the nilpotency check alone catches it."""
+    code, nil, quab, err = _run_script(_corrupted_boundary_code(argv, where), optimize)
+    assert [code, nil, quab] == want
+    if nil is None:
+        assert err.startswith("error: image above exceeds the kernel at degree")
+
+
+@pytest.mark.parametrize("argv", QUABLA_ARGV + [
+    _benchmark_argv("natural-osp54-k3"), _benchmark_argv("borel-gl32-k4")])
+def test_top_boundary_holds_only_read_columns(capsys, monkeypatch, argv):
+    """The restricted d*_{kmax+1} has a source column at a non-acyclic
+    weight of C_kmax alone, and every column of those weight blocks of
+    C_{kmax+1}: its source is exactly the blocks block_data(kmax) reads
+    images from, with no other column for the nilpotency check to
+    cover."""
+    k_max = int(argv[argv.index("--kmax") + 1])
+    built = _spied_analysis(monkeypatch)
+    code, _ = run_cli(capsys, *argv)
+    (an,) = built
+    hot = {w for w, d in an.block_data(k_max).items() if not d.acyclic}
+    src = an.boundary_above(k_max).source
+    assert code == 0 and src.degree == k_max + 1
+    assert set(src.weights) <= hot
+    whole = an.cx._build_space(k_max + 1)
+    assert src.dim == sum(len(whole.weight_blocks.get(w, ())) for w in hot)
 
 
 def test_corrupted_top_boundary_ends_fast_on_a_super_levi():
@@ -389,7 +522,7 @@ def test_corrupted_top_boundary_ends_fast_on_a_super_levi():
     the run must end within 60 s, exit 1 and report nilpotency false."""
     argv = ["bgg", "check", "--alg", "osp", "--m", "4", "--n", "2",
             "--parabolic-drop", "0", "--weight", "1,0|0,0", "--kmax", "3"]
-    code, nil, _ = _run_script(_corrupted_boundary_code(argv, "read"), False,
+    code, nil, *_ = _run_script(_corrupted_boundary_code(argv, "read"), False,
                                timeout=60)
     assert (code, nil) == (1, False)
 

@@ -605,10 +605,10 @@ def test_levi_int_coordinates_are_one_multiple_per_weight(levi_case):
 
 
 def test_levi_layer_holds_only_ints(levi_case):
-    """The K and I bases of H_k and ker quabla_k, the classes `express`
-    returns and I's RREF rows, the highest-weight vectors and the echelon
-    rows of the closures are ints, and the echelon's rank is its row
-    count."""
+    """The K and I bases of H_k and ker quabla_k, the action columns act
+    forms, the classes `express` returns and I's RREF rows, the
+    highest-weight vectors and the echelon rows of the closures are ints,
+    and the echelon's rank is its row count."""
     p, an = levi_case
     g = p.algebra
     pos, neg = g.simple_vector_indices()
@@ -618,10 +618,8 @@ def test_levi_layer_holds_only_ints(levi_case):
 
     for k in (0, 1):
         for mod in (an.homology_quotient_module(k), an.ker_quabla_module(k)):
-            raising = [(g.root(pos[i]), mod.act(pos[i]).icols)
-                       for i in p.levi_simple_roots]
-            lowering = [(g.root(neg[i]), mod.act(neg[i]).icols)
-                        for i in p.levi_simple_roots]
+            raising = [(g.root(pos[i]), mod.act(pos[i])) for i in p.levi_simple_roots]
+            lowering = [(g.root(neg[i]), mod.act(neg[i])) for i in p.levi_simple_roots]
             assert ints(c for cols in mod.ker.values() for c in cols)
             assert ints(c for cols in (mod.im or {}).values() for c in cols)
             echelon = Echelon()
@@ -634,6 +632,9 @@ def test_levi_layer_holds_only_ints(levi_case):
                 assert ints(rows.values()) and type(den) is int and den > 0
             assert ints(echelon.rows.values())
             assert len(echelon.rows) == echelon.rank
+            formed = [col for _, cols in raising + lowering for col in cols.values()]
+            assert formed and ints(formed)
+            assert all(type(cols.den) is int for _, cols in raising + lowering)
 
 
 def test_quotient_express_projects_along_the_image(osp46_sec7, osp46_natural):
@@ -664,14 +665,14 @@ def test_quotient_express_projects_along_the_image(osp46_sec7, osp46_natural):
 def test_decompose_levi_reaches_the_action_only_through_act(
         osp46_sec7, osp46_natural, monkeypatch):
     """decompose_levi calls LeviModule.act once per Levi simple root vector
-    (2 x |Levi simple roots|), and every action map and chain-monomial
-    action it asks for is asked by act, so the benchmark's levi_act
-    counters measure the path that runs."""
+    (2 x |Levi simple roots|) and never ChainComplex.action_map; every
+    exterior action it causes (`_ad_rows`, `_ad_monomial`) runs inside
+    act, and reading a column afterwards only indexes that table, so the
+    benchmark's levi_act counters count the path that runs."""
     an = KostantAnalysis(osp46_sec7, osp46_natural, k_max=2)
     mod = an.homology_quotient_module(1)
     depth, acts, outside = [0], [], []
-    act, action_map = LeviModule.act, ChainComplex.action_map
-    ad_monomial = ChainComplex._ad_monomial
+    act = LeviModule.act
 
     def spy_act(self, i):
         acts.append(i)
@@ -681,19 +682,18 @@ def test_decompose_levi_reaches_the_action_only_through_act(
         finally:
             depth[0] -= 1
 
-    def spy_map(self, k, i):
-        if not depth[0]:
-            outside.append(("action_map", k, i))
-        return action_map(self, k, i)
+    def outside_act(name):
+        real = getattr(ChainComplex, name)
 
-    def spy_monomial(self, i, gens):
-        if not depth[0]:
-            outside.append(("_ad_monomial", i))
-        return ad_monomial(self, i, gens)
+        def spy(self, *args):
+            if not depth[0] or name == "action_map":
+                outside.append(name)
+            return real(self, *args)
+        monkeypatch.setattr(ChainComplex, name, spy)
 
     monkeypatch.setattr(LeviModule, "act", spy_act)
-    monkeypatch.setattr(ChainComplex, "action_map", spy_map)
-    monkeypatch.setattr(ChainComplex, "_ad_monomial", spy_monomial)
+    for name in ("action_map", "_ad_rows", "_ad_monomial"):
+        outside_act(name)
     decompose_levi(osp46_sec7, mod)
     pos, neg = osp46_sec7.algebra.simple_vector_indices()
     roots = osp46_sec7.levi_simple_roots
@@ -702,45 +702,45 @@ def test_decompose_levi_reaches_the_action_only_through_act(
 
 
 def test_levi_action_has_one_owner(osp46_sec7, osp46_natural, monkeypatch):
-    """The complex builds the action of a Levi simple root vector on C_k
-    once per degree: the first decomposition at degree k caches exactly the
-    simple-root maps, and a second consumer at that degree reads them, so
-    it acts on no chain monomial again.  A map runs the exterior action
-    `_ad_monomial` once per monomial of Lambda^k nbar, so a consumer that
-    builds no map calls it never.  The Casimir quabla builds no action map
-    at all: it expands C_l on its own exterior table."""
+    """The complex owns the exterior action of the Levi root vectors, one
+    `_ad_rows` table per degree that the Casimir quabla's root part and
+    every Levi action column read.  The Casimir quabla of degree k builds
+    it, and decomposing H_k and then ker quabla_k at that degree builds no
+    other (`_ad_rows` and `_ad_monomial` never run again); the action
+    columns are the decomposition's own, and the complex caches no action
+    map."""
+    tables, calls = [], []
+    ad_rows, ad_monomial = ChainComplex._ad_rows, ChainComplex._ad_monomial
+
+    def spy_rows(self, ts, j):
+        tables.append(j)
+        return ad_rows(self, ts, j)
+
+    def spy_monomial(self, *args):
+        calls.append(args[0])
+        return ad_monomial(self, *args)
+
+    monkeypatch.setattr(ChainComplex, "_ad_rows", spy_rows)
     an = KostantAnalysis(osp46_sec7, osp46_natural, k_max=2)
     cx, k = an.cx, 1
-    pos, neg = osp46_sec7.algebra.simple_vector_indices()
-    simple = {v[j] for j in osp46_sec7.levi_simple_roots for v in (pos, neg)}
-    i = pos[osp46_sec7.levi_simple_roots[0]]
-    assert cx.action_map(k, i) is cx.action_map(k, i)
-    cx.casimir_quabla(k).merged()
-    assert set(cx._actions) == {(k, i)}
-    mod = an.homology_quotient_module(k)
-    assert mod.dim
-    dec = decompose_levi(osp46_sec7, mod)
-    assert dec.total_dimension == mod.dim
-    assert {key for key in cx._actions if key[0] == k} == {(k, j) for j in simple}
-    calls = []
-    ad_monomial = ChainComplex._ad_monomial
-
-    def spy(self, i, gens):
-        calls.append(gens)
-        return ad_monomial(self, i, gens)
-
-    monkeypatch.setattr(ChainComplex, "_ad_monomial", spy)
-    kerq = an.ker_quabla_module(k)
-    assert kerq.dim
-    assert decompose_levi(osp46_sec7, kerq).total_dimension == kerq.dim
-    assert calls == []
+    an.block_data(k)
+    assert tables.count(k) == 1
+    monkeypatch.setattr(ChainComplex, "_ad_monomial", spy_monomial)
+    for mod in (an.homology_quotient_module(k), an.ker_quabla_module(k)):
+        assert mod.dim
+        assert decompose_levi(osp46_sec7, mod).total_dimension == mod.dim
+    assert tables.count(k) == 1 and calls == []
+    maps = [m for v in vars(cx).values() if isinstance(v, dict) for m in v.values()
+            if isinstance(m, ChainMap)]
+    assert {id(m) for m in maps} == {id(m) for m in (*cx._lower.values(),
+                                                     *cx._raise.values())}
 
 
 def test_levi_act_divides_by_the_map_denominator(gl21):
-    """LeviModule.act is the complex's action map itself; on the full chain
-    space every representative of the coordinate oracle is a unit vector,
-    so its act returns the action map's own columns, here with denominator
-    2."""
+    """LeviModule.act gives the complex's action of A_i as int columns
+    over one den, here above 1: divided by it they are the canonical
+    action map exactly, which the coordinate oracle's act on the full chain
+    space (unit vectors) also returns."""
     p = build_parabolic(gl21, [0])
     cx = ChainComplex(p, build_irrep(gl21, wt(2, 0, 0)), "nbar")
     dens = set()
@@ -748,9 +748,11 @@ def test_levi_act_divides_by_the_map_denominator(gl21):
         mod = full_levi_module(cx, k)
         for i in p.levi_indices:
             amap = cx.action_map(k, i)
-            dens.add(amap.den)
+            cols = LeviModule(cx, k, {}).act(i)
+            dens.update((amap.den, cols.den))
             assert mod.act(i).cols == amap.cols
-            assert LeviModule(cx, k, {}).act(i) is amap
+            assert [{r: Fraction(v, cols.den) for r, v in cols[j].items()}
+                    for j in range(cx.space(k).dim)] == amap.cols
     assert max(dens) > 1
 
 
@@ -1028,8 +1030,9 @@ def test_largest_block_bases_match_the_fraction_oracles():
     """On osp(5|4) with Levi {0,1} and the natural module at k = 3, whose
     blocks reach 67 x 67, the ten largest non-acyclic blocks: the kernel of
     d*_k is, vector for vector, the primitive multiple of oracle_kernel's
-    Fraction basis, and the image of d*_{k+1} is the block's first-come
-    independent columns, found by Fraction elimination."""
+    Fraction basis, and the image of d*_{k+1} is the primitive multiples of
+    the block's first-come independent columns, found by Fraction
+    elimination."""
     k = 3
     p = _parabolic("osp", 5, 2, (0, 1))
     an = KostantAnalysis(p, build_irrep(p.algebra, wt(1, 0, 0, 0)), k_max=k)
@@ -1042,7 +1045,8 @@ def test_largest_block_bases_match_the_fraction_oracles():
         want = oracle_kernel(lower.block(w), len(blocks[w]))
         assert an.basis(k, w, "ker") == [_primitive_vector(u) for u in want]
         cols = linalg.transpose(above.int_block(w))
-        assert an.basis(k, w, "im") == [cols[j] for j in oracle_independent_columns(cols)]
+        assert an.basis(k, w, "im") == [_primitive_vector(list(map(Fraction, cols[j])))
+                                        for j in oracle_independent_columns(cols)]
 
 
 @given(_certificate_cases())
