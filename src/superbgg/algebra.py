@@ -613,20 +613,18 @@ def _build_osp(m: int, n: int, C: Fraction) -> LieSuperalgebra:
         if len(par) != 1:
             raise CrossCheckFailed("weight space with mixed parity")
         xpar = par.pop()
-        rows = []
+        ech = linalg.Echelon()
         for q, r in sorted({pair for p, pq in units
                             for pair in ((pq, bar[p]), (bar[p], pq))}):
             sgn = -1 if (xpar and nat_parity[q]) else 1
-            row = [(bval[bar[r]] if (bar[r], q) == unit else 0)
-                   + (sgn * bval[q] if (bar[q], r) == unit else 0)
-                   for unit in units]
-            if any(row):
-                rows.append(row)
+            ech.add({i: x for i, unit in enumerate(units)
+                     if (x := (bval[bar[r]] if (bar[r], q) == unit else 0)
+                         + (sgn * bval[q] if (bar[q], r) == unit else 0))})
         # primitive int kernel vectors: the RREF kernel vectors times the
-        # lcm of their denominators
-        kernel = linalg.int_kernel(*linalg.int_rref(rows, integral=True), len(units))
+        # lcm of their denominators, sparse over the units
+        kernel = ech.reduce().kernel(range(len(units)))
         for vecnum, vec in enumerate(kernel):
-            mat = {units[i]: x for i, x in enumerate(vec) if x}
+            mat = {units[i]: x for i, x in vec.items()}
             suffix = "" if len(kernel) == 1 else f"_{vecnum}"
             lbl = "X[" + ",".join(str(c) for c in w) + "]" + suffix
             basis.append(BasisElement(lbl, xpar, w, mat))

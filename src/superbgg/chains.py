@@ -15,6 +15,9 @@ are h-equivariant, and are adjoint through the degreewise pairing of
 
 Every operator is a ChainMap of integer columns over one denominator, so
 composing, adding and comparing operators is exact Python-int arithmetic.
+The homology layer reads an operator one weight block at a time, as sparse
+int rows keyed by source index (`ChainMap.rows`, `CasimirQuabla.rows`),
+never as a dense block.
 A product of operators is also a generator of its int columns
 (`_product_columns`), which a reader can take one at a time without
 forming the product.
@@ -208,17 +211,22 @@ class ChainMap:
     def is_zero(self) -> bool:
         return all(not col for col in self.icols)
 
-    def int_block(self, weight: Weight) -> list:
-        """den times the weight block (target rows x source cols): an int
-        matrix with the same kernel, rank and column space as `block`."""
-        rows = self.target.weight_blocks.get(weight, [])
-        cols = self.source.weight_blocks.get(weight, [])
-        rpos = {r: i for i, r in enumerate(rows)}
-        out = [[0] * len(cols) for _ in rows]
-        for cj, j in enumerate(cols):
+    def rows(self, weight: Weight) -> list:
+        """den times the weight block as sparse int rows {source index:
+        nonzero int}, one per target index of the block in order: what the
+        block layer eliminates (`linalg.Echelon`)."""
+        rows = {r: {} for r in self.target.weight_blocks.get(weight, [])}
+        for j in self.source.weight_blocks.get(weight, []):
             for r, v in self.icols[j].items():
-                out[rpos[r]][cj] = v
-        return out
+                rows[r][j] = v
+        return list(rows.values())
+
+    def int_block(self, weight: Weight) -> list:
+        """`rows(weight)` as a dense int matrix (target rows x source cols),
+        with the kernel, rank and column space of `block`: a view for
+        `block` and the tests; the block layer reads `rows`."""
+        cols = self.source.weight_blocks.get(weight, [])
+        return [[row.get(j, 0) for j in cols] for row in self.rows(weight)]
 
     def block(self, weight: Weight) -> list:
         """Dense matrix of the weight block (target rows x source cols): ints
@@ -310,19 +318,27 @@ class CasimirQuabla:
             _add_term(col, j, fs * self.scalar[w])
             yield col
 
-    def int_block(self, weight: Weight) -> list:
-        """D times the weight block (`_scales`): the root block plus the
-        scalar times the identity, an int matrix with the kernel and rank
-        of the exact block, which is what block_data reads."""
-        if self.root is not None and weight not in self.root.source.weight_blocks:
-            raise PreconditionViolated(f"the root part holds no block at {weight}")
+    def rows(self, weight: Weight) -> list:
+        """D times the weight block (`_scales`) as sparse int rows {C_k
+        index: nonzero int}, one per index of the block in order: the root
+        block plus the scalar on the diagonal, with the kernel and rank of
+        the exact block, which is what block_data reads.  A root part on a
+        restricted source has source indices of its own, matched to C_k's
+        through the two lists of the block, which run in the same order."""
+        idxs = self.space.weight_blocks.get(weight, [])
         _, fs, fr = self._scales()
-        n = len(self.space.weight_blocks.get(weight, []))
-        out = ([[fr * v for v in row] for row in self.root.int_block(weight)]
-               if self.root is not None else [[0] * n for _ in range(n)])
-        for i in range(n):
-            out[i][i] += fs * self.scalar[weight]
-        return out
+        rows = {r: {} for r in idxs}
+        if self.root is not None:
+            src = self.root.source.weight_blocks.get(weight)
+            if src is None:
+                raise PreconditionViolated(f"the root part holds no block at {weight}")
+            for j, c in zip(src, idxs, strict=True):
+                for r, v in self.root.icols[j].items():
+                    rows[r][c] = fr * v
+        diag = fs * self.scalar[weight]
+        for r, row in rows.items():
+            _add_term(row, r, diag)
+        return list(rows.values())
 
     def merged(self) -> ChainMap:
         """The two parts summed into one canonical ChainMap."""
@@ -817,7 +833,7 @@ class ChainComplex:
         With `weights`, the root part holds those weight blocks and no
         other column: its source is `_build_space(k, weights)`, as in
         `lower_at`, its table has a row only for the monomials of the
-        source's pairs, and only those blocks' `int_block`s can be read."""
+        source's pairs, and only those blocks' `rows` can be read."""
         terms = self._casimir_terms
         sp = self.space(k)
         # den times the scalar part per weight: an int, or a Fraction where

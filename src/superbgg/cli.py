@@ -29,6 +29,7 @@ from .errors import (
     InputError,
     LengthMismatch,
     ParseError,
+    PreconditionViolated,
     SuperBGGError,
 )
 from .homology import KostantAnalysis
@@ -145,7 +146,10 @@ def _add_common_args(sp):
 
 
 def _algebra_from_args(args):
-    C = Fraction(args.form_normalization)
+    try:
+        C = Fraction(args.form_normalization)
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"bad --form-normalization {args.form_normalization!r}")
     return build_algebra(args.alg, args.m, args.n, C)
 
 
@@ -155,6 +159,8 @@ def _parabolic_from_args(g, args):
         keep = _indices(args.levi)
     elif args.parabolic_drop is not None:
         drop = set(_indices(args.parabolic_drop))
+        if bad := sorted(drop.difference(range(nroots))):     # as build_parabolic
+            raise PreconditionViolated(f"invalid simple root index {bad[0]}")
         keep = [i for i in range(nroots) if i not in drop]
     else:
         keep = []

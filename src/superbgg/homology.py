@@ -26,10 +26,13 @@ vectors and ranks are unchanged by a nonzero scalar per map and per
 weight, which is why decompose_levi reads only int columns and gets the
 same H_w, G_w, certificate and dimensions as exact rational arithmetic.
 
-The homology block layer runs on ints too: images are the primitive
-multiples of the exact block's pivot columns, kernel vectors positive
-multiples of the RREF kernel vectors.  That changes no span, rank or
-intersection.
+The homology block layer runs on ints too, and in the same coordinates:
+a block is eliminated as the operator's sparse int rows at one weight,
+keyed by C_k index (ChainMap.rows, CasimirQuabla.rows), its kernel vectors
+are positive multiples of the RREF kernel vectors over those indices, and
+its images are the primitive multiples of the operator's own columns at
+the pivots.  That changes no span, rank or intersection, and the bases are
+what LeviModule reads, with no conversion.
 
 Homology groups of interest are H_k(nbar, W) = ker(delta*_k)/im(delta*_{k+1})
 computed on Lambda^. nbar (x) W; these are the groups whose induced modules
@@ -127,7 +130,7 @@ import copy
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from . import linalg
 from .algebra import (
@@ -149,10 +152,12 @@ from .errors import (
 from .modules import Module, build_irrep, restrict_adjoint
 
 
-def _quabla_kernels(quab: list, dim: int) -> tuple[list, list]:
+def _quabla_kernels(rows: list, cols: list) -> tuple[list, list]:
     """Bases of ker q and of the generalized zero eigenspace of one int
-    quabla block q (dim x dim), as primitive int vectors.  block_data runs
-    it at the candidate weights alone (module docstring).
+    quabla block q, as sparse primitive int vectors over its indices `cols`
+    (dim of them): `rows` are the rows of q (CasimirQuabla.rows), the one
+    at cols[i] i-th.  block_data runs it at the candidate weights alone
+    (module docstring).
 
     The generalized zero space is ker q^e for any e >= dim.  It is ker q
     exactly when ker q meets im q only in 0, and one rank test decides
@@ -165,22 +170,24 @@ def _quabla_kernels(quab: list, dim: int) -> tuple[list, list]:
     there; an invertible q has no generalized zero space at all.  The
     kernel basis (linalg.Echelon.kernel) is read off the RREF, which the
     kernel alone determines, so it is the basis of ker q^e for every
-    e >= dim.  R Q is a sparse product: row r of R Q is the sum of the
-    sparse rows of Q at the nonzeros of row r of R."""
-    ech = linalg.echelon(quab, integral=True).reduce()
-    kernel = ech.kernel(dim)
+    e >= dim.  R Q and the squarings are sparse products: row r of A B is
+    the sum of the rows of B at the nonzeros of row r of A."""
+    ech = linalg.Echelon(rows).reduce()
+    kernel = ech.kernel(cols)
     if not kernel:
         return [], []
     pivots = sorted(ech.rows)
-    q_piv = [{j: q for j, p in enumerate(pivots) if (q := qrow[p])} for qrow in quab]
+    q = dict(zip(cols, rows, strict=True))
+    q_piv = {i: {j: row[p] for j, p in enumerate(pivots) if p in row}
+             for i, row in q.items()}
     meet = linalg.Echelon(_apply(q_piv, row) for row in ech.rows.values())
     if meet.rank == len(pivots):
         return kernel, kernel
-    gen_zero, power, e = kernel, quab, 1
+    dim, gen_zero, power, e = len(cols), kernel, q, 1
     while e < dim and len(gen_zero) < dim:
-        power = linalg.mat_mul(power, power)
+        power = {i: _apply(power, row) for i, row in power.items()}
         e *= 2
-        grown = linalg.echelon(power, integral=True).reduce().kernel(dim)
+        grown = linalg.Echelon(power.values()).reduce().kernel(cols)
         if len(grown) == len(gen_zero):
             break
         gen_zero = grown
@@ -207,30 +214,23 @@ def _casimir_matcher(cx: ChainComplex):
 
 def _block_kernels(m: ChainMap, weights: list) -> dict:
     """{w: int kernel basis} of the blocks of `m` at those of `weights`
-    that are source weights of `m` (linalg.Echelon.kernel)."""
+    that are source weights of `m`, sparse over the source's indices
+    (linalg.Echelon.kernel)."""
     blocks = m.source.weight_blocks
-    return {w: linalg.echelon(m.int_block(w), integral=True).reduce()
-            .kernel(len(blocks[w])) for w in weights if w in blocks}
+    return {w: linalg.Echelon(m.rows(w)).reduce().kernel(blocks[w])
+            for w in weights if w in blocks}
 
 
 def _block_images(m: ChainMap, weights: list) -> dict:
     """{w: int image basis} of the blocks of `m` at those of `weights` that
     are source weights of `m`: the primitive multiples of the pivot
     columns, i.e. of the block's first-come independent columns (the leads
-    of its row echelon).  Being primitive, they do not depend on the
-    denominator of `m`, which a map restricted to a few blocks may have
-    other than the whole map."""
-    out = {}
-    for w in weights:
-        if w in m.source.weight_blocks:
-            block = m.int_block(w)
-            pivots = sorted(linalg.echelon(block, integral=True).rows)
-            cols = out[w] = []
-            for c in pivots:
-                col = [row[c] for row in block]
-                g = gcd(*col)
-                cols.append([x // g for x in col])
-    return out
+    of its row echelon), which are sparse over the target's indices.  Being
+    primitive, they do not depend on the denominator of `m`, which a map
+    restricted to a few blocks may have other than the whole map."""
+    return {w: [linalg._primitive(m.icols[j])
+                for j in sorted(linalg.Echelon(m.rows(w)).rows)]
+            for w in weights if w in m.source.weight_blocks}
 
 
 def _apply(icols: list, vec: dict) -> dict:
@@ -240,12 +240,6 @@ def _apply(icols: list, vec: dict) -> dict:
     for j, c in vec.items():
         linalg.vec_iadd(out, icols[j], c)
     return out
-
-
-def _ambient_columns(idxs: list, cols: list) -> list:
-    """Dense columns over one weight block (ambient indices `idxs`) as sparse
-    columns over the whole chain space."""
-    return [{idxs[i]: v for i, v in enumerate(col) if v} for col in cols]
 
 
 def _coroots(p: ParabolicDecomposition) -> list:
@@ -465,8 +459,7 @@ def _highest_weight_vectors(mod: LeviModule, weight: Weight, raising: list) -> l
             classes = mod.express(wt_add(weight, root), imgs)
             for t in {t for c in classes for t in c}:
                 ech.add({j: c[t] for j, c in enumerate(classes) if t in c})
-    kernel = ech.reduce().kernel(len(kcols))
-    return [_apply(kcols, {j: c for j, c in enumerate(vec) if c}) for vec in kernel]
+    return [_apply(kcols, vec) for vec in ech.reduce().kernel(range(len(kcols)))]
 
 
 def decompose_levi(p: ParabolicDecomposition, mod: LeviModule) -> LDecomposition:
@@ -638,24 +631,18 @@ class BlockRecord:
 
 
 class _RecordBases(Mapping):
-    """{w: sparse ambient int columns} of the basis `name` of the records of
-    degree k at `weights`, each converted on first read and eliminated
-    there first where block_data formed none (KostantAnalysis.basis)."""
+    """{w: the basis `name` of the record of degree k at w} over `weights`,
+    each eliminated on first read where block_data formed none
+    (KostantAnalysis.basis)."""
 
     def __init__(self, an: "KostantAnalysis", k: int, name: str, weights: list):
         self._an, self._k, self._name = an, k, name
         self._weights = dict.fromkeys(weights)
-        self._cols: dict = {}
 
     def __getitem__(self, w: Weight) -> list:
-        cols = self._cols.get(w)
-        if cols is None:
-            if w not in self._weights:
-                raise KeyError(w)
-            an = self._an
-            cols = self._cols[w] = _ambient_columns(an.cx.space(self._k).weight_blocks[w],
-                                                    an.basis(self._k, w, self._name))
-        return cols
+        if w not in self._weights:
+            raise KeyError(w)
+        return self._an.basis(self._k, w, self._name)
 
     def __contains__(self, w) -> bool:
         return w in self._weights
@@ -694,7 +681,7 @@ class KostantAnalysis:
         """quabla_k by Kostant's Casimir formula, cached per degree, in its
         two parts (`ChainComplex.casimir_quabla`): one int per weight for
         the scalar part, and a ChainMap for the root part, none on a Borel.
-        block_data reads its `int_block`s below k_max, and
+        block_data reads its `rows` below k_max, and
         `cli._internal_checks` compares it with the direct form one column
         at a time.  It is built from C_k alone, where the direct form
         d_{k-1} d*_k + d*_{k+1} d_k would need d_k into C_{k+1}; so the top
@@ -707,7 +694,7 @@ class KostantAnalysis:
         return self._quabla[k]
 
     def _quabla_at(self, k: int, weights: list) -> CasimirQuabla:
-        """A quabla_k whose int_block can be read at `weights`: quabla_map(k)
+        """A quabla_k whose rows can be read at `weights`: quabla_map(k)
         below k_max, and from k_max on one built on their blocks alone,
         owned by the caller."""
         if k < self.k_max:
@@ -744,7 +731,7 @@ class KostantAnalysis:
         quab = self._quabla_at(k, dominant)
         hot = {}
         for w in dominant:
-            kerq, gen_zero = _quabla_kernels(quab.int_block(w), len(blocks[w]))
+            kerq, gen_zero = _quabla_kernels(quab.rows(w), blocks[w])
             if gen_zero:
                 hot[w] = BlockRecord(len(blocks[w]), 0, 0, kerq, gen_zero, w)
         kernels = _block_kernels(self.cx.lower(k), hot)
@@ -811,7 +798,7 @@ class KostantAnalysis:
                 found = {name: _block_images(self.boundary_above(k), [w]).get(w, [])}
             else:
                 found = dict(zip(("ker_quabla", "gen_zero"), _quabla_kernels(
-                    self._quabla_at(k, [w]).int_block(w), d.n)))
+                    self._quabla_at(k, [w]).rows(w), self.cx.space(k).weight_blocks[w])))
             for key, basis in found.items():
                 if len(basis) != getattr(d, "dim_" + key):
                     raise CrossCheckFailed(f"the {key} basis of degree {k} at {w} has "
@@ -954,7 +941,7 @@ class KostantAnalysis:
         if k in self._lower_vals:
             return self._lower_vals[k]
         vals = {i: True for i in range(1, 5)}
-        lower, weight_blocks = self.cx.lower(k).icols, self.cx.space(k).weight_blocks
+        lower = self.cx.lower(k).icols
         for w, d in self.block_data(k).items():
             if d.rep != w:
                 continue
@@ -964,7 +951,7 @@ class KostantAnalysis:
                 vals[1] = False
             if meets if gz == kerq else linalg.spans_meet(im_up, gz):
                 vals[2] = False
-            if any(_apply(lower, col) for col in _ambient_columns(weight_blocks[w], gz)):
+            if any(_apply(lower, col) for col in gz):
                 vals[3] = False
             if d.dim_ker - d.dim_im != d.dim_gen_zero:
                 vals[4] = False

@@ -1,18 +1,21 @@
 """Exact linear algebra over the rationals.
 
-Dense matrices are lists of row lists with int or Fraction entries; sparse
-vectors are {index: value} dicts with no zero values.  The package has one
-elimination, `Echelon`: sparse int rows, fraction-free.  Each row is cleared
-of denominators on the way in, rows are combined with integer multipliers
-(`_eliminate`) and every result is divided by its content (`_primitive`),
-so entries stay small: an integer-preserving elimination in the spirit of
-Bareiss 1968, with content division in place of his exact division by the
-previous pivot.  Every dense entry point (`rref`, `int_rref`, `rank`,
-`independent_columns`, `spans_meet`, `is_positive_definite`, and through
-them `nullspace`, `solve` and `inverse`) turns its rows into sparse int
-rows and runs through it.  Fractions are formed only when a reduced row is
-finally divided by its pivot, and only for the entries that are not
-integral; `int_rref` returns the int rows themselves.
+Sparse vectors are {index: value} dicts with no zero values; dense matrices
+are lists of row lists with int or Fraction entries.  The package has one
+elimination, `Echelon`: sparse int rows, fraction-free.  Rows are combined
+with integer multipliers (`_eliminate`) and every result is divided by its
+content (`_primitive`), so entries stay small: an integer-preserving
+elimination in the spirit of Bareiss 1968, with content division in place
+of his exact division by the previous pivot.  The chain layers hand it
+their sparse int rows as they are, keyed by chain-space index, and read
+its kernels (`Echelon.kernel`) back as sparse int vectors over the same
+indices.  The dense entry points (`rref`, `int_rref`, `rank`,
+`independent_columns`, `is_positive_definite`, and through them
+`nullspace`, `solve` and `inverse`) serve the algebra and module layers:
+each clears its rows of denominators (`_int_vec`) and runs through the
+same elimination.  Fractions are formed only when a reduced row is finally
+divided by its pivot, and only for the entries that are not integral;
+`int_rref` returns the int rows themselves.
 """
 
 from __future__ import annotations
@@ -113,15 +116,12 @@ def _eliminate(v: dict, row: dict, lead: int) -> dict:
     return _primitive(out)
 
 
-def _int_vec(row: list, integral: bool = False) -> dict:
+def _int_vec(row: list) -> dict:
     """A dense row of ints and Fractions as a sparse int row: the row times
-    the lcm of its denominators, a positive multiple.  `integral` promises
-    int entries."""
+    the lcm of its denominators, a positive multiple."""
     vec = {j: x for j, x in enumerate(row) if x}
-    if not integral:
-        den = lcm(1, *(x.denominator for x in vec.values()))
-        vec = {j: x.numerator * (den // x.denominator) for j, x in vec.items()}
-    return vec
+    den = lcm(1, *(x.denominator for x in vec.values()))
+    return {j: x.numerator * (den // x.denominator) for j, x in vec.items()}
 
 
 class Echelon:
@@ -166,42 +166,51 @@ class Echelon:
                     rows[a] = _eliminate(row_a, row_b, b)
         return self
 
-    def kernel(self, ncols: int) -> list:
-        """Nullspace basis of the reduced rows, as dense int vectors: for
-        each free column f, L times the RREF kernel vector (1 at f, 0 at the
-        other free columns), so v[f] = L and v[c] = -row[f] * L / row[c]
-        for the row with lead c.  L, the lcm of row[c] / gcd(row[c],
-        row[f]), is the least that makes v integral, and then v is
-        primitive."""
+    def kernel(self, cols) -> list:
+        """Nullspace basis of the reduced rows over the indices `cols` (in
+        increasing order, holding every index of the rows), as sparse
+        primitive int vectors in ascending key order: for each free index f
+        of `cols`, L times the RREF kernel vector (1 at f, 0 at the other
+        free indices), so v[f] = L and v[c] = -row[f] * L / row[c] for the
+        row with lead c < f.  L, the lcm of row[c] / gcd(row[c], row[f]),
+        is the least that makes v integral, and then v is primitive."""
         hits: dict = {}
-        for c, row in self.rows.items():
+        for c in sorted(self.rows):
+            row = self.rows[c]
             p = row[c]
             for f, x in row.items():
                 if f != c:
                     hits.setdefault(f, []).append((x, p, c))
         basis = []
-        for f in range(ncols):
+        for f in cols:
             if f in self.rows:
                 continue
             fh = hits.get(f, ())
             mult = lcm(1, *(p // gcd(p, x) for x, p, _ in fh))
-            v = [0] * ncols
+            v = {c: -x * mult // p for x, p, c in fh}
             v[f] = mult
-            for x, p, c in fh:
-                v[c] = -x * mult // p
             basis.append(v)
         return basis
 
 
-def echelon(mat: list, integral: bool = False) -> Echelon:
-    """The Echelon of the rows of a dense matrix of ints and Fractions;
-    `integral` promises int entries."""
-    return Echelon(_int_vec(row, integral) for row in mat)
+def spans_meet(cols_a: list, cols_b: list) -> bool:
+    """Whether span(cols_a) and span(cols_b) share a nonzero vector, for
+    independent lists A and B of sparse int vectors: whether one of A then
+    B is dependent on the vectors before it."""
+    if not (cols_a and cols_b):
+        return False
+    ech = Echelon()
+    return any(ech.add(col) is None for col in cols_a + cols_b)
 
 
 # ---------------------------------------------------------------------------
-# dense entry points
+# dense entry points, for the algebra and module layers
 # ---------------------------------------------------------------------------
+
+def echelon(mat: list) -> Echelon:
+    """The Echelon of the rows of a dense matrix of ints and Fractions."""
+    return Echelon(_int_vec(row) for row in mat)
+
 
 def rref(mat: list) -> tuple[list, list]:
     """Reduced row echelon form (copy) and the list of pivot columns.
@@ -217,15 +226,15 @@ def rref(mat: list) -> tuple[list, list]:
     return out, pivots
 
 
-def int_rref(mat: list, integral: bool = False) -> tuple[list, list]:
+def int_rref(mat: list) -> tuple[list, list]:
     """Fraction-free reduced echelon form: (rows, pivots) with `rows[r]` a
     primitive int row, positive at `pivots[r]` and zero in every other
     pivot column.
 
     Row r of rref(mat) is rows[r] / rows[r][pivots[r]]; zero rows are
-    dropped; `integral` promises int entries."""
+    dropped."""
     ncols = len(mat[0]) if mat else 0
-    rows = echelon(mat, integral).reduce().rows
+    rows = echelon(mat).reduce().rows
     pivots = sorted(rows)
     return [[rows[c].get(j, 0) for j in range(ncols)] for c in pivots], pivots
 
@@ -234,22 +243,15 @@ def rank(mat: list) -> int:
     return echelon(mat).rank
 
 
-def int_kernel(rows: list, pivots: list, ncols: int) -> list:
-    """Nullspace basis read off (rows, pivots) = int_rref(mat), as primitive
-    int vectors (`Echelon.kernel`)."""
-    ech = Echelon()
-    ech.rows = {pc: _int_vec(row, integral=True) for row, pc in zip(rows, pivots)}
-    return ech.kernel(ncols)
-
-
 def nullspace(mat: list, ncols: int | None = None) -> list:
-    """Basis of {x : mat.x = 0}, the RREF kernel vectors as Fractions: each
-    int_kernel vector divided by its last nonzero entry, the one at its
-    free column (a pivot with a nonzero entry there lies left of it)."""
+    """Basis of {x : mat.x = 0}, the RREF kernel vectors as dense Fraction
+    rows: each `Echelon.kernel` vector divided by its entry at its free
+    column, its last key."""
+    n = len(mat[0]) if mat else ncols or 0
     out = []
-    for v in int_kernel(*int_rref(mat), len(mat[0]) if mat else ncols or 0):
-        last = next(x for x in reversed(v) if x)
-        out.append([Fraction(x, last) for x in v])
+    for v in echelon(mat).reduce().kernel(range(n)):
+        last = v[next(reversed(v))]
+        out.append([Fraction(v.get(j, 0), last) for j in range(n)])
     return out
 
 
@@ -283,16 +285,6 @@ def independent_columns(cols: list) -> list:
     those that an Echelon of the columns before them does not span."""
     ech = Echelon()
     return [j for j, col in enumerate(cols) if ech.add(_int_vec(col)) is not None]
-
-
-def spans_meet(cols_a: list, cols_b: list) -> bool:
-    """Whether span(cols_a) and span(cols_b) share a nonzero vector, for
-    independent int column lists A and B: whether one of A then B is
-    dependent on the vectors before it."""
-    if not (cols_a and cols_b):
-        return False
-    ech = Echelon()
-    return any(ech.add(_int_vec(col, integral=True)) is None for col in cols_a + cols_b)
 
 
 def is_positive_definite(gram: list) -> bool:

@@ -25,6 +25,16 @@ F0 = Fraction(0)
 F1 = Fraction(1)
 
 
+def dense_rows(vecs, idxs):
+    """Sparse vectors as dense rows over the indices `idxs`."""
+    return [[vec.get(i, 0) for i in idxs] for vec in vecs]
+
+
+def sparse_rows(rows, idxs):
+    """Dense rows over the indices `idxs` as sparse vectors, zeros dropped."""
+    return [{i: x for i, x in zip(idxs, row) if x} for row in rows]
+
+
 def rank_dense(rows):
     """Row rank by plain elimination in Fraction arithmetic (independent of
     superbgg.linalg); int rows are converted, never divided as floats."""
@@ -679,7 +689,7 @@ class CoordinateLeviModule:
                 aug[pos[gidx]][j] = v
         for i in range(n):
             aug[i][c + i] = 1
-        rows, pivots = linalg.int_rref(aug, integral=True)
+        rows, pivots = linalg.int_rref(aug)
         rank = sum(1 for pc in pivots if pc < c)
         den = lcm(1, *(rows[r][pivots[r]] for r in range(rank)))
         ecols = [{} for _ in range(n)]
@@ -755,7 +765,7 @@ def every_weight_blocks(an, k):
     acyclic recursion: the Casimir quabla, d*_k and d*_{k+1}, each built
     whole, eliminated at every weight by the package's per-block
     routines, as {w: {"acyclic", "ker_quabla", "gen_zero", "ker", "im"}}
-    in weight_key order (int bases over the weight block)."""
+    in weight_key order (sparse int bases over C_k's indices)."""
     from superbgg.homology import _block_images, _block_kernels, _quabla_kernels
     cx = an.cx
     blocks = cx.space(k).weight_blocks
@@ -765,7 +775,7 @@ def every_weight_blocks(an, k):
     images = _block_images(cx.lower(k + 1), weights)
     out = {}
     for w in weights:
-        kerq, gen_zero = _quabla_kernels(quab.int_block(w), len(blocks[w]))
+        kerq, gen_zero = _quabla_kernels(quab.rows(w), blocks[w])
         out[w] = {"acyclic": not gen_zero, "ker_quabla": kerq, "gen_zero": gen_zero,
                   "ker": kernels[w], "im": images.get(w, [])}
     return out
@@ -777,6 +787,7 @@ def every_weight_statements(an, k):
     lies in ker d*_k, by the Fraction rank of the two bases stacked."""
     from superbgg.homology import _block_images, _block_kernels
     cx = an.cx
+    blocks = cx.space(k).weight_blocks
     data = every_weight_blocks(an, k)
     hot = [w for w, d in data.items() if not d["acyclic"]]
     ker_raise = _block_kernels(cx.raise_(k), hot)
@@ -786,7 +797,8 @@ def every_weight_statements(an, k):
         d, below = data[w], im_below.get(w, [])
         tests = {1: not linalg.spans_meet(d["im"], d["ker_quabla"]),
                  2: not linalg.spans_meet(d["im"], d["gen_zero"]),
-                 3: rank_dense(d["ker"] + d["gen_zero"]) == len(d["ker"]),
+                 3: rank_dense(dense_rows(d["ker"] + d["gen_zero"], blocks[w]))
+                 == len(d["ker"]),
                  4: len(d["ker"]) - len(d["im"]) == len(d["gen_zero"]),
                  5: not linalg.spans_meet(below, d["ker_quabla"]),
                  6: len(ker_raise[w]) - len(below) == len(d["gen_zero"]),
@@ -801,11 +813,7 @@ def _subspace_module(an, k, key):
     """The l-stable subspace of C_k spanned by the block bases `key` of
     every_weight_blocks(an, k), in weight_key order, as a
     CoordinateLeviModule."""
-    weight_blocks = an.cx.space(k).weight_blocks
-    reps = []
-    for w, d in every_weight_blocks(an, k).items():
-        idxs = weight_blocks[w]
-        reps.extend({idxs[i]: v for i, v in enumerate(col) if v} for col in d[key])
+    reps = [col for d in every_weight_blocks(an, k).values() for col in d[key]]
     return CoordinateLeviModule(an.cx, k, reps)
 
 
@@ -831,11 +839,9 @@ def homology_quotient(an, k):
         if d["acyclic"]:
             acyclic.add(w)
             continue
-        idxs, im = weight_blocks[w], d["im"]
-        modulo[w] = [{idxs[i]: v for i, v in enumerate(col) if v} for col in im]
-        chosen = linalg.independent_columns(im + d["ker"])
-        reps.extend({idxs[i]: v for i, v in enumerate(d["ker"][c - len(im)]) if v}
-                    for c in chosen if c >= len(im))
+        im = modulo[w] = d["im"]
+        chosen = linalg.independent_columns(dense_rows(im + d["ker"], weight_blocks[w]))
+        reps.extend(d["ker"][c - len(im)] for c in chosen if c >= len(im))
     return CoordinateLeviModule(an.cx, k, reps, modulo, frozenset(acyclic))
 
 

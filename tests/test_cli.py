@@ -210,6 +210,44 @@ def _spied_analysis(monkeypatch) -> list:
     return built
 
 
+@pytest.mark.parametrize("qid", ["natural-osp54-k3", "borel-gl32-k4"])
+def test_block_layer_runs_on_sparse_vectors(capsys, monkeypatch, qid):
+    """The block layer eliminates each block as sparse int rows and keeps
+    its bases in C_k's own indices: through the benchmark query, no dense
+    block is formed (ChainMap.int_block) and `homology` multiplies no dense
+    matrices (linalg.mat_mul), and every basis vector block_data holds is
+    an int dict whose keys lie in its weight block of C_k."""
+    from superbgg import chains, linalg
+    dense = []
+    int_block, mat_mul = chains.ChainMap.int_block, linalg.mat_mul
+
+    def spy_block(self, w):
+        dense.append("int_block")
+        return int_block(self, w)
+
+    def spy_mul(a, b):
+        if sys._getframe(1).f_globals["__name__"] == "superbgg.homology":
+            dense.append("mat_mul")
+        return mat_mul(a, b)
+    monkeypatch.setattr(chains.ChainMap, "int_block", spy_block)
+    monkeypatch.setattr(linalg, "mat_mul", spy_mul)
+    built = _spied_analysis(monkeypatch)
+    code, _ = run_cli(capsys, *_benchmark_argv(qid))
+    (an,) = built
+    assert code == 0 and dense == []
+    vectors = 0
+    for k, data in an._blockdata.items():
+        blocks = an.cx.space(k).weight_blocks
+        for w, d in data.items():
+            block = set(blocks[w])
+            for name in ("ker", "im", "ker_quabla", "gen_zero"):
+                for vec in getattr(d, name) or ():
+                    assert type(vec) is dict and vec and vec.keys() <= block
+                    assert all(type(x) is int and x for x in vec.values())
+                    vectors += 1
+    assert vectors > 0
+
+
 @pytest.mark.parametrize("argv, borel", [
     (_benchmark_argv("borel-gl32-k4"), True),
     (QUABLA_ARGV[2], False),
@@ -630,6 +668,54 @@ def test_negative_sizes_rejected(capsys, monkeypatch, argv):
     assert code == 2
     assert captured.out == ""
     assert "input error" in captured.err and "non-negative" in captured.err
+    assert built == []
+
+
+@pytest.mark.parametrize("command", [
+    ["alg", "info"], ["rep", "build", "--weight", "1,0|0"],
+    ["homology", "--weight", "1,0|0"], ["bgg", "check", "--weight", "1,0|0"]])
+@pytest.mark.parametrize("value", ["abc", "1/0"])
+def test_bad_form_normalization_rejected(capsys, monkeypatch, command, value):
+    """A --form-normalization that is not an exact rational is an input
+    error (exit 2) raised before any algebra is built, not a traceback."""
+    from superbgg import algebra
+    built = []
+    for name in ("_build_gl", "_build_osp"):
+        monkeypatch.setattr(algebra, name, lambda *a: built.append(a))
+    code = main(command + ["--alg", "gl", "--m", "2", "--n", "1",
+                           "--form-normalization", value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"input error: bad --form-normalization {value!r}\n"
+    assert built == []
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--parabolic-drop", "7"), ("--parabolic-drop", "-1"), ("--parabolic-drop", "0,3"),
+    ("--levi", "5")])
+@pytest.mark.parametrize("command", [["homology"], ["bgg", "check"]])
+def test_out_of_range_simple_root_index_rejected(capsys, monkeypatch, command, flag,
+                                                 value):
+    """On gl(2|1), with simple root indices 0 and 1, a dropped index out of
+    range is an input error (exit 2) raised before any module is built,
+    with the message a kept one gets, rather than a run of another
+    parabolic."""
+    from superbgg import bgg, cli, modules
+    built = []
+
+    def refuse(*args, **kwargs):
+        built.append(args)
+        raise RuntimeError("an irrep was built")
+    for mod in (modules, cli, bgg):
+        monkeypatch.setattr(mod, "build_irrep", refuse)
+    code = main(command + ["--alg", "gl", "--m", "2", "--n", "1", flag, value,
+                           "--weight", "1,0|0", "--kmax", "1"])
+    captured = capsys.readouterr()
+    bad = [i for i in map(int, value.split(",")) if not 0 <= i < 2]
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"input error: invalid simple root index {bad[0]}\n"
     assert built == []
 
 

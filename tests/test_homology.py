@@ -17,6 +17,7 @@ from oracles import (
     casimir_match,
     coordinate_decomposition,
     decompose_levi_hw_only,
+    dense_rows,
     euler_check,
     exact_values,
     full_levi_module,
@@ -35,6 +36,7 @@ from oracles import (
     oracle_levi_generated_dims,
     oracle_map_product,
     rank_dense,
+    sparse_rows,
     whole_map_checks,
     zeros,
 )
@@ -923,23 +925,27 @@ def test_quabla_kernels_match_oracle(quab, squarings, monkeypatch):
     """ker q and the generalized zero space ker q^dim of one quabla block
     equal the oracle's bases; squaring stops once the kernel stops growing,
     and a block that is invertible or whose kernel meets its image only in
-    0 (ker q = ker q^2, decided by one rank test) squares not at all."""
+    0 (ker q = ker q^2, decided by one rank test) squares not at all.  The
+    block is handed over as sparse rows and each power's kernel is one
+    `Echelon.kernel` after the first, so the kernels read count the
+    squarings."""
     dim = len(quab)
     calls = []
-    mat_mul = linalg.mat_mul
+    kernel = Echelon.kernel
 
-    def spy(a, b):
-        calls.append(len(a))
-        return mat_mul(a, b)
+    def spy(self, cols):
+        calls.append(len(cols))
+        return kernel(self, cols)
 
-    monkeypatch.setattr(linalg, "mat_mul", spy)
-    kerq, gen_zero = _quabla_kernels(quab, dim)
+    monkeypatch.setattr(Echelon, "kernel", spy)
+    idxs = range(dim)
+    kerq, gen_zero = _quabla_kernels(sparse_rows(quab, idxs), idxs)
     power = quab
     for _ in range(dim - 1):
         power = oracle_map_product(power, quab, dim)
-    assert kerq == oracle_kernel(quab, dim)
-    assert gen_zero == oracle_kernel(power, dim)
-    assert len(calls) == squarings
+    assert kerq == sparse_rows(oracle_kernel(quab, dim), idxs)
+    assert gen_zero == sparse_rows(oracle_kernel(power, dim), idxs)
+    assert len(calls) - 1 == squarings
 
 
 def test_half_integral_weight_keys_blocks(gl21, gl21_borel):
@@ -995,10 +1001,10 @@ def test_weights_are_built_in_normal_form(kind, m, n, levi, lam):
 # ---------------------------------------------------------------------------
 
 def test_block_layer_holds_only_ints(levi_case):
-    """block_data's bases and the predicate values hold no Fraction; at a
-    non-acyclic block the kernels of d*_k equal, vector for vector, the
-    primitive multiples of nullspace's Fraction kernels, and at an acyclic
-    block the recorded count is their number."""
+    """block_data's bases (sparse dicts) and the predicate values hold no
+    Fraction; at a non-acyclic block the kernels of d*_k equal, vector for
+    vector, the primitive multiples of nullspace's Fraction kernels, and at
+    an acyclic block the recorded count is their number."""
     p, an = levi_case
     for k in (0, 1):
         data = an.block_data(k)
@@ -1007,23 +1013,24 @@ def test_block_layer_holds_only_ints(levi_case):
             keys = ("ker_quabla", "gen_zero") if d.acyclic else \
                 ("ker", "im", "ker_quabla", "gen_zero")
             for key in keys:
-                assert all(type(x) is int for v in an.basis(k, w, key) for x in v)
-            lower = an.cx.lower(k)
+                assert all(type(v) is dict and all(type(x) is int for x in v.values())
+                           for v in an.basis(k, w, key))
+            lower, idxs = an.cx.lower(k), an.cx.space(k).weight_blocks[w]
             blk = lower.block(w)
-            want = linalg.nullspace(blk, ncols=len(an.cx.space(k).weight_blocks[w]))
+            want = linalg.nullspace(blk, ncols=len(idxs))
             if d.acyclic:
                 assert d.dim_ker == len(want)
             else:
-                assert an.basis(k, w, "ker") == [_primitive_vector(u) for u in want]
+                assert an.basis(k, w, "ker") == [_primitive_vector(u, idxs) for u in want]
         assert all(type(v) is bool for v in rep.values.values())
         assert all(type(v) is bool for v in an._lower_statements(k).values())
 
 
-def _primitive_vector(vec):
-    """The primitive int multiple, of positive sign, of a Fraction vector."""
+def _primitive_vector(vec, idxs):
+    """The primitive int multiple, of positive sign, of a Fraction vector
+    over the indices `idxs`, as a sparse vector keyed by them."""
     den = math.lcm(*(x.denominator for x in vec))
-    col = _primitive({i: int(x * den) for i, x in enumerate(vec) if x})
-    return [col.get(i, 0) for i in range(len(vec))]
+    return _primitive({i: int(x * den) for i, x in zip(idxs, vec) if x})
 
 
 def test_largest_block_bases_match_the_fraction_oracles():
@@ -1043,10 +1050,11 @@ def test_largest_block_bases_match_the_fraction_oracles():
     lower, above = an.cx.lower(k), an.boundary_above(k)
     for w in largest:
         want = oracle_kernel(lower.block(w), len(blocks[w]))
-        assert an.basis(k, w, "ker") == [_primitive_vector(u) for u in want]
+        assert an.basis(k, w, "ker") == [_primitive_vector(u, blocks[w]) for u in want]
         cols = linalg.transpose(above.int_block(w))
-        assert an.basis(k, w, "im") == [_primitive_vector(list(map(Fraction, cols[j])))
-                                        for j in oracle_independent_columns(cols)]
+        assert an.basis(k, w, "im") == [
+            _primitive_vector(list(map(Fraction, cols[j])), blocks[w])
+            for j in oracle_independent_columns(cols)]
 
 
 @given(_certificate_cases())
@@ -1123,7 +1131,9 @@ def test_statement_3_matches_rank_oracle(case):
     L(0,0|-1), is one where (3) fails at k = 1."""
     _, an, k = _case_analysis(case)
     for j in range(k + 1):
-        want = all(rank_dense(an.basis(j, w, "ker") + an.basis(j, w, "gen_zero"))
+        blocks = an.cx.space(j).weight_blocks
+        want = all(rank_dense(dense_rows(an.basis(j, w, "ker") + an.basis(j, w, "gen_zero"),
+                                         blocks[w]))
                    == d.dim_ker for w, d in an.block_data(j).items() if not d.acyclic)
         assert an._lower_statements(j)[3] is want
 
@@ -1207,7 +1217,7 @@ def test_blocks_outside_the_candidates_are_invertible(case):
         assert casimir <= candidates <= blocks.keys()
         for w, idxs in blocks.items():
             if w not in candidates:
-                assert _quabla_kernels(quab.int_block(w), len(idxs)) == ([], [])
+                assert _quabla_kernels(quab.rows(w), idxs) == ([], [])
 
 
 @given(_certificate_cases(), st.sampled_from(["none", "scalar", "boundary"]),
@@ -1215,7 +1225,7 @@ def test_blocks_outside_the_candidates_are_invertible(case):
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 def test_casimir_parts_and_streamed_checks_match_whole_maps(case, perturb, seed):
     """On small random inputs, irreps and Kac modules alike, the Casimir
-    parts' int_block(w) is a positive multiple of the merged map's block at
+    parts' rows(w) are a positive multiple of the merged map's block at
     every weight of every degree.  The cross-check flags read one column at
     a time (`cli._internal_checks`) equal those of whole composed maps
     (`oracles.whole_map_checks`): on the analysis as built, where both
@@ -1224,8 +1234,8 @@ def test_casimir_parts_and_streamed_checks_match_whole_maps(case, perturb, seed)
     p, an, k = _case_analysis(case)
     for j in range(k + 1):
         parts, merged = an.quabla_map(j), an.cx.casimir_quabla(j).merged()
-        for w in an.cx.space(j).weight_blocks:
-            got, exact = parts.int_block(w), merged.block(w)
+        for w, idxs in an.cx.space(j).weight_blocks.items():
+            got, exact = dense_rows(parts.rows(w), idxs), merged.block(w)
             c = next((Fraction(x, 1) / y for grow, erow in zip(got, exact)
                       for x, y in zip(grow, erow) if y), Fraction(1))
             assert c > 0 and got == [[c * y for y in row] for row in exact]
@@ -1425,14 +1435,14 @@ def test_operator_blocks_eliminated_once_per_non_acyclic_reader(
     an = KostantAnalysis(build_parabolic(gl21, list(levi)),
                          build_irrep(gl21, wt(*lam)), k_max=k_max)
     seen, alive = [], []
-    int_block = ChainMap.int_block
+    rows = ChainMap.rows
 
     def spy(self, w):
         seen.append((id(self), w))
         alive.append(self)          # no later map reuses the id of a freed one
-        return int_block(self, w)
+        return rows(self, w)
 
-    monkeypatch.setattr(ChainMap, "int_block", spy)
+    monkeypatch.setattr(ChainMap, "rows", spy)
     for k in range(k_max + 1):
         an.homology(k)
     an.predicate_summary()
@@ -1659,18 +1669,16 @@ def test_levi_even_simple_roots_need_no_levi_algebra(alg, levi):
 
 
 def _work_counts(monkeypatch, alg, levi, lam, k_max, command) -> dict:
-    """Calls of the block layer's per-weight routines, and the basis
-    vectors converted to ambient columns, through one CLI-shaped run:
-    homology and decompositions of every degree, and the predicate
-    summary for "bgg"."""
+    """Calls of the block layer's per-weight routines through one
+    CLI-shaped run: homology and decompositions of every degree, and the
+    predicate summary for "bgg"."""
     from superbgg import homology
     counts = dict.fromkeys(("_quabla_kernels", "_highest_weight_vectors"), 0)
-    counts["_ambient_columns"] = 0
     for name in counts:
         real = getattr(homology, name)
 
         def spy(*args, _real=real, _name=name):
-            counts[_name] += len(args[1]) if _name == "_ambient_columns" else 1
+            counts[_name] += 1
             return _real(*args)
         monkeypatch.setattr(homology, name, spy)
     p = _parabolic(*alg, levi)
@@ -1686,13 +1694,11 @@ def _work_counts(monkeypatch, alg, levi, lam, k_max, command) -> dict:
 
 def test_work_counts_on_the_benchmark_queries(monkeypatch):
     """On `natural-osp54-k3` (W(l_0) = W(B1) x W(C2)) the quabla blocks are
-    eliminated at the 50 dominant candidates of 274, the highest weights
-    searched at 9 dominant weights of 19, and 108 basis vectors of 832
-    converted to ambient columns; on `borel-gl32-k4`, where W(l_0) is
-    trivial, the first two stay at 107 and 50."""
+    eliminated at the 50 dominant candidates of 274 and the highest weights
+    searched at 9 dominant weights of 19; on `borel-gl32-k4`, where W(l_0)
+    is trivial, they stay at 107 and 50."""
     natural = _work_counts(monkeypatch, ("osp", 5, 2), (1, 2, 3), (1, 0, 0, 0), 3, "bgg")
-    assert natural == {"_quabla_kernels": 50, "_highest_weight_vectors": 9,
-                       "_ambient_columns": 108}
+    assert natural == {"_quabla_kernels": 50, "_highest_weight_vectors": 9}
     borel = _work_counts(monkeypatch, ("gl", 3, 2), (), (1, 0, 0, 0, 0), 4, "homology")
     assert (borel["_quabla_kernels"], borel["_highest_weight_vectors"]) == (107, 50)
 

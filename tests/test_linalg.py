@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (identity, oracle_intersection_dim, oracle_kernel,
-                     oracle_positive_definite, oracle_rref, rank_dense)
+                     oracle_positive_definite, oracle_rref, rank_dense, sparse_rows)
 from superbgg import linalg
 from superbgg.linalg import Echelon, _primitive
 
@@ -56,11 +56,11 @@ def test_independent_columns_first_come():
 
 
 def test_spans_meet():
-    a = [[1, 0, 0], [0, 1, 0]]
-    b = [[0, 1, 0], [0, 0, 1]]
+    a = [{0: 1}, {1: 1}]
+    b = [{1: 1}, {2: 1}]
     assert linalg.spans_meet(a, b)
-    assert not linalg.spans_meet(a, [[0, 0, 1]])
-    assert linalg.spans_meet(a, [[2, -3, 0]])
+    assert not linalg.spans_meet(a, [{2: 1}])
+    assert linalg.spans_meet(a, [{0: 2, 1: -3}])
     assert not linalg.spans_meet(a, []) and not linalg.spans_meet([], b)
 
 
@@ -175,7 +175,8 @@ def test_int_rref_scales_the_exact_rref(m):
 def test_rref_pivots_and_kernel_basis_match_oracles(m):
     """The RREF pivots are the first-come independent columns (so a block's
     pivot columns are its image basis), and nullspace, read off the int
-    RREF by int_kernel, is the oracle's kernel basis vector for vector."""
+    RREF by Echelon.kernel, is the oracle's kernel basis vector for
+    vector."""
     ncols = len(m[0]) if m else 0
     red, pivots = linalg.rref(m)
     cols = [[row[c] for row in m] for c in range(ncols)]
@@ -195,20 +196,23 @@ def _primitive_multiple(vec):
 
 @given(matrices())
 @settings(max_examples=200, deadline=None)
-def test_int_kernel_is_the_primitive_oracle_kernel(m):
-    """int_kernel's vectors, read off int_rref, are the positive primitive
-    multiples of the oracle's kernel basis (1 at the free column), vector
-    for vector."""
+def test_echelon_kernel_is_the_primitive_oracle_kernel(m):
+    """Echelon.kernel's vectors, read off the reduced rows, are sparse over
+    the given indices, in ascending key order, and the positive primitive
+    multiples of the oracle's kernel basis (1 at the free column, the last
+    key), vector for vector."""
     ncols = len(m[0]) if m else 0
-    rows, pivots = linalg.int_rref(m) if m else ([], [])
-    got = linalg.int_kernel(rows, pivots, ncols)
+    ech = linalg.echelon(m).reduce()
+    got = ech.kernel(range(ncols))
     want = oracle_kernel(m, ncols)
     assert len(got) == len(want)
     for v, u in zip(got, want):
-        assert all(type(x) is int for x in v) and math.gcd(*v) == 1
-        assert v == _primitive_multiple(u)
-        f = next(c for c in range(ncols) if u[c] == 1 and c not in pivots)
-        assert v[f] > 0 and [F(x, v[f]) for x in v] == u
+        assert list(v) == sorted(v) and all(type(x) is int and x for x in v.values())
+        assert math.gcd(*v.values()) == 1
+        dense = [v.get(c, 0) for c in range(ncols)]
+        assert dense == _primitive_multiple(u)
+        f = next(c for c in range(ncols) if u[c] == 1 and c not in ech.rows)
+        assert f == max(v) and v[f] > 0 and [F(x, v[f]) for x in dense] == u
 
 
 @st.composite
@@ -237,7 +241,9 @@ def test_spans_meet_matches_intersection_oracle(pair):
     """The rank test says two independent lists meet exactly when the
     Fraction-kernel oracle finds a nonzero intersection."""
     a, b = pair
-    assert linalg.spans_meet(a, b) == (oracle_intersection_dim(a, b) > 0)
+    idxs = range(len((a + b)[0])) if a + b else ()
+    assert linalg.spans_meet(sparse_rows(a, idxs), sparse_rows(b, idxs)) == (
+        oracle_intersection_dim(a, b) > 0)
 
 
 @given(matrices())
