@@ -22,7 +22,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
@@ -92,13 +91,15 @@ def wt_str(a: Weight, r: int) -> str:
 # basis elements and the algebra container
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class BasisElement:
-    label: str
-    parity: int            # 0 even, 1 odd
-    root: Weight           # zero weight for Cartan elements
-    matrix: dict           # {(row, col): int or Fraction} on the natural module
-    is_cartan: bool = False
+    """A basis matrix: `parity` 0 even, 1 odd; `root` the zero weight for a
+    Cartan element; `matrix` {(row, col): int or Fraction} on the natural
+    module."""
+
+    def __init__(self, label: str, parity: int, root: Weight, matrix: dict,
+                 is_cartan: bool = False):
+        self.label, self.parity, self.root, self.matrix = label, parity, root, matrix
+        self.is_cartan = is_cartan
 
 
 def _row_index(matrix: dict) -> dict:
@@ -123,27 +124,27 @@ def _mat_mul_sparse(a: dict, by_row: dict) -> dict:
     return out
 
 
-@dataclass
 class LieSuperalgebra:
-    """A basic classical matrix Lie superalgebra (or a subalgebra of one)."""
+    """A basic classical matrix Lie superalgebra (or a subalgebra of one).
 
-    kind: str                      # 'gl' or 'osp' (subalgebras keep the parent kind)
-    m: int
-    n: int
-    r: int                         # number of epsilon coordinates
-    s: int                         # number of delta coordinates
-    basis: list
-    simple_roots: list             # Weights, distinguished system
-    form_normalization: Fraction
-    nat_parity: list               # parity of each natural-module basis vector
-    nat_weight: list               # weight of each natural-module basis vector
-    coord_index: list              # natural index realizing each unit coordinate
-    name: str = ""
-    bracket_table: dict = field(default_factory=dict, repr=False)
-    gram: list = field(default_factory=list, repr=False)
-    _expand_cache: dict = field(default_factory=dict, repr=False)
-    _coord_cache: dict = field(default_factory=dict, repr=False)
-    _adjoint_cache: dict = field(default_factory=dict, repr=False)
+    `kind` is 'gl' or 'osp' (subalgebras keep the parent kind), `r` and `s`
+    the numbers of epsilon and delta coordinates, `simple_roots` the
+    distinguished system; `nat_parity` and `nat_weight` give each natural
+    module basis vector, `coord_index` the natural index realizing each unit
+    coordinate."""
+
+    def __init__(self, kind: str, m: int, n: int, r: int, s: int, basis: list,
+                 simple_roots: list, form_normalization: Fraction, nat_parity: list,
+                 nat_weight: list, coord_index: list, name: str = "",
+                 bracket_table: dict | None = None, gram: list | None = None):
+        self.kind, self.m, self.n, self.r, self.s = kind, m, n, r, s
+        self.basis, self.simple_roots, self.name = basis, simple_roots, name
+        self.form_normalization = form_normalization
+        self.nat_parity, self.nat_weight = nat_parity, nat_weight
+        self.coord_index = coord_index
+        self.bracket_table = {} if bracket_table is None else bracket_table
+        self.gram = [] if gram is None else gram
+        self._expand_cache, self._coord_cache, self._adjoint_cache = {}, {}, {}
 
     # -- basic queries ------------------------------------------------------
 
@@ -730,17 +731,17 @@ def build_algebra(kind: str, m: int, n: int, C=1, strict: bool = True) -> LieSup
 # parabolic decompositions
 # ---------------------------------------------------------------------------
 
-@dataclass
 class ParabolicDecomposition:
-    """g = nbar + l + n determined by a subset of the simple roots."""
+    """g = nbar + l + n determined by a subset of the simple roots;
+    `dual_pairing` holds for each a xi_a^# as {nbar basis index: coefficient}."""
 
-    algebra: LieSuperalgebra
-    levi_simple_roots: tuple
-    nbar_indices: list
-    levi_indices: list
-    n_indices: list
-    dual_pairing: list          # for each a: xi_a^# as {nbar basis index: coefficient}
-    _levi_cache: dict = field(default_factory=dict, repr=False)
+    def __init__(self, algebra: LieSuperalgebra, levi_simple_roots: tuple,
+                 nbar_indices: list, levi_indices: list, n_indices: list,
+                 dual_pairing: list):
+        self.algebra, self.levi_simple_roots = algebra, levi_simple_roots
+        self.nbar_indices, self.levi_indices = nbar_indices, levi_indices
+        self.n_indices, self.dual_pairing = n_indices, dual_pairing
+        self._levi_cache = {}
 
     @property
     def n_odd(self) -> list:
@@ -809,13 +810,13 @@ def build_parabolic(g: LieSuperalgebra, levi_simple_roots) -> ParabolicDecomposi
 # adjoint operations
 # ---------------------------------------------------------------------------
 
-@dataclass
 class AdjointOperation:
-    """Exact matrix of an involutive bracket-antiautomorphism A -> A^dagger."""
+    """Exact matrix of an involutive bracket-antiautomorphism A -> A^dagger:
+    images[i] = dagger(A_i) as {j: coefficient}, `star_type` 1, 2 or None
+    (type-free Chevalley involution)."""
 
-    algebra: LieSuperalgebra
-    images: list               # images[i] = dagger(A_i) as {j: coefficient}
-    star_type: int | None      # 1, 2 or None (type-free Chevalley involution)
+    def __init__(self, algebra: LieSuperalgebra, images: list, star_type: int | None):
+        self.algebra, self.images, self.star_type = algebra, images, star_type
 
     def apply_basis(self, i: int) -> dict:
         return self.images[i]

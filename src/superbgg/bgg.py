@@ -10,8 +10,6 @@ as truncated; the star condition is global.
 
 from __future__ import annotations
 
-import inspect
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
@@ -50,22 +48,24 @@ F1 = Fraction(1)
 # shapes and verdicts
 # ---------------------------------------------------------------------------
 
-@dataclass
 class ResolutionShape:
-    degrees: list                 # degrees[k] = sorted list of (Weight, multiplicity)
-    truncated: bool
-    terminates_at: int | None
+    """degrees[k] = sorted list of (Weight, multiplicity)."""
+
+    def __init__(self, degrees: list, truncated: bool, terminates_at: int | None):
+        self.degrees, self.truncated, self.terminates_at = degrees, truncated, terminates_at
 
 
-@dataclass
 class BGGVerdict:
-    status: str                   # Exists | NotExists | Unknown
-    basis_of_decision: str        # StarCondition | MultiplicityCriterion |
-    #                               DirectDisjointness | NecessityViolated | Truncated
-    shape: ResolutionShape
-    reports: list
-    details: dict = field(default_factory=dict)
-    analysis: KostantAnalysis | None = field(default=None, repr=False)
+    """`status` is Exists, NotExists or Unknown; `basis_of_decision` is
+    StarCondition, MultiplicityCriterion, DirectDisjointness,
+    NecessityViolated or Truncated."""
+
+    def __init__(self, status: str, basis_of_decision: str, shape: ResolutionShape,
+                 reports: list, details: dict | None = None,
+                 analysis: KostantAnalysis | None = None):
+        self.status, self.basis_of_decision = status, basis_of_decision
+        self.shape, self.reports, self.analysis = shape, reports, analysis
+        self.details = {} if details is None else details
 
 
 def _shape_from_analysis(an: KostantAnalysis, k_max: int) -> ResolutionShape:
@@ -212,13 +212,13 @@ def _apply(mat: tuple, w: Weight) -> Weight:
     )
 
 
-@dataclass
 class WeylCoset:
-    """Minimal-length representatives of W_l \\ W(g_0), graded by length."""
+    """Minimal-length representatives of W_l \\ W(g_0), graded by length:
+    `elements` holds (matrix, reduced word, length)."""
 
-    algebra: LieSuperalgebra
-    parabolic: ParabolicDecomposition
-    elements: list                # (matrix, reduced word, length)
+    def __init__(self, algebra: LieSuperalgebra, parabolic: ParabolicDecomposition,
+                 elements: list):
+        self.algebra, self.parabolic, self.elements = algebra, parabolic, elements
 
     def graded(self) -> dict:
         out: dict = {}
@@ -454,7 +454,8 @@ def reproduce(name: str, **params) -> dict:
         raise UnknownScenario(
             f"unknown scenario {name!r}; available: {sorted(_SCENARIOS)}")
     scenario = _SCENARIOS[name]
-    takes = list(inspect.signature(scenario).parameters)
+    code = scenario.__code__
+    takes = code.co_varnames[:code.co_argcount]
     unused = sorted(set(params) - set(takes))
     if unused:
         raise InputError(

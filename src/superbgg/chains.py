@@ -64,7 +64,6 @@ from __future__ import annotations
 import functools
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterator, NamedTuple
@@ -96,7 +95,6 @@ class ChainBasisElement(NamedTuple):
         return self.even_part + self.odd_part
 
 
-@dataclass
 class ChainSpace:
     """C_k with the weight of each basis index, or the span in C_k of the
     X (x) v_m over the pairs (X, ms) in `held` and m in ms, a weight
@@ -106,11 +104,10 @@ class ChainSpace:
     parities are formed on first use: the operators address the space by
     index arithmetic and never read them."""
 
-    complex: "ChainComplex"
-    degree: int
-    weights: list
-    weight_blocks: dict
-    held: list | None = None
+    def __init__(self, complex: "ChainComplex", degree: int, weights: list,
+                 weight_blocks: dict, held: list | None = None):
+        self.complex, self.degree, self.weights = complex, degree, weights
+        self.weight_blocks, self.held = weight_blocks, held
 
     @property
     def dim(self) -> int:
@@ -144,7 +141,6 @@ class ChainSpace:
         return {e: t for t, e in enumerate(self.basis)}
 
 
-@dataclass(eq=False)
 class ChainMap:
     """Linear map between chain spaces with exact rational entries, held as
     integer columns over one positive denominator: entry (r, j) is
@@ -152,10 +148,9 @@ class ChainMap:
     is 1), so two maps of the same spaces are equal exactly when their
     icols and den are."""
 
-    source: ChainSpace
-    target: ChainSpace
-    icols: list              # icols[j] = {target row: nonzero int}
-    den: int = 1
+    def __init__(self, source: ChainSpace, target: ChainSpace, icols: list, den: int = 1):
+        self.source, self.target, self.den = source, target, den
+        self.icols = icols          # icols[j] = {target row: nonzero int}
 
     @classmethod
     def canonical(cls, source: ChainSpace, target: ChainSpace, icols: list,
@@ -287,7 +282,6 @@ def _add_term(out: dict, key, c) -> None:
         out.pop(key, None)
 
 
-@dataclass(eq=False)
 class CasimirQuabla:
     """quabla_k by Kostant's formula in its two parts
     (`ChainComplex.casimir_quabla`): the scalar part, scalar[w] / den on
@@ -295,10 +289,9 @@ class CasimirQuabla:
     `space`, or None where the Levi is the Cartan.  A root part whose
     source holds some weight blocks of `space` alone is read there alone."""
 
-    space: ChainSpace
-    scalar: dict            # weight -> int
-    den: int
-    root: ChainMap | None
+    def __init__(self, space: ChainSpace, scalar: dict, den: int, root: ChainMap | None):
+        self.space, self.den, self.root = space, den, root
+        self.scalar = scalar        # weight -> int
 
     def _scales(self) -> tuple[int, int, int]:
         """(D, D / den, D / root den) for D the lcm of both denominators."""

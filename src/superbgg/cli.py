@@ -26,6 +26,7 @@ from .algebra import (
 )
 from .bgg import bgg_verdict, reproduce
 from .errors import (
+    FiniteDimGuardExceeded,
     InputError,
     LengthMismatch,
     ParseError,
@@ -79,6 +80,16 @@ def _dominant_weight(g, text: str) -> tuple:
     lam = parse_weight(text, g.r, g.s)
     check_finite_dimensional(g, lam)
     return lam
+
+
+def _irrep_within_depth(g, lam: tuple, max_depth: int, op=None):
+    """build_irrep of a `_dominant_weight`: its module is finite dimensional,
+    so one that outgrows `--max-depth` levels outgrew the user's budget."""
+    try:
+        return build_irrep(g, lam, op, max_depth)
+    except FiniteDimGuardExceeded as exc:
+        raise InputError(f"--max-depth {max_depth} is below the height of the "
+                         f"module: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +242,7 @@ def _cmd_rep(args, t0) -> int:
     g = _algebra_from_args(args)
     lam = _dominant_weight(g, args.weight)
     op = build_adjoint_operation(g, args.star_type or 1)
-    mod = build_irrep(g, lam, op, args.max_depth)
+    mod = _irrep_within_depth(g, lam, args.max_depth, op)
     report = {
         "command": "rep build",
         "input": _input_echo(args),
@@ -288,7 +299,7 @@ def _cmd_homology(args, t0) -> int:
     g = _algebra_from_args(args)
     p = _parabolic_from_args(g, args)
     lam = _dominant_weight(g, args.weight)
-    mod = build_irrep(g, lam, max_depth=args.max_depth)
+    mod = _irrep_within_depth(g, lam, args.max_depth)
     an = KostantAnalysis(p, mod, args.kmax)
     nil, quab = _internal_checks(an, args.kmax)
     degrees = []

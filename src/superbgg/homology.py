@@ -126,9 +126,7 @@ trivial, and no weight is mapped.
 
 from __future__ import annotations
 
-import copy
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -278,38 +276,50 @@ def _reflect_up(coroots: list, w: Weight) -> Weight | None:
 # report containers
 # ---------------------------------------------------------------------------
 
-@dataclass
 class LDecompositionEntry:
-    highest_weight: Weight
-    hw_vector_count: int
-    irrep_dimension: int | None
-    generated_dimension: int
+    def __init__(self, highest_weight: Weight, hw_vector_count: int,
+                 irrep_dimension: int | None, generated_dimension: int):
+        self.highest_weight, self.hw_vector_count = highest_weight, hw_vector_count
+        self.irrep_dimension, self.generated_dimension = irrep_dimension, generated_dimension
 
 
-@dataclass
 class LDecomposition:
-    entries: list
-    completely_reducible: bool
-    total_dimension: int
+    """Compared by value: the fields of every entry, complete reducibility
+    and the total dimension."""
+
+    def __init__(self, entries: list, completely_reducible: bool, total_dimension: int):
+        self.entries, self.completely_reducible = entries, completely_reducible
+        self.total_dimension = total_dimension
+
+    def _key(self) -> tuple:
+        return ([(e.highest_weight, e.hw_vector_count, e.irrep_dimension,
+                  e.generated_dimension) for e in self.entries],
+                self.completely_reducible, self.total_dimension)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LDecomposition):
+            return NotImplemented
+        return self._key() == other._key()
 
     def weight_multiplicities(self) -> dict:
         return {e.highest_weight: e.hw_vector_count for e in self.entries}
 
 
-@dataclass
 class PredicateReport:
-    degree: int
-    values: dict                 # statement number (1..7) -> bool
-    consistent: bool             # degreewise-equivalent pair (1)<->(2) agrees
+    """`values` maps statement number (1..7) -> bool; `consistent` says
+    whether the degreewise-equivalent pair (1)<->(2) agrees."""
+
+    def __init__(self, degree: int, values: dict, consistent: bool):
+        self.degree, self.values, self.consistent = degree, values, consistent
 
 
-@dataclass
 class HomologyReport:
-    degree: int
-    dim_ker_boundary: int
-    dim_im_boundary_above: int
-    homology_dimension: int
-    weight_multiplicities: dict
+    def __init__(self, degree: int, dim_ker_boundary: int, dim_im_boundary_above: int,
+                 homology_dimension: int, weight_multiplicities: dict):
+        self.degree, self.dim_ker_boundary = degree, dim_ker_boundary
+        self.dim_im_boundary_above = dim_im_boundary_above
+        self.homology_dimension = homology_dimension
+        self.weight_multiplicities = weight_multiplicities
 
 
 # ---------------------------------------------------------------------------
@@ -625,8 +635,9 @@ class BlockRecord:
 
     def counts(self) -> "BlockRecord":
         """A record with this one's counts and representative and no basis."""
-        out = copy.copy(self)
-        out.ker = out.im = out.ker_quabla = out.gen_zero = None
+        out = BlockRecord(self.n, self.dim_ker, self.dim_im, rep=self.rep)
+        out.dim_ker_quabla, out.dim_gen_zero = self.dim_ker_quabla, self.dim_gen_zero
+        out.acyclic, out.ker_quabla, out.gen_zero = self.acyclic, None, None
         return out
 
 

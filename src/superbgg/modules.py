@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 
 from . import linalg
 from .algebra import (
@@ -44,17 +43,15 @@ from .errors import (
 from .linalg import _exact
 
 
-@dataclass
 class Module:
-    """Weight-graded module given by sparse action columns per basis element."""
+    """Weight-graded module given by sparse action columns per basis element:
+    action[i] = list of columns, column j = {row: coefficient}."""
 
-    algebra: LieSuperalgebra
-    highest_weight: Weight
-    weights: list
-    parities: list
-    action: list            # action[i] = list of columns, column j = {row: coefficient}
-    hw_index: int = 0
-    label: str = ""
+    def __init__(self, algebra: LieSuperalgebra, highest_weight: Weight, weights: list,
+                 parities: list, action: list, hw_index: int = 0, label: str = ""):
+        self.algebra, self.highest_weight = algebra, highest_weight
+        self.weights, self.parities, self.action = weights, parities, action
+        self.hw_index, self.label = hw_index, label
 
     @property
     def dim(self) -> int:
@@ -82,13 +79,16 @@ class Module:
         return out
 
 
-@dataclass
 class HWModule(Module):
     """Irreducible highest-weight module with its contravariant form."""
 
-    adjoint: AdjointOperation = None
-    gram_blocks: dict = field(default_factory=dict)
-    dual_of: "HWModule" = None
+    def __init__(self, algebra: LieSuperalgebra, highest_weight: Weight, weights: list,
+                 parities: list, action: list, hw_index: int = 0, label: str = "",
+                 adjoint: AdjointOperation = None, gram_blocks: dict | None = None,
+                 dual_of: "HWModule" = None):
+        super().__init__(algebra, highest_weight, weights, parities, action, hw_index, label)
+        self.adjoint, self.dual_of = adjoint, dual_of
+        self.gram_blocks = {} if gram_blocks is None else gram_blocks
 
     def gram(self, i: int, j: int):
         w = self.weights[i]
@@ -102,13 +102,17 @@ class HWModule(Module):
         return all(linalg.is_positive_definite(g) for g in self.gram_blocks.values())
 
 
-@dataclass
 class KacModule(Module):
-    """K_lambda = U(g) (x)_{U(g0+g1)} V0_lambda on the PBW basis."""
+    """K_lambda = U(g) (x)_{U(g0+g1)} V0_lambda on the PBW basis; `monomials`
+    holds (sorted g_{-1} index tuple, V0 index) per basis vector."""
 
-    g0_module: HWModule = None
-    gminus: tuple = ()
-    monomials: list = field(default_factory=list)   # (sorted g_{-1} index tuple, V0 index)
+    def __init__(self, algebra: LieSuperalgebra, highest_weight: Weight, weights: list,
+                 parities: list, action: list, hw_index: int = 0, label: str = "",
+                 g0_module: HWModule = None, gminus: tuple = (),
+                 monomials: list | None = None):
+        super().__init__(algebra, highest_weight, weights, parities, action, hw_index, label)
+        self.g0_module, self.gminus = g0_module, gminus
+        self.monomials = [] if monomials is None else monomials
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import os
 import subprocess
@@ -21,6 +20,8 @@ from oracles import (
 from superbgg import linalg
 from superbgg.algebra import (
     AdjointOperation,
+    BasisElement,
+    LieSuperalgebra,
     _check_adjoint,
     _finish,
     build_adjoint_operation,
@@ -385,10 +386,14 @@ def test_construction_matches_dense_oracle(args):
 
 
 def _with_basis_element(g, t, matrix):
-    """A copy of g whose basis element t has the given matrix."""
+    """A fresh copy of g, with empty caches, whose basis element t has the
+    given matrix."""
     basis = list(g.basis)
-    basis[t] = dataclasses.replace(basis[t], matrix=matrix)
-    return dataclasses.replace(g, basis=basis, gram=[], bracket_table={})
+    b = basis[t]
+    basis[t] = BasisElement(b.label, b.parity, b.root, matrix, b.is_cartan)
+    return LieSuperalgebra(g.kind, g.m, g.n, g.r, g.s, basis, g.simple_roots,
+                           g.form_normalization, g.nat_parity, g.nat_weight,
+                           g.coord_index, g.name)
 
 
 def test_construction_rejects_broken_root_vector_or_cartan(gl21):
@@ -409,9 +414,8 @@ def test_construction_certificate_survives_optimize():
     """Both rejections are typed errors, so they hold under python -O."""
     src = Path(__file__).resolve().parent.parent / "src"
     code = (
-        "import dataclasses\n"
         "from fractions import Fraction\n"
-        "from superbgg.algebra import _finish, build_algebra\n"
+        "from superbgg.algebra import BasisElement, LieSuperalgebra, _finish, build_algebra\n"
         "from superbgg.errors import CrossCheckFailed\n"
         "g = build_algebra('osp', 3, 1)\n"
         "t = next(i for i, b in enumerate(g.basis) if not b.is_cartan)\n"
@@ -419,9 +423,13 @@ def test_construction_certificate_survives_optimize():
         "    basis = list(g.basis)\n"
         "    mat = dict(basis[t].matrix)\n"
         "    mat[extra] = Fraction(1)\n"
-        "    basis[t] = dataclasses.replace(basis[t], matrix=mat)\n"
+        "    b = basis[t]\n"
+        "    basis[t] = BasisElement(b.label, b.parity, b.root, mat, b.is_cartan)\n"
+        "    fresh = LieSuperalgebra(g.kind, g.m, g.n, g.r, g.s, basis, g.simple_roots,\n"
+        "                           g.form_normalization, g.nat_parity, g.nat_weight,\n"
+        "                           g.coord_index, g.name)\n"
         "    try:\n"
-        "        _finish(dataclasses.replace(g, basis=basis), Fraction(1))\n"
+        "        _finish(fresh, Fraction(1))\n"
         "    except CrossCheckFailed:\n"
         "        print('rejected')\n"
     )

@@ -671,6 +671,21 @@ def test_negative_sizes_rejected(capsys, monkeypatch, argv):
     assert built == []
 
 
+@pytest.mark.parametrize("command", [["rep", "build"], ["homology"]])
+def test_too_small_depth_budget_is_an_input_error(capsys, command):
+    """V(eps1) of gl(2|1) is 3-dimensional, and `_dominant_weight` certifies
+    it finite dimensional before the build, so a --max-depth below its
+    height is the user's budget: exit 2 with an input error naming the
+    option and the level reached, and no report."""
+    code = main(command + ["--alg", "gl", "--m", "2", "--n", "1", "--weight", "1,0|0",
+                           "--max-depth", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("input error: --max-depth 1 ")
+    assert "after 1 levels" in captured.err
+
+
 @pytest.mark.parametrize("command", [
     ["alg", "info"], ["rep", "build", "--weight", "1,0|0"],
     ["homology", "--weight", "1,0|0"], ["bgg", "check", "--weight", "1,0|0"]])

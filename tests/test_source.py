@@ -2,6 +2,8 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import subprocess
+import sys
 import tokenize
 from pathlib import Path
 
@@ -129,3 +131,21 @@ def test_modules_stay_below_the_parser_token_cliff():
             counts[path.name] = sum(1 for tok in tokenize.tokenize(fh.readline)
                                     if tok.type not in skip)
     assert counts and {name: n for name, n in counts.items() if n >= 8192} == {}
+
+
+def test_cli_import_loads_no_class_or_signature_machinery():
+    """`import superbgg.cli` in a fresh interpreter leaves `dataclasses`,
+    `inspect` (with the `ast`, `dis` and `tokenize` it pulls in) and `copy`
+    unloaded: every launch pays for what its import path loads, and no
+    computation needs them.  It runs in a subprocess because pytest itself
+    loads these modules, and without `site` (-S) so that only the package's
+    own imports count."""
+    code = ("import sys\n"
+            f"sys.path.insert(0, {str(SRC.parent)!r})\n"
+            "import superbgg.cli\n"
+            "print(' '.join(m for m in ('dataclasses', 'inspect', 'ast', 'dis',"
+            " 'tokenize', 'copy') if m in sys.modules))\n")
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == []
