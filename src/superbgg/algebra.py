@@ -748,9 +748,6 @@ class ParabolicDecomposition:
         g = self.algebra
         return [i for i in self.n_indices if g.parity(i) == 1]
 
-    def dual_of_n(self) -> list:
-        return self.dual_pairing
-
     def dual_of_nbar(self) -> list:
         key = "dual_nbar"
         if key not in self._levi_cache:

@@ -38,7 +38,7 @@ from .errors import (
     UnknownScenario,
 )
 from .homology import KostantAnalysis, multiplicity_criterion
-from .modules import build_irrep, build_kac_module, type_one_grading
+from .modules import HWModule, build_irrep, build_kac_module, type_one_grading
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -85,10 +85,13 @@ def _shape_from_analysis(an: KostantAnalysis, k_max: int) -> ResolutionShape:
 
 
 def bgg_verdict(g: LieSuperalgebra, p: ParabolicDecomposition, lam: Weight,
-                k_max: int, star_type: int | None = None) -> BGGVerdict:
+                k_max: int, star_type: int | None = None,
+                module: HWModule | None = None) -> BGGVerdict:
     """Run the full decision ladder for the irreducible module with highest
-    weight lam."""
-    module = build_irrep(g, lam)
+    weight lam: `module` when the caller built it (the CLI builds it within
+    its --max-depth budget), else build_irrep(g, lam)."""
+    if module is None:
+        module = build_irrep(g, lam)
     an = KostantAnalysis(p, module, k_max)
     reports = []
     witness = None
@@ -345,8 +348,7 @@ def _scenario_glmn_borel_natural():
         rb = cx.raise_(0)
         coh0: dict = {}
         for w, idxs in cx.space(0).weight_blocks.items():
-            blk = rb.block(w)
-            kerd = len(idxs) - linalg.rank(blk)
+            kerd = len(idxs) - linalg.Echelon(rb.rows(w)).rank
             if kerd:
                 coh0[w] = kerd
         kq0 = an.block_dims(0, "ker_quabla")

@@ -1,4 +1,4 @@
-"""Chain spaces Lambda^k r (x) M and the four (co)boundary operators.
+"""Chain spaces Lambda^k r (x) M and the boundary and coboundary on them.
 
 The super exterior power is exterior on even generators and symmetric on odd
 ones; monomials are kept in normal form (strictly increasing even indices,
@@ -6,15 +6,15 @@ weakly increasing odd indices, module factor last) and every operator
 application re-sorts with the Koszul sign of the permutation: an adjacent
 swap contributes -1 unless both factors are odd.
 
-One engine serves both sides of the theory.  With the nilradical n and the
-dual basis in nbar it produces the coboundary/boundary pair on
-Lambda^. n (x) V; with nbar as radical (dual basis in n) the same recursions
-are the delta operators on Lambda^. nbar (x) V*.  Both pairs square to zero,
-are h-equivariant, and are adjoint through the degreewise pairing of
-`superbgg.pairing`.
+The radical r is the nilradical nbar, and the dual basis z_a^# of its
+basis z_a lies in n: the boundary d* (`lower`) is that of the homology of
+nbar with coefficients in the module, and the coboundary d (`raise_`) is
+built from the dual basis.  Both square to zero and are h-equivariant.
+The n side of the theory is the nbar side of the opposite parabolic, the
+one with nbar and n swapped.
 
 Every operator is a ChainMap of integer columns over one denominator, so
-composing, adding and comparing operators is exact Python-int arithmetic.
+composing and comparing operators is exact Python-int arithmetic.
 The homology layer reads an operator one weight block at a time, as sparse
 int rows keyed by source index (`ChainMap.rows`, `CasimirQuabla.rows`),
 never as a dense block.
@@ -82,27 +82,14 @@ from .linalg import _exact
 from .modules import Module
 
 
-class ChainBasisElement(NamedTuple):
-    even_part: tuple
-    odd_part: tuple
-    module_index: int
-
-    @property
-    def degree(self) -> int:
-        return len(self.even_part) + len(self.odd_part)
-
-    def generators(self) -> tuple:
-        return self.even_part + self.odd_part
-
-
 class ChainSpace:
     """C_k with the weight of each basis index, or the span in C_k of the
     X (x) v_m over the pairs (X, ms) in `held` and m in ms, a weight
     restriction whose weight blocks are whole blocks of C_k
     (`ChainComplex._build_space`); `held` None stands for every X (x) v_m
-    of C_k.  The chain monomials themselves (`basis`, `index`) and their
-    parities are formed on first use: the operators address the space by
-    index arithmetic and never read them."""
+    of C_k.  The operators address the space by index arithmetic alone, so
+    it holds no chain monomial: index idx(X) * dim M + m of C_k is
+    X (x) v_m, X the idx(X)-th of `ChainComplex.monomials`."""
 
     def __init__(self, complex: "ChainComplex", degree: int, weights: list,
                  weight_blocks: dict, held: list | None = None):
@@ -112,33 +99,6 @@ class ChainSpace:
     @property
     def dim(self) -> int:
         return len(self.weights)
-
-    @functools.cached_property
-    def basis(self) -> list:
-        """The chain monomials X (x) v_m in index order: of C_k, where
-        basis[idx(X) * dim M + m] is X (x) v_m, idx(X) the position of X in
-        `monomials(degree)`, or of the pairs in `held`."""
-        cx = self.complex
-        par = cx._parity
-        held = self.held
-        if held is None:
-            held = zip(cx.monomials(self.degree)[0], itertools.repeat(range(cx.module.dim)))
-        out = []
-        for x, ms in held:
-            j = sum(1 for i in x if not par[i])
-            out.extend(ChainBasisElement(x[:j], x[j:], m) for m in ms)
-        return out
-
-    @functools.cached_property
-    def parities(self) -> list:
-        """The parity of each basis index: of the odd generators and the
-        module vector together."""
-        mod = self.complex.module.parities
-        return [(len(e.odd_part) + mod[e.module_index]) & 1 for e in self.basis]
-
-    @functools.cached_property
-    def index(self) -> dict:
-        return {e: t for t, e in enumerate(self.basis)}
 
 
 class ChainMap:
@@ -165,19 +125,6 @@ class ChainMap:
             icols = [{r: v // g for r, v in col.items()} for col in icols]
         return cls(source, target, icols, den // g)
 
-    @functools.cached_property
-    def cols(self) -> list:
-        """cols[j] = {target row: Fraction}; a view for tests and callers
-        that want rationals, never needed by the pipeline itself."""
-        den = self.den
-        return [{r: Fraction(v, den) for r, v in col.items()} for col in self.icols]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ChainMap):
-            return NotImplemented
-        return (self.source is other.source and self.target is other.target
-                and self.den == other.den and self.icols == other.icols)
-
     def compose(self, inner: "ChainMap") -> "ChainMap":
         """self o inner."""
         cols, den = self.compose_columns(inner)
@@ -203,9 +150,6 @@ class ChainMap:
             icols.append(col)
         return ChainMap.canonical(self.source, self.target, icols, den)
 
-    def is_zero(self) -> bool:
-        return all(not col for col in self.icols)
-
     def rows(self, weight: Weight) -> list:
         """den times the weight block as sparse int rows {source index:
         nonzero int}, one per target index of the block in order: what the
@@ -225,7 +169,9 @@ class ChainMap:
 
     def block(self, weight: Weight) -> list:
         """Dense matrix of the weight block (target rows x source cols): ints
-        when den is 1, otherwise Fractions (zero entries are int 0)."""
+        when den is 1, otherwise Fractions (zero entries are int 0).  No
+        package code calls it; the tests and the benchmark's tracer
+        (perfbench/tracing.py) read it."""
         out = self.int_block(weight)
         den = self.den
         if den == 1:
@@ -333,11 +279,6 @@ class CasimirQuabla:
             _add_term(row, r, diag)
         return list(rows.values())
 
-    def merged(self) -> ChainMap:
-        """The two parts summed into one canonical ChainMap."""
-        return ChainMap.canonical(self.space, self.space, list(self.columns()),
-                                  self._scales()[0])
-
     def agrees(self, cols: Iterator, den: int) -> bool:
         """Whether the map of `space` with the int columns `cols` over `den`
         is quabla, one column at a time against `columns`, the two
@@ -349,7 +290,7 @@ class CasimirQuabla:
 
 
 class ChainComplex:
-    """All chain degrees for one side (radical r = n or nbar) and one module.
+    """All chain degrees for one module, with radical r = nbar.
 
     C_k = Lambda^k r (x) M is laid out monomial-major: the chain basis
     element (X, m) has index idx(X) * dim M + m, with idx(X) the position of
@@ -359,20 +300,13 @@ class ChainComplex:
     once per exterior monomial and M enters only through its action
     columns."""
 
-    def __init__(self, parabolic: ParabolicDecomposition, module: Module, side: str):
-        if side not in ("n", "nbar"):
-            raise PreconditionViolated(f"side must be 'n' or 'nbar', not {side!r}")
+    def __init__(self, parabolic: ParabolicDecomposition, module: Module):
         self.parabolic = parabolic
         self.module = module
-        self.side = side
         g = parabolic.algebra
         self.algebra = g
-        if side == "n":
-            self.radical = list(parabolic.n_indices)
-            self.duals = parabolic.dual_of_n()
-        else:
-            self.radical = list(parabolic.nbar_indices)
-            self.duals = parabolic.dual_of_nbar()
+        self.radical = list(parabolic.nbar_indices)
+        self.duals = parabolic.dual_of_nbar()
         self.even_gens = [i for i in self.radical if g.parity(i) == 0]
         self.odd_gens = [i for i in self.radical if g.parity(i) == 1]
         self.radical_set = frozenset(self.radical)
@@ -694,7 +628,7 @@ class ChainComplex:
     # -- the two operators ------------------------------------------------------
 
     def lower(self, k: int) -> ChainMap:
-        """d*_k : C_k -> C_{k-1} (the boundary; delta* on the nbar side),
+        """d*_k : C_k -> C_{k-1}, the boundary,
         d*(X ^ f) = -X.f - X ^ d*(f),  d*|deg 0 = 0 (a map C_0 -> C_0)."""
         if k not in self._lower:
             self._lower[k] = self._lower_on(self.space(k))
@@ -722,7 +656,7 @@ class ChainComplex:
         return self._assemble(source, max(k - 1, 0), table, ops)
 
     def raise_(self, k: int) -> ChainMap:
-        """d_k : C_k -> C_{k+1} (the coboundary; delta on the nbar side),
+        """d_k : C_k -> C_{k+1}, the coboundary,
         d(v) = sum_a z_a (x) z_a^# . v,
         d(X ^ f) = 1/2 sum_a z_a ^ [z_a^#, X]_r ^ f - X ^ d(f)."""
         if k not in self._raise:
@@ -768,9 +702,11 @@ class ChainComplex:
 
     def quabla(self, k: int) -> ChainMap:
         """quabla_k = d_{k-1} d*_k + d*_{k+1} d_k on C_k as one ChainMap, the
-        columns of `quabla_columns` collected.  Kostant's formula gives the
-        same map as `casimir_quabla(k).merged()`; the two share no
-        recursion, so their equality is a cross-check of both."""
+        columns of `quabla_columns` collected, not cached: for tests and the
+        benchmark's tracer.  Kostant's formula gives the same map
+        (`casimir_quabla`, compared column by column in
+        `CasimirQuabla.agrees`); the two share no recursion, so their
+        equality is a cross-check of both."""
         cols, den = self.quabla_columns(k)
         return ChainMap.canonical(self.space(k), self.space(k), list(cols), den)
 
@@ -867,7 +803,7 @@ class ChainComplex:
         # algebra's form on h* (q / qden on the unit coordinates)
         q, qden = g._weight_form
         # w(h) = (w, sigma), sigma the signed root sum of the radical:
-        # 2 rho_l - 2 rho on the nbar side, the premise of Kostant's filter
+        # 2 rho_l - 2 rho, the premise of Kostant's filter
         # (`homology._casimir_matcher`)
         sigma = [0] * g.rank
         for z in self.radical:

@@ -341,7 +341,8 @@ def _cmd_bgg(args, t0) -> int:
     g = _algebra_from_args(args)
     p = _parabolic_from_args(g, args)
     lam = _dominant_weight(g, args.weight)
-    verdict = bgg_verdict(g, p, lam, args.kmax, star_type=args.star_type)
+    mod = _irrep_within_depth(g, lam, args.max_depth)
+    verdict = bgg_verdict(g, p, lam, args.kmax, star_type=args.star_type, module=mod)
     an = verdict.analysis
     nil, quab = _internal_checks(an, args.kmax)
     summ = an.predicate_summary()
@@ -433,6 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--weight", required=True)
     sp.add_argument("--kmax", type=int, default=4)
     sp.add_argument("--star-type", type=int, default=None, choices=[1, 2])
+    sp.add_argument("--max-depth", type=int, default=64)
     _add_common_args(sp)
     sp.set_defaults(func=_cmd_bgg)
 

@@ -675,7 +675,7 @@ class KostantAnalysis:
         self.parabolic = p
         self.module = module
         self.k_max = k_max
-        self.cx = ChainComplex(p, module, "nbar")
+        self.cx = ChainComplex(p, module)
         self._coroots = _coroots(p)
         self._reps: dict = {}           # weight -> l_0-dominant representative
         self._blockdata: dict = {}

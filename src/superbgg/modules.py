@@ -26,12 +26,9 @@ from .algebra import (
     Weight,
     build_adjoint_operation,
     even_simple_roots,
-    natural_form_diagonal,
-    parity_twist,
     weight_key,
     wt,
     wt_add,
-    wt_neg,
     wt_sub,
 )
 from .errors import (
@@ -84,19 +81,10 @@ class HWModule(Module):
 
     def __init__(self, algebra: LieSuperalgebra, highest_weight: Weight, weights: list,
                  parities: list, action: list, hw_index: int = 0, label: str = "",
-                 adjoint: AdjointOperation = None, gram_blocks: dict | None = None,
-                 dual_of: "HWModule" = None):
+                 adjoint: AdjointOperation = None, gram_blocks: dict | None = None):
         super().__init__(algebra, highest_weight, weights, parities, action, hw_index, label)
-        self.adjoint, self.dual_of = adjoint, dual_of
+        self.adjoint = adjoint
         self.gram_blocks = {} if gram_blocks is None else gram_blocks
-
-    def gram(self, i: int, j: int):
-        w = self.weights[i]
-        if self.weights[j] != w:
-            return 0
-        block = self.weight_blocks[w]
-        g = self.gram_blocks[w]
-        return g[block.index(i)][block.index(j)]
 
     def form_positive_definite(self) -> bool:
         return all(linalg.is_positive_definite(g) for g in self.gram_blocks.values())
@@ -300,151 +288,6 @@ def _super_commutator(g: LieSuperalgebra, action: list, a: int, b: int) -> list:
             linalg.vec_iadd(acc, action[b][r], -sgn * c)
         cols.append(acc)
     return cols
-
-
-def natural_module(g: LieSuperalgebra) -> HWModule:
-    """The defining representation, taken directly from the matrix realization."""
-    dim = g.nat_dim
-    action = [
-        [dict() for _ in range(dim)] for _ in range(g.dim)
-    ]
-    for i, b in enumerate(g.basis):
-        for (r, c), v in b.matrix.items():
-            action[i][c][r] = v
-    hw = _unique_highest_weight_vector(
-        g, action, "natural module must have one highest weight vector")
-    op = build_adjoint_operation(g, 1)
-    mdiag = natural_form_diagonal(g)
-    mod = HWModule(
-        algebra=g, highest_weight=g.nat_weight[hw],
-        weights=list(g.nat_weight), parities=list(g.nat_parity),
-        action=action, hw_index=hw, label="natural", adjoint=op,
-    )
-    mod.gram_blocks = {
-        w: [[mdiag[p] if p == q else 0 for q in idxs] for p in idxs]
-        for w, idxs in mod.weight_blocks.items()
-    }
-    return mod
-
-
-# ---------------------------------------------------------------------------
-# duals
-# ---------------------------------------------------------------------------
-
-def dual_module(mod: HWModule) -> HWModule:
-    """Dual representation (A alpha)(v) = -(-1)^{|A||alpha|} alpha(A v).
-
-    The double dual is identified with the original module through the
-    canonical isomorphism v -> (-1)^{|v||.|} ev_v, whose matrix is the parity
-    conjugation; composing with it makes dualization a literal involution.
-    """
-    if mod.dual_of is not None:
-        orig = mod.dual_of
-        return HWModule(
-            algebra=orig.algebra, highest_weight=orig.highest_weight,
-            weights=list(orig.weights), parities=list(orig.parities),
-            action=orig.action, hw_index=orig.hw_index, label=orig.label,
-            adjoint=orig.adjoint, gram_blocks=orig.gram_blocks,
-        )
-    g = mod.algebra
-    dim = mod.dim
-    action = []
-    for i in range(g.dim):
-        pa = g.parity(i)
-        cols = [dict() for _ in range(dim)]
-        src = mod.action[i]
-        for k in range(dim):
-            for j, v in src[k].items():
-                cols[j][k] = v if (pa and mod.parities[j]) else -v
-        action.append(cols)
-    weights = [wt_neg(w) for w in mod.weights]
-    parities = list(mod.parities)
-    hw = _unique_highest_weight_vector(
-        g, action, "dual of an irreducible module must be irreducible")
-    op2 = parity_twist(mod.adjoint)
-    dual = HWModule(
-        algebra=g, highest_weight=weights[hw], weights=weights, parities=parities,
-        action=action, hw_index=hw, label=mod.label + "*", adjoint=op2,
-        gram_blocks={}, dual_of=mod,
-    )
-    dual.gram_blocks = contravariant_gram_blocks(dual, op2)
-    return dual
-
-
-def _unique_highest_weight_vector(g: LieSuperalgebra, action: list,
-                                  failure: str) -> int:
-    """The one basis vector killed by every positive root vector; raises
-    CrossCheckFailed(failure) unless there is exactly one."""
-    pos_idx = g.positive_root_indices()
-    hw = [p for p in range(len(action[0]))
-          if all(not action[i][p] for i in pos_idx)]
-    if len(hw) != 1:
-        raise CrossCheckFailed(failure)
-    return hw[0]
-
-
-def contravariant_gram_blocks(mod: Module, op: AdjointOperation) -> dict:
-    """Gram blocks of the contravariant form with <v_hw, v_hw> = 1.
-
-    Works for any module cyclic over its highest weight vector; blocks are
-    solved top-down from contravariance against the simple lowering vectors.
-    """
-    g = mod.algebra
-    pos, neg, kappa, _ = _simple_data(g, op)
-    lam = mod.highest_weight
-    blocks = mod.weight_blocks
-    heights = {}
-    for w in blocks:
-        h = g.height(wt_sub(lam, w))
-        if h is None or h < 0:
-            raise PreconditionViolated(
-                f"weight {w} does not lie below the highest weight {lam}")
-        heights[w] = h
-    order = sorted(blocks, key=lambda w: (heights[w], weight_key(w)))
-    hwblk = blocks[lam]
-    gram = {}
-    gram[lam] = [[1 if (blocks[lam][a] == mod.hw_index
-                        and blocks[lam][b] == mod.hw_index) else 0
-                  for b in range(len(hwblk))] for a in range(len(hwblk))]
-    if len(hwblk) != 1:
-        raise PreconditionViolated("highest weight space must be one dimensional")
-    for w in order:
-        if w == lam:
-            continue
-        idxs = blocks[w]
-        d = len(idxs)
-        pos_of = {gidx: t for t, gidx in enumerate(idxs)}
-        rows = []
-        for i in range(len(pos)):
-            upper_w = wt_add(w, g.simple_roots[i])
-            if upper_w not in blocks:
-                continue
-            uidx = blocks[upper_w]
-            upos = {gidx: t for t, gidx in enumerate(uidx)}
-            gup = gram[upper_w]
-            for x in uidx:
-                fx = mod.action[neg[i]][x]
-                for y in idxs:
-                    # one equation over the d * d unknowns, right side last
-                    row = [0] * (d * d + 1)
-                    for z, cz in fx.items():
-                        if z in pos_of:
-                            row[pos_of[z] * d + pos_of[y]] += cz
-                    ey = mod.action[pos[i]][y]
-                    val = 0
-                    for u, cu in ey.items():
-                        if u in upos:
-                            val += cu * gup[upos[x]][upos[u]]
-                    row[-1] = kappa[i] * val
-                    rows.append(row)
-        # a unique solution exactly when every unknown is a pivot (and the
-        # right side is not)
-        red, pivots = linalg.rref(rows)
-        if pivots != list(range(d * d)):
-            raise PreconditionViolated("contravariant form underdetermined; "
-                                       "module is not cyclic over its top vector")
-        gram[w] = [[red[a * d + b][-1] for b in range(d)] for a in range(d)]
-    return gram
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,10 @@ its basis and Gram matrix itself and shares only `bracket`, for the
 root-vector check.  The coordinate Levi module takes the complex's action
 maps and block bases as its input and solves for coordinates of its own,
 apart from superbgg's decomposition in C_k's coordinates.
+
+The natural and dual modules at the end are reference implementations that
+the package does not run; tests compare against them, and they feed the
+pairing of the two sides (chain_pairing.py).
 """
 
 import functools
@@ -213,35 +217,34 @@ def _exterior(g, img):
     return {k: v for k, v in out.items() if v}
 
 
-def oracle_boundary(p, module, side, word, mi):
+def oracle_boundary(p, module, word, mi):
     """Boundary d*(X ^ f) = -X.f - X ^ d*(f) of the sorted monomial
-    `word` (x) v_mi, recursing on the leading factor of raw tensor words and
-    projecting the result; returns {(sorted word, module index): Fraction}."""
+    `word` (x) v_mi of Lambda nbar (x) M, recursing on the leading factor of
+    raw tensor words and projecting the result; returns
+    {(sorted word, module index): Fraction}.  The n side is the nbar side of
+    the opposite parabolic (`opposite`)."""
     g = p.algebra
-    radical = set(p.nbar_indices if side == "nbar" else p.n_indices)
+    radical = set(p.nbar_indices)
     return _exterior(g, _tensor_boundary(g, module, radical, (tuple(word), mi)))
 
 
-def oracle_coboundary(p, module, side, word, mi):
+def oracle_coboundary(p, module, word, mi):
     """Coboundary d(X ^ f) = 1/2 sum_a z_a ^ [z_a^#, X]_r ^ f - X ^ d(f),
     d(v) = sum_a z_a (x) z_a^#.v, of the sorted monomial `word` (x) v_mi,
     by the same raw-word recursion and projection as `oracle_boundary`."""
     g = p.algebra
-    if side == "nbar":
-        radical, duals = p.nbar_indices, p.dual_of_nbar()
-    else:
-        radical, duals = p.n_indices, p.dual_of_n()
+    radical, duals = p.nbar_indices, p.dual_of_nbar()
     return _exterior(g, _tensor_coboundary(g, module, set(radical),
                                            list(zip(radical, duals)), (tuple(word), mi)))
 
 
-def oracle_action(p, module, side, a, word, mi):
+def oracle_action(p, module, a, word, mi):
     """Basis element a on the sorted monomial `word` (x) v_mi: the adjoint
-    action on each raw tensor factor (projected to the radical) plus the
-    module action, projected to sorted exterior monomials; returns
+    action on each raw tensor factor (projected to nbar) plus the module
+    action, projected to sorted exterior monomials; returns
     {(sorted word, module index): Fraction}."""
     g = p.algebra
-    radical = set(p.nbar_indices if side == "nbar" else p.n_indices)
+    radical = set(p.nbar_indices)
     return _exterior(g, _tensor_act(g, module, radical, a, (tuple(word), mi)))
 
 
@@ -251,14 +254,14 @@ def oracle_wedge(g, gen, vec):
     return _exterior(g, {((gen,) + word, mi): c for (word, mi), c in vec.items()})
 
 
-def oracle_homology_dims(p, module, k_max, side="nbar"):
+def oracle_homology_dims(p, module, k_max):
     """Homology dimensions per degree and weight (the nonzero ones) from
     `oracle_homology_ranks`."""
     return [{w: ker - im for w, (ker, im) in ranks.items() if ker - im}
-            for ranks in oracle_homology_ranks(p, module, k_max, side)]
+            for ranks in oracle_homology_ranks(p, module, k_max)]
 
 
-def oracle_homology_ranks(p, module, k_max, side="nbar"):
+def oracle_homology_ranks(p, module, k_max):
     """{weight: (dim ker d*_k, dim im d*_{k+1})} per degree k <= k_max, over
     every weight of C_k, from a tensor-space assembly.
 
@@ -267,7 +270,7 @@ def oracle_homology_ranks(p, module, k_max, side="nbar"):
     with inversion-counted signs.
     """
     g = p.algebra
-    radical = p.nbar_indices if side == "nbar" else p.n_indices
+    radical = p.nbar_indices
     rad_set = set(radical)
     evens = [i for i in radical if g.parity(i) == 0]
     odds = [i for i in radical if g.parity(i) == 1]
@@ -337,9 +340,9 @@ def oracle_homology_ranks(p, module, k_max, side="nbar"):
     return out
 
 
-def oracle_boundary_squares_to_zero(p, module, k_max, side="nbar"):
+def oracle_boundary_squares_to_zero(p, module, k_max):
     g = p.algebra
-    radical = set(p.nbar_indices if side == "nbar" else p.n_indices)
+    radical = set(p.nbar_indices)
     evens = [i for i in radical if g.parity(i) == 0]
     odds = [i for i in radical if g.parity(i) == 1]
     for k in range(2, k_max + 1):
@@ -990,6 +993,59 @@ def euler_check(an, mu):
 
 
 # ---------------------------------------------------------------------------
+# chain monomials, the opposite parabolic and views of a ChainMap
+# ---------------------------------------------------------------------------
+
+def opposite(p):
+    """The parabolic with nbar and n of `p` swapped: the nbar-side complex
+    of a module on it is the n-side complex Lambda^. n (x) V of `p`, with
+    the dual basis of n in nbar."""
+    from superbgg.algebra import ParabolicDecomposition
+    return ParabolicDecomposition(p.algebra, p.levi_simple_roots, p.n_indices,
+                                  p.levi_indices, p.nbar_indices, p.dual_of_nbar())
+
+
+def chain_basis(space):
+    """The chain monomials of a ChainSpace in index order, each as (even
+    generators, odd generators, module index): index idx(X) * dim M + m of
+    C_k is X (x) v_m, X the idx(X)-th monomial of `ChainComplex.monomials`,
+    and a restricted space lists the X (x) v_m of its `held` pairs."""
+    cx = space.complex
+    g = cx.algebra
+    held = space.held
+    if held is None:
+        held = [(x, range(cx.module.dim)) for x in cx.monomials(space.degree)[0]]
+    return [(tuple(i for i in x if not g.parity(i)), tuple(i for i in x if g.parity(i)), m)
+            for x, ms in held for m in ms]
+
+
+def fraction_columns(m):
+    """The columns of a ChainMap as {target row: Fraction}."""
+    return [{r: Fraction(v, m.den) for r, v in col.items()} for col in m.icols]
+
+
+def same_map(a, b):
+    """Whether two ChainMaps of the same spaces are equal: every map is
+    canonical, so exactly when their int columns and denominators are."""
+    return (a.source is b.source and a.target is b.target
+            and (a.icols, a.den) == (b.icols, b.den))
+
+
+def merged_quabla(q):
+    """The two parts of a CasimirQuabla on its whole space summed into one
+    canonical ChainMap, in Fractions: the root part's columns plus the
+    scalar part on the diagonal."""
+    sp = q.space
+    cols = [{} for _ in range(sp.dim)]
+    if q.root is not None:
+        assert q.root.source is sp
+        cols = fraction_columns(q.root)
+    for j, w in enumerate(sp.weights):
+        cols[j][j] = cols[j].get(j, F0) + Fraction(q.scalar[w], q.den)
+    return map_from_columns(sp, sp, cols)
+
+
+# ---------------------------------------------------------------------------
 # dense chain-map oracle
 # ---------------------------------------------------------------------------
 
@@ -1164,12 +1220,12 @@ def whole_map_checks(an, k_max):
     composed with ChainMap.compose, and the direct quabla built whole and
     compared with the analysis's Casimir parts merged into one map."""
     cx = an.cx
-    nil = (all(cx.lower(k - 1).compose(cx.lower(k)).is_zero()
+    nil = (all(not any(cx.lower(k - 1).compose(cx.lower(k)).icols)
                for k in range(2, k_max + 1))
-           and cx.lower(k_max).compose(an.boundary_above(k_max)).is_zero()
-           and all(cx.raise_(k + 1).compose(cx.raise_(k)).is_zero()
+           and not any(cx.lower(k_max).compose(an.boundary_above(k_max)).icols)
+           and all(not any(cx.raise_(k + 1).compose(cx.raise_(k)).icols)
                    for k in range(k_max - 1)))
-    quab = all(cx.quabla(k) == an.quabla_map(k).merged()
+    quab = all(same_map(cx.quabla(k), merged_quabla(an.quabla_map(k)))
                for k in range(k_max))
     return nil, quab
 
@@ -1193,11 +1249,11 @@ def oracle_casimir_quabla(cx, k):
         return (tuple(i for i in word if not g.parity(i)),
                 tuple(i for i in word if g.parity(i)), mi)
 
-    acts = {i: [{sp.index[key(word, mi)]: c
-                 for (word, mi), c in oracle_action(p, cx.module, cx.side, i,
-                                                    e.generators(),
-                                                    e.module_index).items()}
-                for e in sp.basis]
+    basis = chain_basis(sp)
+    index = {e: t for t, e in enumerate(basis)}
+    acts = {i: [{index[key(word, mi)]: c
+                 for (word, mi), c in oracle_action(p, cx.module, i, ev + od, m).items()}
+                for ev, od, m in basis]
             for i in levi}
     hvec = {}
     for a, gen in enumerate(cx.radical):
@@ -1260,9 +1316,9 @@ def contravariance_holds(mod):
         for i in range(mod.dim):
             dv = _frac_act(mod, dag, {i: F1})
             for j in range(mod.dim):
-                lhs = sum((Fraction(c) * mod.gram(r, i)
+                lhs = sum((Fraction(c) * module_gram(mod, r, i)
                            for r, c in mod.action[a][j].items()), F0)
-                if lhs != sum((c * mod.gram(j, r) for r, c in dv.items()), F0):
+                if lhs != sum((c * module_gram(mod, j, r) for r, c in dv.items()), F0):
                     return False
     return True
 
@@ -1345,3 +1401,167 @@ def exact_values(values):
     ints-where-integral convention (no float, no Fraction(n, 1))."""
     return all(type(v) is int or (type(v) is Fraction and v.denominator != 1)
                for v in values)
+
+
+# ---------------------------------------------------------------------------
+# the natural and dual modules and their contravariant forms
+# ---------------------------------------------------------------------------
+#
+# The package builds every module it reads with build_irrep or
+# build_kac_module; these build the defining representation from the
+# matrices and the dual of an irrep, for the tests that compare against
+# them and for the pairing of Lambda nbar (x) V* with Lambda n (x) V
+# (chain_pairing.py).
+
+def natural_module(g):
+    """The defining representation, taken directly from the matrix
+    realization, with its contravariant form."""
+    from superbgg.algebra import build_adjoint_operation, natural_form_diagonal
+    from superbgg.modules import HWModule
+
+    dim = g.nat_dim
+    action = [[{} for _ in range(dim)] for _ in range(g.dim)]
+    for i, b in enumerate(g.basis):
+        for (r, c), v in b.matrix.items():
+            action[i][c][r] = v
+    hw = _unique_highest_weight_vector(
+        g, action, "natural module must have one highest weight vector")
+    mod = HWModule(
+        algebra=g, highest_weight=g.nat_weight[hw],
+        weights=list(g.nat_weight), parities=list(g.nat_parity),
+        action=action, hw_index=hw, label="natural",
+        adjoint=build_adjoint_operation(g, 1),
+    )
+    mdiag = natural_form_diagonal(g)
+    mod.gram_blocks = {
+        w: [[mdiag[p] if p == q else 0 for q in idxs] for p in idxs]
+        for w, idxs in mod.weight_blocks.items()
+    }
+    return mod
+
+
+def dual_module(mod):
+    """Dual representation (A alpha)(v) = -(-1)^{|A||alpha|} alpha(A v).
+
+    The double dual is identified with the original module through the
+    canonical isomorphism v -> (-1)^{|v||.|} ev_v, whose matrix is the parity
+    conjugation; composing with it makes dualization a literal involution:
+    the dual keeps the module it is the dual of (`dual_of`), and the dual
+    of a dual is a copy of that module."""
+    from superbgg.algebra import parity_twist
+    from superbgg.modules import HWModule
+
+    orig = getattr(mod, "dual_of", None)
+    if orig is not None:
+        return HWModule(
+            algebra=orig.algebra, highest_weight=orig.highest_weight,
+            weights=list(orig.weights), parities=list(orig.parities),
+            action=orig.action, hw_index=orig.hw_index, label=orig.label,
+            adjoint=orig.adjoint, gram_blocks=orig.gram_blocks,
+        )
+    g = mod.algebra
+    dim = mod.dim
+    action = []
+    for i in range(g.dim):
+        pa = g.parity(i)
+        cols = [{} for _ in range(dim)]
+        for k in range(dim):
+            for j, v in mod.action[i][k].items():
+                cols[j][k] = v if (pa and mod.parities[j]) else -v
+        action.append(cols)
+    weights = [tuple(-x for x in w) for w in mod.weights]
+    hw = _unique_highest_weight_vector(
+        g, action, "dual of an irreducible module must be irreducible")
+    op2 = parity_twist(mod.adjoint)
+    dual = HWModule(
+        algebra=g, highest_weight=weights[hw], weights=weights,
+        parities=list(mod.parities), action=action, hw_index=hw,
+        label=mod.label + "*", adjoint=op2,
+    )
+    dual.dual_of = mod
+    dual.gram_blocks = contravariant_gram_blocks(dual, op2)
+    return dual
+
+
+def _unique_highest_weight_vector(g, action, failure):
+    """The one basis vector killed by every positive root vector; raises
+    CrossCheckFailed(failure) unless there is exactly one."""
+    from superbgg.errors import CrossCheckFailed
+    pos_idx = g.positive_root_indices()
+    hw = [p for p in range(len(action[0]))
+          if all(not action[i][p] for i in pos_idx)]
+    if len(hw) != 1:
+        raise CrossCheckFailed(failure)
+    return hw[0]
+
+
+def contravariant_gram_blocks(mod, op):
+    """Gram blocks of the contravariant form with <v_hw, v_hw> = 1.
+
+    Works for any module cyclic over its highest weight vector; blocks are
+    solved top-down from contravariance against the simple lowering vectors.
+    """
+    from superbgg.algebra import wt_sub
+    from superbgg.modules import _simple_data
+
+    g = mod.algebra
+    pos, neg, kappa, _ = _simple_data(g, op)
+    lam = mod.highest_weight
+    blocks = mod.weight_blocks
+    heights = {}
+    for w in blocks:
+        h = g.height(wt_sub(lam, w))
+        if h is None or h < 0:
+            raise PreconditionViolated(
+                f"weight {w} does not lie below the highest weight {lam}")
+        heights[w] = h
+    order = sorted(blocks, key=lambda w: (heights[w], weight_key(w)))
+    hwblk = blocks[lam]
+    if len(hwblk) != 1:
+        raise PreconditionViolated("highest weight space must be one dimensional")
+    gram = {lam: [[1 if hwblk[0] == mod.hw_index else 0]]}
+    for w in order:
+        if w == lam:
+            continue
+        idxs = blocks[w]
+        d = len(idxs)
+        pos_of = {gidx: t for t, gidx in enumerate(idxs)}
+        rows = []
+        for i in range(len(pos)):
+            upper_w = wt_add(w, g.simple_roots[i])
+            if upper_w not in blocks:
+                continue
+            uidx = blocks[upper_w]
+            upos = {gidx: t for t, gidx in enumerate(uidx)}
+            gup = gram[upper_w]
+            for x in uidx:
+                fx = mod.action[neg[i]][x]
+                for y in idxs:
+                    # one equation over the d * d unknowns, right side last
+                    row = [0] * (d * d + 1)
+                    for z, cz in fx.items():
+                        if z in pos_of:
+                            row[pos_of[z] * d + pos_of[y]] += cz
+                    val = 0
+                    for u, cu in mod.action[pos[i]][y].items():
+                        if u in upos:
+                            val += cu * gup[upos[x]][upos[u]]
+                    row[-1] = kappa[i] * val
+                    rows.append(row)
+        # a unique solution exactly when every unknown is a pivot (and the
+        # right side is not)
+        red, pivots = linalg.rref(rows)
+        if pivots != list(range(d * d)):
+            raise PreconditionViolated("contravariant form underdetermined; "
+                                       "module is not cyclic over its top vector")
+        gram[w] = [[red[a * d + b][-1] for b in range(d)] for a in range(d)]
+    return gram
+
+
+def module_gram(mod, i, j):
+    """<v_i, v_j> of a module's contravariant form (`gram_blocks`)."""
+    w = mod.weights[i]
+    if mod.weights[j] != w:
+        return 0
+    block = mod.weight_blocks[w]
+    return mod.gram_blocks[w][block.index(i)][block.index(j)]

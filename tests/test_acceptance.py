@@ -11,11 +11,15 @@ from contextlib import contextmanager
 import pytest
 
 from oracles import (
+    dual_module,
     euler_check,
     is_block_diagonal,
     ker_quabla,
+    merged_quabla,
     occurrence_bound,
+    opposite,
     oracle_homology_dims,
+    same_map,
 )
 from superbgg import linalg
 from superbgg.algebra import (
@@ -28,7 +32,7 @@ from superbgg.algebra import (
 from superbgg.bgg import bgg_verdict, kac_resolution, natural_resolution_shape
 from superbgg.chains import ChainComplex
 from superbgg.homology import KostantAnalysis
-from superbgg.modules import build_irrep, build_kac_module, dual_module
+from superbgg.modules import build_irrep, build_kac_module
 
 
 @contextmanager
@@ -64,10 +68,11 @@ def scenarios():
 
 @pytest.fixture(scope="module")
 def complexes(scenarios):
-    """Per scenario: the n-side complex of V and the nbar-side of V*."""
+    """Per scenario: the n-side complex of V (the nbar side of the opposite
+    parabolic) and the nbar-side of V*."""
     out = {}
     for name, (g, p, v) in scenarios.items():
-        out[name] = (ChainComplex(p, v, "n"), ChainComplex(p, dual_module(v), "nbar"))
+        out[name] = (ChainComplex(opposite(p), v), ChainComplex(p, dual_module(v)))
     return out
 
 
@@ -88,9 +93,9 @@ def test_criterion_1_nilpotency(complexes):
             for cx in (cn, cb):
                 for k in range(0, 5):
                     if k >= 2:
-                        assert cx.lower(k - 1).compose(cx.lower(k)).is_zero(), \
+                        assert not any(cx.lower(k - 1).compose(cx.lower(k)).icols), \
                             (name, "lower", k)
-                    assert cx.raise_(k + 1).compose(cx.raise_(k)).is_zero(), \
+                    assert not any(cx.raise_(k + 1).compose(cx.raise_(k)).icols), \
                         (name, "raise", k)
         assert time.time() - t0 <= 120
 
@@ -102,12 +107,11 @@ def test_criterion_2_quabla_cross_check(complexes):
             for cx in (cn, cb):
                 for k in range(0, 4):
                     qd = cx.quabla(k)
-                    assert qd.cols == cx.casimir_quabla(k).merged().cols, (name, k)
+                    assert same_map(qd, merged_quabla(cx.casimir_quabla(k))), (name, k)
                     assert is_block_diagonal(qd)
                     for i in p.levi_indices:
                         amap = cx.action_map(k, i)
-                        assert qd.compose(amap).cols == amap.compose(qd).cols, \
-                            (name, k, i)
+                        assert same_map(qd.compose(amap), amap.compose(qd)), (name, k, i)
 
 
 def test_criterion_3_osp12_counterexample():

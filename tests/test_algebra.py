@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from oracles import (
     casimir_action_scalar,
     exact_values,
+    natural_module,
     oracle_build_algebra,
     oracle_casimir,
     oracle_commutator,
@@ -33,7 +34,6 @@ from superbgg.algebra import (
     wt_zero,
 )
 from superbgg.errors import CrossCheckFailed, DegenerateForm, UnsupportedAlgebra
-from superbgg.modules import natural_module
 
 F1 = Fraction(1)
 

@@ -619,7 +619,7 @@ def test_bgg_check_computes_predicates_once_per_degree(capsys, monkeypatch):
     assert code == 0
     assert "predicates" in json.loads(out)["verdict"]["details"]
     g = build_algebra("gl", 1, 2)
-    cx = ChainComplex(build_parabolic(g, []), build_irrep(g, (1, 0, 0)), "nbar")
+    cx = ChainComplex(build_parabolic(g, []), build_irrep(g, (1, 0, 0)))
     blocks, differ = [], []
     for k in range(3):
         quab = cx.quabla(k)
@@ -671,7 +671,7 @@ def test_negative_sizes_rejected(capsys, monkeypatch, argv):
     assert built == []
 
 
-@pytest.mark.parametrize("command", [["rep", "build"], ["homology"]])
+@pytest.mark.parametrize("command", [["rep", "build"], ["homology"], ["bgg", "check"]])
 def test_too_small_depth_budget_is_an_input_error(capsys, command):
     """V(eps1) of gl(2|1) is 3-dimensional, and `_dominant_weight` certifies
     it finite dimensional before the build, so a --max-depth below its
@@ -684,6 +684,25 @@ def test_too_small_depth_budget_is_an_input_error(capsys, command):
     assert captured.out == ""
     assert captured.err.startswith("input error: --max-depth 1 ")
     assert "after 1 levels" in captured.err
+
+
+def test_bgg_check_depth_budget_defaults_to_64_levels(capsys):
+    """V(70 eps1) of gl(2|1) is finite dimensional and more than 64 levels
+    tall: `bgg check` refuses it under the default --max-depth 64 as the
+    user's budget (exit 2, no report), and with a budget above its height
+    it runs the query."""
+    argv = ["bgg", "check", "--alg", "gl", "--m", "2", "--n", "1", "--weight", "70,0|0",
+            "--kmax", "1"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("input error: --max-depth 64 ")
+    assert "after 64 levels" in captured.err
+    code, out = run_cli(capsys, *argv, "--max-depth", "80")
+    rep = json.loads(out)
+    assert code == 0 and rep["nilpotency_ok"] and rep["quabla_cross_check_ok"]
+    assert rep["degrees"][0]["homology_dimension"] == 1
+    assert rep["input"]["weight"] == "70,0|0" and "max_depth" not in rep["input"]
 
 
 @pytest.mark.parametrize("command", [
@@ -880,12 +899,13 @@ def test_non_dominant_weight_rejected(capsys, monkeypatch, argv):
      "0", "--weight", "1,0|0,0", "--kmax", "2"],
 ])
 def test_cli_never_builds_fraction_view(capsys, monkeypatch, argv):
-    """The pipeline and its cross-checks run on the integer columns alone."""
+    """The pipeline and its cross-checks run on the integer columns alone:
+    they never read a dense block, ChainMap's one Fraction view."""
     from superbgg import chains
 
-    def refuse(self):
-        raise RuntimeError("ChainMap.cols was built")
-    monkeypatch.setattr(chains.ChainMap, "cols", property(refuse))
+    def refuse(self, weight):
+        raise RuntimeError("ChainMap.block was read")
+    monkeypatch.setattr(chains.ChainMap, "block", refuse)
     code, out = run_cli(capsys, *argv)
     assert code == 0
     rep = json.loads(out)

@@ -15,17 +15,23 @@ from hypothesis import strategies as st
 from oracles import (
     CoordinateLeviModule,
     casimir_match,
+    chain_basis,
     coordinate_decomposition,
     decompose_levi_hw_only,
     dense_rows,
+    dual_module,
     euler_check,
     exact_values,
+    fraction_columns,
     full_levi_module,
     generalized_zero,
     homology_quotient,
     every_weight_blocks,
     every_weight_statements,
     ker_quabla,
+    merged_quabla,
+    natural_module,
+    opposite,
     oracle_action,
     oracle_boundary_squares_to_zero,
     oracle_homology_dims,
@@ -36,6 +42,7 @@ from oracles import (
     oracle_levi_generated_dims,
     oracle_map_product,
     rank_dense,
+    same_map,
     sparse_rows,
     whole_map_checks,
     zeros,
@@ -72,7 +79,7 @@ from superbgg.homology import (
     multiplicity_criterion,
 )
 from superbgg.linalg import Echelon, _primitive
-from superbgg.modules import build_irrep, build_kac_module, dual_module, natural_module
+from superbgg.modules import build_irrep, build_kac_module
 
 F0, F1 = Fraction(0), Fraction(1)
 
@@ -177,11 +184,11 @@ def test_quabla_preserves_ker_and_im(gl21_an):
     """Exactness bookkeeping: quabla commutes with the boundary."""
     cx = gl21_an.cx
     for k in range(1, 3):
-        q = gl21_an.cx.casimir_quabla(k).merged()
+        q = merged_quabla(gl21_an.cx.casimir_quabla(k))
         low = cx.lower(k)
-        qlow = gl21_an.cx.casimir_quabla(k - 1).merged()
+        qlow = merged_quabla(gl21_an.cx.casimir_quabla(k - 1))
         assert low.source is q.source
-        assert qlow.compose(low).cols == low.compose(q).cols
+        assert same_map(qlow.compose(low), low.compose(q))
 
 
 def test_rank_nullity_per_block(gl21_an):
@@ -333,8 +340,8 @@ def test_four_groups_duality(gl21_borel, gl21_natural, osp12, osp12_borel):
     cases = [(gl21_borel, gl21_natural), (osp12_borel, build_irrep(osp12, wt(1)))]
     for p, v in cases:
         vd = dual_module(v)
-        cx_v_n = ChainComplex(p, v, "n")
-        cx_d_nbar = ChainComplex(p, vd, "nbar")
+        cx_v_n = ChainComplex(opposite(p), v)
+        cx_d_nbar = ChainComplex(p, vd)
         for k in range(3):
             coh_dual = _raise_cohomology(cx_d_nbar, k)
             hom_v = _lower_homology(cx_v_n, k)
@@ -405,7 +412,7 @@ def test_ker_quabla_is_a_levi_module_of_the_block_kernels(case, request):
         assert dims == ker_quabla(an, k).weight_dims() == {
             w: d.dim_ker_quabla for w, d in an.block_data(k).items()
             if d.dim_ker_quabla}
-        icols = an.cx.casimir_quabla(k).merged().icols
+        icols = merged_quabla(an.cx.casimir_quabla(k)).icols
         for cols in kq.ker.values():
             for col in cols:
                 img: dict = {}
@@ -420,7 +427,7 @@ def test_decompose_levi_non_split_extension(gl21):
     non-split extension of the 1-dimensional irrep.  The dimensions still add
     up, so only the per-entry check refuses the certificate."""
     p = build_parabolic(gl21, [1])
-    cx = ChainComplex(p, build_kac_module(gl21, wt(0, 0, 0)), "nbar")
+    cx = ChainComplex(p, build_kac_module(gl21, wt(0, 0, 0)))
     dec = coordinate_decomposition(p, full_levi_module(cx, 0))
     entry = next(e for e in dec.entries if e.highest_weight == wt(0, 0, 0))
     assert (entry.hw_vector_count, entry.irrep_dimension,
@@ -441,7 +448,7 @@ def test_levi_module_rejects_mixed_weights_under_O():
         "from superbgg.homology import LeviModule\n"
         "from superbgg.modules import build_irrep\n"
         "g = build_algebra('gl', 2, 1)\n"
-        "cx = ChainComplex(build_parabolic(g, []), build_irrep(g, wt(1, 0, 0)), 'nbar')\n"
+        "cx = ChainComplex(build_parabolic(g, []), build_irrep(g, wt(1, 0, 0)))\n"
         "w = cx.space(0).weights[0]\n"
         "if cx.space(0).weights[1] == w:\n"
         "    raise SystemExit('indices 0 and 1 share a weight')\n"
@@ -495,16 +502,18 @@ def _stacked_solve_action(mod, i):
     not depend on the module."""
     sp, cx = mod.space, mod.cx
     g = cx.algebra
+    basis = chain_basis(sp)
+    index = {e: t for t, e in enumerate(basis)}
     out = []
     for t, rep in enumerate(mod.reps):
         img: dict = {}
         for gidx, v in rep.items():
-            e = sp.basis[gidx]
-            for (word, mi), c in oracle_action(cx.parabolic, cx.module, cx.side, i,
-                                               e.generators(), e.module_index).items():
+            ev, od, m = basis[gidx]
+            for (word, mi), c in oracle_action(cx.parabolic, cx.module, i,
+                                               ev + od, m).items():
                 elem = (tuple(x for x in word if not g.parity(x)),
                         tuple(x for x in word if g.parity(x)), mi)
-                linalg.vec_iadd(img, {sp.index[elem]: c}, v)
+                linalg.vec_iadd(img, {index[elem]: c}, v)
         if not img:
             out.append({})
             continue
@@ -744,7 +753,7 @@ def test_levi_act_divides_by_the_map_denominator(gl21):
     action map exactly, which the coordinate oracle's act on the full chain
     space (unit vectors) also returns."""
     p = build_parabolic(gl21, [0])
-    cx = ChainComplex(p, build_irrep(gl21, wt(2, 0, 0)), "nbar")
+    cx = ChainComplex(p, build_irrep(gl21, wt(2, 0, 0)))
     dens = set()
     for k in (0, 1):
         mod = full_levi_module(cx, k)
@@ -752,9 +761,9 @@ def test_levi_act_divides_by_the_map_denominator(gl21):
             amap = cx.action_map(k, i)
             cols = LeviModule(cx, k, {}).act(i)
             dens.update((amap.den, cols.den))
-            assert mod.act(i).cols == amap.cols
+            assert mod.act(i).cols == fraction_columns(amap)
             assert [{r: Fraction(v, cols.den) for r, v in cols[j].items()}
-                    for j in range(cx.space(k).dim)] == amap.cols
+                    for j in range(cx.space(k).dim)] == fraction_columns(amap)
     assert max(dens) > 1
 
 
@@ -1190,7 +1199,7 @@ def test_homology_matches_oracle_ranks_with_acyclic_blocks(case):
         assert rep.dim_im_boundary_above == sum(im for _, im in ranks.values())
         assert rep.weight_multiplicities == {
             w: ker - im for w, (ker, im) in ranks.items() if ker - im}
-        acyclic, quab = an.acyclic_weights(k), an.cx.casimir_quabla(k).merged()
+        acyclic, quab = an.acyclic_weights(k), merged_quabla(an.cx.casimir_quabla(k))
         for w, idxs in an.cx.space(k).weight_blocks.items():
             full = rank_dense(quab.block(w)) == len(idxs)
             assert (w in acyclic) is full
@@ -1233,7 +1242,7 @@ def test_casimir_parts_and_streamed_checks_match_whole_maps(case, perturb, seed)
     boundary shifted by 1."""
     p, an, k = _case_analysis(case)
     for j in range(k + 1):
-        parts, merged = an.quabla_map(j), an.cx.casimir_quabla(j).merged()
+        parts, merged = an.quabla_map(j), merged_quabla(an.cx.casimir_quabla(j))
         for w, idxs in an.cx.space(j).weight_blocks.items():
             got, exact = dense_rows(parts.rows(w), idxs), merged.block(w)
             c = next((Fraction(x, 1) / y for grow, erow in zip(got, exact)
@@ -1289,34 +1298,86 @@ def test_quabla_kernels_run_at_the_candidates_alone(monkeypatch):
 
 
 @pytest.mark.parametrize("optimize", [False, True])
-def test_perturbed_h_fails_the_filter_premise(optimize):
-    """The candidate filter rests on w(h) = (w, 2 rho_l - 2 rho), which the
-    Casimir terms check once per complex.  With one dual of the radical
-    doubled, h = sum [z_a, z_a^#] moves off it, and block_data raises
-    CrossCheckFailed before any block is filtered, also under `python -O`,
-    on a Borel and on a Levi with root vectors."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    code = (
+def _corrupted_duals_code(corrupt: str) -> str:
+    """A script that builds a KostantAnalysis on a Borel and on a Levi with
+    root vectors, corrupts the dual basis of the radical as `corrupt` says
+    and prints what block_data(0) raises ('accepted' if nothing)."""
+    return (
+        "import json\n"
         "from superbgg.algebra import build_algebra, build_parabolic, wt\n"
         "from superbgg.errors import CrossCheckFailed\n"
         "from superbgg.homology import KostantAnalysis\n"
         "from superbgg.modules import build_irrep\n"
+        "out = []\n"
         "for args, levi, lam in ((('gl', 2, 1), [], (1, 0, 0)),\n"
         "                        (('osp', 4, 1), [1, 2], (1, 0, 0))):\n"
         "    g = build_algebra(*args)\n"
         "    an = KostantAnalysis(build_parabolic(g, levi), build_irrep(g, wt(*lam)), 2)\n"
-        "    an.cx.duals = [{i: 2 * c for i, c in d.items()} if a == 0 else d\n"
-        "                   for a, d in enumerate(an.cx.duals)]\n"
+        "    d = an.cx.duals\n"
+        f"    if {corrupt!r} == 'swap':\n"
+        "        an.cx.duals = [d[1]] + d[1:]\n"
+        "    else:\n"
+        "        an.cx.duals = [{i: 2 * c for i, c in d[0].items()}] + d[1:]\n"
         "    try:\n"
         "        an.block_data(0)\n"
-        "    except CrossCheckFailed:\n"
-        "        print('rejected')\n"
+        "        out.append('accepted')\n"
+        "    except CrossCheckFailed as exc:\n"
+        "        out.append(str(exc))\n"
+        "print(json.dumps(out))\n"
     )
-    out = subprocess.run([sys.executable, *(["-O"] if optimize else []), "-c", code],
-                         capture_output=True, text=True, timeout=120,
-                         env=dict(os.environ, PYTHONPATH=str(src)))
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["rejected", "rejected"]
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_perturbed_h_fails_the_filter_premise(optimize):
+    """The candidate filter rests on w(h) = (w, 2 rho_l - 2 rho), which the
+    Casimir terms check once per complex.  With one dual of the radical
+    doubled, h = sum [z_a, z_a^#] stays in the Cartan but moves off it, and
+    block_data raises CrossCheckFailed naming that premise before any block
+    is filtered, also under `python -O`, on a Borel and on a Levi with root
+    vectors."""
+    from test_cli import _run_script
+    out = _run_script(_corrupted_duals_code("double"), optimize)
+    assert len(out) == 2 and all(msg.startswith("w(h) is not (w, sigma)") for msg in out)
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_swapped_radical_dual_leaves_the_cartan(optimize):
+    """With z_0^# replaced by z_1^#, h = sum [z_a, z_a^#] picks up the root
+    vector [z_0, z_1^#], and the Casimir terms raise CrossCheckFailed
+    before they read h, also under `python -O`, on a Borel and on a Levi
+    with root vectors."""
+    from test_cli import _run_script
+    out = _run_script(_corrupted_duals_code("swap"), optimize)
+    assert len(out) == 2 and all(
+        msg.startswith("sum [z_a, z_a^#] is not in the Cartan") for msg in out)
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_corrupted_record_count_fails_the_basis_check(optimize):
+    """A weight that is not its own l_0-dominant representative takes the
+    representative's counts, and KostantAnalysis.basis checks the basis it
+    eliminates there on first read against them: with the record's
+    dim ker d*_1 raised by 1 it raises CrossCheckFailed, also under
+    `python -O`, on the natural benchmark query."""
+    from test_cli import _run_script
+    code = (
+        "import json\n"
+        "from superbgg.algebra import build_algebra, build_parabolic, wt\n"
+        "from superbgg.errors import CrossCheckFailed\n"
+        "from superbgg.homology import KostantAnalysis\n"
+        "from superbgg.modules import build_irrep\n"
+        "g = build_algebra('osp', 5, 2)\n"
+        "an = KostantAnalysis(build_parabolic(g, [1, 2, 3]), build_irrep(g, wt(1, 0, 0, 0)), 3)\n"
+        "w, d = next((w, d) for w, d in an.block_data(1).items() if d.rep not in (None, w))\n"
+        "d.dim_ker += 1\n"
+        "try:\n"
+        "    an.basis(1, w, 'ker')\n"
+        "    print(json.dumps('accepted'))\n"
+        "except CrossCheckFailed as exc:\n"
+        "    print(json.dumps(str(exc)))\n"
+    )
+    out = _run_script(code, optimize)
+    assert out.startswith("the ker basis of degree 1 at ") and "another size than at" in out
 
 
 def _top_block_counts(an) -> dict:
@@ -1381,12 +1442,13 @@ def _top_boundary_reads(an) -> tuple:
     assert top.target is full.target is an.cx.space(k)
     assert full.den % top.den == 0
     src, whole = top.source, full.source
+    held, every = chain_basis(src), chain_basis(whole)
     for w in reads:
         assert top.block(w) == full.block(w)
         if top.den == full.den:
             assert top.int_block(w) == full.int_block(w)
-        assert ([src.basis[i] for i in src.weight_blocks.get(w, [])]
-                == [whole.basis[i] for i in whole.weight_blocks.get(w, [])])
+        assert ([held[i] for i in src.weight_blocks.get(w, [])]
+                == [every[i] for i in whole.weight_blocks.get(w, [])])
     return len(reads), top.den == full.den
 
 

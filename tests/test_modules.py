@@ -14,7 +14,9 @@ from oracles import (
     bracket_identity_holds,
     casimir_action_scalar,
     contravariance_holds,
+    dual_module,
     exact_values,
+    natural_module,
 )
 from superbgg.algebra import (
     build_adjoint_operation,
@@ -28,13 +30,7 @@ from superbgg.algebra import (
     wt_sub,
 )
 from superbgg.errors import FiniteDimGuardExceeded, NotTypeI, PreconditionViolated
-from superbgg.modules import (
-    build_irrep,
-    build_kac_module,
-    dual_module,
-    even_subalgebra,
-    natural_module,
-)
+from superbgg.modules import build_irrep, build_kac_module, even_subalgebra
 
 F0, F1 = Fraction(0), Fraction(1)
 
