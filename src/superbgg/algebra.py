@@ -293,6 +293,12 @@ class LieSuperalgebra:
         return Fraction(total, den)
 
     @functools.cached_property
+    def even_coroots(self) -> tuple:
+        """The coroot table (`_coroot_table`) of the simple roots of g_0, in
+        `even_simple_roots` order, formed once per algebra."""
+        return _coroot_table(self, even_simple_roots(self))
+
+    @functools.cached_property
     def two_rho(self) -> Weight:
         """The even positive roots minus the odd ones, an integral root sum,
         formed once per algebra."""
@@ -426,13 +432,71 @@ def even_simple_roots(g: LieSuperalgebra, indices=None) -> list:
             if not any(wt_sub(a, b) in pos_set for b in pos_even if b != a)]
 
 
+# ---------------------------------------------------------------------------
+# the even Weyl group
+# ---------------------------------------------------------------------------
+
+def _coroot_table(g: LieSuperalgebra, roots: list) -> tuple:
+    """(a, row, norm) for each even simple root a in `roots`, row the int
+    form on h* (`_weight_form`) times a as sparse (coordinate, value) pairs
+    and norm = a . row: then (w, a^v) = 2 (w, a) / (a, a) = 2 (w . row) /
+    norm, int products wherever w is integral.  An isotropic root has no
+    reflection: CrossCheckFailed."""
+    q, table = g._weight_form[0], []
+    for a in roots:
+        row = [sum(x * y for x, y in zip(qrow, a)) for qrow in q]
+        norm = sum(x * y for x, y in zip(a, row))
+        if not norm:
+            raise CrossCheckFailed(f"the even simple root {wt_str(a, g.r)} is isotropic")
+        table.append((a, tuple((c, x) for c, x in enumerate(row) if x), norm))
+    return tuple(table)
+
+
+def _coroot_pairing(w: Weight, coroot: tuple):
+    """(w, a^v) for an entry (a, row, norm) of a coroot table."""
+    _, row, norm = coroot
+    return _exact(2 * sum([w[c] * x for c, x in row]), norm)
+
+
+def _weyl_act(coroots: tuple, word: tuple, w: Weight) -> Weight:
+    """s_i1 ... s_ik (w) for the word (i1, .., ik) over the table
+    `coroots`, the last letter first: s_a(w) = w - (w, a^v) a."""
+    for i in reversed(word):
+        a, c = coroots[i][0], _coroot_pairing(w, coroots[i])
+        w = tuple(x - c * y for x, y in zip(w, a))
+    return w
+
+
+def _first_off_dominant(coroots: tuple, w: Weight) -> tuple | None:
+    """(a, (w, a^v)) at the first root a of the table where the pairing is
+    not in Z>=0, or None where w is dominant integral."""
+    for co in coroots:
+        c = _coroot_pairing(w, co)
+        if c < 0 or c.denominator != 1:
+            return co[0], c
+    return None
+
+
+def _step_to_dominant(coroots: tuple, w: Weight) -> Weight | None:
+    """s_a(w) at the first root a of the table with (w, a^v) < 0, or None
+    where there is none; CrossCheckFailed where that pairing is not an
+    integer.  Each step adds a positive multiple of a positive root."""
+    for i, co in enumerate(coroots):
+        c = _coroot_pairing(w, co)
+        if c < 0:
+            if c.denominator != 1:
+                raise CrossCheckFailed(f"a coroot pairs {w} to a non-integer")
+            return _weyl_act(coroots, (i,), w)
+    return None
+
+
 def check_finite_dimensional(g: LieSuperalgebra, lam: Weight) -> None:
     """Raise PreconditionViolated unless the irreducible module of highest
     weight `lam` (for this code's simple system) is finite dimensional.
 
     lam must be dominant integral for the even subalgebra: 2(lam, a)/(a, a)
-    in Z>=0 for every simple root a of g_0.  For gl(m|n), osp(1|2n) and
-    osp(2|2n) that is all (Kac 1977).  For osp(m|2n) with m = 2d or 2d+1
+    in Z>=0 for every simple root a of g_0 (`even_coroots`).  For gl(m|n),
+    osp(1|2n) and osp(2|2n) that is all (Kac 1977).  For osp(m|2n) with m = 2d or 2d+1
     >= 3 and n >= 1, the simple system here, eps1-eps2, .., eps_d-delta1,
     delta1-delta2, .., is not Kac's distinguished one, delta1-delta2, ..,
     delta_n-eps1, eps1-eps2, ..  Odd reflections carry the one to the other:
@@ -453,12 +517,10 @@ def check_finite_dimensional(g: LieSuperalgebra, lam: Weight) -> None:
     which is not dominant for the even root 2 delta_n.
     """
     def require_even_dominant(mu: Weight, what: str) -> None:
-        for a in even_simple_roots(g):
-            c = 2 * g.weight_form(mu, a) / g.weight_form(a, a)
-            if c.denominator != 1 or c < 0:
-                raise PreconditionViolated(
-                    f"{what} is not dominant integral for the even simple root "
-                    f"{wt_str(a, g.r)} (2(lam,a)/(a,a) = {c})")
+        if (off := _first_off_dominant(g.even_coroots, mu)) is not None:
+            raise PreconditionViolated(
+                f"{what} is not dominant integral for the even simple root "
+                f"{wt_str(off[0], g.r)} (2(lam,a)/(a,a) = {off[1]})")
 
     require_even_dominant(lam, f"weight {wt_str(lam, g.r)}")
     if g.kind != "osp" or g.m < 3 or g.n < 1:
@@ -495,9 +557,7 @@ def dual_basis_in(g: LieSuperalgebra, of_indices: list, in_indices: list) -> lis
 # construction of gl(m|n)
 # ---------------------------------------------------------------------------
 
-def _build_gl(m: int, n: int, C: Fraction, strict: bool = True) -> LieSuperalgebra:
-    if m == n and strict:
-        raise DegenerateForm("supertrace form of gl(n|n) kills the identity")
+def _build_gl(m: int, n: int, C: Fraction) -> LieSuperalgebra:
     d = m + n
     nat_parity = [0] * m + [1] * n
     rank = m + n
@@ -707,13 +767,13 @@ def _finish(g: LieSuperalgebra, C: Fraction):
         raise DegenerateForm(f"supertrace form degenerate on {g.name}")
 
 
-def build_algebra(kind: str, m: int, n: int, C=1, strict: bool = True) -> LieSuperalgebra:
+def build_algebra(kind: str, m: int, n: int, C=1) -> LieSuperalgebra:
     """Construct gl(m|n) or osp(m|2n) with invariant form C * str(XY).
 
-    gl(n|n) is rejected by default (sl(n|n) is not basic classical and the
-    identity is isotropic); strict=False builds it anyway on the full matrix
-    algebra, whose supertrace Gram matrix is still invertible.  That path
-    exists for cross-checks like gl(1|1), not for the public CLI.
+    gl(n|n) is rejected (sl(n|n) is not basic classical and the identity is
+    isotropic).  `_build_gl` builds it anyway on the full matrix algebra,
+    whose supertrace Gram matrix is still invertible, for cross-checks such
+    as gl(1|1).
     """
     C = Fraction(C)
     if C == 0:
@@ -721,7 +781,9 @@ def build_algebra(kind: str, m: int, n: int, C=1, strict: bool = True) -> LieSup
     if m < 0 or n < 0:
         raise PreconditionViolated(f"m and n must be non-negative, got {m} and {n}")
     if kind == "gl":
-        return _build_gl(m, n, C, strict)
+        if m == n:
+            raise DegenerateForm("supertrace form of gl(n|n) kills the identity")
+        return _build_gl(m, n, C)
     if kind == "osp":
         return _build_osp(m, n, C)
     raise UnsupportedAlgebra(f"unsupported algebra kind: {kind!r}")
@@ -771,6 +833,12 @@ class ParabolicDecomposition:
             self._levi_cache["levi"] = g.subalgebra(
                 self.levi_indices, simple, name=f"levi{list(self.levi_simple_roots)}")
         return self._levi_cache["levi"]
+
+    @functools.cached_property
+    def levi_coroots(self) -> tuple:
+        """The coroot table (`_coroot_table`) of the simple roots of the even
+        Levi l_0, formed once per parabolic without building l."""
+        return _coroot_table(self.algebra, even_simple_roots(self.algebra, self.levi_indices))
 
     def levi_in_even_part(self) -> bool:
         g = self.algebra

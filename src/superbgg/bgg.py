@@ -10,19 +10,17 @@ as truncated; the star condition is global.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import linalg
 from .algebra import (
     LieSuperalgebra,
     ParabolicDecomposition,
     Weight,
+    _weyl_act,
     build_adjoint_operation,
     build_algebra,
     build_parabolic,
     check_finite_dimensional,
     check_star_condition,
-    even_simple_roots,
     positive_even_roots,
     weight_key,
     wt,
@@ -39,10 +37,6 @@ from .errors import (
 )
 from .homology import KostantAnalysis, multiplicity_criterion
 from .modules import HWModule, build_irrep, build_kac_module, type_one_grading
-
-F0 = Fraction(0)
-F1 = Fraction(1)
-
 
 # ---------------------------------------------------------------------------
 # shapes and verdicts
@@ -193,31 +187,10 @@ def natural_resolution_shape(m: int, n: int, k_max: int) -> ResolutionShape:
 # Weyl group machinery for Kac-module resolutions
 # ---------------------------------------------------------------------------
 
-def _reflection_matrix(g: LieSuperalgebra, alpha: Weight) -> tuple:
-    denom = g.weight_form(alpha, alpha)
-    if denom == 0:
-        raise PreconditionViolated(f"no reflection in the isotropic root {alpha}")
-    rank = g.rank
-    rows = []
-    for c in range(rank):
-        e = tuple(F1 if i == c else F0 for i in range(rank))
-        coeff = 2 * g.weight_form(e, alpha) / denom
-        rows.append(tuple(e[i] - coeff * alpha[i] for i in range(rank)))
-    # rows[c] = image of the c-th coordinate vector
-    return tuple(rows)
-
-
-def _apply(mat: tuple, w: Weight) -> Weight:
-    rank = len(w)
-    return tuple(
-        sum((w[c] * mat[c][i] for c in range(rank) if w[c]), F0)
-        for i in range(rank)
-    )
-
-
 class WeylCoset:
     """Minimal-length representatives of W_l \\ W(g_0), graded by length:
-    `elements` holds (matrix, reduced word, length)."""
+    `elements` holds (reduced word, length), the word (i1, .., ik) naming
+    s_i1 ... s_ik over the algebra's `even_coroots`."""
 
     def __init__(self, algebra: LieSuperalgebra, parabolic: ParabolicDecomposition,
                  elements: list):
@@ -225,54 +198,43 @@ class WeylCoset:
 
     def graded(self) -> dict:
         out: dict = {}
-        for mat, word, length in self.elements:
-            out.setdefault(length, []).append((mat, word))
+        for word, length in self.elements:
+            out.setdefault(length, []).append(word)
         return out
 
-    def dot_action(self, mat, lam: Weight) -> Weight:
+    def dot_action(self, word: tuple, lam: Weight) -> Weight:
+        """w . lam = w(lam + rho) - rho."""
         g = self.algebra
-        return wt(*wt_sub(_apply(mat, wt_add(lam, g.rho)), g.rho))
+        return wt(*wt_sub(_weyl_act(g.even_coroots, word, wt_add(lam, g.rho)), g.rho))
 
 
 def weyl_coset(g: LieSuperalgebra, p: ParabolicDecomposition) -> WeylCoset:
-    simple0 = even_simple_roots(g)          # weight_key order
-    refls = [_reflection_matrix(g, a) for a in simple0]
-    rank = g.rank
-    ident = tuple(tuple(F1 if i == j else F0 for j in range(rank)) for i in range(rank))
-    seen = {ident: ()}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for mat in frontier:
-            for si, refl in enumerate(refls):
-                # right multiplication: w -> w s_i (matrices act on weights)
-                comp = tuple(_apply(mat, refl[c]) for c in range(rank))
-                if comp not in seen:
-                    seen[comp] = seen[mat] + (si,)
-                    nxt.append(comp)
-        frontier = nxt
-    pos_even = positive_even_roots(g)
-    levi_pos = [g.root(i) for i in p.levi_indices
-                if not g.basis[i].is_cartan and g.is_positive_root(g.root(i))]
+    """W^1 by a breadth-first search on words, w -> w s_i, each element
+    keyed by its image of the regular weight 2 rho_0 (the sum of the
+    positive even roots).  The length of w, the positive even roots it
+    sends negative, must be that of its first-found word; w is a minimal
+    representative where w^-1, the reversed word, keeps the Levi positive
+    roots positive."""
+    coroots, pos_even = g.even_coroots, positive_even_roots(g)
+    two_rho0 = tuple(sum(a[c] for a in pos_even) for c in range(g.rank))
+    words, seen = [()], {two_rho0}
+    for word in words:
+        for comp in (word + (si,) for si in range(len(coroots))):
+            key = _weyl_act(coroots, comp, two_rho0)
+            if key not in seen:
+                seen.add(key)
+                words.append(comp)
+    levi_pos = [g.root(i) for i in p.levi_indices if g.is_positive_root(g.root(i))]
     elements = []
-    for mat, word in seen.items():
-        length = sum(1 for a in pos_even if not g.is_positive_root(_apply(mat, a)))
+    for word in words:
+        length = sum(1 for a in pos_even
+                     if not g.is_positive_root(_weyl_act(coroots, word, a)))
         if length != len(word):
             raise CrossCheckFailed("BFS word is not reduced")
-        # minimal coset representatives: w^-1 keeps the Levi positives positive
-        if all(g.is_positive_root(_apply_t(mat, a)) for a in levi_pos):
-            elements.append((mat, word, length))
-    elements.sort(key=lambda t: (t[2], t[1]))
+        if all(g.is_positive_root(_weyl_act(coroots, word[::-1], a)) for a in levi_pos):
+            elements.append((word, length))
+    elements.sort(key=lambda t: (t[1], t[0]))
     return WeylCoset(g, p, elements)
-
-
-def _apply_t(mat: tuple, w: Weight) -> Weight:
-    """Apply the inverse (= transpose for orthogonal reflections) of mat."""
-    rank = len(w)
-    return tuple(
-        sum((mat[i][c] * w[c] for c in range(rank) if w[c]), F0)
-        for i in range(rank)
-    )
 
 
 def kac_resolution(g: LieSuperalgebra, p: ParabolicDecomposition, lam: Weight,
@@ -291,8 +253,8 @@ def kac_resolution(g: LieSuperalgebra, p: ParabolicDecomposition, lam: Weight,
     degrees = []
     for j in range(top + 1):
         entries: dict = {}
-        for mat, _word in graded.get(j, []):
-            w = coset.dot_action(mat, lam)
+        for word in graded.get(j, []):
+            w = coset.dot_action(word, lam)
             entries[w] = entries.get(w, 0) + 1
         degrees.append(sorted(entries.items(), key=lambda t: weight_key(t[0])))
     return ResolutionShape(degrees=degrees, truncated=top < max(graded, default=0),

@@ -115,9 +115,10 @@ one with (w, a^v) >= 0 for every simple root a of l_0.  So:
   dominant weights alone.
 
 Every other candidate weight takes the counts of its representative,
-reached by simple reflections s_a(w) = w - (w, a^v) a (`_orbit_map`); that
-the representative is a weight of C_k of the same multiplicity is checked
-as it is found.  A basis at a non-dominant weight is eliminated only when
+reached by simple reflections s_a(w) = w - (w, a^v) a (`_orbit_map`, by
+the algebra's even Weyl group on the parabolic's `levi_coroots`); that the
+representative is a weight of C_k of the same multiplicity is checked as
+it is found.  A basis at a non-dominant weight is eliminated only when
 asked (KostantAnalysis.basis), as the homology quotient asks for I where
 decompose_levi projects onto it, and its size is checked against the
 counts of the representative.  On a Borel l_0 is the Cartan, W(l_0) is
@@ -134,7 +135,8 @@ from . import linalg
 from .algebra import (
     ParabolicDecomposition,
     Weight,
-    even_simple_roots,
+    _first_off_dominant,
+    _step_to_dominant,
     weight_key,
     wt_add,
     wt_sub,
@@ -238,38 +240,6 @@ def _apply(icols: list, vec: dict) -> dict:
     for j, c in vec.items():
         linalg.vec_iadd(out, icols[j], c)
     return out
-
-
-def _coroots(p: ParabolicDecomposition) -> list:
-    """(a, row, norm) for each simple root a of the even Levi l_0, cached
-    on the parabolic: (w, a^v) = 2 (w, a) / (a, a) = 2 (w . row) / norm,
-    row the algebra's int form on h* times a and norm = a . row, both
-    signed so that norm > 0.  So the pairing is a sum of int products
-    wherever w is integral."""
-    hit = p._levi_cache.get("coroots")
-    if hit is None:
-        g, hit = p.algebra, []
-        for a in even_simple_roots(g, p.levi_indices):
-            row = [sum(x * y for x, y in zip(qrow, a)) for qrow in g._weight_form[0]]
-            norm = sum(x * y for x, y in zip(a, row))
-            sign = 1 if norm > 0 else -1
-            hit.append((a, [(c, sign * x) for c, x in enumerate(row) if x], sign * norm))
-        p._levi_cache["coroots"] = hit
-    return hit
-
-
-def _reflect_up(coroots: list, w: Weight) -> Weight | None:
-    """s_a(w) = w - (w, a^v) a at the first simple root a of l_0
-    (`_coroots`) with (w, a^v) < 0, or None where w is l_0-dominant;
-    CrossCheckFailed where that (w, a^v) is not an integer."""
-    for a, row, norm in coroots:
-        c = 2 * sum(w[i] * x for i, x in row)
-        if c < 0:
-            q, r = divmod(c, norm)
-            if r:
-                raise CrossCheckFailed(f"a coroot pairs {w} to a non-integer")
-            return tuple(x - q * y for x, y in zip(w, a))
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -429,25 +399,24 @@ def levi_irrep_dimension(p: ParabolicDecomposition, weight: Weight,
     `weight`, built with the Shapovalov form; None when it is infinite
     dimensional.  Results are cached on the parabolic.
 
-    That is None past `max_depth` levels, and at once, with nothing built,
-    where 2(w, a)/(a, a) is not in Z>=0 for an even simple root a of the
-    Levi: e_a kills the highest-weight vector v, and e_a^n f_a^n v is a
-    nonzero multiple of v for every n, so no f_a^n v vanishes.
+    That is None past `max_depth` levels, and at once, with nothing built
+    (not even the Levi subalgebra), where 2(w, a)/(a, a) is not in Z>=0 for
+    an even simple root a of the Levi (the parabolic's `levi_coroots`): e_a
+    kills the highest-weight vector v, and e_a^n f_a^n v is a nonzero
+    multiple of v for every n, so no f_a^n v vanishes.
 
     decompose_levi needs it only to report a decomposition that is not
     completely reducible."""
     cache = p._levi_cache.setdefault("irrep_dims", {})
     if weight in cache:
         return cache[weight]
-    g, levi, dim = p.algebra, p.levi_algebra(), None
-    if all((c := 2 * g.weight_form(weight, a) / g.weight_form(a, a)).denominator == 1
-           and c >= 0 for a in even_simple_roots(levi)):
-        op = p._levi_cache.get("levi_op")
+    dim = None
+    if _first_off_dominant(p.levi_coroots, weight) is None:
+        levi, op = p.levi_algebra(), p._levi_cache.get("levi_op")
         if op is None:
             from .algebra import build_adjoint_operation
-            parent_op = build_adjoint_operation(g, 1)
-            op = p._levi_cache["levi_op"] = restrict_adjoint(parent_op, levi,
-                                                             p.levi_indices)
+            op = p._levi_cache["levi_op"] = restrict_adjoint(
+                build_adjoint_operation(p.algebra, 1), levi, p.levi_indices)
         try:
             dim = build_irrep(levi, weight, op, max_depth).dim
         except FiniteDimGuardExceeded:
@@ -528,10 +497,10 @@ def decompose_levi(p: ParabolicDecomposition, mod: LeviModule) -> LDecomposition
     roots = p.levi_simple_roots
     raising = [(g.root(pos[i]), mod.act(pos[i])) for i in roots]
     lowering = [(g.root(neg[i]), mod.act(neg[i])) for i in roots]
-    matches, coroots = _casimir_matcher(mod.cx), _coroots(p)
+    matches, coroots = _casimir_matcher(mod.cx), p.levi_coroots
     entries, gens = [], []
     for w in sorted(mod.dims, key=weight_key):
-        if not matches(w) or _reflect_up(coroots, w) is not None:
+        if not matches(w) or _step_to_dominant(coroots, w) is not None:
             continue
         seeds = mod.express(w, _highest_weight_vectors(mod, w, raising))
         gen, count = _lowering_closure(mod, lowering, w, seeds)
@@ -676,7 +645,7 @@ class KostantAnalysis:
         self.module = module
         self.k_max = k_max
         self.cx = ChainComplex(p, module)
-        self._coroots = _coroots(p)
+        self._coroots = p.levi_coroots
         self._reps: dict = {}           # weight -> l_0-dominant representative
         self._blockdata: dict = {}
         self._decomp: dict = {}
@@ -769,19 +738,19 @@ class KostantAnalysis:
 
     def _orbit_map(self, k: int, weights) -> dict:
         """{w: the l_0-dominant weight of its W(l_0)-orbit} for `weights` of
-        C_k, by simple reflections (`_reflect_up`), memoized across degrees.
-        Each reflection adds a positive multiple of a positive root, so a
-        walk never meets a weight twice; it is refused (CrossCheckFailed)
-        where it leaves the weights of C_k or ends at a weight of another
-        multiplicity, which the W(l_0)-invariance of C_k's weight
-        multiplicities rules out."""
+        C_k, by simple reflections (`_step_to_dominant`), memoized across
+        degrees.  Each reflection adds a positive multiple of a positive
+        root, so a walk never meets a weight twice; it is refused
+        (CrossCheckFailed) where it leaves the weights of C_k or ends at a
+        weight of another multiplicity, which the W(l_0)-invariance of C_k's
+        weight multiplicities rules out."""
         blocks, memo, coroots = self.cx.space(k).weight_blocks, self._reps, self._coroots
         out = {}
         for w in weights:
             rep = memo.get(w)
             if rep is None:
                 path, rep = [], w
-                while (up := _reflect_up(coroots, rep)) is not None:
+                while (up := _step_to_dominant(coroots, rep)) is not None:
                     if up not in blocks:
                         raise CrossCheckFailed(
                             f"a reflection of {w} leaves the weights of C_{k}")

@@ -13,7 +13,9 @@ apart from superbgg's decomposition in C_k's coordinates.
 
 The natural and dual modules at the end are reference implementations that
 the package does not run; tests compare against them, and they feed the
-pairing of the two sides (chain_pairing.py).
+pairing of the two sides (chain_pairing.py).  The Weyl coset search on
+Fraction reflection matrices, at the very end, is the reference for the
+package's search on words.
 """
 
 import functools
@@ -1565,3 +1567,79 @@ def module_gram(mod, i, j):
         return 0
     block = mod.weight_blocks[w]
     return mod.gram_blocks[w][block.index(i)][block.index(j)]
+
+
+# ---------------------------------------------------------------------------
+# algebras that build_algebra rejects, and the even Weyl group by matrices
+# ---------------------------------------------------------------------------
+
+def build_gl_nn(n, C=1):
+    """gl(n|n) on the full matrix algebra, which `build_algebra` rejects
+    (the supertrace form kills the identity); its supertrace Gram matrix is
+    still invertible, so it serves cross-checks such as gl(1|1)."""
+    from superbgg.algebra import _build_gl
+    return _build_gl(n, n, Fraction(C))
+
+
+def _oracle_reflection_matrix(g, alpha):
+    """Rows: the images of the unit coordinate vectors under s_alpha, from
+    the Fraction form on h*."""
+    denom = g.weight_form(alpha, alpha)
+    if denom == 0:
+        raise PreconditionViolated(f"no reflection in the isotropic root {alpha}")
+    rows = []
+    for c in range(g.rank):
+        e = _oracle_unit(g.rank, c)
+        coeff = 2 * g.weight_form(e, alpha) / denom
+        rows.append(tuple(e[i] - coeff * alpha[i] for i in range(g.rank)))
+    return tuple(rows)
+
+
+def _oracle_apply(mat, w):
+    rank = len(w)
+    return tuple(sum((w[c] * mat[c][i] for c in range(rank) if w[c]), F0)
+                 for i in range(rank))
+
+
+def _oracle_apply_t(mat, w):
+    """The transpose of mat applied to w: its inverse, as every even
+    reflection is orthogonal in the unit coordinates."""
+    rank = len(w)
+    return tuple(sum((mat[i][c] * w[c] for c in range(rank) if w[c]), F0)
+                 for i in range(rank))
+
+
+def oracle_weyl_coset(g, p):
+    """[(word, length, matrix)] of the minimal coset representatives of
+    W_l \\ W(g_0) by a breadth-first search on rank x rank Fraction matrices
+    (w -> w s_i as matrix products), in (length, word) order; the letters
+    index the simple roots of g_0 in `even_simple_roots` order."""
+    from superbgg.algebra import even_simple_roots, positive_even_roots
+    refls = [_oracle_reflection_matrix(g, a) for a in even_simple_roots(g)]
+    rank = g.rank
+    ident = tuple(tuple(F1 if i == j else F0 for j in range(rank)) for i in range(rank))
+    seen, frontier = {ident: ()}, [ident]
+    while frontier:
+        nxt = []
+        for mat in frontier:
+            for si, refl in enumerate(refls):
+                comp = tuple(_oracle_apply(mat, refl[c]) for c in range(rank))
+                if comp not in seen:
+                    seen[comp] = seen[mat] + (si,)
+                    nxt.append(comp)
+        frontier = nxt
+    pos_even = positive_even_roots(g)
+    levi_pos = [g.root(i) for i in p.levi_indices
+                if not g.basis[i].is_cartan and g.is_positive_root(g.root(i))]
+    out = []
+    for mat, word in seen.items():
+        length = sum(1 for a in pos_even if not g.is_positive_root(_oracle_apply(mat, a)))
+        if all(g.is_positive_root(_oracle_apply_t(mat, a)) for a in levi_pos):
+            out.append((word, length, mat))
+    return sorted(out, key=lambda t: (t[1], t[0]))
+
+
+def oracle_dot_action(g, mat, lam):
+    """w . lam = w(lam + rho) - rho for w given by its matrix."""
+    from superbgg.algebra import wt, wt_sub
+    return wt(*wt_sub(_oracle_apply(mat, wt_add(lam, g.rho)), g.rho))

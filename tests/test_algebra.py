@@ -440,6 +440,28 @@ def test_construction_certificate_survives_optimize():
     assert out.stdout.split() == ["rejected", "rejected"]
 
 
+@pytest.mark.parametrize("optimize", [False, True])
+def test_isotropic_even_root_has_no_coroot(optimize):
+    """An even simple root of norm 0 has no reflection: with the form on h*
+    zeroed, forming gl(2|1)'s coroot table raises CrossCheckFailed in
+    check_finite_dimensional, also under `python -O`."""
+    from test_cli import _run_script
+    code = (
+        "import json\n"
+        "from superbgg.algebra import build_algebra, check_finite_dimensional, wt\n"
+        "from superbgg.errors import CrossCheckFailed\n"
+        "g = build_algebra('gl', 2, 1)\n"
+        "q, den = g._weight_form\n"
+        "g._weight_form = ([[0] * len(row) for row in q], den)\n"
+        "try:\n"
+        "    check_finite_dimensional(g, wt(1, 0, 0))\n"
+        "    print(json.dumps('accepted'))\n"
+        "except CrossCheckFailed as exc:\n"
+        "    print(json.dumps(str(exc)))\n"
+    )
+    assert _run_script(code, optimize) == "the even simple root 1,-1|0 is isotropic"
+
+
 # ---------------------------------------------------------------------------
 # int structure constants against the Fraction side
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from chain_pairing import ChainForm, ChainPairing
 from oracles import (
+    build_gl_nn,
     chain_basis,
     dual_module,
     fraction_columns,
@@ -246,7 +247,7 @@ def test_action_columns_are_the_action_map_up_to_one_scalar(gl21_setup, osp54_dr
 
 
 def test_trivial_module_boundary_gl11():
-    g = build_algebra("gl", 1, 1, strict=False)
+    g = build_gl_nn(1)
     p = build_parabolic(g, [])
     t = build_irrep(g, wt(0, 0))
     cx = ChainComplex(opposite(p), t)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     CoordinateLeviModule,
+    build_gl_nn,
     casimir_match,
     chain_basis,
     coordinate_decomposition,
@@ -133,12 +134,11 @@ def test_trivial_module_homology(gl21, gl21_borel):
 
 def test_oracle_equivalence_small_algebras():
     cases = [
-        ("gl", 1, 1, (1, 0), False),
-        ("gl", 2, 1, (1, 0, 0), True),
-        ("osp", 1, 1, (1,), True),
+        (build_gl_nn(1), (1, 0)),
+        (build_algebra("gl", 2, 1), (1, 0, 0)),
+        (build_algebra("osp", 1, 1), (1,)),
     ]
-    for kind, m, n, lam, strict in cases:
-        g = build_algebra(kind, m, n, strict=strict)
+    for g, lam in cases:
         p = build_parabolic(g, [])
         mod = build_irrep(g, lam)
         an = KostantAnalysis(p, mod, k_max=4)
@@ -805,7 +805,8 @@ def _decompositions(p, an, k):
 
 @functools.lru_cache(maxsize=None)
 def _parabolic(kind, m, n, levi):
-    return build_parabolic(build_algebra(kind, m, n, strict=False), levi)
+    g = build_gl_nn(m) if kind == "gl" and m == n else build_algebra(kind, m, n)
+    return build_parabolic(g, levi)
 
 
 CERT_ALGEBRAS = [("gl", 2, 1), ("gl", 2, 2), ("osp", 1, 1), ("osp", 2, 1),
@@ -1150,7 +1151,8 @@ def test_statement_3_matches_rank_oracle(case):
 def test_levi_irrep_dimension_fails_fast_off_dominant_weights(gl21, monkeypatch):
     """Where a weight is not dominant integral for an even simple root of
     the Levi, its irrep is infinite dimensional: levi_irrep_dimension
-    answers None, as the depth guard does, and builds nothing."""
+    answers None, as the depth guard does, and builds nothing, not even
+    the Levi subalgebra: the test reads the parabolic's coroot table."""
     from superbgg import homology
     p = build_parabolic(gl21, [0])           # Levi gl(2) + gl(1)
     built = []
@@ -1161,7 +1163,7 @@ def test_levi_irrep_dimension_fails_fast_off_dominant_weights(gl21, monkeypatch)
     monkeypatch.setattr(homology, "build_irrep", spy)
     off = [wt(0, 1, 0), wt(Fraction(1, 2), 0, 0)]
     assert [levi_irrep_dimension(p, w) for w in off] == [None, None]
-    assert built == []
+    assert built == [] and "levi" not in p._levi_cache
     assert levi_irrep_dimension(p, wt(1, 0, 0)) == 2 and built == [wt(1, 0, 0)]
     for w in off:
         with pytest.raises(FiniteDimGuardExceeded):
@@ -1781,7 +1783,7 @@ def test_corrupted_coroot_fails_the_orbit_certificate(optimize):
         "g = build_algebra('osp', 5, 2)\n"
         "an = KostantAnalysis(build_parabolic(g, [1, 2, 3]), build_irrep(g, wt(1, 0, 0, 0)), 3)\n"
         "a, row, norm = an._coroots[0]\n"
-        "an._coroots[0] = (a, [(c, -x) for c, x in row], norm)\n"
+        "an._coroots = ((a, tuple((c, -x) for c, x in row), norm),) + an._coroots[1:]\n"
         "try:\n"
         "    an.homology(3)\n"
         "    print(json.dumps('accepted'))\n"
@@ -1789,3 +1791,68 @@ def test_corrupted_coroot_fails_the_orbit_certificate(optimize):
         "    print(json.dumps(str(exc)))\n"
     )
     assert "leaves the weights" in _run_script(code, optimize)
+
+
+def _natural_analysis_code(corruption: str, k: int) -> str:
+    """A script that builds the analysis of the natural benchmark query
+    (osp(5|4), maximal parabolic, natural module, k <= 3), applies
+    `corruption` (statements on `an`), asks for H_k's decomposition and
+    prints 'accepted' or the CrossCheckFailed message."""
+    return (
+        "import json\n"
+        "from superbgg import homology\n"
+        "from superbgg.algebra import build_algebra, build_parabolic, wt\n"
+        "from superbgg.errors import CrossCheckFailed\n"
+        "from superbgg.homology import KostantAnalysis\n"
+        "from superbgg.modules import build_irrep\n"
+        "g = build_algebra('osp', 5, 2)\n"
+        "an = KostantAnalysis(build_parabolic(g, [1, 2, 3]), build_irrep(g, wt(1, 0, 0, 0)), 3)\n"
+        + corruption +
+        "try:\n"
+        f"    an.homology_decomposition({k})\n"
+        "    print(json.dumps('accepted'))\n"
+        "except CrossCheckFailed as exc:\n"
+        "    print(json.dumps(str(exc)))\n"
+    )
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_scaled_coroot_norms_fail_the_integral_pairing(optimize):
+    """The orbit walk reflects only by integer pairings: with every coroot
+    norm of l_0 scaled by 101, the first negative pairing is not an integer
+    and block_data raises CrossCheckFailed, also under `python -O`."""
+    from test_cli import _run_script
+    out = _run_script(_natural_analysis_code(
+        "an._coroots = tuple((a, row, 101 * norm) for a, row, norm in an._coroots)\n", 3),
+        optimize)
+    assert "to a non-integer" in out
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_grown_weight_block_fails_the_orbit_multiplicity(optimize):
+    """Each representative must carry its weight's multiplicity in C_k:
+    with one index repeated in the block of a non-dominant candidate of
+    C_2, the orbit map raises CrossCheckFailed, also under `python -O`."""
+    from test_cli import _run_script
+    out = _run_script(_natural_analysis_code(
+        "blocks = an.cx.space(2).weight_blocks\n"
+        "reps = an._orbit_map(2, an.candidate_weights(2))\n"
+        "w = min((w for w, r in reps.items() if r != w), key=str)\n"
+        "blocks[w] = blocks[w] + blocks[w][:1]\n", 2), optimize)
+    assert "other multiplicities" in out
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_miscounted_highest_weight_vectors_fail_the_multiple_check(optimize):
+    """A completely reducible G_w is L(w) once per highest-weight vector:
+    with the lowering closure's seed count raised by one, the 23-dimensional
+    constituent of H_1 is not a multiple of 2 and decompose_levi raises
+    CrossCheckFailed, also under `python -O`."""
+    from test_cli import _run_script
+    out = _run_script(_natural_analysis_code(
+        "closure = homology._lowering_closure\n"
+        "def miscounted(*args):\n"
+        "    basis, count = closure(*args)\n"
+        "    return basis, count + 1\n"
+        "homology._lowering_closure = miscounted\n", 1), optimize)
+    assert "not a multiple" in out

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from oracles import (
     VermaOracle,
     bracket_identity_holds,
+    build_gl_nn,
     casimir_action_scalar,
     contravariance_holds,
     dual_module,
@@ -174,7 +175,7 @@ def test_kac_gl21(gl21):
 
 
 def test_kac_gl11_generic():
-    g = build_algebra("gl", 1, 1, strict=False)
+    g = build_gl_nn(1)
     k = build_kac_module(g, wt(3, 1))
     assert k.dim == 2
     assert weight_multiset(k) == {wt(3, 1): 1, wt(2, 2): 1}
