@@ -795,7 +795,8 @@ def build_algebra(kind: str, m: int, n: int, C=1) -> LieSuperalgebra:
 
 class ParabolicDecomposition:
     """g = nbar + l + n determined by a subset of the simple roots;
-    `dual_pairing` holds for each a xi_a^# as {nbar basis index: coefficient}."""
+    `dual_pairing` holds for each a xi_a^# as {nbar basis index: coefficient}.
+    The Levi data below are formed once, on first read, and owned here."""
 
     def __init__(self, algebra: LieSuperalgebra, levi_simple_roots: tuple,
                  nbar_indices: list, levi_indices: list, n_indices: list,
@@ -803,36 +804,38 @@ class ParabolicDecomposition:
         self.algebra, self.levi_simple_roots = algebra, levi_simple_roots
         self.nbar_indices, self.levi_indices = nbar_indices, levi_indices
         self.n_indices, self.dual_pairing = n_indices, dual_pairing
-        self._levi_cache = {}
+        # {highest weight: dimension or None}, written by
+        # homology.levi_irrep_dimension alone
+        self.levi_irrep_dims: dict = {}
 
     @property
     def n_odd(self) -> list:
         g = self.algebra
         return [i for i in self.n_indices if g.parity(i) == 1]
 
-    def dual_of_nbar(self) -> list:
-        key = "dual_nbar"
-        if key not in self._levi_cache:
-            self._levi_cache[key] = dual_basis_in(
-                self.algebra, self.nbar_indices, self.n_indices)
-        return self._levi_cache[key]
+    @functools.cached_property
+    def nbar_duals(self) -> list:
+        """For each nbar basis element z_a its dual z_a^# in n."""
+        return dual_basis_in(self.algebra, self.nbar_indices, self.n_indices)
 
+    @functools.cached_property
     def levi_duals(self) -> list:
         """For each Levi basis element A_i (over levi_indices) its dual
-        A_i^# in the Levi, (A_i^#, A_j) = delta_ij; formed once."""
-        key = "dual_levi"
-        if key not in self._levi_cache:
-            self._levi_cache[key] = dual_basis_in(
-                self.algebra, self.levi_indices, self.levi_indices)
-        return self._levi_cache[key]
+        A_i^# in the Levi, (A_i^#, A_j) = delta_ij."""
+        return dual_basis_in(self.algebra, self.levi_indices, self.levi_indices)
 
+    @functools.cached_property
     def levi_algebra(self) -> LieSuperalgebra:
-        if "levi" not in self._levi_cache:
-            g = self.algebra
-            simple = [g.simple_roots[i] for i in self.levi_simple_roots]
-            self._levi_cache["levi"] = g.subalgebra(
-                self.levi_indices, simple, name=f"levi{list(self.levi_simple_roots)}")
-        return self._levi_cache["levi"]
+        g = self.algebra
+        simple = [g.simple_roots[i] for i in self.levi_simple_roots]
+        return g.subalgebra(self.levi_indices, simple,
+                            name=f"levi{list(self.levi_simple_roots)}")
+
+    @functools.cached_property
+    def levi_operation(self) -> AdjointOperation:
+        """The adjoint operation of star type 1 restricted to levi_algebra."""
+        return restrict_adjoint(build_adjoint_operation(self.algebra, 1),
+                                self.levi_algebra, self.levi_indices)
 
     @functools.cached_property
     def levi_coroots(self) -> tuple:
@@ -891,6 +894,23 @@ class AdjointOperation:
         for i, c in x.items():
             linalg.vec_iadd(out, self.images[i], c)
         return out
+
+
+def restrict_adjoint(op: AdjointOperation, sub: LieSuperalgebra,
+                     indices: list) -> AdjointOperation:
+    """op on the subalgebra `sub` spanned by the basis elements `indices`
+    of op's algebra, renumbered as sub's basis; CrossCheckFailed where op
+    leaves the span, which no subalgebra the package restricts to does."""
+    index_map = {old: new for new, old in enumerate(indices)}
+    images = []
+    for old in indices:
+        img = op.apply_basis(old)
+        try:
+            images.append({index_map[k]: v for k, v in img.items()})
+        except KeyError:
+            raise CrossCheckFailed(
+                "subalgebra is not stable under the adjoint operation")
+    return AdjointOperation(sub, images, op.star_type)
 
 
 def natural_form_diagonal(g: LieSuperalgebra) -> list:

@@ -77,7 +77,7 @@ from .algebra import (
     wt_sub,
     wt_zero,
 )
-from .errors import CrossCheckFailed, PreconditionViolated
+from .errors import CrossCheckFailed
 from .linalg import _exact
 from .modules import Module
 
@@ -251,7 +251,7 @@ class CasimirQuabla:
         _, fs, fr = self._scales()
         root = self.root.icols if self.root is not None else None
         if root is not None and self.root.source is not self.space:
-            raise PreconditionViolated("the root part holds some weight blocks alone")
+            raise CrossCheckFailed("the root part holds some weight blocks alone")
         for j, w in enumerate(self.space.weights):
             col = {r: fr * v for r, v in root[j].items()} if root is not None else {}
             _add_term(col, j, fs * self.scalar[w])
@@ -270,7 +270,7 @@ class CasimirQuabla:
         if self.root is not None:
             src = self.root.source.weight_blocks.get(weight)
             if src is None:
-                raise PreconditionViolated(f"the root part holds no block at {weight}")
+                raise CrossCheckFailed(f"the root part holds no block at {weight}")
             for j, c in zip(src, idxs, strict=True):
                 for r, v in self.root.icols[j].items():
                     rows[r][c] = fr * v
@@ -306,7 +306,7 @@ class ChainComplex:
         g = parabolic.algebra
         self.algebra = g
         self.radical = list(parabolic.nbar_indices)
-        self.duals = parabolic.dual_of_nbar()
+        self.duals = parabolic.nbar_duals
         self.even_gens = [i for i in self.radical if g.parity(i) == 0]
         self.odd_gens = [i for i in self.radical if g.parity(i) == 1]
         self.radical_set = frozenset(self.radical)
@@ -784,7 +784,7 @@ class ChainComplex:
         """The per-complex data of the Casimir quabla (`casimir_quabla`)."""
         g, p = self.algebra, self.parabolic
         roots = []
-        for i, dual in zip(p.levi_indices, p.levi_duals()):
+        for i, dual in zip(p.levi_indices, p.levi_duals):
             is_h = g.basis[i].is_cartan
             if any(g.basis[s].is_cartan != is_h or g.parity(s) != g.parity(i)
                    for s in dual):

@@ -66,9 +66,5 @@ class CrossCheckFailed(SuperBGGError):
     Raised instead of `assert` so that `python -O` cannot strip it."""
 
 
-class TruncationTooSmall(SuperBGGError):
-    """A weight may occur in degrees beyond the built truncation."""
-
-
 class UnknownScenario(InputError):
     """reproduce() called with an unregistered scenario name."""

@@ -118,16 +118,16 @@ Every other candidate weight takes the counts of its representative,
 reached by simple reflections s_a(w) = w - (w, a^v) a (`_orbit_map`, by
 the algebra's even Weyl group on the parabolic's `levi_coroots`); that the
 representative is a weight of C_k of the same multiplicity is checked as
-it is found.  A basis at a non-dominant weight is eliminated only when
-asked (KostantAnalysis.basis), as the homology quotient asks for I where
-decompose_levi projects onto it, and its size is checked against the
-counts of the representative.  On a Borel l_0 is the Cartan, W(l_0) is
+it is found.  No record keeps a basis at a non-dominant weight:
+decompose_levi reads K at the dominant weights alone, and the homology
+quotient eliminates I at a non-dominant weight where it first projects
+there (LeviModule.express), checked in size against the counts of the
+representative.  On a Borel l_0 is the Cartan, W(l_0) is
 trivial, and no weight is mapped.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from fractions import Fraction
 from math import lcm
 
@@ -147,9 +147,8 @@ from .errors import (
     FiniteDimGuardExceeded,
     LeviNotClosed,
     NotCompletelyReducible,
-    PreconditionViolated,
 )
-from .modules import Module, build_irrep, restrict_adjoint
+from .modules import Module, build_irrep
 
 
 def _quabla_kernels(rows: list, cols: list) -> tuple[list, list]:
@@ -254,22 +253,9 @@ class LDecompositionEntry:
 
 
 class LDecomposition:
-    """Compared by value: the fields of every entry, complete reducibility
-    and the total dimension."""
-
     def __init__(self, entries: list, completely_reducible: bool, total_dimension: int):
         self.entries, self.completely_reducible = entries, completely_reducible
         self.total_dimension = total_dimension
-
-    def _key(self) -> tuple:
-        return ([(e.highest_weight, e.hw_vector_count, e.irrep_dimension,
-                  e.generated_dimension) for e in self.entries],
-                self.completely_reducible, self.total_dimension)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LDecomposition):
-            return NotImplemented
-        return self._key() == other._key()
 
     def weight_multiplicities(self) -> dict:
         return {e.highest_weight: e.hw_vector_count for e in self.entries}
@@ -298,40 +284,31 @@ class HomologyReport:
 
 class LeviModule:
     """The l-module K/I of two l-stable subspaces I <= K of the chain space
-    C_k, in C_k's own coordinates.  `ker[w]` and `im[w]` are bases of K and
-    I at weight w, sparse ambient int columns supported in the weight block
-    of w, in mappings that a caller may fill on first read; `dims` holds
-    dim M_w = |ker[w]| - |im[w]| at each weight where it is not 0.  Without
-    `dims` the bases are read whole and checked against the weight blocks.
+    C_k, in C_k's own coordinates.  `ker[w]` is a basis of K at each
+    weight w where decompose_levi reads one, the l_0-dominant weights that
+    are not acyclic, in sparse ambient int columns supported in the weight
+    block of w; `dims` holds dim M_w at each weight where it is not 0.
 
-    With `im` (a homology quotient, KostantAnalysis.homology_quotient_module)
-    K is ker d*_k and I is im d*_{k+1}.  The weights in `acyclic` hold
-    neither: K = I there, so the quotient is zero.  `express` certifies
-    every column it is handed by d*_k, and the lowering closure hands it
-    only the images it inserts.  Without `im` (ker quabla_k,
-    KostantAnalysis.ker_quabla_module) I = 0 and K is l-stable because
-    quabla commutes with l, so columns are taken as they are, with no
-    product per image.
+    With `records` and `above` (a homology quotient,
+    KostantAnalysis.homology_quotient_module) K is ker d*_k and I is
+    im d*_{k+1}: `records` is block_data(k), whose acyclic weights hold
+    neither (K = I there, so the quotient is zero) and whose dominant ones
+    hold I's basis, and `above` is boundary_above(k), the map whose image
+    I is.  `express` certifies every column it is handed by d*_k, and the
+    lowering closure hands it only the images it inserts.  Without them
+    (ker quabla_k, KostantAnalysis.ker_quabla_module) I = 0 and K is
+    l-stable because quabla commutes with l, so columns are taken as they
+    are, with no product per image.
     """
 
-    def __init__(self, cx: ChainComplex, k: int, ker: Mapping, im: Mapping | None = None,
-                 acyclic: frozenset = frozenset(), dims: dict | None = None):
+    def __init__(self, cx: ChainComplex, k: int, ker: dict, dims: dict,
+                 records: dict | None = None, above: ChainMap | None = None):
         self.cx = cx
         self.k = k
         self.ker = ker
-        self.im = im
-        self.acyclic = acyclic
-        if dims is None:
-            blocks = cx.space(k).weight_blocks
-            for bases in (ker, im or {}):
-                for w, cols in bases.items():
-                    block = set(blocks.get(w, ()))
-                    if not all(col.keys() <= block for col in cols):
-                        raise PreconditionViolated(
-                            f"a basis vector of weight {w} leaves its weight block")
-            dims = {w: n for w, cols in ker.items()
-                    if (n := len(cols) - len((im or {}).get(w, ())))}
         self.dims = dims
+        self.records = records
+        self.above = above
         self._im_rows: dict = {}
 
     @property
@@ -339,7 +316,7 @@ class LeviModule:
         return sum(self.dims.values())
 
     def weight_dim(self, weight: Weight) -> int:
-        """dim M_w = |ker[w]| - |im[w]|."""
+        """dim M_w = dim K_w - dim I_w."""
         return self.dims.get(weight, 0)
 
     def act(self, levi_index: int):
@@ -357,9 +334,15 @@ class LeviModule:
         column is first certified to lie in K = ker d*_k, one sparse product
         with the int columns of lower(k); LeviNotClosed when it does not or
         when it leaves the weight block.  At an acyclic weight K = I and
-        every class is zero.  Without `im` the columns are their own
-        classes."""
-        if self.im is None:
+        every class is zero.  Without `above` the columns are their own
+        classes.
+
+        I's RREF at a weight is formed on the first projection there and
+        kept, the one cache of I outside the records.  Its basis is the
+        record's at a dominant weight; at any other it is eliminated here
+        (`_block_images` of `above`) and checked in size against the
+        record's count, taken from the representative."""
+        if self.above is None:
             return cols
         lower, weights = self.cx.lower(self.k).icols, self.cx.space(self.k).weights
         for col in cols:
@@ -367,11 +350,18 @@ class LeviModule:
                 raise LeviNotClosed("image leaves the expected weight block")
             if _apply(lower, col):
                 raise LeviNotClosed("subspace is not stable under the Levi action")
-        if weight in self.acyclic:
+        d = self.records[weight]
+        if d.acyclic:
             return [{} for _ in cols]
         hit = self._im_rows.get(weight)
         if hit is None:
-            rows = linalg.Echelon(self.im.get(weight, [])).reduce().rows
+            im = d.im
+            if im is None:
+                im = _block_images(self.above, [weight]).get(weight, [])
+                if len(im) != d.dim_im:
+                    raise CrossCheckFailed(f"the im basis of degree {self.k} at {weight} "
+                                           f"has another size than at {d.rep}")
+            rows = linalg.Echelon(im).reduce().rows
             hit = self._im_rows[weight] = (rows,
                                            lcm(1, *(row[p] for p, row in rows.items())))
         rows, den = hit
@@ -397,7 +387,8 @@ def levi_irrep_dimension(p: ParabolicDecomposition, weight: Weight,
                          max_depth: int = 64) -> int | None:
     """Dimension of the abstract irreducible Levi module of highest weight
     `weight`, built with the Shapovalov form; None when it is infinite
-    dimensional.  Results are cached on the parabolic.
+    dimensional.  Results are memoized in the parabolic's
+    `levi_irrep_dims`, which nothing else writes.
 
     That is None past `max_depth` levels, and at once, with nothing built
     (not even the Levi subalgebra), where 2(w, a)/(a, a) is not in Z>=0 for
@@ -407,18 +398,13 @@ def levi_irrep_dimension(p: ParabolicDecomposition, weight: Weight,
 
     decompose_levi needs it only to report a decomposition that is not
     completely reducible."""
-    cache = p._levi_cache.setdefault("irrep_dims", {})
+    cache = p.levi_irrep_dims
     if weight in cache:
         return cache[weight]
     dim = None
     if _first_off_dominant(p.levi_coroots, weight) is None:
-        levi, op = p.levi_algebra(), p._levi_cache.get("levi_op")
-        if op is None:
-            from .algebra import build_adjoint_operation
-            op = p._levi_cache["levi_op"] = restrict_adjoint(
-                build_adjoint_operation(p.algebra, 1), levi, p.levi_indices)
         try:
-            dim = build_irrep(levi, weight, op, max_depth).dim
+            dim = build_irrep(p.levi_algebra, weight, p.levi_operation, max_depth).dim
         except FiniteDimGuardExceeded:
             pass
     cache[weight] = dim
@@ -586,10 +572,9 @@ class BlockRecord:
     invertible there), and the dimensions of ker quabla and of the
     generalized zero space.  `rep` is the l_0-dominant representative of
     a non-acyclic w (w itself where w is dominant), None at an acyclic
-    one.  The int bases are None until formed: block_data forms all four at
-    the dominant non-acyclic weights, KostantAnalysis.basis any other one
-    on first read; at an acyclic weight ker quabla and the generalized
-    zero space are 0, and `ker` and `im` are formed only when read."""
+    one.  The four int bases are formed at the dominant non-acyclic
+    weights alone; at an acyclic weight ker quabla and the generalized
+    zero space are 0, and every other basis is None."""
 
     __slots__ = ("n", "dim_ker", "dim_im", "acyclic", "dim_ker_quabla", "dim_gen_zero",
                  "rep", "ker", "im", "ker_quabla", "gen_zero")
@@ -608,30 +593,6 @@ class BlockRecord:
         out.dim_ker_quabla, out.dim_gen_zero = self.dim_ker_quabla, self.dim_gen_zero
         out.acyclic, out.ker_quabla, out.gen_zero = self.acyclic, None, None
         return out
-
-
-class _RecordBases(Mapping):
-    """{w: the basis `name` of the record of degree k at w} over `weights`,
-    each eliminated on first read where block_data formed none
-    (KostantAnalysis.basis)."""
-
-    def __init__(self, an: "KostantAnalysis", k: int, name: str, weights: list):
-        self._an, self._k, self._name = an, k, name
-        self._weights = dict.fromkeys(weights)
-
-    def __getitem__(self, w: Weight) -> list:
-        if w not in self._weights:
-            raise KeyError(w)
-        return self._an.basis(self._k, w, self._name)
-
-    def __contains__(self, w) -> bool:
-        return w in self._weights
-
-    def __iter__(self):
-        return iter(self._weights)
-
-    def __len__(self) -> int:
-        return len(self._weights)
 
 
 class KostantAnalysis:
@@ -667,19 +628,11 @@ class KostantAnalysis:
         d_{k-1} d*_k + d*_{k+1} d_k would need d_k into C_{k+1}; so the top
         degree k_max builds no map C_{k_max} -> C_{k_max+1}.  There
         block_data reads a root part built on the blocks it eliminates
-        alone (`_quabla_at`), and its invertible blocks spare d*_{k_max+1}
-        too, which is built only at the other weights (`boundary_above`)."""
+        alone, and its invertible blocks spare d*_{k_max+1} too, which is
+        built only at the other weights (`boundary_above`)."""
         if k not in self._quabla:
             self._quabla[k] = self.cx.casimir_quabla(k)
         return self._quabla[k]
-
-    def _quabla_at(self, k: int, weights: list) -> CasimirQuabla:
-        """A quabla_k whose rows can be read at `weights`: quabla_map(k)
-        below k_max, and from k_max on one built on their blocks alone,
-        owned by the caller."""
-        if k < self.k_max:
-            return self.quabla_map(k)
-        return self.cx.casimir_quabla(k, weights)
 
     def block_data(self, k: int) -> dict:
         """{weight: BlockRecord} of degree k, in weight_key order.
@@ -708,7 +661,8 @@ class KostantAnalysis:
         candidates = self.candidate_weights(k)
         reps = self._orbit_map(k, candidates) if self._coroots else {}
         dominant = [w for w in candidates if reps.get(w, w) == w]
-        quab = self._quabla_at(k, dominant)
+        quab = (self.quabla_map(k) if k < self.k_max
+                else self.cx.casimir_quabla(k, dominant))
         hot = {}
         for w in dominant:
             kerq, gen_zero = _quabla_kernels(quab.rows(w), blocks[w])
@@ -765,27 +719,6 @@ class KostantAnalysis:
             out[w] = rep
         return out
 
-    def basis(self, k: int, w: Weight, name: str) -> list:
-        """The int basis `name` ("ker", "im", "ker_quabla" or "gen_zero") of
-        block_data(k)[w].  Where block_data formed none, it is eliminated
-        at w now, by the same per-weight routine, and its size is checked
-        against the record's count, taken from the representative."""
-        d = self.block_data(k)[w]
-        if getattr(d, name) is None:
-            if name == "ker":
-                found = {name: _block_kernels(self.cx.lower(k), [w])[w]}
-            elif name == "im":
-                found = {name: _block_images(self.boundary_above(k), [w]).get(w, [])}
-            else:
-                found = dict(zip(("ker_quabla", "gen_zero"), _quabla_kernels(
-                    self._quabla_at(k, [w]).rows(w), self.cx.space(k).weight_blocks[w])))
-            for key, basis in found.items():
-                if len(basis) != getattr(d, "dim_" + key):
-                    raise CrossCheckFailed(f"the {key} basis of degree {k} at {w} has "
-                                           f"another size than at {d.rep}")
-                setattr(d, key, basis)
-        return getattr(d, name)
-
     def candidate_weights(self, k: int) -> frozenset:
         """The weights of C_k whose quabla block can be singular: the
         Casimir-matching weights (`_casimir_matcher`) closed downward under
@@ -819,10 +752,6 @@ class KostantAnalysis:
         self.block_data(k)
         return self._top_boundary[k]
 
-    def acyclic_weights(self, k: int) -> frozenset:
-        """The weights of C_k whose quabla block is invertible."""
-        return frozenset(w for w, d in self.block_data(k).items() if d.acyclic)
-
     # -- homology ---------------------------------------------------------------
 
     def homology(self, k: int) -> HomologyReport:
@@ -848,23 +777,24 @@ class KostantAnalysis:
         )
 
     def homology_quotient_module(self, k: int) -> LeviModule:
-        """H_k as K/I in C_k's own coordinates: K = ker d*_k and I =
-        im d*_{k+1} at the non-acyclic weights of block_data(k), each basis
-        read only where decompose_levi asks (`_RecordBases`), with the
-        homology multiplicities as its weight dimensions; the acyclic
-        weights, where K = I, are handed over as such."""
-        hot = [w for w, d in self.block_data(k).items() if not d.acyclic]
-        return LeviModule(self.cx, k, _RecordBases(self, k, "ker", hot),
-                          _RecordBases(self, k, "im", hot), self.acyclic_weights(k),
-                          self.homology(k).weight_multiplicities)
+        """H_k as K/I in C_k's own coordinates: K = ker d*_k at the weights
+        where block_data(k) formed it, the records themselves for I and
+        acyclicity, and boundary_above(k) for I at a non-dominant weight
+        (`LeviModule.express`), with the homology multiplicities as its
+        weight dimensions."""
+        data = self.block_data(k)
+        return LeviModule(self.cx, k, {w: d.ker for w, d in data.items() if d.rep == w},
+                          self.homology(k).weight_multiplicities, data,
+                          self.boundary_above(k))
 
     def ker_quabla_module(self, k: int) -> LeviModule:
-        """ker quabla_k as K/I with I = 0: the ker quabla bases of
-        block_data(k), in C_k's own coordinates, each read only where
-        decompose_levi asks."""
-        dims = self.block_dims(k, "ker_quabla")
-        return LeviModule(self.cx, k, _RecordBases(self, k, "ker_quabla", list(dims)),
-                          dims=dims)
+        """ker quabla_k as K/I with I = 0: the ker quabla bases that
+        block_data(k) formed, in C_k's own coordinates, with the records'
+        counts as its weight dimensions."""
+        data = self.block_data(k)
+        return LeviModule(self.cx, k,
+                          {w: d.ker_quabla for w, d in data.items() if d.rep == w},
+                          self.block_dims(k, "ker_quabla"))
 
     def homology_decomposition(self, k: int) -> LDecomposition:
         """ker_quabla_decomposition(k) where homology_is_ker_quabla(k): every

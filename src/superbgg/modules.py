@@ -26,6 +26,7 @@ from .algebra import (
     Weight,
     build_adjoint_operation,
     even_simple_roots,
+    restrict_adjoint,
     weight_key,
     wt,
     wt_add,
@@ -113,8 +114,8 @@ def _simple_data(g: LieSuperalgebra, op: AdjointOperation):
     for i, fidx in enumerate(neg):
         img = op.apply_basis(fidx)
         if set(img) != {pos[i]}:
-            raise PreconditionViolated("adjoint of a simple lowering vector must "
-                                       "be a multiple of the raising vector")
+            raise CrossCheckFailed("adjoint of a simple lowering vector must "
+                                   "be a multiple of the raising vector")
         kappa.append(img[pos[i]])
     hvec = [g.bracket(pos[i], neg[i]) for i in range(len(pos))]
     for i, j in itertools.permutations(range(len(pos)), 2):
@@ -300,21 +301,6 @@ def even_subalgebra(g: LieSuperalgebra) -> LieSuperalgebra:
     # Kac-module builds
     simple_even = sorted(even_simple_roots(g), key=g.height)
     return g.subalgebra(indices, simple_even, name=g.name + "_0")
-
-
-def restrict_adjoint(op: AdjointOperation, sub: LieSuperalgebra,
-                     indices: list) -> AdjointOperation:
-    g = op.algebra
-    index_map = {old: new for new, old in enumerate(indices)}
-    images = []
-    for old in indices:
-        img = op.apply_basis(old)
-        try:
-            images.append({index_map[k]: v for k, v in img.items()})
-        except KeyError:
-            raise PreconditionViolated(
-                "subalgebra is not stable under the adjoint operation")
-    return AdjointOperation(sub, images, op.star_type)
 
 
 def type_one_grading(g: LieSuperalgebra) -> dict:

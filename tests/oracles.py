@@ -235,7 +235,7 @@ def oracle_coboundary(p, module, word, mi):
     d(v) = sum_a z_a (x) z_a^#.v, of the sorted monomial `word` (x) v_mi,
     by the same raw-word recursion and projection as `oracle_boundary`."""
     g = p.algebra
-    radical, duals = p.nbar_indices, p.dual_of_nbar()
+    radical, duals = p.nbar_indices, p.nbar_duals
     return _exterior(g, _tensor_coboundary(g, module, set(radical),
                                            list(zip(radical, duals)), (tuple(word), mi)))
 
@@ -786,6 +786,11 @@ def every_weight_blocks(an, k):
     return out
 
 
+def acyclic_weights(an, k):
+    """The weights of C_k whose quabla block block_data(k) finds invertible."""
+    return frozenset(w for w, d in an.block_data(k).items() if d.acyclic)
+
+
 def every_weight_statements(an, k):
     """Statements (1)-(7) at degree k from `every_weight_blocks`, a rank
     test at every non-acyclic weight; (3), that the generalized zero space
@@ -947,6 +952,18 @@ def coordinate_decomposition(p, mod):
                           total_dimension=mod.dim)
 
 
+def same_decomposition(a, b):
+    """Whether two LDecompositions agree in every field: each entry's
+    highest weight, highest-weight vector count, irrep dimension and
+    generated dimension, in order, complete reducibility and the total
+    dimension."""
+    def key(dec):
+        return ([(e.highest_weight, e.hw_vector_count, e.irrep_dimension,
+                  e.generated_dimension) for e in dec.entries],
+                dec.completely_reducible, dec.total_dimension)
+    return key(a) == key(b)
+
+
 def casimir_match(an, k):
     """Levi highest weights mu of the whole chain space C_k with
     C2(mu) = C2(lambda), in weight_key order: by Kostant's formula, the
@@ -974,12 +991,15 @@ def occurrence_bound(an, mu):
     return best
 
 
+class TruncationTooSmall(Exception):
+    """A weight may occur in degrees beyond the built truncation."""
+
+
 def euler_check(an, mu):
     """Euler characteristic at weight mu: sum_k (-1)^k dim C_{k,mu} equals
     sum_k (-1)^k of mu's multiplicity in H_k, over the degrees where mu can
     occur (TruncationTooSmall if they pass an.k_max; True if there are none,
     as both sides are zero)."""
-    from superbgg.errors import TruncationTooSmall
     bound = occurrence_bound(an, mu)
     if bound is None:
         return True
@@ -1004,7 +1024,7 @@ def opposite(p):
     the dual basis of n in nbar."""
     from superbgg.algebra import ParabolicDecomposition
     return ParabolicDecomposition(p.algebra, p.levi_simple_roots, p.n_indices,
-                                  p.levi_indices, p.nbar_indices, p.dual_of_nbar())
+                                  p.levi_indices, p.nbar_indices, p.nbar_duals)
 
 
 def chain_basis(space):

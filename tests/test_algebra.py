@@ -494,7 +494,7 @@ def test_int_structure_matches_fraction_oracle(args, C):
     op = build_adjoint_operation(g, 1)
     assert exact_values([v for b in g.basis for v in b.matrix.values()]
                         + [x for row in g.gram for x in row]
-                        + [c for d in p.dual_pairing + p.dual_of_nbar() for c in d.values()]
+                        + [c for d in p.dual_pairing + p.nbar_duals for c in d.values()]
                         + [c for img in op.images for c in img.values()])
     assert any(type(x) is Fraction for row in g.gram for x in row) is (C == Fraction(1, 2))
 

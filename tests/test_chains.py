@@ -686,10 +686,87 @@ def test_casimir_cartan_scalar_is_the_weight_form(gl21, osp54_drop0):
     from the algebra's int weight form."""
     for cx in _casimir_cases(gl21, osp54_drop0):
         g, p = cx.algebra, cx.parabolic
-        cartan = [(i, dual) for i, dual in zip(p.levi_indices, p.levi_duals())
+        cartan = [(i, dual) for i, dual in zip(p.levi_indices, p.levi_duals)
                   if g.basis[i].is_cartan]
         for k in range(3):
             for w in cx.space(k).weight_blocks:
                 scalar = sum((g.eval_weight(w, {i: F1}) * g.eval_weight(w, dual)
                               for i, dual in cartan), F0)
                 assert scalar == g.weight_form(w, w)
+
+
+def _restricted_quabla_code(read: str) -> str:
+    """A script that builds the Casimir quabla of degree 1 of gl(2|1) with
+    Levi {0} (which has a root part) on the first weight block of C_1
+    alone, reads it as `read` says ("columns": every column, "rows": the
+    block of the second weight) and prints what that raises."""
+    return (
+        "import json\n"
+        "from superbgg.algebra import build_algebra, build_parabolic, weight_key, wt\n"
+        "from superbgg.chains import ChainComplex\n"
+        "from superbgg.errors import SuperBGGError\n"
+        "from superbgg.modules import build_irrep\n"
+        "g = build_algebra('gl', 2, 1)\n"
+        "cx = ChainComplex(build_parabolic(g, [0]), build_irrep(g, wt(1, 0, 0)))\n"
+        "w, v = sorted(cx.space(1).weight_blocks, key=weight_key)[:2]\n"
+        "q = cx.casimir_quabla(1, [w])\n"
+        "if q.root is None:\n"
+        "    raise SystemExit('no root part')\n"
+        "try:\n"
+        f"    list(q.columns()) if {read!r} == 'columns' else q.rows(v)\n"
+        "    print(json.dumps('accepted'))\n"
+        "except SuperBGGError as exc:\n"
+        "    print(json.dumps([type(exc).__name__, str(exc)]))\n"
+    )
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_restricted_root_part_refuses_whole_columns(optimize):
+    """A Casimir quabla whose root part holds some weight blocks alone has
+    no whole column; reading its columns is an internal fault,
+    CrossCheckFailed (exit 1), also under `python -O`."""
+    from test_cli import _run_script
+    assert _run_script(_restricted_quabla_code("columns"), optimize) == [
+        "CrossCheckFailed", "the root part holds some weight blocks alone"]
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_restricted_root_part_refuses_other_blocks(optimize):
+    """Reading such a quabla at a weight block its root part does not hold
+    is an internal fault, CrossCheckFailed (exit 1), also under
+    `python -O`."""
+    from test_cli import _run_script
+    name, msg = _run_script(_restricted_quabla_code("rows"), optimize)
+    assert name == "CrossCheckFailed" and msg.startswith("the root part holds no block at")
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_corrupted_levi_dual_fails_the_casimir_terms(optimize):
+    """The Casimir terms split the Levi duals into a Cartan part and a root
+    part, which holds only when each dual A_i^# has the parity of A_i and
+    lies in the Cartan exactly when A_i does.  With the dual of a Levi root
+    vector replaced by that of a Cartan element, block_data raises
+    CrossCheckFailed naming the Levi dual, also under `python -O`."""
+    from test_cli import _run_script
+    code = (
+        "import json\n"
+        "from superbgg.algebra import build_algebra, build_parabolic, wt\n"
+        "from superbgg.errors import CrossCheckFailed\n"
+        "from superbgg.homology import KostantAnalysis\n"
+        "from superbgg.modules import build_irrep\n"
+        "g = build_algebra('gl', 2, 1)\n"
+        "p = build_parabolic(g, [0])\n"
+        "duals = list(p.levi_duals)\n"
+        "root = next(a for a, i in enumerate(p.levi_indices) if not g.basis[i].is_cartan)\n"
+        "cartan = next(a for a, i in enumerate(p.levi_indices) if g.basis[i].is_cartan)\n"
+        "duals[root] = duals[cartan]\n"
+        "p.levi_duals = duals\n"
+        "try:\n"
+        "    KostantAnalysis(p, build_irrep(g, wt(1, 0, 0)), 2).block_data(0)\n"
+        "    print(json.dumps('accepted'))\n"
+        "except CrossCheckFailed as exc:\n"
+        "    print(json.dumps(str(exc)))\n"
+    )
+    out = _run_script(code, optimize)
+    assert out.startswith("the Levi dual of ") and out.endswith(
+        "leaves its parity or the Cartan")

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 
 from oracles import (
     CoordinateLeviModule,
+    TruncationTooSmall,
+    acyclic_weights,
     build_gl_nn,
     casimir_match,
     chain_basis,
@@ -43,6 +45,7 @@ from oracles import (
     oracle_levi_generated_dims,
     oracle_map_product,
     rank_dense,
+    same_decomposition,
     same_map,
     sparse_rows,
     whole_map_checks,
@@ -65,7 +68,6 @@ from superbgg.errors import (
     FiniteDimGuardExceeded,
     LeviNotClosed,
     PreconditionViolated,
-    TruncationTooSmall,
 )
 from superbgg.homology import (
     KostantAnalysis,
@@ -223,8 +225,8 @@ def _corrupted_quotient(k=2):
     w = an.homology_decomposition(k).entries[0].highest_weight
     lower = an.cx.lower(k).icols
     i = next(i for i in an.cx.space(k).weight_blocks[w] if lower[i])
-    return p, LeviModule(an.cx, k, {**mod.ker, w: mod.ker[w] + [{i: 1}]}, mod.im,
-                         mod.acyclic)
+    return p, LeviModule(an.cx, k, {**mod.ker, w: mod.ker[w] + [{i: 1}]}, mod.dims,
+                         mod.records, mod.above)
 
 
 def test_decompose_levi_not_closed():
@@ -390,17 +392,18 @@ def test_decompose_levi_accepts_subspace(gl21_borel, gl21_natural):
     dimension of the oracle's module."""
     an = KostantAnalysis(gl21_borel, gl21_natural, k_max=2)
     sub = an.ker_quabla_module(1)
-    assert sub.im is None
+    assert sub.records is None and sub.above is None
     dec = decompose_levi(gl21_borel, sub)
     assert dec.total_dimension == sub.dim == ker_quabla(an, 1).dim
 
 
 @pytest.mark.parametrize("case", ["gl21_borel", "osp46_sec7"])
 def test_ker_quabla_is_a_levi_module_of_the_block_kernels(case, request):
-    """ker_quabla_module(k) is a LeviModule on the block kernels: it has
-    their weight counts, those of the oracle's module, and the analysis's
-    own quabla kills every basis vector.  The oracle's generalized zero
-    space is a coordinate module too."""
+    """ker_quabla_module(k) is a LeviModule on the block kernels: its
+    weight dimensions are their counts, those of the oracle's module, it
+    holds a basis of that size at every dominant weight among them and at
+    no other, and the analysis's own quabla kills every basis vector.  The
+    oracle's generalized zero space is a coordinate module too."""
     p = request.getfixturevalue(case)
     module = request.getfixturevalue(case.split("_")[0] + "_natural")
     an = KostantAnalysis(p, module, k_max=2)
@@ -408,10 +411,11 @@ def test_ker_quabla_is_a_levi_module_of_the_block_kernels(case, request):
         kq = an.ker_quabla_module(k)
         assert isinstance(kq, LeviModule)
         assert isinstance(generalized_zero(an, k), CoordinateLeviModule)
-        dims = {w: len(cols) for w, cols in kq.ker.items()}
-        assert dims == ker_quabla(an, k).weight_dims() == {
-            w: d.dim_ker_quabla for w, d in an.block_data(k).items()
-            if d.dim_ker_quabla}
+        data = an.block_data(k)
+        assert kq.dims == ker_quabla(an, k).weight_dims() == {
+            w: d.dim_ker_quabla for w, d in data.items() if d.dim_ker_quabla}
+        assert {w: len(cols) for w, cols in kq.ker.items()} == {
+            w: n for w, n in kq.dims.items() if data[w].rep == w}
         icols = merged_quabla(an.cx.casimir_quabla(k)).icols
         for cols in kq.ker.values():
             for col in cols:
@@ -435,33 +439,6 @@ def test_decompose_levi_non_split_extension(gl21):
     assert sum(e.hw_vector_count * e.irrep_dimension
                for e in dec.entries) == dec.total_dimension
     assert not dec.completely_reducible
-
-
-def test_levi_module_rejects_mixed_weights_under_O():
-    """The precondition that a basis vector of weight w lies in the weight
-    block of w is a typed error, so `python -O` keeps it."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    code = (
-        "from superbgg.algebra import build_algebra, build_parabolic, wt\n"
-        "from superbgg.chains import ChainComplex\n"
-        "from superbgg.errors import PreconditionViolated\n"
-        "from superbgg.homology import LeviModule\n"
-        "from superbgg.modules import build_irrep\n"
-        "g = build_algebra('gl', 2, 1)\n"
-        "cx = ChainComplex(build_parabolic(g, []), build_irrep(g, wt(1, 0, 0)))\n"
-        "w = cx.space(0).weights[0]\n"
-        "if cx.space(0).weights[1] == w:\n"
-        "    raise SystemExit('indices 0 and 1 share a weight')\n"
-        "try:\n"
-        "    LeviModule(cx, 0, {w: [{0: 1, 1: 1}]})\n"
-        "except PreconditionViolated:\n"
-        "    print('rejected')\n"
-    )
-    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
-                         text=True, env=dict(os.environ, PYTHONPATH=str(src)),
-                         timeout=120)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "rejected"
 
 
 def _dense(cols, dim):
@@ -616,10 +593,11 @@ def test_levi_int_coordinates_are_one_multiple_per_weight(levi_case):
 
 
 def test_levi_layer_holds_only_ints(levi_case):
-    """The K and I bases of H_k and ker quabla_k, the action columns act
-    forms, the classes `express` returns and I's RREF rows, the
-    highest-weight vectors and the echelon rows of the closures are ints,
-    and the echelon's rank is its row count."""
+    """The K bases of H_k and ker quabla_k, the action columns act forms,
+    the classes `express` returns and I's RREF rows, the highest-weight
+    vectors and the echelon rows of the closures are ints, and the
+    echelon's rank is its row count.  I's bases are block_data's, whose
+    ints test_block_layer_holds_only_ints checks."""
     p, an = levi_case
     g = p.algebra
     pos, neg = g.simple_vector_indices()
@@ -632,7 +610,6 @@ def test_levi_layer_holds_only_ints(levi_case):
             raising = [(g.root(pos[i]), mod.act(pos[i])) for i in p.levi_simple_roots]
             lowering = [(g.root(neg[i]), mod.act(neg[i])) for i in p.levi_simple_roots]
             assert ints(c for cols in mod.ker.values() for c in cols)
-            assert ints(c for cols in (mod.im or {}).values() for c in cols)
             echelon = Echelon()
             for w in mod.ker:
                 vecs = mod.express(w, _highest_weight_vectors(mod, w, raising))
@@ -655,12 +632,14 @@ def test_quotient_express_projects_along_the_image(osp46_sec7, osp46_natural):
     d*_k does not kill is refused."""
     an = KostantAnalysis(osp46_sec7, osp46_natural, k_max=2)
     mod = an.homology_quotient_module(1)
-    w = next(w for w, cols in mod.im.items() if cols and len(mod.ker[w]) > len(cols))
-    assert mod.express(w, mod.im[w]) == [{}] * len(mod.im[w])
+    w = next(w for w in mod.ker if mod.records[w].im
+             and len(mod.ker[w]) > len(mod.records[w].im))
+    im = mod.records[w].im
+    assert mod.express(w, im) == [{}] * len(im)
     classes = mod.express(w, mod.ker[w])
     assert all(classes) and rank_dense(
         [[c.get(t, 0) for t in sorted({t for c in classes for t in c})]
-         for c in classes]) == len(mod.ker[w]) - len(mod.im[w])
+         for c in classes]) == len(mod.ker[w]) - len(im)
     a, b = mod.ker[w][:2]
     total = linalg.vec_iadd(dict(a), b, 3)
     want = linalg.vec_iadd(dict(classes[0]), classes[1], 3)
@@ -759,7 +738,7 @@ def test_levi_act_divides_by_the_map_denominator(gl21):
         mod = full_levi_module(cx, k)
         for i in p.levi_indices:
             amap = cx.action_map(k, i)
-            cols = LeviModule(cx, k, {}).act(i)
+            cols = LeviModule(cx, k, {}, {}).act(i)
             dens.update((amap.den, cols.den))
             assert mod.act(i).cols == fraction_columns(amap)
             assert [{r: Fraction(v, cols.den) for r, v in cols[j].items()}
@@ -881,10 +860,10 @@ def test_decompositions_match_the_coordinate_oracle(case):
     coordinate oracle's decomposition at every degree j <= k."""
     p, an, k = _case_analysis(case)
     for j in range(k + 1):
-        assert decompose_levi(p, an.homology_quotient_module(j)) == \
-            coordinate_decomposition(p, homology_quotient(an, j))
-        assert an.ker_quabla_decomposition(j) == \
-            coordinate_decomposition(p, ker_quabla(an, j))
+        assert same_decomposition(decompose_levi(p, an.homology_quotient_module(j)),
+                                  coordinate_decomposition(p, homology_quotient(an, j)))
+        assert same_decomposition(an.ker_quabla_decomposition(j),
+                                  coordinate_decomposition(p, ker_quabla(an, j)))
 
 
 @pytest.mark.parametrize("alg, levi, lam, kac, k, certified", [
@@ -901,8 +880,8 @@ def test_non_completely_reducible_cases_match_the_coordinate_oracle(
     module = (build_kac_module if kac else build_irrep)(p.algebra, wt(*lam))
     an = KostantAnalysis(p, module, k_max=k)
     got = (an.homology_decomposition(k), an.ker_quabla_decomposition(k))
-    assert got == (coordinate_decomposition(p, homology_quotient(an, k)),
-                   coordinate_decomposition(p, ker_quabla(an, k)))
+    assert same_decomposition(got[0], coordinate_decomposition(p, homology_quotient(an, k)))
+    assert same_decomposition(got[1], coordinate_decomposition(p, ker_quabla(an, k)))
     assert tuple(dec.completely_reducible for dec in got) == certified
 
 
@@ -1012,26 +991,25 @@ def test_weights_are_built_in_normal_form(kind, m, n, levi, lam):
 
 def test_block_layer_holds_only_ints(levi_case):
     """block_data's bases (sparse dicts) and the predicate values hold no
-    Fraction; at a non-acyclic block the kernels of d*_k equal, vector for
-    vector, the primitive multiples of nullspace's Fraction kernels, and at
-    an acyclic block the recorded count is their number."""
+    Fraction; at a block that holds them (dominant and not acyclic) the
+    kernels of d*_k equal, vector for vector, the primitive multiples of
+    nullspace's Fraction kernels, and at every other block the recorded
+    count is their number."""
     p, an = levi_case
     for k in (0, 1):
         data = an.block_data(k)
         rep = an.predicates(k)
         for w, d in data.items():
-            keys = ("ker_quabla", "gen_zero") if d.acyclic else \
-                ("ker", "im", "ker_quabla", "gen_zero")
-            for key in keys:
+            for key in ("ker", "im", "ker_quabla", "gen_zero"):
                 assert all(type(v) is dict and all(type(x) is int for x in v.values())
-                           for v in an.basis(k, w, key))
+                           for v in getattr(d, key) or ())
             lower, idxs = an.cx.lower(k), an.cx.space(k).weight_blocks[w]
             blk = lower.block(w)
             want = linalg.nullspace(blk, ncols=len(idxs))
-            if d.acyclic:
-                assert d.dim_ker == len(want)
+            if d.rep == w:
+                assert d.ker == [_primitive_vector(u, idxs) for u in want]
             else:
-                assert an.basis(k, w, "ker") == [_primitive_vector(u, idxs) for u in want]
+                assert d.dim_ker == len(want)
         assert all(type(v) is bool for v in rep.values.values())
         assert all(type(v) is bool for v in an._lower_statements(k).values())
 
@@ -1045,24 +1023,24 @@ def _primitive_vector(vec, idxs):
 
 def test_largest_block_bases_match_the_fraction_oracles():
     """On osp(5|4) with Levi {0,1} and the natural module at k = 3, whose
-    blocks reach 67 x 67, the ten largest non-acyclic blocks: the kernel of
-    d*_k is, vector for vector, the primitive multiple of oracle_kernel's
-    Fraction basis, and the image of d*_{k+1} is the primitive multiples of
-    the block's first-come independent columns, found by Fraction
-    elimination."""
+    blocks reach 67 x 67, the ten largest blocks that block_data eliminates
+    (dominant and not acyclic): the kernel of d*_k is, vector for vector,
+    the primitive multiple of oracle_kernel's Fraction basis, and the image
+    of d*_{k+1} is the primitive multiples of the block's first-come
+    independent columns, found by Fraction elimination."""
     k = 3
     p = _parabolic("osp", 5, 2, (0, 1))
     an = KostantAnalysis(p, build_irrep(p.algebra, wt(1, 0, 0, 0)), k_max=k)
     data, blocks = an.block_data(k), an.cx.space(k).weight_blocks
-    hot = [w for w, d in data.items() if not d.acyclic]
+    hot = [w for w, d in data.items() if d.rep == w]
     largest = sorted(hot, key=lambda w: len(blocks[w]), reverse=True)[:10]
     assert len(largest) == 10 and len(blocks[largest[0]]) == 67
     lower, above = an.cx.lower(k), an.boundary_above(k)
     for w in largest:
         want = oracle_kernel(lower.block(w), len(blocks[w]))
-        assert an.basis(k, w, "ker") == [_primitive_vector(u, blocks[w]) for u in want]
+        assert data[w].ker == [_primitive_vector(u, blocks[w]) for u in want]
         cols = linalg.transpose(above.int_block(w))
-        assert an.basis(k, w, "im") == [
+        assert data[w].im == [
             _primitive_vector(list(map(Fraction, cols[j])), blocks[w])
             for j in oracle_independent_columns(cols)]
 
@@ -1077,7 +1055,7 @@ def test_shared_decomposition_equals_fresh(case):
     dec = an.ker_quabla_decomposition(k)
     shared = an.homology_is_ker_quabla(k)
     assert (dec is an.homology_decomposition(k)) is shared
-    assert dec == coordinate_decomposition(p, ker_quabla(an, k))
+    assert same_decomposition(dec, coordinate_decomposition(p, ker_quabla(an, k)))
 
 
 def test_shared_decomposition_osp46_natural(osp46_sec7, osp46_natural):
@@ -1089,7 +1067,7 @@ def test_shared_decomposition_osp46_natural(osp46_sec7, osp46_natural):
         assert an.homology_is_ker_quabla(k)
         dec = an.ker_quabla_decomposition(k)
         assert dec is an.homology_decomposition(k)
-        assert dec == coordinate_decomposition(osp46_sec7, ker_quabla(an, k))
+        assert same_decomposition(dec, coordinate_decomposition(osp46_sec7, ker_quabla(an, k)))
 
 
 @pytest.mark.parametrize("alg, levi, lam, dims_agree, stmt3", [
@@ -1109,11 +1087,11 @@ def test_gate_refuses_and_decomposes_ker_quabla(alg, levi, lam, dims_agree, stmt
     assert an._lower_statements(1)[3] is stmt3
     assert not an.homology_is_ker_quabla(1)
     dec = an.ker_quabla_decomposition(1)
-    assert dec == coordinate_decomposition(p, ker_quabla(an, 1))
+    assert same_decomposition(dec, coordinate_decomposition(p, ker_quabla(an, 1)))
     assert dec.total_dimension == ker_quabla(an, 1).dim
     assert dec is not an.homology_decomposition(1)
-    assert an.homology_decomposition(1) == coordinate_decomposition(
-        p, homology_quotient(an, 1))
+    assert same_decomposition(an.homology_decomposition(1), coordinate_decomposition(
+        p, homology_quotient(an, 1)))
 
 
 @given(_certificate_cases())
@@ -1142,9 +1120,9 @@ def test_statement_3_matches_rank_oracle(case):
     _, an, k = _case_analysis(case)
     for j in range(k + 1):
         blocks = an.cx.space(j).weight_blocks
-        want = all(rank_dense(dense_rows(an.basis(j, w, "ker") + an.basis(j, w, "gen_zero"),
-                                         blocks[w]))
-                   == d.dim_ker for w, d in an.block_data(j).items() if not d.acyclic)
+        want = all(rank_dense(dense_rows(f["ker"] + f["gen_zero"], blocks[w]))
+                   == len(f["ker"]) for w, f in every_weight_blocks(an, j).items()
+                   if not f["acyclic"])
         assert an._lower_statements(j)[3] is want
 
 
@@ -1163,11 +1141,11 @@ def test_levi_irrep_dimension_fails_fast_off_dominant_weights(gl21, monkeypatch)
     monkeypatch.setattr(homology, "build_irrep", spy)
     off = [wt(0, 1, 0), wt(Fraction(1, 2), 0, 0)]
     assert [levi_irrep_dimension(p, w) for w in off] == [None, None]
-    assert built == [] and "levi" not in p._levi_cache
+    assert built == [] and "levi_algebra" not in vars(p)
     assert levi_irrep_dimension(p, wt(1, 0, 0)) == 2 and built == [wt(1, 0, 0)]
     for w in off:
         with pytest.raises(FiniteDimGuardExceeded):
-            build_irrep(p.levi_algebra(), w, p._levi_cache["levi_op"], 8)
+            build_irrep(p.levi_algebra, w, p.levi_operation, 8)
 
 
 def test_gate_reads_statements_1_and_3(gl21_borel, gl21_natural):
@@ -1201,7 +1179,7 @@ def test_homology_matches_oracle_ranks_with_acyclic_blocks(case):
         assert rep.dim_im_boundary_above == sum(im for _, im in ranks.values())
         assert rep.weight_multiplicities == {
             w: ker - im for w, (ker, im) in ranks.items() if ker - im}
-        acyclic, quab = an.acyclic_weights(k), merged_quabla(an.cx.casimir_quabla(k))
+        acyclic, quab = acyclic_weights(an, k), merged_quabla(an.cx.casimir_quabla(k))
         for w, idxs in an.cx.space(k).weight_blocks.items():
             full = rank_dense(quab.block(w)) == len(idxs)
             assert (w in acyclic) is full
@@ -1294,7 +1272,7 @@ def test_quabla_kernels_run_at_the_candidates_alone(monkeypatch):
         an.homology(k)
     assert len(runs) == 107
     assert sum(len(an.candidate_weights(k)) for k in range(5)) == 107
-    assert sum(len(an.cx.space(k).weight_blocks) - len(an.acyclic_weights(k))
+    assert sum(len(an.cx.space(k).weight_blocks) - len(acyclic_weights(an, k))
                for k in range(5)) == 107
     assert sum(len(an.cx.space(k).weight_blocks) for k in range(5)) == 890
 
@@ -1357,10 +1335,11 @@ def test_swapped_radical_dual_leaves_the_cartan(optimize):
 @pytest.mark.parametrize("optimize", [False, True])
 def test_corrupted_record_count_fails_the_basis_check(optimize):
     """A weight that is not its own l_0-dominant representative takes the
-    representative's counts, and KostantAnalysis.basis checks the basis it
-    eliminates there on first read against them: with the record's
-    dim ker d*_1 raised by 1 it raises CrossCheckFailed, also under
-    `python -O`, on the natural benchmark query."""
+    representative's counts, and the homology quotient checks the basis of
+    I it eliminates there on its first projection (`LeviModule.express`)
+    against them: with the record's dim im d*_2 raised by 1 it raises
+    CrossCheckFailed, also under `python -O`, on the natural benchmark
+    query."""
     from test_cli import _run_script
     code = (
         "import json\n"
@@ -1370,16 +1349,69 @@ def test_corrupted_record_count_fails_the_basis_check(optimize):
         "from superbgg.modules import build_irrep\n"
         "g = build_algebra('osp', 5, 2)\n"
         "an = KostantAnalysis(build_parabolic(g, [1, 2, 3]), build_irrep(g, wt(1, 0, 0, 0)), 3)\n"
+        "mod = an.homology_quotient_module(1)\n"
         "w, d = next((w, d) for w, d in an.block_data(1).items() if d.rep not in (None, w))\n"
-        "d.dim_ker += 1\n"
+        "d.dim_im += 1\n"
         "try:\n"
-        "    an.basis(1, w, 'ker')\n"
+        "    mod.express(w, [])\n"
         "    print(json.dumps('accepted'))\n"
         "except CrossCheckFailed as exc:\n"
         "    print(json.dumps(str(exc)))\n"
     )
     out = _run_script(code, optimize)
-    assert out.startswith("the ker basis of degree 1 at ") and "another size than at" in out
+    assert out.startswith("the im basis of degree 1 at ") and "another size than at" in out
+
+
+def _non_dominant_images(monkeypatch, tmp_path):
+    """Run `homology` on osp(5|4) with Levi {0,1} and the natural module at
+    kmax 2, with `_block_images` spied on, and return the analysis and
+    {(k, w): calls that eliminated I at w} over the non-acyclic weights w
+    of C_k that are not their own l_0-dominant representative, each
+    counted where it was read from boundary_above(k)."""
+    from superbgg import cli, homology
+    calls, made = [], []
+    block_images, init = homology._block_images, KostantAnalysis.__init__
+
+    def spy(m, weights):
+        calls.append((m, list(weights)))
+        return block_images(m, weights)
+
+    def spy_init(self, *args):
+        made.append(self)
+        init(self, *args)
+    monkeypatch.setattr(homology, "_block_images", spy)
+    monkeypatch.setattr(KostantAnalysis, "__init__", spy_init)
+    argv = ["homology", "--alg", "osp", "--m", "5", "--n", "2", "--levi", "0,1",
+            "--weight", "1,0|0,0", "--kmax", "2", "--out", str(tmp_path / "report.json")]
+    assert cli.main(argv) == 0
+    (an,) = made
+    counts = {}
+    for k in range(3):
+        above = an.boundary_above(k)
+        for w, d in an.block_data(k).items():
+            if d.rep not in (None, w):
+                counts[k, w] = sum(m is above and w in ws for m, ws in calls)
+    return an, counts
+
+
+def test_non_dominant_images_are_eliminated_once(monkeypatch, tmp_path):
+    """On `homology` for osp(5|4) with Levi {0,1} at kmax 2, the homology
+    quotients project onto I at 15 weights that are not their own
+    l_0-dominant representative, and I is eliminated once at each."""
+    _, counts = _non_dominant_images(monkeypatch, tmp_path)
+    formed = [key for key, n in counts.items() if n]
+    assert len(formed) == 15 and all(counts[key] == 1 for key in formed)
+
+
+def test_non_dominant_records_hold_no_basis(monkeypatch, tmp_path):
+    """After the same run, no block_data record at a weight that is not its
+    own representative holds a basis: I formed there lives in the homology
+    quotient's RREF alone."""
+    an, counts = _non_dominant_images(monkeypatch, tmp_path)
+    assert counts
+    for k, w in counts:
+        d = an.block_data(k)[w]
+        assert (d.ker, d.im, d.ker_quabla, d.gen_zero) == (None,) * 4
 
 
 def _top_block_counts(an) -> dict:
@@ -1590,7 +1622,7 @@ def _acyclic_probe(an, k):
     d*_k does not kill."""
     lower, upper = an.cx.lower(k), an.cx.lower(k + 1)
     blocks = an.cx.space(k).weight_blocks
-    for w in sorted(an.acyclic_weights(k), key=weight_key):
+    for w in sorted(acyclic_weights(an, k), key=weight_key):
         bad = next(({i: 1} for i in blocks[w] if lower.icols[i]), None)
         good = next((col for j in an.cx.space(k + 1).weight_blocks.get(w, [])
                      if (col := upper.icols[j])), None)
@@ -1606,9 +1638,8 @@ def test_quotient_express_certifies_cycles_at_acyclic_weights(gl21_borel, gl21_n
     block."""
     an = KostantAnalysis(gl21_borel, gl21_natural, k_max=2)
     mod = an.homology_quotient_module(1)
-    assert mod.acyclic == an.acyclic_weights(1)
     w, good, bad = _acyclic_probe(an, 1)
-    assert w not in mod.ker and w not in mod.im
+    assert mod.records[w].acyclic and w not in mod.ker and mod.records[w].im is None
     assert mod.express(w, [good, {}]) == [{}, {}]
     with pytest.raises(LeviNotClosed, match="not stable"):
         mod.express(w, [good, bad])
@@ -1625,7 +1656,7 @@ def test_quotient_rejects_a_non_cycle_at_an_acyclic_weight_under_O():
     image outside K on a homology quotient (`_corrupted_quotient`)."""
     src = Path(__file__).resolve().parent.parent / "src"
     code = (
-        "from superbgg.algebra import build_algebra, build_parabolic, weight_key, wt\n"
+        "from superbgg.algebra import build_algebra, build_parabolic, wt\n"
         "from superbgg.errors import LeviNotClosed\n"
         "from superbgg.homology import KostantAnalysis\n"
         "from superbgg.modules import build_irrep\n"
@@ -1633,7 +1664,7 @@ def test_quotient_rejects_a_non_cycle_at_an_acyclic_weight_under_O():
         "an = KostantAnalysis(build_parabolic(g, []), build_irrep(g, wt(1, 0, 0)), 2)\n"
         "mod = an.homology_quotient_module(1)\n"
         "lower, blocks = an.cx.lower(1), an.cx.space(1).weight_blocks\n"
-        "w, i = next((w, i) for w in sorted(mod.acyclic, key=weight_key)\n"
+        "w, i = next((w, i) for w, d in an.block_data(1).items() if d.acyclic\n"
         "            for i in blocks[w] if lower.icols[i])\n"
         "try:\n"
         "    mod.express(w, [{i: 1}])\n"
@@ -1661,9 +1692,11 @@ def test_quotient_rejects_a_non_cycle_at_an_acyclic_weight_under_O():
 def _matches_every_weight_oracle(p, an, k) -> int:
     """Assert that the orbit-reduced block layer of degrees 0..k equals the
     every-weight oracle at every weight: the counts and acyclic flags of
-    block_data, the bases read on demand (`KostantAnalysis.basis`),
-    statements (1)-(7), homology(j) and both decompositions.  Returns the
-    number of non-acyclic weights that took the counts of another one."""
+    block_data, the bases it formed at the dominant non-acyclic weights
+    (no other record holds one), statements (1)-(7), homology(j), both
+    decompositions, and the RREF of I that the homology quotient formed at
+    each non-dominant weight it projected onto.  Returns the number of
+    non-acyclic weights that took the counts of another one."""
     mapped = 0
     for j in range(k + 1):
         full, data = every_weight_blocks(an, j), an.block_data(j)
@@ -1676,8 +1709,11 @@ def _matches_every_weight_oracle(p, an, k) -> int:
                                   len(f["gen_zero"]), len(f["ker"]), len(f["im"]))
             if not d.acyclic:
                 mapped += d.rep != w
-                for name in ("ker", "im", "ker_quabla", "gen_zero"):
-                    assert an.basis(j, w, name) == f[name]
+            for name in ("ker", "im", "ker_quabla", "gen_zero"):
+                if d.rep == w:
+                    assert getattr(d, name) == f[name]
+                elif not d.acyclic:
+                    assert getattr(d, name) is None
         assert {**an._lower_statements(j), **an.predicates(j).values} == \
             every_weight_statements(an, j)
         rep = an.homology(j)
@@ -1687,10 +1723,14 @@ def _matches_every_weight_oracle(p, an, k) -> int:
         assert rep.weight_multiplicities == {
             w: h for w, f in full.items() if (h := len(f["ker"]) - len(f["im"]))}
         quotient = coordinate_decomposition(p, homology_quotient(an, j))
-        assert decompose_levi(p, an.homology_quotient_module(j)) == quotient
-        assert an.homology_decomposition(j) == quotient
-        assert an.ker_quabla_decomposition(j) == \
-            coordinate_decomposition(p, ker_quabla(an, j))
+        mod = an.homology_quotient_module(j)
+        assert same_decomposition(decompose_levi(p, mod), quotient)
+        for w, (rows, _) in mod._im_rows.items():
+            if data[w].rep != w:
+                assert rows == Echelon(full[w]["im"]).reduce().rows
+        assert same_decomposition(an.homology_decomposition(j), quotient)
+        assert same_decomposition(an.ker_quabla_decomposition(j),
+                                  coordinate_decomposition(p, ker_quabla(an, j)))
     return mapped
 
 
@@ -1729,7 +1769,7 @@ def test_levi_even_simple_roots_need_no_levi_algebra(alg, levi):
     Levi's basis indices, are those of the built Levi subalgebra."""
     p = _parabolic(*alg, levi)
     assert even_simple_roots(p.algebra, p.levi_indices) == \
-        even_simple_roots(p.levi_algebra())
+        even_simple_roots(p.levi_algebra)
 
 
 def _work_counts(monkeypatch, alg, levi, lam, k_max, command) -> dict:

@@ -1,9 +1,5 @@
 import itertools
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -224,25 +220,50 @@ def test_form_positive_definite_flags(gl21, gl21_natural):
 
 def test_restrict_adjoint_rejects_unstable_subalgebra_under_O():
     """dagger maps the positive root vectors to negative ones, so n+ is not
-    stable under it; the typed error survives python -O."""
-    src = Path(__file__).resolve().parent.parent / "src"
+    stable under it.  No subalgebra the package restricts to is unstable,
+    so restricting to one is an internal fault: CrossCheckFailed (exit 1),
+    with and without `python -O`."""
+    from test_cli import _run_script
     code = (
-        "from superbgg.algebra import build_adjoint_operation, build_algebra\n"
-        "from superbgg.errors import PreconditionViolated\n"
-        "from superbgg.modules import restrict_adjoint\n"
+        "import json\n"
+        "from superbgg.algebra import build_adjoint_operation, build_algebra, restrict_adjoint\n"
+        "from superbgg.errors import SuperBGGError\n"
         "g = build_algebra('gl', 2, 1)\n"
         "pos = g.positive_root_indices()\n"
         "try:\n"
         "    restrict_adjoint(build_adjoint_operation(g, 1),\n"
         "                     g.subalgebra(pos, [], 'n+'), pos)\n"
-        "except PreconditionViolated:\n"
-        "    print('rejected')\n"
+        "    print(json.dumps('accepted'))\n"
+        "except SuperBGGError as exc:\n"
+        "    print(json.dumps(type(exc).__name__))\n"
     )
-    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
-                         text=True, env=dict(os.environ, PYTHONPATH=str(src)),
-                         timeout=120)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "rejected"
+    assert [_run_script(code, optimize) for optimize in (False, True)] == [
+        "CrossCheckFailed"] * 2
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_adjoint_off_the_simple_raising_vectors_fails_the_irrep(optimize):
+    """build_irrep reads the adjoint of each simple lowering vector as a
+    multiple of its raising vector.  Every adjoint operation the package
+    builds is one; with the identity map handed in instead, build_irrep
+    raises CrossCheckFailed (exit 1), also under `python -O`."""
+    from test_cli import _run_script
+    code = (
+        "import json\n"
+        "from superbgg.algebra import AdjointOperation, build_algebra, wt\n"
+        "from superbgg.errors import SuperBGGError\n"
+        "from superbgg.modules import build_irrep\n"
+        "g = build_algebra('gl', 2, 1)\n"
+        "op = AdjointOperation(g, [{i: 1} for i in range(g.dim)], 1)\n"
+        "try:\n"
+        "    build_irrep(g, wt(1, 0, 0), op)\n"
+        "    print(json.dumps('accepted'))\n"
+        "except SuperBGGError as exc:\n"
+        "    print(json.dumps([type(exc).__name__, str(exc)]))\n"
+    )
+    assert _run_script(code, optimize) == [
+        "CrossCheckFailed",
+        "adjoint of a simple lowering vector must be a multiple of the raising vector"]
 
 
 # ---------------------------------------------------------------------------

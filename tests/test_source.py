@@ -171,3 +171,67 @@ def test_cli_import_loads_no_class_or_signature_machinery():
                          timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == []
+
+
+def _written_attributes(target):
+    """The Attribute nodes that an assignment or `del` target writes: `x.a`,
+    and `x.a` of an item write `x.a[i]`, inside tuple and starred targets."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        for elt in target.elts:
+            yield from _written_attributes(elt)
+    elif isinstance(target, ast.Starred):
+        yield from _written_attributes(target.value)
+    else:
+        while isinstance(target, ast.Subscript):
+            target = target.value
+        if isinstance(target, ast.Attribute):
+            yield target
+
+
+def _attribute_writes(tree):
+    """Every Attribute node the parsed module writes: assigned, item-assigned,
+    deleted, or the receiver of `setdefault`, `update` or `pop`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        elif isinstance(node, ast.Delete):
+            targets = node.targets
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("setdefault", "update", "pop")):
+            targets = [node.func.value]
+        else:
+            continue
+        for target in targets:
+            yield from _written_attributes(target)
+
+
+def _is_self(node) -> bool:
+    return isinstance(node, ast.Name) and node.id == "self"
+
+
+def _foreign_cache_writes(src: Path) -> list:
+    """`module:line attr` for each write, through anything but `self`, of a
+    private attribute that a class of another module of `src` sets on
+    `self`."""
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(src.glob("*.py"))}
+    owners: dict = {}
+    for stem, tree in trees.items():
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for node in _attribute_writes(cls):
+                if _is_self(node.value) and node.attr.startswith("_"):
+                    owners.setdefault(node.attr, set()).add(stem)
+    return [f"{stem}:{node.lineno} {node.attr}" for stem, tree in trees.items()
+            for node in _attribute_writes(tree)
+            if not _is_self(node.value) and owners.get(node.attr, {stem}) - {stem}]
+
+
+def test_each_private_cache_has_one_writing_module():
+    """No module writes a private attribute, by assignment, item assignment,
+    `del`, `setdefault`, `update` or `pop`, that a class of another module
+    sets on `self`: each cache is written only by the module that owns it.
+    A write from the owning module, as build_adjoint_operation's to the
+    algebra's `_adjoint_cache`, is its own."""
+    assert _foreign_cache_writes(SRC) == []
